@@ -4,7 +4,8 @@
 // metric alongside the usual ns/op.
 //
 // The shared environment (database + trained models) is built once on
-// first use with the full-fidelity options; set -short to use the fast
+// first use with the full-fidelity options, its models trained up front
+// so no figure's timing includes them; set -short to use the fast
 // (coarse) environment instead.
 package ecost
 
@@ -48,9 +49,18 @@ func env(b *testing.B) *experiments.Env {
 		if err != nil {
 			panic(err)
 		}
+		trainAll(e)
 		benchEnv = e
 	})
 	return benchEnv
+}
+
+// trainAll trains the three model families, which otherwise train on
+// first use.
+func trainAll(e *experiments.Env) {
+	for _, s := range []*core.MLMSTP{e.LR, e.REPTree, e.MLP} {
+		s.Models()
+	}
 }
 
 // BenchmarkEnvBuild measures the full offline pipeline — profiling,
@@ -59,6 +69,22 @@ func env(b *testing.B) *experiments.Env {
 // builds from scratch (no cache), so ns/op is the cold-start cost at
 // the current GOMAXPROCS.
 func BenchmarkEnvBuild(b *testing.B) {
+	opt := benchOptions()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e, err := experiments.NewEnv(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trainAll(e)
+	}
+}
+
+// BenchmarkEnvBuildLkT times NewEnv alone — the database build, with
+// the model families left untrained — the cold start a run that only
+// consults the lookup table (ecost-sim, the sharded control plane)
+// pays.
+func BenchmarkEnvBuildLkT(b *testing.B) {
 	opt := benchOptions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

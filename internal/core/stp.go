@@ -203,11 +203,6 @@ func (s *MeteredSTP) scanSize() int {
 	}
 }
 
-// MLMSTP is the machine-learning-model technique (Figure 7): one
-// regressor per class pair is trained on the database's (features,
-// configuration) → EDP rows; prediction classifies the incoming pair,
-// selects the class-pair model, evaluates it over every permutation of
-// the tunable parameters, and returns the argmin.
 // modelKey identifies one trained regressor: a class pair at one
 // data-size combination. Splitting by size combination keeps each
 // model's response surface unimodal over the knobs — pooling sizes lets
@@ -217,19 +212,37 @@ type modelKey struct {
 	sizeA, sizeB float64
 }
 
+// MLMSTP is the machine-learning-model technique (Figure 7): one
+// regressor per class pair is trained on the database's (features,
+// configuration) → EDP rows; prediction classifies the incoming pair,
+// selects the class-pair model, evaluates it over every permutation of
+// the tunable parameters, and returns the argmin.
+//
+// The models train on first use: the first call of PredictBest,
+// PredictRow, Models, TrainTime or SaveModels runs the training, once,
+// and every later call — from any goroutine — sees its result. A
+// program that only ever consults the lookup table never pays for it.
+// Every regressor seeds itself and the rows group deterministically, so
+// when training runs does not change a bit of what the models predict.
 type MLMSTP struct {
 	name        string
 	db          *Database
-	models      map[modelKey]ml.Regressor
+	factory     ModelFactory
+	rowStride   int
 	useFeatures bool
+	trainGauge  *metrics.Gauge
 
+	once      sync.Once
+	models    map[modelKey]ml.Regressor
 	trainTime time.Duration
+	trainErr  error
 }
 
 // ModelFactory builds a fresh regressor (one is trained per class pair).
 type ModelFactory func() ml.Regressor
 
-// NewMLMSTP trains per-class-pair models from the database rows.
+// NewMLMSTP returns a technique that trains per-class-pair models from
+// the database rows on first use.
 func NewMLMSTP(name string, db *Database, factory ModelFactory) (*MLMSTP, error) {
 	return newMLMSTP(name, db, factory, 1, false)
 }
@@ -248,19 +261,42 @@ func NewMLMSTPFeatures(name string, db *Database, factory ModelFactory, rowStrid
 	return newMLMSTP(name, db, factory, rowStride, true)
 }
 
+// newMLMSTP checks that the database has rows to train on; the training
+// itself waits for first use. Every class pair's first row survives any
+// stride, so a database with rows always yields at least one model.
 func newMLMSTP(name string, db *Database, factory ModelFactory, rowStride int, useFeatures bool) (*MLMSTP, error) {
 	if rowStride < 1 {
 		rowStride = 1
 	}
-	s := &MLMSTP{name: name, db: db, models: make(map[modelKey]ml.Regressor), useFeatures: useFeatures}
+	if !db.HasRows() {
+		return nil, fmt.Errorf("core: %s: database has no training rows", name)
+	}
+	return &MLMSTP{name: name, db: db, factory: factory, rowStride: rowStride, useFeatures: useFeatures}, nil
+}
+
+// SetTrainGauge makes the training record its wall-clock seconds in g
+// when it runs. Call it before the technique's first use.
+func (s *MLMSTP) SetTrainGauge(g *metrics.Gauge) { s.trainGauge = g }
+
+// trained runs the training on first call and returns its error, the
+// same one to every caller.
+func (s *MLMSTP) trained() error {
+	s.once.Do(s.train)
+	return s.trainErr
+}
+
+// train fits one regressor per (class pair, size combination) from the
+// database rows. Models stay nil unless every regressor trains.
+func (s *MLMSTP) train() {
 	start := time.Now()
 	groups := make(map[modelKey][]TrainRow)
-	for cp, all := range db.Rows {
-		for i := 0; i < len(all); i += rowStride {
+	for cp, all := range s.db.Rows {
+		for i := 0; i < len(all); i += s.rowStride {
 			r := all[i]
 			groups[modelKey{cp, r.X[0], r.X[1]}] = append(groups[modelKey{cp, r.X[0], r.X[1]}], r)
 		}
 	}
+	models := make(map[modelKey]ml.Regressor, len(groups))
 	for key, rows := range groups {
 		X := make([][]float64, len(rows))
 		y := make([]float64, len(rows))
@@ -273,21 +309,26 @@ func newMLMSTP(name string, db *Database, factory ModelFactory, rowStride int, u
 			// argmin unchanged.
 			y[i] = math.Log(r.RelEDP)
 		}
-		m := factory()
+		m := s.factory()
 		if err := m.Train(X, y); err != nil {
-			return nil, fmt.Errorf("core: %s model for %v: %w", name, key.cp, err)
+			s.trainErr = fmt.Errorf("core: %s model for %v: %w", s.name, key.cp, err)
+			return
 		}
-		s.models[key] = m
+		models[key] = m
 	}
+	s.models = models
 	s.trainTime = time.Since(start)
-	if len(s.models) == 0 {
-		return nil, fmt.Errorf("core: %s: database has no training rows", name)
-	}
-	return s, nil
+	s.trainGauge.Set(s.trainTime.Seconds())
 }
 
-// Models reports the number of trained per-(class-pair, size) models.
-func (s *MLMSTP) Models() int { return len(s.models) }
+// Models reports the number of trained per-(class-pair, size) models,
+// training them first if needed; 0 when the training failed.
+func (s *MLMSTP) Models() int {
+	if s.trained() != nil {
+		return 0
+	}
+	return len(s.models)
+}
 
 // inputRow assembles a model input, prepending slot features when the
 // technique is feature-aware.
@@ -306,8 +347,12 @@ func (s *MLMSTP) inputRow(fa, fb, cfgRow []float64) []float64 {
 func (s *MLMSTP) Name() string { return s.name }
 
 // TrainTime reports the wall-clock cost of training all class-pair
-// models (the Figure-8 overhead metric).
-func (s *MLMSTP) TrainTime() time.Duration { return s.trainTime }
+// models (the Figure-8 overhead metric), training them first if needed;
+// 0 when the training failed.
+func (s *MLMSTP) TrainTime() time.Duration {
+	_ = s.trained() // a failed training leaves trainTime at 0
+	return s.trainTime
+}
 
 // model selects the trained regressor for two observations: the exact
 // (class pair, size combination) if present, otherwise the same class
@@ -357,6 +402,9 @@ func (s *MLMSTP) model(a, b Observation) (ml.Regressor, error) {
 // ties break by configuration index, so the chosen configuration is
 // bit-identical to a serial scan at any GOMAXPROCS.
 func (s *MLMSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
+	if err := s.trained(); err != nil {
+		return [2]mapreduce.Config{}, err
+	}
 	m, err := s.model(a, b)
 	if err != nil {
 		return [2]mapreduce.Config{}, err
@@ -505,6 +553,9 @@ func PredictSoloBestExpected(s STP, o Observation, db *Database) (mapreduce.Conf
 // one database row of the given class pair — used by the Table-1
 // training-accuracy experiment.
 func (s *MLMSTP) PredictRow(cp ClassPair, r TrainRow) (float64, error) {
+	if err := s.trained(); err != nil {
+		return 0, err
+	}
 	m, ok := s.models[modelKey{cp, r.X[0], r.X[1]}]
 	if !ok {
 		return 0, fmt.Errorf("core: %s: no model for %v at sizes (%g,%g)", s.name, cp, r.X[0], r.X[1])

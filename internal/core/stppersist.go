@@ -36,8 +36,12 @@ type mlmModelFile struct {
 	Model  json.RawMessage `json:"model"`
 }
 
-// SaveModels writes every trained regressor to w in sorted key order.
+// SaveModels writes every trained regressor to w in sorted key order,
+// training them first if needed.
 func (s *MLMSTP) SaveModels(w io.Writer) error {
+	if err := s.trained(); err != nil {
+		return err
+	}
 	keys := make([]modelKey, 0, len(s.models))
 	for k := range s.models {
 		keys = append(keys, k)
@@ -83,7 +87,7 @@ func (s *MLMSTP) SaveModels(w io.Writer) error {
 // db (the database supplies the classifier and configuration space the
 // prediction path needs; it must be the one the models were trained
 // from, which the Env artifact cache guarantees by keying both on the
-// same options hash).
+// same options hash). The loaded technique is already trained.
 func LoadMLMSTP(r io.Reader, db *Database) (*MLMSTP, error) {
 	var file mlmSTPFile
 	if err := json.NewDecoder(r).Decode(&file); err != nil {
@@ -114,5 +118,6 @@ func LoadMLMSTP(r io.Reader, db *Database) (*MLMSTP, error) {
 		}
 		s.models[k] = m
 	}
+	s.once.Do(func() {})
 	return s, nil
 }
