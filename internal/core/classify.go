@@ -47,7 +47,23 @@ type Observation struct {
 
 // Reduced returns the 7 PCA-selected features the predictors consume.
 func (o Observation) Reduced() []float64 {
-	return o.Features.Select(perfctr.ReducedMetrics())
+	x := new([reducedLen]float64)
+	o.reducedInto(x)
+	return x[:]
+}
+
+// reducedLen is the width of the reduced feature vector.
+const reducedLen = 7
+
+// reducedMetrics is perfctr.ReducedMetrics resolved once, so selecting
+// the reduced features needs no per-call slice.
+var reducedMetrics = perfctr.ReducedMetrics()
+
+// reducedInto is Reduced into a caller-owned array.
+func (o *Observation) reducedInto(dst *[reducedLen]float64) {
+	for i, m := range reducedMetrics {
+		dst[i] = o.Features[m]
+	}
 }
 
 // Profiler produces Observations by running an application at the
@@ -56,6 +72,12 @@ func (o Observation) Reduced() []float64 {
 type Profiler struct {
 	Model   *mapreduce.Model
 	Sampler *perfctr.Sampler
+
+	// eval is Observe's reusable solver over evalModel. Observe builds
+	// it on first use, so struct-literal Profilers work, and rebuilds it
+	// if Model was swapped since.
+	eval      *mapreduce.Evaluator
+	evalModel *mapreduce.Model
 }
 
 // NewProfiler returns a profiler over the given execution model; rng
@@ -64,9 +86,14 @@ func NewProfiler(m *mapreduce.Model, rng *sim.RNG) *Profiler {
 	return &Profiler{Model: m, Sampler: perfctr.NewSampler(rng)}
 }
 
-// Observe profiles one application at the reference configuration.
+// Observe profiles one application at the reference configuration. It
+// draws from the sampler's RNG and reuses one solver's scratch, so a
+// Profiler serves one goroutine at a time.
 func (p *Profiler) Observe(app workloads.App, sizeGB float64) (Observation, error) {
-	out, _, err := p.Model.Solo(mapreduce.RunSpec{
+	if p.eval == nil || p.evalModel != p.Model {
+		p.eval, p.evalModel = p.Model.NewEvaluator(), p.Model
+	}
+	out, err := p.eval.SoloApp(mapreduce.RunSpec{
 		App: app, DataMB: sizeGB * 1024, Cfg: ProfilingConfig(),
 	})
 	if err != nil {
@@ -127,9 +154,13 @@ func NewClassifier(training []Observation) (*Classifier, error) {
 	}, nil
 }
 
-// Classify returns the behaviour class for an observation.
+// Classify returns the behaviour class for an observation: the k-NN
+// vote of ml.KNNClassifier.Classify (majority, then nearest member,
+// then lowest class). It allocates nothing.
 func (c *Classifier) Classify(o Observation) workloads.Class {
-	return workloads.Class(c.knn.Classify(o.Reduced()))
+	var x [reducedLen]float64
+	o.reducedInto(&x)
+	return workloads.Class(c.knn.Classify(x[:]))
 }
 
 // NearestKnown returns the training observation whose features best
@@ -138,21 +169,27 @@ func (c *Classifier) Classify(o Observation) workloads.Class {
 // ratios) and same-data-size entries are strongly preferred, mirroring
 // the paper's per-size database organization.
 func (c *Classifier) NearestKnown(o Observation) Observation {
-	var best *Observation
-	bestD := 0.0
-	x := c.scaler.Transform(o.Reduced())
+	return c.training[c.nearestIndex(&o)]
+}
+
+// nearestIndex is NearestKnown's scan, returning the training index:
+// the first one at the minimum distance. It allocates nothing.
+func (c *Classifier) nearestIndex(o *Observation) int {
+	var raw, buf [reducedLen]float64
+	o.reducedInto(&raw)
+	x := c.scaler.TransformInto(buf[:], raw[:])
+	best, bestD := -1, 0.0
 	for i := range c.training {
-		t := &c.training[i]
 		d := ml.Euclid(x, c.scaled[i])
 		// Same-size entries are strongly preferred.
-		if t.SizeGB != o.SizeGB {
+		if c.training[i].SizeGB != o.SizeGB {
 			d *= 4
 		}
-		if best == nil || d < bestD {
-			best, bestD = t, d
+		if best < 0 || d < bestD {
+			best, bestD = i, d
 		}
 	}
-	return *best
+	return best
 }
 
 // RuleClassify is the threshold-based classifier sketched in §6.1 of the

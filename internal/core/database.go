@@ -94,6 +94,11 @@ type Database struct {
 	// from concurrent shard goroutines.
 	partnerOnce sync.Once
 	partnerPrio map[workloads.Class][]workloads.Class
+
+	// lktOnce guards the lazily-built LkT lookup index (see lktIndex),
+	// a pure function of Entries and the classifier.
+	lktOnce sync.Once
+	lkt     lktIndex
 }
 
 // BuildOptions controls database construction cost.
@@ -420,85 +425,109 @@ func (db *Database) Classifier() *Classifier { return db.classer }
 func (db *Database) Oracle() *Oracle { return db.oracle }
 
 // LookupBest returns the stored optimal configuration for the known pair
-// most resembling (a, b): the LkT-STP scan of §6.4. The match score is
-// the summed feature distance of both slots (tried in both orders).
+// most resembling (a, b): the LkT-STP lookup of §6.4. Each slot maps to
+// its nearest known training observation; the entry storing that
+// (name, size) pair wins — the first one in slot order, else the last
+// one with the slots reversed, whose answer is swapped back.
 func (db *Database) LookupBest(a, b Observation) (PairBest, error) {
-	if len(db.Entries) == 0 {
-		return PairBest{}, fmt.Errorf("core: lookup: empty database")
+	i, swapped, err := db.lookup(&a, &b)
+	if err != nil {
+		return PairBest{}, err
 	}
-	na := db.classer.NearestKnown(a)
-	nb := db.classer.NearestKnown(b)
-	direct, reverse := db.scanEntries(na, nb)
-	switch {
-	case direct >= 0:
-		return unswap(db.Entries[direct].Best, false), nil
-	case reverse >= 0:
-		return unswap(db.Entries[reverse].Best, true), nil
-	}
-	return PairBest{}, fmt.Errorf("core: lookup: no entry for %s/%s", na.App.Name, nb.App.Name)
+	return unswap(db.Entries[i].Best, swapped), nil
 }
 
-// lookupParallelMin is the entry count below which the LkT scan stays
-// serial: the paper-scale table (hundreds of entries) fits one core's
-// sweep, but a production-scale table fans out.
-const lookupParallelMin = 2048
+// lookupConfig is LookupBest without copying the matched outcome: the
+// configuration oriented to (a, b) and the entry's measured outcome,
+// whose node-level scalars do not depend on slot order. It allocates
+// nothing.
+func (db *Database) lookupConfig(a, b *Observation) ([2]mapreduce.Config, *mapreduce.CoOutcome, error) {
+	i, swapped, err := db.lookup(a, b)
+	if err != nil {
+		return [2]mapreduce.Config{}, nil, err
+	}
+	best := &db.Entries[i].Best
+	cfg := best.Cfg
+	if swapped {
+		cfg[0], cfg[1] = cfg[1], cfg[0]
+	}
+	return cfg, &best.Out, nil
+}
 
-// scanEntries finds the lowest-index direct match and the highest-index
-// reverse match for the nearest-known pair — the parallel-safe
-// restatement of the serial scan's "first direct wins, else last
-// reverse" rule, so both paths return identical entries.
-func (db *Database) scanEntries(na, nb Observation) (direct, reverse int) {
-	match := func(lo, hi int) (d, r int) {
-		d, r = -1, -1
-		for i := lo; i < hi; i++ {
-			e := &db.Entries[i]
-			if e.A.App.Name == na.App.Name && e.A.SizeGB == na.SizeGB &&
-				e.B.App.Name == nb.App.Name && e.B.SizeGB == nb.SizeGB {
-				return i, r
-			}
-			if e.A.App.Name == nb.App.Name && e.A.SizeGB == nb.SizeGB &&
-				e.B.App.Name == na.App.Name && e.B.SizeGB == na.SizeGB {
-				r = i
-			}
-		}
-		return d, r
+// lookup resolves (a, b) to the index of the entry LookupBest answers
+// from and whether that entry's slots are reversed.
+func (db *Database) lookup(a, b *Observation) (int, bool, error) {
+	if len(db.Entries) == 0 {
+		return 0, false, fmt.Errorf("core: lookup: empty database")
 	}
-	n := len(db.Entries)
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 || n < lookupParallelMin {
-		return match(0, n)
+	db.lktOnce.Do(db.buildLkTIndex)
+	ia, ib := db.classer.nearestIndex(a), db.classer.nearestIndex(b)
+	ix := &db.lkt
+	m := ix.match[int(ix.keys[ia])*ix.n+int(ix.keys[ib])]
+	switch {
+	case m.direct >= 0:
+		return int(m.direct), false, nil
+	case m.reverse >= 0:
+		return int(m.reverse), true, nil
 	}
-	type span struct{ d, r int }
-	results := make([]span, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			results[w] = span{-1, -1}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			d, r := match(lo, hi)
-			results[w] = span{d, r}
-		}(w, lo, hi)
+	return 0, false, fmt.Errorf("core: lookup: no entry for %s/%s",
+		db.classer.training[ia].App.Name, db.classer.training[ib].App.Name)
+}
+
+// lktIndex answers the LkT lookup by table instead of a scan over the
+// entries. Entries match on (application name, data size) — the same
+// == comparisons the scan made — so every distinct pair of those among
+// the classifier's training observations gets a key id: keys[i] is the
+// id of training observation i, and match[ka*n+kb] is the lookup's
+// answer for a nearest-known pair with key ids (ka, kb).
+type lktIndex struct {
+	keys  []int32
+	n     int
+	match []lktMatch
+}
+
+// lktMatch holds the scan's "first direct wins, else last reverse"
+// candidates for one key pair: the first entry whose slots are (ka,
+// kb) and the last whose slots are (kb, ka); -1 when there is none.
+type lktMatch struct{ direct, reverse int32 }
+
+// buildLkTIndex builds the index in one pass over the entries. Entries
+// are frozen after build/load, so one build serves every lookup.
+func (db *Database) buildLkTIndex() {
+	type nameSize struct {
+		name string
+		size float64
 	}
-	wg.Wait()
-	direct, reverse = -1, -1
-	for _, s := range results {
-		if s.d >= 0 && (direct < 0 || s.d < direct) {
-			direct = s.d
+	train := db.classer.training
+	ids := make(map[nameSize]int32, len(train))
+	keys := make([]int32, len(train))
+	for i := range train {
+		k := nameSize{train[i].App.Name, train[i].SizeGB}
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(ids))
+			ids[k] = id
 		}
-		if s.r > reverse {
-			reverse = s.r
-		}
+		keys[i] = id
 	}
-	return direct, reverse
+	n := len(ids)
+	match := make([]lktMatch, n*n)
+	for i := range match {
+		match[i] = lktMatch{-1, -1}
+	}
+	for i := range db.Entries {
+		e := &db.Entries[i]
+		ka, okA := ids[nameSize{e.A.App.Name, e.A.SizeGB}]
+		kb, okB := ids[nameSize{e.B.App.Name, e.B.SizeGB}]
+		if !okA || !okB {
+			continue // no nearest-known pair can match it
+		}
+		if m := &match[int(ka)*n+int(kb)]; m.direct < 0 {
+			m.direct = int32(i)
+		}
+		match[int(kb)*n+int(ka)].reverse = int32(i)
+	}
+	db.lkt = lktIndex{keys: keys, n: n, match: match}
 }
 
 // pairBenefits computes, per class pair, the mean co-location benefit

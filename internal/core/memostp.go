@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"hash/maphash"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -16,16 +13,28 @@ import (
 // resource profiles (arXiv:1303.3632, arXiv:1301.4753); whenever the
 // same two observations are paired again — replayed traces, exact
 // (noise-free) profiling, policy sweeps re-running a workload, or any
-// caller re-asking for a pair it already tuned — the cache answers in
-// one map lookup instead of a database scan or an argmin sweep.
+// caller re-asking for a pair it already tuned — the cache answers
+// without a database scan or an argmin sweep.
 //
-// Exact keying is deliberate: with the noise-model profiler each job
-// instance's feature vector differs, so a stream that re-profiles
-// every arrival keeps the cache cold — at the cost of one map lookup
-// per miss, negligible next to the prediction itself. A similarity
-// (app+size) key would hit constantly but return a *different*
-// instance's answer, silently changing tuning decisions; exact keys
-// are what keeps the wrapper bit-identical to the unmemoized run.
+// Exact keying is deliberate: a similarity (app+size) key would hit
+// constantly but return a *different* instance's answer, silently
+// changing tuning decisions; exact keys are what keeps the wrapper
+// bit-identical to the unmemoized run. The price is that with the
+// noise-model profiler each job instance's feature vector differs, so a
+// stream that re-profiles every arrival keeps the cache cold and every
+// call misses. A miss is not negligible next to the lookup-table scan
+// it fronts (hashing two full observations through the runtime's
+// per-field hash once cost more than the scan), so the miss path is
+// kept cheap: the key is the pair's fingerprint (fingerprint.go), a
+// fixed word-by-word hash of the app names, sizes and feature words,
+// and the entries live in a per-shard slab reused across clears, so
+// neither hits nor misses allocate once the shards are warm.
+//
+// A hit requires the stored pair to equal the queried one under ==; a
+// fingerprint match on different observations is a miss that
+// recomputes and overwrites the entry. The answers and the hit/miss
+// counts are therefore those of a cache keyed by the pair itself: ±0
+// features hit each other, NaN features never hit.
 //
 // The wrapper is transparent: it returns whatever the inner technique
 // returned for the first occurrence of a key (inner techniques are
@@ -38,16 +47,18 @@ import (
 // (implementation-effort telemetry), so deterministic snapshots do not
 // see the cache either.
 //
-// Like the Oracle, the cache is sharded: one mutex per shard keyed by
-// a hash of the two application identities, so concurrent policy
-// sweeps do not serialize on a single lock. Unlike the Oracle there is
-// no singleflight — the online event loop is single-threaded, and for
-// concurrent callers recomputing a prediction is cheap enough that
-// waiting infrastructure would cost more than it saves.
+// Like the Oracle, the cache is sharded: one mutex per shard, selected
+// by the fingerprint's low bits, so concurrent policy sweeps do not
+// serialize on a single lock. The fingerprint has no seed, so which
+// shard fills and clears at memoShardCap — and with it the HitMiss
+// counts the flight recorder samples — is the same in every run.
+// Unlike the Oracle there is no singleflight — the online event loop is
+// single-threaded, and for concurrent callers recomputing a prediction
+// is cheap enough that waiting infrastructure would cost more than it
+// saves.
 type MemoSTP struct {
 	Inner STP
 
-	seed   maphash.Seed
 	shards [memoShards]memoShard
 
 	hits   *metrics.Counter
@@ -70,21 +81,23 @@ const memoShards = 16
 // cap only guards unbounded growth under adversarial churn).
 const memoShardCap = 4096
 
+// memoShard maps pair fingerprints to slots of a slab of entries. A
+// clear empties both but keeps their storage, so a churning stream
+// reuses the same memory instead of growing fresh map buckets.
 type memoShard struct {
-	mu sync.Mutex
-	m  map[memoPairKey]memoResult
+	mu      sync.Mutex
+	idx     map[uint64]int32
+	entries []memoEntry
 }
 
-// memoPairKey is the exact observation pair. Observation is a value
-// type (app identity, size, fixed-width feature vector), so equality
-// is the bitwise feature match the profiler's noise model makes
-// meaningful: identical observations — not merely similar ones — hit.
-type memoPairKey struct{ a, b Observation }
-
-type memoResult struct {
-	cfg [2]mapreduce.Config
-	exp PairExpectation
-	err error
+// memoEntry is one cached prediction together with the exact pair it
+// answers: the index is keyed by fingerprint only, so a hit compares a
+// and b in full.
+type memoEntry struct {
+	a, b Observation
+	cfg  [2]mapreduce.Config
+	exp  PairExpectation
+	err  error
 }
 
 // NewMemoSTP wraps inner with a sharded memoization cache, registering
@@ -93,12 +106,11 @@ type memoResult struct {
 func NewMemoSTP(inner STP, reg *metrics.Registry) *MemoSTP {
 	m := &MemoSTP{
 		Inner:  inner,
-		seed:   maphash.MakeSeed(),
 		hits:   reg.VolatileCounter("stp.memo.hits"),
 		misses: reg.VolatileCounter("stp.memo.misses"),
 	}
 	for i := range m.shards {
-		m.shards[i].m = make(map[memoPairKey]memoResult)
+		m.shards[i].idx = make(map[uint64]int32)
 	}
 	return m
 }
@@ -109,18 +121,6 @@ func (m *MemoSTP) Name() string { return m.Inner.Name() }
 // HitMiss reports the deterministic cumulative cache hit/miss counts.
 func (m *MemoSTP) HitMiss() (hits, misses int64) {
 	return m.nhits.Load(), m.nmisses.Load()
-}
-
-func (m *MemoSTP) shard(a, b Observation) *memoShard {
-	var h maphash.Hash
-	h.SetSeed(m.seed)
-	h.WriteString(a.App.Name)
-	h.WriteString(b.App.Name)
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(a.SizeGB))
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(b.SizeGB))
-	h.Write(buf[:])
-	return &m.shards[h.Sum64()&(memoShards-1)]
 }
 
 // PredictBest implements STP.
@@ -135,24 +135,41 @@ func (m *MemoSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 // degradation), so a PredictBest after a PredictBestExpected of the
 // same pair — or vice versa — hits.
 func (m *MemoSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
-	k := memoPairKey{a, b}
-	sh := m.shard(a, b)
+	fp := pairFingerprint(&a, &b)
+	sh := &m.shards[fp&(memoShards-1)]
 	sh.mu.Lock()
-	if r, ok := sh.m[k]; ok {
-		sh.mu.Unlock()
-		m.hits.Inc()
-		m.nhits.Add(1)
-		return r.cfg, r.exp, r.err
+	if i, ok := sh.idx[fp]; ok {
+		if e := &sh.entries[i]; e.a == a && e.b == b {
+			cfg, exp, err := e.cfg, e.exp, e.err
+			sh.mu.Unlock()
+			m.hits.Inc()
+			m.nhits.Add(1)
+			return cfg, exp, err
+		}
 	}
 	sh.mu.Unlock()
 	m.misses.Inc()
 	m.nmisses.Add(1)
 	cfg, exp, err := predictExpected(m.Inner, a, b)
 	sh.mu.Lock()
-	if len(sh.m) >= memoShardCap {
-		clear(sh.m)
-	}
-	sh.m[k] = memoResult{cfg: cfg, exp: exp, err: err}
+	sh.put(fp, memoEntry{a: a, b: b, cfg: cfg, exp: exp, err: err})
 	sh.mu.Unlock()
 	return cfg, exp, err
+}
+
+// put stores e under fp, overwriting whatever the fingerprint held (a
+// colliding pair, or a concurrent miss on the same pair); a new key
+// into a full shard clears the shard first. The caller holds sh.mu.
+func (sh *memoShard) put(fp uint64, e memoEntry) {
+	if i, ok := sh.idx[fp]; ok {
+		sh.entries[i] = e
+		return
+	}
+	if len(sh.entries) >= memoShardCap {
+		clear(sh.idx)
+		clear(sh.entries) // drop the cleared entries' error references
+		sh.entries = sh.entries[:0]
+	}
+	sh.idx[fp] = int32(len(sh.entries))
+	sh.entries = append(sh.entries, e)
 }

@@ -75,10 +75,12 @@ type OnlineScheduler struct {
 
 	// idleWatts caches the empty-node steady-state draw (bit-identical
 	// to Model.Steady(nil)); scratch is the reusable RunSpec buffer the
-	// reschedule path builds resident specs into; freeSet / halfSet
+	// reschedule path builds resident specs into, and eval the solver
+	// reschedule runs them through on reused scratch; freeSet / halfSet
 	// index nodes with zero / exactly one resident for O(1) dispatch.
 	idleWatts float64
 	scratch   []mapreduce.RunSpec
+	eval      *mapreduce.Evaluator
 	freeSet   nodeSet
 	halfSet   nodeSet
 
@@ -127,9 +129,14 @@ type OnlineScheduler struct {
 	// a pure function of Observation.Reduced() — KNN against a fixed
 	// training set — so a hit is bit-identical to a fresh call while
 	// recurring tenants (identical memoized observations under the
-	// sharded router's ProfileMemo) skip the KNN distance scan and its
-	// allocations entirely. Nil when disabled; see SetClassMemo.
-	classMemo map[perfctr.Vector]workloads.Class
+	// sharded router's ProfileMemo) skip the KNN distance scan. It is
+	// keyed the way MemoSTP is: by the vector's fingerprint, with a hit
+	// requiring the stored vector to equal the queried one, so a
+	// colliding vector misses, reclassifies and overwrites the entry.
+	// Under churn every vector is new and every lookup misses; the
+	// fingerprint keeps that miss to one word-by-word hash. Nil when
+	// disabled; see SetClassMemo.
+	classMemo map[uint64]classEntry
 
 	// jobPool / ojPool recycle Job and onlineJob records: both become
 	// unreachable at completion (CompletedJob copies every exported
@@ -161,26 +168,34 @@ const classMemoCap = 8192
 // Submit.
 func (s *OnlineScheduler) SetClassMemo(v bool) {
 	if v {
-		s.classMemo = make(map[perfctr.Vector]workloads.Class)
+		s.classMemo = make(map[uint64]classEntry)
 	} else {
 		s.classMemo = nil
 	}
 }
 
+// classEntry is one classify-memo verdict with the vector it answers.
+type classEntry struct {
+	features perfctr.Vector
+	class    workloads.Class
+}
+
 // classify returns the behaviour class for obs, through the memo when
 // one is attached.
-func (s *OnlineScheduler) classify(obs Observation) workloads.Class {
+func (s *OnlineScheduler) classify(obs *Observation) workloads.Class {
 	if s.classMemo == nil {
-		return s.DB.Classifier().Classify(obs)
+		return s.DB.Classifier().Classify(*obs)
 	}
-	if c, ok := s.classMemo[obs.Features]; ok {
-		return c
+	fp := featureFingerprint(&obs.Features)
+	e, ok := s.classMemo[fp]
+	if ok && e.features == obs.Features {
+		return e.class
 	}
-	c := s.DB.Classifier().Classify(obs)
-	if len(s.classMemo) >= classMemoCap {
+	c := s.DB.Classifier().Classify(*obs)
+	if !ok && len(s.classMemo) >= classMemoCap {
 		clear(s.classMemo)
 	}
-	s.classMemo[obs.Features] = c
+	s.classMemo[fp] = classEntry{features: obs.Features, class: c}
 	return c
 }
 
@@ -495,6 +510,7 @@ func NewOnlineScheduler(eng *sim.Engine, model *mapreduce.Model, db *Database, t
 	// empty spec set, so cached node watts stay bit-identical to a fresh
 	// per-accrual recompute.
 	s.idleWatts = model.IdlePower()
+	s.eval = model.NewEvaluator()
 	s.freeSet = newNodeSet(nodes)
 	s.halfSet = newNodeSet(nodes)
 	for i := 0; i < nodes; i++ {
@@ -686,7 +702,7 @@ func (s *OnlineScheduler) arrive(id int, obs Observation, at float64) {
 	*j = Job{
 		ID:      id,
 		Obs:     obs,
-		Class:   s.classify(obs),
+		Class:   s.classify(&obs),
 		EstTime: sizeGB,
 		Arrived: at,
 	}
@@ -1280,7 +1296,7 @@ func (s *OnlineScheduler) reschedule(n *onlineNode) {
 		if v, ok := s.steadyMemo[k]; ok {
 			stsBuf, watts = v.sts, v.watts
 		} else {
-			out, w, err := s.Model.Steady(specs)
+			out, w, err := s.eval.Steady(specs)
 			if err != nil {
 				panic(err)
 			}
@@ -1293,7 +1309,9 @@ func (s *OnlineScheduler) reschedule(n *onlineNode) {
 		}
 		sts = stsBuf[:len(specs)]
 	} else {
-		out, w, err := s.Model.Steady(specs)
+		// The states alias the evaluator's scratch, which nothing below
+		// reuses before they are read.
+		out, w, err := s.eval.Steady(specs)
 		if err != nil {
 			panic(err)
 		}

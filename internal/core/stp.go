@@ -35,22 +35,19 @@ func (s *LkTSTP) Name() string { return "LkT" }
 
 // PredictBest implements STP.
 func (s *LkTSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
-	best, err := s.DB.LookupBest(a, b)
-	if err != nil {
-		return [2]mapreduce.Config{}, err
-	}
-	return best.Cfg, nil
+	cfg, _, err := s.DB.lookupConfig(&a, &b)
+	return cfg, err
 }
 
 // PredictBestEDP implements PairEDPPredictor: the lookup table stores
 // the best-resembling known pair's measured EDP alongside its optimal
 // configuration, so LkT's own expectation comes for free.
 func (s *LkTSTP) PredictBestEDP(a, b Observation) ([2]mapreduce.Config, float64, error) {
-	best, err := s.DB.LookupBest(a, b)
+	cfg, out, err := s.DB.lookupConfig(&a, &b)
 	if err != nil {
-		return [2]mapreduce.Config{}, 0, err
+		return cfg, 0, err
 	}
-	return best.Cfg, best.Out.EDP, nil
+	return cfg, out.EDP, nil
 }
 
 // PairEDPPredictor is implemented by STP techniques that expose their
@@ -81,14 +78,14 @@ type ExpectingSTP interface {
 // the best-resembling known pair's full measured outcome alongside its
 // optimal configuration, so LkT's forecast comes for free.
 func (s *LkTSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
-	best, err := s.DB.LookupBest(a, b)
+	cfg, out, err := s.DB.lookupConfig(&a, &b)
 	if err != nil {
-		return [2]mapreduce.Config{}, PairExpectation{}, err
+		return cfg, PairExpectation{}, err
 	}
-	return best.Cfg, PairExpectation{
-		EDP:    best.Out.EDP,
-		TimeS:  best.Out.Makespan,
-		PowerW: best.Out.AvgPower,
+	return cfg, PairExpectation{
+		EDP:    out.EDP,
+		TimeS:  out.Makespan,
+		PowerW: out.AvgPower,
 	}, nil
 }
 

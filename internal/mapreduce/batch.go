@@ -9,12 +9,13 @@ import (
 )
 
 // This file is the allocation-free core of the execution model. The
-// public entry points (CoLocate, Solo, Pair) are thin wrappers that
-// allocate a fresh scratch per call; the batched hot paths — the COLAO
+// public entry points (CoLocate, Solo, Pair, Steady) are thin wrappers
+// that allocate a fresh scratch per call; the hot paths — the COLAO
 // brute-force search and the MLM-STP argmin sweeps, which evaluate the
-// same application pair at thousands of configurations — hold an
+// same application pair at thousands of configurations, and the online
+// scheduler's profiling runs and per-event steady solves — hold an
 // Evaluator so the contention solver's working buffers are allocated
-// once and reused across the whole sweep.
+// once and reused.
 //
 // Every routine here computes the exact floating-point sequence of the
 // original serial implementation: buffer reuse changes where
@@ -90,7 +91,8 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 	// Memory pressure is set-wide: per-job fixed overhead plus mappers'
 	// buffers and working sets.
 	var memTotal float64
-	for _, sp := range specs {
+	for i := range specs {
+		sp := &specs[i]
 		perTask := m.BufFracOfBlock*float64(sp.Cfg.Block) + sp.App.Profile.MemFootprintMBPerTask
 		memTotal += m.JobMemMB + float64(sp.Cfg.Mappers)*perTask
 	}
@@ -102,7 +104,8 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 
 	// Memory-bandwidth pressure scales the LLC miss latency (queueing).
 	var bwDemand float64
-	for _, sp := range specs {
+	for i := range specs {
+		sp := &specs[i]
 		bwDemand += float64(sp.Cfg.Mappers) * sp.App.Profile.MemBWPerCoreGBps
 	}
 	bwScale := 1.0
@@ -115,11 +118,12 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 	// most of their working set (dictionaries, model state), so adding
 	// mappers of the same job barely grows its LLC footprint.
 	mpki := s.mpki[:n]
-	for i, sp := range specs {
+	for i := range specs {
+		sp := &specs[i]
 		var otherFP float64
-		for j, o := range specs {
+		for j := range specs {
 			if j != i {
-				otherFP += o.App.Profile.CacheFootprintMB
+				otherFP += specs[j].App.Profile.CacheFootprintMB
 			}
 		}
 		infl := 1 + m.LLCBeta*otherFP/(otherFP+m.LLCMB)
@@ -136,8 +140,9 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 	for i := range rate {
 		rate[i] = 0
 	}
-	for i, sp := range specs {
-		p := sp.App.Profile
+	for i := range specs {
+		sp := &specs[i]
+		p := &sp.App.Profile
 		f := float64(sp.Cfg.Freq)
 		cpi[i] = 1/p.BaseIPC + mpki[i]/1000*m.MemLatencyNs*f*bwScale
 		splits[i] = hdfs.Splits(sp.DataMB, sp.Cfg.Block)
@@ -163,7 +168,8 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 		for _, r := range rate {
 			sumRates += r
 		}
-		for i, sp := range specs {
+		for i := range specs {
+			sp := &specs[i]
 			if splits[i] == 0 {
 				continue
 			}
@@ -192,12 +198,13 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 		sumRates += r
 	}
 
-	for i, sp := range specs {
+	for i := range specs {
+		sp := &specs[i]
 		if splits[i] == 0 {
 			out[i] = steady{T: m.JobOverheadSec}
 			continue
 		}
-		p := sp.App.Profile
+		p := &sp.App.Profile
 		duty := p.DiskDutyCap
 		avail := bw - (sumRates - rate[i])
 		if avail < 0.1*bw {
@@ -246,7 +253,8 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 func (m *Model) activityInto(specs []RunSpec, sts []steady, active []bool, s *evalScratch) power.Activity {
 	act := power.Activity{Loads: s.loads[:0]}
 	var io, membw float64
-	for i, sp := range specs {
+	for i := range specs {
+		sp := &specs[i]
 		if !active[i] {
 			continue
 		}
@@ -273,7 +281,8 @@ func (m *Model) coLocateInto(specs []RunSpec, s *evalScratch, apps []Outcome) (C
 		return CoOutcome{}, fmt.Errorf("mapreduce: co-locate: no applications")
 	}
 	total := 0
-	for _, sp := range specs {
+	for i := range specs {
+		sp := &specs[i]
 		if err := sp.Cfg.Validate(m.Spec.Cores); err != nil {
 			return CoOutcome{}, err
 		}
@@ -389,10 +398,11 @@ func (co CoOutcome) Metrics() CoMetrics {
 // configurations. It is NOT goroutine-safe: concurrent sweeps hold one
 // Evaluator per worker.
 type Evaluator struct {
-	m     *Model
-	s     evalScratch
-	specs [2]RunSpec
-	apps  []Outcome // reused only for the noisy-model fallback
+	m      *Model
+	s      evalScratch
+	specs  [2]RunSpec
+	apps   []Outcome // per-app outcomes: SoloApp and the noisy-model fallback
+	states []SteadyState
 }
 
 // NewEvaluator returns a reusable evaluator over the model. The
@@ -451,6 +461,61 @@ func (e *Evaluator) SoloMetrics(spec RunSpec) (CoMetrics, error) {
 		return CoMetrics{}, err
 	}
 	return co.Metrics(), nil
+}
+
+// SoloApp is Model.Solo's per-application outcome with buffer reuse,
+// allocation-free after warm-up. On a noisy model it draws the same
+// jitter sequence Solo does.
+func (e *Evaluator) SoloApp(spec RunSpec) (Outcome, error) {
+	e.specs[0] = spec
+	if cap(e.apps) < 1 {
+		e.apps = make([]Outcome, 2)
+	}
+	co, err := e.m.coLocateInto(e.specs[:1], &e.s, e.apps[:1])
+	if err != nil {
+		return Outcome{}, err
+	}
+	return co.Apps[0], nil
+}
+
+// Steady solves the contention among the given co-running applications
+// and returns each one's steady state plus the whole-node power draw
+// while this set runs — the online scheduler's per-reschedule solve.
+// The returned slice aliases the evaluator's scratch and is valid until
+// the next call; after warm-up a solve allocates nothing (a model with
+// a metrics registry attached still pays for its telemetry).
+func (e *Evaluator) Steady(specs []RunSpec) ([]SteadyState, float64, error) {
+	m := e.m
+	if len(specs) == 0 {
+		return nil, power.NodePower(m.Spec, power.Activity{}), nil
+	}
+	total := 0
+	for i := range specs {
+		cfg := &specs[i].Cfg
+		if err := cfg.Validate(m.Spec.Cores); err != nil {
+			return nil, 0, err
+		}
+		total += cfg.Mappers
+	}
+	if total > m.Spec.Cores {
+		return nil, 0, fmt.Errorf("mapreduce: steady: %d mappers exceed %d cores", total, m.Spec.Cores)
+	}
+	sts := m.evaluateInto(specs, &e.s)
+	if cap(e.states) < len(sts) {
+		e.states = make([]SteadyState, len(sts))
+	}
+	out := e.states[:len(sts)]
+	active := e.s.active[:len(sts)]
+	for i, st := range sts {
+		out[i] = SteadyState{
+			JobTime: st.T, CPUUtil: st.util, IOWait: st.iowait,
+			MapTime: st.mapTime, ReduceTime: st.redTime,
+		}
+		active[i] = true
+	}
+	watts := power.NodePower(m.Spec, m.activityInto(specs, sts, active, &e.s))
+	m.observeSteady(specs, out, &e.s)
+	return out, watts, nil
 }
 
 // PairBatch evaluates the same two applications at every joint

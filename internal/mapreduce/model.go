@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"fmt"
-
 	"ecost/internal/cluster"
 	"ecost/internal/metrics"
 	"ecost/internal/perfctr"
@@ -173,43 +171,6 @@ type steady struct {
 	waves      int
 }
 
-// evaluate computes the steady-state behaviour of every application in
-// specs while they all co-run. It resolves disk contention by damped
-// fixed-point iteration on the per-app achieved I/O rates, with each
-// app's burst bandwidth capped by its disk duty cycle and the bandwidth
-// left by its co-runners (bursts interleave; see workloads.Profile).
-// The returned slice is freshly allocated; hot paths use evaluateInto
-// (see batch.go) with a reused scratch instead.
-func (m *Model) evaluate(specs []RunSpec) []steady {
-	var s evalScratch
-	sts := m.evaluateInto(specs, &s)
-	out := make([]steady, len(sts))
-	copy(out, sts)
-	return out
-}
-
-// activity converts the active set's steady states into a power-model
-// activity snapshot.
-func (m *Model) activity(specs []RunSpec, sts []steady, active []bool) power.Activity {
-	var act power.Activity
-	var io, membw float64
-	for i, s := range specs {
-		if !active[i] {
-			continue
-		}
-		act.Loads = append(act.Loads, power.CoreLoad{
-			Cores: s.Cfg.Mappers,
-			Freq:  s.Cfg.Freq,
-			Util:  sts[i].util,
-		})
-		io += sts[i].ioRateMBps
-		membw += float64(s.Cfg.Mappers) * s.App.Profile.MemBWPerCoreGBps * sts[i].util
-	}
-	act.DiskBusy = io / m.Spec.DiskBWMBps
-	act.MemBWGB = membw
-	return act
-}
-
 // CoLocate predicts the node-level outcome of running the given
 // applications together. Mapper counts must fit the node's cores. As
 // applications finish, the survivors speed up (contention relaxes); the
@@ -263,42 +224,21 @@ type SteadyState struct {
 
 // Steady solves the contention among the given co-running applications
 // and returns each one's steady state plus the whole-node power draw
-// while this set runs.
+// while this set runs. It is Evaluator.Steady over a one-shot evaluator
+// with the states copied out; callers that solve repeatedly hold an
+// Evaluator instead.
 func (m *Model) Steady(specs []RunSpec) ([]SteadyState, float64, error) {
-	if len(specs) == 0 {
-		return nil, power.NodePower(m.Spec, power.Activity{}), nil
-	}
-	total := 0
-	for _, s := range specs {
-		if err := s.Cfg.Validate(m.Spec.Cores); err != nil {
-			return nil, 0, err
-		}
-		total += s.Cfg.Mappers
-	}
-	if total > m.Spec.Cores {
-		return nil, 0, fmt.Errorf("mapreduce: steady: %d mappers exceed %d cores", total, m.Spec.Cores)
-	}
-	sts := m.evaluate(specs)
-	out := make([]SteadyState, len(sts))
-	active := make([]bool, len(sts))
-	for i, st := range sts {
-		out[i] = SteadyState{
-			JobTime: st.T, CPUUtil: st.util, IOWait: st.iowait,
-			MapTime: st.mapTime, ReduceTime: st.redTime,
-		}
-		active[i] = true
-	}
-	watts := power.NodePower(m.Spec, m.activity(specs, sts, active))
-	m.observeSteady(specs, sts)
-	return out, watts, nil
+	sts, watts, err := m.NewEvaluator().Steady(specs)
+	return append([]SteadyState(nil), sts...), watts, err
 }
 
 // observeSteady records steady-state telemetry: per-application phase
 // timings under the current contention and, for multi-resident sets,
 // the contention slowdown factor (co-located job time over the same
 // application's solo time at the same configuration). Everything is
-// derived from the deterministic model, so the metrics are exact.
-func (m *Model) observeSteady(specs []RunSpec, sts []steady) {
+// derived from the deterministic model, so the metrics are exact. The
+// solo solves reuse s, so sts must already be copied out of it.
+func (m *Model) observeSteady(specs []RunSpec, sts []SteadyState, s *evalScratch) {
 	if m.Metrics == nil {
 		return
 	}
@@ -306,17 +246,17 @@ func (m *Model) observeSteady(specs []RunSpec, sts []steady) {
 	mapPhase := m.Metrics.Histogram("model.phase.map_s", metrics.ExpBuckets(16, 2, 14))
 	redPhase := m.Metrics.Histogram("model.phase.reduce_s", metrics.ExpBuckets(16, 2, 14))
 	for _, st := range sts {
-		mapPhase.Observe(st.mapTime)
-		redPhase.Observe(st.redTime)
+		mapPhase.Observe(st.MapTime)
+		redPhase.Observe(st.ReduceTime)
 	}
 	if len(specs) < 2 {
 		return
 	}
 	slow := m.Metrics.Histogram("model.contention.slowdown", metrics.LinearBuckets(1, 0.25, 17))
 	for i := range specs {
-		solo := m.evaluate(specs[i : i+1])
+		solo := m.evaluateInto(specs[i:i+1], s)
 		if solo[0].T > 0 {
-			slow.Observe(sts[i].T / solo[0].T)
+			slow.Observe(sts[i].JobTime / solo[0].T)
 		}
 	}
 }

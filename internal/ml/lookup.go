@@ -87,27 +87,46 @@ func (c *KNNClassifier) Train(X [][]float64, labels []int) error {
 	return nil
 }
 
-// Classify returns the majority label among the k nearest exemplars
-// (ties broken toward the nearest).
+// knnStack sizes Classify's stack buffers: queries up to this many
+// features and neighbourhoods up to this k allocate nothing; larger
+// ones fall back to the heap.
+const knnStack = 16
+
+// neighbour is one of the k nearest exemplars: its distance and label.
+type neighbour struct {
+	d     float64
+	label int
+}
+
+// Classify returns the majority label among the k nearest exemplars.
+// Ties on the vote count go to the label whose nearest member is
+// closest; a tie on that distance too goes to the smaller label. The
+// answer is therefore a pure function of the query and the training
+// set.
 func (c *KNNClassifier) Classify(x []float64) int {
 	if len(c.rows) == 0 {
 		return 0
 	}
-	xs := c.scaler.Transform(x)
-	type nd struct {
-		d     float64
-		label int
+	var xbuf [knnStack]float64
+	buf := xbuf[:]
+	if len(x) > len(buf) {
+		buf = make([]float64, len(x))
 	}
+	xs := c.scaler.TransformInto(buf, x)
 	k := c.K
 	if k > len(c.rows) {
 		k = len(c.rows)
 	}
 	// Partial selection of the k nearest.
-	nearest := make([]nd, 0, k)
+	var nbuf [knnStack]neighbour
+	nearest := nbuf[:0]
+	if k > len(nbuf) {
+		nearest = make([]neighbour, 0, k)
+	}
 	for i, r := range c.rows {
 		d := Euclid(xs, r)
 		if len(nearest) < k {
-			nearest = append(nearest, nd{d, c.labels[i]})
+			nearest = append(nearest, neighbour{d, c.labels[i]})
 			continue
 		}
 		// Replace the farthest if closer.
@@ -118,21 +137,39 @@ func (c *KNNClassifier) Classify(x []float64) int {
 			}
 		}
 		if d < nearest[far].d {
-			nearest[far] = nd{d, c.labels[i]}
+			nearest[far] = neighbour{d, c.labels[i]}
 		}
 	}
-	votes := map[int]int{}
-	bestD := map[int]float64{}
-	for _, n := range nearest {
-		votes[n.label]++
-		if d, ok := bestD[n.label]; !ok || n.d < d {
-			bestD[n.label] = n.d
+	return vote(nearest)
+}
+
+// vote tallies each label once, at its first neighbour, and applies
+// Classify's majority and tie rules.
+func vote(nearest []neighbour) int {
+	best, bestVotes, bestD := 0, 0, 0.0
+	for i, n := range nearest {
+		tallied := false
+		for _, m := range nearest[:i] {
+			if m.label == n.label {
+				tallied = true
+				break
+			}
 		}
-	}
-	best, bestVotes := nearest[0].label, -1
-	for label, v := range votes {
-		if v > bestVotes || (v == bestVotes && bestD[label] < bestD[best]) {
-			best, bestVotes = label, v
+		if tallied {
+			continue
+		}
+		votes, d := 0, n.d
+		for _, m := range nearest[i:] {
+			if m.label == n.label {
+				votes++
+				if m.d < d {
+					d = m.d
+				}
+			}
+		}
+		if bestVotes == 0 || votes > bestVotes ||
+			(votes == bestVotes && (d < bestD || (d == bestD && n.label < best))) {
+			best, bestVotes, bestD = n.label, votes, d
 		}
 	}
 	return best

@@ -137,7 +137,14 @@ func FitScaler(X [][]float64) (*Scaler, error) {
 
 // Transform returns the standardized copy of x.
 func (s *Scaler) Transform(x []float64) []float64 {
-	out := make([]float64, len(x))
+	return s.TransformInto(make([]float64, len(x)), x)
+}
+
+// TransformInto is Transform into a caller-owned buffer: it writes the
+// standardized x into dst, which needs len(x) elements, and returns
+// dst[:len(x)].
+func (s *Scaler) TransformInto(dst, x []float64) []float64 {
+	out := dst[:len(x)]
 	for j := range x {
 		if j < len(s.Mean) {
 			out[j] = (x[j] - s.Mean[j]) / s.Std[j]

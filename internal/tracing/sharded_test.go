@@ -216,7 +216,7 @@ func BenchmarkDisabledShardSpan(b *testing.B) {
 	attrs := Attrs{Job: 1, Node: 0, App: "wc", Class: "C"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := ts.Tracer(i & 3).Start(KindRun, "run", nil, attrs)
+		sp := ts.Tracer(i&3).Start(KindRun, "run", nil, attrs)
 		sp.AddEnergy(1)
 		sp.Finish()
 	}
