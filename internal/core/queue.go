@@ -185,8 +185,9 @@ func (q *WaitQueue) Take(id int) (*Job, error) {
 // queue order is push order — so the scan inspects at most one job per
 // distinct queued class instead of the whole FIFO. The (rank, arrival
 // sequence) order is total (sequences are unique), so the choice is
-// deterministic and equals selectPartnerLinear's first-strictly-better
-// sweep (fuzz-tested).
+// deterministic and equals the legacy whole-queue scan's
+// first-strictly-better sweep (fuzz-tested against it in
+// FuzzWaitQueueIndex).
 func (q *WaitQueue) SelectPartner(running workloads.Class, priority []workloads.Class) *Job {
 	if len(q.jobs) == 0 {
 		return nil
@@ -214,35 +215,6 @@ func classRank(c workloads.Class, priority []workloads.Class) int {
 		}
 	}
 	return r
-}
-
-// selectPartnerLinear is the legacy whole-queue scan SelectPartner
-// replaced — kept verbatim as the reference implementation for the
-// naive scheduler mode and the index equivalence tests.
-func (q *WaitQueue) selectPartnerLinear(priority []workloads.Class) *Job {
-	cands := q.PartnerCandidates()
-	if len(cands) == 0 {
-		return nil
-	}
-	rank := map[workloads.Class]int{}
-	for i, c := range priority {
-		rank[c] = i
-	}
-	best := cands[0]
-	bestRank, ok := rank[best.Class]
-	if !ok {
-		bestRank = len(priority)
-	}
-	for _, j := range cands[1:] {
-		r, ok := rank[j.Class]
-		if !ok {
-			r = len(priority)
-		}
-		if r < bestRank {
-			best, bestRank = j, r
-		}
-	}
-	return best
 }
 
 // DefaultPriority is the static partner-class order the paper reads off

@@ -159,3 +159,32 @@ func TestQueueMetricsCounts(t *testing.T) {
 		t.Errorf("DepthByClass = %v", byClass)
 	}
 }
+
+// selectPartnerLinear is the legacy whole-queue scan SelectPartner
+// replaced — kept verbatim as the oracle FuzzWaitQueueIndex checks the
+// per-class index against.
+func (q *WaitQueue) selectPartnerLinear(priority []workloads.Class) *Job {
+	cands := q.PartnerCandidates()
+	if len(cands) == 0 {
+		return nil
+	}
+	rank := map[workloads.Class]int{}
+	for i, c := range priority {
+		rank[c] = i
+	}
+	best := cands[0]
+	bestRank, ok := rank[best.Class]
+	if !ok {
+		bestRank = len(priority)
+	}
+	for _, j := range cands[1:] {
+		r, ok := rank[j.Class]
+		if !ok {
+			r = len(priority)
+		}
+		if r < bestRank {
+			best, bestRank = j, r
+		}
+	}
+	return best
+}

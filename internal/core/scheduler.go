@@ -30,16 +30,8 @@ type OnlineScheduler struct {
 	Tuner    STP
 	Profiler *Profiler
 
-	// MaxPerNode caps co-located jobs per node (the paper fixes 2).
-	MaxPerNode int
-
 	queue *WaitQueue
 	nodes []*onlineNode
-
-	// naive selects the legacy reference paths (O(nodes) power
-	// recompute per accrual, linear dispatch and partner scans) kept
-	// for equivalence testing and baseline benchmarks; see SetNaive.
-	naive bool
 
 	// base offsets node ids in every export (metrics events, span
 	// attributes, audit rows, CompletedJob.Node) so a shard owning
@@ -56,7 +48,7 @@ type OnlineScheduler struct {
 	// 1e-9 relative); scheduling decisions never read energy, so
 	// makespan and every placement stay bit-identical. The fast path
 	// only engages when no per-node attribution is needed (tracer and
-	// audit off, not naive); see SetFastAccrual.
+	// audit off); see SetFastAccrual.
 	fastAcc    bool
 	phaseWatts [3]float64
 
@@ -147,6 +139,10 @@ type OnlineScheduler struct {
 	jobPool []*Job
 	ojPool  []*onlineJob
 }
+
+// maxPerNode caps co-located jobs per node: the paper pairs at most two
+// applications, and dispatch only targets empty or half-busy nodes.
+const maxPerNode = 2
 
 // pendingArrival is one undelivered SubmitObserved entry in the ring.
 type pendingArrival struct {
@@ -498,13 +494,12 @@ func NewOnlineScheduler(eng *sim.Engine, model *mapreduce.Model, db *Database, t
 		return nil, fmt.Errorf("core: online scheduler: need at least one node")
 	}
 	s := &OnlineScheduler{
-		Engine:     eng,
-		Model:      model,
-		DB:         db,
-		Tuner:      tuner,
-		Profiler:   prof,
-		MaxPerNode: 2,
-		queue:      NewWaitQueue(),
+		Engine:   eng,
+		Model:    model,
+		DB:       db,
+		Tuner:    tuner,
+		Profiler: prof,
+		queue:    NewWaitQueue(),
 	}
 	// The idle draw is the same expression Model.Steady evaluates for an
 	// empty spec set, so cached node watts stay bit-identical to a fresh
@@ -523,14 +518,6 @@ func NewOnlineScheduler(eng *sim.Engine, model *mapreduce.Model, db *Database, t
 	return s, nil
 }
 
-// SetNaive selects the legacy reference implementation: per-accrual
-// steady-state recomputes for every node, linear node scans in
-// dispatch, and the linear partner scan in the wait queue. The naive
-// and indexed paths are bit-identical (golden-tested); the naive one
-// exists as the equivalence baseline and for `-ecost.naive` benchmark
-// comparisons. Call before the first Submit.
-func (s *OnlineScheduler) SetNaive(v bool) { s.naive = v }
-
 // SetNodeBase sets the cluster-global id of this scheduler's first
 // node: a shard owning nodes [base, base+n) keeps dense internal
 // indexes but exports global ids everywhere an id leaves the scheduler.
@@ -546,8 +533,8 @@ func (s *OnlineScheduler) gid(n *onlineNode) int { return s.base + n.id }
 
 // SetFastAccrual enables the O(1) aggregate energy-accrual path (see
 // the fastAcc field). It only takes effect while no tracer and no
-// audit log are attached and the scheduler is not in naive mode —
-// per-node and per-job energy attribution need the per-node walk.
+// audit log are attached — per-node and per-job energy attribution
+// need the per-node walk.
 // Call before the first Submit.
 func (s *OnlineScheduler) SetFastAccrual(v bool) {
 	s.fastAcc = v
@@ -783,14 +770,8 @@ func (s *OnlineScheduler) Pending() int { return s.pending }
 // FreeSlots reports how many more residents dispatch could place right
 // now: an empty node absorbs up to two queued jobs (head claim, then a
 // partner), a half-busy node one. The work-stealing pass uses it to
-// bound a starved shard's claim budget. Indexed path only — the
-// sharded control plane never runs naive.
-func (s *OnlineScheduler) FreeSlots() int {
-	if s.MaxPerNode < 2 {
-		return s.freeCnt
-	}
-	return 2*s.freeCnt + s.halfCnt
-}
+// bound a starved shard's claim budget.
+func (s *OnlineScheduler) FreeSlots() int { return 2*s.freeCnt + s.halfCnt }
 
 // releaseHead removes the wait queue's head for migration to shard
 // `to` at barrier time `at` (the engine must already be advanced to
@@ -869,18 +850,19 @@ func (s *OnlineScheduler) acceptStolen(j *Job, from int, at float64, link int) {
 // the loop is a handful of float adds per node — no execution-model
 // solves and no allocations (asserted by TestAccrueEnergyZeroAlloc
 // with tracing, audit, and metrics all attached). The summation keeps
-// the naive path's exact per-node order (node id ascending, one
-// phases.Add and one share division per node), so the accumulated
-// energy, phase split, and every span/audit attribution are
-// bit-identical to recomputing Steady per node — a running cluster-sum
-// updated at invalidation points would drift in the last ulp.
+// the reference per-node order (node id ascending, one phases.Add and
+// one share division per node), so the accumulated energy, phase
+// split, and every span/audit attribution are bit-identical to
+// recomputing Steady per node (testdata/ws4_online.golden) — a running
+// cluster-sum updated at invalidation points would drift in the last
+// ulp.
 func (s *OnlineScheduler) accrueEnergy() {
 	now := s.Engine.Now()
 	dt := now - s.lastUpdate
 	if dt <= 0 {
 		return
 	}
-	if s.fastAcc && s.tracer == nil && s.aud == nil && !s.naive {
+	if s.fastAcc && s.tracer == nil && s.aud == nil {
 		// O(1) aggregate path: integrate the phase sums reschedule
 		// maintains instead of walking the node array. At 16k nodes the
 		// per-node walk is the dominant cost of every event.
@@ -899,15 +881,6 @@ func (s *OnlineScheduler) accrueEnergy() {
 	var watts float64
 	for _, n := range s.nodes {
 		w := n.watts
-		if s.naive {
-			// Legacy reference: re-solve the steady state of every node
-			// (idle ones included) on every accrual.
-			var err error
-			_, w, err = s.Model.Steady(n.specs())
-			if err != nil {
-				panic(err)
-			}
-		}
 		watts += w
 		s.phases.Add(len(n.residents), w*dt)
 		if s.tracer != nil {
@@ -940,22 +913,10 @@ func (s *OnlineScheduler) accrueEnergy() {
 	}
 }
 
-func (n *onlineNode) specs() []mapreduce.RunSpec {
-	out := make([]mapreduce.RunSpec, 0, len(n.residents))
-	for _, r := range n.residents {
-		out = append(out, mapreduce.RunSpec{
-			App:    r.job.Obs.App,
-			DataMB: r.job.Obs.SizeGB * 1024,
-			Cfg:    r.cfg,
-		})
-	}
-	return out
-}
-
-// specsInto is specs over the scheduler's reusable scratch buffer: the
-// event loop is single-threaded and Model.Steady only reads the slice,
-// so the reschedule path builds every resident-spec list in place
-// instead of allocating one per call.
+// specsInto builds the node's resident RunSpecs in the scheduler's
+// reusable scratch buffer: the event loop is single-threaded and the
+// solver only reads the slice, so the reschedule path builds every
+// resident-spec list in place instead of allocating one per call.
 func (s *OnlineScheduler) specsInto(n *onlineNode) []mapreduce.RunSpec {
 	out := s.scratch[:0]
 	for _, r := range n.residents {
@@ -1012,34 +973,12 @@ func (s *OnlineScheduler) dispatch() {
 	for s.queue.Len() > 0 {
 		// Prefer pairing onto a half-busy node, then an empty node. The
 		// indexes hand back the lowest node id, which is exactly the
-		// node the legacy in-order scan would stop at.
+		// node an in-order scan would stop at.
 		var target *onlineNode
-		if s.naive {
-			for _, n := range s.nodes {
-				if len(n.residents) == 1 && s.MaxPerNode >= 2 {
-					target = n
-					break
-				}
-			}
-			if target == nil {
-				for _, n := range s.nodes {
-					if len(n.residents) == 0 {
-						target = n
-						break
-					}
-				}
-			}
-		} else {
-			if s.MaxPerNode >= 2 {
-				if id, ok := s.halfSet.min(); ok {
-					target = s.nodes[id]
-				}
-			}
-			if target == nil {
-				if id, ok := s.freeSet.min(); ok {
-					target = s.nodes[id]
-				}
-			}
+		if id, ok := s.halfSet.min(); ok {
+			target = s.nodes[id]
+		} else if id, ok := s.freeSet.min(); ok {
+			target = s.nodes[id]
 		}
 		if target == nil {
 			return // cluster full
@@ -1050,12 +989,7 @@ func (s *OnlineScheduler) dispatch() {
 		if len(target.residents) == 1 {
 			running := target.residents[0].job.Class
 			head := s.queue.Head()
-			priority := s.DB.PartnerPriority(running)
-			if s.naive {
-				j = s.queue.selectPartnerLinear(priority)
-			} else {
-				j = s.queue.SelectPartner(running, priority)
-			}
+			j = s.queue.SelectPartner(running, s.DB.PartnerPriority(running))
 			if j != nil {
 				taken, err := s.queue.Take(j.ID)
 				if err != nil {
@@ -1201,7 +1135,7 @@ func (s *OnlineScheduler) tuneFor(n *onlineNode, j *Job) (mapreduce.Config, tune
 	}
 	cfg, soloExp, err := PredictSoloBestExpected(s.Tuner, j.Obs, s.DB)
 	if err != nil {
-		cfg = NTConfig(s.Model.Spec.Cores / s.MaxPerNode)
+		cfg = NTConfig(s.Model.Spec.Cores / maxPerNode)
 		soloExp = PairExpectation{}
 	}
 	free := s.Model.Spec.Cores
@@ -1285,9 +1219,6 @@ func (s *OnlineScheduler) reschedule(n *onlineNode) {
 		return
 	}
 	specs := s.specsInto(n)
-	if s.naive {
-		specs = n.specs()
-	}
 	var stsBuf [2]mapreduce.SteadyState
 	var sts []mapreduce.SteadyState
 	var watts float64

@@ -66,10 +66,8 @@ func TestAccrueEnergyZeroAlloc(t *testing.T) {
 // BenchmarkAccrueEnergyTraced measures the fully instrumented accrual
 // path (metrics + tracing + audit attached, all nodes co-running).
 // Guarded in CI via BENCH_PERF.json: must stay allocation-free.
-// -ecost.naive measures the legacy per-accrual specs()+Steady recompute.
 func BenchmarkAccrueEnergyTraced(b *testing.B) {
 	s := tracedBusyScheduler(b)
-	s.SetNaive(*naiveFlag)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -121,10 +119,7 @@ func BenchmarkDisabledOccupancyRoll(b *testing.B) {
 // (what CI's bench-guard runs) uses 256 nodes × 2000 jobs; full mode
 // 1024 × 20000. The mean interarrival scales inversely with cluster
 // size so the offered load — and therefore queue behavior — is
-// comparable across sizes. -ecost.naive measures the legacy
-// reference path (per-accrual Steady recompute over every node,
-// linear dispatch scans, whole-queue partner scans, no tune memo);
-// the optimized path must beat it ≥10× at the full size.
+// comparable across sizes.
 func BenchmarkOnlineLargeCluster(b *testing.B) {
 	fixture(b)
 	nodes, jobs := 1024, 20000
@@ -141,15 +136,10 @@ func BenchmarkOnlineLargeCluster(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		prof := NewProfiler(fix.model, sim.NewRNG(17))
-		var tuner STP = fix.lkt
-		if !*naiveFlag {
-			tuner = NewMemoSTP(fix.lkt, nil)
-		}
-		s, err := NewOnlineScheduler(eng, fix.model, fix.db, tuner, prof, nodes)
+		s, err := NewOnlineScheduler(eng, fix.model, fix.db, NewMemoSTP(fix.lkt, nil), prof, nodes)
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.SetNaive(*naiveFlag)
 		rng := sim.NewRNG(18)
 		at := 0.0
 		for j := 0; j < jobs; j++ {

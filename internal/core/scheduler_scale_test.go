@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
-	"flag"
+	"fmt"
 	"math"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ecost/internal/audit"
@@ -13,16 +15,6 @@ import (
 	"ecost/internal/tracing"
 	"ecost/internal/workloads"
 )
-
-// naiveFlag routes the large-cluster benchmarks through the legacy
-// reference paths (per-accrual Steady recompute, linear dispatch and
-// partner scans):
-//
-//	go test -bench OnlineLargeCluster -ecost.naive ./internal/core/
-//
-// measures the baseline the BENCH_PERF.json entries compare against.
-var naiveFlag = flag.Bool("ecost.naive", false,
-	"run online-scheduler benchmarks on the legacy (pre-index, pre-cache) reference path")
 
 // equivResult captures every externally observable artifact of one
 // fully instrumented online run.
@@ -33,26 +25,28 @@ type equivResult struct {
 	decisions        string
 }
 
-// equivRun drives one WS4 online run with metrics, tracing, and
-// auditing all attached. naive selects the legacy reference paths and
-// drops the memoization wrapper, so the comparison covers every
-// optimized component at once.
-func equivRun(t *testing.T, naive bool) equivResult {
+// encode renders the result in the testdata/ws4_online.golden layout:
+// the makespan and energy bits, then each export as a length-prefixed
+// section.
+func (r equivResult) encode() []byte {
+	return []byte(fmt.Sprintf("makespan %016x\nenergy %016x\n--- snapshot %d\n%s--- timeline %d\n%s--- decisions %d\n%s",
+		r.makespan, r.energy, len(r.snapshot), r.snapshot, len(r.timeline), r.timeline, len(r.decisions), r.decisions))
+}
+
+// equivRun drives one WS4 online run on two nodes with metrics,
+// tracing, and auditing all attached, tuned by the lookup table behind
+// the memo and metered wrappers.
+func equivRun(t *testing.T) equivResult {
 	t.Helper()
 	fixture(t)
 	reg := metrics.NewRegistry()
 	eng := sim.NewEngine()
 	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	var inner STP = fix.lkt
-	if !naive {
-		inner = NewMemoSTP(fix.lkt, reg)
-	}
-	tuner := NewMeteredSTP(inner, fix.model, reg)
+	tuner := NewMeteredSTP(NewMemoSTP(fix.lkt, reg), fix.model, reg)
 	s, err := NewOnlineScheduler(eng, fix.model, fix.db, tuner, prof, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetNaive(naive)
 	s.SetMetrics(reg)
 	tr := tracing.New(eng.Clock())
 	s.SetTracer(tr)
@@ -88,40 +82,45 @@ func equivRun(t *testing.T, naive bool) equivResult {
 	}
 }
 
-// TestOnlineNaiveEquivalence is the tentpole acceptance golden: the
-// incremental accounting + indexed dispatch + memoized tuning path
-// must be bit-identical to the legacy reference — makespan, energy,
-// the deterministic metrics snapshot, the span timeline, and the
-// /decisions JSONL — at GOMAXPROCS 1 and 4.
-func TestOnlineNaiveEquivalence(t *testing.T) {
-	results := map[string]equivResult{}
+// TestOnlineGolden pins the indexed dispatch, cached accrual, and
+// memoized tuning path to testdata/ws4_online.golden, which was
+// recorded from the retired reference implementation (per-accrual
+// steady-state recompute, linear node and partner scans, no tune memo):
+// makespan and energy bits, the deterministic metrics snapshot, the
+// span timeline, and the decision JSONL must match byte for byte at
+// GOMAXPROCS 1 and 4.
+func TestOnlineGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/ws4_online.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, procs := range []int{1, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		naive := equivRun(t, true)
-		opt := equivRun(t, false)
+		got := equivRun(t).encode()
 		runtime.GOMAXPROCS(old)
-		if naive.makespan != opt.makespan || naive.energy != opt.energy {
-			t.Fatalf("GOMAXPROCS=%d: naive (makespan %x energy %x) != optimized (makespan %x energy %x)",
-				procs, naive.makespan, naive.energy, opt.makespan, opt.energy)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS=%d: run diverged from testdata/ws4_online.golden:\n%s", procs, firstDiff(got, want))
 		}
-		if naive.snapshot != opt.snapshot {
-			t.Fatalf("GOMAXPROCS=%d: metrics snapshot diverged:\n--- naive ---\n%s\n--- optimized ---\n%s",
-				procs, naive.snapshot, opt.snapshot)
-		}
-		if naive.timeline != opt.timeline {
-			t.Fatalf("GOMAXPROCS=%d: timeline diverged:\n--- naive ---\n%s\n--- optimized ---\n%s",
-				procs, naive.timeline, opt.timeline)
-		}
-		if naive.decisions != opt.decisions {
-			t.Fatalf("GOMAXPROCS=%d: decision JSONL diverged:\n--- naive ---\n%s\n--- optimized ---\n%s",
-				procs, naive.decisions, opt.decisions)
-		}
-		results["naive"] = naive
-		if prev, ok := results["opt"]; ok && prev != opt {
-			t.Fatalf("optimized run diverged across GOMAXPROCS values")
-		}
-		results["opt"] = opt
 	}
+}
+
+// firstDiff names the first differing line of two renders.
+func firstDiff(got, want []byte) string {
+	g := strings.Split(string(got), "\n")
+	w := strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var a, b string
+		if i < len(g) {
+			a = g[i]
+		}
+		if i < len(w) {
+			b = w[i]
+		}
+		if a != b {
+			return fmt.Sprintf("line %d:\n  got  %q\n  want %q", i+1, a, b)
+		}
+	}
+	return "renders differ"
 }
 
 // TestNodeSetsAgainstLinearScan steps a randomized run event by event

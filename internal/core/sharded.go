@@ -15,11 +15,9 @@ package core
 // arrival is submitted before Run, so the arrival timeline is fully
 // known. Whenever all wait queues are empty, no steal can fire at any
 // barrier before the next arrival, and every shard free-runs through
-// that window fully in parallel; with stealing off (or one shard) the
-// whole run is one window. The exact lock-step cadence is retained as
-// the reference path (SetFullBarriers) and engages automatically when a
-// flight recorder is attached, because epoch records sample every shard
-// at every global event time.
+// that window fully in parallel; with stealing off the whole run is one
+// window. An attached flight recorder pins the exact lock-step cadence,
+// because epoch records sample every shard at every global event time.
 
 import (
 	"fmt"
@@ -43,10 +41,6 @@ type ShardedConfig struct {
 	// Steal enables the barrier work-stealing pass: a shard with an
 	// empty queue and free capacity claims queued jobs from neighbors.
 	Steal bool
-	// StealBatch caps how many jobs one shard claims per barrier
-	// (0 = DefaultStealBatch). The cap bounds how far a single barrier
-	// can rebalance, keeping steal-induced divergence local.
-	StealBatch int
 	// ProfileMemo replaces the router's serial noisy profiling with
 	// noise-free ObserveExact profiles memoized by (app, size). Recurring
 	// tenants then profile once ever — the "recurring jobs have
@@ -56,8 +50,10 @@ type ShardedConfig struct {
 	ProfileMemo bool
 }
 
-// DefaultStealBatch bounds per-barrier claims when StealBatch is 0.
-const DefaultStealBatch = 8
+// stealBatch caps how many jobs one shard claims per barrier. The cap
+// bounds how far a single barrier can rebalance, keeping steal-induced
+// divergence local.
+const stealBatch = 8
 
 // ShardedScheduler drives S per-shard OnlineSchedulers in lock-step
 // epochs. Build with NewShardedScheduler, attach per-shard
@@ -75,19 +71,21 @@ type ShardedScheduler struct {
 	lastAt float64
 	steals int
 
+	// err is the first bad submission (a profile error or an
+	// out-of-order arrival time). Submit ignores everything after it and
+	// Run returns it without driving anything.
+	err error
+
 	// arrTimes records every submitted arrival time in order (Submit
 	// enforces nondecreasing); arrCursor trails the run, pointing at the
-	// first arrival not yet fired. Together they give the elision loop
+	// first arrival not yet fired. Together they give the drive loop
 	// the next instant a wait queue could possibly grow — the horizon a
 	// barrier-free window may run to.
 	arrTimes  []float64
 	arrCursor int
 
-	// fullBarriers forces the exact lock-step reference cadence (one
-	// barrier per global event timestamp); see SetFullBarriers. stats
-	// counts barriers executed vs elided.
-	fullBarriers bool
-	stats        BarrierStats
+	// stats counts barriers executed vs elided.
+	stats BarrierStats
 
 	// workers are the persistent per-shard drain goroutines (started by
 	// Run, stopped on return; nil when S==1): each barrier or window
@@ -181,9 +179,6 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 	}
 	if newTuner == nil {
 		return nil, fmt.Errorf("core: sharded scheduler: nil tuner factory")
-	}
-	if cfg.StealBatch <= 0 {
-		cfg.StealBatch = DefaultStealBatch
 	}
 	c := &ShardedScheduler{cfg: cfg, prof: prof}
 	if cfg.ProfileMemo {
@@ -319,14 +314,21 @@ func memoOf(t STP) *MemoSTP {
 // at submission so the sampler's draw sequence matches the legacy
 // scheduler's in-event profiling order (every stream source — scenario
 // generators, trace replay, workload cycling — emits sorted arrivals).
+// An out-of-order arrival or a job the profiler rejects is kept as the
+// run's error: later submissions are ignored and Run returns it.
 func (c *ShardedScheduler) Submit(app workloads.App, sizeGB, at float64) {
+	if c.err != nil {
+		return
+	}
 	if at < c.lastAt {
-		panic(fmt.Sprintf("core: sharded scheduler: out-of-order submission at %g after %g", at, c.lastAt))
+		c.err = fmt.Errorf("core: sharded scheduler: out-of-order submission at %g after %g", at, c.lastAt)
+		return
 	}
 	c.lastAt = at
 	obs, err := c.profile(app, sizeGB)
 	if err != nil {
-		panic(fmt.Sprintf("core: sharded profile: %v", err))
+		c.err = fmt.Errorf("core: sharded profile: %w", err)
+		return
 	}
 	id := c.nextID
 	c.nextID++
@@ -349,38 +351,19 @@ func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (Observati
 	return obs, err
 }
 
-// SetFullBarriers forces the exact lock-step reference cadence: one
-// global barrier per distinct event timestamp, a steal pass at each,
-// never a free-running window. Elision is proven byte-identical to this
-// path (TestShardedElisionMatchesFullBarriers diffs every export), so
-// it exists as the reference for those goldens — and it is what a
-// flight recorder implicitly selects, since epoch records sample every
-// shard at every barrier. Call before Run.
-func (c *ShardedScheduler) SetFullBarriers(v bool) { c.fullBarriers = v }
-
 // BarrierStats reports how the last Run drove the shards: exact
 // barriers executed vs events fired inside free-running windows.
 func (c *ShardedScheduler) BarrierStats() BarrierStats { return c.stats }
 
 // Run drives all shards to completion and returns the global makespan
-// and summed energy. Three drive modes, all byte-identical (§17):
-//
-//   - full barriers (flight recorder attached, or SetFullBarriers):
-//     lock-step epochs at every global min next-event time, a
-//     deterministic steal pass at each — the reference cadence.
-//   - steal off: shards share no mutable state at all, so every shard
-//     free-runs to completion fully in parallel and the exports merge
-//     deterministically afterwards.
-//   - steal on: free-running windows between barriers. Queues grow only
-//     at arrival events, so while every wait queue is empty no
-//     thief/victim pairing can exist before the next arrival time and
-//     all shards drain strictly past it in parallel; the moment a queue
-//     is non-empty the loop falls back to exact barrier cadence.
-//
-// After the last event every shard is advanced to the global makespan
-// and closed out, so trailing idle energy is billed exactly as the
-// unsharded scheduler bills it.
+// and summed energy, or the first bad submission's error without
+// driving anything. After the last event every shard is advanced to the
+// global makespan and closed out, so trailing idle energy is billed
+// exactly as the unsharded scheduler bills it.
 func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
+	if c.err != nil {
+		return 0, 0, c.err
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: sharded scheduler: %v", r)
@@ -388,14 +371,7 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	}()
 	c.startWorkers()
 	defer c.stopWorkers()
-	switch {
-	case c.fullBarriers || c.flight != nil:
-		c.runBarriers()
-	case !c.cfg.Steal:
-		c.runFree()
-	default:
-		c.runElided()
-	}
+	c.drive()
 	pending := 0
 	for _, sh := range c.shards {
 		pending += sh.Pending()
@@ -413,26 +389,33 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 		sh.Engine.AdvanceTo(end)
 		sh.finishRun()
 	}
-	var energy float64
-	for _, sh := range c.shards { // shard order: deterministic float sum
-		energy += sh.EnergyJ()
-	}
 	if c.flight != nil {
 		// One closing epoch so trailing idle energy and the drained
 		// final state land in the ring.
 		c.recordBarrier(end)
 	}
-	return end, energy, nil
+	return end, c.EnergyJ(), nil
 }
 
-// runBarriers is the exact lock-step reference loop: one barrier per
-// global event timestamp, each followed by the steal pass and, when a
-// recorder is attached, a flight epoch.
-func (c *ShardedScheduler) runBarriers() {
+// drive is the event loop (DESIGN.md §17). At the global next-event
+// time t it asks horizon how far the shards may run without a barrier:
+// past t, every shard drains its events strictly before the horizon in
+// parallel (a free window); at t, one exact barrier drains the events
+// at t, then the steal pass runs (stealing on) and the flight recorder
+// closes an epoch (recorder attached).
+func (c *ShardedScheduler) drive() {
 	for {
 		t := c.nextBarrier()
 		if math.IsInf(t, 1) {
 			return
+		}
+		if h := c.horizon(t); h > t {
+			c.gatherActive(h, true)
+			fired := c.totalFired()
+			c.stats.Windows++
+			c.runSpan(shardCmd{horizon: h, excl: true})
+			c.stats.WindowEvents += c.totalFired() - fired
+			continue
 		}
 		c.gatherActive(t, false)
 		c.stats.Barriers++
@@ -446,62 +429,38 @@ func (c *ShardedScheduler) runBarriers() {
 	}
 }
 
-// runFree drives a steal-free run: no cross-shard interaction exists,
-// so the whole run is one free-running window with every shard drained
-// to completion in parallel.
-func (c *ShardedScheduler) runFree() {
-	c.gatherActive(math.Inf(1), true)
-	if len(c.active) == 0 {
-		return
+// horizon returns how far past the global next-event time t the shards
+// may free-run:
+//
+//   - t (no window) when a flight recorder is attached: epoch records
+//     sample every shard at every global event time;
+//   - +Inf with stealing off: shards share no mutable state at all, so
+//     the whole run is one window and the exports merge afterwards;
+//   - t while any wait queue is non-empty: the steal pass may fire;
+//   - otherwise the next arrival time. A wait queue grows only at an
+//     arrival event (WaitQueue.Push is reached from arrive and
+//     acceptStolen alone) and every arrival time is known before Run,
+//     so with every queue empty the steal pass is a no-op at every
+//     barrier before the next arrival — precisely its own early-out.
+func (c *ShardedScheduler) horizon(t float64) float64 {
+	switch {
+	case c.flight != nil:
+		return t
+	case !c.cfg.Steal:
+		return math.Inf(1)
+	case c.anyQueued():
+		return t
 	}
-	fired := c.totalFired()
-	c.stats.Windows++
-	c.runSpan(shardCmd{horizon: math.Inf(1), excl: true})
-	c.stats.WindowEvents += c.totalFired() - fired
-}
-
-// runElided drives a steal-on run with barrier elision. The
-// steal-eligibility invariant: a wait queue grows only at an arrival
-// event (WaitQueue.Push is reached from arrive and acceptStolen alone),
-// and every arrival time is known before Run. So when all queues are
-// empty at the global next-event time t, the reference steal pass is a
-// no-op at every barrier in [t, nextArrival) — there is no victim to
-// steal from, which is precisely the reference pass's own early-out —
-// and all shards can free-run through events strictly before
-// nextArrival with no barrier at all. Otherwise one exact barrier (with
-// its steal pass) runs at t, and the loop re-evaluates.
-func (c *ShardedScheduler) runElided() {
-	for {
-		t := c.nextBarrier()
-		if math.IsInf(t, 1) {
-			return
-		}
-		if !c.anyQueued() {
-			// Every arrival strictly before t has fired: each shard's
-			// earliest unfired arrival keeps a pending event at its
-			// time, so the global min next-event time t bounds it.
-			for c.arrCursor < len(c.arrTimes) && c.arrTimes[c.arrCursor] < t {
-				c.arrCursor++
-			}
-			horizon := math.Inf(1)
-			if c.arrCursor < len(c.arrTimes) {
-				horizon = c.arrTimes[c.arrCursor]
-			}
-			if horizon > t {
-				c.gatherActive(horizon, true)
-				fired := c.totalFired()
-				c.stats.Windows++
-				c.runSpan(shardCmd{horizon: horizon, excl: true})
-				c.stats.WindowEvents += c.totalFired() - fired
-				continue
-			}
-			// The next event is itself an arrival: barrier at t.
-		}
-		c.gatherActive(t, false)
-		c.stats.Barriers++
-		c.runSpan(shardCmd{horizon: t})
-		c.stealPass(t)
+	// Every arrival strictly before t has fired: each shard's earliest
+	// unfired arrival keeps a pending event at its time, so the global
+	// min next-event time t bounds it.
+	for c.arrCursor < len(c.arrTimes) && c.arrTimes[c.arrCursor] < t {
+		c.arrCursor++
 	}
+	if c.arrCursor < len(c.arrTimes) {
+		return c.arrTimes[c.arrCursor]
+	}
+	return math.Inf(1)
 }
 
 // nextBarrier returns the minimum next-event time across shards (+Inf
@@ -579,6 +538,16 @@ func (c *ShardedScheduler) stopWorkers() {
 	c.workers = nil
 }
 
+// drain runs shard i's engine per cmd.
+func (c *ShardedScheduler) drain(i int, cmd shardCmd) {
+	eng := c.shards[i].Engine
+	if cmd.excl {
+		eng.RunBefore(cmd.horizon)
+	} else {
+		eng.RunThrough(cmd.horizon)
+	}
+}
+
 // runShard drains shard i per cmd, capturing a panic for the joining
 // barrier to re-raise in shard order.
 func (c *ShardedScheduler) runShard(i int, cmd shardCmd) {
@@ -587,12 +556,7 @@ func (c *ShardedScheduler) runShard(i int, cmd shardCmd) {
 			c.panics[i] = p
 		}
 	}()
-	eng := c.shards[i].Engine
-	if cmd.excl {
-		eng.RunBefore(cmd.horizon)
-	} else {
-		eng.RunThrough(cmd.horizon)
-	}
+	c.drain(i, cmd)
 }
 
 // runSpan drains every shard in c.active per cmd. One active shard (the
@@ -608,12 +572,7 @@ func (c *ShardedScheduler) runSpan(cmd shardCmd) {
 	}
 	if len(active) == 1 || c.serial {
 		for _, i := range active {
-			sh := c.shards[i]
-			if cmd.excl {
-				sh.Engine.RunBefore(cmd.horizon)
-			} else {
-				sh.Engine.RunThrough(cmd.horizon)
-			}
+			c.drain(i, cmd)
 		}
 		return
 	}
@@ -634,18 +593,11 @@ func (c *ShardedScheduler) runSpan(cmd shardCmd) {
 // stealPass runs single-threaded at the barrier: shards are scanned in
 // index order; a shard with an empty queue and free capacity claims
 // queue heads from its neighbors (nearest first, wrapping upward) up to
-// min(StealBatch, FreeSlots) jobs, then dispatches them at the barrier
+// min(stealBatch, FreeSlots) jobs, then dispatches them at the barrier
 // time. Everything here is a function of shard state and t alone, so a
 // steal that fires at t fires at t in every run of the same stream.
 func (c *ShardedScheduler) stealPass(t float64) {
-	queued := false
-	for _, sh := range c.shards {
-		if sh.QueueLen() > 0 {
-			queued = true
-			break
-		}
-	}
-	if !queued {
+	if !c.anyQueued() {
 		return // nothing to steal anywhere — the common barrier
 	}
 	s := len(c.shards)
@@ -654,8 +606,8 @@ func (c *ShardedScheduler) stealPass(t float64) {
 			continue
 		}
 		budget := thief.FreeSlots()
-		if budget > c.cfg.StealBatch {
-			budget = c.cfg.StealBatch
+		if budget > stealBatch {
+			budget = stealBatch
 		}
 		if budget <= 0 {
 			continue

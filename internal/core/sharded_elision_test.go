@@ -15,12 +15,12 @@ import (
 // TestShardedElisionMatchesFullBarriers is the tentpole property: for
 // every seed × shard count × steal mode, the barrier-eliding drive
 // (free-running windows wherever no thief/victim pairing can exist)
-// must be byte-identical to the retained full-barrier reference path —
-// makespan and energy bits, per-shard metrics snapshots, span
-// timelines, and decision JSONL. The dense streams force queueing (and
-// steals, when enabled) so the exact-barrier fallback is exercised; the
-// matrix also proves windows actually elided work somewhere, or the
-// property would be vacuous.
+// must be byte-identical to the exact full-barrier cadence a flight
+// recorder pins — makespan and energy bits, per-shard metrics
+// snapshots, span timelines, and decision JSONL. The dense streams
+// force queueing (and steals, when enabled) so the exact-barrier
+// fallback is exercised; the matrix also proves windows actually
+// elided work somewhere, or the property would be vacuous.
 func TestShardedElisionMatchesFullBarriers(t *testing.T) {
 	var elided, barriers, steals int64
 	for _, shards := range []int{2, 4} {
@@ -123,10 +123,12 @@ func TestShardedElisionStealExactness(t *testing.T) {
 // TestShardedFlightPinsFullBarriers proves the flight-recorder
 // contract: epoch records sample every shard at every global event
 // time, which elision cannot reproduce, so attaching a recorder must
-// force the exact cadence — zero windows — and produce dumps
-// byte-identical to an explicit SetFullBarriers run.
+// force the exact cadence — zero windows, one epoch record per barrier
+// plus the closing epoch — while leaving the run itself unchanged:
+// makespan and energy bits and the steal count equal the elided run's.
+// TestShardedDriveCadence pins the barrier counts themselves.
 func TestShardedFlightPinsFullBarriers(t *testing.T) {
-	run := func(full bool) (BarrierStats, string) {
+	run := func(record bool) (*ShardedScheduler, *flight.Recorder, float64, float64) {
 		fixture(t)
 		prof := NewProfiler(fix.model, sim.NewRNG(99))
 		c, err := NewShardedScheduler(fix.model, fix.db, prof,
@@ -135,26 +137,100 @@ func TestShardedFlightPinsFullBarriers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr := flight.New(flight.Config{Shards: 4, ShardNodes: c.ShardNodes()})
-		c.SetFlight(fr)
-		c.SetFullBarriers(full)
+		var fr *flight.Recorder
+		if record {
+			fr = flight.New(flight.Config{Shards: 4, ShardNodes: c.ShardNodes()})
+			c.SetFlight(fr)
+		}
 		seededStream(48, 7, 5)(c)
+		mk, en, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, fr, mk, en
+	}
+	rec, fr, mkRec, enRec := run(true)
+	free, _, mkFree, enFree := run(false)
+	stats := rec.BarrierStats()
+	if stats.Windows != 0 || stats.WindowEvents != 0 {
+		t.Fatalf("flight-attached run opened %d windows (%d events) — epoch records would skip barriers",
+			stats.Windows, stats.WindowEvents)
+	}
+	if got, want := int64(fr.Epochs()), stats.Barriers+1; got != want {
+		t.Fatalf("flight recorded %d epochs over %d barriers, want one per barrier plus the closing epoch", got, stats.Barriers)
+	}
+	if free.BarrierStats().WindowEvents == 0 {
+		t.Fatal("unrecorded run elided nothing — the cadence comparison is vacuous")
+	}
+	if math.Float64bits(mkRec) != math.Float64bits(mkFree) || math.Float64bits(enRec) != math.Float64bits(enFree) ||
+		rec.Steals() != free.Steals() {
+		t.Fatalf("recorder changed the run: makespan %v/%v energy %v/%v steals %d/%d",
+			mkRec, mkFree, enRec, enFree, rec.Steals(), free.Steals())
+	}
+}
+
+// TestShardedDriveCadence pins the drive loop's own counts — exact
+// barriers, free windows, events run inside windows, and steals — for
+// the dense seeded stream and a single-tenant burst at every shard
+// count × steal mode × flight recorder combination. The elision goldens
+// only compare exports, and the repository benchmark reports these
+// counts as its drive.* metrics.
+func TestShardedDriveCadence(t *testing.T) {
+	burst := func(c *ShardedScheduler) {
+		app := workloads.MustByName("wc")
+		for i := 0; i < 32; i++ {
+			c.Submit(app, 5, 0)
+		}
+	}
+	streams := map[string]func(c *ShardedScheduler){
+		"seeded": seededStream(48, 7, 5),
+		"burst":  burst,
+	}
+	cases := []struct {
+		stream   string
+		shards   int
+		steal    bool
+		recorded bool
+		stats    BarrierStats
+		steals   int
+	}{
+		{"seeded", 2, false, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 96}, 0},
+		{"seeded", 2, false, true, BarrierStats{Barriers: 96, Windows: 0, WindowEvents: 0}, 0},
+		{"seeded", 2, true, false, BarrierStats{Barriers: 80, Windows: 1, WindowEvents: 16}, 2},
+		{"seeded", 2, true, true, BarrierStats{Barriers: 96, Windows: 0, WindowEvents: 0}, 2},
+		{"seeded", 4, false, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 96}, 0},
+		{"seeded", 4, false, true, BarrierStats{Barriers: 96, Windows: 0, WindowEvents: 0}, 0},
+		{"seeded", 4, true, false, BarrierStats{Barriers: 80, Windows: 1, WindowEvents: 16}, 22},
+		{"seeded", 4, true, true, BarrierStats{Barriers: 96, Windows: 0, WindowEvents: 0}, 22},
+		{"burst", 2, false, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 33}, 0},
+		{"burst", 2, false, true, BarrierStats{Barriers: 9, Windows: 0, WindowEvents: 0}, 0},
+		{"burst", 2, true, false, BarrierStats{Barriers: 3, Windows: 1, WindowEvents: 16}, 16},
+		{"burst", 2, true, true, BarrierStats{Barriers: 5, Windows: 0, WindowEvents: 0}, 16},
+		{"burst", 4, false, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 33}, 0},
+		{"burst", 4, false, true, BarrierStats{Barriers: 17, Windows: 0, WindowEvents: 0}, 0},
+		{"burst", 4, true, false, BarrierStats{Barriers: 3, Windows: 1, WindowEvents: 16}, 24},
+		{"burst", 4, true, true, BarrierStats{Barriers: 5, Windows: 0, WindowEvents: 0}, 24},
+	}
+	for _, tc := range cases {
+		fixture(t)
+		prof := NewProfiler(fix.model, sim.NewRNG(99))
+		c, err := NewShardedScheduler(fix.model, fix.db, prof,
+			func() STP { return NewMemoSTP(fix.lkt, nil) }, 8,
+			ShardedConfig{Shards: tc.shards, Steal: tc.steal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.recorded {
+			c.SetFlight(flight.New(flight.Config{Shards: tc.shards, ShardNodes: c.ShardNodes()}))
+		}
+		streams[tc.stream](c)
 		if _, _, err := c.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return c.BarrierStats(), flightExports(t, fr)
-	}
-	implicit, dumpA := run(false)
-	explicit, dumpB := run(true)
-	if implicit.Windows != 0 || implicit.WindowEvents != 0 {
-		t.Fatalf("flight-attached run opened %d windows (%d events) — epoch records would skip barriers",
-			implicit.Windows, implicit.WindowEvents)
-	}
-	if implicit != explicit {
-		t.Fatalf("flight-attached cadence %+v != explicit full-barrier cadence %+v", implicit, explicit)
-	}
-	if dumpA != dumpB {
-		t.Fatalf("flight exports diverged between implicit and explicit full-barrier runs:\n--- implicit ---\n%s\n--- explicit ---\n%s", dumpA, dumpB)
+		if got := c.BarrierStats(); got != tc.stats || c.Steals() != tc.steals {
+			t.Errorf("%s shards=%d steal=%v recorded=%v: cadence %+v with %d steals, want %+v with %d",
+				tc.stream, tc.shards, tc.steal, tc.recorded, got, c.Steals(), tc.stats, tc.steals)
+		}
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"ecost/internal/audit"
+	"ecost/internal/flight"
 	"ecost/internal/metrics"
 	"ecost/internal/sim"
 	"ecost/internal/tracing"
@@ -39,9 +41,9 @@ func runSharded(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *Shard
 }
 
 // runShardedMode is runSharded with the drive cadence explicit:
-// fullBarriers true selects the exact lock-step reference path the
-// elision goldens diff against.
-func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, fullBarriers bool, submit func(c *ShardedScheduler)) shardedResult {
+// recorded true attaches a flight recorder, which pins the exact
+// lock-step cadence the elision goldens diff against.
+func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, recorded bool, submit func(c *ShardedScheduler)) shardedResult {
 	t.Helper()
 	fixture(t)
 	prof := NewProfiler(fix.model, sim.NewRNG(99))
@@ -65,7 +67,9 @@ func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, fullBarriers boo
 		auds[i] = audit.NewLog(audit.DriftConfig{})
 		sh.SetAudit(auds[i])
 	}
-	c.SetFullBarriers(fullBarriers)
+	if recorded {
+		c.SetFlight(flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: c.ShardNodes()}))
+	}
 	submit(c)
 	mk, en, err := c.Run()
 	if err != nil {
@@ -122,7 +126,7 @@ func submitWS4(t *testing.T) func(c *ShardedScheduler) {
 func TestShardedSingleShardEquivalence(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		legacy := equivRun(t, false)
+		legacy := equivRun(t)
 		sharded := runSharded(t, 2, ShardedConfig{Shards: 1}, submitWS4(t))
 		runtime.GOMAXPROCS(old)
 		if sharded.makespan != legacy.makespan || sharded.energy != legacy.energy {
@@ -442,5 +446,45 @@ func TestRouteShardDeterministic(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("all training tenants routed to one shard: %v", seen)
+	}
+}
+
+// TestShardedSubmitBadInput: a job the profiler rejects and an
+// out-of-order arrival are caller errors, not panics. Submit keeps the
+// first one, ignores every later submission, and Run returns it naming
+// the cause without driving anything.
+func TestShardedSubmitBadInput(t *testing.T) {
+	fixture(t)
+	app := workloads.MustByName("wc")
+	cases := []struct {
+		name   string
+		submit func(c *ShardedScheduler)
+		want   string
+	}{
+		{"negative size", func(c *ShardedScheduler) {
+			c.Submit(app, 5, 0)
+			c.Submit(app, -1, 10)
+			c.Submit(app, 5, 20)
+		}, "negative data size"},
+		{"out of order", func(c *ShardedScheduler) {
+			c.Submit(app, 5, 10)
+			c.Submit(app, 5, 5)
+			c.Submit(app, -1, 20)
+		}, "out-of-order submission at 5 after 10"},
+	}
+	for _, tc := range cases {
+		c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(99)),
+			func() STP { return NewMemoSTP(fix.lkt, nil) }, 4, ShardedConfig{Shards: 2, Steal: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.submit(c)
+		_, _, err = c.Run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Run error %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if n := len(c.Completed()); n != 0 {
+			t.Fatalf("%s: Run drove %d jobs after a bad submission", tc.name, n)
+		}
 	}
 }

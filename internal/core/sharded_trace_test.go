@@ -67,7 +67,7 @@ func render(t *testing.T, write func(w *bytes.Buffer) error) string {
 // same stream, and both ShardSet exporters delegate exactly to the
 // solo tracer.
 func TestShardSetSingleShardLegacyEquivalence(t *testing.T) {
-	legacy := equivRun(t, false)
+	legacy := equivRun(t)
 	submitWS4 := func(c *ShardedScheduler) {
 		wl, err := Scenario("WS4")
 		if err != nil {

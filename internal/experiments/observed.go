@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"ecost/internal/audit"
 	"ecost/internal/core"
 	"ecost/internal/flight"
 	"ecost/internal/metrics"
 	"ecost/internal/scenario"
-	"ecost/internal/trace"
 	"ecost/internal/tracing"
 )
 
@@ -28,7 +26,7 @@ type ShardedObservation struct {
 	Flight     *flight.Recorder
 }
 
-// OnlineScenarioShardedObserved is OnlineScenarioSharded with the full
+// OnlineScenarioShardedObserved is OnlineScenario with the full
 // observability stack attached: per-shard registries feeding memoized
 // metered tuners, per-shard decision audit logs, and the barrier flight
 // recorder. It reports the same table and observables and additionally
@@ -39,57 +37,28 @@ func OnlineScenarioShardedObserved(env *Env, spec scenario.Spec, nodes int, cfg 
 	if err != nil {
 		return Table{}, OnlineData{}, QueueStats{}, nil, err
 	}
-	var data OnlineData
 	obs := &ShardedObservation{}
 	newTuner := func() core.STP {
 		reg := metrics.NewRegistry()
 		obs.Registries = append(obs.Registries, reg)
 		return core.NewMeteredSTP(core.NewMemoSTP(env.LkT, reg), env.Model, reg)
 	}
-	sched, err := core.NewShardedScheduler(env.Model, env.DB, env.Profiler, newTuner, nodes, cfg)
-	if err != nil {
-		return Table{}, data, QueueStats{}, nil, err
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		sh := sched.Shard(i)
-		sh.SetMetrics(obs.Registries[i])
-		aud := audit.NewLog(audit.DriftConfig{})
-		obs.Audits = append(obs.Audits, aud)
-		sh.SetAudit(aud)
-	}
-	obs.Trace = tracing.NewShardSet()
-	sched.SetTracer(obs.Trace)
-	obs.Flight = flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: sched.ShardNodes()})
-	sched.SetFlight(obs.Flight)
-
-	if !sort.SliceIsSorted(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At }) {
-		sorted := append([]trace.Arrival(nil), arrivals...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-		arrivals = sorted
-	}
-	for _, a := range arrivals {
-		sched.Submit(a.App, a.SizeGB, a.At)
-	}
-	makespan, energy, err := sched.Run()
-	if err != nil {
-		return Table{}, data, QueueStats{}, nil, err
-	}
-	data.Jobs = len(arrivals)
-	data.Makespan = makespan
-	data.EnergyJ = energy
-	data.EDP = energy * makespan
-	done := sched.Completed()
-	for _, c := range done {
-		wait := c.Started - c.Submitted
-		data.MeanWait += wait
-		if wait > data.MaxWait {
-			data.MaxWait = wait
+	attach := func(sched *core.ShardedScheduler) {
+		for i := 0; i < cfg.Shards; i++ {
+			sh := sched.Shard(i)
+			sh.SetMetrics(obs.Registries[i])
+			aud := audit.NewLog(audit.DriftConfig{})
+			obs.Audits = append(obs.Audits, aud)
+			sh.SetAudit(aud)
 		}
-		data.MeanElapsed += c.Finished - c.Submitted
+		obs.Trace = tracing.NewShardSet()
+		sched.SetTracer(obs.Trace)
+		obs.Flight = flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: sched.ShardNodes()})
+		sched.SetFlight(obs.Flight)
 	}
-	if len(done) > 0 {
-		data.MeanWait /= float64(len(done))
-		data.MeanElapsed /= float64(len(done))
+	data, done, sched, err := runStream(env, arrivals, nodes, cfg, newTuner, attach)
+	if err != nil {
+		return Table{}, data, QueueStats{}, nil, err
 	}
 	qs := StreamStats(done, nodes, data.Makespan)
 	tbl := Table{

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"ecost/internal/audit"
 	"ecost/internal/core"
-	"ecost/internal/sim"
 	"ecost/internal/trace"
 	"ecost/internal/tracing"
 )
@@ -67,9 +67,25 @@ func onlineTrace(env *Env, spec trace.Spec, nodes int, traced bool, tuner core.S
 	if err != nil {
 		return Table{}, OnlineData{}, tracing.Report{}, err
 	}
-	data, rep, _, err := runOnlineStream(env, arrivals, nodes, traced, tuner, aud)
+	// One shard over the whole cluster is the unsharded scheduler; the
+	// technique runs unwrapped, and the tracer and audit log go on it.
+	var tr *tracing.Tracer
+	attach := func(c *core.ShardedScheduler) {
+		sh := c.Shard(0)
+		if traced {
+			tr = tracing.New(sh.Engine.Clock())
+			sh.SetTracer(tr)
+		}
+		sh.SetAudit(aud)
+	}
+	var rep tracing.Report
+	data, _, _, err := runStream(env, arrivals, nodes, core.ShardedConfig{Shards: 1},
+		func() core.STP { return tuner }, attach)
 	if err != nil {
 		return Table{}, data, rep, err
+	}
+	if traced {
+		rep = tr.Report()
 	}
 	tbl := Table{
 		Title:  fmt.Sprintf("Online ECoST: %d jobs, %d node(s), mean inter-arrival %.0fs", data.Jobs, nodes, spec.MeanInterarrival),
@@ -96,37 +112,43 @@ func addOnlineRows(tbl *Table, data OnlineData) {
 		"head-of-queue reservation bounds the maximum wait (no starvation)")
 }
 
-// runOnlineStream drives one online-scheduler run over a prepared
-// arrival stream (generated trace, scenario stream, or replayed JSONL
-// trace) and summarizes it. The completed jobs are returned for
-// queueing analysis (StreamStats).
-func runOnlineStream(env *Env, arrivals []trace.Arrival, nodes int, traced bool, tuner core.STP, aud *audit.Log) (OnlineData, tracing.Report, []core.CompletedJob, error) {
-	var data OnlineData
-	var rep tracing.Report
-	eng := sim.NewEngine()
-	sched, err := core.NewOnlineScheduler(eng, env.Model, env.DB, tuner, env.Profiler, nodes)
+// runStream drives one run of a prepared arrival stream (generated
+// trace, scenario stream, or replayed JSONL trace) through the sharded
+// control plane and summarizes it. newTuner builds each shard's tuner;
+// attach, when non-nil, wires observability onto the control plane
+// before the first Submit. The router requires time-ordered
+// submissions (it profiles serially at submit time to preserve the
+// legacy profiling order), so an out-of-order stream is stable-sorted
+// by arrival time first — the exact order an event heap would fire
+// those arrivals in. The completed jobs are returned for queueing
+// analysis (StreamStats).
+func runStream(env *Env, arrivals []trace.Arrival, nodes int, cfg core.ShardedConfig, newTuner func() core.STP, attach func(*core.ShardedScheduler)) (OnlineData, []core.CompletedJob, *core.ShardedScheduler, error) {
+	sched, err := core.NewShardedScheduler(env.Model, env.DB, env.Profiler, newTuner, nodes, cfg)
 	if err != nil {
-		return data, rep, nil, err
+		return OnlineData{}, nil, nil, err
 	}
-	var tr *tracing.Tracer
-	if traced {
-		tr = tracing.New(eng.Clock())
-		sched.SetTracer(tr)
+	if attach != nil {
+		attach(sched)
 	}
-	sched.SetAudit(aud)
+	if !sort.SliceIsSorted(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At }) {
+		sorted := append([]trace.Arrival(nil), arrivals...)
+		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
+		arrivals = sorted
+	}
 	for _, a := range arrivals {
 		sched.Submit(a.App, a.SizeGB, a.At)
 	}
 	makespan, energy, err := sched.Run()
 	if err != nil {
-		return data, rep, nil, err
+		return OnlineData{}, nil, nil, err
 	}
-	data.Jobs = len(arrivals)
-	data.Makespan = makespan
-	data.EnergyJ = energy
-	data.EDP = energy * makespan
-
 	done := sched.Completed()
+	return summarize(len(arrivals), makespan, energy, done), done, sched, nil
+}
+
+// summarize reduces a finished run of `jobs` arrivals to its summary.
+func summarize(jobs int, makespan, energy float64, done []core.CompletedJob) OnlineData {
+	data := OnlineData{Jobs: jobs, Makespan: makespan, EnergyJ: energy, EDP: energy * makespan}
 	for _, c := range done {
 		wait := c.Started - c.Submitted
 		data.MeanWait += wait
@@ -139,8 +161,5 @@ func runOnlineStream(env *Env, arrivals []trace.Arrival, nodes int, traced bool,
 		data.MeanWait /= float64(len(done))
 		data.MeanElapsed /= float64(len(done))
 	}
-	if traced {
-		rep = tr.Report()
-	}
-	return data, rep, done, nil
+	return data
 }

@@ -155,39 +155,50 @@ func (qs QueueStats) AddRows(tbl *Table) {
 	tbl.AddRow("sojourn p50/p95/p99 (s)", fmt.Sprintf("%.1f / %.1f / %.1f", qs.SojournP50, qs.SojournP95, qs.SojournP99))
 }
 
-// OnlineScenario drives the online ECoST scheduler with a generated
-// scenario stream (internal/scenario) and reports cluster EDP plus the
-// queueing observables. It is OnlineTrace for production-shaped load:
-// open-loop arrival processes, heavy-tailed sizes, recurring tenants.
-func OnlineScenario(env *Env, spec scenario.Spec, nodes int) (Table, OnlineData, QueueStats, error) {
+// OnlineScenario drives the online ECoST control plane with a
+// generated scenario stream (internal/scenario) and reports cluster
+// EDP plus the queueing observables. It is OnlineTrace for
+// production-shaped load: open-loop arrival processes, heavy-tailed
+// sizes, recurring tenants. cfg partitions the cluster: Shards 1 is the
+// single scheduler; with more shards and stealing off, makespan and
+// energy match the single-shard run to 1e-9 whenever jobs do not
+// overlap in time (see DESIGN.md §14 for the determinism contract).
+func OnlineScenario(env *Env, spec scenario.Spec, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, error) {
 	arrivals, err := scenario.Generate(spec)
 	if err != nil {
 		return Table{}, OnlineData{}, QueueStats{}, err
 	}
-	return onlineScenarioArrivals(env, spec.String(), arrivals, nodes)
+	return OnlineReplay(env, spec.String(), arrivals, nodes, cfg)
 }
 
-// OnlineReplay drives the scheduler with a pre-parsed arrival stream
-// (a replayed JSONL trace). The run is indistinguishable from the
-// generating run: identical streams produce identical tables.
-func OnlineReplay(env *Env, label string, arrivals []trace.Arrival, nodes int) (Table, OnlineData, QueueStats, error) {
-	return onlineScenarioArrivals(env, label, arrivals, nodes)
-}
-
-func onlineScenarioArrivals(env *Env, label string, arrivals []trace.Arrival, nodes int) (Table, OnlineData, QueueStats, error) {
-	data, _, done, err := runOnlineStream(env, arrivals, nodes, false, env.LkT, nil)
+// OnlineReplay drives the control plane with a pre-parsed arrival
+// stream (a replayed JSONL trace). The run is indistinguishable from
+// the generating run: identical streams produce identical tables,
+// independent of GOMAXPROCS.
+func OnlineReplay(env *Env, label string, arrivals []trace.Arrival, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, error) {
+	data, done, sched, err := runStream(env, arrivals, nodes, cfg,
+		func() core.STP { return core.NewMemoSTP(env.LkT, nil) }, nil)
 	if err != nil {
 		return Table{}, data, QueueStats{}, err
 	}
 	qs := StreamStats(done, nodes, data.Makespan)
 	tbl := Table{
-		Title:  fmt.Sprintf("Online ECoST scenario: %s, %d node(s)", label, nodes),
+		Title:  fmt.Sprintf("Online ECoST scenario (%d shard(s)): %s, %d node(s)", sched.Shards(), label, nodes),
 		Header: []string{"metric", "value"},
 	}
 	addOnlineRows(&tbl, data)
 	qs.AddRows(&tbl)
+	tbl.AddRow("shards", sched.Shards())
+	tbl.AddRow("steals", sched.Steals())
+	bs := sched.BarrierStats()
+	tbl.AddRow("exact barriers", bs.Barriers)
+	tbl.AddRow("free windows", bs.Windows)
+	tbl.AddRow("events elided", bs.WindowEvents)
+	tbl.AddRow("elided %", fmt.Sprintf("%.1f", 100*bs.ElidedRatio()))
 	tbl.Notes = append(tbl.Notes,
-		"utilization is busy node-time over nodes x makespan; queue lengths are time-weighted")
+		"utilization is busy node-time over nodes x makespan; queue lengths are time-weighted",
+		"shards own disjoint node slices; submissions route by tenant hash, idle shards steal queue heads at event barriers",
+		"barriers are exact lock-step steal passes; free windows let shards run unsynchronized while no thief/victim pairing can exist (events elided counts work that skipped a barrier)")
 	return tbl, data, qs, nil
 }
 
@@ -217,7 +228,7 @@ func UtilizationCurve(env *Env, base scenario.Spec, nodes int, meanGaps []float6
 	for _, gap := range meanGaps {
 		spec := base
 		spec.Arrivals = withMeanGap(base.Arrivals, gap)
-		_, data, qs, err := OnlineScenario(env, spec, nodes)
+		_, data, qs, err := OnlineScenario(env, spec, nodes, core.ShardedConfig{Shards: 1})
 		if err != nil {
 			return Table{}, nil, err
 		}

@@ -126,7 +126,7 @@ func TestRecordReplayGolden(t *testing.T) {
 func TestOnlineScenarioStats(t *testing.T) {
 	env := sharedEnv(t)
 	spec := scenarioSpec(20)
-	tbl, data, qs, err := OnlineScenario(env, spec, 2)
+	tbl, data, qs, err := OnlineScenario(env, spec, 2, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

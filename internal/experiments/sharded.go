@@ -2,107 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"ecost/internal/core"
 	"ecost/internal/scenario"
 	"ecost/internal/sim"
-	"ecost/internal/trace"
 )
-
-// OnlineScenarioSharded drives a generated scenario stream through the
-// sharded control plane (core.ShardedScheduler) and reports the same
-// summary and queueing observables as OnlineScenario. With
-// cfg.Shards == 1 the run is byte-identical to OnlineScenario given the
-// same profiler state (the single-shard path is the legacy scheduler);
-// with more shards and stealing off, makespan and energy match the
-// single-shard run to 1e-9 whenever jobs do not overlap in time (see
-// DESIGN.md §14 for the determinism contract).
-func OnlineScenarioSharded(env *Env, spec scenario.Spec, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, error) {
-	arrivals, err := scenario.Generate(spec)
-	if err != nil {
-		return Table{}, OnlineData{}, QueueStats{}, err
-	}
-	return shardedArrivals(env, spec.String(), arrivals, nodes, cfg)
-}
-
-// OnlineReplaySharded drives a pre-parsed arrival stream (a replayed
-// JSONL trace) through the sharded control plane. Identical streams
-// produce identical tables, independent of GOMAXPROCS.
-func OnlineReplaySharded(env *Env, label string, arrivals []trace.Arrival, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, error) {
-	return shardedArrivals(env, label, arrivals, nodes, cfg)
-}
-
-func shardedArrivals(env *Env, label string, arrivals []trace.Arrival, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, error) {
-	data, done, sched, err := runShardedStream(env, arrivals, nodes, cfg)
-	if err != nil {
-		return Table{}, data, QueueStats{}, err
-	}
-	qs := StreamStats(done, nodes, data.Makespan)
-	tbl := Table{
-		Title:  fmt.Sprintf("Online ECoST scenario (%d shard(s)): %s, %d node(s)", sched.Shards(), label, nodes),
-		Header: []string{"metric", "value"},
-	}
-	addOnlineRows(&tbl, data)
-	qs.AddRows(&tbl)
-	tbl.AddRow("shards", sched.Shards())
-	tbl.AddRow("steals", sched.Steals())
-	bs := sched.BarrierStats()
-	tbl.AddRow("exact barriers", bs.Barriers)
-	tbl.AddRow("free windows", bs.Windows)
-	tbl.AddRow("events elided", bs.WindowEvents)
-	tbl.AddRow("elided %", fmt.Sprintf("%.1f", 100*bs.ElidedRatio()))
-	tbl.Notes = append(tbl.Notes,
-		"shards own disjoint node slices; submissions route by tenant hash, idle shards steal queue heads at event barriers",
-		"barriers are exact lock-step steal passes; free windows let shards run unsynchronized while no thief/victim pairing can exist (events elided counts work that skipped a barrier)")
-	return tbl, data, qs, nil
-}
-
-// runShardedStream mirrors runOnlineStream over the sharded control
-// plane. The router requires time-ordered submissions (it profiles
-// serially at submit time to preserve the legacy profiling order), so
-// an out-of-order stream is stable-sorted by arrival time first — the
-// exact order the legacy event heap would fire those arrivals in.
-func runShardedStream(env *Env, arrivals []trace.Arrival, nodes int, cfg core.ShardedConfig) (OnlineData, []core.CompletedJob, *core.ShardedScheduler, error) {
-	var data OnlineData
-	sched, err := core.NewShardedScheduler(env.Model, env.DB, env.Profiler,
-		func() core.STP { return core.NewMemoSTP(env.LkT, nil) }, nodes, cfg)
-	if err != nil {
-		return data, nil, nil, err
-	}
-	if !sort.SliceIsSorted(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At }) {
-		sorted := append([]trace.Arrival(nil), arrivals...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-		arrivals = sorted
-	}
-	for _, a := range arrivals {
-		sched.Submit(a.App, a.SizeGB, a.At)
-	}
-	makespan, energy, err := sched.Run()
-	if err != nil {
-		return data, nil, nil, err
-	}
-	data.Jobs = len(arrivals)
-	data.Makespan = makespan
-	data.EnergyJ = energy
-	data.EDP = energy * makespan
-
-	done := sched.Completed()
-	for _, c := range done {
-		wait := c.Started - c.Submitted
-		data.MeanWait += wait
-		if wait > data.MaxWait {
-			data.MaxWait = wait
-		}
-		data.MeanElapsed += c.Finished - c.Submitted
-	}
-	if len(done) > 0 {
-		data.MeanWait /= float64(len(done))
-		data.MeanElapsed /= float64(len(done))
-	}
-	return data, done, sched, nil
-}
 
 // ShardSweepPoint is one shard count of a control-plane throughput
 // sweep.

@@ -20,17 +20,32 @@ func freshEnv(t *testing.T) *Env {
 }
 
 // TestOnlineScenarioShardedSingleShardMatchesLegacy is the
-// experiments-level golden: with one shard the sharded runner reports
-// bit-identical summary and queueing observables to OnlineScenario on
-// the same stream and profiler state — the single-shard control plane
-// IS the legacy scheduler.
+// experiments-level golden: with one shard, OnlineScenario reports
+// bit-identical summary and queueing observables to an unsharded
+// core.OnlineScheduler driven over the same stream and profiler state —
+// the single-shard control plane IS the legacy scheduler.
 func TestOnlineScenarioShardedSingleShardMatchesLegacy(t *testing.T) {
 	spec := scenarioSpec(20)
-	_, want, wantQS, err := OnlineScenario(freshEnv(t), spec, 2)
+	arrivals, err := scenario.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, got, gotQS, err := OnlineScenarioSharded(freshEnv(t), spec, 2, core.ShardedConfig{Shards: 1})
+	env := freshEnv(t)
+	legacy, err := core.NewOnlineScheduler(sim.NewEngine(), env.Model, env.DB, env.LkT, env.Profiler, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range arrivals {
+		legacy.Submit(a.App, a.SizeGB, a.At)
+	}
+	mk, en, err := legacy.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := summarize(len(arrivals), mk, en, legacy.Completed())
+	wantQS := StreamStats(legacy.Completed(), 2, mk)
+
+	tbl, got, gotQS, err := OnlineScenario(freshEnv(t), spec, 2, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +68,7 @@ func TestOnlineScenarioShardedSingleShardMatchesLegacy(t *testing.T) {
 func TestOnlineScenarioShardedMultiShard(t *testing.T) {
 	spec := scenarioSpec(20)
 	cfg := core.ShardedConfig{Shards: 4, Steal: true, ProfileMemo: true}
-	_, a, qsA, err := OnlineScenarioSharded(freshEnv(t), spec, 4, cfg)
+	_, a, qsA, err := OnlineScenario(freshEnv(t), spec, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +81,7 @@ func TestOnlineScenarioShardedMultiShard(t *testing.T) {
 	if a.Makespan <= 0 || a.EnergyJ <= 0 {
 		t.Fatalf("degenerate run: makespan %v energy %v", a.Makespan, a.EnergyJ)
 	}
-	_, b, qsB, err := OnlineScenarioSharded(freshEnv(t), spec, 4, cfg)
+	_, b, qsB, err := OnlineScenario(freshEnv(t), spec, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +90,12 @@ func TestOnlineScenarioShardedMultiShard(t *testing.T) {
 	}
 }
 
-// TestOnlineReplaySharded: replaying the generating stream through the
-// sharded runner reproduces the generated run exactly.
+// TestOnlineReplaySharded: replaying the generating stream through a
+// sharded control plane reproduces the generated run exactly.
 func TestOnlineReplaySharded(t *testing.T) {
 	spec := scenarioSpec(16)
 	cfg := core.ShardedConfig{Shards: 2, Steal: true}
-	_, want, wantQS, err := OnlineScenarioSharded(freshEnv(t), spec, 4, cfg)
+	_, want, wantQS, err := OnlineScenario(freshEnv(t), spec, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +103,7 @@ func TestOnlineReplaySharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, gotQS, err := OnlineReplaySharded(freshEnv(t), "replay", arrivals, 4, cfg)
+	_, got, gotQS, err := OnlineReplay(freshEnv(t), "replay", arrivals, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
