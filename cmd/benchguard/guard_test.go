@@ -38,8 +38,11 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 	// A ReportMetric column (jobs/s) between ns/op and B/op must not
 	// disarm the alloc gate.
-	if m := got["BenchmarkOnlineShardedCluster"]; m.NsOp != 150055457 || m.AllocsOp != 60460 {
-		t.Errorf("OnlineShardedCluster = %+v, want allocs parsed through the jobs/s column", m)
+	if m := got["BenchmarkOnlineShardedCluster"]; m.NsOp != 150055457 || m.BOp != 71938504 || m.AllocsOp != 60460 {
+		t.Errorf("OnlineShardedCluster = %+v, want bytes and allocs parsed through the jobs/s column", m)
+	}
+	if m := got["BenchmarkNoMem"]; m.BOp != -1 {
+		t.Errorf("NoMem B/op = %d, want -1 (unmeasured)", m.BOp)
 	}
 }
 
@@ -89,6 +92,34 @@ func TestCompare(t *testing.T) {
 	got["BenchmarkSubNs"] = measured{NsOp: 0.37, AllocsOp: -1}
 	if c := findComp(t, compare(base, got, 25, 1), "BenchmarkSubNs"); c.Status != statusOK {
 		t.Errorf("unmeasured allocs = %+v, want ok", c)
+	}
+}
+
+// TestCompareBytes gates B/op at a fixed 10% over a recorded b_op: a
+// byte regression fails even when ns/op and allocs/op hold, a 0-B
+// baseline admits no byte at all, and output run without -benchmem
+// gates ns/op only.
+func TestCompareBytes(t *testing.T) {
+	base := []baselineEntry{
+		{Benchmark: "BenchmarkBig", NsOp: 1000, BOp: 1000, AllocsOp: 2, Guard: true},
+		{Benchmark: "BenchmarkZero", NsOp: 1, BOp: 0, AllocsOp: 0, Guard: true},
+	}
+	for _, tc := range []struct {
+		name  string
+		got   measured
+		limit int64
+		want  string
+	}{
+		{"BenchmarkBig", measured{NsOp: 1000, BOp: 1100, AllocsOp: 2}, 1100, statusOK},
+		{"BenchmarkBig", measured{NsOp: 1000, BOp: 1101, AllocsOp: 2}, 1100, statusRegressed},
+		{"BenchmarkBig", measured{NsOp: 1000, BOp: -1, AllocsOp: -1}, 1100, statusOK},
+		{"BenchmarkZero", measured{NsOp: 1, BOp: 0, AllocsOp: 0}, 0, statusOK},
+		{"BenchmarkZero", measured{NsOp: 1, BOp: 1, AllocsOp: 0}, 0, statusRegressed},
+	} {
+		c := findComp(t, compare(base, map[string]measured{tc.name: tc.got}, 25, 1), tc.name)
+		if c.Status != tc.want || c.LimitBytes != tc.limit || c.GotBytes != tc.got.BOp {
+			t.Errorf("%s at %d B/op = %+v, want %s with byte limit %d", tc.name, tc.got.BOp, c, tc.want, tc.limit)
+		}
 	}
 }
 

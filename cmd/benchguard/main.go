@@ -17,7 +17,8 @@
 // catching the failure mode that matters — a disabled path picking up
 // an allocation or a real branch, which costs whole nanoseconds.
 // Allocations have no tolerance: a guarded benchmark may not allocate
-// more than its baseline.
+// more than its baseline. Bytes allocated (B/op) may exceed a recorded
+// b_op by a fixed 10%, which holds a 0-B baseline exact.
 package main
 
 import (

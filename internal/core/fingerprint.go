@@ -7,12 +7,11 @@ import (
 	"ecost/internal/perfctr"
 )
 
-// A fingerprint is the one key scheme of the online path's two memos —
-// MemoSTP's prediction cache and the scheduler's classify memo. It is a
-// fixed, seedless 64-bit hash of an observation's identity words: the
-// application name, the SizeGB bits and the 14 feature words, mixed one
-// machine word at a time. Float words fold −0 into +0 first, so
-// observations equal under == (the memos' hit test) always share a
+// A fingerprint is MemoSTP's key: a fixed, seedless 64-bit hash of an
+// observation pair's identity words — per observation the application
+// name, the SizeGB bits and the 14 feature words — mixed one machine
+// word at a time. Float words fold −0 into +0 first, so
+// observations equal under == (the memo's hit test) always share a
 // fingerprint. The converse does not hold — distinct observations may
 // collide — so a memo hit still compares the stored observations in
 // full, and a fingerprint match on different observations is a miss.
@@ -90,10 +89,4 @@ func fpFinish(h uint64) uint64 {
 // pairFingerprint keys MemoSTP: the ordered pair (a, b).
 func pairFingerprint(a, b *Observation) uint64 {
 	return fpFinish(fpObservation(fpObservation(fpBasis, a), b))
-}
-
-// featureFingerprint keys the classify memo: Classify reads only the
-// feature vector.
-func featureFingerprint(v *perfctr.Vector) uint64 {
-	return fpFinish(fpFeatures(fpBasis, v))
 }

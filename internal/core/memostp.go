@@ -27,8 +27,9 @@ import (
 // per-field hash once cost more than the scan), so the miss path is
 // kept cheap: the key is the pair's fingerprint (fingerprint.go), a
 // fixed word-by-word hash of the app names, sizes and feature words,
-// and the entries live in a per-shard slab reused across clears, so
-// neither hits nor misses allocate once the shards are warm.
+// and the entries live in a per-shard slab of fixed-size chunks kept
+// across clears, so neither hits nor misses allocate once the shards
+// are warm.
 //
 // A hit requires the stored pair to equal the queried one under ==; a
 // fingerprint match on different observations is a miss that
@@ -81,13 +82,27 @@ const memoShards = 16
 // cap only guards unbounded growth under adversarial churn).
 const memoShardCap = 4096
 
-// memoShard maps pair fingerprints to slots of a slab of entries. A
-// clear empties both but keeps their storage, so a churning stream
-// reuses the same memory instead of growing fresh map buckets.
+// memoChunk is how many entries one slab chunk holds (~20 KB); a
+// memo shard holding a handful of recurring pairs allocates one chunk.
+// memoShardCap is a multiple of it.
+const memoChunk = 32
+
+// memoShard maps pair fingerprints to slots of a slab of entries. The
+// slab grows one fixed-size chunk at a time — a chunk never moves, so a
+// growing shard copies nothing — and slot i lives in chunk i/memoChunk.
+// A clear empties the index and the slot count but keeps the map's
+// buckets and every chunk, so a churning stream refills the same memory
+// instead of allocating.
 type memoShard struct {
-	mu      sync.Mutex
-	idx     map[uint64]int32
-	entries []memoEntry
+	mu     sync.Mutex
+	idx    map[uint64]int32
+	chunks []*[memoChunk]memoEntry
+	n      int32 // slots in use
+}
+
+// slot returns slot i of the slab.
+func (sh *memoShard) slot(i int32) *memoEntry {
+	return &sh.chunks[i/memoChunk][i%memoChunk]
 }
 
 // memoEntry is one cached prediction together with the exact pair it
@@ -139,7 +154,7 @@ func (m *MemoSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, Pa
 	sh := &m.shards[fp&(memoShards-1)]
 	sh.mu.Lock()
 	if i, ok := sh.idx[fp]; ok {
-		if e := &sh.entries[i]; e.a == a && e.b == b {
+		if e := sh.slot(i); e.a == a && e.b == b {
 			cfg, exp, err := e.cfg, e.exp, e.err
 			sh.mu.Unlock()
 			m.hits.Inc()
@@ -162,14 +177,20 @@ func (m *MemoSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, Pa
 // into a full shard clears the shard first. The caller holds sh.mu.
 func (sh *memoShard) put(fp uint64, e memoEntry) {
 	if i, ok := sh.idx[fp]; ok {
-		sh.entries[i] = e
+		*sh.slot(i) = e
 		return
 	}
-	if len(sh.entries) >= memoShardCap {
+	if sh.n >= memoShardCap {
 		clear(sh.idx)
-		clear(sh.entries) // drop the cleared entries' error references
-		sh.entries = sh.entries[:0]
+		for _, c := range sh.chunks {
+			clear(c[:]) // drop the cleared entries' error references
+		}
+		sh.n = 0
 	}
-	sh.idx[fp] = int32(len(sh.entries))
-	sh.entries = append(sh.entries, e)
+	if int(sh.n) == len(sh.chunks)*memoChunk {
+		sh.chunks = append(sh.chunks, new([memoChunk]memoEntry))
+	}
+	sh.idx[fp] = sh.n
+	*sh.slot(sh.n) = e
+	sh.n++
 }

@@ -271,8 +271,8 @@ func TestMemoStaleFingerprintMisses(t *testing.T) {
 	if h, m := memo.HitMiss(); h != 0 || m != 1 {
 		t.Fatalf("stale fingerprint: %d hits / %d misses, want 0/1", h, m)
 	}
-	if e := &sh.entries[sh.idx[fp]]; e.a != a || e.b != b || e.cfg != wantCfg || len(sh.entries) != 1 {
-		t.Fatalf("stale entry not overwritten in place: %d entries, slot holds %s/%s", len(sh.entries), e.a.App.Name, e.b.App.Name)
+	if e := sh.slot(sh.idx[fp]); e.a != a || e.b != b || e.cfg != wantCfg || sh.n != 1 {
+		t.Fatalf("stale entry not overwritten in place: %d entries, slot holds %s/%s", sh.n, e.a.App.Name, e.b.App.Name)
 	}
 	if cfg, _, _ := memo.PredictBestExpected(a, b); cfg != wantCfg {
 		t.Fatalf("re-query answered %v, want %v", cfg, wantCfg)
@@ -282,16 +282,43 @@ func TestMemoStaleFingerprintMisses(t *testing.T) {
 	}
 }
 
-// TestMemosSignedZeroAndNaN checks both memos treat features exactly as
+// TestMemoRefillAfterClearZeroAlloc fills a memo shard to the cap, lets
+// the next new key clear it, and refills it: the chunks and the index
+// buckets survive the clear, so the refill allocates nothing.
+func TestMemoRefillAfterClearZeroAlloc(t *testing.T) {
+	var sh memoShard
+	sh.idx = make(map[uint64]int32)
+	key := uint64(0)
+	fill := func() {
+		for i := 0; i < memoShardCap; i++ {
+			key++
+			sh.put(key, memoEntry{})
+		}
+	}
+	fill()
+	if sh.n != memoShardCap || len(sh.chunks) != memoShardCap/memoChunk {
+		t.Fatalf("full shard holds %d entries in %d chunks, want %d in %d", sh.n, len(sh.chunks), memoShardCap, memoShardCap/memoChunk)
+	}
+	if allocs := testing.AllocsPerRun(3, fill); allocs != 0 {
+		t.Fatalf("refilling a cleared shard allocates %.1f objects, want 0", allocs)
+	}
+	if sh.n != memoShardCap || len(sh.idx) != memoShardCap || len(sh.chunks) != memoShardCap/memoChunk {
+		t.Fatalf("refilled shard holds %d entries, %d keys, %d chunks", sh.n, len(sh.idx), len(sh.chunks))
+	}
+}
+
+// TestMemosSignedZeroAndNaN checks the memo treats features exactly as
 // == does: vectors differing only in the sign of a zero hit each other,
-// and a vector holding a NaN never hits, not even itself.
+// and a vector holding a NaN never hits, not even itself. The class
+// cache has no key to compare: a record is classified once, whatever
+// its features hold.
 func TestMemosSignedZeroAndNaN(t *testing.T) {
 	fixture(t)
 	a, b := obsOf(t, "wc", 5), obsOf(t, "st", 5)
 	a.Features[perfctr.CPUSystem] = 0
 	negA := a
 	negA.Features[perfctr.CPUSystem] = math.Copysign(0, -1)
-	if pairFingerprint(&a, &b) != pairFingerprint(&negA, &b) || featureFingerprint(&a.Features) != featureFingerprint(&negA.Features) {
+	if pairFingerprint(&a, &b) != pairFingerprint(&negA, &b) {
 		t.Fatal("±0 vectors fingerprint differently")
 	}
 	nanA := a
@@ -311,19 +338,12 @@ func TestMemosSignedZeroAndNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetClassMemo(true)
-	want := fix.db.Classifier().Classify(a)
-	for _, o := range []Observation{a, negA, nanA, nanA} {
-		if got := s.classify(&o); got != fix.db.Classifier().Classify(o) {
-			t.Fatalf("classify memo answered %v, classifier %v", got, want)
+	for _, o := range []Observation{a, negA, nanA} {
+		rec := &profileRec{obs: o}
+		want := fix.db.Classifier().Classify(o)
+		if got := s.classOf(rec); got != want || !rec.classed || rec.class != want {
+			t.Fatalf("classOf answered %v (cached %v, %v), classifier %v", got, rec.class, rec.classed, want)
 		}
-	}
-	// a and -0 share one entry; NaN overwrites its own slot each time.
-	if len(s.classMemo) != 2 {
-		t.Fatalf("classify memo holds %d entries, want 2", len(s.classMemo))
-	}
-	if e := s.classMemo[featureFingerprint(&a.Features)]; e.features != a.Features || e.class != want {
-		t.Fatalf("±0 query displaced the entry: %+v", e)
 	}
 }
 

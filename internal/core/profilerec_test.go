@@ -1,0 +1,93 @@
+package core
+
+import (
+	"sort"
+	"testing"
+	"unsafe"
+
+	"ecost/internal/sim"
+	"ecost/internal/workloads"
+)
+
+// TestPendingArrivalSize pins the arrival-ring entry at three words: it
+// carries the interned profile by pointer, never an Observation.
+func TestPendingArrivalSize(t *testing.T) {
+	if n := unsafe.Sizeof(pendingArrival{}); n > 32 {
+		t.Fatalf("pendingArrival is %d B, want ≤ 32", n)
+	}
+}
+
+// TestShardedSubmitWarmZeroAlloc pins the warm ProfileMemo submission:
+// once (app, size) is interned, routing a job copies no observation and
+// allocates nothing. The arrival ring still grows by append, which
+// AllocsPerRun's whole-allocations-per-call average rounds away.
+func TestShardedSubmitWarmZeroAlloc(t *testing.T) {
+	fixture(t)
+	c, err := NewShardedScheduler(fix.model, fix.db, fix.profiler,
+		func() STP { return NewMemoSTP(fix.lkt, nil) }, 4, ShardedConfig{Shards: 4, ProfileMemo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := workloads.MustByName("wc")
+	c.Submit(app, 5, 0)
+	if allocs := testing.AllocsPerRun(1000, func() { c.Submit(app, 5, 1) }); allocs != 0 {
+		t.Fatalf("warm Submit allocates %.1f objects per call, want 0", allocs)
+	}
+	if len(c.memo) != 1 || c.err != nil {
+		t.Fatalf("memo holds %d records (err %v), want 1", len(c.memo), c.err)
+	}
+}
+
+// TestShardedClassCache runs a mixed stream through 16 stealing shards,
+// with and without ProfileMemo, and checks every job completes with
+// the application and class it gets from one steal-free shard. Each
+// record's class is written on its home shard the first time it
+// arrives; under -race with several procs this also checks that no
+// other shard's goroutine touches a record.
+func TestShardedClassCache(t *testing.T) {
+	fixture(t)
+	type row struct {
+		id    int
+		app   string
+		class workloads.Class
+	}
+	run := func(shards int, steal, memo bool) ([]row, int) {
+		c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(5)),
+			func() STP { return NewMemoSTP(fix.lkt, nil) }, 32,
+			ShardedConfig{Shards: shards, Steal: steal, ProfileMemo: memo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps, sizes := workloads.Apps(), []float64{1, 5, 10}
+		rng := sim.NewRNG(6)
+		at := 0.0
+		for i := 0; i < 400; i++ {
+			c.Submit(apps[i%len(apps)], sizes[i%len(sizes)], at)
+			at += rng.Exp(4)
+		}
+		if _, _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var out []row
+		for _, j := range c.Completed() {
+			out = append(out, row{j.ID, j.App, j.Class})
+		}
+		sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
+		return out, c.Steals()
+	}
+	for _, memo := range []bool{false, true} {
+		want, _ := run(1, false, memo)
+		got, steals := run(16, true, memo)
+		if steals == 0 {
+			t.Fatalf("memo=%v: the stream never stole, so stolen classes went unchecked", memo)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("memo=%v: %d completions, want %d", memo, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("memo=%v: job %d completed as %+v on 16 shards, %+v on one", memo, want[i].id, got[i], want[i])
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ecost/internal/metrics"
 	"ecost/internal/workloads"
@@ -18,6 +19,10 @@ type Job struct {
 	EstTime float64
 
 	Arrived float64 // arrival time (seconds)
+
+	// seq is the job's arrival sequence in the queue holding it,
+	// stamped by Push: SelectPartner breaks class-rank ties by it.
+	seq uint64
 }
 
 // WaitQueue is the paper's FIFO wait queue with a reservation at the
@@ -38,12 +43,11 @@ type WaitQueue struct {
 	Metrics *metrics.Registry
 
 	// byClass sub-indexes the FIFO per class (each deque in queue
-	// order) and seq records every queued job's arrival sequence, so
-	// SelectPartner inspects one front per class instead of scanning
-	// the whole queue. The jobs slice stays the source of truth; the
-	// index mirrors it exactly (fuzz-tested against the linear scan).
+	// order) and nextSeq numbers pushes (Job.seq), so SelectPartner
+	// inspects one front per class instead of scanning the whole
+	// queue. The jobs slice stays the source of truth; the index
+	// mirrors it exactly (fuzz-tested against the linear scan).
 	byClass map[workloads.Class][]*Job
-	seq     map[int]uint64
 	nextSeq uint64
 }
 
@@ -94,6 +98,7 @@ func (q *WaitQueue) PopHead() *Job {
 		return nil
 	}
 	j := q.jobs[0]
+	q.jobs[0] = nil // the dead prefix must not pin popped jobs
 	q.jobs = q.jobs[1:]
 	q.unindex(j)
 	return j
@@ -104,10 +109,9 @@ func (q *WaitQueue) PopHead() *Job {
 func (q *WaitQueue) index(j *Job) {
 	if q.byClass == nil {
 		q.byClass = map[workloads.Class][]*Job{}
-		q.seq = map[int]uint64{}
 	}
 	q.byClass[j.Class] = append(q.byClass[j.Class], j)
-	q.seq[j.ID] = q.nextSeq
+	j.seq = q.nextSeq
 	q.nextSeq++
 }
 
@@ -121,9 +125,10 @@ func (q *WaitQueue) unindex(j *Job) {
 			continue
 		}
 		if i == 0 {
+			d[0] = nil
 			d = d[1:]
 		} else {
-			d = append(d[:i], d[i+1:]...)
+			d = slices.Delete(d, i, i+1)
 		}
 		break
 	}
@@ -132,7 +137,6 @@ func (q *WaitQueue) unindex(j *Job) {
 	} else {
 		q.byClass[j.Class] = d
 	}
-	delete(q.seq, j.ID)
 }
 
 // Candidates returns the jobs eligible to fill a fresh node slot: the
@@ -165,7 +169,7 @@ func (q *WaitQueue) PartnerCandidates() []*Job { return q.jobs }
 func (q *WaitQueue) Take(id int) (*Job, error) {
 	for i, j := range q.jobs {
 		if j.ID == id {
-			q.jobs = append(q.jobs[:i], q.jobs[i+1:]...)
+			q.jobs = slices.Delete(q.jobs, i, i+1)
 			q.unindex(j)
 			return j, nil
 		}
@@ -197,7 +201,7 @@ func (q *WaitQueue) SelectPartner(running workloads.Class, priority []workloads.
 	for c, d := range q.byClass {
 		j := d[0]
 		r := classRank(c, priority)
-		if best == nil || r < bestRank || (r == bestRank && q.seq[j.ID] < q.seq[best.ID]) {
+		if best == nil || r < bestRank || (r == bestRank && j.seq < best.seq) {
 			best, bestRank = j, r
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,7 +11,6 @@ import (
 	"ecost/internal/flight"
 	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
-	"ecost/internal/perfctr"
 	"ecost/internal/power"
 	"ecost/internal/sim"
 	"ecost/internal/tracing"
@@ -106,29 +106,16 @@ type OnlineScheduler struct {
 	// barrier.
 	fl *flight.Collector
 
-	// arrQ is the pending-arrival ring SubmitObserved fills: instead of
-	// one closure + one engine event per submission, the scheduler keeps
-	// a single in-flight head event (arrFire) that batch-drains every
+	// arrQ is the pending-arrival ring submit fills: instead of one
+	// closure + one engine event per submission, the scheduler keeps a
+	// single in-flight head event (arrFire) that batch-drains every
 	// arrival sharing its timestamp and then re-arms itself at the next
-	// arrival time. arrHead indexes the first undelivered entry. The
-	// ring keeps shard event heaps shallow — a 200k-job stream holds one
+	// arrival time. arrHead indexes the first undelivered entry. The ring
+	// keeps shard event heaps shallow — a 200k-job stream holds one
 	// pending arrival event instead of 12.5k per shard.
 	arrQ    []pendingArrival
 	arrHead int
 	arrFire func()
-
-	// classMemo caches Classify verdicts by feature vector. Classify is
-	// a pure function of Observation.Reduced() — KNN against a fixed
-	// training set — so a hit is bit-identical to a fresh call while
-	// recurring tenants (identical memoized observations under the
-	// sharded router's ProfileMemo) skip the KNN distance scan. It is
-	// keyed the way MemoSTP is: by the vector's fingerprint, with a hit
-	// requiring the stored vector to equal the queried one, so a
-	// colliding vector misses, reclassifies and overwrites the entry.
-	// Under churn every vector is new and every lookup misses; the
-	// fingerprint keeps that miss to one word-by-word hash. Nil when
-	// disabled; see SetClassMemo.
-	classMemo map[uint64]classEntry
 
 	// jobPool / ojPool recycle Job and onlineJob records: both become
 	// unreachable at completion (CompletedJob copies every exported
@@ -144,55 +131,40 @@ type OnlineScheduler struct {
 // applications, and dispatch only targets empty or half-busy nodes.
 const maxPerNode = 2
 
-// pendingArrival is one undelivered SubmitObserved entry in the ring.
+// pendingArrival is one undelivered submit entry in the ring. It holds
+// the profile by reference, so an entry is three words however large
+// an Observation grows (TestPendingArrivalSize pins it at 32 B or less).
 type pendingArrival struct {
 	id  int
 	at  float64
-	obs Observation
+	rec *profileRec
 }
 
-// classMemoCap bounds the classify memo; at the cap it clears wholesale
-// (same policy as the steady memo: recurring tenants repopulate the hot
-// entries immediately).
-const classMemoCap = 8192
-
-// SetClassMemo toggles the Classify memo. A hit is bit-identical to
-// calling the classifier (Classify is pure), so this is safe under every
-// golden; it pays off when observations recur exactly — the sharded
-// control plane enables it on every shard, where ProfileMemo makes
-// recurring tenants' feature vectors identical. Call before the first
-// Submit.
-func (s *OnlineScheduler) SetClassMemo(v bool) {
-	if v {
-		s.classMemo = make(map[uint64]classEntry)
-	} else {
-		s.classMemo = nil
-	}
+// profileRec is one interned router profile: the observation measured
+// for a submission and the behaviour class derived from it. The sharded
+// router owns the records for the run — one per (app, size) under
+// ProfileMemo, one per job otherwise — and hands them to the home
+// shard by pointer, so the observation is copied once, into the Job.
+//
+// The class is computed on first arrival and cached here. Classify is
+// a pure function of the observation, so the cache is bit-identical to
+// classifying every arrival. Only the home shard's goroutine touches a
+// record during Run: routing is by app name, so every job sharing a
+// record shares a home shard, and a stolen job carries its class in
+// the Job instead.
+type profileRec struct {
+	obs     Observation
+	class   workloads.Class
+	classed bool
 }
 
-// classEntry is one classify-memo verdict with the vector it answers.
-type classEntry struct {
-	features perfctr.Vector
-	class    workloads.Class
-}
-
-// classify returns the behaviour class for obs, through the memo when
-// one is attached.
-func (s *OnlineScheduler) classify(obs *Observation) workloads.Class {
-	if s.classMemo == nil {
-		return s.DB.Classifier().Classify(*obs)
+// classOf returns rec's behaviour class, classifying on first use.
+func (s *OnlineScheduler) classOf(rec *profileRec) workloads.Class {
+	if !rec.classed {
+		rec.class = s.DB.Classifier().Classify(rec.obs)
+		rec.classed = true
 	}
-	fp := featureFingerprint(&obs.Features)
-	e, ok := s.classMemo[fp]
-	if ok && e.features == obs.Features {
-		return e.class
-	}
-	c := s.DB.Classifier().Classify(*obs)
-	if !ok && len(s.classMemo) >= classMemoCap {
-		clear(s.classMemo)
-	}
-	s.classMemo[fp] = classEntry{features: obs.Features, class: c}
-	return c
+	return rec.class
 }
 
 // jobSpans tracks one in-flight job's open spans plus the model's
@@ -581,16 +553,19 @@ type steadyVal struct {
 	watts float64
 }
 
-// steadyKeyOf builds the memo key for a 1- or 2-resident spec list.
-func steadyKeyOf(specs []mapreduce.RunSpec) steadyKey {
-	k := steadyKey{
-		a: steadySpecKey{specs[0].App.Name, specs[0].DataMB, specs[0].Cfg},
-		n: int8(len(specs)),
-	}
-	if len(specs) == 2 {
-		k.b = steadySpecKey{specs[1].App.Name, specs[1].DataMB, specs[1].Cfg}
+// steadyKeyOf builds the memo key for a 1- or 2-resident node straight
+// from its residents, with the DataMB specsInto would compute, so a
+// memo hit never builds the spec list.
+func steadyKeyOf(res []*onlineJob) steadyKey {
+	k := steadyKey{a: steadySpecKeyOf(res[0]), n: int8(len(res))}
+	if len(res) == 2 {
+		k.b = steadySpecKeyOf(res[1])
 	}
 	return k
+}
+
+func steadySpecKeyOf(r *onlineJob) steadySpecKey {
+	return steadySpecKey{r.job.Obs.App.Name, r.job.Obs.SizeGB * 1024, r.cfg}
 }
 
 // steadyMemoCap bounds the memo; at the cap it clears wholesale (the
@@ -622,18 +597,18 @@ func (s *OnlineScheduler) Submit(app workloads.App, sizeGB, at float64) {
 		if err != nil {
 			panic(fmt.Sprintf("core: online profile: %v", err)) // model inputs are validated at Submit
 		}
-		s.arrive(id, obs, at)
+		s.arrive(id, &profileRec{obs: obs}, at)
 	})
 }
 
-// SubmitObserved schedules an arrival whose profile was measured by the
-// caller — the sharded router profiles serially at submission time (in
+// submit schedules an arrival whose profile the sharded router measured
+// and interned: the router profiles serially at submission time (in
 // submission order, so the sampler's draw sequence matches the legacy
-// in-event profiling for nondecreasing arrival times) and hands each
-// shard a ready Observation plus a router-assigned cluster-global job
-// id. Submissions must be in nondecreasing time order (the router
-// enforces this). Do not mix with Submit on the same scheduler: Submit
-// owns the internal id counter.
+// in-event profiling for nondecreasing arrival times) and hands the
+// shard the record plus a router-assigned cluster-global job id. Submissions must
+// be in nondecreasing time order (the router enforces this). Do not mix
+// with Submit on the same scheduler: Submit owns the internal id
+// counter.
 //
 // Arrivals land in the ring, not the event heap: one AtHead event per
 // scheduler delivers the ring head, batch-draining everything sharing
@@ -642,12 +617,12 @@ func (s *OnlineScheduler) Submit(app workloads.App, sizeGB, at float64) {
 // per-job events scheduled before the run always outranked
 // runtime-scheduled completions at equal timestamps via their lower
 // seq, and the ring's head event must too.
-func (s *OnlineScheduler) SubmitObserved(id int, obs Observation, at float64) {
+func (s *OnlineScheduler) submit(id int, rec *profileRec, at float64) {
 	s.pending++
 	if s.arrFire == nil {
 		s.arrFire = s.fireArrivals
 	}
-	s.arrQ = append(s.arrQ, pendingArrival{id: id, at: at, obs: obs})
+	s.arrQ = append(s.arrQ, pendingArrival{id: id, at: at, rec: rec})
 	if len(s.arrQ)-s.arrHead == 1 {
 		s.Engine.AtHead(at, s.arrFire)
 	}
@@ -663,7 +638,7 @@ func (s *OnlineScheduler) fireArrivals() {
 		p := s.arrQ[s.arrHead]
 		s.arrQ[s.arrHead] = pendingArrival{}
 		s.arrHead++
-		s.arrive(p.id, p.obs, p.at)
+		s.arrive(p.id, p.rec, p.at)
 	}
 	if s.arrHead < len(s.arrQ) {
 		s.Engine.AtHead(s.arrQ[s.arrHead].at, s.arrFire)
@@ -673,11 +648,18 @@ func (s *OnlineScheduler) fireArrivals() {
 	}
 }
 
+// nextArrival reports the time of the earliest undelivered arrival.
+func (s *OnlineScheduler) nextArrival() (float64, bool) {
+	if s.arrHead == len(s.arrQ) {
+		return 0, false
+	}
+	return s.arrQ[s.arrHead].at, true
+}
+
 // arrive is the in-event half of submission: classify, queue, record,
-// dispatch. obs.SizeGB doubles as the nominal size (Observe preserves
-// the requested size exactly).
-func (s *OnlineScheduler) arrive(id int, obs Observation, at float64) {
-	app, sizeGB := obs.App, obs.SizeGB
+// dispatch. The observation's SizeGB doubles as the nominal size
+// (Observe preserves the requested size exactly).
+func (s *OnlineScheduler) arrive(id int, rec *profileRec, at float64) {
 	var j *Job
 	if k := len(s.jobPool); k > 0 {
 		j = s.jobPool[k-1]
@@ -688,11 +670,12 @@ func (s *OnlineScheduler) arrive(id int, obs Observation, at float64) {
 	}
 	*j = Job{
 		ID:      id,
-		Obs:     obs,
-		Class:   s.classify(&obs),
-		EstTime: sizeGB,
+		Obs:     rec.obs,
+		Class:   s.classOf(rec),
+		EstTime: rec.obs.SizeGB,
 		Arrived: at,
 	}
+	app, sizeGB := &j.Obs.App, j.Obs.SizeGB
 	s.queue.Push(j)
 	// app.Class is ground truth the prediction path never sees;
 	// recording it next to the Classify verdict is what makes the
@@ -741,12 +724,20 @@ func (s *OnlineScheduler) Run() (makespan, energyJ float64, err error) {
 			err = fmt.Errorf("core: online scheduler: %v", r)
 		}
 	}()
+	s.reserveCompleted()
 	s.Engine.Run(0)
 	if s.pending > 0 {
 		return 0, 0, fmt.Errorf("core: online scheduler: %d jobs never completed", s.pending)
 	}
 	s.finishRun()
 	return s.Engine.Now(), s.energyJ, nil
+}
+
+// reserveCompleted sizes the completion log for every pending job
+// before a run, so a shard that completes no more than it was handed
+// never regrows it.
+func (s *OnlineScheduler) reserveCompleted() {
+	s.completed = slices.Grow(s.completed, s.pending)
 }
 
 // finishRun closes out a drained run at the engine's current clock:
@@ -1218,16 +1209,15 @@ func (s *OnlineScheduler) reschedule(n *onlineNode) {
 		s.refreshPhaseWatts(n)
 		return
 	}
-	specs := s.specsInto(n)
 	var stsBuf [2]mapreduce.SteadyState
 	var sts []mapreduce.SteadyState
 	var watts float64
-	if s.steadyMemo != nil && len(specs) <= 2 {
-		k := steadyKeyOf(specs)
+	if s.steadyMemo != nil && len(n.residents) <= 2 {
+		k := steadyKeyOf(n.residents)
 		if v, ok := s.steadyMemo[k]; ok {
 			stsBuf, watts = v.sts, v.watts
 		} else {
-			out, w, err := s.eval.Steady(specs)
+			out, w, err := s.eval.Steady(s.specsInto(n))
 			if err != nil {
 				panic(err)
 			}
@@ -1238,11 +1228,11 @@ func (s *OnlineScheduler) reschedule(n *onlineNode) {
 			}
 			s.steadyMemo[k] = steadyVal{sts: stsBuf, watts: w}
 		}
-		sts = stsBuf[:len(specs)]
+		sts = stsBuf[:len(n.residents)]
 	} else {
 		// The states alias the evaluator's scratch, which nothing below
 		// reuses before they are read.
-		out, w, err := s.eval.Steady(specs)
+		out, w, err := s.eval.Steady(s.specsInto(n))
 		if err != nil {
 			panic(err)
 		}
@@ -1317,6 +1307,11 @@ func (s *OnlineScheduler) nodeComplete(n *onlineNode) {
 	}
 	s.occupancyChanged(n)
 	s.pending--
+	if len(s.completed) == cap(s.completed) {
+		// Double a full log: append's 1.25× step for large slices
+		// allocates about five times the final log, doubling twice.
+		s.completed = slices.Grow(s.completed, len(s.completed)+1)
+	}
 	s.completed = append(s.completed, CompletedJob{
 		ID:        finisher.job.ID,
 		App:       finisher.job.Obs.App.Name,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -262,8 +263,13 @@ func FuzzWaitQueueIndex(f *testing.F) {
 						len(ops), prio, got, want, q.Len())
 				}
 			}
-			if len(q.seq) != q.Len() {
-				t.Fatalf("seq index has %d entries, queue has %d jobs", len(q.seq), q.Len())
+			for i := 1; i < q.Len(); i++ {
+				if q.jobs[i-1].seq >= q.jobs[i].seq {
+					t.Fatalf("queue positions %d,%d carry sequences %d,%d, want increasing", i-1, i, q.jobs[i-1].seq, q.jobs[i].seq)
+				}
+			}
+			if dead := q.jobs[:cap(q.jobs)][q.Len():]; slices.ContainsFunc(dead, func(j *Job) bool { return j != nil }) {
+				t.Fatal("queue backing array pins a removed job past its length")
 			}
 			indexed := 0
 			for _, d := range q.byClass {

@@ -64,8 +64,11 @@ type ShardedScheduler struct {
 	shards []*OnlineScheduler
 	prof   *Profiler
 
-	// memo caches router profiles under ProfileMemo.
-	memo map[profileKey]Observation
+	// memo interns router profiles under ProfileMemo: one record per
+	// (app, size). recs is the chunk new records are carved from; a
+	// chunk never moves, so every record keeps its address for the run.
+	memo map[profileKey]*profileRec
+	recs []profileRec
 
 	nextID int
 	lastAt float64
@@ -75,14 +78,6 @@ type ShardedScheduler struct {
 	// out-of-order arrival time). Submit ignores everything after it and
 	// Run returns it without driving anything.
 	err error
-
-	// arrTimes records every submitted arrival time in order (Submit
-	// enforces nondecreasing); arrCursor trails the run, pointing at the
-	// first arrival not yet fired. Together they give the drive loop
-	// the next instant a wait queue could possibly grow — the horizon a
-	// barrier-free window may run to.
-	arrTimes  []float64
-	arrCursor int
 
 	// stats counts barriers executed vs elided.
 	stats BarrierStats
@@ -182,7 +177,7 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 	}
 	c := &ShardedScheduler{cfg: cfg, prof: prof}
 	if cfg.ProfileMemo {
-		c.memo = make(map[profileKey]Observation)
+		c.memo = make(map[profileKey]*profileRec)
 	}
 	base := 0
 	for i := 0; i < cfg.Shards; i++ {
@@ -203,10 +198,9 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 		// by the single-shard equivalence golden) and recurring tenants
 		// concentrate per shard by construction, so every shard gets it.
 		sh.SetSteadyMemo(true)
-		// Classify is pure, so its memo is bit-identical too — and the
-		// shard never hands out *sim.Event pointers beyond the per-node
-		// completion handle it nils on fire, so event recycling is safe.
-		sh.SetClassMemo(true)
+		// The shard never hands out *sim.Event pointers beyond the
+		// per-node completion handle it nils on fire, so event
+		// recycling is safe.
 		sh.Engine.SetRecycle(true)
 		base += n
 		c.shards = append(c.shards, sh)
@@ -325,30 +319,51 @@ func (c *ShardedScheduler) Submit(app workloads.App, sizeGB, at float64) {
 		return
 	}
 	c.lastAt = at
-	obs, err := c.profile(app, sizeGB)
+	rec, err := c.profile(app, sizeGB)
 	if err != nil {
 		c.err = fmt.Errorf("core: sharded profile: %w", err)
 		return
 	}
 	id := c.nextID
 	c.nextID++
-	c.arrTimes = append(c.arrTimes, at)
-	c.shards[routeShard(app.Name, len(c.shards))].SubmitObserved(id, obs, at)
+	c.shards[routeShard(app.Name, len(c.shards))].submit(id, rec, at)
 }
 
-func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (Observation, error) {
+// profile returns the interned record for one submission: under
+// ProfileMemo the (app, size) record, profiled exactly on first sight;
+// otherwise a fresh record holding this job's noisy profile.
+func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileRec, error) {
 	if c.memo == nil {
-		return c.prof.Observe(app, sizeGB)
+		obs, err := c.prof.Observe(app, sizeGB)
+		if err != nil {
+			return nil, err
+		}
+		return c.intern(obs), nil
 	}
 	k := profileKey{app.Name, sizeGB}
-	if obs, ok := c.memo[k]; ok {
-		return obs, nil
+	if rec, ok := c.memo[k]; ok {
+		return rec, nil
 	}
 	obs, err := c.prof.ObserveExact(app, sizeGB)
-	if err == nil {
-		c.memo[k] = obs
+	if err != nil {
+		return nil, err
 	}
-	return obs, err
+	rec := c.intern(obs)
+	c.memo[k] = rec
+	return rec, nil
+}
+
+// recChunk is how many records one store chunk holds.
+const recChunk = 256
+
+// intern stores obs in a new record: one allocation per recChunk
+// records, instead of one per record or a store that regrows.
+func (c *ShardedScheduler) intern(obs Observation) *profileRec {
+	if len(c.recs) == cap(c.recs) {
+		c.recs = make([]profileRec, 0, recChunk)
+	}
+	c.recs = append(c.recs, profileRec{obs: obs})
+	return &c.recs[len(c.recs)-1]
 }
 
 // BarrierStats reports how the last Run drove the shards: exact
@@ -369,6 +384,9 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 			err = fmt.Errorf("core: sharded scheduler: %v", r)
 		}
 	}()
+	for _, sh := range c.shards {
+		sh.reserveCompleted()
+	}
 	c.startWorkers()
 	defer c.stopWorkers()
 	c.drive()
@@ -453,14 +471,15 @@ func (c *ShardedScheduler) horizon(t float64) float64 {
 	}
 	// Every arrival strictly before t has fired: each shard's earliest
 	// unfired arrival keeps a pending event at its time, so the global
-	// min next-event time t bounds it.
-	for c.arrCursor < len(c.arrTimes) && c.arrTimes[c.arrCursor] < t {
-		c.arrCursor++
+	// min next-event time t bounds it. The earliest arrival ring head
+	// is therefore the first arrival at or after t.
+	next := math.Inf(1)
+	for _, sh := range c.shards {
+		if at, ok := sh.nextArrival(); ok && at < next {
+			next = at
+		}
 	}
-	if c.arrCursor < len(c.arrTimes) {
-		return c.arrTimes[c.arrCursor]
-	}
-	return math.Inf(1)
+	return next
 }
 
 // nextBarrier returns the minimum next-event time across shards (+Inf
@@ -629,6 +648,14 @@ func (c *ShardedScheduler) stealPass(t float64) {
 				}
 				thief.Engine.AdvanceTo(t)
 				thief.acceptStolen(j, vi, t, link)
+				// The job retires into the thief's pool; hand the victim a
+				// pooled record back, so one-way steals do not leave the
+				// victim allocating while the thief's pool grows.
+				if k := len(thief.jobPool); k > 0 {
+					victim.jobPool = append(victim.jobPool, thief.jobPool[k-1])
+					thief.jobPool[k-1] = nil
+					thief.jobPool = thief.jobPool[:k-1]
+				}
 				c.flight.Steal(vi, i)
 				c.steals++
 				claimed++
