@@ -32,8 +32,8 @@ type runFlags struct {
 	HealthReport    bool
 
 	// Shards is the -shards value and ShardsSet whether the user passed
-	// the flag at all (the default 1 is the unsharded control plane and
-	// needs no -online; an explicit -shards is an online request).
+	// the flag at all (the default 1 needs no -online; an explicit
+	// -shards is an online request).
 	Shards    int
 	ShardsSet bool
 	Steal     bool
@@ -80,19 +80,13 @@ func (f runFlags) contradiction() string {
 		return "-metrics-json and -metrics-volatile shape the -metrics snapshot; pass -metrics as well"
 	}
 	if f.ShardsSet && f.Shards < 1 {
-		return "-shards must be at least 1 (1 = the single unsharded control plane)"
+		return "-shards must be at least 1 (1 = one shard over the whole cluster)"
 	}
 	if f.Shards > f.Nodes {
 		return "-shards cannot exceed -nodes; every shard owns at least one node"
 	}
 	if f.Steal && f.Shards < 2 {
 		return "-steal migrates queued jobs between shards; pass -shards 2 or more"
-	}
-	if f.FlightOut != "" && f.Shards < 2 {
-		return "-flight-out records the sharded control plane's epoch barriers; pass -shards 2 or more"
-	}
-	if f.HealthReport && f.Shards < 2 {
-		return "-health-report aggregates per-shard barrier telemetry; pass -shards 2 or more"
 	}
 	if f.TraceReplay != "" {
 		// A replayed trace IS the stream; every other stream-shaping

@@ -98,13 +98,13 @@ func TestFlagContradictions(t *testing.T) {
 			Metrics: true, TraceOut: "t.json", TimelineOut: "t.txt", EDPReport: true,
 			QualityReport: true, ServeAddr: ":0", FlightOut: "f.jsonl", HealthReport: true,
 		}, ""},
-		// Flight recorder flags record per-shard barrier telemetry; both
-		// need the sharded control plane (and, transitively, -online).
+		// Flight recorder flags record per-shard barrier telemetry; every
+		// online run has barriers, so they need -online and nothing more.
 		{"flight-out offline", runFlags{FlightOut: "f.jsonl", Shards: 2, ShardsSet: true, Nodes: 8}, "-shards requires the online scheduler"},
-		{"flight-out single shard", runFlags{Online: true, FlightOut: "f.jsonl", Shards: 1, Nodes: 8}, "-flight-out records the sharded control plane's epoch barriers"},
+		{"flight-out single shard", runFlags{Online: true, FlightOut: "f.jsonl", Shards: 1, Nodes: 8}, ""},
 		{"flight-out with shards", runFlags{Online: true, FlightOut: "f.jsonl", Shards: 2, ShardsSet: true, Nodes: 8}, ""},
 		{"health-report offline", runFlags{HealthReport: true, Shards: 2, Nodes: 8}, "-health-report requires the online scheduler"},
-		{"health-report single shard", runFlags{Online: true, HealthReport: true, Shards: 1, Nodes: 8}, "-health-report aggregates per-shard barrier telemetry"},
+		{"health-report single shard", runFlags{Online: true, HealthReport: true, Shards: 1, Nodes: 8}, ""},
 		{"health-report with shards", runFlags{Online: true, HealthReport: true, Shards: 2, ShardsSet: true, Nodes: 8}, ""},
 		{"flight and health with serve", runFlags{
 			Online: true, Shards: 4, ShardsSet: true, Nodes: 8, Steal: true,

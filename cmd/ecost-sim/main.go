@@ -32,57 +32,53 @@
 // output. -metrics-volatile additionally includes wall-clock sections,
 // which vary run to run.
 //
+// Every online run goes through the sharded control plane; -shards
+// (default 1) sets how many per-shard schedulers split the cluster.
+// The run summary names the shard and steal counts and how many events
+// ran free of barriers, and every per-shard report below prints one
+// "== shard N ==" section per shard.
+//
 // -trace-out writes a Chrome trace_event JSON of the run's spans (job
 // lifecycle, map/reduce phases, per-node occupancy) loadable in
 // Perfetto or chrome://tracing; -timeline-out writes the same spans as
 // a deterministic text timeline; -edp-report prints the per-job and
-// per-class energy/EDP attribution rollup. Sharded runs (-shards 2+)
-// trace too: each shard records its own span set, -trace-out merges
-// them deterministically into one document with a track group per
-// shard and cross-shard steals drawn as flow arrows (steal_out →
-// steal_in), and -timeline-out writes per-shard "== shard N =="
-// sections plus a "== merged ==" global section. -quality-report prints the
+// per-class energy/EDP attribution rollup per shard plus a
+// "== merged ==" rollup. Each shard records its own span set: with two
+// or more shards, -trace-out merges them deterministically into one
+// document with a track group per shard and cross-shard steals drawn
+// as flow arrows (steal_out → steal_in), and -timeline-out writes
+// per-shard "== shard N ==" sections plus a "== merged ==" global
+// section. -quality-report prints the
 // decision-quality report (classifier confusion, predicted-vs-realized
 // STP error, co-location interference, oracle regret, drift alerts)
 // built from the per-decision audit log. -serve exposes all of the
 // above plus Prometheus /metrics, the audit log as /decisions JSONL,
-// the quality report as /quality, and /debug/pprof/ over HTTP, live
-// during the run and until interrupted afterwards. Sharded runs
-// (-shards 2+) serve merged views by default — Prometheus families
-// gain a shard="N" label — with ?shard=N selecting one shard, and add
-// the flight-recorder endpoints /shards, /epochs, /health, and
-// /flight.
+// the quality report as /quality, the flight-recorder endpoints
+// /shards, /epochs, /health, and /flight, and /debug/pprof/ over HTTP,
+// live during the run and until interrupted afterwards. Multi-shard
+// runs serve merged views by default — Prometheus families gain a
+// shard="N" label — with ?shard=N selecting one shard.
 //
-// -flight-out writes the sharded control plane's anomaly-triggered
+// -flight-out writes the control plane's anomaly-triggered
 // flight-recorder dumps (queue growth, shard imbalance, STP drift) as
 // JSONL; -health-report prints the aggregated shard-health report
 // (steal-flow matrix, Jain fairness, queue-growth slope, power skew)
-// after the run. Both require -shards 2 or more.
+// after the run.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
 
-	"ecost/internal/audit"
 	"ecost/internal/cliutil"
-	"ecost/internal/cluster"
 	"ecost/internal/core"
 	"ecost/internal/experiments"
-	"ecost/internal/mapreduce"
-	"ecost/internal/metrics"
 	"ecost/internal/scenario"
-	"ecost/internal/sim"
 	"ecost/internal/trace"
-	"ecost/internal/tracing"
 )
 
 func main() {
@@ -104,10 +100,10 @@ func main() {
 	edpReport := flag.Bool("edp-report", false, "print the per-job / per-class EDP attribution report after the online run (requires -online)")
 	qualityReport := flag.Bool("quality-report", false, "print the decision-quality report (confusion, STP error, regret, drift) after the online run (requires -online)")
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /report, /decisions, /quality, and /debug/pprof/ on this address during and after the online run (requires -online)")
-	shards := flag.Int("shards", 1, "partition the online cluster into this many per-shard schedulers with hash-routed submissions (requires -online; 1 = the single control plane)")
+	shards := flag.Int("shards", 1, "partition the online cluster into this many per-shard schedulers with hash-routed submissions (requires -online; 1 = one shard over the whole cluster)")
 	steal := flag.Bool("steal", false, "let idle shards steal queued jobs at event barriers (requires -shards 2+)")
-	flightOut := flag.String("flight-out", "", "write the flight recorder's anomaly-triggered epoch dumps as JSONL to this file after the run (requires -shards 2+; epoch records need every global event time, so the recorder pins the exact barrier cadence instead of eliding barriers)")
-	healthReport := flag.Bool("health-report", false, "print the shard-health report (steal flow, fairness, queue slope, power skew) after the run (requires -shards 2+)")
+	flightOut := flag.String("flight-out", "", "write the flight recorder's anomaly-triggered epoch dumps as JSONL to this file after the run (requires -online; epoch records need every global event time, so the recorder pins the exact barrier cadence instead of eliding barriers)")
+	healthReport := flag.Bool("health-report", false, "print the shard-health report (steal flow, fairness, queue slope, power skew) after the run (requires -online)")
 	logLevel := flag.String("log-level", "warn", "log verbosity: debug, info, warn, error")
 	flag.Parse()
 
@@ -186,100 +182,18 @@ func main() {
 			}
 			slog.Info("recorded arrival trace", "path", *traceRecord, "arrivals", len(arrivals))
 		}
-		if *shards > 1 {
-			runOnlineSharded(env, *nodes, *shards, *steal, arrivals, header, perJobTable, shardedOut{
-				metrics:         *emitMetrics,
-				metricsJSON:     *metricsJSON,
-				metricsVolatile: *metricsVolatile,
-				traceOut:        *traceOut,
-				timelineOut:     *timelineOut,
-				edpReport:       *edpReport,
-				qualityReport:   *qualityReport,
-				serveAddr:       *serveAddr,
-				flightOut:       *flightOut,
-				healthReport:    *healthReport,
-			})
-			return
-		}
-		var reg *metrics.Registry
-		if *emitMetrics || *serveAddr != "" {
-			reg = metrics.NewRegistry()
-		}
-		eng := sim.NewEngine()
-		var tr *tracing.Tracer
-		if *traceOut != "" || *timelineOut != "" || *edpReport || *serveAddr != "" {
-			tr = tracing.New(eng.Clock())
-		}
-		var aud *audit.Log
-		if *qualityReport || *serveAddr != "" {
-			aud = audit.NewLog(audit.DriftConfig{})
-		}
-		qualityOracle := core.NewAuditOracle(env.Oracle)
-		var srv *http.Server
-		if *serveAddr != "" {
-			ln, err := net.Listen("tcp", *serveAddr)
-			if err != nil {
-				cliutil.Fatalf("-serve listen failed", "err", err)
-			}
-			srv = &http.Server{Handler: newServeMux(serveSources{
-				regs:     []*metrics.Registry{reg},
-				trs:      []*tracing.Tracer{tr},
-				auds:     []*audit.Log{aud},
-				qo:       qualityOracle,
-				volatile: *metricsVolatile,
-			})}
-			go func() {
-				if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-					slog.Error("observability server failed", "err", err)
-				}
-			}()
-			fmt.Fprintf(os.Stderr, "serving observability endpoints on http://%s/\n", ln.Addr())
-		}
-		runOnline(env, eng, tr, aud, *nodes, arrivals, reg, header, perJobTable)
-		if *traceOut != "" {
-			if err := writeArtifact(*traceOut, tr.WriteChromeTrace); err != nil {
-				cliutil.Fatalf("writing -trace-out failed", "err", err)
-			}
-			slog.Info("wrote Chrome trace", "path", *traceOut)
-		}
-		if *timelineOut != "" {
-			if err := writeArtifact(*timelineOut, tr.WriteTimeline); err != nil {
-				cliutil.Fatalf("writing -timeline-out failed", "err", err)
-			}
-			slog.Info("wrote span timeline", "path", *timelineOut)
-		}
-		if *edpReport {
-			fmt.Println()
-			if err := tr.Report().WriteText(os.Stdout); err != nil {
-				cliutil.Fatalf("writing -edp-report failed", "err", err)
-			}
-		}
-		if *qualityReport {
-			fmt.Println()
-			if err := aud.Quality(qualityOracle).WriteText(os.Stdout); err != nil {
-				cliutil.Fatalf("writing -quality-report failed", "err", err)
-			}
-		}
-		if *emitMetrics {
-			fmt.Println()
-			snap := reg.Snapshot(*metricsVolatile)
-			var werr error
-			if *metricsJSON {
-				werr = snap.WriteJSON(os.Stdout)
-			} else {
-				werr = snap.WriteText(os.Stdout)
-			}
-			if werr != nil {
-				cliutil.Fatalf("writing -metrics snapshot failed", "err", werr)
-			}
-		}
-		if srv != nil {
-			fmt.Fprintln(os.Stderr, "run finished; endpoints stay up — interrupt (Ctrl-C) to exit")
-			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-			<-ctx.Done()
-			stop()
-			srv.Close()
-		}
+		runOnline(os.Stdout, env, *nodes, *shards, *steal, arrivals, header, perJobTable, onlineOut{
+			metrics:         *emitMetrics,
+			metricsJSON:     *metricsJSON,
+			metricsVolatile: *metricsVolatile,
+			traceOut:        *traceOut,
+			timelineOut:     *timelineOut,
+			edpReport:       *edpReport,
+			qualityReport:   *qualityReport,
+			serveAddr:       *serveAddr,
+			flightOut:       *flightOut,
+			healthReport:    *healthReport,
+		})
 		return
 	}
 
@@ -368,54 +282,4 @@ func buildStream(wl core.Workload, genMode bool, scenarioFlag, arrivalsFlag, tra
 	}
 	header := fmt.Sprintf("online ECoST on %d node(s), mean inter-arrival %.0fs:", nodes, arrival)
 	return arrivals, header, jobs == 0
-}
-
-func runOnline(env *experiments.Env, eng *sim.Engine, tr *tracing.Tracer, aud *audit.Log, nodes int, arrivals []trace.Arrival, reg *metrics.Registry, header string, perJobTable bool) {
-	model := mapreduce.NewModel(cluster.AtomC2758())
-	// Recurring jobs re-ask the tuner the same question; the memo cache
-	// answers repeats in one lookup. MeteredSTP unwraps it for the
-	// deterministic scan-size metric and the hit/miss counters are
-	// volatile, so -metrics snapshots are byte-identical either way.
-	memo := core.NewMemoSTP(env.LkT, reg)
-	var tuner core.STP = memo
-	if reg != nil {
-		// The model here is private to the online run, so steady-state
-		// telemetry stays scoped to it; the STP wrapper adds prediction
-		// counters and the predicted-vs-realized EDP error.
-		model.Metrics = reg
-		tuner = core.NewMeteredSTP(memo, model, reg)
-	}
-	sched, err := core.NewOnlineScheduler(eng, model, env.DB, tuner, env.Profiler, nodes)
-	if err != nil {
-		cliutil.Fatalf("building online scheduler failed", "err", err)
-	}
-	sched.SetMetrics(reg)
-	sched.SetTracer(tr)
-	sched.SetAudit(aud)
-	for _, a := range arrivals {
-		sched.Submit(a.App, a.SizeGB, a.At)
-	}
-	trace.Record(arrivals, reg)
-	makespan, energy, err := sched.Run()
-	if err != nil {
-		cliutil.Fatalf("online run failed", "err", err)
-	}
-	fmt.Println(header)
-	fmt.Printf("  makespan %.0f s, energy %.0f J, EDP %.4g J·s\n\n", makespan, energy, energy*makespan)
-	done := sched.Completed()
-	if !perJobTable {
-		fmt.Printf("%d jobs completed\n", len(done))
-		qs := experiments.StreamStats(done, nodes, makespan)
-		fmt.Printf("  utilization        %.3f\n", qs.Utilization)
-		fmt.Printf("  queue length       mean %.2f, p95 %.0f, max %d\n", qs.MeanQueueLen, qs.P95QueueLen, qs.MaxQueueLen)
-		fmt.Printf("  wait p50/p95/p99   %.1f / %.1f / %.1f s\n", qs.WaitP50, qs.WaitP95, qs.WaitP99)
-		fmt.Printf("  sojourn p50/p95/p99 %.1f / %.1f / %.1f s\n", qs.SojournP50, qs.SojournP95, qs.SojournP99)
-		return
-	}
-	fmt.Printf("%-4s %-5s %-6s %-5s %9s %9s %9s %5s %s\n",
-		"id", "app", "class", "size", "submit", "start", "finish", "node", "config")
-	for _, c := range done {
-		fmt.Printf("%-4d %-5s %-6v %4.0fG %9.0f %9.0f %9.0f %5d %v\n",
-			c.ID, c.App, c.Class, c.SizeGB, c.Submitted, c.Started, c.Finished, c.Node, c.Cfg)
-	}
 }

@@ -14,7 +14,7 @@ import (
 
 // serveSources bundles the live observability surfaces the -serve mux
 // reads at request time. Every slice holds one entry per shard (one
-// entry total for the unsharded scheduler); any entry — or the flight
+// entry total for a single-shard run); any entry — or the flight
 // recorder — may be nil when the flag combination didn't enable it,
 // and its endpoints then answer 503 with a hint instead of panicking.
 type serveSources struct {
@@ -114,7 +114,7 @@ func newServeMux(s serveSources) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		var err error
 		if len(idx) == 1 {
-			// One shard selected (or an unsharded run): the classic
+			// One shard selected (or a single-shard run): the classic
 			// unlabeled exposition.
 			err = s.regs[idx[0]].Snapshot(s.volatile).WritePrometheus(w)
 		} else {
@@ -159,7 +159,7 @@ func newServeMux(s serveSources) *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		var err error
 		if len(idx) == 1 {
-			// One shard selected (or an unsharded run): the solo export,
+			// One shard selected (or a single-shard run): the solo export,
 			// byte-identical to that shard's own -trace-out.
 			err = s.trs[idx[0]].WriteChromeTrace(w)
 		} else {

@@ -23,7 +23,6 @@ import (
 	"ecost/internal/experiments"
 	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
-	"ecost/internal/sim"
 )
 
 func main() {
@@ -85,7 +84,7 @@ func main() {
 
 // onlineWithMetrics replays WS4 through the event-driven scheduler with
 // the observability registry attached, then prints the deterministic
-// snapshot — the same output `ecost-sim -metrics` produces.
+// snapshot — the same snapshot `ecost-sim -metrics` prints per shard.
 func onlineWithMetrics(env *experiments.Env, nodes int) error {
 	fmt.Println("\nonline ECoST replay of WS4 with observability enabled:")
 	wl, err := core.Scenario("WS4")
@@ -94,13 +93,13 @@ func onlineWithMetrics(env *experiments.Env, nodes int) error {
 	}
 	reg := metrics.NewRegistry()
 	model := mapreduce.NewModel(cluster.AtomC2758())
-	model.Metrics = reg
-	sched, err := core.NewOnlineScheduler(sim.NewEngine(), model, env.DB,
-		core.NewMeteredSTP(env.LkT, model, reg), env.Profiler, nodes)
+	sched, err := core.NewShardedScheduler(model, env.DB, env.Profiler,
+		func() core.STP { return core.NewMeteredSTP(core.NewMemoSTP(env.LkT, reg), model, reg) },
+		nodes, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		return err
 	}
-	sched.SetMetrics(reg)
+	sched.SetMetrics([]*metrics.Registry{reg})
 	for _, j := range wl.Jobs {
 		sched.Submit(j.App, j.SizeGB, 0)
 	}

@@ -18,7 +18,6 @@ import (
 	"ecost/internal/core"
 	"ecost/internal/experiments"
 	"ecost/internal/mapreduce"
-	"ecost/internal/sim"
 	"ecost/internal/workloads"
 )
 
@@ -39,12 +38,12 @@ func main() {
 		{"cf", 5}, {"hmm", 10}, {"pr", 1}, {"nb", 5},
 	}
 
-	eng := sim.NewEngine()
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	// The demo database is coarse (FastOptions), where the lookup table
 	// is the most accurate tuner; a full-fidelity deployment would use
-	// REPTree (see EXPERIMENTS.md).
-	sched, err := core.NewOnlineScheduler(eng, model, env.DB, env.LkT, env.Profiler, 2)
+	// REPTree (see EXPERIMENTS.md). One shard runs the whole cluster.
+	sched, err := core.NewShardedScheduler(model, env.DB, env.Profiler,
+		func() core.STP { return env.LkT }, 2, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

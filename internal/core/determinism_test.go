@@ -41,17 +41,13 @@ func TestParallelCOLAOAcrossGOMAXPROCS(t *testing.T) {
 // the deterministic snapshot text plus the scheduler for invariant
 // checks. Each call builds a fresh profiler from the same seed so the
 // measurement noise sequence is identical run to run.
-func metricsRun(t *testing.T) (string, *OnlineScheduler) {
+func metricsRun(t *testing.T) (string, *ShardedScheduler) {
 	t.Helper()
 	fixture(t)
 	reg := metrics.NewRegistry()
 	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	tuner := NewMeteredSTP(fix.lkt, fix.model, reg)
-	s, err := NewOnlineScheduler(sim.NewEngine(), fix.model, fix.db, tuner, prof, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetMetrics(reg)
+	s := oneShard(t, NewMeteredSTP(fix.lkt, fix.model, reg), prof, 2)
+	s.SetMetrics([]*metrics.Registry{reg})
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
 		s.Submit(workloads.MustByName(name), 5, float64(i)*40)

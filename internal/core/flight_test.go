@@ -30,9 +30,7 @@ func runShardedFlight(t *testing.T, nodes int, cfg ShardedConfig, submit func(c 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		c.Shard(i).SetMetrics(regs[i])
-	}
+	c.SetMetrics(regs)
 	fr := flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: c.ShardNodes()})
 	c.SetFlight(fr)
 	submit(c)
@@ -123,10 +121,10 @@ func TestFlightShardedStaleDriftDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	auds := make([]*audit.Log, shards)
-	for i := 0; i < shards; i++ {
+	for i := range auds {
 		auds[i] = audit.NewLog(audit.DriftConfig{})
-		c.Shard(i).SetAudit(auds[i])
 	}
+	c.SetAudit(auds)
 	fr := flight.New(flight.Config{Shards: shards, ShardNodes: c.ShardNodes()})
 	c.SetFlight(fr)
 	// Each shard runs its own CUSUM (default MinSamples per shard), so

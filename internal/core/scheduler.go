@@ -17,18 +17,17 @@ import (
 	"ecost/internal/workloads"
 )
 
-// OnlineScheduler is the event-driven form of ECoST (Figure 4): jobs
-// arrive over time, are profiled and classified, wait in the FIFO queue
-// with head reservation, and are co-located onto nodes by the pairing
-// decision tree with STP-tuned configurations. Job progress follows the
-// execution model's fluid contention solver, recomputed whenever a
-// node's resident set changes.
-type OnlineScheduler struct {
-	Engine   *sim.Engine
-	Model    *mapreduce.Model
-	DB       *Database
-	Tuner    STP
-	Profiler *Profiler
+// shard is one partition of the event-driven form of ECoST (Figure 4),
+// owned by a ShardedScheduler: jobs arrive over time, are classified,
+// wait in the FIFO queue with head reservation, and are co-located onto
+// the shard's nodes by the pairing decision tree with STP-tuned
+// configurations. Job progress follows the execution model's fluid
+// contention solver, recomputed whenever a node's resident set changes.
+type shard struct {
+	Engine *sim.Engine
+	Model  *mapreduce.Model
+	DB     *Database
+	Tuner  STP
 
 	queue *WaitQueue
 	nodes []*onlineNode
@@ -36,7 +35,7 @@ type OnlineScheduler struct {
 	// base offsets node ids in every export (metrics events, span
 	// attributes, audit rows, CompletedJob.Node) so a shard owning
 	// nodes [base, base+len) reports cluster-global ids while its
-	// internal indexes stay dense. Zero for the unsharded scheduler.
+	// internal indexes stay dense.
 	base int
 
 	// fastAcc selects the O(1) aggregate accrual path: reschedule
@@ -48,7 +47,7 @@ type OnlineScheduler struct {
 	// 1e-9 relative); scheduling decisions never read energy, so
 	// makespan and every placement stay bit-identical. The fast path
 	// only engages when no per-node attribution is needed (tracer and
-	// audit off); see SetFastAccrual.
+	// audit off); see setFastAccrual.
 	fastAcc    bool
 	phaseWatts [3]float64
 
@@ -57,11 +56,13 @@ type OnlineScheduler struct {
 	// resident order). Steady is a pure function of those inputs, so a
 	// hit returns bit-identical times and watts — the cache is
 	// transparent to every golden — while recurring tenant pairs skip
-	// the fluid solver entirely. Nil when disabled; see SetSteadyMemo.
+	// the fluid solver entirely. At steadyMemoCap entries it clears
+	// wholesale (the MemoSTP policy: recurring streams re-warm
+	// instantly, adversarial key churn cannot grow memory).
 	steadyMemo map[steadyKey]steadyVal
 
 	// freeCnt / halfCnt mirror the dispatch bitmaps' populations so
-	// FreeSlots — called per shard at every steal barrier — is O(1)
+	// freeSlots — called per shard at every steal barrier — is O(1)
 	// instead of a popcount walk.
 	freeCnt, halfCnt int
 
@@ -76,7 +77,6 @@ type OnlineScheduler struct {
 	freeSet   nodeSet
 	halfSet   nodeSet
 
-	nextID    int
 	pending   int
 	completed []CompletedJob
 
@@ -86,24 +86,24 @@ type OnlineScheduler struct {
 	phases     power.PhaseAccumulator
 
 	// met holds the pre-resolved metric handles (nil = observability
-	// off; see SetMetrics).
+	// off; see setMetrics).
 	met *schedMetrics
 
 	// tracer records lifecycle and occupancy spans (nil = tracing off;
-	// see SetTracer). traced maps in-flight job IDs to their open
+	// see setTracer). traced maps in-flight job IDs to their open
 	// spans; nodeSpans holds each node's current occupancy span.
 	tracer    *tracing.Tracer
 	traced    map[int]*jobSpans
 	nodeSpans []*tracing.Span
 
 	// aud records every decision joined with its realized outcome
-	// (nil = auditing off; see SetAudit).
+	// (nil = auditing off; see setAudit).
 	aud *audit.Log
 
 	// fl is this shard's flight-recorder collector (nil = flight
-	// recording off; see SetFlight). Forecast joins and drift alerts
-	// accumulate here until the control plane drains them at the next
-	// barrier.
+	// recording off; see ShardedScheduler.SetFlight). Forecast joins
+	// and drift alerts accumulate here until the control plane drains
+	// them at the next barrier.
 	fl *flight.Collector
 
 	// arrQ is the pending-arrival ring submit fills: instead of one
@@ -159,7 +159,7 @@ type profileRec struct {
 }
 
 // classOf returns rec's behaviour class, classifying on first use.
-func (s *OnlineScheduler) classOf(rec *profileRec) workloads.Class {
+func (s *shard) classOf(rec *profileRec) workloads.Class {
 	if !rec.classed {
 		rec.class = s.DB.Classifier().Classify(rec.obs)
 		rec.classed = true
@@ -202,7 +202,7 @@ type schedMetrics struct {
 	relErr      map[string]*metrics.Histogram
 
 	// Steal counters, registered lazily on first use so steal-free
-	// runs' snapshots stay byte-identical to the unsharded scheduler's.
+	// runs' snapshots carry no steal families.
 	stealsIn  *metrics.Counter // sched.steals_in: jobs claimed from neighbors
 	stealsOut *metrics.Counter // sched.steals_out: queued jobs claimed away
 }
@@ -244,12 +244,10 @@ func (m *schedMetrics) relErrFor(class string) *metrics.Histogram {
 	return h
 }
 
-// SetMetrics attaches an observability registry to the scheduler (and
-// its wait queue). Call before the first Submit; pass nil to disable.
-// The execution model is deliberately left alone — attach a registry to
-// Model.Metrics separately if steady-state telemetry is wanted (the
-// model may be shared with uninstrumented components).
-func (s *OnlineScheduler) SetMetrics(reg *metrics.Registry) {
+// setMetrics attaches an observability registry to the shard (and its
+// wait queue); nil disables. The execution model is shared across
+// shards and stays uninstrumented.
+func (s *shard) setMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		s.met = nil
 		s.queue.Metrics = nil
@@ -276,12 +274,12 @@ func (s *OnlineScheduler) SetMetrics(reg *metrics.Registry) {
 	s.auditMetrics()
 }
 
-// SetAudit attaches a decision-audit log to the scheduler. Call before
-// the first Submit; pass nil to disable. When a metrics registry is
-// also attached, joins and drift alarms are mirrored into it
-// (per-class audit.rel_err_pct histograms, the stp.drift_alert gauge,
-// the audit.drift_alerts counter, and EvDrift events).
-func (s *OnlineScheduler) SetAudit(l *audit.Log) {
+// setAudit attaches a decision-audit log to the shard; nil disables.
+// When a metrics registry is also attached, joins and drift alarms are
+// mirrored into it (per-class audit.rel_err_pct histograms, the
+// stp.drift_alert gauge, the audit.drift_alerts counter, and EvDrift
+// events).
+func (s *shard) setAudit(l *audit.Log) {
 	s.aud = l
 	s.auditMetrics()
 }
@@ -289,7 +287,7 @@ func (s *OnlineScheduler) SetAudit(l *audit.Log) {
 // auditMetrics pre-registers the audit mirror instruments once both an
 // audit log and a registry are attached (either attachment order), so
 // the drift gauge is visible at 0 on healthy runs.
-func (s *OnlineScheduler) auditMetrics() {
+func (s *shard) auditMetrics() {
 	if s.aud == nil || s.met == nil {
 		return
 	}
@@ -297,11 +295,10 @@ func (s *OnlineScheduler) auditMetrics() {
 	s.met.driftAlerts = s.met.reg.Counter("audit.drift_alerts")
 }
 
-// SetTracer attaches a span tracer to the scheduler. Call before the
-// first Submit; pass nil to disable. The tracer's clock must be the
-// scheduler's engine (tracing.New(engine.Clock())) or span timestamps
-// will not line up with the event log.
-func (s *OnlineScheduler) SetTracer(tr *tracing.Tracer) {
+// setTracer attaches a span tracer to the shard; nil disables. The
+// tracer's clock must be the shard's engine (tracing.New(Engine.Clock()))
+// or span timestamps will not line up with the event log.
+func (s *shard) setTracer(tr *tracing.Tracer) {
 	s.tracer = tr
 	if tr == nil {
 		s.traced = nil
@@ -316,19 +313,10 @@ func (s *OnlineScheduler) SetTracer(tr *tracing.Tracer) {
 	}
 }
 
-// SetFlight attaches this shard's flight-recorder collector (nil =
-// off). The completion path feeds it audit joins and drift alerts;
-// the sharded control plane drains it at every barrier. Only the
-// owning shard's goroutine writes it between barriers.
-func (s *OnlineScheduler) SetFlight(c *flight.Collector) { s.fl = c }
-
-// Nodes reports this scheduler's node count.
-func (s *OnlineScheduler) Nodes() int { return len(s.nodes) }
-
-// TopTenants names the most-queued applications, busiest first (name
+// topTenants names the most-queued applications, busiest first (name
 // ascending on ties), at most max. The flight recorder's triggers use
 // it to name the tenants behind a hot shard.
-func (s *OnlineScheduler) TopTenants(max int) []string {
+func (s *shard) topTenants(max int) []string {
 	counts := make(map[string]int)
 	for _, j := range s.queue.Jobs() {
 		counts[j.Obs.App.Name]++
@@ -349,26 +337,20 @@ func (s *OnlineScheduler) TopTenants(max int) []string {
 	return names
 }
 
-// Tracer returns the attached span tracer (nil when tracing is off).
-func (s *OnlineScheduler) Tracer() *tracing.Tracer { return s.tracer }
-
-// Audit returns the attached decision-audit log (nil when off).
-func (s *OnlineScheduler) Audit() *audit.Log { return s.aud }
-
 // rollOccupancy closes a node's current occupancy span and opens the
 // next one — called whenever the resident set changes (after the
 // closing interval's energy has been accrued). The nil branch must
 // stay small enough to inline (see Histogram.Observe): with tracing
 // off the call compiles down to a compare-and-return (sub-ns,
 // BenchmarkDisabledOccupancyRoll, guarded in CI).
-func (s *OnlineScheduler) rollOccupancy(n *onlineNode) {
+func (s *shard) rollOccupancy(n *onlineNode) {
 	if s.tracer == nil {
 		return
 	}
 	s.rollOccupancySlow(n)
 }
 
-func (s *OnlineScheduler) rollOccupancySlow(n *onlineNode) {
+func (s *shard) rollOccupancySlow(n *onlineNode) {
 	now := s.Engine.Now()
 	s.nodeSpans[n.id].FinishAt(now)
 	var names []string
@@ -383,20 +365,16 @@ func (s *OnlineScheduler) rollOccupancySlow(n *onlineNode) {
 // rollOccupancy, the disabled path is a single inlined branch
 // (BenchmarkDisabledDepthSample) — dispatch calls this per placement,
 // so an uninstrumented run must not even read the engine clock.
-func (s *OnlineScheduler) sampleDepth() {
+func (s *shard) sampleDepth() {
 	if s.met == nil {
 		return
 	}
 	s.sampleDepthSlow()
 }
 
-func (s *OnlineScheduler) sampleDepthSlow() {
+func (s *shard) sampleDepthSlow() {
 	s.met.depth.Sample(s.Engine.Now(), float64(s.queue.Len()))
 }
-
-// Phases returns the energy split by node-occupancy phase accrued so
-// far (idle / solo / co-located).
-func (s *OnlineScheduler) Phases() power.PhaseAccumulator { return s.phases }
 
 // CompletedJob records one finished job for reporting.
 type CompletedJob struct {
@@ -457,22 +435,21 @@ type onlineNode struct {
 	accPhase int8
 }
 
-// NewOnlineScheduler builds a scheduler over `nodes` single-node lanes.
-func NewOnlineScheduler(eng *sim.Engine, model *mapreduce.Model, db *Database, tuner STP, prof *Profiler, nodes int) (*OnlineScheduler, error) {
-	if eng == nil || model == nil || db == nil || tuner == nil || prof == nil {
-		return nil, fmt.Errorf("core: online scheduler: nil dependency")
+// newShard builds a shard over `nodes` single-node lanes whose
+// cluster-global ids start at base, on a fresh engine. The shard never
+// hands out *sim.Event pointers beyond the per-node completion handle
+// it nils on fire, so the engine recycles events.
+func newShard(model *mapreduce.Model, db *Database, tuner STP, nodes, base int) *shard {
+	s := &shard{
+		Engine:     sim.NewEngine(),
+		Model:      model,
+		DB:         db,
+		Tuner:      tuner,
+		queue:      NewWaitQueue(),
+		base:       base,
+		steadyMemo: make(map[steadyKey]steadyVal),
 	}
-	if nodes < 1 {
-		return nil, fmt.Errorf("core: online scheduler: need at least one node")
-	}
-	s := &OnlineScheduler{
-		Engine:   eng,
-		Model:    model,
-		DB:       db,
-		Tuner:    tuner,
-		Profiler: prof,
-		queue:    NewWaitQueue(),
-	}
+	s.Engine.SetRecycle(true)
 	// The idle draw is the same expression Model.Steady evaluates for an
 	// empty spec set, so cached node watts stay bit-identical to a fresh
 	// per-accrual recompute.
@@ -487,28 +464,17 @@ func NewOnlineScheduler(eng *sim.Engine, model *mapreduce.Model, db *Database, t
 		s.freeSet.set(i, true)
 	}
 	s.freeCnt = nodes
-	return s, nil
+	return s
 }
 
-// SetNodeBase sets the cluster-global id of this scheduler's first
-// node: a shard owning nodes [base, base+n) keeps dense internal
-// indexes but exports global ids everywhere an id leaves the scheduler.
-// Call before the first Submit (and before SetTracer, so the initial
-// occupancy spans carry global ids).
-func (s *OnlineScheduler) SetNodeBase(base int) { s.base = base }
-
-// NodeBase returns the cluster-global id of this scheduler's first node.
-func (s *OnlineScheduler) NodeBase() int { return s.base }
-
 // gid maps a node's dense internal index to its cluster-global id.
-func (s *OnlineScheduler) gid(n *onlineNode) int { return s.base + n.id }
+func (s *shard) gid(n *onlineNode) int { return s.base + n.id }
 
-// SetFastAccrual enables the O(1) aggregate energy-accrual path (see
+// setFastAccrual enables the O(1) aggregate energy-accrual path (see
 // the fastAcc field). It only takes effect while no tracer and no
 // audit log are attached — per-node and per-job energy attribution
-// need the per-node walk.
-// Call before the first Submit.
-func (s *OnlineScheduler) SetFastAccrual(v bool) {
+// need the per-node walk. Call before the first submit.
+func (s *shard) setFastAccrual(v bool) {
 	s.fastAcc = v
 	if !v {
 		return
@@ -568,56 +534,25 @@ func steadySpecKeyOf(r *onlineJob) steadySpecKey {
 	return steadySpecKey{r.job.Obs.App.Name, r.job.Obs.SizeGB * 1024, r.cfg}
 }
 
-// steadyMemoCap bounds the memo; at the cap it clears wholesale (the
-// MemoSTP policy: recurring streams re-warm instantly, adversarial key
-// churn cannot grow memory).
+// steadyMemoCap bounds the steady memo.
 const steadyMemoCap = 4096
-
-// SetSteadyMemo toggles memoization of per-node steady-state solves.
-// A hit is bit-identical to the solve it replaces (Steady is pure in
-// its spec list), so the memo composes with every equivalence golden;
-// it pays off when tenants recur — the sharded control plane enables
-// it on every shard. Nodes holding more than two residents bypass the
-// cache.
-func (s *OnlineScheduler) SetSteadyMemo(v bool) {
-	if v {
-		s.steadyMemo = make(map[steadyKey]steadyVal)
-	} else {
-		s.steadyMemo = nil
-	}
-}
-
-// Submit schedules a job arrival at the given simulated time.
-func (s *OnlineScheduler) Submit(app workloads.App, sizeGB, at float64) {
-	id := s.nextID
-	s.nextID++
-	s.pending++
-	s.Engine.At(at, func() {
-		obs, err := s.Profiler.Observe(app, sizeGB)
-		if err != nil {
-			panic(fmt.Sprintf("core: online profile: %v", err)) // model inputs are validated at Submit
-		}
-		s.arrive(id, &profileRec{obs: obs}, at)
-	})
-}
 
 // submit schedules an arrival whose profile the sharded router measured
 // and interned: the router profiles serially at submission time (in
 // submission order, so the sampler's draw sequence matches the legacy
 // in-event profiling for nondecreasing arrival times) and hands the
-// shard the record plus a router-assigned cluster-global job id. Submissions must
-// be in nondecreasing time order (the router enforces this). Do not mix
-// with Submit on the same scheduler: Submit owns the internal id
-// counter.
+// shard the record plus a router-assigned cluster-global job id.
+// Submissions must be in nondecreasing time order (the router enforces
+// this).
 //
 // Arrivals land in the ring, not the event heap: one AtHead event per
-// scheduler delivers the ring head, batch-draining everything sharing
+// shard delivers the ring head, batch-draining everything sharing
 // its timestamp in submission order and re-arming at the next arrival
 // time. The AtHead priority reproduces the legacy ordering exactly —
 // per-job events scheduled before the run always outranked
 // runtime-scheduled completions at equal timestamps via their lower
 // seq, and the ring's head event must too.
-func (s *OnlineScheduler) submit(id int, rec *profileRec, at float64) {
+func (s *shard) submit(id int, rec *profileRec, at float64) {
 	s.pending++
 	if s.arrFire == nil {
 		s.arrFire = s.fireArrivals
@@ -632,7 +567,7 @@ func (s *OnlineScheduler) submit(id int, rec *profileRec, at float64) {
 // per-job work — classify, queue, dispatch — runs in submission order,
 // exactly the sequence back-to-back per-job events produced), then
 // re-arms the head event at the next pending arrival time.
-func (s *OnlineScheduler) fireArrivals() {
+func (s *shard) fireArrivals() {
 	now := s.Engine.Now()
 	for s.arrHead < len(s.arrQ) && s.arrQ[s.arrHead].at <= now {
 		p := s.arrQ[s.arrHead]
@@ -649,7 +584,7 @@ func (s *OnlineScheduler) fireArrivals() {
 }
 
 // nextArrival reports the time of the earliest undelivered arrival.
-func (s *OnlineScheduler) nextArrival() (float64, bool) {
+func (s *shard) nextArrival() (float64, bool) {
 	if s.arrHead == len(s.arrQ) {
 		return 0, false
 	}
@@ -659,7 +594,7 @@ func (s *OnlineScheduler) nextArrival() (float64, bool) {
 // arrive is the in-event half of submission: classify, queue, record,
 // dispatch. The observation's SizeGB doubles as the nominal size
 // (Observe preserves the requested size exactly).
-func (s *OnlineScheduler) arrive(id int, rec *profileRec, at float64) {
+func (s *shard) arrive(id int, rec *profileRec, at float64) {
 	var j *Job
 	if k := len(s.jobPool); k > 0 {
 		j = s.jobPool[k-1]
@@ -702,50 +637,19 @@ func (s *OnlineScheduler) arrive(id int, rec *profileRec, at float64) {
 	s.dispatch()
 }
 
-// Completed returns the finished jobs sorted by completion time.
-func (s *OnlineScheduler) Completed() []CompletedJob {
-	out := append([]CompletedJob(nil), s.completed...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Finished < out[j].Finished })
-	return out
-}
-
-// EnergyJ returns the cluster energy integrated so far (all nodes,
-// including idle draw).
-func (s *OnlineScheduler) EnergyJ() float64 { return s.energyJ }
-
-// QueueLen reports the current wait-queue length.
-func (s *OnlineScheduler) QueueLen() int { return s.queue.Len() }
-
-// Run drives the simulation until all submitted jobs complete and
-// returns the makespan and total energy.
-func (s *OnlineScheduler) Run() (makespan, energyJ float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: online scheduler: %v", r)
-		}
-	}()
-	s.reserveCompleted()
-	s.Engine.Run(0)
-	if s.pending > 0 {
-		return 0, 0, fmt.Errorf("core: online scheduler: %d jobs never completed", s.pending)
-	}
-	s.finishRun()
-	return s.Engine.Now(), s.energyJ, nil
-}
-
 // reserveCompleted sizes the completion log for every pending job
 // before a run, so a shard that completes no more than it was handed
 // never regrows it.
-func (s *OnlineScheduler) reserveCompleted() {
+func (s *shard) reserveCompleted() {
 	s.completed = slices.Grow(s.completed, s.pending)
 }
 
 // finishRun closes out a drained run at the engine's current clock:
 // the last accrual interval is integrated and open occupancy spans are
 // finished. The sharded control plane advances every shard to the
-// global makespan first, so idle tails are billed exactly as the
-// single-scheduler run bills them.
-func (s *OnlineScheduler) finishRun() {
+// global makespan first, so every shard bills its idle tail up to the
+// same end time.
+func (s *shard) finishRun() {
 	s.accrueEnergy() // close the last interval
 	if s.tracer != nil {
 		now := s.Engine.Now()
@@ -755,14 +659,11 @@ func (s *OnlineScheduler) finishRun() {
 	}
 }
 
-// Pending reports jobs submitted but not yet completed.
-func (s *OnlineScheduler) Pending() int { return s.pending }
-
-// FreeSlots reports how many more residents dispatch could place right
+// freeSlots reports how many more residents dispatch could place right
 // now: an empty node absorbs up to two queued jobs (head claim, then a
 // partner), a half-busy node one. The work-stealing pass uses it to
 // bound a starved shard's claim budget.
-func (s *OnlineScheduler) FreeSlots() int { return 2*s.freeCnt + s.halfCnt }
+func (s *shard) freeSlots() int { return 2*s.freeCnt + s.halfCnt }
 
 // releaseHead removes the wait queue's head for migration to shard
 // `to` at barrier time `at` (the engine must already be advanced to
@@ -771,7 +672,7 @@ func (s *OnlineScheduler) FreeSlots() int { return 2*s.freeCnt + s.halfCnt }
 // stays submit-only, documenting where the job first landed — while
 // the thief re-registers it under the same global id. Returns nil when
 // the queue is empty.
-func (s *OnlineScheduler) releaseHead(at float64, to, link int) *Job {
+func (s *shard) releaseHead(at float64, to, link int) *Job {
 	j := s.queue.PopHead()
 	if j == nil {
 		return nil
@@ -805,7 +706,7 @@ func (s *OnlineScheduler) releaseHead(at float64, to, link int) *Job {
 // and opens fresh spans (plus a steal_in span linked to the victim's
 // steal_out through `link`) and a fresh audit record in this shard's
 // exports. The caller dispatches after the claim batch.
-func (s *OnlineScheduler) acceptStolen(j *Job, from int, at float64, link int) {
+func (s *shard) acceptStolen(j *Job, from int, at float64, link int) {
 	s.pending++
 	s.queue.Push(j)
 	s.aud.Submit(j.ID, j.Obs.App.Name, j.Obs.SizeGB, j.Obs.App.Class.String(), j.Class.String(), j.Arrived)
@@ -847,7 +748,7 @@ func (s *OnlineScheduler) acceptStolen(j *Job, from int, at float64, link int) {
 // recomputing Steady per node (testdata/ws4_online.golden) — a running
 // cluster-sum updated at invalidation points would drift in the last
 // ulp.
-func (s *OnlineScheduler) accrueEnergy() {
+func (s *shard) accrueEnergy() {
 	now := s.Engine.Now()
 	dt := now - s.lastUpdate
 	if dt <= 0 {
@@ -908,7 +809,7 @@ func (s *OnlineScheduler) accrueEnergy() {
 // reusable scratch buffer: the event loop is single-threaded and the
 // solver only reads the slice, so the reschedule path builds every
 // resident-spec list in place instead of allocating one per call.
-func (s *OnlineScheduler) specsInto(n *onlineNode) []mapreduce.RunSpec {
+func (s *shard) specsInto(n *onlineNode) []mapreduce.RunSpec {
 	out := s.scratch[:0]
 	for _, r := range n.residents {
 		out = append(out, mapreduce.RunSpec{
@@ -924,7 +825,7 @@ func (s *OnlineScheduler) specsInto(n *onlineNode) []mapreduce.RunSpec {
 // refreshPhaseWatts folds a node's freshly-cached draw into the fast
 // accrual's phase sums, retiring its previous contribution. Called
 // from reschedule only — the single point where n.watts changes.
-func (s *OnlineScheduler) refreshPhaseWatts(n *onlineNode) {
+func (s *shard) refreshPhaseWatts(n *onlineNode) {
 	if !s.fastAcc {
 		return
 	}
@@ -937,7 +838,7 @@ func (s *OnlineScheduler) refreshPhaseWatts(n *onlineNode) {
 // occupancyChanged refreshes the dispatch indexes (and their mirror
 // counts) after a node's resident count changed (a placement or a
 // completion).
-func (s *OnlineScheduler) occupancyChanged(n *onlineNode) {
+func (s *shard) occupancyChanged(n *onlineNode) {
 	free := len(n.residents) == 0
 	half := len(n.residents) == 1
 	if s.freeSet.has(n.id) != free {
@@ -960,7 +861,7 @@ func (s *OnlineScheduler) occupancyChanged(n *onlineNode) {
 
 // dispatch places queued jobs: empty slots are filled head-first; a node
 // with one resident gets a partner chosen by the decision tree.
-func (s *OnlineScheduler) dispatch() {
+func (s *shard) dispatch() {
 	for s.queue.Len() > 0 {
 		// Prefer pairing onto a half-busy node, then an empty node. The
 		// indexes hand back the lowest node id, which is exactly the
@@ -1033,7 +934,7 @@ func (s *OnlineScheduler) dispatch() {
 // (§5). The resident application's frequency and mapper slots are
 // re-tuned live; its HDFS block size stays as loaded (data layout is
 // fixed once written).
-func (s *OnlineScheduler) place(n *onlineNode, j *Job, branch audit.Branch, leapOver int) {
+func (s *shard) place(n *onlineNode, j *Job, branch audit.Branch, leapOver int) {
 	s.accrueEnergy()
 	cfg, ti := s.tuneFor(n, j)
 	now := s.Engine.Now()
@@ -1104,7 +1005,7 @@ type tuneInfo struct {
 // frequency and mapper count to the pair-tuned values when co-locating.
 // The returned tuneInfo records which path fired and the tuner's own
 // outcome forecast (zero when the technique exposes none).
-func (s *OnlineScheduler) tuneFor(n *onlineNode, j *Job) (mapreduce.Config, tuneInfo) {
+func (s *shard) tuneFor(n *onlineNode, j *Job) (mapreduce.Config, tuneInfo) {
 	if len(n.residents) == 1 {
 		resident := n.residents[0]
 		pairCfg, exp, err := predictExpected(s.Tuner, resident.job.Obs, j.Obs)
@@ -1152,7 +1053,7 @@ func (s *OnlineScheduler) tuneFor(n *onlineNode, j *Job) (mapreduce.Config, tune
 
 // traceTune records the (instantaneous in sim-time) STP tuning decision
 // as a zero-duration span under the job.
-func (s *OnlineScheduler) traceTune(n *onlineNode, j *Job, cfg mapreduce.Config, detail string) {
+func (s *shard) traceTune(n *onlineNode, j *Job, cfg mapreduce.Config, detail string) {
 	if s.tracer == nil {
 		return
 	}
@@ -1172,7 +1073,7 @@ func (s *OnlineScheduler) traceTune(n *onlineNode, j *Job, cfg mapreduce.Config,
 // the retroactive map and shuffle/reduce sub-spans split the run at the
 // model's phase boundary (sharing the run's attributed energy in the
 // same proportion), and the node's occupancy span rolls over.
-func (s *OnlineScheduler) traceComplete(n *onlineNode, finisher *onlineJob) {
+func (s *shard) traceComplete(n *onlineNode, finisher *onlineJob) {
 	if s.tracer == nil {
 		return
 	}
@@ -1199,7 +1100,7 @@ func (s *OnlineScheduler) traceComplete(n *onlineNode, finisher *onlineJob) {
 
 // reschedule recomputes the node's next completion event from the
 // current resident set's steady-state rates.
-func (s *OnlineScheduler) reschedule(n *onlineNode) {
+func (s *shard) reschedule(n *onlineNode) {
 	if n.event != nil {
 		s.Engine.Cancel(n.event)
 		n.event = nil
@@ -1209,35 +1110,26 @@ func (s *OnlineScheduler) reschedule(n *onlineNode) {
 		s.refreshPhaseWatts(n)
 		return
 	}
+	// Dispatch caps a node at maxPerNode (two) residents, so every
+	// resident set fits a memo key.
 	var stsBuf [2]mapreduce.SteadyState
-	var sts []mapreduce.SteadyState
 	var watts float64
-	if s.steadyMemo != nil && len(n.residents) <= 2 {
-		k := steadyKeyOf(n.residents)
-		if v, ok := s.steadyMemo[k]; ok {
-			stsBuf, watts = v.sts, v.watts
-		} else {
-			out, w, err := s.eval.Steady(s.specsInto(n))
-			if err != nil {
-				panic(err)
-			}
-			copy(stsBuf[:], out)
-			watts = w
-			if len(s.steadyMemo) >= steadyMemoCap {
-				clear(s.steadyMemo)
-			}
-			s.steadyMemo[k] = steadyVal{sts: stsBuf, watts: w}
-		}
-		sts = stsBuf[:len(n.residents)]
+	k := steadyKeyOf(n.residents)
+	if v, ok := s.steadyMemo[k]; ok {
+		stsBuf, watts = v.sts, v.watts
 	} else {
-		// The states alias the evaluator's scratch, which nothing below
-		// reuses before they are read.
 		out, w, err := s.eval.Steady(s.specsInto(n))
 		if err != nil {
 			panic(err)
 		}
-		sts, watts = out, w
+		copy(stsBuf[:], out)
+		watts = w
+		if len(s.steadyMemo) >= steadyMemoCap {
+			clear(s.steadyMemo)
+		}
+		s.steadyMemo[k] = steadyVal{sts: stsBuf, watts: w}
 	}
+	sts := stsBuf[:len(n.residents)]
 	// Capture the node's steady-state draw for the incremental accrual
 	// path: this is the single point where a node's resident set or
 	// configurations take effect, so the cache is fresh at every later
@@ -1287,7 +1179,7 @@ func (s *OnlineScheduler) reschedule(n *onlineNode) {
 // remaining fraction by the elapsed interval's progress rates, retire
 // the finisher, and refill the node. It reads the reschedule-maintained
 // n.evDT / n.evFinisher / n.rates instead of closure captures.
-func (s *OnlineScheduler) nodeComplete(n *onlineNode) {
+func (s *shard) nodeComplete(n *onlineNode) {
 	nextDT := n.evDT
 	finisher := n.evFinisher
 	rates := n.rates[:len(n.residents)]

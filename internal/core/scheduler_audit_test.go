@@ -16,21 +16,16 @@ import (
 // auditedRun drives one fully-instrumented online simulation (same
 // workload and seed as tracedRun/metricsRun) with the audit log,
 // metrics registry, and tracer all attached.
-func auditedRun(t *testing.T) (*audit.Log, *metrics.Registry, *tracing.Tracer, *OnlineScheduler) {
+func auditedRun(t *testing.T) (*audit.Log, *metrics.Registry, *tracing.Tracer, *ShardedScheduler) {
 	t.Helper()
 	fixture(t)
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, prof, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
 	reg := metrics.NewRegistry()
-	s.SetMetrics(reg)
+	s.SetMetrics([]*metrics.Registry{reg})
 	aud := audit.NewLog(audit.DriftConfig{})
-	s.SetAudit(aud)
-	tr := tracing.New(eng.Clock())
-	s.SetTracer(tr)
+	s.SetAudit([]*audit.Log{aud})
+	ts := tracing.NewShardSet()
+	s.SetTracer(ts)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
 		s.Submit(workloads.MustByName(name), 5, float64(i)*40)
@@ -38,7 +33,7 @@ func auditedRun(t *testing.T) (*audit.Log, *metrics.Registry, *tracing.Tracer, *
 	if _, _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return aud, reg, tr, s
+	return aud, reg, ts.Tracer(0), s
 }
 
 // TestSchedulerAuditBranches cross-checks the audit log's recorded
@@ -133,16 +128,11 @@ func TestSchedulerAuditLeapForward(t *testing.T) {
 		t.Fatalf("degenerate priority order %v", prio)
 	}
 
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, prof, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 1)
 	reg := metrics.NewRegistry()
-	s.SetMetrics(reg)
+	s.SetMetrics([]*metrics.Registry{reg})
 	aud := audit.NewLog(audit.DriftConfig{})
-	s.SetAudit(aud)
+	s.SetAudit([]*audit.Log{aud})
 
 	s.Submit(base, 5, 0)    // job 0: reserve (empty node)
 	s.Submit(base, 5, 1)    // job 1: pair with the head's reservation intact
@@ -345,15 +335,15 @@ func TestDriftAlertStaleDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine()
-	s, err := NewOnlineScheduler(eng, fix.model, stale, &LkTSTP{DB: stale}, NewProfiler(fix.model, sim.NewRNG(99)), 2)
+	s, err := NewShardedScheduler(fix.model, stale, NewProfiler(fix.model, sim.NewRNG(99)),
+		func() STP { return &LkTSTP{DB: stale} }, 2, ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	s.SetMetrics(reg)
+	s.SetMetrics([]*metrics.Registry{reg})
 	aud := audit.NewLog(audit.DriftConfig{})
-	s.SetAudit(aud)
+	s.SetAudit([]*audit.Log{aud})
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
 		s.Submit(workloads.MustByName(name), 12, float64(i)*40)

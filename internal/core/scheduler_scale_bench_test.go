@@ -11,34 +11,31 @@ import (
 	"ecost/internal/tracing"
 )
 
-// tracedBusyScheduler builds a fully instrumented 4-node scheduler with
+// tracedBusyScheduler builds a fully instrumented 4-node shard with
 // every node co-running two WS4 jobs: arrivals are submitted at t=0 and
-// the engine is stepped through exactly the arrival events, so the
-// placements happen but no completion has fired yet.
-func tracedBusyScheduler(tb testing.TB) *OnlineScheduler {
+// the engine is stepped through the one ring event that delivers them
+// all, so the placements happen but no completion has fired yet.
+func tracedBusyScheduler(tb testing.TB) *shard {
 	tb.Helper()
 	fixture(tb)
-	eng := sim.NewEngine()
-	reg := metrics.NewRegistry()
-	prof := NewProfiler(fix.model, sim.NewRNG(3))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, prof, 4)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s.SetMetrics(reg)
-	s.SetTracer(tracing.New(eng.Clock()))
-	s.SetAudit(audit.NewLog(audit.DriftConfig{}))
+	s := newShard(fix.model, fix.db, fix.lkt, 4, 0)
+	s.setMetrics(metrics.NewRegistry())
+	s.setTracer(tracing.New(s.Engine.Clock()))
+	s.setAudit(audit.NewLog(audit.DriftConfig{}))
 	wl, err := Scenario("WS4")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, j := range wl.Jobs[:8] {
-		s.Submit(j.App, j.SizeGB, 0)
-	}
-	for i := 0; i < 8; i++ {
-		if !eng.Step() {
-			tb.Fatal("engine drained before all arrivals fired")
+	prof := NewProfiler(fix.model, sim.NewRNG(3))
+	for i, j := range wl.Jobs[:8] {
+		obs, err := prof.Observe(j.App, j.SizeGB)
+		if err != nil {
+			tb.Fatal(err)
 		}
+		s.submit(i, &profileRec{obs: obs}, 0)
+	}
+	if !s.Engine.Step() {
+		tb.Fatal("engine drained before the arrivals fired")
 	}
 	for _, n := range s.nodes {
 		if len(n.residents) == 0 {
@@ -76,18 +73,13 @@ func BenchmarkAccrueEnergyTraced(b *testing.B) {
 	}
 }
 
-// disabledScheduler builds the smallest possible scheduler with every
+// disabledScheduler builds the smallest possible shard with every
 // observability sink off, for benchmarking the disabled fast paths.
-func disabledScheduler(tb testing.TB) *OnlineScheduler {
+func disabledScheduler(tb testing.TB) *shard {
 	tb.Helper()
-	eng := sim.NewEngine()
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	db := &Database{}
-	s, err := NewOnlineScheduler(eng, model, db, &LkTSTP{DB: db}, NewProfiler(model, sim.NewRNG(1)), 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return s
+	return newShard(model, db, &LkTSTP{DB: db}, 1, 0)
 }
 
 // BenchmarkDisabledDepthSample measures sampleDepth with observability
@@ -134,9 +126,9 @@ func BenchmarkOnlineLargeCluster(b *testing.B) {
 	completed := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
 		prof := NewProfiler(fix.model, sim.NewRNG(17))
-		s, err := NewOnlineScheduler(eng, fix.model, fix.db, NewMemoSTP(fix.lkt, nil), prof, nodes)
+		s, err := NewShardedScheduler(fix.model, fix.db, prof,
+			func() STP { return NewMemoSTP(fix.lkt, nil) }, nodes, ShardedConfig{Shards: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

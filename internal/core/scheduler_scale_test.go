@@ -3,17 +3,14 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
-	"ecost/internal/audit"
 	"ecost/internal/metrics"
 	"ecost/internal/sim"
-	"ecost/internal/tracing"
 	"ecost/internal/workloads"
 )
 
@@ -34,62 +31,25 @@ func (r equivResult) encode() []byte {
 		r.makespan, r.energy, len(r.snapshot), r.snapshot, len(r.timeline), r.timeline, len(r.decisions), r.decisions))
 }
 
-// equivRun drives one WS4 online run on two nodes with metrics,
-// tracing, and auditing all attached, tuned by the lookup table behind
-// the memo and metered wrappers.
+// equivRun drives one WS4 online run on two nodes as a single shard,
+// with metrics, tracing, and auditing all attached, tuned by the lookup
+// table behind the memo and metered wrappers.
 func equivRun(t *testing.T) equivResult {
 	t.Helper()
-	fixture(t)
-	reg := metrics.NewRegistry()
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	tuner := NewMeteredSTP(NewMemoSTP(fix.lkt, reg), fix.model, reg)
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, tuner, prof, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetMetrics(reg)
-	tr := tracing.New(eng.Clock())
-	s.SetTracer(tr)
-	aud := audit.NewLog(audit.DriftConfig{})
-	s.SetAudit(aud)
-	wl, err := Scenario("WS4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, j := range wl.Jobs {
-		s.Submit(j.App, j.SizeGB, float64(i)*40)
-	}
-	mk, en, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap, tl, dec bytes.Buffer
-	if err := reg.Snapshot(false).WriteText(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteTimeline(&tl); err != nil {
-		t.Fatal(err)
-	}
-	if err := aud.WriteJSONL(&dec); err != nil {
-		t.Fatal(err)
-	}
-	return equivResult{
-		makespan:  math.Float64bits(mk),
-		energy:    math.Float64bits(en),
-		snapshot:  snap.String(),
-		timeline:  tl.String(),
-		decisions: dec.String(),
-	}
+	r := runSharded(t, 2, ShardedConfig{Shards: 1}, submitWS4(t))
+	out := r.perShard[0]
+	out.makespan, out.energy = r.makespan, r.energy
+	return out
 }
 
-// TestOnlineGolden pins the indexed dispatch, cached accrual, and
-// memoized tuning path to testdata/ws4_online.golden, which was
-// recorded from the retired reference implementation (per-accrual
-// steady-state recompute, linear node and partner scans, no tune memo):
-// makespan and energy bits, the deterministic metrics snapshot, the
-// span timeline, and the decision JSONL must match byte for byte at
-// GOMAXPROCS 1 and 4.
+// TestOnlineGolden pins the single-shard control plane — indexed
+// dispatch, cached accrual, memoized tuning and steady solves, the
+// router's submit-time profiling — to testdata/ws4_online.golden, which
+// was recorded from the retired reference implementation (per-accrual
+// steady-state recompute, linear node and partner scans, no memos,
+// in-event profiling): makespan and energy bits, the deterministic
+// metrics snapshot, the span timeline, and the decision JSONL must
+// match byte for byte at GOMAXPROCS 1 and 4.
 func TestOnlineGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/ws4_online.golden")
 	if err != nil {
@@ -129,13 +89,9 @@ func firstDiff(got, want []byte) string {
 // against a linear scan of the node resident sets — the property the
 // indexed dispatch equivalence rests on.
 func TestNodeSetsAgainstLinearScan(t *testing.T) {
-	fixture(t)
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(5))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, prof, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(5)), 5)
+	s := c.shards[0]
+	eng := s.Engine
 	apps := workloads.Training()
 	rng := sim.NewRNG(6)
 	at := 0.0
@@ -144,7 +100,7 @@ func TestNodeSetsAgainstLinearScan(t *testing.T) {
 		if i%3 == 0 {
 			size = 5
 		}
-		s.Submit(apps[i%len(apps)], size, at)
+		c.Submit(apps[i%len(apps)], size, at)
 		at += rng.Exp(150)
 	}
 	check := func() {
@@ -165,8 +121,8 @@ func TestNodeSetsAgainstLinearScan(t *testing.T) {
 	if s.pending != 0 {
 		t.Fatalf("%d jobs never completed", s.pending)
 	}
-	if len(s.Completed()) != 40 {
-		t.Fatalf("completed %d jobs, want 40", len(s.Completed()))
+	if len(c.Completed()) != 40 {
+		t.Fatalf("completed %d jobs, want 40", len(c.Completed()))
 	}
 }
 
@@ -176,12 +132,7 @@ func TestNodeSetsAgainstLinearScan(t *testing.T) {
 func TestOnlineLargeClusterShortSmoke(t *testing.T) {
 	fixture(t)
 	const nodes, jobs = 256, 2000
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(17))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, NewMemoSTP(fix.lkt, nil), prof, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := oneShard(t, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), nodes)
 	wl, err := Scenario("WS4")
 	if err != nil {
 		t.Fatal(err)
@@ -190,19 +141,20 @@ func TestOnlineLargeClusterShortSmoke(t *testing.T) {
 	at := 0.0
 	for i := 0; i < jobs; i++ {
 		j := wl.Jobs[i%len(wl.Jobs)]
-		s.Submit(j.App, j.SizeGB, at)
+		c.Submit(j.App, j.SizeGB, at)
 		at += rng.Exp(6)
 	}
-	mk, en, err := s.Run()
+	mk, en, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.Completed()); got != jobs {
+	if got := len(c.Completed()); got != jobs {
 		t.Fatalf("completed %d jobs, want %d", got, jobs)
 	}
 	if mk <= 0 || en <= 0 {
 		t.Fatalf("degenerate run: makespan %v, energy %v", mk, en)
 	}
+	s := c.shards[0]
 	for _, n := range s.nodes {
 		if len(n.residents) != 0 || !s.freeSet.has(n.id) || s.halfSet.has(n.id) {
 			t.Fatalf("node %d not drained: residents=%d free=%v half=%v",

@@ -3,34 +3,40 @@ package core
 import (
 	"testing"
 
-	"ecost/internal/sim"
 	"ecost/internal/workloads"
 )
 
-func newSched(t *testing.T, nodes int) (*OnlineScheduler, *sim.Engine) {
+// oneShard builds a single-shard control plane over `nodes` nodes that
+// tunes with tuner and profiles with prof.
+func oneShard(tb testing.TB, tuner STP, prof *Profiler, nodes int) *ShardedScheduler {
+	tb.Helper()
+	fixture(tb)
+	c, err := NewShardedScheduler(fix.model, fix.db, prof, func() STP { return tuner }, nodes, ShardedConfig{Shards: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+func newSched(t *testing.T, nodes int) *ShardedScheduler {
 	t.Helper()
 	fixture(t)
-	eng := sim.NewEngine()
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.rep, fix.profiler, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, eng
+	return oneShard(t, fix.rep, fix.profiler, nodes)
 }
 
 func TestOnlineSchedulerValidation(t *testing.T) {
 	fixture(t)
-	eng := sim.NewEngine()
-	if _, err := NewOnlineScheduler(nil, fix.model, fix.db, fix.rep, fix.profiler, 1); err == nil {
-		t.Error("nil engine accepted")
+	tuner := func() STP { return fix.rep }
+	if _, err := NewShardedScheduler(nil, fix.db, fix.profiler, tuner, 1, ShardedConfig{Shards: 1}); err == nil {
+		t.Error("nil model accepted")
 	}
-	if _, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.rep, fix.profiler, 0); err == nil {
+	if _, err := NewShardedScheduler(fix.model, fix.db, fix.profiler, tuner, 0, ShardedConfig{Shards: 1}); err == nil {
 		t.Error("zero nodes accepted")
 	}
 }
 
 func TestOnlineSchedulerCompletesAll(t *testing.T) {
-	s, _ := newSched(t, 2)
+	s := newSched(t, 2)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm"}
 	for i, name := range apps {
 		s.Submit(workloads.MustByName(name), 5, float64(i)*50)
@@ -60,7 +66,7 @@ func TestOnlineSchedulerCompletesAll(t *testing.T) {
 }
 
 func TestOnlineSchedulerCoLocates(t *testing.T) {
-	s, _ := newSched(t, 1)
+	s := newSched(t, 1)
 	// Two jobs arriving together on one node must overlap in time.
 	s.Submit(workloads.MustByName("st"), 5, 0)
 	s.Submit(workloads.MustByName("pr"), 5, 0)
@@ -85,7 +91,7 @@ func TestOnlineSchedulerAtMostTwoPerNode(t *testing.T) {
 	// The model's Steady() validates core limits at every event, so an
 	// overcommit would surface as a Run error; here we check the paper's
 	// co-location cap of two applications per node.
-	s, _ := newSched(t, 1)
+	s := newSched(t, 1)
 	for _, name := range []string{"nb", "cf", "pr", "km", "svm"} {
 		s.Submit(workloads.MustByName(name), 1, 0)
 	}
@@ -114,7 +120,7 @@ func TestOnlineSchedulerAtMostTwoPerNode(t *testing.T) {
 
 func TestOnlineSchedulerFasterWithMoreNodes(t *testing.T) {
 	run := func(nodes int) float64 {
-		s, _ := newSched(t, nodes)
+		s := newSched(t, nodes)
 		for _, name := range []string{"nb", "pr", "km", "svm", "cf", "hmm", "nb", "pr"} {
 			s.Submit(workloads.MustByName(name), 5, 0)
 		}
@@ -131,7 +137,7 @@ func TestOnlineSchedulerFasterWithMoreNodes(t *testing.T) {
 }
 
 func TestOnlineSchedulerEnergyMatchesIdleFloor(t *testing.T) {
-	s, _ := newSched(t, 2)
+	s := newSched(t, 2)
 	s.Submit(workloads.MustByName("nb"), 1, 0)
 	makespan, energy, err := s.Run()
 	if err != nil {

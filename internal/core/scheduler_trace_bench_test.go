@@ -18,14 +18,10 @@ func BenchmarkTraceExport(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := sim.NewEngine()
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt,
-		NewProfiler(fix.model, sim.NewRNG(99)), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := tracing.New(eng.Clock())
-	s.SetTracer(tr)
+	s := oneShard(b, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
+	ts := tracing.NewShardSet()
+	s.SetTracer(ts)
+	tr := ts.Tracer(0)
 	for i, j := range wl.Jobs {
 		s.Submit(j.App, j.SizeGB, float64(i)*40)
 	}

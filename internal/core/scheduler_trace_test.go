@@ -15,17 +15,12 @@ import (
 // tracedRun drives one traced online simulation (same workload as
 // metricsRun) and returns the tracer and scheduler. A fresh profiler is
 // seeded identically each call so the noise sequence restarts.
-func tracedRun(t *testing.T) (*tracing.Tracer, *OnlineScheduler) {
+func tracedRun(t *testing.T) (*tracing.Tracer, *ShardedScheduler) {
 	t.Helper()
 	fixture(t)
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, prof, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := tracing.New(eng.Clock())
-	s.SetTracer(tr)
+	s := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
+	ts := tracing.NewShardSet()
+	s.SetTracer(ts)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
 		s.Submit(workloads.MustByName(name), 5, float64(i)*40)
@@ -33,7 +28,7 @@ func tracedRun(t *testing.T) (*tracing.Tracer, *OnlineScheduler) {
 	if _, _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return tr, s
+	return ts.Tracer(0), s
 }
 
 func timelineOf(t *testing.T, tr *tracing.Tracer) string {

@@ -1,7 +1,7 @@
 package core
 
 // The sharded control plane: the cluster is partitioned across S
-// per-shard OnlineSchedulers — each owning its own node slice, engine,
+// per-shard schedulers — each owning its own node slice, engine,
 // wait-queue index, and tune-cache shard — with submissions routed by a
 // deterministic app/tenant hash and a bounded work-stealing pass at
 // event-loop barriers. Every export — metrics snapshots, timelines,
@@ -26,10 +26,11 @@ import (
 	"sort"
 	"sync"
 
+	"ecost/internal/audit"
 	"ecost/internal/flight"
 	"ecost/internal/mapreduce"
+	"ecost/internal/metrics"
 	"ecost/internal/power"
-	"ecost/internal/sim"
 	"ecost/internal/tracing"
 	"ecost/internal/workloads"
 )
@@ -55,13 +56,15 @@ type ShardedConfig struct {
 // divergence local.
 const stealBatch = 8
 
-// ShardedScheduler drives S per-shard OnlineSchedulers in lock-step
-// epochs. Build with NewShardedScheduler, attach per-shard
-// observability via Shard(i), Submit the stream in nondecreasing
-// arrival order, then Run.
+// ShardedScheduler is the online form of ECoST (Figure 4): S per-shard
+// schedulers over disjoint node slices, driven in lock-step epochs. It
+// is the only online scheduler — Shards: 1 runs the whole cluster as
+// one shard. Build with NewShardedScheduler, attach observability
+// (SetMetrics, SetAudit, SetTracer, SetFlight — one sink per shard),
+// Submit the stream in nondecreasing arrival order, then Run.
 type ShardedScheduler struct {
 	cfg    ShardedConfig
-	shards []*OnlineScheduler
+	shards []*shard
 	prof   *Profiler
 
 	// memo interns router profiles under ProfileMemo: one record per
@@ -163,9 +166,11 @@ func routeShard(name string, shards int) int {
 // shard so each shard owns its own memo shard (pass a closure returning
 // a fresh MemoSTP); it must return non-nil. The model and database are
 // shared across shard goroutines: the database's caches are
-// synchronized, and the model must not carry a metrics registry (its
-// emissions would interleave nondeterministically).
+// synchronized, and the model is only read.
 func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, newTuner func() STP, nodes int, cfg ShardedConfig) (*ShardedScheduler, error) {
+	if model == nil || db == nil || prof == nil {
+		return nil, fmt.Errorf("core: sharded scheduler: nil dependency")
+	}
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("core: sharded scheduler: need at least one shard")
 	}
@@ -189,33 +194,14 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 		if tuner == nil {
 			return nil, fmt.Errorf("core: sharded scheduler: tuner factory returned nil for shard %d", i)
 		}
-		sh, err := NewOnlineScheduler(sim.NewEngine(), model, db, tuner, prof, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: sharded scheduler: shard %d: %w", i, err)
-		}
-		sh.SetNodeBase(base)
-		// Steady-solve memoization is bit-identical to solving (proven
-		// by the single-shard equivalence golden) and recurring tenants
-		// concentrate per shard by construction, so every shard gets it.
-		sh.SetSteadyMemo(true)
-		// The shard never hands out *sim.Event pointers beyond the
-		// per-node completion handle it nils on fire, so event
-		// recycling is safe.
-		sh.Engine.SetRecycle(true)
+		c.shards = append(c.shards, newShard(model, db, tuner, n, base))
 		base += n
-		c.shards = append(c.shards, sh)
 	}
 	return c, nil
 }
 
 // Shards reports the shard count.
 func (c *ShardedScheduler) Shards() int { return len(c.shards) }
-
-// Shard returns the i-th per-shard scheduler, for attaching per-shard
-// observability (SetMetrics/SetTracer/SetAudit — each shard needs its
-// own registry, tracer, and log; they are written concurrently during
-// epochs) and reading per-shard exports afterwards.
-func (c *ShardedScheduler) Shard(i int) *OnlineScheduler { return c.shards[i] }
 
 // Steals reports how many jobs migrated between shards.
 func (c *ShardedScheduler) Steals() int { return c.steals }
@@ -224,7 +210,7 @@ func (c *ShardedScheduler) Steals() int { return c.steals }
 func (c *ShardedScheduler) ShardNodes() []int {
 	out := make([]int, len(c.shards))
 	for i, sh := range c.shards {
-		out[i] = sh.Nodes()
+		out[i] = len(sh.nodes)
 	}
 	return out
 }
@@ -238,11 +224,34 @@ func (c *ShardedScheduler) ShardNodes() []int {
 func (c *ShardedScheduler) SetFlight(r *flight.Recorder) {
 	c.flight = r
 	for i, sh := range c.shards {
-		sh.SetFlight(r.Collector(i))
+		// Only the owning shard's goroutine writes its collector between
+		// barriers; the control plane drains it at every barrier.
+		sh.fl = r.Collector(i)
 	}
-	r.SetTenantSource(func(shard, max int) []string {
-		return c.shards[shard].TopTenants(max)
+	r.SetTenantSource(func(i, max int) []string {
+		return c.shards[i].topTenants(max)
 	})
+}
+
+// SetMetrics attaches regs[i] to shard i — its scheduler counters,
+// histograms and event log, and its wait queue's. Call before the first
+// Submit, with at most Shards() entries; a nil entry, or a shard past
+// the end of regs, stays uninstrumented. Each shard needs its own
+// registry: shards write them concurrently during epochs.
+func (c *ShardedScheduler) SetMetrics(regs []*metrics.Registry) {
+	for i, reg := range regs {
+		c.shards[i].setMetrics(reg)
+	}
+}
+
+// SetAudit attaches logs[i] to shard i as its decision-audit log. Call
+// before the first Submit, with at most Shards() entries; a nil entry,
+// or a shard past the end of logs, stays unaudited. With a registry
+// attached as well, joins and drift alarms are mirrored into it.
+func (c *ShardedScheduler) SetAudit(logs []*audit.Log) {
+	for i, l := range logs {
+		c.shards[i].setAudit(l)
+	}
 }
 
 // SetTracer attaches a sharded span tracer: one fresh Tracer per shard
@@ -255,12 +264,12 @@ func (c *ShardedScheduler) SetFlight(r *flight.Recorder) {
 func (c *ShardedScheduler) SetTracer(ts *tracing.ShardSet) {
 	for _, sh := range c.shards {
 		if ts == nil {
-			sh.SetTracer(nil)
+			sh.setTracer(nil)
 			continue
 		}
 		tr := tracing.New(sh.Engine.Clock())
 		ts.Attach(tr)
-		sh.SetTracer(tr)
+		sh.setTracer(tr)
 	}
 }
 
@@ -272,10 +281,10 @@ func (c *ShardedScheduler) recordBarrier(t float64) {
 	stats := c.statBuf[:0]
 	for _, sh := range c.shards {
 		st := flight.ShardStat{
-			Queue:   sh.QueueLen(),
-			Free:    sh.FreeSlots(),
-			Active:  sh.Pending() - sh.QueueLen(),
-			EnergyJ: sh.EnergyJ(),
+			Queue:   sh.queue.Len(),
+			Free:    sh.freeSlots(),
+			Active:  sh.pending - sh.queue.Len(),
+			EnergyJ: sh.energyJ,
 		}
 		if m := memoOf(sh.Tuner); m != nil {
 			st.TuneHits, st.TuneMisses = m.HitMiss()
@@ -305,8 +314,8 @@ func memoOf(t STP) *MemoSTP {
 
 // Submit routes a job arrival to its home shard. Arrivals must be
 // submitted in nondecreasing time order: the router profiles serially
-// at submission so the sampler's draw sequence matches the legacy
-// scheduler's in-event profiling order (every stream source — scenario
+// at submission, in submission order, so the sampler's draw sequence is
+// the stream's arrival order (every stream source — scenario
 // generators, trace replay, workload cycling — emits sorted arrivals).
 // An out-of-order arrival or a job the profiler rejects is kept as the
 // run's error: later submissions are ignored and Run returns it.
@@ -373,8 +382,8 @@ func (c *ShardedScheduler) BarrierStats() BarrierStats { return c.stats }
 // Run drives all shards to completion and returns the global makespan
 // and summed energy, or the first bad submission's error without
 // driving anything. After the last event every shard is advanced to the
-// global makespan and closed out, so trailing idle energy is billed
-// exactly as the unsharded scheduler bills it.
+// global makespan and closed out, so every shard bills its trailing
+// idle energy up to the same end time.
 func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	if c.err != nil {
 		return 0, 0, c.err
@@ -392,7 +401,7 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	c.drive()
 	pending := 0
 	for _, sh := range c.shards {
-		pending += sh.Pending()
+		pending += sh.pending
 	}
 	if pending > 0 {
 		return 0, 0, fmt.Errorf("core: sharded scheduler: %d jobs never completed", pending)
@@ -510,7 +519,7 @@ func (c *ShardedScheduler) gatherActive(horizon float64, excl bool) {
 // steal-eligibility read, O(1) per shard off the wait-queue counters.
 func (c *ShardedScheduler) anyQueued() bool {
 	for _, sh := range c.shards {
-		if sh.QueueLen() > 0 {
+		if sh.queue.Len() > 0 {
 			return true
 		}
 	}
@@ -612,7 +621,7 @@ func (c *ShardedScheduler) runSpan(cmd shardCmd) {
 // stealPass runs single-threaded at the barrier: shards are scanned in
 // index order; a shard with an empty queue and free capacity claims
 // queue heads from its neighbors (nearest first, wrapping upward) up to
-// min(stealBatch, FreeSlots) jobs, then dispatches them at the barrier
+// min(stealBatch, freeSlots) jobs, then dispatches them at the barrier
 // time. Everything here is a function of shard state and t alone, so a
 // steal that fires at t fires at t in every run of the same stream.
 func (c *ShardedScheduler) stealPass(t float64) {
@@ -621,10 +630,10 @@ func (c *ShardedScheduler) stealPass(t float64) {
 	}
 	s := len(c.shards)
 	for i, thief := range c.shards {
-		if thief.QueueLen() > 0 {
+		if thief.queue.Len() > 0 {
 			continue
 		}
-		budget := thief.FreeSlots()
+		budget := thief.freeSlots()
 		if budget > stealBatch {
 			budget = stealBatch
 		}
@@ -635,7 +644,7 @@ func (c *ShardedScheduler) stealPass(t float64) {
 		for k := 1; k < s && budget > 0; k++ {
 			vi := (i + k) % s
 			victim := c.shards[vi]
-			for budget > 0 && victim.QueueLen() > 0 {
+			for budget > 0 && victim.queue.Len() > 0 {
 				victim.Engine.AdvanceTo(t)
 				// The link id is the global steal sequence number — a
 				// function of shard state and t alone, so the victim's
@@ -669,10 +678,7 @@ func (c *ShardedScheduler) stealPass(t float64) {
 }
 
 // Completed returns all finished jobs merged across shards, ordered by
-// (finish time, job id) — the id tie-break makes the merged order
-// deterministic where the single-shard sort tolerated ambiguity. With
-// one shard it defers to that shard's own ordering for exact legacy
-// equivalence.
+// (finish time, job id).
 //
 // Each shard appends completions at its own completion events, so the
 // per-shard slices are already in nondecreasing finish order and a
@@ -682,9 +688,6 @@ func (c *ShardedScheduler) stealPass(t float64) {
 // falls back to the sort; both paths produce the identical unique
 // (Finished, ID) total order.
 func (c *ShardedScheduler) Completed() []CompletedJob {
-	if len(c.shards) == 1 {
-		return c.shards[0].Completed()
-	}
 	total := 0
 	sorted := true
 	for _, sh := range c.shards {
@@ -736,7 +739,7 @@ func (c *ShardedScheduler) Completed() []CompletedJob {
 func (c *ShardedScheduler) EnergyJ() float64 {
 	var e float64
 	for _, sh := range c.shards {
-		e += sh.EnergyJ()
+		e += sh.energyJ
 	}
 	return e
 }
@@ -745,7 +748,7 @@ func (c *ShardedScheduler) EnergyJ() float64 {
 func (c *ShardedScheduler) Phases() power.PhaseAccumulator {
 	var p power.PhaseAccumulator
 	for _, sh := range c.shards {
-		sp := sh.Phases()
+		sp := sh.phases
 		p.IdleJ += sp.IdleJ
 		p.SoloJ += sp.SoloJ
 		p.CoJ += sp.CoJ
@@ -757,15 +760,20 @@ func (c *ShardedScheduler) Phases() power.PhaseAccumulator {
 func (c *ShardedScheduler) QueueLen() int {
 	n := 0
 	for _, sh := range c.shards {
-		n += sh.QueueLen()
+		n += sh.queue.Len()
 	}
 	return n
 }
 
 // SetFastAccrual toggles the O(1) aggregate accrual path on every
-// shard (see OnlineScheduler.SetFastAccrual for when it engages).
+// shard: integrating running per-phase power sums instead of walking
+// every node. The sums reassociate the float adds, so energy may differ
+// from the per-node walk in the last bits (1e-9 relative); placements
+// and makespan stay bit-identical. It stands down on shards with a
+// tracer or audit log attached, whose per-node and per-job attribution
+// needs the walk. Call before the first Submit.
 func (c *ShardedScheduler) SetFastAccrual(v bool) {
 	for _, sh := range c.shards {
-		sh.SetFastAccrual(v)
+		sh.setFastAccrual(v)
 	}
 }

@@ -47,9 +47,9 @@ func benchSharded(b *testing.B, nodes, jobs, shards int, mean float64) (int, Bar
 // recurring-tenant profiling, and O(1) aggregate accrual all on. Short
 // mode (what CI's bench-guard runs) uses 4096 nodes × 40k jobs over 16
 // shards; full mode 16384 × 200k — the acceptance point, which must
-// clear 100k jobs simulated/s (vs 22.7k for the unsharded
+// clear 100k jobs simulated/s (vs 22.7k for the then-unsharded
 // BenchmarkOnlineLargeCluster path). The mean interarrival scales
-// inversely with cluster size, matching the unsharded benchmark's
+// inversely with cluster size, matching BenchmarkOnlineLargeCluster's
 // offered load.
 func BenchmarkOnlineShardedCluster(b *testing.B) {
 	fixture(b)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -29,13 +30,19 @@ type shardedResult struct {
 	// part of export equality — the elision property tests read it to
 	// prove both cadences were actually exercised.
 	stats BarrierStats
+
+	// sched and trace are the run's control plane and span tracers, for
+	// tests that inspect more than the exports above.
+	sched *ShardedScheduler
+	trace *tracing.ShardSet
 }
 
 // runSharded drives one fully instrumented sharded run. submit feeds
-// the stream; every shard gets its own registry, tracer, and audit log,
-// and the tuner chain mirrors equivRun's (MemoSTP under MeteredSTP on
-// the shard's registry) so a 1-shard run is comparable byte for byte
-// with the unsharded scheduler.
+// the stream; every shard gets its own registry, tracer (through the
+// control plane's SetTracer fan-out, the CLI path), and audit log, and
+// every shard's tuner is LkT behind MemoSTP under MeteredSTP on the
+// shard's registry — the chain testdata/ws4_online.golden pins at one
+// shard.
 func runSharded(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *ShardedScheduler)) shardedResult {
 	return runShardedMode(t, nodes, cfg, false, submit)
 }
@@ -57,16 +64,14 @@ func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, recorded bool, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracers := make([]*tracing.Tracer, cfg.Shards)
+	c.SetMetrics(regs)
+	ts := tracing.NewShardSet()
+	c.SetTracer(ts)
 	auds := make([]*audit.Log, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		sh := c.Shard(i)
-		sh.SetMetrics(regs[i])
-		tracers[i] = tracing.New(sh.Engine.Clock())
-		sh.SetTracer(tracers[i])
+	for i := range auds {
 		auds[i] = audit.NewLog(audit.DriftConfig{})
-		sh.SetAudit(auds[i])
 	}
+	c.SetAudit(auds)
 	if recorded {
 		c.SetFlight(flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: c.ShardNodes()}))
 	}
@@ -81,13 +86,15 @@ func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, recorded bool, s
 		steals:    c.Steals(),
 		completed: len(c.Completed()),
 		stats:     c.BarrierStats(),
+		sched:     c,
+		trace:     ts,
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		var snap, tl, dec bytes.Buffer
 		if err := regs[i].Snapshot(false).WriteText(&snap); err != nil {
 			t.Fatal(err)
 		}
-		if err := tracers[i].WriteTimeline(&tl); err != nil {
+		if err := ts.Tracer(i).WriteTimeline(&tl); err != nil {
 			t.Fatal(err)
 		}
 		if err := auds[i].WriteJSONL(&dec); err != nil {
@@ -116,35 +123,41 @@ func submitWS4(t *testing.T) func(c *ShardedScheduler) {
 	}
 }
 
-// TestShardedSingleShardEquivalence is the acceptance golden: a 1-shard
-// sharded run must be byte-identical to the unsharded optimized
-// scheduler — makespan and energy bits, the deterministic metrics
-// snapshot, the span timeline, and the decision JSONL — at GOMAXPROCS
-// 1 and 4. The router profiles serially at submission instead of
-// inside arrival events, so this also proves the profiling-order
-// contract (nondecreasing arrivals ⇒ identical sampler draws).
+// TestShardedSingleShardEquivalence: a 1-shard run reproduces the
+// unsharded reference in testdata/ws4_online.golden byte for byte —
+// makespan and energy bits, metrics snapshot, span timeline, decision
+// JSONL — under every control-plane setting that has no effect with a
+// single shard: the steal pass (no neighbor to claim from) and the
+// flight recorder's pinned lock-step cadence, at GOMAXPROCS 1 and 4.
+// The router profiles serially at submission instead of inside arrival
+// events, so this also proves the profiling-order contract
+// (nondecreasing arrivals ⇒ identical sampler draws) on every path.
 func TestShardedSingleShardEquivalence(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		old := runtime.GOMAXPROCS(procs)
-		legacy := equivRun(t)
-		sharded := runSharded(t, 2, ShardedConfig{Shards: 1}, submitWS4(t))
-		runtime.GOMAXPROCS(old)
-		if sharded.makespan != legacy.makespan || sharded.energy != legacy.energy {
-			t.Fatalf("GOMAXPROCS=%d: sharded (makespan %x energy %x) != legacy (makespan %x energy %x)",
-				procs, sharded.makespan, sharded.energy, legacy.makespan, legacy.energy)
-		}
-		got := sharded.perShard[0]
-		if got.snapshot != legacy.snapshot {
-			t.Fatalf("GOMAXPROCS=%d: metrics snapshot diverged:\n--- sharded ---\n%s\n--- legacy ---\n%s",
-				procs, got.snapshot, legacy.snapshot)
-		}
-		if got.timeline != legacy.timeline {
-			t.Fatalf("GOMAXPROCS=%d: timeline diverged:\n--- sharded ---\n%s\n--- legacy ---\n%s",
-				procs, got.timeline, legacy.timeline)
-		}
-		if got.decisions != legacy.decisions {
-			t.Fatalf("GOMAXPROCS=%d: decision JSONL diverged:\n--- sharded ---\n%s\n--- legacy ---\n%s",
-				procs, got.decisions, legacy.decisions)
+	want, err := os.ReadFile("testdata/ws4_online.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		cfg      ShardedConfig
+		recorded bool
+	}{
+		{"steal", ShardedConfig{Shards: 1, Steal: true}, false},
+		{"recorded", ShardedConfig{Shards: 1}, true},
+		{"steal+recorded", ShardedConfig{Shards: 1, Steal: true}, true},
+	} {
+		for _, procs := range []int{1, 4} {
+			old := runtime.GOMAXPROCS(procs)
+			r := runShardedMode(t, 2, tc.cfg, tc.recorded, submitWS4(t))
+			runtime.GOMAXPROCS(old)
+			if r.steals != 0 {
+				t.Fatalf("%s GOMAXPROCS=%d: a lone shard stole %d jobs", tc.name, procs, r.steals)
+			}
+			out := r.perShard[0]
+			out.makespan, out.energy = r.makespan, r.energy
+			if got := out.encode(); !bytes.Equal(got, want) {
+				t.Fatalf("%s GOMAXPROCS=%d: run diverged from testdata/ws4_online.golden:\n%s", tc.name, procs, firstDiff(got, want))
+			}
 		}
 	}
 }
@@ -359,12 +372,7 @@ func TestFastAccrualGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(fast bool) (uint64, float64, [3]float64, []CompletedJob) {
-		eng := sim.NewEngine()
-		prof := NewProfiler(fix.model, sim.NewRNG(17))
-		s, err := NewOnlineScheduler(eng, fix.model, fix.db, NewMemoSTP(fix.lkt, nil), prof, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := oneShard(t, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 64)
 		s.SetFastAccrual(fast)
 		rng := sim.NewRNG(18)
 		at := 0.0
@@ -410,13 +418,9 @@ func TestFastAccrualGolden(t *testing.T) {
 	}
 	// With attribution consumers attached the fast path must stand down
 	// (per-node walk required for span/audit energy shares).
-	eng := sim.NewEngine()
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := oneShard(t, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 4)
 	s.SetFastAccrual(true)
-	s.SetTracer(tracing.New(eng.Clock()))
+	s.SetTracer(tracing.NewShardSet())
 	s.Submit(wl.Jobs[0].App, 1, 0)
 	if _, _, err := s.Run(); err != nil {
 		t.Fatal(err)

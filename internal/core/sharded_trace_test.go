@@ -8,48 +8,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 
-	"ecost/internal/audit"
-	"ecost/internal/metrics"
-	"ecost/internal/sim"
 	"ecost/internal/tracing"
 )
-
-// runShardedTraceSet drives one sharded run with the full
-// observability stack attached, the tracers wired through the control
-// plane's SetTracer fan-out (the CLI path). The registries and audit
-// logs mirror runSharded/equivRun so a 1-shard run is byte-comparable
-// with the legacy unsharded scheduler.
-func runShardedTraceSet(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *ShardedScheduler)) (*ShardedScheduler, *tracing.ShardSet) {
-	t.Helper()
-	fixture(t)
-	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	regs := make([]*metrics.Registry, 0, cfg.Shards)
-	newTuner := func() STP {
-		reg := metrics.NewRegistry()
-		regs = append(regs, reg)
-		return NewMeteredSTP(NewMemoSTP(fix.lkt, reg), fix.model, reg)
-	}
-	c, err := NewShardedScheduler(fix.model, fix.db, prof, newTuner, nodes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		sh := c.Shard(i)
-		sh.SetMetrics(regs[i])
-		sh.SetAudit(audit.NewLog(audit.DriftConfig{}))
-	}
-	ts := tracing.NewShardSet()
-	c.SetTracer(ts)
-	submit(c)
-	if _, _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return c, ts
-}
 
 // render captures one export surface as a string.
 func render(t *testing.T, write func(w *bytes.Buffer) error) string {
@@ -63,27 +29,22 @@ func render(t *testing.T, write func(w *bytes.Buffer) error) string {
 
 // TestShardSetSingleShardLegacyEquivalence: with one shard, the
 // ShardSet's merged exports are byte-identical to the legacy unsharded
-// tracer's — the timeline matches the unsharded scheduler's run of the
-// same stream, and both ShardSet exporters delegate exactly to the
-// solo tracer.
+// tracer's — the timeline matches testdata/ws4_online.golden's, which
+// the retired unsharded scheduler recorded from the same stream, and
+// both ShardSet exporters delegate exactly to the solo tracer.
 func TestShardSetSingleShardLegacyEquivalence(t *testing.T) {
-	legacy := equivRun(t)
-	submitWS4 := func(c *ShardedScheduler) {
-		wl, err := Scenario("WS4")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, j := range wl.Jobs {
-			c.Submit(j.App, j.SizeGB, float64(i)*40)
-		}
-	}
-	c, ts := runShardedTraceSet(t, 2, ShardedConfig{Shards: 1}, submitWS4)
+	r := runSharded(t, 2, ShardedConfig{Shards: 1}, submitWS4(t))
+	c, ts := r.sched, r.trace
 	if got := ts.Shards(); got != 1 {
 		t.Fatalf("SetTracer attached %d tracers, want 1", got)
 	}
-	if got := render(t, func(w *bytes.Buffer) error { return ts.WriteTimeline(w) }); got != legacy.timeline {
-		t.Fatalf("1-shard ShardSet timeline != legacy unsharded timeline:\n--- sharded ---\n%s\n--- legacy ---\n%s",
-			got, legacy.timeline)
+	golden, err := os.ReadFile("testdata/ws4_online.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeline := render(t, func(w *bytes.Buffer) error { return ts.WriteTimeline(w) })
+	if section := fmt.Sprintf("--- timeline %d\n%s--- decisions ", len(timeline), timeline); !strings.Contains(string(golden), section) {
+		t.Fatalf("1-shard ShardSet timeline is not testdata/ws4_online.golden's:\n%s", timeline)
 	}
 	solo := ts.Tracer(0)
 	if got, want := render(t, func(w *bytes.Buffer) error { return ts.WriteChromeTrace(w) }),
@@ -104,7 +65,8 @@ func TestShardedMergedTraceGOMAXPROCSInvariance(t *testing.T) {
 	var baseChrome, baseTimeline string
 	for i, procs := range []int{1, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		c, ts := runShardedTraceSet(t, 8, ShardedConfig{Shards: 4, Steal: true}, skewedStream(t, 48, 10))
+		r := runSharded(t, 8, ShardedConfig{Shards: 4, Steal: true}, skewedStream(t, 48, 10))
+		c, ts := r.sched, r.trace
 		runtime.GOMAXPROCS(old)
 		if c.Steals() == 0 {
 			t.Fatal("steal pass never fired — the invariance case is vacuous")
@@ -130,7 +92,8 @@ func TestShardedMergedTraceGOMAXPROCSInvariance(t *testing.T) {
 // Chrome export joins them with a flow-start ("s") / flow-finish ("f")
 // event pair per link.
 func TestShardedStealFlowPairs(t *testing.T) {
-	c, ts := runShardedTraceSet(t, 8, ShardedConfig{Shards: 4, Steal: true}, skewedStream(t, 48, 10))
+	r := runSharded(t, 8, ShardedConfig{Shards: 4, Steal: true}, skewedStream(t, 48, 10))
+	c, ts := r.sched, r.trace
 	steals := c.Steals()
 	if steals == 0 {
 		t.Fatal("steal pass never fired")
@@ -224,7 +187,8 @@ func TestShardedStealFlowPairs(t *testing.T) {
 // the global total the merged report prints; and the merged run spans
 // carry exactly the solo+co-located share.
 func TestShardedTraceEnergyConservation(t *testing.T) {
-	c, ts := runShardedTraceSet(t, 8, ShardedConfig{Shards: 4, Steal: true}, skewedStream(t, 48, 10))
+	r := runSharded(t, 8, ShardedConfig{Shards: 4, Steal: true}, skewedStream(t, 48, 10))
+	c, ts := r.sched, r.trace
 	if c.Steals() == 0 {
 		t.Fatal("steal pass never fired — conservation across steals is vacuous")
 	}
@@ -232,9 +196,9 @@ func TestShardedTraceEnergyConservation(t *testing.T) {
 	for i := 0; i < c.Shards(); i++ {
 		spans := ts.Tracer(i).Spans()
 		shardNodes := tracing.TotalEnergyJ(spans, tracing.KindNode)
-		if rel := relErr(shardNodes, c.Shard(i).EnergyJ()); rel > 1e-9 {
+		if rel := relErr(shardNodes, c.shards[i].energyJ); rel > 1e-9 {
 			t.Fatalf("shard %d: node spans %.6f J != engine energy %.6f J (rel %g)",
-				i, shardNodes, c.Shard(i).EnergyJ(), rel)
+				i, shardNodes, c.shards[i].energyJ, rel)
 		}
 		nodeSum += shardNodes
 	}

@@ -44,13 +44,11 @@ func OnlineScenarioShardedObserved(env *Env, spec scenario.Spec, nodes int, cfg 
 		return core.NewMeteredSTP(core.NewMemoSTP(env.LkT, reg), env.Model, reg)
 	}
 	attach := func(sched *core.ShardedScheduler) {
+		sched.SetMetrics(obs.Registries)
 		for i := 0; i < cfg.Shards; i++ {
-			sh := sched.Shard(i)
-			sh.SetMetrics(obs.Registries[i])
-			aud := audit.NewLog(audit.DriftConfig{})
-			obs.Audits = append(obs.Audits, aud)
-			sh.SetAudit(aud)
+			obs.Audits = append(obs.Audits, audit.NewLog(audit.DriftConfig{}))
 		}
+		sched.SetAudit(obs.Audits)
 		obs.Trace = tracing.NewShardSet()
 		sched.SetTracer(obs.Trace)
 		obs.Flight = flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: sched.ShardNodes()})

@@ -67,16 +67,15 @@ func onlineTrace(env *Env, spec trace.Spec, nodes int, traced bool, tuner core.S
 	if err != nil {
 		return Table{}, OnlineData{}, tracing.Report{}, err
 	}
-	// One shard over the whole cluster is the unsharded scheduler; the
-	// technique runs unwrapped, and the tracer and audit log go on it.
-	var tr *tracing.Tracer
+	// One shard runs the whole cluster; the technique runs unwrapped,
+	// and the tracer and audit log go on it.
+	var ts *tracing.ShardSet
 	attach := func(c *core.ShardedScheduler) {
-		sh := c.Shard(0)
 		if traced {
-			tr = tracing.New(sh.Engine.Clock())
-			sh.SetTracer(tr)
+			ts = tracing.NewShardSet()
+			c.SetTracer(ts)
 		}
-		sh.SetAudit(aud)
+		c.SetAudit([]*audit.Log{aud})
 	}
 	var rep tracing.Report
 	data, _, _, err := runStream(env, arrivals, nodes, core.ShardedConfig{Shards: 1},
@@ -85,7 +84,7 @@ func onlineTrace(env *Env, spec trace.Spec, nodes int, traced bool, tuner core.S
 		return Table{}, data, rep, err
 	}
 	if traced {
-		rep = tr.Report()
+		rep = ts.Tracer(0).Report()
 	}
 	tbl := Table{
 		Title:  fmt.Sprintf("Online ECoST: %d jobs, %d node(s), mean inter-arrival %.0fs", data.Jobs, nodes, spec.MeanInterarrival),

@@ -30,28 +30,26 @@ func scenarioSpec(jobs int) scenario.Spec {
 	}
 }
 
-// instrumentedRun drives one fully-observed online run (metrics +
-// tracing + audit, memoized metered LkT tuner — the same stack
-// ecost-sim wires up) over an arrival stream and returns the three
-// deterministic exports: the metrics snapshot text, the span timeline,
-// and the decision JSONL.
+// instrumentedRun drives one fully-observed single-shard online run
+// (metrics + tracing + audit, memoized metered LkT tuner — the same
+// stack ecost-sim wires up) over an arrival stream and returns the
+// three deterministic exports: the metrics snapshot text, the span
+// timeline, and the decision JSONL.
 func instrumentedRun(t *testing.T, env *Env, arrivals []trace.Arrival, nodes int) (snap, timeline, decisions string) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	eng := sim.NewEngine()
-	tr := tracing.New(eng.Clock())
 	aud := audit.NewLog(audit.DriftConfig{})
 	model := mapreduce.NewModel(cluster.AtomC2758())
-	model.Metrics = reg
 	tuner := core.NewMeteredSTP(core.NewMemoSTP(env.LkT, reg), model, reg)
 	prof := core.NewProfiler(model, sim.NewRNG(env.Seed))
-	sched, err := core.NewOnlineScheduler(eng, model, env.DB, tuner, prof, nodes)
+	sched, err := core.NewShardedScheduler(model, env.DB, prof, func() core.STP { return tuner }, nodes, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched.SetMetrics(reg)
-	sched.SetTracer(tr)
-	sched.SetAudit(aud)
+	sched.SetMetrics([]*metrics.Registry{reg})
+	ts := tracing.NewShardSet()
+	sched.SetTracer(ts)
+	sched.SetAudit([]*audit.Log{aud})
 	for _, a := range arrivals {
 		sched.Submit(a.App, a.SizeGB, a.At)
 	}
@@ -62,7 +60,7 @@ func instrumentedRun(t *testing.T, env *Env, arrivals []trace.Arrival, nodes int
 	if err := reg.Snapshot(false).WriteText(&snapBuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteTimeline(&tlBuf); err != nil {
+	if err := ts.WriteTimeline(&tlBuf); err != nil {
 		t.Fatal(err)
 	}
 	if err := aud.WriteJSONL(&decBuf); err != nil {

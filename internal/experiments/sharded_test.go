@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -20,40 +22,23 @@ func freshEnv(t *testing.T) *Env {
 }
 
 // TestOnlineScenarioShardedSingleShardMatchesLegacy is the
-// experiments-level golden: with one shard, OnlineScenario reports
-// bit-identical summary and queueing observables to an unsharded
-// core.OnlineScheduler driven over the same stream and profiler state —
-// the single-shard control plane IS the legacy scheduler.
+// experiments-level golden: with one shard, OnlineScenario reports the
+// summary and queueing observables in
+// testdata/scenario_single_shard.golden bit for bit (%v prints the
+// shortest float that round-trips). The file was recorded from the
+// retired unsharded scheduler driven over the same stream and profiler
+// state.
 func TestOnlineScenarioShardedSingleShardMatchesLegacy(t *testing.T) {
-	spec := scenarioSpec(20)
-	arrivals, err := scenario.Generate(spec)
+	want, err := os.ReadFile("testdata/scenario_single_shard.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := freshEnv(t)
-	legacy, err := core.NewOnlineScheduler(sim.NewEngine(), env.Model, env.DB, env.LkT, env.Profiler, 2)
+	tbl, got, gotQS, err := OnlineScenario(freshEnv(t), scenarioSpec(20), 2, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range arrivals {
-		legacy.Submit(a.App, a.SizeGB, a.At)
-	}
-	mk, en, err := legacy.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := summarize(len(arrivals), mk, en, legacy.Completed())
-	wantQS := StreamStats(legacy.Completed(), 2, mk)
-
-	tbl, got, gotQS, err := OnlineScenario(freshEnv(t), spec, 2, core.ShardedConfig{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("single-shard summary diverged from legacy:\n got %+v\nwant %+v", got, want)
-	}
-	if gotQS != wantQS {
-		t.Fatalf("single-shard queue stats diverged from legacy:\n got %+v\nwant %+v", gotQS, wantQS)
+	if render := fmt.Sprintf("summary %+v\nqueue %+v\n", got, gotQS); render != string(want) {
+		t.Fatalf("single-shard run diverged from the legacy golden:\n got %s\nwant %s", render, want)
 	}
 	for _, wantStr := range []string{"shards", "steals", "utilization"} {
 		if !strings.Contains(tbl.String(), wantStr) {

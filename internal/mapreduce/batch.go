@@ -482,8 +482,7 @@ func (e *Evaluator) SoloApp(spec RunSpec) (Outcome, error) {
 // and returns each one's steady state plus the whole-node power draw
 // while this set runs — the online scheduler's per-reschedule solve.
 // The returned slice aliases the evaluator's scratch and is valid until
-// the next call; after warm-up a solve allocates nothing (a model with
-// a metrics registry attached still pays for its telemetry).
+// the next call; after warm-up a solve allocates nothing.
 func (e *Evaluator) Steady(specs []RunSpec) ([]SteadyState, float64, error) {
 	m := e.m
 	if len(specs) == 0 {
@@ -514,7 +513,6 @@ func (e *Evaluator) Steady(specs []RunSpec) ([]SteadyState, float64, error) {
 		active[i] = true
 	}
 	watts := power.NodePower(m.Spec, m.activityInto(specs, sts, active, &e.s))
-	m.observeSteady(specs, out, &e.s)
 	return out, watts, nil
 }
 

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"ecost/internal/cluster"
-	"ecost/internal/metrics"
 	"ecost/internal/perfctr"
 	"ecost/internal/power"
 	"ecost/internal/sim"
@@ -116,13 +115,6 @@ type Model struct {
 	// and power using rng; leave zero for the deterministic oracle runs.
 	Noise float64
 	rng   *sim.RNG
-
-	// Metrics, when non-nil, receives steady-state telemetry from the
-	// online scheduling path (phase timings, contention slowdown). The
-	// oracle's brute-force searches go through CoLocate/evaluate and
-	// stay uninstrumented, so a scheduler-attached registry never taxes
-	// the search hot path.
-	Metrics *metrics.Registry
 }
 
 // NewModel returns the calibrated model for the given node spec.
@@ -230,35 +222,6 @@ type SteadyState struct {
 func (m *Model) Steady(specs []RunSpec) ([]SteadyState, float64, error) {
 	sts, watts, err := m.NewEvaluator().Steady(specs)
 	return append([]SteadyState(nil), sts...), watts, err
-}
-
-// observeSteady records steady-state telemetry: per-application phase
-// timings under the current contention and, for multi-resident sets,
-// the contention slowdown factor (co-located job time over the same
-// application's solo time at the same configuration). Everything is
-// derived from the deterministic model, so the metrics are exact. The
-// solo solves reuse s, so sts must already be copied out of it.
-func (m *Model) observeSteady(specs []RunSpec, sts []SteadyState, s *evalScratch) {
-	if m.Metrics == nil {
-		return
-	}
-	m.Metrics.Counter("model.steady.calls").Inc()
-	mapPhase := m.Metrics.Histogram("model.phase.map_s", metrics.ExpBuckets(16, 2, 14))
-	redPhase := m.Metrics.Histogram("model.phase.reduce_s", metrics.ExpBuckets(16, 2, 14))
-	for _, st := range sts {
-		mapPhase.Observe(st.MapTime)
-		redPhase.Observe(st.ReduceTime)
-	}
-	if len(specs) < 2 {
-		return
-	}
-	slow := m.Metrics.Histogram("model.contention.slowdown", metrics.LinearBuckets(1, 0.25, 17))
-	for i := range specs {
-		solo := m.evaluateInto(specs[i:i+1], s)
-		if solo[0].T > 0 {
-			slow.Observe(sts[i].JobTime / solo[0].T)
-		}
-	}
 }
 
 // IdlePower returns the node's idle draw — what an empty node burns.

@@ -1,12 +1,10 @@
 package mapreduce
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
 
-	"ecost/internal/metrics"
 	"ecost/internal/power"
 	"ecost/internal/sim"
 	"ecost/internal/workloads"
@@ -41,7 +39,6 @@ func legacySteady(m *Model, specs []RunSpec) ([]SteadyState, float64, error) {
 		active[i] = true
 	}
 	watts := power.NodePower(m.Spec, legacyActivity(m, specs, sts, active))
-	legacyObserveSteady(m, specs, sts)
 	return out, watts, nil
 }
 
@@ -71,29 +68,6 @@ func legacyActivity(m *Model, specs []RunSpec, sts []steady, active []bool) powe
 	act.DiskBusy = io / m.Spec.DiskBWMBps
 	act.MemBWGB = membw
 	return act
-}
-
-func legacyObserveSteady(m *Model, specs []RunSpec, sts []steady) {
-	if m.Metrics == nil {
-		return
-	}
-	m.Metrics.Counter("model.steady.calls").Inc()
-	mapPhase := m.Metrics.Histogram("model.phase.map_s", metrics.ExpBuckets(16, 2, 14))
-	redPhase := m.Metrics.Histogram("model.phase.reduce_s", metrics.ExpBuckets(16, 2, 14))
-	for _, st := range sts {
-		mapPhase.Observe(st.mapTime)
-		redPhase.Observe(st.redTime)
-	}
-	if len(specs) < 2 {
-		return
-	}
-	slow := m.Metrics.Histogram("model.contention.slowdown", metrics.LinearBuckets(1, 0.25, 17))
-	for i := range specs {
-		solo := legacyEvaluate(m, specs[i:i+1])
-		if solo[0].T > 0 {
-			slow.Observe(sts[i].T / solo[0].T)
-		}
-	}
 }
 
 // steadySpecSets enumerates the equivalence grid: every application at
@@ -175,34 +149,6 @@ func TestEvaluatorSteadyErrorsMatchLegacy(t *testing.T) {
 		if want == nil || got == nil || got.Error() != want.Error() {
 			t.Fatalf("%v: error %v, legacy %v", specs, got, want)
 		}
-	}
-}
-
-// TestSteadyTelemetryMatchesLegacy checks the metrics a registry-attached
-// model records are the legacy solve's, byte for byte.
-func TestSteadyTelemetryMatchesLegacy(t *testing.T) {
-	snap := func(solve func(m *Model, specs []RunSpec)) string {
-		m := model()
-		m.Metrics = metrics.NewRegistry()
-		for _, specs := range steadySpecSets(m.Spec.Cores)[:40] {
-			solve(m, specs)
-		}
-		var buf bytes.Buffer
-		if err := m.Metrics.Snapshot(false).WriteText(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	want := snap(func(m *Model, specs []RunSpec) { _, _, _ = legacySteady(m, specs) })
-	var e *Evaluator
-	got := snap(func(m *Model, specs []RunSpec) {
-		if e == nil || e.m != m {
-			e = m.NewEvaluator()
-		}
-		_, _, _ = e.Steady(specs)
-	})
-	if got != want {
-		t.Fatalf("steady telemetry diverged:\n%s\nlegacy:\n%s", got, want)
 	}
 }
 

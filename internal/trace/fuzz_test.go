@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ecost/internal/metrics"
 	"ecost/internal/workloads"
 )
 
@@ -70,7 +69,7 @@ func FuzzGenerate(f *testing.F) {
 				t.Fatalf("arrival %d size %v outside %v", i, a.SizeGB, spec.Sizes)
 			}
 		}
-		// The published metrics must agree with the trace itself.
+		// The class tally must agree with the trace itself.
 		counts := ClassCounts(tr)
 		total := 0
 		for _, c := range counts {
@@ -80,73 +79,6 @@ func FuzzGenerate(f *testing.F) {
 			t.Fatalf("ClassCounts sums to %d over %d arrivals", total, len(tr))
 		}
 	})
-}
-
-// TestRecordPublishesShape checks the registry contents against the
-// trace: job-count gauge, per-class counters, interarrival histogram.
-func TestRecordPublishesShape(t *testing.T) {
-	tr, err := Generate(Spec{N: 40, MeanInterarrival: 90, Poisson: true, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	Record(tr, reg)
-	snap := reg.Snapshot(false)
-
-	gauges := map[string]float64{}
-	for _, g := range snap.Gauges {
-		gauges[g.Name] = g.Value
-	}
-	if gauges["trace.jobs"] != 40 {
-		t.Errorf("trace.jobs = %v, want 40", gauges["trace.jobs"])
-	}
-
-	counts := ClassCounts(tr)
-	counters := map[string]int64{}
-	for _, c := range snap.Counters {
-		counters[c.Name] = c.Value
-	}
-	for cls, n := range counts {
-		name := "trace.arrivals." + cls.String()
-		if counters[name] != int64(n) {
-			t.Errorf("%s = %d, want %d", name, counters[name], n)
-		}
-	}
-	var counterTotal int64
-	for name, v := range counters {
-		if len(name) > len("trace.arrivals.") && name[:len("trace.arrivals.")] == "trace.arrivals." {
-			counterTotal += v
-		}
-	}
-	if counterTotal != 40 {
-		t.Errorf("per-class counters sum to %d, want 40", counterTotal)
-	}
-
-	for _, h := range snap.Histograms {
-		if h.Name == "trace.interarrival_s" {
-			if h.Count != 39 {
-				t.Errorf("interarrival histogram has %d observations, want 39", h.Count)
-			}
-			return
-		}
-	}
-	t.Error("trace.interarrival_s histogram missing")
-}
-
-// TestRecordNilAndEmpty checks the no-op paths.
-func TestRecordNilAndEmpty(t *testing.T) {
-	tr, err := Generate(Spec{N: 3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	Record(tr, nil) // must not panic
-
-	reg := metrics.NewRegistry()
-	Record(nil, reg)
-	snap := reg.Snapshot(false)
-	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
-		t.Errorf("empty trace populated the registry: %+v", snap)
-	}
 }
 
 func TestClassCounts(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 
-	"ecost/internal/metrics"
 	"ecost/internal/sim"
 	"ecost/internal/workloads"
 )
@@ -128,24 +127,6 @@ func Generate(spec Spec) ([]Arrival, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out, nil
-}
-
-// Record publishes a generated trace's shape to a metrics registry:
-// total job count, per-class arrival counters, and the interarrival-gap
-// distribution. All values derive from the deterministic trace, so the
-// resulting snapshot is reproducible for a fixed seed.
-func Record(tr []Arrival, reg *metrics.Registry) {
-	if reg == nil || len(tr) == 0 {
-		return
-	}
-	reg.Gauge("trace.jobs").Set(float64(len(tr)))
-	for _, a := range tr {
-		reg.Counter("trace.arrivals." + a.App.Class.String()).Inc()
-	}
-	gaps := reg.Histogram("trace.interarrival_s", metrics.ExpBuckets(1, 2, 16))
-	for i := 1; i < len(tr); i++ {
-		gaps.Observe(tr[i].At - tr[i-1].At)
-	}
 }
 
 // ClassCounts tallies arrivals per class — used by tests and reports.

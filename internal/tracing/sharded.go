@@ -22,7 +22,7 @@ package tracing
 //     track groups.
 //
 // With a single shard every ShardSet export delegates to the shard's
-// own exporter, byte-identical to the legacy unsharded tracer.
+// own exporter, byte-identical to a lone tracer's.
 
 import (
 	"bufio"
@@ -147,7 +147,7 @@ func (ts *ShardSet) Report() Report { return BuildReport(ts.Merge()) }
 
 // WriteChromeTrace renders the set as one Chrome trace_event document.
 // With one shard it delegates to that shard's exporter (byte-identical
-// to the legacy unsharded trace); with more it emits one process block
+// to a lone tracer's trace); with more it emits one process block
 // — scheduler process plus that shard's node processes, contiguous
 // pids, process_sort_index pinned — per shard, so Perfetto shows one
 // track group per shard, and joins steal span pairs with flow events.
@@ -235,7 +235,7 @@ func shardNodes(spans []Span) []int {
 }
 
 // WriteTimeline renders the set as text. With one shard it delegates
-// (byte-identical to the legacy timeline); with more it writes one
+// (byte-identical to a lone tracer's timeline); with more it writes one
 // "== shard N ==" section per shard — each byte-identical to that
 // shard's solo export — followed by a "== merged ==" section in the
 // canonical merged order with a leading shard column.

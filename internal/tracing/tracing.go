@@ -117,8 +117,8 @@ type Span struct {
 	// single-threaded event loop). Together with Shard it is the span's
 	// stable global identity: (shard, ID) never changes across merges.
 	ID int
-	// Shard is the owning tracer's shard index (0 for the unsharded
-	// scheduler), stamped at creation so merged exports can keep one
+	// Shard is the owning tracer's shard index (0 for a lone tracer),
+	// stamped at creation so merged exports can keep one
 	// track group per shard and sort invariant of drain order.
 	Shard int
 	// Parent is the enclosing span's ID, or -1 for a root span.
@@ -170,8 +170,8 @@ func New(now func() float64) *Tracer {
 
 // SetShard stamps the tracer's shard index onto every span it records
 // from now on. Call once, before any spans, when the tracer is one of a
-// sharded set (ShardSet.Attach does it for you); the default 0 is the
-// unsharded scheduler. Nil-safe.
+// sharded set (ShardSet.Attach does it for you); the default is 0.
+// Nil-safe.
 func (t *Tracer) SetShard(i int) {
 	if t == nil {
 		return
