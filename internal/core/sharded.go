@@ -6,8 +6,12 @@ package core
 // deterministic app/tenant hash and a bounded work-stealing pass at
 // event-loop barriers. Every export — metrics snapshots, timelines,
 // decision logs, completions, energy — is a pure function of the
-// submitted stream at any GOMAXPROCS, and steals fire at deterministic
-// sim times rather than goroutine-timing-dependent moments.
+// submitted stream, and steals fire at deterministic sim times.
+//
+// Run drains every shard on the calling goroutine, in shard order
+// (DESIGN.md §21): the shards share no mutable state between barriers,
+// so the order is invisible in every export, and per-shard worker
+// goroutines measured slower on two cores than this drive on one.
 //
 // Barriers are elided wherever cross-shard interaction is provably
 // impossible (DESIGN.md §17). The steal pass is the only cross-shard
@@ -15,16 +19,14 @@ package core
 // arrival is submitted before Run, so the arrival timeline is fully
 // known. Whenever all wait queues are empty, no steal can fire at any
 // barrier before the next arrival, and every shard free-runs through
-// that window fully in parallel; with stealing off the whole run is one
-// window. An attached flight recorder pins the exact lock-step cadence,
-// because epoch records sample every shard at every global event time.
+// that window; with stealing off the whole run is one window. An
+// attached flight recorder pins the exact lock-step cadence, because
+// epoch records sample every shard at every global event time.
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 
 	"ecost/internal/audit"
 	"ecost/internal/flight"
@@ -85,22 +87,6 @@ type ShardedScheduler struct {
 	// stats counts barriers executed vs elided.
 	stats BarrierStats
 
-	// workers are the persistent per-shard drain goroutines (started by
-	// Run, stopped on return; nil when S==1): each barrier or window
-	// signals the active shards over their channels instead of spawning
-	// a goroutine + WaitGroup per epoch. panics holds the first panic
-	// each shard's drain raised, re-raised in shard order at the next
-	// join. active is the reusable active-shard scratch buffer. serial
-	// is latched by Run when only one proc is available — the shards
-	// then drain inline in shard order (identical results: they share no
-	// mutable state) instead of paying channel handoffs that cannot
-	// overlap.
-	workers []chan shardCmd
-	wwg     sync.WaitGroup
-	panics  []any
-	active  []int
-	serial  bool
-
 	// flight is the barrier-epoch flight recorder (nil = off; see
 	// SetFlight). flightT0 is the previous barrier time (each epoch
 	// record spans [flightT0, t]); statBuf is the reusable per-barrier
@@ -108,14 +94,6 @@ type ShardedScheduler struct {
 	flight   *flight.Recorder
 	flightT0 float64
 	statBuf  []flight.ShardStat
-}
-
-// shardCmd tells a shard worker how far to drain its engine: through
-// horizon inclusive (a barrier epoch) or strictly before it (a
-// free-running window, whose horizon is the next arrival time).
-type shardCmd struct {
-	horizon float64
-	excl    bool
 }
 
 // BarrierStats counts how the run's event work was driven. Barriers is
@@ -165,8 +143,8 @@ func routeShard(name string, shards int) int {
 // shared model, database, and profiler. newTuner builds one tuner per
 // shard so each shard owns its own memo shard (pass a closure returning
 // a fresh MemoSTP); it must return non-nil. The model and database are
-// shared across shard goroutines: the database's caches are
-// synchronized, and the model is only read.
+// shared by every shard: the model is only read, and the database's
+// lazy caches are built once.
 func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, newTuner func() STP, nodes int, cfg ShardedConfig) (*ShardedScheduler, error) {
 	if model == nil || db == nil || prof == nil {
 		return nil, fmt.Errorf("core: sharded scheduler: nil dependency")
@@ -224,7 +202,7 @@ func (c *ShardedScheduler) ShardNodes() []int {
 func (c *ShardedScheduler) SetFlight(r *flight.Recorder) {
 	c.flight = r
 	for i, sh := range c.shards {
-		// Only the owning shard's goroutine writes its collector between
+		// Only the owning shard's events write its collector between
 		// barriers; the control plane drains it at every barrier.
 		sh.fl = r.Collector(i)
 	}
@@ -237,7 +215,7 @@ func (c *ShardedScheduler) SetFlight(r *flight.Recorder) {
 // histograms and event log, and its wait queue's. Call before the first
 // Submit, with at most Shards() entries; a nil entry, or a shard past
 // the end of regs, stays uninstrumented. Each shard needs its own
-// registry: shards write them concurrently during epochs.
+// registry: a registry's event log is one shard's export.
 func (c *ShardedScheduler) SetMetrics(regs []*metrics.Registry) {
 	for i, reg := range regs {
 		c.shards[i].setMetrics(reg)
@@ -258,9 +236,9 @@ func (c *ShardedScheduler) SetAudit(logs []*audit.Log) {
 // — reading that shard's engine clock, stamped with its shard index —
 // appended to ts in shard order. Call before the first Submit on a
 // fresh ShardSet; pass nil to detach every shard. Each shard's tracer
-// is written only by that shard's goroutine between barriers (plus the
-// single-threaded steal pass), and ts merges the span sets
-// deterministically for export.
+// is written only by that shard's events between barriers (plus the
+// steal pass), and ts merges the span sets deterministically for
+// export.
 func (c *ShardedScheduler) SetTracer(ts *tracing.ShardSet) {
 	for _, sh := range c.shards {
 		if ts == nil {
@@ -273,10 +251,9 @@ func (c *ShardedScheduler) SetTracer(ts *tracing.ShardSet) {
 	}
 }
 
-// recordBarrier samples every shard after a barrier's events and steal
+// recordBarrier samples every shard once a barrier's events and steal
 // pass have settled and closes the epoch [flightT0, t] in the
-// recorder. Runs on the barrier goroutine only — the epoch WaitGroup
-// ordered all shard writes before it.
+// recorder.
 func (c *ShardedScheduler) recordBarrier(t float64) {
 	stats := c.statBuf[:0]
 	for _, sh := range c.shards {
@@ -396,8 +373,6 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	for _, sh := range c.shards {
 		sh.reserveCompleted()
 	}
-	c.startWorkers()
-	defer c.stopWorkers()
 	c.drive()
 	pending := 0
 	for _, sh := range c.shards {
@@ -426,10 +401,10 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 
 // drive is the event loop (DESIGN.md §17). At the global next-event
 // time t it asks horizon how far the shards may run without a barrier:
-// past t, every shard drains its events strictly before the horizon in
-// parallel (a free window); at t, one exact barrier drains the events
-// at t, then the steal pass runs (stealing on) and the flight recorder
-// closes an epoch (recorder attached).
+// past t, every shard drains its events strictly before the horizon (a
+// free window); at t, one exact barrier drains the events at t, then
+// the steal pass runs (stealing on) and the flight recorder closes an
+// epoch (recorder attached).
 func (c *ShardedScheduler) drive() {
 	for {
 		t := c.nextBarrier()
@@ -437,16 +412,14 @@ func (c *ShardedScheduler) drive() {
 			return
 		}
 		if h := c.horizon(t); h > t {
-			c.gatherActive(h, true)
 			fired := c.totalFired()
 			c.stats.Windows++
-			c.runSpan(shardCmd{horizon: h, excl: true})
+			c.runSpan(h, true)
 			c.stats.WindowEvents += c.totalFired() - fired
 			continue
 		}
-		c.gatherActive(t, false)
 		c.stats.Barriers++
-		c.runSpan(shardCmd{horizon: t})
+		c.runSpan(t, false)
 		if c.cfg.Steal {
 			c.stealPass(t)
 		}
@@ -503,18 +476,6 @@ func (c *ShardedScheduler) nextBarrier() float64 {
 	return t
 }
 
-// gatherActive fills c.active with the shards holding an event at the
-// barrier (excl false: NextAt <= horizon) or inside the window (excl
-// true: NextAt < horizon).
-func (c *ShardedScheduler) gatherActive(horizon float64, excl bool) {
-	c.active = c.active[:0]
-	for i, sh := range c.shards {
-		if at, ok := sh.Engine.NextAt(); ok && (at < horizon || (!excl && at == horizon)) {
-			c.active = append(c.active, i)
-		}
-	}
-}
-
 // anyQueued reports whether any shard has queued work — the
 // steal-eligibility read, O(1) per shard off the wait-queue counters.
 func (c *ShardedScheduler) anyQueued() bool {
@@ -535,90 +496,23 @@ func (c *ShardedScheduler) totalFired() int64 {
 	return n
 }
 
-// startWorkers spawns one persistent drain goroutine per shard (none
-// for a single shard — it always runs inline). Workers replace the
-// per-epoch goroutine + WaitGroup churn: each barrier or window signals
-// only the active shards over their channels.
-func (c *ShardedScheduler) startWorkers() {
-	c.serial = runtime.GOMAXPROCS(0) == 1
-	if len(c.shards) == 1 || c.serial || c.workers != nil {
-		return
-	}
-	c.panics = make([]any, len(c.shards))
-	c.workers = make([]chan shardCmd, len(c.shards))
-	for i := range c.shards {
-		ch := make(chan shardCmd, 1)
-		c.workers[i] = ch
-		go func(i int, ch chan shardCmd) {
-			for cmd := range ch {
-				c.runShard(i, cmd)
-				c.wwg.Done()
-			}
-		}(i, ch)
-	}
-}
-
-// stopWorkers retires the drain goroutines (Run's defer).
-func (c *ShardedScheduler) stopWorkers() {
-	for _, ch := range c.workers {
-		close(ch)
-	}
-	c.workers = nil
-}
-
-// drain runs shard i's engine per cmd.
-func (c *ShardedScheduler) drain(i int, cmd shardCmd) {
-	eng := c.shards[i].Engine
-	if cmd.excl {
-		eng.RunBefore(cmd.horizon)
-	} else {
-		eng.RunThrough(cmd.horizon)
-	}
-}
-
-// runShard drains shard i per cmd, capturing a panic for the joining
-// barrier to re-raise in shard order.
-func (c *ShardedScheduler) runShard(i int, cmd shardCmd) {
-	defer func() {
-		if p := recover(); p != nil && c.panics[i] == nil {
-			c.panics[i] = p
-		}
-	}()
-	c.drain(i, cmd)
-}
-
-// runSpan drains every shard in c.active per cmd. One active shard (the
-// overwhelmingly common barrier case) runs inline with zero goroutines
-// and zero channel traffic; otherwise the first active shard runs
-// inline while the rest are signaled to their workers, and panics are
-// re-raised in shard order so Run's recover surfaces the same error a
-// serial pass would.
-func (c *ShardedScheduler) runSpan(cmd shardCmd) {
-	active := c.active
-	if len(active) == 0 {
-		return
-	}
-	if len(active) == 1 || c.serial {
-		for _, i := range active {
-			c.drain(i, cmd)
-		}
-		return
-	}
-	c.wwg.Add(len(active) - 1)
-	for _, i := range active[1:] {
-		c.workers[i] <- cmd
-	}
-	c.runShard(active[0], cmd)
-	c.wwg.Wait()
-	for _, i := range active {
-		if p := c.panics[i]; p != nil {
-			c.panics[i] = nil
-			panic(p)
+// runSpan drains every shard in shard order: events strictly before
+// horizon for a free window (excl), through it inclusive for a barrier.
+// A shard with no event in range is untouched — RunBefore and
+// RunThrough never move a clock that has no due event. A panic in a
+// shard event unwinds straight into Run's recover, at the
+// lowest-index panicking shard.
+func (c *ShardedScheduler) runSpan(horizon float64, excl bool) {
+	for _, sh := range c.shards {
+		if excl {
+			sh.Engine.RunBefore(horizon)
+		} else {
+			sh.Engine.RunThrough(horizon)
 		}
 	}
 }
 
-// stealPass runs single-threaded at the barrier: shards are scanned in
+// stealPass runs at the barrier, after every shard drained: shards are scanned in
 // index order; a shard with an empty queue and free capacity claims
 // queue heads from its neighbors (nearest first, wrapping upward) up to
 // min(stealBatch, freeSlots) jobs, then dispatches them at the barrier
@@ -680,52 +574,25 @@ func (c *ShardedScheduler) stealPass(t float64) {
 // Completed returns all finished jobs merged across shards, ordered by
 // (finish time, job id).
 //
-// Each shard appends completions at its own completion events, so the
-// per-shard slices are already in nondecreasing finish order and a
-// linear S-way merge replaces the global sort (which burned ~15% of the
-// sharded bench in comparator closures and 120-byte struct swaps). The
-// rare shard whose same-instant completions landed out of id order
-// falls back to the sort; both paths produce the identical unique
-// (Finished, ID) total order.
+// Each shard appends completions at its own completion events, so its
+// log is already in nondecreasing finish order, save for same-instant
+// completions that landed out of id order. Each log is sorted in place
+// by (Finished, ID) — linear on an already-sorted log — and a linear
+// S-way merge replaces the global sort (which burned ~15% of the
+// sharded bench in comparator closures and 120-byte struct swaps).
 func (c *ShardedScheduler) Completed() []CompletedJob {
 	total := 0
-	sorted := true
 	for _, sh := range c.shards {
+		slices.SortFunc(sh.completed, func(a, b CompletedJob) int { return cmpCompleted(&a, &b) })
 		total += len(sh.completed)
-		for i := 1; sorted && i < len(sh.completed); i++ {
-			a, b := &sh.completed[i-1], &sh.completed[i]
-			if a.Finished > b.Finished || (a.Finished == b.Finished && a.ID > b.ID) {
-				sorted = false
-			}
-		}
 	}
 	out := make([]CompletedJob, 0, total)
-	if !sorted {
-		for _, sh := range c.shards {
-			out = append(out, sh.completed...)
-		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Finished != out[j].Finished {
-				return out[i].Finished < out[j].Finished
-			}
-			return out[i].ID < out[j].ID
-		})
-		return out
-	}
 	idx := make([]int, len(c.shards))
 	for len(out) < total {
 		best := -1
-		for si := range c.shards {
+		for si, sh := range c.shards {
 			i := idx[si]
-			if i >= len(c.shards[si].completed) {
-				continue
-			}
-			if best < 0 {
-				best = si
-				continue
-			}
-			a, b := &c.shards[si].completed[i], &c.shards[best].completed[idx[best]]
-			if a.Finished < b.Finished || (a.Finished == b.Finished && a.ID < b.ID) {
+			if i < len(sh.completed) && (best < 0 || cmpCompleted(&sh.completed[i], &c.shards[best].completed[idx[best]]) < 0) {
 				best = si
 			}
 		}
@@ -733,6 +600,18 @@ func (c *ShardedScheduler) Completed() []CompletedJob {
 		idx[best]++
 	}
 	return out
+}
+
+// cmpCompleted orders completions by (Finished, ID), a total order: a
+// job completes once.
+func cmpCompleted(a, b *CompletedJob) int {
+	switch {
+	case a.Finished < b.Finished:
+		return -1
+	case a.Finished > b.Finished:
+		return 1
+	}
+	return a.ID - b.ID
 }
 
 // EnergyJ sums shard energy in shard order.

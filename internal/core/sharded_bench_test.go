@@ -14,19 +14,21 @@ import (
 var shardsFlag = flag.Int("ecost.shards", 0,
 	"shard count for the sharded online benchmark (0 = size default)")
 
-// benchSharded drives one sharded run and returns completions plus the
-// drive cadence (exact barriers vs free-running windows).
-func benchSharded(b *testing.B, nodes, jobs, shards int, mean float64) (int, BarrierStats) {
+// newBenchSharded builds the sharded benchmarks' run, submitted and
+// ready to Run: cycled WS4 jobs at exponential interarrivals of the
+// given mean, with stealing, ProfileMemo and fast accrual on and no
+// sink attached.
+func newBenchSharded(tb testing.TB, nodes, jobs, shards int, mean float64) *ShardedScheduler {
 	wl, err := Scenario("WS4")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	prof := NewProfiler(fix.model, sim.NewRNG(17))
 	c, err := NewShardedScheduler(fix.model, fix.db, prof,
 		func() STP { return NewMemoSTP(fix.lkt, nil) }, nodes,
 		ShardedConfig{Shards: shards, Steal: true, ProfileMemo: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c.SetFastAccrual(true)
 	rng := sim.NewRNG(18)
@@ -36,6 +38,13 @@ func benchSharded(b *testing.B, nodes, jobs, shards int, mean float64) (int, Bar
 		c.Submit(spec.App, spec.SizeGB, at)
 		at += rng.Exp(mean)
 	}
+	return c
+}
+
+// benchSharded drives one sharded run and returns completions plus the
+// drive cadence (exact barriers vs free-running windows).
+func benchSharded(b *testing.B, nodes, jobs, shards int, mean float64) (int, BarrierStats) {
+	c := newBenchSharded(b, nodes, jobs, shards, mean)
 	if _, _, err := c.Run(); err != nil {
 		b.Fatal(err)
 	}

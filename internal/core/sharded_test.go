@@ -5,12 +5,14 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
 
 	"ecost/internal/audit"
 	"ecost/internal/flight"
+	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
 	"ecost/internal/sim"
 	"ecost/internal/tracing"
@@ -194,7 +196,8 @@ func skewedStream(t *testing.T, jobs int, gap float64) func(c *ShardedScheduler)
 // TestShardedGOMAXPROCSInvariance proves the lock-step epoch loop makes
 // every export a pure function of the stream at any GOMAXPROCS — with
 // stealing off (balanced WS4 stream) and on (skewed single-tenant
-// stream, where the steal pass must actually fire).
+// stream, where the steal pass must actually fire) — and that so is the
+// allocation count of a sink-free run.
 func TestShardedGOMAXPROCSInvariance(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -220,6 +223,87 @@ func TestShardedGOMAXPROCSInvariance(t *testing.T) {
 			}
 			shardedExportsEqual(t, tc.name, base, got)
 		}
+	}
+
+	// Mallocs around Run on the benchmarks' sink-free stream (steal on,
+	// ProfileMemo, fast accrual), after one warm-up run has built the
+	// shared lazy caches. The runtime counts its own bookkeeping (an OS
+	// thread started for a GC worker, a per-P timer heap growing) as
+	// heap objects at unpredictable moments, so the collector is off
+	// while Run is measured and each side keeps its least of three runs:
+	// runtime noise only ever adds.
+	runMallocs := func() uint64 {
+		c := newBenchSharded(t, 256, 2000, 16, 1536.0/256)
+		var before, after runtime.MemStats
+		gc := debug.SetGCPercent(-1)
+		runtime.ReadMemStats(&before)
+		_, _, err := c.Run()
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	runMallocs()
+	var mallocs [2]uint64
+	for i, procs := range []int{1, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		mallocs[i] = min(runMallocs(), runMallocs(), runMallocs())
+		runtime.GOMAXPROCS(old)
+	}
+	if mallocs[0] != mallocs[1] {
+		t.Fatalf("Run allocated %d objects at GOMAXPROCS 1 but %d at 4", mallocs[0], mallocs[1])
+	}
+}
+
+// panicSTP is a tuner whose every pair prediction panics.
+type panicSTP struct{}
+
+func (panicSTP) Name() string { return "panic" }
+
+func (panicSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
+	panic("panicSTP: pair prediction")
+}
+
+// TestShardedRunRecoversShardPanic: a panic inside a shard event — the
+// pair tune of a shard other than 0 — comes back as Run's error,
+// carrying the panic value, instead of crashing the process.
+func TestShardedRunRecoversShardPanic(t *testing.T) {
+	fixture(t)
+	const shards = 4
+	var app workloads.App
+	bad := 0
+	for _, a := range workloads.Training() {
+		if bad = routeShard(a.Name, shards); bad != 0 {
+			app = a
+			break
+		}
+	}
+	if bad == 0 {
+		t.Fatal("every training app routes to shard 0")
+	}
+	built := 0
+	newTuner := func() STP {
+		built++
+		if built-1 == bad {
+			return panicSTP{}
+		}
+		return NewMemoSTP(fix.lkt, nil)
+	}
+	c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(99)),
+		newTuner, 8, ShardedConfig{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four same-tenant jobs at once on a two-node shard: the second one
+	// lands beside a resident, so the shard pair-tunes.
+	for i := 0; i < 4; i++ {
+		c.Submit(app, 5, 0)
+	}
+	_, _, err = c.Run()
+	if err == nil || !strings.Contains(err.Error(), "panicSTP: pair prediction") {
+		t.Fatalf("Run error = %v, want the shard %d panic value", err, bad)
 	}
 }
 

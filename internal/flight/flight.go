@@ -18,10 +18,9 @@
 // BenchmarkDisabledFlightAppend).
 //
 // Determinism contract: the recorder is driven only from the sharded
-// control plane's single-threaded barrier loop (RecordEpoch, Steal)
-// and from per-shard collectors that are written exclusively by their
-// shard's goroutine between barriers (the barrier's WaitGroup
-// establishes the happens-before edge for the drain). Every export —
+// control plane's barrier loop (RecordEpoch, Steal) and from per-shard
+// collectors that are written exclusively by their shard's events
+// between barriers, on the goroutine that drains them. Every export —
 // epoch records, health report, flight dumps — is therefore a pure
 // function of the submitted stream, byte-identical at any GOMAXPROCS.
 // The mutex on Recorder exists only for live HTTP reads during a run;
@@ -149,9 +148,9 @@ type EpochRecord struct {
 // Collector is one shard's epoch-scoped accumulator. The shard's
 // scheduler appends forecast joins and drift alerts as its events run;
 // the recorder drains it at the next barrier. A nil *Collector is
-// valid and disabled. No locking: the owning shard goroutine is the
-// only writer between barriers, and the barrier WaitGroup orders the
-// drain after every write.
+// valid and disabled. No locking: the owning shard's events are the
+// only writer between barriers, and they run on the goroutine that
+// drains the collector at the barrier.
 type Collector struct {
 	joins  int64
 	errSum float64

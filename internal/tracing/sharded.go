@@ -1,7 +1,7 @@
 package tracing
 
 // Sharded tracing: each shard of the sharded control plane owns its own
-// Tracer (written only by that shard's goroutine between barriers, so
+// Tracer (written only by that shard's events between barriers, so
 // span recording needs no cross-shard synchronization), and a ShardSet
 // groups them for export. The merge is deterministic by construction:
 //
