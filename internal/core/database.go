@@ -110,10 +110,6 @@ type BuildOptions struct {
 	// generating ML training rows: every stride-th configuration is
 	// evaluated (1 = all 11,200 per pair). Larger strides build faster.
 	ConfigStride int
-	// Workers sizes the pair-level worker pool (0 = GOMAXPROCS). Results
-	// merge in canonical pair order, so every worker count — including 1,
-	// the serial build — produces an identical database.
-	Workers int
 }
 
 // DefaultBuildOptions matches the paper's setup with a training-tractable
@@ -126,11 +122,11 @@ func DefaultBuildOptions() BuildOptions {
 // search for every known pair and size combination, and assembles the
 // per-class-pair training matrices.
 //
-// Pair jobs fan out over a worker pool (each worker sweeps the joint
-// configuration space through a reused evaluator); results merge back
-// in canonical (i, j) pair order, so the entries, the training rows and
-// everything trained from them are byte-identical to a serial build at
-// any worker count.
+// Pair jobs fan out over a GOMAXPROCS-sized worker pool (each worker
+// sweeps the joint configuration space through a reused evaluator);
+// results merge back in canonical (i, j) pair order, so the entries,
+// the training rows and everything trained from them are byte-identical
+// to a serial build at any worker count.
 func BuildDatabase(profiler *Profiler, oracle *Oracle, training []workloads.App, opt BuildOptions) (*Database, error) {
 	if len(training) == 0 {
 		return nil, fmt.Errorf("core: database: no training applications")
@@ -180,10 +176,7 @@ func BuildDatabase(profiler *Profiler, oracle *Oracle, training []workloads.App,
 	}
 	results := make([]pairResult, len(jobs))
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
@@ -345,10 +338,7 @@ func (db *Database) RebuildRows(opt BuildOptions) error {
 		err  error
 	}
 	results := make([]rowResult, len(jobs))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}

@@ -14,20 +14,21 @@ import (
 	"ecost/internal/workloads"
 )
 
-// buildAt constructs a fresh database with the given worker count,
-// holding everything else (profiler seed, sizes, stride) fixed.
-func buildAt(t *testing.T, workers int) *Database {
+// buildAt constructs a fresh database under GOMAXPROCS procs — which
+// sizes the build's worker pool — holding everything else (profiler
+// seed, sizes, stride) fixed.
+func buildAt(t *testing.T, procs int) *Database {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	oracle := NewOracle(model)
 	profiler := NewProfiler(model, sim.NewRNG(42))
 	db, err := BuildDatabase(profiler, oracle, workloads.Training(), BuildOptions{
 		Sizes:        []float64{1, 5},
 		ConfigStride: 13,
-		Workers:      workers,
 	})
 	if err != nil {
-		t.Fatalf("build (workers=%d): %v", workers, err)
+		t.Fatalf("build (GOMAXPROCS=%d): %v", procs, err)
 	}
 	return db
 }
@@ -57,36 +58,30 @@ func modelBytes(t *testing.T, db *Database) []byte {
 }
 
 // TestParallelBuildMatchesSerial is the determinism contract for the
-// worker-pool database build: any worker count — and any GOMAXPROCS —
-// must produce byte-identical entries, training rows, and trained
-// models. The merge happens in canonical job order and every evaluation
-// is a pure function of its inputs, so the schedule cannot leak into
-// the output.
+// worker-pool database build: the serial build (GOMAXPROCS 1, one
+// worker) and a four-worker build (GOMAXPROCS 4) must produce
+// byte-identical entries, training rows, and trained models. The merge
+// happens in canonical job order and every evaluation is a pure
+// function of its inputs, so the schedule cannot leak into the output.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: serial-vs-parallel build is a full double build")
 	}
 	serial := buildAt(t, 1)
-	serialBytes := modelBytes(t, serial)
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		parallel := buildAt(t, 4)
-		runtime.GOMAXPROCS(prev)
-
-		if !reflect.DeepEqual(serial.Entries, parallel.Entries) {
-			t.Fatalf("GOMAXPROCS=%d: parallel entries diverge from serial build", procs)
+	parallel := buildAt(t, 4)
+	if !reflect.DeepEqual(serial.Entries, parallel.Entries) {
+		t.Fatal("parallel entries diverge from serial build")
+	}
+	if len(serial.Rows) != len(parallel.Rows) {
+		t.Fatalf("row map sizes differ: %d vs %d", len(serial.Rows), len(parallel.Rows))
+	}
+	for cp, rows := range serial.Rows {
+		if !reflect.DeepEqual(rows, parallel.Rows[cp]) {
+			t.Fatalf("training rows for %v diverge", cp)
 		}
-		if len(serial.Rows) != len(parallel.Rows) {
-			t.Fatalf("GOMAXPROCS=%d: row map sizes differ: %d vs %d", procs, len(serial.Rows), len(parallel.Rows))
-		}
-		for cp, rows := range serial.Rows {
-			if !reflect.DeepEqual(rows, parallel.Rows[cp]) {
-				t.Fatalf("GOMAXPROCS=%d: training rows for %v diverge", procs, cp)
-			}
-		}
-		if got := modelBytes(t, parallel); !bytes.Equal(serialBytes, got) {
-			t.Fatalf("GOMAXPROCS=%d: trained LR model bytes diverge from serial build", procs)
-		}
+	}
+	if !bytes.Equal(modelBytes(t, serial), modelBytes(t, parallel)) {
+		t.Fatal("trained LR model bytes diverge from serial build")
 	}
 }
 

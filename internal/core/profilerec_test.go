@@ -12,14 +12,14 @@ import (
 // TestPendingArrivalSize pins the arrival-ring entry at three words: it
 // carries the interned profile by pointer, never an Observation.
 func TestPendingArrivalSize(t *testing.T) {
-	if n := unsafe.Sizeof(pendingArrival{}); n > 32 {
-		t.Fatalf("pendingArrival is %d B, want ≤ 32", n)
+	if n := unsafe.Sizeof(pendingArrival{}); n > 24 {
+		t.Fatalf("pendingArrival is %d B, want ≤ 24", n)
 	}
 }
 
 // TestShardedSubmitWarmZeroAlloc pins the warm ProfileMemo submission:
 // once (app, size) is interned, routing a job copies no observation and
-// allocates nothing. The arrival ring still grows by append, which
+// allocates nothing. The arrival ring still grows by doubling, which
 // AllocsPerRun's whole-allocations-per-call average rounds away.
 func TestShardedSubmitWarmZeroAlloc(t *testing.T) {
 	fixture(t)

@@ -24,6 +24,7 @@ import (
 // configurations. Job progress follows the execution model's fluid
 // contention solver, recomputed whenever a node's resident set changes.
 type shard struct {
+	// Engine is the control plane's one engine, shared by every shard.
 	Engine *sim.Engine
 	Model  *mapreduce.Model
 	DB     *Database
@@ -106,17 +107,6 @@ type shard struct {
 	// them at the next barrier.
 	fl *flight.Collector
 
-	// arrQ is the pending-arrival ring submit fills: instead of one
-	// closure + one engine event per submission, the scheduler keeps a
-	// single in-flight head event (arrFire) that batch-drains every
-	// arrival sharing its timestamp and then re-arms itself at the next
-	// arrival time. arrHead indexes the first undelivered entry. The ring
-	// keeps shard event heaps shallow — a 200k-job stream holds one
-	// pending arrival event instead of 12.5k per shard.
-	arrQ    []pendingArrival
-	arrHead int
-	arrFire func()
-
 	// jobPool / ojPool recycle Job and onlineJob records: both become
 	// unreachable at completion (CompletedJob copies every exported
 	// field; spans, audit rows, and metrics hold ids and strings, never
@@ -131,9 +121,10 @@ type shard struct {
 // applications, and dispatch only targets empty or half-busy nodes.
 const maxPerNode = 2
 
-// pendingArrival is one undelivered submit entry in the ring. It holds
-// the profile by reference, so an entry is three words however large
-// an Observation grows (TestPendingArrivalSize pins it at 32 B or less).
+// pendingArrival is one undelivered submission in the control plane's
+// arrival ring. It holds the profile by reference, and the home shard
+// lives on the record, so an entry is three words however large an
+// Observation grows (TestPendingArrivalSize pins it at 24 B or less).
 type pendingArrival struct {
 	id  int
 	at  float64
@@ -146,14 +137,16 @@ type pendingArrival struct {
 // ProfileMemo, one per job otherwise — and hands them to the home
 // shard by pointer, so the observation is copied once, into the Job.
 //
+// home is the shard the router sends every job holding the record to.
 // The class is computed on first arrival and cached here. Classify is
 // a pure function of the observation, so the cache is bit-identical to
-// classifying every arrival. Only the home shard's goroutine touches a
-// record during Run: routing is by app name, so every job sharing a
-// record shares a home shard, and a stolen job carries its class in
-// the Job instead.
+// classifying every arrival. Only the home shard touches a record
+// during Run: routing is by app name, so every job sharing a record
+// shares a home shard, and a stolen job carries its class in the Job
+// instead.
 type profileRec struct {
 	obs     Observation
+	home    int
 	class   workloads.Class
 	classed bool
 }
@@ -296,8 +289,8 @@ func (s *shard) auditMetrics() {
 }
 
 // setTracer attaches a span tracer to the shard; nil disables. The
-// tracer's clock must be the shard's engine (tracing.New(Engine.Clock()))
-// or span timestamps will not line up with the event log.
+// tracer's clock must be the engine's (tracing.New(Engine.Clock())) or
+// span timestamps will not line up with the event log.
 func (s *shard) setTracer(tr *tracing.Tracer) {
 	s.tracer = tr
 	if tr == nil {
@@ -436,12 +429,13 @@ type onlineNode struct {
 }
 
 // newShard builds a shard over `nodes` single-node lanes whose
-// cluster-global ids start at base, on a fresh engine. The shard never
-// hands out *sim.Event pointers beyond the per-node completion handle
-// it nils on fire, so the engine recycles events.
-func newShard(model *mapreduce.Model, db *Database, tuner STP, nodes, base int) *shard {
+// cluster-global ids start at base, scheduling its events on eng (the
+// control plane's one engine). The shard never holds a *sim.Event past
+// its firing or cancellation — the per-node completion handle is nilled
+// on both — so the engine's event recycling is safe.
+func newShard(eng *sim.Engine, model *mapreduce.Model, db *Database, tuner STP, nodes, base int) *shard {
 	s := &shard{
-		Engine:     sim.NewEngine(),
+		Engine:     eng,
 		Model:      model,
 		DB:         db,
 		Tuner:      tuner,
@@ -449,7 +443,6 @@ func newShard(model *mapreduce.Model, db *Database, tuner STP, nodes, base int) 
 		base:       base,
 		steadyMemo: make(map[steadyKey]steadyVal),
 	}
-	s.Engine.SetRecycle(true)
 	// The idle draw is the same expression Model.Steady evaluates for an
 	// empty spec set, so cached node watts stay bit-identical to a fresh
 	// per-accrual recompute.
@@ -537,60 +530,6 @@ func steadySpecKeyOf(r *onlineJob) steadySpecKey {
 // steadyMemoCap bounds the steady memo.
 const steadyMemoCap = 4096
 
-// submit schedules an arrival whose profile the sharded router measured
-// and interned: the router profiles serially at submission time (in
-// submission order, so the sampler's draw sequence matches the legacy
-// in-event profiling for nondecreasing arrival times) and hands the
-// shard the record plus a router-assigned cluster-global job id.
-// Submissions must be in nondecreasing time order (the router enforces
-// this).
-//
-// Arrivals land in the ring, not the event heap: one AtHead event per
-// shard delivers the ring head, batch-draining everything sharing
-// its timestamp in submission order and re-arming at the next arrival
-// time. The AtHead priority reproduces the legacy ordering exactly —
-// per-job events scheduled before the run always outranked
-// runtime-scheduled completions at equal timestamps via their lower
-// seq, and the ring's head event must too.
-func (s *shard) submit(id int, rec *profileRec, at float64) {
-	s.pending++
-	if s.arrFire == nil {
-		s.arrFire = s.fireArrivals
-	}
-	s.arrQ = append(s.arrQ, pendingArrival{id: id, at: at, rec: rec})
-	if len(s.arrQ)-s.arrHead == 1 {
-		s.Engine.AtHead(at, s.arrFire)
-	}
-}
-
-// fireArrivals delivers every ring entry at the current clock (arrive's
-// per-job work — classify, queue, dispatch — runs in submission order,
-// exactly the sequence back-to-back per-job events produced), then
-// re-arms the head event at the next pending arrival time.
-func (s *shard) fireArrivals() {
-	now := s.Engine.Now()
-	for s.arrHead < len(s.arrQ) && s.arrQ[s.arrHead].at <= now {
-		p := s.arrQ[s.arrHead]
-		s.arrQ[s.arrHead] = pendingArrival{}
-		s.arrHead++
-		s.arrive(p.id, p.rec, p.at)
-	}
-	if s.arrHead < len(s.arrQ) {
-		s.Engine.AtHead(s.arrQ[s.arrHead].at, s.arrFire)
-	} else {
-		s.arrQ = s.arrQ[:0]
-		s.arrHead = 0
-	}
-}
-
-// nextArrival reports the time of the earliest undelivered arrival.
-func (s *shard) nextArrival() (float64, bool) {
-	if s.arrHead == len(s.arrQ) {
-		return 0, false
-	}
-	return s.arrQ[s.arrHead].at, true
-}
-
 // arrive is the in-event half of submission: classify, queue, record,
 // dispatch. The observation's SizeGB doubles as the nominal size
 // (Observe preserves the requested size exactly).
@@ -646,9 +585,9 @@ func (s *shard) reserveCompleted() {
 
 // finishRun closes out a drained run at the engine's current clock:
 // the last accrual interval is integrated and open occupancy spans are
-// finished. The sharded control plane advances every shard to the
-// global makespan first, so every shard bills its idle tail up to the
-// same end time.
+// finished. Every shard shares the control plane's engine, whose clock
+// stops at the global makespan, so every shard bills its idle tail up
+// to the same end time.
 func (s *shard) finishRun() {
 	s.accrueEnergy() // close the last interval
 	if s.tracer != nil {
@@ -666,12 +605,12 @@ func (s *shard) finishRun() {
 func (s *shard) freeSlots() int { return 2*s.freeCnt + s.halfCnt }
 
 // releaseHead removes the wait queue's head for migration to shard
-// `to` at barrier time `at` (the engine must already be advanced to
-// at). The victim records a steal_out span carrying the steal's link
-// id, closes the job's open spans, and forgets it — the audit record
-// stays submit-only, documenting where the job first landed — while
-// the thief re-registers it under the same global id. Returns nil when
-// the queue is empty.
+// `to` at barrier time `at` (the engine clock reads at). The victim
+// records a steal_out span carrying the steal's link id, closes the
+// job's open spans, and forgets it — the audit record stays
+// submit-only, documenting where the job first landed — while the
+// thief re-registers it under the same global id. Returns nil when the
+// queue is empty.
 func (s *shard) releaseHead(at float64, to, link int) *Job {
 	j := s.queue.PopHead()
 	if j == nil {
@@ -700,12 +639,12 @@ func (s *shard) releaseHead(at float64, to, link int) *Job {
 }
 
 // acceptStolen registers a job claimed from neighbor shard `from` at
-// barrier time `at` (the engine must already be advanced to at). The
-// job keeps its global id, observation, class, and original arrival
-// time — wait-latency metrics still measure from first submission —
-// and opens fresh spans (plus a steal_in span linked to the victim's
-// steal_out through `link`) and a fresh audit record in this shard's
-// exports. The caller dispatches after the claim batch.
+// barrier time `at` (the engine clock reads at). The job keeps its
+// global id, observation, class, and original arrival time —
+// wait-latency metrics still measure from first submission — and opens
+// fresh spans (plus a steal_in span linked to the victim's steal_out
+// through `link`) and a fresh audit record in this shard's exports.
+// The caller dispatches after the claim batch.
 func (s *shard) acceptStolen(j *Job, from int, at float64, link int) {
 	s.pending++
 	s.queue.Push(j)

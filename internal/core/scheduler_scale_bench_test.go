@@ -12,13 +12,12 @@ import (
 )
 
 // tracedBusyScheduler builds a fully instrumented 4-node shard with
-// every node co-running two WS4 jobs: arrivals are submitted at t=0 and
-// the engine is stepped through the one ring event that delivers them
-// all, so the placements happen but no completion has fired yet.
+// every node co-running two WS4 jobs: eight arrivals are delivered at
+// t=0, so the placements happen but no completion has fired yet.
 func tracedBusyScheduler(tb testing.TB) *shard {
 	tb.Helper()
 	fixture(tb)
-	s := newShard(fix.model, fix.db, fix.lkt, 4, 0)
+	s := newShard(sim.NewEngine(), fix.model, fix.db, fix.lkt, 4, 0)
 	s.setMetrics(metrics.NewRegistry())
 	s.setTracer(tracing.New(s.Engine.Clock()))
 	s.setAudit(audit.NewLog(audit.DriftConfig{}))
@@ -32,10 +31,8 @@ func tracedBusyScheduler(tb testing.TB) *shard {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		s.submit(i, &profileRec{obs: obs}, 0)
-	}
-	if !s.Engine.Step() {
-		tb.Fatal("engine drained before the arrivals fired")
+		s.pending++
+		s.arrive(i, &profileRec{obs: obs}, 0)
 	}
 	for _, n := range s.nodes {
 		if len(n.residents) == 0 {
@@ -79,7 +76,7 @@ func disabledScheduler(tb testing.TB) *shard {
 	tb.Helper()
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	db := &Database{}
-	return newShard(model, db, &LkTSTP{DB: db}, 1, 0)
+	return newShard(sim.NewEngine(), model, db, &LkTSTP{DB: db}, 1, 0)
 }
 
 // BenchmarkDisabledDepthSample measures sampleDepth with observability

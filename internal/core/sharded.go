@@ -8,24 +8,22 @@ package core
 // decision logs, completions, energy — is a pure function of the
 // submitted stream, and steals fire at deterministic sim times.
 //
-// Run drains every shard on the calling goroutine, in shard order
-// (DESIGN.md §21): the shards share no mutable state between barriers,
-// so the order is invisible in every export, and per-shard worker
-// goroutines measured slower on two cores than this drive on one.
+// One engine drives every shard (DESIGN.md §22): the control plane
+// owns the only event heap and the only pending-arrival ring, and each
+// shard schedules its events on that heap. The shards share no mutable
+// state between steal passes, so interleaving their events in one
+// (time, seq) order is invisible in every export.
 //
-// Barriers are elided wherever cross-shard interaction is provably
-// impossible (DESIGN.md §17). The steal pass is the only cross-shard
-// interaction, and a queue can only grow at an arrival event — every
-// arrival is submitted before Run, so the arrival timeline is fully
-// known. Whenever all wait queues are empty, no steal can fire at any
-// barrier before the next arrival, and every shard free-runs through
-// that window; with stealing off the whole run is one window. An
-// attached flight recorder pins the exact lock-step cadence, because
+// The steal pass is the only cross-shard interaction, and it runs only
+// at barrier times (DESIGN.md §17): a wait queue can only grow at an
+// arrival, and every arrival is submitted before Run, so a steal can
+// fire at t only if some queue is non-empty before t's events or an
+// arrival is due at t. Every other event time runs without one. An
+// attached flight recorder makes every event time a barrier, because
 // epoch records sample every shard at every global event time.
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"ecost/internal/audit"
@@ -33,6 +31,7 @@ import (
 	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
 	"ecost/internal/power"
+	"ecost/internal/sim"
 	"ecost/internal/tracing"
 	"ecost/internal/workloads"
 )
@@ -59,7 +58,7 @@ type ShardedConfig struct {
 const stealBatch = 8
 
 // ShardedScheduler is the online form of ECoST (Figure 4): S per-shard
-// schedulers over disjoint node slices, driven in lock-step epochs. It
+// schedulers over disjoint node slices, driven by one event engine. It
 // is the only online scheduler — Shards: 1 runs the whole cluster as
 // one shard. Build with NewShardedScheduler, attach observability
 // (SetMetrics, SetAudit, SetTracer, SetFlight — one sink per shard),
@@ -68,6 +67,17 @@ type ShardedScheduler struct {
 	cfg    ShardedConfig
 	shards []*shard
 	prof   *Profiler
+
+	// eng is the one event engine every shard schedules on. arrQ is the
+	// pending-arrival ring Submit fills: instead of one closure and one
+	// engine event per submission, a single in-flight AtHead event
+	// (arrFire) delivers every arrival sharing its timestamp to its home
+	// shard, in submission order, and re-arms at the next arrival time.
+	// arrHead indexes the first undelivered entry.
+	eng     *sim.Engine
+	arrQ    []pendingArrival
+	arrHead int
+	arrFire func()
 
 	// memo interns router profiles under ProfileMemo: one record per
 	// (app, size). recs is the chunk new records are carved from; a
@@ -84,7 +94,7 @@ type ShardedScheduler struct {
 	// Run returns it without driving anything.
 	err error
 
-	// stats counts barriers executed vs elided.
+	// stats counts barrier and window event times.
 	stats BarrierStats
 
 	// flight is the barrier-epoch flight recorder (nil = off; see
@@ -97,11 +107,12 @@ type ShardedScheduler struct {
 }
 
 // BarrierStats counts how the run's event work was driven. Barriers is
-// the number of exact lock-step barrier iterations (each with a steal
-// pass); Windows is the number of barrier-free free-running spans;
-// WindowEvents is how many events fired inside those spans — each would
-// have cost roughly one global barrier under the lock-step cadence, so
-// it measures the barriers elided.
+// the number of barrier iterations: event times followed by a steal
+// pass or a flight epoch (DESIGN.md §22 defines which times those are).
+// Windows is the number of maximal runs of the other event times, and
+// WindowEvents how many events fired in them — each would have cost
+// one barrier under the full cadence a flight recorder pins, so it
+// measures the barriers elided.
 type BarrierStats struct {
 	Barriers     int64
 	Windows      int64
@@ -158,7 +169,8 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 	if newTuner == nil {
 		return nil, fmt.Errorf("core: sharded scheduler: nil tuner factory")
 	}
-	c := &ShardedScheduler{cfg: cfg, prof: prof}
+	c := &ShardedScheduler{cfg: cfg, prof: prof, eng: sim.NewEngine()}
+	c.arrFire = c.fireArrivals
 	if cfg.ProfileMemo {
 		c.memo = make(map[profileKey]*profileRec)
 	}
@@ -172,7 +184,7 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 		if tuner == nil {
 			return nil, fmt.Errorf("core: sharded scheduler: tuner factory returned nil for shard %d", i)
 		}
-		c.shards = append(c.shards, newShard(model, db, tuner, n, base))
+		c.shards = append(c.shards, newShard(c.eng, model, db, tuner, n, base))
 		base += n
 	}
 	return c, nil
@@ -233,7 +245,7 @@ func (c *ShardedScheduler) SetAudit(logs []*audit.Log) {
 }
 
 // SetTracer attaches a sharded span tracer: one fresh Tracer per shard
-// — reading that shard's engine clock, stamped with its shard index —
+// — reading the engine clock, stamped with its shard index —
 // appended to ts in shard order. Call before the first Submit on a
 // fresh ShardSet; pass nil to detach every shard. Each shard's tracer
 // is written only by that shard's events between barriers (plus the
@@ -245,7 +257,7 @@ func (c *ShardedScheduler) SetTracer(ts *tracing.ShardSet) {
 			sh.setTracer(nil)
 			continue
 		}
-		tr := tracing.New(sh.Engine.Clock())
+		tr := tracing.New(c.eng.Clock())
 		ts.Attach(tr)
 		sh.setTracer(tr)
 	}
@@ -289,7 +301,7 @@ func memoOf(t STP) *MemoSTP {
 	return nil
 }
 
-// Submit routes a job arrival to its home shard. Arrivals must be
+// Submit queues a job arrival for its home shard. Arrivals must be
 // submitted in nondecreasing time order: the router profiles serially
 // at submission, in submission order, so the sampler's draw sequence is
 // the stream's arrival order (every stream source — scenario
@@ -310,21 +322,54 @@ func (c *ShardedScheduler) Submit(app workloads.App, sizeGB, at float64) {
 		c.err = fmt.Errorf("core: sharded profile: %w", err)
 		return
 	}
-	id := c.nextID
+	c.shards[rec.home].pending++
+	if len(c.arrQ) == cap(c.arrQ) {
+		// Double a full ring, as the completion log does: append's
+		// 1.25× step for large slices allocates about five times the
+		// final ring.
+		c.arrQ = slices.Grow(c.arrQ, len(c.arrQ)+1)
+	}
+	c.arrQ = append(c.arrQ, pendingArrival{id: c.nextID, at: at, rec: rec})
 	c.nextID++
-	c.shards[routeShard(app.Name, len(c.shards))].submit(id, rec, at)
+	if len(c.arrQ)-c.arrHead == 1 {
+		c.eng.AtHead(at, c.arrFire)
+	}
+}
+
+// fireArrivals is the ring's head event: it delivers every arrival due
+// at the current clock to its home shard in submission order — each
+// shard's arrive runs classify, queue and dispatch exactly as a per-job
+// event would — then re-arms at the next pending arrival time. AtHead
+// keeps arrivals ahead of same-instant completions, as per-job arrival
+// events scheduled before the run would be: their submission-time seq
+// always undercut runtime-scheduled events.
+func (c *ShardedScheduler) fireArrivals() {
+	now := c.eng.Now()
+	for c.arrHead < len(c.arrQ) && c.arrQ[c.arrHead].at <= now {
+		p := c.arrQ[c.arrHead]
+		c.arrQ[c.arrHead] = pendingArrival{}
+		c.arrHead++
+		c.shards[p.rec.home].arrive(p.id, p.rec, p.at)
+	}
+	if c.arrHead < len(c.arrQ) {
+		c.eng.AtHead(c.arrQ[c.arrHead].at, c.arrFire)
+	} else {
+		c.arrQ = c.arrQ[:0]
+		c.arrHead = 0
+	}
 }
 
 // profile returns the interned record for one submission: under
 // ProfileMemo the (app, size) record, profiled exactly on first sight;
-// otherwise a fresh record holding this job's noisy profile.
+// otherwise a fresh record holding this job's noisy profile. A new
+// record is homed on the app's shard.
 func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileRec, error) {
 	if c.memo == nil {
 		obs, err := c.prof.Observe(app, sizeGB)
 		if err != nil {
 			return nil, err
 		}
-		return c.intern(obs), nil
+		return c.intern(obs, app.Name), nil
 	}
 	k := profileKey{app.Name, sizeGB}
 	if rec, ok := c.memo[k]; ok {
@@ -334,7 +379,7 @@ func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileR
 	if err != nil {
 		return nil, err
 	}
-	rec := c.intern(obs)
+	rec := c.intern(obs, app.Name)
 	c.memo[k] = rec
 	return rec, nil
 }
@@ -342,25 +387,28 @@ func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileR
 // recChunk is how many records one store chunk holds.
 const recChunk = 256
 
-// intern stores obs in a new record: one allocation per recChunk
-// records, instead of one per record or a store that regrows.
-func (c *ShardedScheduler) intern(obs Observation) *profileRec {
+// intern stores obs in a new record homed on app's shard: one
+// allocation per recChunk records, instead of one per record or a
+// store that regrows.
+func (c *ShardedScheduler) intern(obs Observation, app string) *profileRec {
 	if len(c.recs) == cap(c.recs) {
 		c.recs = make([]profileRec, 0, recChunk)
 	}
-	c.recs = append(c.recs, profileRec{obs: obs})
+	c.recs = append(c.recs, profileRec{obs: obs, home: routeShard(app, len(c.shards))})
 	return &c.recs[len(c.recs)-1]
 }
 
-// BarrierStats reports how the last Run drove the shards: exact
-// barriers executed vs events fired inside free-running windows.
+// BarrierStats reports how the last Run drove the shards: barriers
+// executed vs events fired between them.
 func (c *ShardedScheduler) BarrierStats() BarrierStats { return c.stats }
 
 // Run drives all shards to completion and returns the global makespan
 // and summed energy, or the first bad submission's error without
-// driving anything. After the last event every shard is advanced to the
-// global makespan and closed out, so every shard bills its trailing
-// idle energy up to the same end time.
+// driving anything. A panic in a shard event surfaces as the error, at
+// the first panicking event in (time, seq) order. After the last event
+// the engine clock is the global makespan, and every shard is closed
+// out there, so every shard bills its trailing idle energy up to the
+// same end time.
 func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	if c.err != nil {
 		return 0, 0, c.err
@@ -381,14 +429,8 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	if pending > 0 {
 		return 0, 0, fmt.Errorf("core: sharded scheduler: %d jobs never completed", pending)
 	}
-	end := 0.0
+	end := c.eng.Now()
 	for _, sh := range c.shards {
-		if now := sh.Engine.Now(); now > end {
-			end = now
-		}
-	}
-	for _, sh := range c.shards {
-		sh.Engine.AdvanceTo(end)
 		sh.finishRun()
 	}
 	if c.flight != nil {
@@ -399,27 +441,29 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	return end, c.EnergyJ(), nil
 }
 
-// drive is the event loop (DESIGN.md §17). At the global next-event
-// time t it asks horizon how far the shards may run without a barrier:
-// past t, every shard drains its events strictly before the horizon (a
-// free window); at t, one exact barrier drains the events at t, then
-// the steal pass runs (stealing on) and the flight recorder closes an
-// epoch (recorder attached).
+// drive is the event loop (DESIGN.md §22). At the next event time t it
+// fires every event at t; at a barrier time the steal pass (stealing
+// on) and the flight epoch (recorder attached) follow.
 func (c *ShardedScheduler) drive() {
+	inWindow := false
 	for {
-		t := c.nextBarrier()
-		if math.IsInf(t, 1) {
+		t, ok := c.eng.NextAt()
+		if !ok {
 			return
 		}
-		if h := c.horizon(t); h > t {
-			fired := c.totalFired()
-			c.stats.Windows++
-			c.runSpan(h, true)
-			c.stats.WindowEvents += c.totalFired() - fired
+		barrier := c.barrierAt(t)
+		fired := c.eng.Fired()
+		c.eng.RunThrough(t)
+		if !barrier {
+			if !inWindow {
+				c.stats.Windows++
+				inWindow = true
+			}
+			c.stats.WindowEvents += c.eng.Fired() - fired
 			continue
 		}
+		inWindow = false
 		c.stats.Barriers++
-		c.runSpan(t, false)
 		if c.cfg.Steal {
 			c.stealPass(t)
 		}
@@ -429,51 +473,29 @@ func (c *ShardedScheduler) drive() {
 	}
 }
 
-// horizon returns how far past the global next-event time t the shards
-// may free-run:
+// barrierAt reports whether event time t needs a barrier, read before
+// t's events fire:
 //
-//   - t (no window) when a flight recorder is attached: epoch records
-//     sample every shard at every global event time;
-//   - +Inf with stealing off: shards share no mutable state at all, so
-//     the whole run is one window and the exports merge afterwards;
-//   - t while any wait queue is non-empty: the steal pass may fire;
-//   - otherwise the next arrival time. A wait queue grows only at an
-//     arrival event (WaitQueue.Push is reached from arrive and
-//     acceptStolen alone) and every arrival time is known before Run,
-//     so with every queue empty the steal pass is a no-op at every
-//     barrier before the next arrival — precisely its own early-out.
-func (c *ShardedScheduler) horizon(t float64) float64 {
+//   - always with a flight recorder attached: epoch records sample
+//     every shard at every global event time;
+//   - never with stealing off: shards share no mutable state at all;
+//   - otherwise exactly when the steal pass could move a job at t:
+//     some wait queue is non-empty, or an arrival is due at t. A wait
+//     queue grows only at an arrival (WaitQueue.Push is reached from
+//     arrive and acceptStolen alone), so with every queue empty and no
+//     arrival at t the pass would early-out.
+//
+// Every arrival before t has fired (the ring's head event sits at the
+// first undelivered arrival time, and t is the engine's minimum), so
+// the ring head is due at t exactly when its time is t.
+func (c *ShardedScheduler) barrierAt(t float64) bool {
 	switch {
 	case c.flight != nil:
-		return t
+		return true
 	case !c.cfg.Steal:
-		return math.Inf(1)
-	case c.anyQueued():
-		return t
+		return false
 	}
-	// Every arrival strictly before t has fired: each shard's earliest
-	// unfired arrival keeps a pending event at its time, so the global
-	// min next-event time t bounds it. The earliest arrival ring head
-	// is therefore the first arrival at or after t.
-	next := math.Inf(1)
-	for _, sh := range c.shards {
-		if at, ok := sh.nextArrival(); ok && at < next {
-			next = at
-		}
-	}
-	return next
-}
-
-// nextBarrier returns the minimum next-event time across shards (+Inf
-// when every engine is drained).
-func (c *ShardedScheduler) nextBarrier() float64 {
-	t := math.Inf(1)
-	for _, sh := range c.shards {
-		if at, ok := sh.Engine.NextAt(); ok && at < t {
-			t = at
-		}
-	}
-	return t
+	return (c.arrHead < len(c.arrQ) && c.arrQ[c.arrHead].at <= t) || c.anyQueued()
 }
 
 // anyQueued reports whether any shard has queued work — the
@@ -487,36 +509,11 @@ func (c *ShardedScheduler) anyQueued() bool {
 	return false
 }
 
-// totalFired sums shard event counts (window accounting).
-func (c *ShardedScheduler) totalFired() int64 {
-	var n int64
-	for _, sh := range c.shards {
-		n += sh.Engine.Fired()
-	}
-	return n
-}
-
-// runSpan drains every shard in shard order: events strictly before
-// horizon for a free window (excl), through it inclusive for a barrier.
-// A shard with no event in range is untouched — RunBefore and
-// RunThrough never move a clock that has no due event. A panic in a
-// shard event unwinds straight into Run's recover, at the
-// lowest-index panicking shard.
-func (c *ShardedScheduler) runSpan(horizon float64, excl bool) {
-	for _, sh := range c.shards {
-		if excl {
-			sh.Engine.RunBefore(horizon)
-		} else {
-			sh.Engine.RunThrough(horizon)
-		}
-	}
-}
-
-// stealPass runs at the barrier, after every shard drained: shards are scanned in
-// index order; a shard with an empty queue and free capacity claims
-// queue heads from its neighbors (nearest first, wrapping upward) up to
-// min(stealBatch, freeSlots) jobs, then dispatches them at the barrier
-// time. Everything here is a function of shard state and t alone, so a
+// stealPass runs at the barrier, after every event at t fired: shards
+// are scanned in index order; a shard with an empty queue and free
+// capacity claims queue heads from its neighbors (nearest first,
+// wrapping upward) up to min(stealBatch, freeSlots) jobs, then
+// dispatches them at the barrier time. Everything here is a function of shard state and t alone, so a
 // steal that fires at t fires at t in every run of the same stream.
 func (c *ShardedScheduler) stealPass(t float64) {
 	if !c.anyQueued() {
@@ -539,7 +536,6 @@ func (c *ShardedScheduler) stealPass(t float64) {
 			vi := (i + k) % s
 			victim := c.shards[vi]
 			for budget > 0 && victim.queue.Len() > 0 {
-				victim.Engine.AdvanceTo(t)
 				// The link id is the global steal sequence number — a
 				// function of shard state and t alone, so the victim's
 				// steal_out span and the thief's steal_in span carry
@@ -549,7 +545,6 @@ func (c *ShardedScheduler) stealPass(t float64) {
 				if j == nil {
 					break
 				}
-				thief.Engine.AdvanceTo(t)
 				thief.acceptStolen(j, vi, t, link)
 				// The job retires into the thief's pool; hand the victim a
 				// pooled record back, so one-way steals do not leave the

@@ -42,7 +42,7 @@ func newBenchSharded(tb testing.TB, nodes, jobs, shards int, mean float64) *Shar
 }
 
 // benchSharded drives one sharded run and returns completions plus the
-// drive cadence (exact barriers vs free-running windows).
+// drive cadence (exact barriers vs windows).
 func benchSharded(b *testing.B, nodes, jobs, shards int, mean float64) (int, BarrierStats) {
 	c := newBenchSharded(b, nodes, jobs, shards, mean)
 	if _, _, err := c.Run(); err != nil {
@@ -87,8 +87,8 @@ func BenchmarkOnlineShardedCluster(b *testing.B) {
 // stream at half the sharded benchmark's offered load, so wait queues
 // drain between arrival clusters and the control plane alternates
 // between exact barriers (queues non-empty — a thief/victim pairing
-// could exist) and free-running windows (all queues empty — shards
-// drain to the next arrival with no synchronization). Reported metrics:
+// could exist) and windows (all queues empty — events fire up to the
+// next arrival with no steal pass). Reported metrics:
 // %elided is the share of events fired inside windows rather than under
 // barriers, ns/epoch the mean drive-step cost across both kinds. The
 // guard gates ns/op and allocs/op like every other throughput entry.

@@ -14,8 +14,8 @@ import (
 
 // TestShardedElisionMatchesFullBarriers is the tentpole property: for
 // every seed × shard count × steal mode, the barrier-eliding drive
-// (free-running windows wherever no thief/victim pairing can exist)
-// must be byte-identical to the exact full-barrier cadence a flight
+// (no steal pass wherever no thief/victim pairing can exist) must be
+// byte-identical to the exact full-barrier cadence a flight
 // recorder pins — makespan and energy bits, per-shard metrics
 // snapshots, span timelines, and decision JSONL. The dense streams
 // force queueing (and steals, when enabled) so the exact-barrier

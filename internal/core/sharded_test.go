@@ -50,8 +50,8 @@ func runSharded(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *Shard
 }
 
 // runShardedMode is runSharded with the drive cadence explicit:
-// recorded true attaches a flight recorder, which pins the exact
-// lock-step cadence the elision goldens diff against.
+// recorded true attaches a flight recorder, which makes every event
+// time a barrier — the full cadence the elision goldens diff against.
 func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, recorded bool, submit func(c *ShardedScheduler)) shardedResult {
 	t.Helper()
 	fixture(t)
@@ -130,7 +130,7 @@ func submitWS4(t *testing.T) func(c *ShardedScheduler) {
 // makespan and energy bits, metrics snapshot, span timeline, decision
 // JSONL — under every control-plane setting that has no effect with a
 // single shard: the steal pass (no neighbor to claim from) and the
-// flight recorder's pinned lock-step cadence, at GOMAXPROCS 1 and 4.
+// flight recorder's pinned full barrier cadence, at GOMAXPROCS 1 and 4.
 // The router profiles serially at submission instead of inside arrival
 // events, so this also proves the profiling-order contract
 // (nondecreasing arrivals ⇒ identical sampler draws) on every path.
@@ -193,7 +193,7 @@ func skewedStream(t *testing.T, jobs int, gap float64) func(c *ShardedScheduler)
 	}
 }
 
-// TestShardedGOMAXPROCSInvariance proves the lock-step epoch loop makes
+// TestShardedGOMAXPROCSInvariance proves the one-engine drive makes
 // every export a pure function of the stream at any GOMAXPROCS — with
 // stealing off (balanced WS4 stream) and on (skewed single-tenant
 // stream, where the steal pass must actually fire) — and that so is the

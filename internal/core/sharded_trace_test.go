@@ -183,7 +183,7 @@ func TestShardedStealFlowPairs(t *testing.T) {
 
 // TestShardedTraceEnergyConservation extends the conservation
 // invariants shard-wise: per shard, the node-occupancy spans integrate
-// exactly that shard's engine energy; summed over shards they match
+// exactly that shard's accrued energy; summed over shards they match
 // the global total the merged report prints; and the merged run spans
 // carry exactly the solo+co-located share.
 func TestShardedTraceEnergyConservation(t *testing.T) {

@@ -18,8 +18,8 @@ type ShardSweepPoint struct {
 	Makespan   float64
 	EnergyJ    float64
 	Steals     int
-	Barriers   int64 // exact lock-step barrier iterations (steal passes)
-	Windows    int64 // free-running barrier-free spans
+	Barriers   int64 // barrier iterations (steal passes)
+	Windows    int64 // maximal runs of barrier-free event times
 	Elided     int64 // events fired inside windows (barriers elided)
 }
 

@@ -51,11 +51,14 @@ type Engine struct {
 	events  eventHeap
 	fired   int64
 
-	// recycle enables the event free-list: fired and cancelled Events
-	// are reused by later At/After/AtHead calls instead of allocated
-	// fresh. See SetRecycle for the aliasing contract.
-	recycle bool
-	free    []*Event
+	// free is the event free-list: fired and cancelled Events are
+	// reused by later At/After/AtHead calls instead of allocated fresh.
+	// Recycling changes nothing observable about event ordering, but it
+	// does alias Event pointers across logical events — callers must
+	// drop every *Event they hold once it has fired or been cancelled
+	// (the scheduler's per-node completion event, the only retained
+	// handle in this codebase, does exactly that).
+	free []*Event
 }
 
 // NewEngine returns a kernel with the clock at zero.
@@ -74,21 +77,8 @@ func (e *Engine) Clock() func() float64 {
 // Fired reports how many events have run so far.
 func (e *Engine) Fired() int64 { return e.fired }
 
-// Pending reports how many events are scheduled but not yet fired.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// SetRecycle toggles the event free-list: when on, Events retired by
-// Step and Cancel are reused by later At/After/AtHead calls. Recycling
-// changes nothing observable about event ordering, but it does alias
-// Event pointers across logical events — callers must drop every *Event
-// they hold once it has fired or been cancelled (the scheduler's
-// per-node completion event, the only retained handle in this codebase,
-// does exactly that). Off by default; the sharded control plane turns
-// it on for its shard engines.
-func (e *Engine) SetRecycle(v bool) { e.recycle = v }
-
-// alloc returns a zeroed-for-reuse Event, from the free-list when
-// recycling is on and one is available.
+// alloc returns a zeroed-for-reuse Event, from the free-list when one
+// is available.
 func (e *Engine) alloc(t float64, fn func(), seq int64) *Event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -147,17 +137,14 @@ func (e *Engine) Cancel(ev *Event) bool {
 	}
 	heap.Remove(&e.events, ev.index)
 	ev.index = -1
-	if e.recycle {
-		ev.Fire = nil
-		e.free = append(e.free, ev)
-	}
+	ev.Fire = nil
+	e.free = append(e.free, ev)
 	return true
 }
 
 // NextAt peeks at the timestamp of the next scheduled event without
 // firing it. It reports false when no events are pending. The sharded
-// control plane uses it to compute the global epoch barrier (the
-// minimum next-event time across all shard engines).
+// control plane's drive reads it to pick the next global event time.
 func (e *Engine) NextAt() (float64, bool) {
 	if len(e.events) == 0 {
 		return 0, false
@@ -166,43 +153,14 @@ func (e *Engine) NextAt() (float64, bool) {
 }
 
 // RunThrough fires every event with a timestamp at or before t, in
-// (At, seq) order, and stops without advancing the clock past the last
-// fired event. Unlike Run(horizon) it never moves the clock to t when
-// no event lands exactly there — shards that sit out an epoch keep
-// their own clock, so per-shard accrual intervals stay exactly the
-// intervals their own events delimit.
+// (At, seq) order, including events those callbacks schedule at or
+// before t, and stops without advancing the clock past the last fired
+// event: it never moves the clock to t when no event lands exactly
+// there.
 func (e *Engine) RunThrough(t float64) {
 	for len(e.events) > 0 && e.events[0].At <= t {
 		e.Step()
 	}
-}
-
-// RunBefore fires every event with a timestamp strictly before t, in
-// (At, seq) order, with RunThrough's clock semantics (the clock stops at
-// the last fired event, never at t). The sharded control plane's
-// free-running windows use it: shards drain everything up to — but
-// excluding — the next global arrival time, which is the first instant
-// cross-shard interaction (a steal) could possibly occur. RunBefore(+Inf)
-// drains the engine completely.
-func (e *Engine) RunBefore(t float64) {
-	for len(e.events) > 0 && e.events[0].At < t {
-		e.Step()
-	}
-}
-
-// AdvanceTo moves the clock forward to t without firing anything.
-// Jumping over a pending event would violate causality, so it panics if
-// one is scheduled before t; callers use it only at epoch barriers
-// (after RunThrough drained everything at or before t) and when closing
-// a drained shard out to the global makespan.
-func (e *Engine) AdvanceTo(t float64) {
-	if t <= e.now {
-		return
-	}
-	if len(e.events) > 0 && e.events[0].At < t {
-		panic("sim: AdvanceTo would skip a pending event")
-	}
-	e.now = t
 }
 
 // Step fires the next event, advancing the clock to its timestamp.
@@ -216,24 +174,9 @@ func (e *Engine) Step() bool {
 	e.now = ev.At
 	e.fired++
 	ev.Fire()
-	if e.recycle {
-		// Retire after Fire so a callback cancelling or inspecting the
-		// firing event never races its own reuse.
-		ev.Fire = nil
-		e.free = append(e.free, ev)
-	}
+	// Retire after Fire so a callback cancelling or inspecting the
+	// firing event never races its own reuse.
+	ev.Fire = nil
+	e.free = append(e.free, ev)
 	return true
-}
-
-// Run fires events until none remain or the clock passes horizon
-// (horizon <= 0 means no limit). It returns the final clock value.
-func (e *Engine) Run(horizon float64) float64 {
-	for len(e.events) > 0 {
-		if horizon > 0 && e.events[0].At > horizon {
-			e.now = horizon
-			break
-		}
-		e.Step()
-	}
-	return e.now
 }

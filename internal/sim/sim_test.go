@@ -103,7 +103,7 @@ func TestEngineOrdering(t *testing.T) {
 	e.At(3, func() { order = append(order, 3) })
 	e.At(1, func() { order = append(order, 1) })
 	e.At(2, func() { order = append(order, 2) })
-	e.Run(0)
+	e.RunThrough(math.Inf(1))
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events fired out of order: %v", order)
 	}
@@ -119,7 +119,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 		i := i
 		e.At(5, func() { order = append(order, i) })
 	}
-	e.Run(0)
+	e.RunThrough(math.Inf(1))
 	if !sort.IntsAreSorted(order) {
 		t.Fatalf("same-timestamp events not FIFO: %v", order)
 	}
@@ -136,28 +136,12 @@ func TestEngineCascade(t *testing.T) {
 		}
 	}
 	e.After(1, tick)
-	e.Run(0)
+	e.RunThrough(math.Inf(1))
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
 	}
 	if e.Now() != 100 {
 		t.Fatalf("clock = %v, want 100", e.Now())
-	}
-}
-
-func TestEngineHorizon(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	e.At(10, func() { fired = true })
-	e.Run(5)
-	if fired {
-		t.Fatal("event past horizon fired")
-	}
-	if e.Now() != 5 {
-		t.Fatalf("clock = %v, want horizon 5", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
 	}
 }
 
@@ -171,7 +155,7 @@ func TestEngineCancel(t *testing.T) {
 	if e.Cancel(ev) {
 		t.Fatal("double Cancel returned true")
 	}
-	e.Run(0)
+	e.RunThrough(math.Inf(1))
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -183,7 +167,7 @@ func TestEnginePastSchedulingClamped(t *testing.T) {
 	e.At(5, func() {
 		e.At(1, func() { at = e.Now() }) // in the past: clamped to now
 	})
-	e.Run(0)
+	e.RunThrough(math.Inf(1))
 	if at != 5 {
 		t.Fatalf("past-scheduled event fired at %v, want 5", at)
 	}
@@ -259,51 +243,6 @@ func TestEngineRunThroughCascades(t *testing.T) {
 	}
 }
 
-func TestEngineAdvanceTo(t *testing.T) {
-	e := NewEngine()
-	e.AdvanceTo(4)
-	if e.Now() != 4 {
-		t.Fatalf("Now = %v, want 4", e.Now())
-	}
-	e.AdvanceTo(2) // backward: no-op
-	if e.Now() != 4 {
-		t.Fatalf("Now = %v after backward AdvanceTo, want 4", e.Now())
-	}
-	e.At(6, func() {})
-	e.AdvanceTo(6) // exactly at the pending event: allowed
-	if e.Now() != 6 {
-		t.Fatalf("Now = %v, want 6", e.Now())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdvanceTo past a pending event did not panic")
-		}
-	}()
-	e.AdvanceTo(7)
-}
-
-func TestEngineRunBefore(t *testing.T) {
-	e := NewEngine()
-	var fired []float64
-	for _, at := range []float64{1, 2, 2, 3} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	// Strictly before: events at the horizon stay pending.
-	e.RunBefore(2)
-	if len(fired) != 1 || fired[0] != 1 {
-		t.Fatalf("RunBefore(2) fired %v, want [1]", fired)
-	}
-	if e.Now() != 1 {
-		t.Fatalf("Now = %v after RunBefore(2), want 1", e.Now())
-	}
-	// +Inf drains everything.
-	e.RunBefore(math.Inf(1))
-	if len(fired) != 4 || e.Now() != 3 {
-		t.Fatalf("RunBefore(+Inf) fired %v Now %v, want all 4 events and Now=3", fired, e.Now())
-	}
-}
-
 func TestEngineAtHeadPriority(t *testing.T) {
 	e := NewEngine()
 	var got []string
@@ -312,7 +251,7 @@ func TestEngineAtHeadPriority(t *testing.T) {
 	e.At(5, func() { got = append(got, "at") })
 	e.AtHead(5, func() { got = append(got, "head") })
 	e.At(5, func() { got = append(got, "at2") })
-	e.Run(0)
+	e.RunThrough(math.Inf(1))
 	if len(got) != 3 || got[0] != "head" || got[1] != "at" || got[2] != "at2" {
 		t.Fatalf("fired %v, want [head at at2]", got)
 	}
@@ -321,7 +260,7 @@ func TestEngineAtHeadPriority(t *testing.T) {
 	got = nil
 	e2.AtHead(7, func() { got = append(got, "head7") })
 	e2.At(6, func() { got = append(got, "at6") })
-	e2.Run(0)
+	e2.RunThrough(math.Inf(1))
 	if len(got) != 2 || got[0] != "at6" || got[1] != "head7" {
 		t.Fatalf("fired %v, want [at6 head7]", got)
 	}
@@ -329,7 +268,6 @@ func TestEngineAtHeadPriority(t *testing.T) {
 
 func TestEngineRecycle(t *testing.T) {
 	e := NewEngine()
-	e.SetRecycle(true)
 	var fired []float64
 	ev1 := e.At(1, func() { fired = append(fired, 1) })
 	e.Step()
@@ -346,7 +284,7 @@ func TestEngineRecycle(t *testing.T) {
 	if ev3 != ev2 {
 		t.Fatal("cancelled event was not recycled by the next At")
 	}
-	e.Run(0)
+	e.RunThrough(math.Inf(1))
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 3 {
 		t.Fatalf("fired %v, want [1 3] (event 2 cancelled)", fired)
 	}
@@ -358,7 +296,7 @@ func TestEngineRecycle(t *testing.T) {
 		e.At(11, func() { got = append(got, e.Now()) })
 	})
 	e.At(11, func() { got = append(got, 11.5) }) // seq before the cascade's 11
-	e.Run(0)
+	e.RunThrough(math.Inf(1))
 	if len(got) != 3 || got[0] != 10 || got[1] != 11.5 || got[2] != 11 {
 		t.Fatalf("recycled ordering diverged: %v, want [10 11.5 11]", got)
 	}
