@@ -24,8 +24,8 @@ import (
 
 // onlineOut selects which observability artifacts the online runner
 // produces. Every export is per shard (each shard owns its registry,
-// tracer, and audit log — they are written concurrently during epochs),
-// printed or written as "== shard N ==" sections in shard order;
+// tracer, and audit log, which the one event engine feeds in event
+// order), printed or written as "== shard N ==" sections in shard order;
 // traceOut and the timeline/EDP surfaces additionally render the
 // deterministic merged view (one Chrome track group per shard, steal
 // flow arrows, a "== merged ==" section). serveAddr exposes merged +

@@ -9,10 +9,7 @@
 // performance models in internal/power and internal/mapreduce consume.
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // FreqGHz is a CPU operating frequency in GHz.
 type FreqGHz float64
@@ -97,105 +94,6 @@ func AtomC2758() NodeSpec {
 		DiskActiveWatts:   4.5,
 		MemActiveWattsMax: 3.0,
 	}
-}
-
-// Node is one server in the cluster. Frequency is a per-node setting in
-// this study (the paper tunes frequency per co-located application by
-// pinning each application's mappers to cores in its frequency domain;
-// we track per-allocation frequency in the run model and use the node
-// only for capacity accounting).
-type Node struct {
-	ID   int
-	Spec NodeSpec
-
-	coresInUse int
-}
-
-// NewNode returns a node with the given id and spec.
-func NewNode(id int, spec NodeSpec) *Node {
-	return &Node{ID: id, Spec: spec}
-}
-
-// FreeCores reports how many cores are unallocated.
-func (n *Node) FreeCores() int { return n.Spec.Cores - n.coresInUse }
-
-// CoresInUse reports how many cores are allocated.
-func (n *Node) CoresInUse() int { return n.coresInUse }
-
-// Allocate reserves k cores, failing if the node lacks capacity.
-func (n *Node) Allocate(k int) error {
-	if k <= 0 {
-		return fmt.Errorf("cluster: allocate %d cores on node %d: count must be positive", k, n.ID)
-	}
-	if k > n.FreeCores() {
-		return fmt.Errorf("cluster: allocate %d cores on node %d: only %d free", k, n.ID, n.FreeCores())
-	}
-	n.coresInUse += k
-	return nil
-}
-
-// Release returns k cores to the free pool.
-func (n *Node) Release(k int) error {
-	if k <= 0 || k > n.coresInUse {
-		return fmt.Errorf("cluster: release %d cores on node %d: %d in use", k, n.ID, n.coresInUse)
-	}
-	n.coresInUse -= k
-	return nil
-}
-
-// Cluster is a fixed set of identical nodes.
-type Cluster struct {
-	Nodes []*Node
-}
-
-// New returns a cluster of n nodes with the given spec.
-func New(n int, spec NodeSpec) *Cluster {
-	if n <= 0 {
-		panic(fmt.Sprintf("cluster: node count %d must be positive", n))
-	}
-	c := &Cluster{Nodes: make([]*Node, n)}
-	for i := range c.Nodes {
-		c.Nodes[i] = NewNode(i, spec)
-	}
-	return c
-}
-
-// Size returns the number of nodes.
-func (c *Cluster) Size() int { return len(c.Nodes) }
-
-// TotalCores returns the core count across all nodes.
-func (c *Cluster) TotalCores() int {
-	t := 0
-	for _, n := range c.Nodes {
-		t += n.Spec.Cores
-	}
-	return t
-}
-
-// MostFree returns the node with the most free cores (lowest id wins
-// ties), or nil if every node is fully allocated.
-func (c *Cluster) MostFree() *Node {
-	var best *Node
-	for _, n := range c.Nodes {
-		if n.FreeCores() == 0 {
-			continue
-		}
-		if best == nil || n.FreeCores() > best.FreeCores() {
-			best = n
-		}
-	}
-	return best
-}
-
-// ByFreeCores returns the nodes sorted by free cores descending (stable
-// by id). The returned slice is freshly allocated.
-func (c *Cluster) ByFreeCores() []*Node {
-	out := make([]*Node, len(c.Nodes))
-	copy(out, c.Nodes)
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].FreeCores() > out[j].FreeCores()
-	})
-	return out
 }
 
 // String implements fmt.Stringer for diagnostics.

@@ -59,123 +59,3 @@ func TestValidFreq(t *testing.T) {
 		}
 	}
 }
-
-func TestNodeAllocateRelease(t *testing.T) {
-	n := NewNode(0, AtomC2758())
-	if n.FreeCores() != 8 {
-		t.Fatalf("fresh node free = %d, want 8", n.FreeCores())
-	}
-	if err := n.Allocate(5); err != nil {
-		t.Fatal(err)
-	}
-	if n.FreeCores() != 3 || n.CoresInUse() != 5 {
-		t.Fatalf("after alloc 5: free=%d used=%d", n.FreeCores(), n.CoresInUse())
-	}
-	if err := n.Allocate(4); err == nil {
-		t.Fatal("over-allocation succeeded")
-	}
-	if err := n.Allocate(0); err == nil {
-		t.Fatal("zero allocation succeeded")
-	}
-	if err := n.Release(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Release(1); err == nil {
-		t.Fatal("over-release succeeded")
-	}
-}
-
-func TestAllocateReleaseInvariant(t *testing.T) {
-	f := func(ops []int8) bool {
-		n := NewNode(0, AtomC2758())
-		held := 0
-		for _, op := range ops {
-			k := int(op)
-			if k > 0 {
-				if n.Allocate(k) == nil {
-					held += k
-				}
-			} else if k < 0 {
-				if n.Release(-k) == nil {
-					held += k
-				}
-			}
-			if n.CoresInUse() != held || held < 0 || held > n.Spec.Cores {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestClusterShape(t *testing.T) {
-	c := New(8, AtomC2758())
-	if c.Size() != 8 {
-		t.Fatalf("size = %d", c.Size())
-	}
-	if c.TotalCores() != 64 {
-		t.Fatalf("total cores = %d, want 64", c.TotalCores())
-	}
-	for i, n := range c.Nodes {
-		if n.ID != i {
-			t.Fatalf("node %d has id %d", i, n.ID)
-		}
-	}
-}
-
-func TestMostFree(t *testing.T) {
-	c := New(3, AtomC2758())
-	if err := c.Nodes[0].Allocate(8); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Nodes[1].Allocate(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.MostFree(); got == nil || got.ID != 2 {
-		t.Fatalf("MostFree = %+v, want node 2", got)
-	}
-	if err := c.Nodes[2].Allocate(8); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.MostFree(); got == nil || got.ID != 1 {
-		t.Fatalf("MostFree = %+v, want node 1", got)
-	}
-	if err := c.Nodes[1].Allocate(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.MostFree(); got != nil {
-		t.Fatalf("MostFree on full cluster = %+v, want nil", got)
-	}
-}
-
-func TestByFreeCores(t *testing.T) {
-	c := New(4, AtomC2758())
-	if err := c.Nodes[0].Allocate(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Nodes[2].Allocate(7); err != nil {
-		t.Fatal(err)
-	}
-	order := c.ByFreeCores()
-	for i := 1; i < len(order); i++ {
-		if order[i].FreeCores() > order[i-1].FreeCores() {
-			t.Fatalf("not sorted: %d then %d", order[i-1].FreeCores(), order[i].FreeCores())
-		}
-	}
-	// Ties broken stably by id: nodes 1 and 3 both have 8 free.
-	if order[0].ID != 1 || order[1].ID != 3 {
-		t.Fatalf("tie order = %d,%d; want 1,3", order[0].ID, order[1].ID)
-	}
-}
-
-func TestNewPanicsOnZeroNodes(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(0, …) did not panic")
-		}
-	}()
-	New(0, AtomC2758())
-}

@@ -26,18 +26,6 @@ func NewClassPair(a, b workloads.Class) ClassPair {
 // String renders "C-M" style labels like the paper's tables.
 func (p ClassPair) String() string { return p.A.String() + "-" + p.B.String() }
 
-// AllClassPairs lists the 10 unordered class pairs in the paper's order.
-func AllClassPairs() []ClassPair {
-	cs := workloads.Classes()
-	var out []ClassPair
-	for i, a := range cs {
-		for _, b := range cs[i:] {
-			out = append(out, NewClassPair(a, b))
-		}
-	}
-	return out
-}
-
 // DBEntry is one database record: the COLAO-optimal configuration for a
 // known co-located pair (§6.2 — "the database is populated with the best
 // results for various co-located applications").
@@ -110,12 +98,6 @@ type BuildOptions struct {
 	// generating ML training rows: every stride-th configuration is
 	// evaluated (1 = all 11,200 per pair). Larger strides build faster.
 	ConfigStride int
-}
-
-// DefaultBuildOptions matches the paper's setup with a training-tractable
-// configuration sample.
-func DefaultBuildOptions() BuildOptions {
-	return BuildOptions{Sizes: workloads.DataSizesGB(), ConfigStride: 5}
 }
 
 // BuildDatabase profiles the training applications, runs the COLAO

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 
@@ -78,8 +77,9 @@ type shard struct {
 	freeSet   nodeSet
 	halfSet   nodeSet
 
-	pending   int
-	completed []CompletedJob
+	// completions points at the control plane's one completion log.
+	pending     int
+	completions *[]CompletedJob
 
 	// energy accounting
 	energyJ    float64
@@ -574,13 +574,6 @@ func (s *shard) arrive(id int, rec *profileRec, at float64) {
 		s.traced[id] = js
 	}
 	s.dispatch()
-}
-
-// reserveCompleted sizes the completion log for every pending job
-// before a run, so a shard that completes no more than it was handed
-// never regrows it.
-func (s *shard) reserveCompleted() {
-	s.completed = slices.Grow(s.completed, s.pending)
 }
 
 // finishRun closes out a drained run at the engine's current clock:
@@ -1138,12 +1131,7 @@ func (s *shard) nodeComplete(n *onlineNode) {
 	}
 	s.occupancyChanged(n)
 	s.pending--
-	if len(s.completed) == cap(s.completed) {
-		// Double a full log: append's 1.25× step for large slices
-		// allocates about five times the final log, doubling twice.
-		s.completed = slices.Grow(s.completed, len(s.completed)+1)
-	}
-	s.completed = append(s.completed, CompletedJob{
+	*s.completions = append(*s.completions, CompletedJob{
 		ID:        finisher.job.ID,
 		App:       finisher.job.Obs.App.Name,
 		Class:     finisher.job.Class,

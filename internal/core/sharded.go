@@ -1,8 +1,8 @@
 package core
 
 // The sharded control plane: the cluster is partitioned across S
-// per-shard schedulers — each owning its own node slice, engine,
-// wait-queue index, and tune-cache shard — with submissions routed by a
+// per-shard schedulers — each owning its own node slice, wait-queue
+// index, and tune-cache shard — with submissions routed by a
 // deterministic app/tenant hash and a bounded work-stealing pass at
 // event-loop barriers. Every export — metrics snapshots, timelines,
 // decision logs, completions, energy — is a pure function of the
@@ -10,9 +10,10 @@ package core
 //
 // One engine drives every shard (DESIGN.md §22): the control plane
 // owns the only event heap and the only pending-arrival ring, and each
-// shard schedules its events on that heap. The shards share no mutable
-// state between steal passes, so interleaving their events in one
-// (time, seq) order is invisible in every export.
+// shard schedules its events on that heap. Between steal passes the
+// shards share no mutable state but the one completion log, whose
+// order Completed fixes by sorting, so interleaving their events in
+// one (time, seq) order is invisible in every export.
 //
 // The steal pass is the only cross-shard interaction, and it runs only
 // at barrier times (DESIGN.md §17): a wait queue can only grow at an
@@ -88,6 +89,11 @@ type ShardedScheduler struct {
 	nextID int
 	lastAt float64
 	steals int
+
+	// completed is the one completion log: every shard appends to it at
+	// its completion events, which the one engine fires in time order.
+	// Run reserves it for every submitted job, so it never regrows.
+	completed []CompletedJob
 
 	// err is the first bad submission (a profile error or an
 	// out-of-order arrival time). Submit ignores everything after it and
@@ -184,7 +190,9 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 		if tuner == nil {
 			return nil, fmt.Errorf("core: sharded scheduler: tuner factory returned nil for shard %d", i)
 		}
-		c.shards = append(c.shards, newShard(c.eng, model, db, tuner, n, base))
+		sh := newShard(c.eng, model, db, tuner, n, base)
+		sh.completions = &c.completed
+		c.shards = append(c.shards, sh)
 		base += n
 	}
 	return c, nil
@@ -324,9 +332,8 @@ func (c *ShardedScheduler) Submit(app workloads.App, sizeGB, at float64) {
 	}
 	c.shards[rec.home].pending++
 	if len(c.arrQ) == cap(c.arrQ) {
-		// Double a full ring, as the completion log does: append's
-		// 1.25× step for large slices allocates about five times the
-		// final ring.
+		// Double a full ring: append's 1.25× step for large slices
+		// allocates about five times the final ring.
 		c.arrQ = slices.Grow(c.arrQ, len(c.arrQ)+1)
 	}
 	c.arrQ = append(c.arrQ, pendingArrival{id: c.nextID, at: at, rec: rec})
@@ -418,9 +425,7 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 			err = fmt.Errorf("core: sharded scheduler: %v", r)
 		}
 	}()
-	for _, sh := range c.shards {
-		sh.reserveCompleted()
-	}
+	c.completed = append(make([]CompletedJob, 0, c.nextID), c.completed...)
 	c.drive()
 	pending := 0
 	for _, sh := range c.shards {
@@ -513,8 +518,9 @@ func (c *ShardedScheduler) anyQueued() bool {
 // are scanned in index order; a shard with an empty queue and free
 // capacity claims queue heads from its neighbors (nearest first,
 // wrapping upward) up to min(stealBatch, freeSlots) jobs, then
-// dispatches them at the barrier time. Everything here is a function of shard state and t alone, so a
-// steal that fires at t fires at t in every run of the same stream.
+// dispatches them at the barrier time. Everything here is a function
+// of shard state and t alone, so a steal that fires at t fires at t in
+// every run of the same stream.
 func (c *ShardedScheduler) stealPass(t float64) {
 	if !c.anyQueued() {
 		return // nothing to steal anywhere — the common barrier
@@ -566,35 +572,16 @@ func (c *ShardedScheduler) stealPass(t float64) {
 	}
 }
 
-// Completed returns all finished jobs merged across shards, ordered by
-// (finish time, job id).
+// Completed returns every finished job ordered by (finish time, job
+// id), as a copy the caller owns (never nil).
 //
-// Each shard appends completions at its own completion events, so its
-// log is already in nondecreasing finish order, save for same-instant
-// completions that landed out of id order. Each log is sorted in place
-// by (Finished, ID) — linear on an already-sorted log — and a linear
-// S-way merge replaces the global sort (which burned ~15% of the
-// sharded bench in comparator closures and 120-byte struct swaps).
+// The log is appended in event order, so it is already in
+// nondecreasing finish order, save for same-instant completions that
+// landed out of id order. It is sorted in place — linear on an
+// already-sorted log.
 func (c *ShardedScheduler) Completed() []CompletedJob {
-	total := 0
-	for _, sh := range c.shards {
-		slices.SortFunc(sh.completed, func(a, b CompletedJob) int { return cmpCompleted(&a, &b) })
-		total += len(sh.completed)
-	}
-	out := make([]CompletedJob, 0, total)
-	idx := make([]int, len(c.shards))
-	for len(out) < total {
-		best := -1
-		for si, sh := range c.shards {
-			i := idx[si]
-			if i < len(sh.completed) && (best < 0 || cmpCompleted(&sh.completed[i], &c.shards[best].completed[idx[best]]) < 0) {
-				best = si
-			}
-		}
-		out = append(out, c.shards[best].completed[idx[best]])
-		idx[best]++
-	}
-	return out
+	slices.SortFunc(c.completed, func(a, b CompletedJob) int { return cmpCompleted(&a, &b) })
+	return append(make([]CompletedJob, 0, len(c.completed)), c.completed...)
 }
 
 // cmpCompleted orders completions by (Finished, ID), a total order: a

@@ -254,26 +254,24 @@ func TestRouteShardMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestShardedCompletedMerge pins the S-way completion merge against the
-// global sort it replaced: cross-shard finish-time ties break by id,
-// and a shard whose same-instant completions landed out of id order
-// still produces the sorted order via the fallback.
+// TestShardedCompletedMerge pins Completed's order against a global
+// sort: the one log holds completions in event order, so cross-shard
+// finish-time ties must break by id, and same-instant completions that
+// landed out of id order must come back sorted.
 func TestShardedCompletedMerge(t *testing.T) {
 	fixture(t)
-	build := func() *ShardedScheduler {
+	build := func(log ...CompletedJob) *ShardedScheduler {
 		prof := NewProfiler(fix.model, sim.NewRNG(99))
 		c, err := NewShardedScheduler(fix.model, fix.db, prof,
 			func() STP { return NewMemoSTP(fix.lkt, nil) }, 4, ShardedConfig{Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.completed = log
 		return c
 	}
 	reference := func(c *ShardedScheduler) []CompletedJob {
-		var out []CompletedJob
-		for _, sh := range c.shards {
-			out = append(out, sh.completed...)
-		}
+		out := append([]CompletedJob(nil), c.completed...)
 		sort.Slice(out, func(i, j int) bool {
 			if out[i].Finished != out[j].Finished {
 				return out[i].Finished < out[j].Finished
@@ -297,23 +295,54 @@ func TestShardedCompletedMerge(t *testing.T) {
 		}
 	}
 
-	// Sorted shards with a cross-shard tie at t=30 (ids 5 vs 2).
-	c := build()
-	c.shards[0].completed = []CompletedJob{{ID: 0, Finished: 10}, {ID: 5, Finished: 30}, {ID: 6, Finished: 40}}
-	c.shards[1].completed = []CompletedJob{{ID: 1, Finished: 20}, {ID: 2, Finished: 30}, {ID: 3, Finished: 30}}
-	check("cross-shard ties", c)
+	// Two shards' completions interleaved in event order, with a
+	// cross-shard tie at t=30 (ids 5 vs 2, 3).
+	check("cross-shard ties", build(
+		CompletedJob{ID: 0, Finished: 10}, CompletedJob{ID: 1, Finished: 20},
+		CompletedJob{ID: 5, Finished: 30}, CompletedJob{ID: 2, Finished: 30},
+		CompletedJob{ID: 3, Finished: 30}, CompletedJob{ID: 6, Finished: 40}))
 
-	// A same-instant pair out of id order within one shard: the merge
-	// must detect it and fall back to the global sort.
-	c = build()
-	c.shards[0].completed = []CompletedJob{{ID: 9, Finished: 30}, {ID: 4, Finished: 30}}
-	c.shards[1].completed = []CompletedJob{{ID: 1, Finished: 20}}
-	check("within-shard tie fallback", c)
+	// A same-instant pair out of id order.
+	check("same-instant tie", build(
+		CompletedJob{ID: 1, Finished: 20}, CompletedJob{ID: 9, Finished: 30}, CompletedJob{ID: 4, Finished: 30}))
 
-	// Degenerate shapes: one empty shard, then all empty.
-	c = build()
-	c.shards[1].completed = []CompletedJob{{ID: 0, Finished: 5}}
-	check("one empty shard", c)
-	c = build()
-	check("all empty", c)
+	// Degenerate shapes: one job, then none.
+	check("one job", build(CompletedJob{ID: 0, Finished: 5}))
+	check("empty", build())
+}
+
+// TestShardedCompletedLog checks the one completion log on a 16-shard
+// stealing run: Run reserves it for every submitted job, so steals
+// never make it regrow, and Completed hands out copies the caller owns.
+func TestShardedCompletedLog(t *testing.T) {
+	fixture(t)
+	const jobs = 2000
+	c := newBenchSharded(t, 256, jobs, 16, 0.5)
+	if _, _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Steals() == 0 {
+		t.Fatal("no steals — the regrowth case is vacuous")
+	}
+	if len(c.completed) != jobs || cap(c.completed) != jobs {
+		t.Fatalf("log len %d cap %d, want both %d (reserved once, never regrown)", len(c.completed), cap(c.completed), jobs)
+	}
+	first := c.Completed()
+	want := first[0]
+	first[0].ID, first[0].Finished = -1, -1
+	if got := c.Completed()[0]; got != want {
+		t.Fatalf("mutating one Completed result changed the next: got %+v, want %+v", got, want)
+	}
+
+	empty, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(1)),
+		func() STP { return NewMemoSTP(fix.lkt, nil) }, 4, ShardedConfig{Shards: 2, Steal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := empty.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := empty.Completed(); got == nil || len(got) != 0 {
+		t.Fatalf("empty run: Completed() = %#v, want a non-nil empty slice", got)
+	}
 }

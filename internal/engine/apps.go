@@ -214,28 +214,6 @@ func PageRankIteration(damping float64, numPages int) Job {
 	}
 }
 
-// InvertedIndex builds a word → documents index, a classic analysis
-// kernel used by several Mahout-era workloads.
-func InvertedIndex() Job {
-	return Job{
-		Name: "invertedindex",
-		Map: func(doc, text string, emit func(KV)) {
-			seen := map[string]bool{}
-			for _, w := range strings.Fields(text) {
-				w = strings.ToLower(w)
-				if !seen[w] {
-					seen[w] = true
-					emit(KV{Key: w, Value: doc})
-				}
-			}
-		},
-		Reduce: func(key string, values []string, emit func(KV)) {
-			sort.Strings(values)
-			emit(KV{Key: key, Value: strings.Join(values, ",")})
-		},
-	}
-}
-
 // --- Synthetic input generators ---
 
 // TextLines generates n lines of zipf-ish text with the given vocabulary

@@ -202,24 +202,6 @@ func TestPageRankConservesMass(t *testing.T) {
 	}
 }
 
-func TestInvertedIndex(t *testing.T) {
-	recs := []KV{
-		{Key: "doc1", Value: "apple banana"},
-		{Key: "doc2", Value: "banana cherry"},
-	}
-	res, err := Run(InvertedIndex(), SplitRecords(recs, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := map[string]string{}
-	for _, kv := range res.Output {
-		idx[kv.Key] = kv.Value
-	}
-	if idx["banana"] != "doc1,doc2" || idx["apple"] != "doc1" {
-		t.Fatalf("index wrong: %v", idx)
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Job{Name: "broken"}, SplitRecords(TextLines(2, 2, 2, 1), 1)); err == nil {
 		t.Fatal("job without map/reduce accepted")

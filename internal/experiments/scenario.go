@@ -198,7 +198,7 @@ func OnlineReplay(env *Env, label string, arrivals []trace.Arrival, nodes int, c
 	tbl.Notes = append(tbl.Notes,
 		"utilization is busy node-time over nodes x makespan; queue lengths are time-weighted",
 		"shards own disjoint node slices; submissions route by tenant hash, idle shards steal queue heads at event barriers",
-		"barriers are exact lock-step steal passes; free windows let shards run unsynchronized while no thief/victim pairing can exist (events elided counts work that skipped a barrier)")
+		"one engine fires every shard's events in time order; barriers are event times followed by a steal pass, free windows runs of event times at which no steal can fire (events elided counts work that skipped a barrier)")
 	return tbl, data, qs, nil
 }
 

@@ -78,6 +78,6 @@ func ShardSweep(env *Env, spec scenario.Spec, nodes int, shardCounts []int) (Tab
 	}
 	tbl.Notes = append(tbl.Notes,
 		"jobs/s is host wall-clock throughput of the control plane (machine-dependent); simulated columns show outcome stability",
-		"barriers counts exact lock-step steal passes, elided the events that ran in free windows instead of under a barrier")
+		"barriers counts event times followed by a steal pass, elided the events that fired in free windows, where no steal could")
 	return tbl, points, nil
 }

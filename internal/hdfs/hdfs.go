@@ -1,17 +1,11 @@
-// Package hdfs simulates the aspects of the Hadoop Distributed File
-// System that matter to the ECoST study: the HDFS block size knob
-// (64–1024 MB), how a dataset of a given size splits into input blocks,
-// replica placement across nodes, and the data-locality fraction that the
-// MapReduce model uses to cost block reads.
+// Package hdfs carries the one aspect of the Hadoop Distributed File
+// System that the ECoST study tunes: the HDFS block size knob
+// (64–1024 MB). The execution model reads it only through the split
+// count, the number of map tasks a dataset of a given size yields.
 //
 // The paper flushes the buffer page cache before each run so every block
 // is read fresh from disk; the model therefore charges full disk reads.
 package hdfs
-
-import (
-	"fmt"
-	"sort"
-)
 
 // BlockMB is an HDFS block size in megabytes.
 type BlockMB int
@@ -40,9 +34,6 @@ func ValidBlock(b BlockMB) bool {
 	return false
 }
 
-// DefaultReplication is the HDFS default replica count.
-const DefaultReplication = 3
-
 // Splits returns the number of input splits (map tasks) for a dataset of
 // dataMB megabytes at block size b: ceil(dataMB/b), at least 1 for any
 // non-empty dataset.
@@ -58,168 +49,4 @@ func Splits(dataMB float64, b BlockMB) int {
 		n = 1
 	}
 	return n
-}
-
-// LastSplitMB returns the size of the final (possibly short) split.
-func LastSplitMB(dataMB float64, b BlockMB) float64 {
-	n := Splits(dataMB, b)
-	if n == 0 {
-		return 0
-	}
-	rem := dataMB - float64((n-1)*int(b))
-	if rem <= 0 {
-		rem = float64(b)
-	}
-	return rem
-}
-
-// Block is one replicated block of a stored file.
-type Block struct {
-	File     string
-	Index    int
-	SizeMB   float64
-	Replicas []int // node ids holding a replica
-}
-
-// File is a dataset stored in the simulated HDFS.
-type File struct {
-	Name    string
-	SizeMB  float64
-	BlockMB BlockMB
-	Blocks  []Block
-}
-
-// FS is a simulated HDFS namespace over a fixed set of nodes. Placement
-// is deterministic: block replicas round-robin across nodes starting at a
-// rotating offset, mimicking HDFS's even spread without rack topology.
-type FS struct {
-	nodes       int
-	replication int
-	files       map[string]*File
-	nextOffset  int
-	usedMB      []float64 // per-node stored bytes
-}
-
-// New returns an empty filesystem over n nodes with the given replica
-// count (clamped to n).
-func New(n, replication int) *FS {
-	if n <= 0 {
-		panic(fmt.Sprintf("hdfs: node count %d must be positive", n))
-	}
-	if replication < 1 {
-		replication = 1
-	}
-	if replication > n {
-		replication = n
-	}
-	return &FS{
-		nodes:       n,
-		replication: replication,
-		files:       make(map[string]*File),
-		usedMB:      make([]float64, n),
-	}
-}
-
-// Nodes returns the node count.
-func (fs *FS) Nodes() int { return fs.nodes }
-
-// Replication returns the replica count.
-func (fs *FS) Replication() int { return fs.replication }
-
-// Write stores a file of sizeMB at block size b, placing replicas across
-// the nodes. It fails if the name exists or parameters are invalid.
-func (fs *FS) Write(name string, sizeMB float64, b BlockMB) (*File, error) {
-	if name == "" {
-		return nil, fmt.Errorf("hdfs: write: empty file name")
-	}
-	if _, ok := fs.files[name]; ok {
-		return nil, fmt.Errorf("hdfs: write %q: file exists", name)
-	}
-	if sizeMB <= 0 {
-		return nil, fmt.Errorf("hdfs: write %q: size %vMB must be positive", name, sizeMB)
-	}
-	if !ValidBlock(b) {
-		return nil, fmt.Errorf("hdfs: write %q: block size %dMB not in studied set", name, b)
-	}
-	n := Splits(sizeMB, b)
-	f := &File{Name: name, SizeMB: sizeMB, BlockMB: b, Blocks: make([]Block, n)}
-	for i := 0; i < n; i++ {
-		size := float64(b)
-		if i == n-1 {
-			size = LastSplitMB(sizeMB, b)
-		}
-		reps := make([]int, fs.replication)
-		for r := 0; r < fs.replication; r++ {
-			node := (fs.nextOffset + r) % fs.nodes
-			reps[r] = node
-			fs.usedMB[node] += size
-		}
-		fs.nextOffset = (fs.nextOffset + 1) % fs.nodes
-		f.Blocks[i] = Block{File: name, Index: i, SizeMB: size, Replicas: reps}
-	}
-	fs.files[name] = f
-	return f, nil
-}
-
-// Open returns the file metadata, or an error if it does not exist.
-func (fs *FS) Open(name string) (*File, error) {
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, fmt.Errorf("hdfs: open %q: no such file", name)
-	}
-	return f, nil
-}
-
-// Delete removes a file and releases its storage accounting.
-func (fs *FS) Delete(name string) error {
-	f, ok := fs.files[name]
-	if !ok {
-		return fmt.Errorf("hdfs: delete %q: no such file", name)
-	}
-	for _, blk := range f.Blocks {
-		for _, node := range blk.Replicas {
-			fs.usedMB[node] -= blk.SizeMB
-		}
-	}
-	delete(fs.files, name)
-	return nil
-}
-
-// UsedMB returns stored megabytes on the given node (replicas included).
-func (fs *FS) UsedMB(node int) float64 {
-	if node < 0 || node >= fs.nodes {
-		return 0
-	}
-	return fs.usedMB[node]
-}
-
-// Files returns the stored file names in sorted order.
-func (fs *FS) Files() []string {
-	out := make([]string, 0, len(fs.files))
-	for name := range fs.files {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LocalityFraction returns the expected fraction of map tasks that read a
-// node-local replica when tasks for the file run on `runNodes` of the
-// cluster's nodes. With r replicas spread over n nodes, a block is local
-// to a running node with probability ≈ 1-(1-runNodes/n)^r, the standard
-// locality estimate the scheduler model uses (remote reads pay a network
-// penalty in the MapReduce model).
-func (fs *FS) LocalityFraction(runNodes int) float64 {
-	if runNodes >= fs.nodes {
-		return 1
-	}
-	if runNodes <= 0 {
-		return 0
-	}
-	p := float64(runNodes) / float64(fs.nodes)
-	miss := 1.0
-	for i := 0; i < fs.replication; i++ {
-		miss *= 1 - p
-	}
-	return 1 - miss
 }

@@ -1,7 +1,6 @@
 package hdfs
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -42,164 +41,5 @@ func TestSplitsCoverData(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLastSplit(t *testing.T) {
-	if got := LastSplitMB(100, Block64); got != 36 {
-		t.Errorf("LastSplitMB(100,64) = %v, want 36", got)
-	}
-	if got := LastSplitMB(128, Block64); got != 64 {
-		t.Errorf("LastSplitMB(128,64) = %v, want 64", got)
-	}
-	if got := LastSplitMB(0, Block64); got != 0 {
-		t.Errorf("LastSplitMB(0,64) = %v, want 0", got)
-	}
-}
-
-func TestLastSplitSums(t *testing.T) {
-	f := func(raw uint32, bi uint8) bool {
-		dataMB := float64(raw%100000) + 1
-		b := BlockSizes()[int(bi)%5]
-		n := Splits(dataMB, b)
-		total := float64(n-1)*float64(b) + LastSplitMB(dataMB, b)
-		return math.Abs(total-dataMB) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWriteOpenDelete(t *testing.T) {
-	fs := New(8, 3)
-	f, err := fs.Write("input/wc", 1000, Block256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Blocks) != 4 {
-		t.Fatalf("blocks = %d, want 4", len(f.Blocks))
-	}
-	for i, b := range f.Blocks {
-		if len(b.Replicas) != 3 {
-			t.Fatalf("block %d has %d replicas", i, len(b.Replicas))
-		}
-		seen := map[int]bool{}
-		for _, r := range b.Replicas {
-			if r < 0 || r >= 8 {
-				t.Fatalf("replica on bogus node %d", r)
-			}
-			if seen[r] {
-				t.Fatalf("block %d has duplicate replica node %d", i, r)
-			}
-			seen[r] = true
-		}
-	}
-	if f.Blocks[3].SizeMB != 232 { // 1000 - 3*256
-		t.Fatalf("last block size = %v, want 232", f.Blocks[3].SizeMB)
-	}
-	got, err := fs.Open("input/wc")
-	if err != nil || got != f {
-		t.Fatalf("Open: %v %v", got, err)
-	}
-	if _, err := fs.Write("input/wc", 10, Block64); err == nil {
-		t.Fatal("duplicate Write succeeded")
-	}
-	if err := fs.Delete("input/wc"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Open("input/wc"); err == nil {
-		t.Fatal("Open after Delete succeeded")
-	}
-	for n := 0; n < 8; n++ {
-		if u := fs.UsedMB(n); math.Abs(u) > 1e-9 {
-			t.Fatalf("node %d still accounts %vMB after delete", n, u)
-		}
-	}
-}
-
-func TestWriteValidation(t *testing.T) {
-	fs := New(4, 3)
-	if _, err := fs.Write("", 10, Block64); err == nil {
-		t.Error("empty name accepted")
-	}
-	if _, err := fs.Write("f", 0, Block64); err == nil {
-		t.Error("zero size accepted")
-	}
-	if _, err := fs.Write("f", 10, 100); err == nil {
-		t.Error("bogus block size accepted")
-	}
-}
-
-func TestReplicationClamped(t *testing.T) {
-	fs := New(2, 3)
-	if fs.Replication() != 2 {
-		t.Fatalf("replication = %d, want clamped 2", fs.Replication())
-	}
-	fs = New(5, 0)
-	if fs.Replication() != 1 {
-		t.Fatalf("replication = %d, want 1", fs.Replication())
-	}
-}
-
-func TestStorageBalance(t *testing.T) {
-	fs := New(8, 3)
-	for i := 0; i < 16; i++ {
-		name := string(rune('a' + i))
-		if _, err := fs.Write(name, 1024, Block128); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var min, max float64 = math.Inf(1), 0
-	for n := 0; n < 8; n++ {
-		u := fs.UsedMB(n)
-		if u < min {
-			min = u
-		}
-		if u > max {
-			max = u
-		}
-	}
-	if max > min*1.2 {
-		t.Fatalf("placement imbalanced: min=%v max=%v", min, max)
-	}
-}
-
-func TestLocalityFraction(t *testing.T) {
-	fs := New(8, 3)
-	if got := fs.LocalityFraction(8); got != 1 {
-		t.Errorf("full-cluster locality = %v, want 1", got)
-	}
-	if got := fs.LocalityFraction(0); got != 0 {
-		t.Errorf("zero-node locality = %v, want 0", got)
-	}
-	// 1 of 8 nodes, 3 replicas: 1-(7/8)^3 ≈ 0.3301
-	got := fs.LocalityFraction(1)
-	if math.Abs(got-0.330078125) > 1e-9 {
-		t.Errorf("locality(1/8, r=3) = %v", got)
-	}
-	// Monotone in runNodes.
-	prev := 0.0
-	for k := 1; k <= 8; k++ {
-		l := fs.LocalityFraction(k)
-		if l < prev {
-			t.Fatalf("locality not monotone at k=%d", k)
-		}
-		prev = l
-	}
-}
-
-func TestFilesSorted(t *testing.T) {
-	fs := New(4, 2)
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		if _, err := fs.Write(n, 100, Block64); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := fs.Files()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Files() = %v, want %v", got, want)
-		}
 	}
 }

@@ -390,24 +390,6 @@ func TestPCAExplainedVarianceMonotone(t *testing.T) {
 	}
 }
 
-func TestPCAProjectShape(t *testing.T) {
-	X, _ := synthLinear(50, 0.1, 29)
-	p, err := FitPCA(X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := p.Project(X[0], 2)
-	if len(pr) != 2 {
-		t.Fatalf("projection length %d", len(pr))
-	}
-	if got := p.Project(X[0], 99); len(got) != 2 {
-		t.Fatalf("k beyond components not clamped: %d", len(got))
-	}
-	if l := p.Loadings(2); len(l) != 2 || len(l[0]) != 2 {
-		t.Fatalf("loadings shape wrong: %v", l)
-	}
-}
-
 func TestPCAErrors(t *testing.T) {
 	if _, err := FitPCA(nil); err == nil {
 		t.Error("empty PCA accepted")

@@ -12,7 +12,6 @@ import (
 // (≈85% of variance) and plots the component loadings to find redundant
 // metrics (Figure 1).
 type PCA struct {
-	scaler *Scaler
 	// Components[k] is the k-th principal axis (unit vector, length =
 	// number of features).
 	Components [][]float64
@@ -63,7 +62,7 @@ func FitPCA(X [][]float64) (*PCA, error) {
 	}
 	sort.Slice(order, func(a, b int) bool { return vals[order[a]] > vals[order[b]] })
 
-	p := &PCA{scaler: scaler}
+	p := &PCA{}
 	for _, k := range order {
 		comp := make([]float64, cols)
 		for i := 0; i < cols; i++ {
@@ -105,25 +104,6 @@ func (p *PCA) ExplainedVariance(k int) float64 {
 		return 0
 	}
 	return head / total
-}
-
-// Project maps an observation onto the first k principal components.
-func (p *PCA) Project(x []float64, k int) []float64 {
-	z := p.scaler.Transform(x)
-	if k > len(p.Components) {
-		k = len(p.Components)
-	}
-	out := make([]float64, k)
-	for c := 0; c < k; c++ {
-		var s float64
-		for i, v := range z {
-			if i < len(p.Components[c]) {
-				s += v * p.Components[c][i]
-			}
-		}
-		out[c] = s
-	}
-	return out
 }
 
 // Loadings returns each original feature's coordinates in the first k

@@ -204,20 +204,6 @@ func (t *REPTree) Predict(x []float64) float64 {
 	return n.value
 }
 
-// Depth returns the maximum depth of the trained tree.
-func (t *REPTree) Depth() int { return depth(t.root) }
-
-func depth(n *node) int {
-	if n == nil {
-		return 0
-	}
-	l, r := depth(n.left), depth(n.right)
-	if r > l {
-		l = r
-	}
-	return 1 + l
-}
-
 func countLeaves(n *node) int {
 	if n == nil {
 		return 0

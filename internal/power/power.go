@@ -1,7 +1,7 @@
 // Package power models whole-system power the way the ECoST study
-// measures it: a Wattsup-PRO-style meter samples the wall power of one
-// node at one-second granularity; the average over a run, minus the idle
-// power, estimates the dissipation attributable to the workload.
+// scores it: energy is NodePower integrated over each phase of a run,
+// and CorePower, the power above idle, is the dissipation attributable
+// to the workload.
 //
 // The model is the standard decomposition
 //
@@ -13,12 +13,7 @@
 // experiment in the paper is scored in EDP.
 package power
 
-import (
-	"fmt"
-	"math"
-
-	"ecost/internal/cluster"
-)
+import "ecost/internal/cluster"
 
 // CoreLoad describes a group of cores running at one frequency with a
 // given average utilization (0..1). A co-located pair contributes two
@@ -85,98 +80,3 @@ func EDP(energyJoules, execTime float64) float64 {
 func EDPFromPower(avgWatts, execTime float64) float64 {
 	return avgWatts * execTime * execTime
 }
-
-// Sample is one reading from the simulated wall-power meter.
-type Sample struct {
-	At    float64 // seconds since meter start
-	Watts float64
-}
-
-// Meter integrates a piecewise-constant power trace and exposes the
-// 1 Hz samples a Wattsup-style meter would record. Segments are appended
-// in time order.
-type Meter struct {
-	resolution float64
-	segs       []segment
-	t          float64
-}
-
-type segment struct {
-	start, dur, watts float64
-}
-
-// NewMeter returns a meter sampling at the given resolution in seconds
-// (the paper's instrument records at 1 s).
-func NewMeter(resolution float64) *Meter {
-	if resolution <= 0 {
-		resolution = 1
-	}
-	return &Meter{resolution: resolution}
-}
-
-// Observe appends a segment of `dur` seconds at constant `watts`.
-// Non-positive durations are ignored.
-func (m *Meter) Observe(watts, dur float64) {
-	if dur <= 0 {
-		return
-	}
-	m.segs = append(m.segs, segment{start: m.t, dur: dur, watts: watts})
-	m.t += dur
-}
-
-// Duration returns the total observed time in seconds.
-func (m *Meter) Duration() float64 { return m.t }
-
-// EnergyJoules returns the exact integral of the observed trace.
-func (m *Meter) EnergyJoules() float64 {
-	var e float64
-	for _, s := range m.segs {
-		e += s.watts * s.dur
-	}
-	return e
-}
-
-// AveragePower returns energy divided by duration (0 for an empty trace).
-func (m *Meter) AveragePower() float64 {
-	if m.t == 0 {
-		return 0
-	}
-	return m.EnergyJoules() / m.t
-}
-
-// Samples returns the meter's periodic readings: one per resolution
-// interval, each reporting the power at the sample instant (like a real
-// wall-power meter, this quantizes and can alias short spikes).
-func (m *Meter) Samples() []Sample {
-	if m.t == 0 {
-		return nil
-	}
-	n := int(math.Floor(m.t / m.resolution))
-	out := make([]Sample, 0, n)
-	si := 0
-	for k := 1; k <= n; k++ {
-		at := float64(k) * m.resolution
-		for si < len(m.segs) && m.segs[si].start+m.segs[si].dur < at {
-			si++
-		}
-		if si >= len(m.segs) {
-			break
-		}
-		out = append(out, Sample{At: at, Watts: m.segs[si].watts})
-	}
-	return out
-}
-
-// MeteredEnergy estimates energy the way the instrument would: the sum of
-// sampled powers times the resolution. It differs from EnergyJoules by
-// the quantization error of the sampling.
-func (m *Meter) MeteredEnergy() float64 {
-	var e float64
-	for _, s := range m.Samples() {
-		e += s.Watts * m.resolution
-	}
-	return e
-}
-
-// String implements fmt.Stringer for diagnostics.
-func (s Sample) String() string { return fmt.Sprintf("%.0fs: %.1fW", s.At, s.Watts) }

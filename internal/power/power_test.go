@@ -113,65 +113,3 @@ func TestEDP(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMeterEnergy(t *testing.T) {
-	m := NewMeter(1)
-	m.Observe(20, 10) // 200 J
-	m.Observe(30, 5)  // 150 J
-	if got := m.EnergyJoules(); math.Abs(got-350) > 1e-9 {
-		t.Fatalf("energy = %v, want 350", got)
-	}
-	if got := m.Duration(); got != 15 {
-		t.Fatalf("duration = %v, want 15", got)
-	}
-	if got := m.AveragePower(); math.Abs(got-350.0/15) > 1e-9 {
-		t.Fatalf("avg power = %v", got)
-	}
-}
-
-func TestMeterSamples(t *testing.T) {
-	m := NewMeter(1)
-	m.Observe(20, 3.5)
-	m.Observe(40, 2.5)
-	samples := m.Samples()
-	if len(samples) != 6 {
-		t.Fatalf("got %d samples, want 6: %v", len(samples), samples)
-	}
-	wantW := []float64{20, 20, 20, 40, 40, 40}
-	for i, s := range samples {
-		if s.Watts != wantW[i] {
-			t.Fatalf("sample %d = %v, want %vW", i, s, wantW[i])
-		}
-	}
-}
-
-func TestMeteredEnergyCloseToExact(t *testing.T) {
-	m := NewMeter(1)
-	m.Observe(17, 100.3)
-	m.Observe(25, 200.7)
-	exact := m.EnergyJoules()
-	metered := m.MeteredEnergy()
-	if rel := math.Abs(metered-exact) / exact; rel > 0.02 {
-		t.Fatalf("metered %v vs exact %v (rel err %v)", metered, exact, rel)
-	}
-}
-
-func TestMeterIgnoresBogusSegments(t *testing.T) {
-	m := NewMeter(1)
-	m.Observe(20, 0)
-	m.Observe(20, -5)
-	if m.Duration() != 0 || len(m.Samples()) != 0 {
-		t.Fatal("bogus segments were recorded")
-	}
-	if m.AveragePower() != 0 {
-		t.Fatal("empty meter average power not 0")
-	}
-}
-
-func TestMeterDefaultResolution(t *testing.T) {
-	m := NewMeter(0)
-	m.Observe(10, 2)
-	if len(m.Samples()) != 2 {
-		t.Fatalf("default resolution broken: %v", m.Samples())
-	}
-}

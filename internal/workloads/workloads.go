@@ -50,21 +50,6 @@ func (c Class) String() string {
 // Classes lists the behaviour classes in the paper's canonical order.
 func Classes() []Class { return []Class{Compute, Hybrid, IOBound, MemBound} }
 
-// ParseClass converts a single-letter code to a Class.
-func ParseClass(s string) (Class, error) {
-	switch s {
-	case "C":
-		return Compute, nil
-	case "H":
-		return Hybrid, nil
-	case "I":
-		return IOBound, nil
-	case "M":
-		return MemBound, nil
-	}
-	return 0, fmt.Errorf("workloads: unknown class %q (want C, H, I or M)", s)
-}
-
 // Profile captures the per-application constants the models consume.
 // They correspond to observables of the real system:
 //

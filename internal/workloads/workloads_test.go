@@ -145,18 +145,6 @@ func TestClassProfileSeparation(t *testing.T) {
 	}
 }
 
-func TestParseClass(t *testing.T) {
-	for _, c := range Classes() {
-		got, err := ParseClass(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseClass(%q) = %v, %v", c.String(), got, err)
-		}
-	}
-	if _, err := ParseClass("X"); err == nil {
-		t.Error("ParseClass(X) succeeded")
-	}
-}
-
 func TestDataSizes(t *testing.T) {
 	sizes := DataSizesGB()
 	if len(sizes) != 3 || sizes[0] != 1 || sizes[1] != 5 || sizes[2] != 10 {
