@@ -24,7 +24,7 @@ import (
 
 // onlineOut selects which observability artifacts the online runner
 // produces. Every export is per shard (each shard owns its registry,
-// tracer, and audit log, which the one event engine feeds in event
+// tracer, and audit log, which the one event loop feeds in event
 // order), printed or written as "== shard N ==" sections in shard order;
 // traceOut and the timeline/EDP surfaces additionally render the
 // deterministic merged view (one Chrome track group per shard, steal

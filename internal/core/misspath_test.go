@@ -334,7 +334,7 @@ func TestMemosSignedZeroAndNaN(t *testing.T) {
 		t.Fatalf("memo: %d hits / %d misses, want 1/3 (±0 hits, NaN never)", h, m)
 	}
 
-	s := newShard(sim.NewEngine(), fix.model, fix.db, fix.lkt, 1, 0)
+	s := newShard(new(eventQueue), fix.model, fix.db, fix.lkt, 1, 0)
 	for _, o := range []Observation{a, negA, nanA} {
 		rec := &profileRec{obs: o}
 		want := fix.db.Classifier().Classify(o)

@@ -11,7 +11,6 @@ import (
 	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
 	"ecost/internal/power"
-	"ecost/internal/sim"
 	"ecost/internal/tracing"
 	"ecost/internal/workloads"
 )
@@ -23,11 +22,12 @@ import (
 // configurations. Job progress follows the execution model's fluid
 // contention solver, recomputed whenever a node's resident set changes.
 type shard struct {
-	// Engine is the control plane's one engine, shared by every shard.
-	Engine *sim.Engine
-	Model  *mapreduce.Model
-	DB     *Database
-	Tuner  STP
+	// ev is the control plane's clock and completion heap, shared by
+	// every shard.
+	ev    *eventQueue
+	Model *mapreduce.Model
+	DB    *Database
+	Tuner STP
 
 	queue *WaitQueue
 	nodes []*onlineNode
@@ -289,7 +289,7 @@ func (s *shard) auditMetrics() {
 }
 
 // setTracer attaches a span tracer to the shard; nil disables. The
-// tracer's clock must be the engine's (tracing.New(Engine.Clock())) or
+// tracer's clock must be the control plane's (tracing.New(ev.clock)) or
 // span timestamps will not line up with the event log.
 func (s *shard) setTracer(tr *tracing.Tracer) {
 	s.tracer = tr
@@ -344,7 +344,7 @@ func (s *shard) rollOccupancy(n *onlineNode) {
 }
 
 func (s *shard) rollOccupancySlow(n *onlineNode) {
-	now := s.Engine.Now()
+	now := s.ev.now
 	s.nodeSpans[n.id].FinishAt(now)
 	var names []string
 	for _, r := range n.residents {
@@ -366,7 +366,7 @@ func (s *shard) sampleDepth() {
 }
 
 func (s *shard) sampleDepthSlow() {
-	s.met.depth.Sample(s.Engine.Now(), float64(s.queue.Len()))
+	s.met.depth.Sample(s.ev.now, float64(s.queue.Len()))
 }
 
 // CompletedJob records one finished job for reporting.
@@ -392,7 +392,12 @@ type onlineJob struct {
 type onlineNode struct {
 	id        int
 	residents []*onlineJob
-	event     *sim.Event // next completion event
+
+	// sh is the owning shard, whose nodeComplete fires this node's
+	// completion; hi indexes the node's pending completion in the
+	// control plane's heap (-1 = none).
+	sh *shard
+	hi int
 
 	// watts caches the node's steady-state draw for the current
 	// resident set. It is refreshed at every reschedule (the one place
@@ -402,18 +407,11 @@ type onlineNode struct {
 	watts float64
 
 	// rates is the reusable progress-rate buffer the completion path
-	// reads: a cancelled event never fires and a live event is always
-	// cancelled before the next reschedule refills the buffer, so the
-	// backing array is never read after being overwritten.
-	rates []float64
-
-	// fire is the node's persistent completion callback (built once at
-	// construction); evDT and evFinisher carry the pending event's
-	// elapsed interval and predicted finisher, refreshed by every
-	// reschedule under the same cancel-before-refill discipline as
-	// rates. Together they replace a fresh closure allocation per
-	// completion event.
-	fire       func()
+	// reads; evDT and evFinisher carry the pending completion's elapsed
+	// interval and predicted finisher. Every reschedule refills all
+	// three and moves or clears the node's one heap entry, so a firing
+	// completion always reads the values its own reschedule wrote.
+	rates      []float64
 	evDT       float64
 	evFinisher *onlineJob
 
@@ -429,13 +427,11 @@ type onlineNode struct {
 }
 
 // newShard builds a shard over `nodes` single-node lanes whose
-// cluster-global ids start at base, scheduling its events on eng (the
-// control plane's one engine). The shard never holds a *sim.Event past
-// its firing or cancellation — the per-node completion handle is nilled
-// on both — so the engine's event recycling is safe.
-func newShard(eng *sim.Engine, model *mapreduce.Model, db *Database, tuner STP, nodes, base int) *shard {
+// cluster-global ids start at base, scheduling its nodes' completions
+// on ev (the control plane's one heap).
+func newShard(ev *eventQueue, model *mapreduce.Model, db *Database, tuner STP, nodes, base int) *shard {
 	s := &shard{
-		Engine:     eng,
+		ev:         ev,
 		Model:      model,
 		DB:         db,
 		Tuner:      tuner,
@@ -451,8 +447,7 @@ func newShard(eng *sim.Engine, model *mapreduce.Model, db *Database, tuner STP, 
 	s.freeSet = newNodeSet(nodes)
 	s.halfSet = newNodeSet(nodes)
 	for i := 0; i < nodes; i++ {
-		n := &onlineNode{id: i, watts: s.idleWatts}
-		n.fire = func() { s.nodeComplete(n) }
+		n := &onlineNode{id: i, watts: s.idleWatts, sh: s, hi: -1}
 		s.nodes = append(s.nodes, n)
 		s.freeSet.set(i, true)
 	}
@@ -584,7 +579,7 @@ func (s *shard) arrive(id int, rec *profileRec, at float64) {
 func (s *shard) finishRun() {
 	s.accrueEnergy() // close the last interval
 	if s.tracer != nil {
-		now := s.Engine.Now()
+		now := s.ev.now
 		for _, sp := range s.nodeSpans {
 			sp.FinishAt(now)
 		}
@@ -681,7 +676,7 @@ func (s *shard) acceptStolen(j *Job, from int, at float64, link int) {
 // cluster-sum updated at invalidation points would drift in the last
 // ulp.
 func (s *shard) accrueEnergy() {
-	now := s.Engine.Now()
+	now := s.ev.now
 	dt := now - s.lastUpdate
 	if dt <= 0 {
 		return
@@ -826,7 +821,7 @@ func (s *shard) dispatch() {
 					leapOver = head.ID
 				}
 				if s.met != nil {
-					now := s.Engine.Now()
+					now := s.ev.now
 					s.met.pairs.Inc()
 					s.met.reg.Counter("sched.pair." + running.String() + "+" + j.Class.String()).Inc()
 					s.met.reg.Emit(metrics.Event{
@@ -847,7 +842,7 @@ func (s *shard) dispatch() {
 			if j != nil && s.met != nil {
 				s.met.reserves.Inc()
 				s.met.reg.Emit(metrics.Event{
-					At: s.Engine.Now(), Kind: metrics.EvReserve, Job: j.ID, Node: s.gid(target),
+					At: s.ev.now, Kind: metrics.EvReserve, Job: j.ID, Node: s.gid(target),
 					Detail: "head claims fresh slot",
 				})
 			}
@@ -869,7 +864,7 @@ func (s *shard) dispatch() {
 func (s *shard) place(n *onlineNode, j *Job, branch audit.Branch, leapOver int) {
 	s.accrueEnergy()
 	cfg, ti := s.tuneFor(n, j)
-	now := s.Engine.Now()
+	now := s.ev.now
 	if s.met != nil {
 		s.met.waitFor(j.Class).Observe(now - j.Arrived)
 	}
@@ -947,7 +942,7 @@ func (s *shard) tuneFor(n *onlineNode, j *Job) (mapreduce.Config, tuneInfo) {
 			if s.met != nil {
 				s.met.tunePair.Inc()
 				s.met.reg.Emit(metrics.Event{
-					At: s.Engine.Now(), Kind: metrics.EvTune, Job: j.ID, Node: s.gid(n),
+					At: s.ev.now, Kind: metrics.EvTune, Job: j.ID, Node: s.gid(n),
 					Detail: fmt.Sprintf("pair cfg=%v resident=%d cfg=%v", pairCfg[1], resident.job.ID, pairCfg[0]),
 				})
 			}
@@ -975,7 +970,7 @@ func (s *shard) tuneFor(n *onlineNode, j *Job) (mapreduce.Config, tuneInfo) {
 	if s.met != nil {
 		s.met.tuneSolo.Inc()
 		s.met.reg.Emit(metrics.Event{
-			At: s.Engine.Now(), Kind: metrics.EvTune, Job: j.ID, Node: s.gid(n),
+			At: s.ev.now, Kind: metrics.EvTune, Job: j.ID, Node: s.gid(n),
 			Detail: fmt.Sprintf("solo cfg=%v", cfg),
 		})
 	}
@@ -989,7 +984,7 @@ func (s *shard) traceTune(n *onlineNode, j *Job, cfg mapreduce.Config, detail st
 	if s.tracer == nil {
 		return
 	}
-	now := s.Engine.Now()
+	now := s.ev.now
 	var parent *tracing.Span
 	if js := s.traced[j.ID]; js != nil {
 		parent = js.job
@@ -1013,7 +1008,7 @@ func (s *shard) traceComplete(n *onlineNode, finisher *onlineJob) {
 	if js == nil {
 		return
 	}
-	now := s.Engine.Now()
+	now := s.ev.now
 	js.run.FinishAt(now)
 	run := js.run.Snapshot()
 	attrs := tracing.Attrs{
@@ -1031,13 +1026,12 @@ func (s *shard) traceComplete(n *onlineNode, finisher *onlineJob) {
 }
 
 // reschedule recomputes the node's next completion event from the
-// current resident set's steady-state rates.
+// current resident set's steady-state rates: it moves the node's heap
+// entry to the new time with a fresh seq, or clears it when the node
+// has no finisher.
 func (s *shard) reschedule(n *onlineNode) {
-	if n.event != nil {
-		s.Engine.Cancel(n.event)
-		n.event = nil
-	}
 	if len(n.residents) == 0 {
+		s.ev.clear(n)
 		n.watts = s.idleWatts
 		s.refreshPhaseWatts(n)
 		return
@@ -1090,11 +1084,10 @@ func (s *shard) reschedule(n *onlineNode) {
 		}
 	}
 	if next < 0 {
+		s.ev.clear(n)
 		return
 	}
 	// Record progress rates to advance remaining fractions at the event.
-	// The buffer lives on the node: the pending event is cancelled
-	// before any refill, so the closure never reads overwritten rates.
 	if cap(n.rates) < len(n.residents) {
 		n.rates = make([]float64, len(n.residents))
 	}
@@ -1104,13 +1097,14 @@ func (s *shard) reschedule(n *onlineNode) {
 	}
 	n.evDT = nextDT
 	n.evFinisher = n.residents[next]
-	n.event = s.Engine.After(nextDT, n.fire)
+	s.ev.set(n, s.ev.now+nextDT)
 }
 
 // nodeComplete is the node's completion event: advance every resident's
 // remaining fraction by the elapsed interval's progress rates, retire
 // the finisher, and refill the node. It reads the reschedule-maintained
-// n.evDT / n.evFinisher / n.rates instead of closure captures.
+// n.evDT / n.evFinisher / n.rates, and its closing reschedule moves or
+// clears the node's heap entry.
 func (s *shard) nodeComplete(n *onlineNode) {
 	nextDT := n.evDT
 	finisher := n.evFinisher
@@ -1138,12 +1132,12 @@ func (s *shard) nodeComplete(n *onlineNode) {
 		SizeGB:    finisher.job.Obs.SizeGB,
 		Submitted: finisher.job.Arrived,
 		Started:   finisher.started,
-		Finished:  s.Engine.Now(),
+		Finished:  s.ev.now,
 		Node:      s.gid(n),
 		Cfg:       finisher.cfg,
 	})
 	if s.met != nil {
-		now := s.Engine.Now()
+		now := s.ev.now
 		s.met.completed.Inc()
 		s.met.turnaround.Observe(now - finisher.job.Arrived)
 		s.met.reg.Emit(metrics.Event{
@@ -1152,7 +1146,7 @@ func (s *shard) nodeComplete(n *onlineNode) {
 		})
 	}
 	if s.aud != nil {
-		now := s.Engine.Now()
+		now := s.ev.now
 		joins, alerts := s.aud.Complete(finisher.job.ID, now)
 		if s.fl != nil {
 			for _, jn := range joins {
@@ -1184,7 +1178,6 @@ func (s *shard) nodeComplete(n *onlineNode) {
 	s.jobPool = append(s.jobPool, finisher.job)
 	*finisher = onlineJob{}
 	s.ojPool = append(s.ojPool, finisher)
-	n.event = nil
 	s.reschedule(n)
 	s.dispatch()
 }

@@ -17,9 +17,9 @@ import (
 func tracedBusyScheduler(tb testing.TB) *shard {
 	tb.Helper()
 	fixture(tb)
-	s := newShard(sim.NewEngine(), fix.model, fix.db, fix.lkt, 4, 0)
+	s := newShard(new(eventQueue), fix.model, fix.db, fix.lkt, 4, 0)
 	s.setMetrics(metrics.NewRegistry())
-	s.setTracer(tracing.New(s.Engine.Clock()))
+	s.setTracer(tracing.New(s.ev.clock))
 	s.setAudit(audit.NewLog(audit.DriftConfig{}))
 	wl, err := Scenario("WS4")
 	if err != nil {
@@ -76,7 +76,7 @@ func disabledScheduler(tb testing.TB) *shard {
 	tb.Helper()
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	db := &Database{}
-	return newShard(sim.NewEngine(), model, db, &LkTSTP{DB: db}, 1, 0)
+	return newShard(new(eventQueue), model, db, &LkTSTP{DB: db}, 1, 0)
 }
 
 // BenchmarkDisabledDepthSample measures sampleDepth with observability

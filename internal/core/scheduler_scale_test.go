@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -91,7 +92,6 @@ func firstDiff(got, want []byte) string {
 func TestNodeSetsAgainstLinearScan(t *testing.T) {
 	c := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(5)), 5)
 	s := c.shards[0]
-	eng := s.Engine
 	apps := workloads.Training()
 	rng := sim.NewRNG(6)
 	at := 0.0
@@ -107,15 +107,15 @@ func TestNodeSetsAgainstLinearScan(t *testing.T) {
 		t.Helper()
 		for _, n := range s.nodes {
 			if got, want := s.freeSet.has(n.id), len(n.residents) == 0; got != want {
-				t.Fatalf("t=%.0f node %d: freeSet=%v, residents=%d", eng.Now(), n.id, got, len(n.residents))
+				t.Fatalf("t=%.0f node %d: freeSet=%v, residents=%d", c.ev.now, n.id, got, len(n.residents))
 			}
 			if got, want := s.halfSet.has(n.id), len(n.residents) == 1; got != want {
-				t.Fatalf("t=%.0f node %d: halfSet=%v, residents=%d", eng.Now(), n.id, got, len(n.residents))
+				t.Fatalf("t=%.0f node %d: halfSet=%v, residents=%d", c.ev.now, n.id, got, len(n.residents))
 			}
 		}
 	}
 	check()
-	for eng.Step() {
+	for c.step(math.Inf(1)) {
 		check()
 	}
 	if s.pending != 0 {

@@ -8,12 +8,13 @@ package core
 // decision logs, completions, energy — is a pure function of the
 // submitted stream, and steals fire at deterministic sim times.
 //
-// One engine drives every shard (DESIGN.md §22): the control plane
-// owns the only event heap and the only pending-arrival ring, and each
-// shard schedules its events on that heap. Between steal passes the
-// shards share no mutable state but the one completion log, whose
-// order Completed fixes by sorting, so interleaving their events in
-// one (time, seq) order is invisible in every export.
+// One clock drives every shard (DESIGN.md §22, §24): the control plane
+// owns the only completion heap and the only pending-arrival ring, and
+// each shard schedules its nodes' completions on that heap. Between
+// steal passes the shards share no mutable state but the one
+// completion log, whose order Completed fixes by sorting, so
+// interleaving their events in one (time, seq) order is invisible in
+// every export.
 //
 // The steal pass is the only cross-shard interaction, and it runs only
 // at barrier times (DESIGN.md §17): a wait queue can only grow at an
@@ -32,7 +33,6 @@ import (
 	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
 	"ecost/internal/power"
-	"ecost/internal/sim"
 	"ecost/internal/tracing"
 	"ecost/internal/workloads"
 )
@@ -59,7 +59,7 @@ type ShardedConfig struct {
 const stealBatch = 8
 
 // ShardedScheduler is the online form of ECoST (Figure 4): S per-shard
-// schedulers over disjoint node slices, driven by one event engine. It
+// schedulers over disjoint node slices, driven by one clock. It
 // is the only online scheduler — Shards: 1 runs the whole cluster as
 // one shard. Build with NewShardedScheduler, attach observability
 // (SetMetrics, SetAudit, SetTracer, SetFlight — one sink per shard),
@@ -69,16 +69,14 @@ type ShardedScheduler struct {
 	shards []*shard
 	prof   *Profiler
 
-	// eng is the one event engine every shard schedules on. arrQ is the
-	// pending-arrival ring Submit fills: instead of one closure and one
-	// engine event per submission, a single in-flight AtHead event
-	// (arrFire) delivers every arrival sharing its timestamp to its home
-	// shard, in submission order, and re-arms at the next arrival time.
+	// ev is the clock and completion heap every shard schedules on.
+	// arrQ is the pending-arrival ring Submit fills: its head is the
+	// one arrival event, which delivers every arrival sharing its
+	// timestamp to its home shard, in submission order (DESIGN.md §24).
 	// arrHead indexes the first undelivered entry.
-	eng     *sim.Engine
+	ev      eventQueue
 	arrQ    []pendingArrival
 	arrHead int
-	arrFire func()
 
 	// memo interns router profiles under ProfileMemo: one record per
 	// (app, size). recs is the chunk new records are carved from; a
@@ -175,8 +173,7 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 	if newTuner == nil {
 		return nil, fmt.Errorf("core: sharded scheduler: nil tuner factory")
 	}
-	c := &ShardedScheduler{cfg: cfg, prof: prof, eng: sim.NewEngine()}
-	c.arrFire = c.fireArrivals
+	c := &ShardedScheduler{cfg: cfg, prof: prof}
 	if cfg.ProfileMemo {
 		c.memo = make(map[profileKey]*profileRec)
 	}
@@ -190,7 +187,7 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 		if tuner == nil {
 			return nil, fmt.Errorf("core: sharded scheduler: tuner factory returned nil for shard %d", i)
 		}
-		sh := newShard(c.eng, model, db, tuner, n, base)
+		sh := newShard(&c.ev, model, db, tuner, n, base)
 		sh.completions = &c.completed
 		c.shards = append(c.shards, sh)
 		base += n
@@ -253,7 +250,7 @@ func (c *ShardedScheduler) SetAudit(logs []*audit.Log) {
 }
 
 // SetTracer attaches a sharded span tracer: one fresh Tracer per shard
-// — reading the engine clock, stamped with its shard index —
+// — reading the control plane's clock, stamped with its shard index —
 // appended to ts in shard order. Call before the first Submit on a
 // fresh ShardSet; pass nil to detach every shard. Each shard's tracer
 // is written only by that shard's events between barriers (plus the
@@ -265,7 +262,7 @@ func (c *ShardedScheduler) SetTracer(ts *tracing.ShardSet) {
 			sh.setTracer(nil)
 			continue
 		}
-		tr := tracing.New(c.eng.Clock())
+		tr := tracing.New(c.ev.clock)
 		ts.Attach(tr)
 		sh.setTracer(tr)
 	}
@@ -338,29 +335,21 @@ func (c *ShardedScheduler) Submit(app workloads.App, sizeGB, at float64) {
 	}
 	c.arrQ = append(c.arrQ, pendingArrival{id: c.nextID, at: at, rec: rec})
 	c.nextID++
-	if len(c.arrQ)-c.arrHead == 1 {
-		c.eng.AtHead(at, c.arrFire)
-	}
 }
 
 // fireArrivals is the ring's head event: it delivers every arrival due
 // at the current clock to its home shard in submission order — each
 // shard's arrive runs classify, queue and dispatch exactly as a per-job
-// event would — then re-arms at the next pending arrival time. AtHead
-// keeps arrivals ahead of same-instant completions, as per-job arrival
-// events scheduled before the run would be: their submission-time seq
-// always undercut runtime-scheduled events.
+// event would.
 func (c *ShardedScheduler) fireArrivals() {
-	now := c.eng.Now()
+	now := c.ev.now
 	for c.arrHead < len(c.arrQ) && c.arrQ[c.arrHead].at <= now {
 		p := c.arrQ[c.arrHead]
 		c.arrQ[c.arrHead] = pendingArrival{}
 		c.arrHead++
 		c.shards[p.rec.home].arrive(p.id, p.rec, p.at)
 	}
-	if c.arrHead < len(c.arrQ) {
-		c.eng.AtHead(c.arrQ[c.arrHead].at, c.arrFire)
-	} else {
+	if c.arrHead == len(c.arrQ) {
 		c.arrQ = c.arrQ[:0]
 		c.arrHead = 0
 	}
@@ -413,7 +402,7 @@ func (c *ShardedScheduler) BarrierStats() BarrierStats { return c.stats }
 // and summed energy, or the first bad submission's error without
 // driving anything. A panic in a shard event surfaces as the error, at
 // the first panicking event in (time, seq) order. After the last event
-// the engine clock is the global makespan, and every shard is closed
+// the clock reads the global makespan, and every shard is closed
 // out there, so every shard bills its trailing idle energy up to the
 // same end time.
 func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
@@ -434,7 +423,7 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	if pending > 0 {
 		return 0, 0, fmt.Errorf("core: sharded scheduler: %d jobs never completed", pending)
 	}
-	end := c.eng.Now()
+	end := c.ev.now
 	for _, sh := range c.shards {
 		sh.finishRun()
 	}
@@ -446,25 +435,28 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	return end, c.EnergyJ(), nil
 }
 
-// drive is the event loop (DESIGN.md §22). At the next event time t it
-// fires every event at t; at a barrier time the steal pass (stealing
-// on) and the flight epoch (recorder attached) follow.
+// drive is the event loop (DESIGN.md §22, §24). At the next event
+// time t it fires every event at t, including those t's events
+// schedule at t; at a barrier time the steal pass (stealing on) and
+// the flight epoch (recorder attached) follow.
 func (c *ShardedScheduler) drive() {
 	inWindow := false
 	for {
-		t, ok := c.eng.NextAt()
+		t, ok := c.nextAt()
 		if !ok {
 			return
 		}
 		barrier := c.barrierAt(t)
-		fired := c.eng.Fired()
-		c.eng.RunThrough(t)
+		var fired int64
+		for c.step(t) {
+			fired++
+		}
 		if !barrier {
 			if !inWindow {
 				c.stats.Windows++
 				inWindow = true
 			}
-			c.stats.WindowEvents += c.eng.Fired() - fired
+			c.stats.WindowEvents += fired
 			continue
 		}
 		inWindow = false
@@ -490,9 +482,9 @@ func (c *ShardedScheduler) drive() {
 //     arrive and acceptStolen alone), so with every queue empty and no
 //     arrival at t the pass would early-out.
 //
-// Every arrival before t has fired (the ring's head event sits at the
-// first undelivered arrival time, and t is the engine's minimum), so
-// the ring head is due at t exactly when its time is t.
+// Every arrival before t has fired (the ring's head is the first
+// undelivered arrival, and t is the earliest event time), so the ring
+// head is due at t exactly when its time is t.
 func (c *ShardedScheduler) barrierAt(t float64) bool {
 	switch {
 	case c.flight != nil:
@@ -501,6 +493,46 @@ func (c *ShardedScheduler) barrierAt(t float64) bool {
 		return false
 	}
 	return (c.arrHead < len(c.arrQ) && c.arrQ[c.arrHead].at <= t) || c.anyQueued()
+}
+
+// ringAt is the ring head's event time: its arrival time, never before
+// the clock.
+func (c *ShardedScheduler) ringAt() (float64, bool) {
+	if c.arrHead == len(c.arrQ) {
+		return 0, false
+	}
+	return max(c.arrQ[c.arrHead].at, c.ev.now), true
+}
+
+// nextAt is the earliest pending event time, the ring head's or the
+// earliest completion's.
+func (c *ShardedScheduler) nextAt() (float64, bool) {
+	at, ok := c.ringAt()
+	if h := c.ev.heap; len(h) > 0 && (!ok || h[0].at < at) {
+		return h[0].at, true
+	}
+	return at, ok
+}
+
+// step fires the one earliest event if it is due at or before t, and
+// reports whether it fired one. The ring head fires ahead of a
+// completion at the same time, as per-job arrival events scheduled
+// before the run always did. A firing node's heap entry stays in place
+// until its nodeComplete reschedules it.
+func (c *ShardedScheduler) step(t float64) bool {
+	h := c.ev.heap
+	if at, ok := c.ringAt(); ok && at <= t && (len(h) == 0 || at <= h[0].at) {
+		c.ev.now = at
+		c.fireArrivals()
+		return true
+	}
+	if len(h) == 0 || h[0].at > t {
+		return false
+	}
+	n := h[0].n
+	c.ev.now = h[0].at
+	n.sh.nodeComplete(n)
+	return true
 }
 
 // anyQueued reports whether any shard has queued work — the

@@ -255,14 +255,16 @@ func TestFig9ReducedGrid(t *testing.T) {
 		if len(per) != len(core.Policies()) {
 			t.Fatalf("%s: %d policies evaluated", wl, len(per))
 		}
-		// ECoST must beat the untuned serial policy and stay within a
-		// loose factor of UB. (These bounds are for the coarse fast-mode
-		// database; the default-fidelity numbers live in EXPERIMENTS.md
+		// ECoST must beat the untuned serial policy and stay within 5%
+		// of UB. The coarse fast-mode database measures ECoST/UB at
+		// 1.000 on WS3 and 0.9926 on WS4, so the band catches a drift
+		// of a few percent in the reproduction without pinning the low
+		// bits. (The default-fidelity numbers live in EXPERIMENTS.md
 		// and are regenerated by the bench harness.)
 		if per[core.ECoST] >= per[core.SM] {
 			t.Errorf("%s: ECoST (%v) not better than untuned serial SM (%v)", wl, per[core.ECoST], per[core.SM])
 		}
-		if per[core.ECoST] > 1.6 {
+		if per[core.ECoST] > 1.05 {
 			t.Errorf("%s: ECoST %vx of UB; want close to the upper bound", wl, per[core.ECoST])
 		}
 		if per[core.UB] != 1.0 {

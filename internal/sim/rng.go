@@ -1,7 +1,7 @@
-// Package sim provides the deterministic simulation substrate used across
-// the ECoST reproduction: a seeded pseudo-random source with the
-// distribution helpers the models need, and a discrete-event kernel for
-// scenario-level (queueing) simulation.
+// Package sim provides the deterministic randomness used across the
+// ECoST reproduction: a seeded pseudo-random source with the
+// distribution helpers the models need. The online control plane keeps
+// its own clock and event order in internal/core.
 //
 // Everything in this package is deterministic for a fixed seed; all
 // experiments in the repository derive their randomness from here so that

@@ -160,7 +160,7 @@ type Tracer struct {
 }
 
 // New returns a tracer reading the simulated clock through now
-// (typically sim.Engine.Clock()).
+// (typically the online control plane's clock).
 func New(now func() float64) *Tracer {
 	if now == nil {
 		now = func() float64 { return 0 }
