@@ -6,7 +6,8 @@ import "math/bits"
 // indexes (free nodes, half-busy nodes). min returns the lowest set id,
 // which matches the legacy linear scan's first-match choice exactly —
 // the scheduler's node slice is ordered by id — while costing O(words)
-// instead of O(nodes) resident-set inspections per placement.
+// instead of O(nodes) resident-set inspections per placement. The steal
+// pass keeps one over shard ids: the shards with queued work.
 type nodeSet struct{ words []uint64 }
 
 func newNodeSet(n int) nodeSet { return nodeSet{words: make([]uint64, (n+63)/64)} }
@@ -33,9 +34,27 @@ func (s nodeSet) min() (int, bool) {
 	return 0, false
 }
 
-// count returns the number of members. The work-stealing pass uses it
-// to size a starved shard's claim budget; it runs only at epoch
-// barriers, so the O(words) popcount walk is off the hot path.
+// next returns the smallest member in [from, to), or -1 when there is
+// none.
+func (s nodeSet) next(from, to int) int {
+	if from >= to {
+		return -1
+	}
+	w := from >> 6
+	word := s.words[w] &^ (1<<(uint(from)&63) - 1) // drop ids below from
+	for word == 0 {
+		if w++; w<<6 >= to {
+			return -1
+		}
+		word = s.words[w]
+	}
+	if id := w<<6 | bits.TrailingZeros64(word); id < to {
+		return id
+	}
+	return -1
+}
+
+// count returns the number of members (an O(words) popcount walk).
 func (s nodeSet) count() int {
 	n := 0
 	for _, word := range s.words {

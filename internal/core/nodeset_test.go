@@ -8,7 +8,7 @@ import (
 
 // TestNodeSetPropertyVsMapModel drives a nodeSet and a map-based
 // reference model with the same random operation stream and checks
-// set/has/min/count agree after every step. Sizes straddle the 64-bit
+// set/has/min/count/next agree after every step. Sizes straddle the 64-bit
 // word boundaries the bitmap packs into — the set became load-bearing
 // per shard, where slices start at arbitrary sizes.
 func TestNodeSetPropertyVsMapModel(t *testing.T) {
@@ -32,6 +32,18 @@ func TestNodeSetPropertyVsMapModel(t *testing.T) {
 			}
 			if got, want := s.count(), len(model); got != want {
 				t.Fatalf("size %d step %d: count() = %d want %d", size, step, got, want)
+			}
+			// next: smallest id present in a random [from, to).
+			from, to := rng.Intn(size+1), rng.Intn(size+1)
+			wantNext := -1
+			for id := from; id < to; id++ {
+				if model[id] {
+					wantNext = id
+					break
+				}
+			}
+			if got := s.next(from, to); got != wantNext {
+				t.Fatalf("size %d step %d: next(%d, %d) = %d want %d", size, step, from, to, got, wantNext)
 			}
 		}
 		check(-1)

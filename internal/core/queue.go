@@ -23,6 +23,11 @@ type Job struct {
 	// seq is the job's arrival sequence in the queue holding it,
 	// stamped by Push: SelectPartner breaks class-rank ties by it.
 	seq uint64
+
+	// rec is the router profile the job was submitted with (nil for a
+	// job built outside the control plane); it travels with a stolen
+	// job, so the thief's steady memo keys it by the same spec id.
+	rec *profileRec
 }
 
 // WaitQueue is the paper's FIFO wait queue with a reservation at the
@@ -42,12 +47,13 @@ type WaitQueue struct {
 	// depth over sim-time separately (the queue has no clock).
 	Metrics *metrics.Registry
 
-	// byClass sub-indexes the FIFO per class (each deque in queue
-	// order) and nextSeq numbers pushes (Job.seq), so SelectPartner
-	// inspects one front per class instead of scanning the whole
-	// queue. The jobs slice stays the source of truth; the index
-	// mirrors it exactly (fuzz-tested against the linear scan).
-	byClass map[workloads.Class][]*Job
+	// byClass sub-indexes the FIFO per class, one deque per slot of
+	// workloads.Classes() (each in queue order), and nextSeq numbers
+	// pushes (Job.seq), so SelectPartner inspects at most four fronts
+	// instead of scanning the whole queue. The jobs slice stays the
+	// source of truth; the index mirrors it exactly (fuzz-tested
+	// against the linear scan).
+	byClass [numClasses][]*Job
 	nextSeq uint64
 }
 
@@ -104,12 +110,12 @@ func (q *WaitQueue) PopHead() *Job {
 	return j
 }
 
-// index registers a freshly pushed job in the per-class sub-index
-// (lazily initialized so literal WaitQueue values keep working).
+// numClasses is the number of behaviour classes, the slots of
+// WaitQueue.byClass; a Class is its own slot index.
+const numClasses = int(workloads.MemBound) + 1
+
+// index registers a freshly pushed job in the per-class sub-index.
 func (q *WaitQueue) index(j *Job) {
-	if q.byClass == nil {
-		q.byClass = map[workloads.Class][]*Job{}
-	}
 	q.byClass[j.Class] = append(q.byClass[j.Class], j)
 	j.seq = q.nextSeq
 	q.nextSeq++
@@ -117,26 +123,23 @@ func (q *WaitQueue) index(j *Job) {
 
 // unindex drops a removed job from the per-class sub-index. The
 // scheduler removes fronts (PopHead, or Take of the job SelectPartner
-// just returned), so the common case splices at position 0.
+// just returned), so the common case splices at position 0. A deque
+// that empties keeps its slot's capacity for the next push.
 func (q *WaitQueue) unindex(j *Job) {
 	d := q.byClass[j.Class]
-	for i, x := range d {
-		if x != j {
-			continue
-		}
-		if i == 0 {
-			d[0] = nil
-			d = d[1:]
-		} else {
-			d = slices.Delete(d, i, i+1)
-		}
-		break
+	switch i := slices.Index(d, j); {
+	case i < 0:
+		return
+	case len(d) == 1:
+		d[0] = nil
+		d = d[:0]
+	case i == 0:
+		d[0] = nil
+		d = d[1:]
+	default:
+		d = slices.Delete(d, i, i+1)
 	}
-	if len(d) == 0 {
-		delete(q.byClass, j.Class)
-	} else {
-		q.byClass[j.Class] = d
-	}
+	q.byClass[j.Class] = d
 }
 
 // Candidates returns the jobs eligible to fill a fresh node slot: the
@@ -186,12 +189,11 @@ func (q *WaitQueue) Take(id int) (*Job, error) {
 // nil if the queue is empty.
 //
 // Only the front of each class's sub-index can win — within a class,
-// queue order is push order — so the scan inspects at most one job per
-// distinct queued class instead of the whole FIFO. The (rank, arrival
-// sequence) order is total (sequences are unique), so the choice is
-// deterministic and equals the legacy whole-queue scan's
-// first-strictly-better sweep (fuzz-tested against it in
-// FuzzWaitQueueIndex).
+// queue order is push order — so the scan inspects at most four fronts
+// instead of the whole FIFO. The (rank, arrival sequence) order is
+// total (sequences are unique), so the choice is deterministic and
+// equals the legacy whole-queue scan's first-strictly-better sweep
+// (fuzz-tested against it in FuzzWaitQueueIndex).
 func (q *WaitQueue) SelectPartner(running workloads.Class, priority []workloads.Class) *Job {
 	if len(q.jobs) == 0 {
 		return nil
@@ -199,8 +201,11 @@ func (q *WaitQueue) SelectPartner(running workloads.Class, priority []workloads.
 	var best *Job
 	bestRank := 0
 	for c, d := range q.byClass {
+		if len(d) == 0 {
+			continue
+		}
 		j := d[0]
-		r := classRank(c, priority)
+		r := classRank(workloads.Class(c), priority)
 		if best == nil || r < bestRank || (r == bestRank && j.seq < best.seq) {
 			best, bestRank = j, r
 		}

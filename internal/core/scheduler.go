@@ -52,11 +52,12 @@ type shard struct {
 	phaseWatts [3]float64
 
 	// steadyMemo caches steady-state contention solves by the exact
-	// model inputs (per-resident app name, data size, configuration, in
-	// resident order). Steady is a pure function of those inputs, so a
-	// hit returns bit-identical times and watts — the cache is
-	// transparent to every golden — while recurring tenant pairs skip
-	// the fluid solver entirely. At steadyMemoCap entries it clears
+	// model inputs as integer words (per resident, in resident order:
+	// the spec id of its (app, size) and its configuration's bits; see
+	// steadyKey). Steady is a pure function of those inputs, so a hit
+	// returns bit-identical times and watts — the cache is transparent
+	// to every golden — while recurring tenant pairs skip the fluid
+	// solver entirely. At steadyMemoCap entries it clears
 	// wholesale (the MemoSTP policy: recurring streams re-warm
 	// instantly, adversarial key churn cannot grow memory).
 	steadyMemo map[steadyKey]steadyVal
@@ -140,12 +141,17 @@ type pendingArrival struct {
 // home is the shard the router sends every job holding the record to.
 // The class is computed on first arrival and cached here. Classify is
 // a pure function of the observation, so the cache is bit-identical to
-// classifying every arrival. Only the home shard touches a record
-// during Run: routing is by app name, so every job sharing a record
-// shares a home shard, and a stolen job carries its class in the Job
-// instead.
+// classifying every arrival. Only the home shard classifies a record:
+// routing is by app name, so every job sharing a record shares a home
+// shard, and a stolen job carries its class in the Job instead. A
+// thief reads only the record's spec id, fixed at Submit.
+//
+// spec is the router's id for the record's (app name, size), shared by
+// every record of that pair and never reused (DESIGN.md §25). Ids
+// start at 1, so a zero spec word marks an empty steadyKey slot.
 type profileRec struct {
 	obs     Observation
+	spec    int
 	home    int
 	class   workloads.Class
 	classed bool
@@ -485,41 +491,72 @@ func nodePhase(residents int) int8 {
 	return int8(residents)
 }
 
-// steadySpecKey identifies one resident's contention-solver inputs.
-// Applications are identified by name — unique in the workload
-// registry — so equal keys mean equal RunSpecs.
-type steadySpecKey struct {
-	app    string
-	dataMB float64
-	cfg    mapreduce.Config
+// steadyRes is one resident's contention-solver inputs as integer
+// words: the router's spec id for its (app, size) (profileRec.spec,
+// never 0) and its configuration, the frequency by its bits. Equal
+// words mean equal RunSpecs (DESIGN.md §25).
+type steadyRes struct {
+	spec, freq, block, mappers uint64
 }
 
 // steadyKey is a full node's solver input: up to two residents in
 // resident order (order matters — the returned states are positional).
+// A one-resident key leaves b zero, which no resident's words equal.
 type steadyKey struct {
-	a, b steadySpecKey
-	n    int8
+	a, b steadyRes
+}
+
+// steadyTimes is the part of one resident's SteadyState reschedule
+// reads.
+type steadyTimes struct {
+	job, mapT, reduce float64
 }
 
 // steadyVal is one cached solve.
 type steadyVal struct {
-	sts   [2]mapreduce.SteadyState
+	res   [2]steadyTimes
 	watts float64
 }
 
 // steadyKeyOf builds the memo key for a 1- or 2-resident node straight
-// from its residents, with the DataMB specsInto would compute, so a
-// memo hit never builds the spec list.
+// from its residents, so a memo hit never builds the spec list.
 func steadyKeyOf(res []*onlineJob) steadyKey {
-	k := steadyKey{a: steadySpecKeyOf(res[0]), n: int8(len(res))}
+	k := steadyKey{a: steadyResOf(res[0])}
 	if len(res) == 2 {
-		k.b = steadySpecKeyOf(res[1])
+		k.b = steadyResOf(res[1])
 	}
 	return k
 }
 
-func steadySpecKeyOf(r *onlineJob) steadySpecKey {
-	return steadySpecKey{r.job.Obs.App.Name, r.job.Obs.SizeGB * 1024, r.cfg}
+func steadyResOf(r *onlineJob) steadyRes {
+	return steadyRes{
+		spec:    uint64(r.job.rec.spec),
+		freq:    math.Float64bits(float64(r.cfg.Freq)),
+		block:   uint64(r.cfg.Block),
+		mappers: uint64(r.cfg.Mappers),
+	}
+}
+
+// steady returns the steady-state solve for n's resident set (one or
+// two residents), from the memo when the set was solved before.
+func (s *shard) steady(n *onlineNode) (steadyVal, error) {
+	k := steadyKeyOf(n.residents)
+	if v, ok := s.steadyMemo[k]; ok {
+		return v, nil
+	}
+	out, w, err := s.eval.Steady(s.specsInto(n))
+	if err != nil {
+		return steadyVal{}, err
+	}
+	v := steadyVal{watts: w}
+	for i, st := range out {
+		v.res[i] = steadyTimes{st.JobTime, st.MapTime, st.ReduceTime}
+	}
+	if len(s.steadyMemo) >= steadyMemoCap {
+		clear(s.steadyMemo)
+	}
+	s.steadyMemo[k] = v
+	return v, nil
 }
 
 // steadyMemoCap bounds the steady memo.
@@ -543,6 +580,7 @@ func (s *shard) arrive(id int, rec *profileRec, at float64) {
 		Class:   s.classOf(rec),
 		EstTime: rec.obs.SizeGB,
 		Arrived: at,
+		rec:     rec,
 	}
 	app, sizeGB := &j.Obs.App, j.Obs.SizeGB
 	s.queue.Push(j)
@@ -1038,29 +1076,16 @@ func (s *shard) reschedule(n *onlineNode) {
 	}
 	// Dispatch caps a node at maxPerNode (two) residents, so every
 	// resident set fits a memo key.
-	var stsBuf [2]mapreduce.SteadyState
-	var watts float64
-	k := steadyKeyOf(n.residents)
-	if v, ok := s.steadyMemo[k]; ok {
-		stsBuf, watts = v.sts, v.watts
-	} else {
-		out, w, err := s.eval.Steady(s.specsInto(n))
-		if err != nil {
-			panic(err)
-		}
-		copy(stsBuf[:], out)
-		watts = w
-		if len(s.steadyMemo) >= steadyMemoCap {
-			clear(s.steadyMemo)
-		}
-		s.steadyMemo[k] = steadyVal{sts: stsBuf, watts: w}
+	v, err := s.steady(n)
+	if err != nil {
+		panic(err)
 	}
-	sts := stsBuf[:len(n.residents)]
+	sts := v.res[:len(n.residents)]
 	// Capture the node's steady-state draw for the incremental accrual
 	// path: this is the single point where a node's resident set or
 	// configurations take effect, so the cache is fresh at every later
 	// accrual (which always runs before the next mutation).
-	n.watts = watts
+	n.watts = v.watts
 	s.refreshPhaseWatts(n)
 	if s.tracer != nil {
 		// Refresh each resident's map/total split under the current
@@ -1068,8 +1093,8 @@ func (s *shard) reschedule(n *onlineNode) {
 		// map → shuffle/reduce boundary on the job's span.
 		for i, r := range n.residents {
 			if js := s.traced[r.job.ID]; js != nil {
-				if tot := sts[i].MapTime + sts[i].ReduceTime; tot > 0 {
-					js.mapFrac = sts[i].MapTime / tot
+				if tot := sts[i].mapT + sts[i].reduce; tot > 0 {
+					js.mapFrac = sts[i].mapT / tot
 				}
 			}
 		}
@@ -1078,7 +1103,7 @@ func (s *shard) reschedule(n *onlineNode) {
 	next := -1
 	nextDT := math.Inf(1)
 	for i, r := range n.residents {
-		dt := r.rem * sts[i].JobTime
+		dt := r.rem * sts[i].job
 		if dt < nextDT {
 			next, nextDT = i, dt
 		}
@@ -1093,7 +1118,7 @@ func (s *shard) reschedule(n *onlineNode) {
 	}
 	rates := n.rates[:len(n.residents)]
 	for i := range n.residents {
-		rates[i] = 1 / sts[i].JobTime
+		rates[i] = 1 / sts[i].job
 	}
 	n.evDT = nextDT
 	n.evFinisher = n.residents[next]

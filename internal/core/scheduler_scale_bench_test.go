@@ -32,7 +32,7 @@ func tracedBusyScheduler(tb testing.TB) *shard {
 			tb.Fatal(err)
 		}
 		s.pending++
-		s.arrive(i, &profileRec{obs: obs}, 0)
+		s.arrive(i, &profileRec{obs: obs, spec: i + 1}, 0)
 	}
 	for _, n := range s.nodes {
 		if len(n.residents) == 0 {

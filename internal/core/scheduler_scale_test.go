@@ -224,9 +224,17 @@ func FuzzWaitQueueIndex(f *testing.F) {
 				t.Fatal("queue backing array pins a removed job past its length")
 			}
 			indexed := 0
-			for _, d := range q.byClass {
-				if len(d) == 0 {
-					t.Fatal("empty class deque left in index")
+			for c, d := range q.byClass {
+				for i, j := range d {
+					if j.Class != workloads.Class(c) {
+						t.Fatalf("class %v deque holds job %d of class %v", workloads.Class(c), j.ID, j.Class)
+					}
+					if i > 0 && d[i-1].seq >= j.seq {
+						t.Fatalf("class %v deque positions %d,%d carry sequences %d,%d, want increasing", workloads.Class(c), i-1, i, d[i-1].seq, j.seq)
+					}
+				}
+				if dead := d[len(d):cap(d)]; slices.ContainsFunc(dead, func(j *Job) bool { return j != nil }) {
+					t.Fatalf("class %v deque backing array pins a removed job past its length", workloads.Class(c))
 				}
 				indexed += len(d)
 			}

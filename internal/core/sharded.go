@@ -84,9 +84,19 @@ type ShardedScheduler struct {
 	memo map[profileKey]*profileRec
 	recs []profileRec
 
+	// specIDs gives each (app, size) its spec id when ProfileMemo is off
+	// (under it the (app, size) record carries the id); specs counts the
+	// ids handed out, so ids are dense, start at 1 and are never reused.
+	specIDs map[profileKey]int
+	specs   int
+
 	nextID int
 	lastAt float64
 	steals int
+
+	// queued is the steal pass's set of shards with queued work,
+	// reused across passes.
+	queued nodeSet
 
 	// completed is the one completion log: every shard appends to it at
 	// its completion events, which the one engine fires in time order.
@@ -173,9 +183,11 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 	if newTuner == nil {
 		return nil, fmt.Errorf("core: sharded scheduler: nil tuner factory")
 	}
-	c := &ShardedScheduler{cfg: cfg, prof: prof}
+	c := &ShardedScheduler{cfg: cfg, prof: prof, queued: newNodeSet(cfg.Shards)}
 	if cfg.ProfileMemo {
 		c.memo = make(map[profileKey]*profileRec)
+	} else {
+		c.specIDs = make(map[profileKey]int)
 	}
 	base := 0
 	for i := 0; i < cfg.Shards; i++ {
@@ -357,17 +369,22 @@ func (c *ShardedScheduler) fireArrivals() {
 
 // profile returns the interned record for one submission: under
 // ProfileMemo the (app, size) record, profiled exactly on first sight;
-// otherwise a fresh record holding this job's noisy profile. A new
-// record is homed on the app's shard.
+// otherwise a fresh record holding this job's noisy profile and the
+// spec id of its (app, size). A new record is homed on the app's shard.
 func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileRec, error) {
+	k := profileKey{app.Name, sizeGB}
 	if c.memo == nil {
 		obs, err := c.prof.Observe(app, sizeGB)
 		if err != nil {
 			return nil, err
 		}
-		return c.intern(obs, app.Name), nil
+		spec, ok := c.specIDs[k]
+		if !ok {
+			spec = c.newSpec()
+			c.specIDs[k] = spec
+		}
+		return c.intern(obs, app.Name, spec), nil
 	}
-	k := profileKey{app.Name, sizeGB}
 	if rec, ok := c.memo[k]; ok {
 		return rec, nil
 	}
@@ -375,22 +392,28 @@ func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileR
 	if err != nil {
 		return nil, err
 	}
-	rec := c.intern(obs, app.Name)
+	rec := c.intern(obs, app.Name, c.newSpec())
 	c.memo[k] = rec
 	return rec, nil
+}
+
+// newSpec hands out the next spec id.
+func (c *ShardedScheduler) newSpec() int {
+	c.specs++
+	return c.specs
 }
 
 // recChunk is how many records one store chunk holds.
 const recChunk = 256
 
-// intern stores obs in a new record homed on app's shard: one
-// allocation per recChunk records, instead of one per record or a
-// store that regrows.
-func (c *ShardedScheduler) intern(obs Observation, app string) *profileRec {
+// intern stores obs in a new record with the given spec id, homed on
+// app's shard: one allocation per recChunk records, instead of one per
+// record or a store that regrows.
+func (c *ShardedScheduler) intern(obs Observation, app string, spec int) *profileRec {
 	if len(c.recs) == cap(c.recs) {
 		c.recs = make([]profileRec, 0, recChunk)
 	}
-	c.recs = append(c.recs, profileRec{obs: obs, home: routeShard(app, len(c.shards))})
+	c.recs = append(c.recs, profileRec{obs: obs, spec: spec, home: routeShard(app, len(c.shards))})
 	return &c.recs[len(c.recs)-1]
 }
 
@@ -553,53 +576,74 @@ func (c *ShardedScheduler) anyQueued() bool {
 // dispatches them at the barrier time. Everything here is a function
 // of shard state and t alone, so a steal that fires at t fires at t in
 // every run of the same stream.
+//
+// The pass reads each queue's length once, into the set of shards with
+// queued work, and a thief visits only the set's members, in the same
+// nearest-first order. The set tracks the queues exactly: only a
+// victim's queue shrinks (a drained victim leaves it) and only a
+// thief's grows (it joins if its dispatch leaves jobs queued), so the
+// pass takes the same steals as a scan of every queue (DESIGN.md §25).
+// It returns once the set is empty.
 func (c *ShardedScheduler) stealPass(t float64) {
-	if !c.anyQueued() {
-		return // nothing to steal anywhere — the common barrier
+	q := c.queued
+	clear(q.words)
+	left := 0
+	for i, sh := range c.shards {
+		if sh.queue.Len() > 0 {
+			q.set(i, true)
+			left++
+		}
 	}
 	s := len(c.shards)
 	for i, thief := range c.shards {
-		if thief.queue.Len() > 0 {
+		if left == 0 {
+			return // nothing left to steal anywhere
+		}
+		if q.has(i) {
 			continue
 		}
-		budget := thief.freeSlots()
-		if budget > stealBatch {
-			budget = stealBatch
-		}
+		budget := min(thief.freeSlots(), stealBatch)
 		if budget <= 0 {
 			continue
 		}
 		claimed := 0
-		for k := 1; k < s && budget > 0; k++ {
-			vi := (i + k) % s
-			victim := c.shards[vi]
-			for budget > 0 && victim.queue.Len() > 0 {
-				// The link id is the global steal sequence number — a
-				// function of shard state and t alone, so the victim's
-				// steal_out span and the thief's steal_in span carry
-				// the same id in every run of the same stream.
-				link := c.steals + 1
-				j := victim.releaseHead(t, i, link)
-				if j == nil {
-					break
+		// Victims i+1..s-1, then 0..i-1: the (i+k) % s order, k = 1..s-1.
+		for _, span := range [2][2]int{{i + 1, s}, {0, i}} {
+			for vi := q.next(span[0], span[1]); vi >= 0 && budget > 0; vi = q.next(vi+1, span[1]) {
+				victim := c.shards[vi]
+				for budget > 0 && victim.queue.Len() > 0 {
+					// The link id is the global steal sequence number — a
+					// function of shard state and t alone, so the victim's
+					// steal_out span and the thief's steal_in span carry
+					// the same id in every run of the same stream.
+					link := c.steals + 1
+					j := victim.releaseHead(t, i, link)
+					thief.acceptStolen(j, vi, t, link)
+					// The job retires into the thief's pool; hand the victim a
+					// pooled record back, so one-way steals do not leave the
+					// victim allocating while the thief's pool grows.
+					if k := len(thief.jobPool); k > 0 {
+						victim.jobPool = append(victim.jobPool, thief.jobPool[k-1])
+						thief.jobPool[k-1] = nil
+						thief.jobPool = thief.jobPool[:k-1]
+					}
+					c.flight.Steal(vi, i)
+					c.steals++
+					claimed++
+					budget--
 				}
-				thief.acceptStolen(j, vi, t, link)
-				// The job retires into the thief's pool; hand the victim a
-				// pooled record back, so one-way steals do not leave the
-				// victim allocating while the thief's pool grows.
-				if k := len(thief.jobPool); k > 0 {
-					victim.jobPool = append(victim.jobPool, thief.jobPool[k-1])
-					thief.jobPool[k-1] = nil
-					thief.jobPool = thief.jobPool[:k-1]
+				if victim.queue.Len() == 0 {
+					q.set(vi, false)
+					left--
 				}
-				c.flight.Steal(vi, i)
-				c.steals++
-				claimed++
-				budget--
 			}
 		}
 		if claimed > 0 {
 			thief.dispatch()
+			if thief.queue.Len() > 0 {
+				q.set(i, true)
+				left++
+			}
 		}
 	}
 }
