@@ -39,10 +39,23 @@ const ProfilingRuns = 3
 // feature vector and data size. The true identity (App) is carried for
 // ground-truth accounting by experiments but is never consulted by the
 // classifier or the STP models.
+//
+// id is the observation's identity word (DESIGN.md §26). The router
+// stamps it when it interns a record, and it rides inside the value
+// through every STP wrapper, so MemoSTP keys a pair by two words
+// instead of hashing and comparing two observations. Interning makes
+// ids canonical: within one intern table, observations share an id
+// exactly when they are equal under ==. Ids come from one process-wide
+// counter, so two tables never hand out the same one. An observation
+// the router never interned, or one holding a NaN, has id 0. Because
+// the id is part of the value, == tells an interned observation from
+// an un-interned copy of it.
 type Observation struct {
 	App      workloads.App // ground truth; hidden from the predictor path
 	SizeGB   float64
 	Features perfctr.Vector
+
+	id uint64
 }
 
 // Reduced returns the 7 PCA-selected features the predictors consume.

@@ -1,20 +1,17 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
 )
 
-// MemoSTP memoizes an STP technique's predictions keyed by the exact
-// (Observation a, Observation b) pair. Recurring jobs have recurring
-// resource profiles (arXiv:1303.3632, arXiv:1301.4753); whenever the
-// same two observations are paired again — replayed traces, exact
-// (noise-free) profiling, policy sweeps re-running a workload, or any
-// caller re-asking for a pair it already tuned — the cache answers
-// without a database scan or an argmin sweep.
+// MemoSTP memoizes an STP technique's predictions per (Observation a,
+// Observation b) pair. Recurring jobs have recurring resource profiles
+// (arXiv:1303.3632, arXiv:1301.4753); whenever the same two
+// observations are paired again — replayed traces, exact (noise-free)
+// profiling, policy sweeps re-running a workload, or any caller
+// re-asking for a pair it already tuned — the cache answers without a
+// database scan or an argmin sweep.
 //
 // Exact keying is deliberate: a similarity (app+size) key would hit
 // constantly but return a *different* instance's answer, silently
@@ -22,20 +19,19 @@ import (
 // bit-identical to the unmemoized run. The price is that with the
 // noise-model profiler each job instance's feature vector differs, so a
 // stream that re-profiles every arrival keeps the cache cold and every
-// call misses. A miss is not negligible next to the lookup-table scan
-// it fronts (hashing two full observations through the runtime's
-// per-field hash once cost more than the scan), so the miss path is
-// kept cheap: the key is the pair's fingerprint (fingerprint.go), a
-// fixed word-by-word hash of the app names, sizes and feature words,
-// and the entries live in a per-shard slab of fixed-size chunks kept
-// across clears, so neither hits nor misses allocate once the shards
-// are warm.
+// call misses.
 //
-// A hit requires the stored pair to equal the queried one under ==; a
-// fingerprint match on different observations is a miss that
-// recomputes and overwrites the entry. The answers and the hit/miss
-// counts are therefore those of a cache keyed by the pair itself: ±0
-// features hit each other, NaN features never hit.
+// The key is the pair's two identity words (DESIGN.md §26). The router
+// interns every observation it hands a shard, so within a control plane
+// equal observations carry one id and unequal ones different ids, and
+// a lookup probes one table by two words: no hashing of observations,
+// no compare, no copy. An observation built outside any router arrives
+// with id 0; the memo interns it in a table of its own, which clears
+// with the memo, so such callers are cached too. Hits are therefore
+// exactly those of a cache keyed by the pair under ==, which counts the
+// id word: ±0 features hit each other, an interned observation and an
+// un-interned copy of it are different keys, and a pair holding a NaN
+// is never cached (a NaN equals nothing) and counts as a miss.
 //
 // The wrapper is transparent: it returns whatever the inner technique
 // returned for the first occurrence of a key (inner techniques are
@@ -48,86 +44,111 @@ import (
 // (implementation-effort telemetry), so deterministic snapshots do not
 // see the cache either.
 //
-// Like the Oracle, the cache is sharded: one mutex per shard, selected
-// by the fingerprint's low bits, so concurrent policy sweeps do not
-// serialize on a single lock. The fingerprint has no seed, so which
-// shard fills and clears at memoShardCap — and with it the HitMiss
-// counts the flight recorder samples — is the same in every run.
-// Unlike the Oracle there is no singleflight — the online event loop is
-// single-threaded, and for concurrent callers recomputing a prediction
-// is cheap enough that waiting infrastructure would cost more than it
-// saves.
+// A MemoSTP is not safe for concurrent use. Every control plane builds
+// one per shard, and one goroutine drives all of them.
 type MemoSTP struct {
 	Inner STP
 
-	shards [memoShards]memoShard
+	// table holds at most limit entries; a new pair into a full table
+	// clears it, and local with it, wholesale. Which pairs survive is a
+	// function of the query stream alone, so HitMiss — which the
+	// flight recorder samples — is the same in every run.
+	table memoTable
+	limit int
+	local obsTable
 
 	hits   *metrics.Counter
 	misses *metrics.Counter
 
-	// nhits/nmisses are the deterministic shadow counts the flight
-	// recorder samples at epoch barriers. Unlike the volatile registry
-	// counters above, their totals are a pure function of the query
-	// stream (atomics only order concurrent sweeps; the sum is
-	// order-independent), so epoch records stay byte-identical.
-	nhits   atomic.Int64
-	nmisses atomic.Int64
+	// nhits/nmisses are the deterministic counts the flight recorder
+	// samples at epoch barriers, unlike the volatile registry counters
+	// above.
+	nhits, nmisses int64
 }
 
-// memoShards is a power of two so shard selection is a mask.
-const memoShards = 16
+// memoCap bounds the table (the workload stream's working set is tiny
+// — the cap only guards unbounded growth under adversarial churn).
+const memoCap = 16 * 4096
 
-// memoShardCap bounds each shard's entry count; a full shard is
-// cleared wholesale (the workload stream's working set is tiny — the
-// cap only guards unbounded growth under adversarial churn).
-const memoShardCap = 4096
+// memoKey is a pair's identity words, in argument order.
+type memoKey struct{ a, b uint64 }
 
-// memoChunk is how many entries one slab chunk holds (~20 KB); a
-// memo shard holding a handful of recurring pairs allocates one chunk.
-// memoShardCap is a multiple of it.
-const memoChunk = 32
-
-// memoShard maps pair fingerprints to slots of a slab of entries. The
-// slab grows one fixed-size chunk at a time — a chunk never moves, so a
-// growing shard copies nothing — and slot i lives in chunk i/memoChunk.
-// A clear empties the index and the slot count but keeps the map's
-// buckets and every chunk, so a churning stream refills the same memory
-// instead of allocating.
-type memoShard struct {
-	mu     sync.Mutex
-	idx    map[uint64]int32
-	chunks []*[memoChunk]memoEntry
-	n      int32 // slots in use
+// memoVal is one cached prediction.
+type memoVal struct {
+	cfg [2]mapreduce.Config
+	exp PairExpectation
+	err error
 }
 
-// slot returns slot i of the slab.
-func (sh *memoShard) slot(i int32) *memoEntry {
-	return &sh.chunks[i/memoChunk][i%memoChunk]
+// memoTable maps id pairs to answers: open addressing with linear
+// probing, at most three quarters full. A key's slot is a fixed
+// function of its ids and the table doubles at fixed counts, so its
+// allocations are the same in every run, which a Go map's, split by
+// seeded hash bits, are not. A zero key marks an empty slot; a cached
+// pair never holds id 0. A clear keeps the slots, so refilling a
+// cleared table allocates nothing.
+type memoTable struct {
+	slots []memoSlot
+	n     int
 }
 
-// memoEntry is one cached prediction together with the exact pair it
-// answers: the index is keyed by fingerprint only, so a hit compares a
-// and b in full.
-type memoEntry struct {
-	a, b Observation
-	cfg  [2]mapreduce.Config
-	exp  PairExpectation
-	err  error
+type memoSlot struct {
+	k memoKey
+	v memoVal
 }
 
-// NewMemoSTP wraps inner with a sharded memoization cache, registering
+// slot returns the slot holding k, or the empty slot where k belongs.
+// The table must have an empty slot.
+func (t *memoTable) slot(k memoKey) *memoSlot {
+	mask := len(t.slots) - 1
+	for i := int(fpFinish(k.a*fpMul^k.b)) & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.k == k || s.k == (memoKey{}) {
+			return s
+		}
+	}
+}
+
+// get returns k's answer, or nil.
+func (t *memoTable) get(k memoKey) *memoVal {
+	if t.n == 0 {
+		return nil
+	}
+	if s := t.slot(k); s.k == k {
+		return &s.v
+	}
+	return nil
+}
+
+// put stores v under k, which the table does not hold.
+func (t *memoTable) put(k memoKey, v memoVal) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		old := t.slots
+		t.slots = make([]memoSlot, max(16, 2*len(old)))
+		for _, s := range old {
+			if s.k != (memoKey{}) {
+				*t.slot(s.k) = s
+			}
+		}
+	}
+	*t.slot(k) = memoSlot{k, v}
+	t.n++
+}
+
+func (t *memoTable) clear() {
+	clear(t.slots)
+	t.n = 0
+}
+
+// NewMemoSTP wraps inner with a memoization cache, registering
 // volatile hit/miss counters in reg (nil disables the counters only —
 // the cache itself always works).
 func NewMemoSTP(inner STP, reg *metrics.Registry) *MemoSTP {
-	m := &MemoSTP{
+	return &MemoSTP{
 		Inner:  inner,
+		limit:  memoCap,
 		hits:   reg.VolatileCounter("stp.memo.hits"),
 		misses: reg.VolatileCounter("stp.memo.misses"),
 	}
-	for i := range m.shards {
-		m.shards[i].idx = make(map[uint64]int32)
-	}
-	return m
 }
 
 // Name implements STP.
@@ -135,7 +156,7 @@ func (m *MemoSTP) Name() string { return m.Inner.Name() }
 
 // HitMiss reports the deterministic cumulative cache hit/miss counts.
 func (m *MemoSTP) HitMiss() (hits, misses int64) {
-	return m.nhits.Load(), m.nmisses.Load()
+	return m.nhits, m.nmisses
 }
 
 // PredictBest implements STP.
@@ -150,47 +171,56 @@ func (m *MemoSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 // degradation), so a PredictBest after a PredictBestExpected of the
 // same pair — or vice versa — hits.
 func (m *MemoSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
-	fp := pairFingerprint(&a, &b)
-	sh := &m.shards[fp&(memoShards-1)]
-	sh.mu.Lock()
-	if i, ok := sh.idx[fp]; ok {
-		if e := sh.slot(i); e.a == a && e.b == b {
-			cfg, exp, err := e.cfg, e.exp, e.err
-			sh.mu.Unlock()
+	return m.predict(&a, &b)
+}
+
+// predict is PredictBestExpected on the pair in place; predictExpected
+// calls it directly, so a scheduler's tune reaches the table without
+// copying the pair.
+func (m *MemoSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
+	k, ok := memoKey{a.id, b.id}, true
+	if k.a == 0 || k.b == 0 {
+		k, ok = m.localKey(a, b)
+	}
+	if ok {
+		if v := m.table.get(k); v != nil {
 			m.hits.Inc()
-			m.nhits.Add(1)
-			return cfg, exp, err
+			m.nhits++
+			return v.cfg, v.exp, v.err
 		}
 	}
-	sh.mu.Unlock()
 	m.misses.Inc()
-	m.nmisses.Add(1)
+	m.nmisses++
 	cfg, exp, err := predictExpected(m.Inner, a, b)
-	sh.mu.Lock()
-	sh.put(fp, memoEntry{a: a, b: b, cfg: cfg, exp: exp, err: err})
-	sh.mu.Unlock()
+	if !ok {
+		return cfg, exp, err
+	}
+	if m.table.n >= m.limit {
+		m.table.clear()
+		if m.local.n > 0 {
+			// The pair's local ids went with the table.
+			m.local.reset()
+			k, _ = m.localKey(a, b)
+		}
+	}
+	m.table.put(k, memoVal{cfg: cfg, exp: exp, err: err})
 	return cfg, exp, err
 }
 
-// put stores e under fp, overwriting whatever the fingerprint held (a
-// colliding pair, or a concurrent miss on the same pair); a new key
-// into a full shard clears the shard first. The caller holds sh.mu.
-func (sh *memoShard) put(fp uint64, e memoEntry) {
-	if i, ok := sh.idx[fp]; ok {
-		*sh.slot(i) = e
-		return
+// localKey keys a pair with an un-interned side: such an observation's
+// id is its id in the memo's own table. ok is false when either side
+// holds a NaN, which nothing equals; neither side is interned then, so
+// the local table grows only with the pairs the table caches.
+func (m *MemoSTP) localKey(a, b *Observation) (k memoKey, ok bool) {
+	if (a.id == 0 && *a != *a) || (b.id == 0 && *b != *b) {
+		return memoKey{}, false
 	}
-	if sh.n >= memoShardCap {
-		clear(sh.idx)
-		for _, c := range sh.chunks {
-			clear(c[:]) // drop the cleared entries' error references
-		}
-		sh.n = 0
+	k = memoKey{a.id, b.id}
+	if k.a == 0 {
+		k.a = m.local.internAt(a, obsFingerprint(a), 0, 0).obs.id
 	}
-	if int(sh.n) == len(sh.chunks)*memoChunk {
-		sh.chunks = append(sh.chunks, new([memoChunk]memoEntry))
+	if k.b == 0 {
+		k.b = m.local.internAt(b, obsFingerprint(b), 0, 0).obs.id
 	}
-	sh.idx[fp] = sh.n
-	*sh.slot(sh.n) = e
-	sh.n++
+	return k, true
 }

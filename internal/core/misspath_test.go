@@ -223,17 +223,33 @@ func TestProfilerObserveMatchesLegacy(t *testing.T) {
 	}
 }
 
+// interned returns obs as the router hands them to a shard: each
+// interned in one table, so equal observations share an id.
+func interned(obs ...Observation) []Observation {
+	var tab obsTable
+	out := make([]Observation, len(obs))
+	for i := range obs {
+		out[i] = tab.intern(&obs[i], 0, 0).obs
+	}
+	return out
+}
+
 // TestMissPathZeroAlloc pins the allocation-free miss path: after
 // warm-up, classifying, nearest-known matching, an LkT prediction (in
 // both slot orders, so the reversed-entry path is covered) and a memo
-// hit allocate nothing.
+// hit allocate nothing — on router-interned observations and on ones
+// the memo interns itself.
 func TestMissPathZeroAlloc(t *testing.T) {
 	fixture(t)
 	c := fix.db.Classifier()
-	a, b := obsOf(t, "wc", 5), obsOf(t, "st", 1)
+	raw := []Observation{obsOf(t, "wc", 5), obsOf(t, "st", 1)}
+	ids := interned(raw...)
+	a, b := ids[0], ids[1]
 	memo := NewMemoSTP(fix.lkt, nil)
-	if _, _, err := memo.PredictBestExpected(a, b); err != nil {
-		t.Fatal(err)
+	for _, q := range [][2]Observation{{a, b}, {raw[0], raw[1]}} {
+		if _, _, err := memo.PredictBestExpected(q[0], q[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for name, f := range map[string]func(){
 		"Classifier.Classify":        func() { c.Classify(a) },
@@ -241,91 +257,107 @@ func TestMissPathZeroAlloc(t *testing.T) {
 		"LkTSTP.PredictBestExpected": func() { _, _, _ = fix.lkt.PredictBestExpected(a, b) },
 		"LkTSTP reversed":            func() { _, _, _ = fix.lkt.PredictBestExpected(b, a) },
 		"MemoSTP hit":                func() { _, _, _ = memo.PredictBestExpected(a, b) },
+		"MemoSTP hit, un-interned":   func() { _, _, _ = memo.PredictBestExpected(raw[0], raw[1]) },
 	} {
 		f()
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 			t.Errorf("%s allocates %.1f objects per call, want 0", name, allocs)
 		}
 	}
+	if h, m := memo.HitMiss(); m != 2 || h == 0 {
+		t.Fatalf("memo: %d hits / %d misses, want 2 misses and every repeat a hit", h, m)
+	}
 }
 
-// TestMemoStaleFingerprintMisses plants an entry for a different pair
-// under (a, b)'s fingerprint: the lookup must miss, return the inner
-// technique's answer, and overwrite the entry so the next call hits.
-func TestMemoStaleFingerprintMisses(t *testing.T) {
+// TestInternFingerprintCollision plants a fingerprint collision in the
+// intern table: two different observations entered under one
+// fingerprint must get distinct ids, each must find its own record
+// again, and the memo keyed by those ids must not answer one pair with
+// the other's entry.
+func TestInternFingerprintCollision(t *testing.T) {
 	fixture(t)
+	a, b, p := obsOf(t, "wc", 5), obsOf(t, "st", 5), obsOf(t, "gp", 1)
+	var tab obsTable
+	const fp = 12345
+	ra := tab.internAt(&a, fp, 1, 0)
+	rb := tab.internAt(&b, fp, 2, 0)
+	if ra == rb || ra.obs.id == 0 || rb.obs.id == 0 || ra.obs.id == rb.obs.id {
+		t.Fatalf("colliding observations interned as records %p/%p with ids %d/%d", ra, rb, ra.obs.id, rb.obs.id)
+	}
+	if tab.internAt(&a, fp, 9, 9) != ra || tab.internAt(&b, fp, 9, 9) != rb || tab.n != 2 {
+		t.Fatalf("re-interning a colliding observation did not find its own record (%d records)", tab.n)
+	}
+	if ra.spec != 1 || rb.spec != 2 {
+		t.Fatalf("a found record was overwritten: specs %d/%d", ra.spec, rb.spec)
+	}
+	rp := tab.intern(&p, 3, 0)
 	memo := NewMemoSTP(fix.lkt, nil)
-	a, b := obsOf(t, "wc", 5), obsOf(t, "st", 5)
-	fp := pairFingerprint(&a, &b)
-	sh := &memo.shards[fp&(memoShards-1)]
-	stale := memoEntry{a: b, b: a, cfg: [2]mapreduce.Config{{Freq: 1.2, Block: 64, Mappers: 1}, {Freq: 1.2, Block: 64, Mappers: 1}}}
-	sh.put(fp, stale)
-	wantCfg, wantExp, err := fix.lkt.PredictBestExpected(a, b)
+	stale := [2]mapreduce.Config{{Freq: 1.2, Block: 64, Mappers: 1}, {Freq: 1.2, Block: 64, Mappers: 1}}
+	memo.table.put(memoKey{ra.obs.id, rp.obs.id}, memoVal{cfg: stale})
+	wantCfg, wantExp, err := fix.lkt.PredictBestExpected(rb.obs, rp.obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, exp, err := memo.PredictBestExpected(a, b)
+	cfg, exp, err := memo.PredictBestExpected(rb.obs, rp.obs)
 	if err != nil || cfg != wantCfg || exp != wantExp {
-		t.Fatalf("stale fingerprint answered %v %+v %v, inner %v %+v", cfg, exp, err, wantCfg, wantExp)
+		t.Fatalf("colliding pair answered %v %+v %v, inner %v %+v", cfg, exp, err, wantCfg, wantExp)
 	}
-	if h, m := memo.HitMiss(); h != 0 || m != 1 {
-		t.Fatalf("stale fingerprint: %d hits / %d misses, want 0/1", h, m)
-	}
-	if e := sh.slot(sh.idx[fp]); e.a != a || e.b != b || e.cfg != wantCfg || sh.n != 1 {
-		t.Fatalf("stale entry not overwritten in place: %d entries, slot holds %s/%s", sh.n, e.a.App.Name, e.b.App.Name)
-	}
-	if cfg, _, _ := memo.PredictBestExpected(a, b); cfg != wantCfg {
-		t.Fatalf("re-query answered %v, want %v", cfg, wantCfg)
+	if cfg, _, _ := memo.PredictBestExpected(ra.obs, rp.obs); cfg != stale {
+		t.Fatalf("the planted pair answered %v, want its entry %v", cfg, stale)
 	}
 	if h, m := memo.HitMiss(); h != 1 || m != 1 {
-		t.Fatalf("after re-query: %d hits / %d misses, want 1/1", h, m)
+		t.Fatalf("%d hits / %d misses, want 1/1", h, m)
 	}
 }
 
-// TestMemoRefillAfterClearZeroAlloc fills a memo shard to the cap, lets
-// the next new key clear it, and refills it: the chunks and the index
-// buckets survive the clear, so the refill allocates nothing.
+// TestMemoRefillAfterClearZeroAlloc fills the id table to the cap, lets
+// the next new pair clear it, and refills it: the table keeps its
+// slots across the clear, so the refill allocates nothing.
 func TestMemoRefillAfterClearZeroAlloc(t *testing.T) {
-	var sh memoShard
-	sh.idx = make(map[uint64]int32)
-	key := uint64(0)
+	memo := NewMemoSTP(constSTP{}, nil)
+	a, b := Observation{id: 1}, Observation{}
 	fill := func() {
-		for i := 0; i < memoShardCap; i++ {
-			key++
-			sh.put(key, memoEntry{})
+		for i := 0; i < memoCap; i++ {
+			b.id++
+			_, _ = memo.PredictBest(a, b)
 		}
 	}
 	fill()
-	if sh.n != memoShardCap || len(sh.chunks) != memoShardCap/memoChunk {
-		t.Fatalf("full shard holds %d entries in %d chunks, want %d in %d", sh.n, len(sh.chunks), memoShardCap, memoShardCap/memoChunk)
+	if memo.table.n != memoCap {
+		t.Fatalf("full table holds %d entries, want %d", memo.table.n, memoCap)
 	}
 	if allocs := testing.AllocsPerRun(3, fill); allocs != 0 {
-		t.Fatalf("refilling a cleared shard allocates %.1f objects, want 0", allocs)
+		t.Fatalf("refilling a cleared table allocates %.1f objects, want 0", allocs)
 	}
-	if sh.n != memoShardCap || len(sh.idx) != memoShardCap || len(sh.chunks) != memoShardCap/memoChunk {
-		t.Fatalf("refilled shard holds %d entries, %d keys, %d chunks", sh.n, len(sh.idx), len(sh.chunks))
+	if h, m := memo.HitMiss(); memo.table.n != memoCap || h != 0 || m != 5*memoCap {
+		t.Fatalf("refilled table holds %d entries after %d hits / %d misses", memo.table.n, h, m)
 	}
 }
 
-// TestMemosSignedZeroAndNaN checks the memo treats features exactly as
-// == does: vectors differing only in the sign of a zero hit each other,
-// and a vector holding a NaN never hits, not even itself. The class
-// cache has no key to compare: a record is classified once, whatever
-// its features hold.
+// TestMemosSignedZeroAndNaN checks interning and the memo treat
+// features exactly as == does: vectors differing only in the sign of a
+// zero intern to one id and hit each other, and a vector holding a NaN
+// keeps id 0 and never hits, not even itself. The class cache has no
+// key to compare: a record is classified once, whatever its features
+// hold.
 func TestMemosSignedZeroAndNaN(t *testing.T) {
 	fixture(t)
 	a, b := obsOf(t, "wc", 5), obsOf(t, "st", 5)
 	a.Features[perfctr.CPUSystem] = 0
 	negA := a
 	negA.Features[perfctr.CPUSystem] = math.Copysign(0, -1)
-	if pairFingerprint(&a, &b) != pairFingerprint(&negA, &b) {
+	if obsFingerprint(&a) != obsFingerprint(&negA) {
 		t.Fatal("±0 vectors fingerprint differently")
 	}
 	nanA := a
 	nanA.Features[perfctr.CtxSwitch] = math.NaN()
+	ids := interned(a, negA, nanA, b)
+	if ids[0].id == 0 || ids[1].id != ids[0].id || ids[2].id != 0 {
+		t.Fatalf("ids a %d, -0 variant %d, NaN variant %d: want a shared nonzero id and 0", ids[0].id, ids[1].id, ids[2].id)
+	}
 
 	memo := NewMemoSTP(fix.lkt, nil)
-	for _, q := range [][2]Observation{{a, b}, {negA, b}, {nanA, b}, {nanA, b}} {
+	for _, q := range [][2]Observation{{ids[0], ids[3]}, {ids[1], ids[3]}, {ids[2], ids[3]}, {ids[2], ids[3]}} {
 		if _, _, err := memo.PredictBestExpected(q[0], q[1]); err != nil {
 			t.Fatal(err)
 		}
@@ -333,9 +365,12 @@ func TestMemosSignedZeroAndNaN(t *testing.T) {
 	if h, m := memo.HitMiss(); h != 1 || m != 3 {
 		t.Fatalf("memo: %d hits / %d misses, want 1/3 (±0 hits, NaN never)", h, m)
 	}
+	if memo.table.n != 1 {
+		t.Fatalf("memo caches %d pairs, want 1 (a NaN pair passes through)", memo.table.n)
+	}
 
 	s := newShard(new(eventQueue), fix.model, fix.db, fix.lkt, 1, 0)
-	for _, o := range []Observation{a, negA, nanA} {
+	for _, o := range ids[:3] {
 		rec := &profileRec{obs: o}
 		want := fix.db.Classifier().Classify(o)
 		if got := s.classOf(rec); got != want || !rec.classed || rec.class != want {
@@ -354,24 +389,26 @@ func (constSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 }
 
 // TestMemoHitMissDeterministicPastCap feeds two fresh memos the same
-// stream of more unique pairs than the shards hold (16 × 4096), so
-// shards fill and clear, then re-queries a spread of early and late
-// pairs. With a seedless fingerprint which entries survive the clears,
-// and so the hit count, is the same every time; a randomly seeded shard
-// hash made it vary from memo to memo.
+// stream of more unique router-interned pairs than the table holds
+// (16 × 4096), so the table fills and clears, then re-queries a spread
+// of early and late pairs. Which entries survive the clear, and so the
+// hit count, is a function of the stream alone: the same for both
+// memos, and exactly the late pairs the clear kept.
 func TestMemoHitMissDeterministicPastCap(t *testing.T) {
 	if testing.Short() {
-		t.Skip("fills 16 memo shards to the cap")
+		t.Skip("fills the memo table past the cap")
 	}
 	fixture(t)
+	var tab obsTable
 	base := obsOf(t, "wc", 5)
 	partner := obsOf(t, "st", 5)
-	const unique = memoShards*memoShardCap + 5000
+	partner = tab.intern(&partner, 0, 0).obs
+	const unique = memoCap + 5000
 	pair := func(i int) Observation {
 		o := base
 		o.SizeGB = float64(1 + i%20)
 		o.Features[perfctr.IPC] = float64(i)
-		return o
+		return tab.intern(&o, 0, 0).obs
 	}
 	run := func() (hits, misses int64) {
 		memo := NewMemoSTP(constSTP{}, nil)
@@ -388,7 +425,16 @@ func TestMemoHitMissDeterministicPastCap(t *testing.T) {
 	if h1 != h2 || m1 != m2 {
 		t.Fatalf("HitMiss differs between identical streams: %d/%d vs %d/%d", h1, m1, h2, m2)
 	}
-	if h1 == 0 || m1 <= unique {
-		t.Fatalf("HitMiss %d/%d: want some re-queries evicted by clears and some still cached", h1, m1)
+	// The clear at pair memoCap keeps pairs memoCap..unique-1.
+	var wantH, wantM int64 = 0, unique
+	for i := 0; i < unique; i += 97 {
+		if i >= memoCap {
+			wantH++
+		} else {
+			wantM++
+		}
+	}
+	if h1 != wantH || m1 != wantM {
+		t.Fatalf("HitMiss %d/%d, want %d/%d", h1, m1, wantH, wantM)
 	}
 }

@@ -3,11 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"ecost/internal/audit"
+	"ecost/internal/cluster"
 	"ecost/internal/flight"
+	"ecost/internal/hdfs"
 	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
 	"ecost/internal/power"
@@ -52,12 +55,12 @@ type shard struct {
 	phaseWatts [3]float64
 
 	// steadyMemo caches steady-state contention solves by the exact
-	// model inputs as integer words (per resident, in resident order:
-	// the spec id of its (app, size) and its configuration's bits; see
-	// steadyKey). Steady is a pure function of those inputs, so a hit
-	// returns bit-identical times and watts — the cache is transparent
-	// to every golden — while recurring tenant pairs skip the fluid
-	// solver entirely. At steadyMemoCap entries it clears
+	// model inputs packed in one word (per resident, in resident order:
+	// the spec id of its (app, size) and its configuration's grid
+	// index; see steadyKey). Steady is a pure function of those inputs,
+	// so a hit returns bit-identical times and watts — the cache is
+	// transparent to every golden — while recurring tenant pairs skip
+	// the fluid solver entirely. At steadyMemoCap entries it clears
 	// wholesale (the MemoSTP policy: recurring streams re-warm
 	// instantly, adversarial key churn cannot grow memory).
 	steadyMemo map[steadyKey]steadyVal
@@ -135,8 +138,9 @@ type pendingArrival struct {
 // profileRec is one interned router profile: the observation measured
 // for a submission and the behaviour class derived from it. The sharded
 // router owns the records for the run — one per (app, size) under
-// ProfileMemo, one per job otherwise — and hands them to the home
-// shard by pointer, so the observation is copied once, into the Job.
+// ProfileMemo, one per distinct observation otherwise — and hands them
+// to the home shard by pointer, so the observation is copied once, into
+// the Job. The record's observation carries its id (DESIGN.md §26).
 //
 // home is the shard the router sends every job holding the record to.
 // The class is computed on first arrival and cached here. Classify is
@@ -491,20 +495,15 @@ func nodePhase(residents int) int8 {
 	return int8(residents)
 }
 
-// steadyRes is one resident's contention-solver inputs as integer
-// words: the router's spec id for its (app, size) (profileRec.spec,
-// never 0) and its configuration, the frequency by its bits. Equal
-// words mean equal RunSpecs (DESIGN.md §25).
-type steadyRes struct {
-	spec, freq, block, mappers uint64
-}
-
-// steadyKey is a full node's solver input: up to two residents in
-// resident order (order matters — the returned states are positional).
-// A one-resident key leaves b zero, which no resident's words equal.
-type steadyKey struct {
-	a, b steadyRes
-}
+// steadyKey is a full node's solver input in one word (DESIGN.md §26):
+// per resident, in resident order (order matters — the returned states
+// are positional), 32 bits holding the router's spec id for its
+// (app, size) (profileRec.spec, 1..2^24−1) above its configuration's
+// index on the paper's 4 × 5 × 8 grid. The first resident fills the
+// high half. A one-resident key leaves the low half zero, which no
+// resident's half equals, as spec ids start at 1. Equal halves mean
+// equal RunSpecs (DESIGN.md §25).
+type steadyKey = uint64
 
 // steadyTimes is the part of one resident's SteadyState reschedule
 // reads.
@@ -518,31 +517,60 @@ type steadyVal struct {
 	watts float64
 }
 
-// steadyKeyOf builds the memo key for a 1- or 2-resident node straight
-// from its residents, so a memo hit never builds the spec list.
-func steadyKeyOf(res []*onlineJob) steadyKey {
-	k := steadyKey{a: steadyResOf(res[0])}
-	if len(res) == 2 {
-		k.b = steadyResOf(res[1])
+// Grid axes of the steady key's configuration index. A mapper count
+// past gridMappers is off the grid.
+var (
+	gridFreqs  = cluster.Frequencies()
+	gridBlocks = hdfs.BlockSizes()
+)
+
+const gridMappers = 8
+
+// gridIndex is c's index on the paper's configuration grid, and false
+// when c is off it.
+func gridIndex(c mapreduce.Config) (uint64, bool) {
+	if c.Mappers < 1 || c.Mappers > gridMappers {
+		return 0, false
 	}
-	return k
+	fi := slices.Index(gridFreqs, c.Freq)
+	bi := slices.Index(gridBlocks, c.Block)
+	if fi < 0 || bi < 0 {
+		return 0, false
+	}
+	return uint64((fi*len(gridBlocks)+bi)*gridMappers + c.Mappers - 1), true
 }
 
-func steadyResOf(r *onlineJob) steadyRes {
-	return steadyRes{
-		spec:    uint64(r.job.rec.spec),
-		freq:    math.Float64bits(float64(r.cfg.Freq)),
-		block:   uint64(r.cfg.Block),
-		mappers: uint64(r.cfg.Mappers),
+// steadyHalf is one resident's half of a steady key, and false when the
+// resident does not fit one: a spec id of 2^24 or more, or a
+// configuration off the grid.
+func steadyHalf(r *onlineJob) (uint64, bool) {
+	spec := uint64(r.job.rec.spec)
+	g, ok := gridIndex(r.cfg)
+	return spec<<8 | g, ok && spec < 1<<24
+}
+
+// steadyKeyOf builds the memo key for a 1- or 2-resident node straight
+// from its residents, so a memo hit never builds the spec list. ok is
+// false when the set does not fit a key.
+func steadyKeyOf(res []*onlineJob) (k steadyKey, ok bool) {
+	k, ok = steadyHalf(res[0])
+	k <<= 32
+	if len(res) == 2 {
+		b, okB := steadyHalf(res[1])
+		k, ok = k|b, ok && okB
 	}
+	return k, ok
 }
 
 // steady returns the steady-state solve for n's resident set (one or
-// two residents), from the memo when the set was solved before.
+// two residents), from the memo when the set was solved before. A set
+// that does not fit a key is solved every time.
 func (s *shard) steady(n *onlineNode) (steadyVal, error) {
-	k := steadyKeyOf(n.residents)
-	if v, ok := s.steadyMemo[k]; ok {
-		return v, nil
+	k, fits := steadyKeyOf(n.residents)
+	if fits {
+		if v, ok := s.steadyMemo[k]; ok {
+			return v, nil
+		}
 	}
 	out, w, err := s.eval.Steady(s.specsInto(n))
 	if err != nil {
@@ -551,6 +579,9 @@ func (s *shard) steady(n *onlineNode) (steadyVal, error) {
 	v := steadyVal{watts: w}
 	for i, st := range out {
 		v.res[i] = steadyTimes{st.JobTime, st.MapTime, st.ReduceTime}
+	}
+	if !fits {
+		return v, nil
 	}
 	if len(s.steadyMemo) >= steadyMemoCap {
 		clear(s.steadyMemo)
@@ -973,7 +1004,7 @@ type tuneInfo struct {
 func (s *shard) tuneFor(n *onlineNode, j *Job) (mapreduce.Config, tuneInfo) {
 	if len(n.residents) == 1 {
 		resident := n.residents[0]
-		pairCfg, exp, err := predictExpected(s.Tuner, resident.job.Obs, j.Obs)
+		pairCfg, exp, err := predictExpected(s.Tuner, &resident.job.Obs, &j.Obs)
 		if err == nil && pairCfg[0].Mappers+pairCfg[1].Mappers <= s.Model.Spec.Cores {
 			resident.cfg.Freq = pairCfg[0].Freq
 			resident.cfg.Mappers = pairCfg[0].Mappers

@@ -90,6 +90,7 @@ func firstDiff(got, want []byte) string {
 // against a linear scan of the node resident sets — the property the
 // indexed dispatch equivalence rests on.
 func TestNodeSetsAgainstLinearScan(t *testing.T) {
+	fixture(t)
 	c := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(5)), 5)
 	s := c.shards[0]
 	apps := workloads.Training()
@@ -245,15 +246,16 @@ func FuzzWaitQueueIndex(f *testing.F) {
 	})
 }
 
-// TestMemoSTPTransparency checks the memo wrapper end to end: repeat
+// TestMemoSTPTransparency checks the memo wrapper end to end on
+// router-interned observations: repeat
 // predictions hit, hits return the exact first answer, and the metered
 // wrapper's deterministic telemetry cannot tell the cache is there.
 func TestMemoSTPTransparency(t *testing.T) {
 	fixture(t)
 	reg := metrics.NewRegistry()
 	memo := NewMemoSTP(fix.lkt, reg)
-	a := obsOf(t, "wc", 5)
-	b := obsOf(t, "st", 5)
+	ids := interned(obsOf(t, "wc", 5), obsOf(t, "st", 5))
+	a, b := ids[0], ids[1]
 	cfg1, exp1, err1 := memo.PredictBestExpected(a, b)
 	cfg2, exp2, err2 := memo.PredictBestExpected(a, b)
 	if err1 != nil || err2 != nil {

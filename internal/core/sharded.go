@@ -78,11 +78,11 @@ type ShardedScheduler struct {
 	arrQ    []pendingArrival
 	arrHead int
 
-	// memo interns router profiles under ProfileMemo: one record per
-	// (app, size). recs is the chunk new records are carved from; a
-	// chunk never moves, so every record keeps its address for the run.
+	// memo finds the (app, size) record under ProfileMemo. obs interns
+	// every record: one per distinct observation, each with its id
+	// (DESIGN.md §26). A record keeps its address for the run.
 	memo map[profileKey]*profileRec
-	recs []profileRec
+	obs  obsTable
 
 	// specIDs gives each (app, size) its spec id when ProfileMemo is off
 	// (under it the (app, size) record carries the id); specs counts the
@@ -369,8 +369,9 @@ func (c *ShardedScheduler) fireArrivals() {
 
 // profile returns the interned record for one submission: under
 // ProfileMemo the (app, size) record, profiled exactly on first sight;
-// otherwise a fresh record holding this job's noisy profile and the
-// spec id of its (app, size). A new record is homed on the app's shard.
+// otherwise the interned record of this job's noisy profile, new unless
+// an equal profile came before, with the spec id of its (app, size). A
+// new record is homed on the app's shard.
 func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileRec, error) {
 	k := profileKey{app.Name, sizeGB}
 	if c.memo == nil {
@@ -383,7 +384,7 @@ func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileR
 			spec = c.newSpec()
 			c.specIDs[k] = spec
 		}
-		return c.intern(obs, app.Name, spec), nil
+		return c.intern(&obs, app.Name, spec), nil
 	}
 	if rec, ok := c.memo[k]; ok {
 		return rec, nil
@@ -392,7 +393,7 @@ func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileR
 	if err != nil {
 		return nil, err
 	}
-	rec := c.intern(obs, app.Name, c.newSpec())
+	rec := c.intern(&obs, app.Name, c.newSpec())
 	c.memo[k] = rec
 	return rec, nil
 }
@@ -403,18 +404,12 @@ func (c *ShardedScheduler) newSpec() int {
 	return c.specs
 }
 
-// recChunk is how many records one store chunk holds.
-const recChunk = 256
-
-// intern stores obs in a new record with the given spec id, homed on
-// app's shard: one allocation per recChunk records, instead of one per
-// record or a store that regrows.
-func (c *ShardedScheduler) intern(obs Observation, app string, spec int) *profileRec {
-	if len(c.recs) == cap(c.recs) {
-		c.recs = make([]profileRec, 0, recChunk)
-	}
-	c.recs = append(c.recs, profileRec{obs: obs, spec: spec, home: routeShard(app, len(c.shards))})
-	return &c.recs[len(c.recs)-1]
+// intern returns the record of an observation equal to obs, or a new
+// record holding obs and the given spec id, homed on app's shard. An
+// equal observation has the same app and size, so a shared record's
+// spec id and home are the ones given.
+func (c *ShardedScheduler) intern(obs *Observation, app string, spec int) *profileRec {
+	return c.obs.intern(obs, spec, routeShard(app, len(c.shards)))
 }
 
 // BarrierStats reports how the last Run drove the shards: barriers

@@ -23,6 +23,10 @@ import (
 // resident set is often re-drawn with fresh records so hits span
 // records. Each seed runs past steadyMemoCap, so the memo clears.
 //
+// Two (app, size) pairs run under spec ids at the edge of the key's
+// 24-bit field: 2^24−1, which fits and is cached, and 2^24, which does
+// not, so every set holding it is solved afresh and caches nothing.
+//
 // The spec ids are checked on the way: records of one (app, size)
 // share an id, different (app, size) pairs never do, and a pair first
 // seen after a memo clear gets an id no earlier pair had.
@@ -47,6 +51,10 @@ func TestSteadyMemoExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := c.shards[0]
+		wide := map[profileKey]int{
+			{apps[0].Name, sizes[0]}: 1<<24 - 1,
+			{apps[1].Name, sizes[1]}: 1 << 24,
+		}
 		specOf := map[profileKey]int{}
 		keyOf := map[int]profileKey{}
 		maxSpec := 0
@@ -70,11 +78,16 @@ func TestSteadyMemoExact(t *testing.T) {
 				maxSpec = rec.spec
 			}
 			specOf[k], keyOf[rec.spec] = rec.spec, k
+			if id, ok := wide[k]; ok {
+				r := *rec
+				r.spec = id
+				rec = &r
+			}
 			return &Job{Obs: rec.obs, rec: rec}
 		}
 		var history [][]*onlineJob
-		var hits, misses, errs int
-		for op := 0; op < 2*steadyMemoCap; op++ {
+		var hits, misses, errs, wideHits, unfit int
+		for op := 0; op < 3*steadyMemoCap; op++ {
 			var res []*onlineJob
 			if len(history) > 0 && rng.Intn(4) == 0 {
 				// Re-draw an earlier set with fresh records of the same
@@ -111,7 +124,9 @@ func TestSteadyMemoExact(t *testing.T) {
 			}
 			want, wantW, wantErr := fix.model.Steady(specs)
 			before := len(s.steadyMemo)
-			_, hit := s.steadyMemo[steadyKeyOf(res)]
+			k, fits := steadyKeyOf(res)
+			_, hit := s.steadyMemo[k]
+			hit = hit && fits
 			got, err := s.steady(&onlineNode{residents: res})
 			if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("seed %d op %d: memo error %v, fresh solve %v", seed, op, err, wantErr)
@@ -126,9 +141,22 @@ func TestSteadyMemoExact(t *testing.T) {
 			if len(s.steadyMemo) < before {
 				cleared = true
 			}
-			if hit {
+			wideSpec := false
+			for _, r := range res {
+				wideSpec = wideSpec || r.job.rec.spec == 1<<24-1
+			}
+			switch {
+			case !fits:
+				if len(s.steadyMemo) != before {
+					t.Fatalf("seed %d op %d: a set that does not fit a key changed the memo from %d to %d entries", seed, op, before, len(s.steadyMemo))
+				}
+				unfit++
+			case hit:
 				hits++
-			} else {
+				if wideSpec {
+					wideHits++
+				}
+			default:
 				misses++
 			}
 			for i, st := range want {
@@ -144,8 +172,9 @@ func TestSteadyMemoExact(t *testing.T) {
 			}
 			history = append(history, res)
 		}
-		if hits == 0 || misses == 0 || errs == 0 || !cleared {
-			t.Fatalf("seed %d: %d hits, %d misses, %d errors, cleared=%v — want every case exercised", seed, hits, misses, errs, cleared)
+		if hits == 0 || misses == 0 || errs == 0 || !cleared || wideHits == 0 || unfit == 0 {
+			t.Fatalf("seed %d: %d hits (%d at spec 2^24−1), %d misses, %d errors, %d unfit sets, cleared=%v — want every case exercised",
+				seed, hits, wideHits, misses, errs, unfit, cleared)
 		}
 	}
 }

@@ -91,16 +91,20 @@ func (s *LkTSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, Pai
 
 // predictExpected dispatches to the richest prediction interface the
 // technique implements, degrading gracefully: full forecast, EDP-only,
-// or configuration-only (zero expectation).
-func predictExpected(t STP, a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
+// or configuration-only (zero expectation). It takes the pair by
+// reference, so the observations are copied at most once, into the
+// technique's call, and not at all into a MemoSTP's.
+func predictExpected(t STP, a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
 	switch p := t.(type) {
+	case *MemoSTP:
+		return p.predict(a, b)
 	case ExpectingSTP:
-		return p.PredictBestExpected(a, b)
+		return p.PredictBestExpected(*a, *b)
 	case PairEDPPredictor:
-		cfg, edp, err := p.PredictBestEDP(a, b)
+		cfg, edp, err := p.PredictBestEDP(*a, *b)
 		return cfg, PairExpectation{EDP: edp}, err
 	}
-	cfg, err := t.PredictBest(a, b)
+	cfg, err := t.PredictBest(*a, *b)
 	return cfg, PairExpectation{}, err
 }
 
@@ -156,7 +160,7 @@ func (s *MeteredSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) 
 // an audited run predicts identically to an unaudited one.
 func (s *MeteredSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
 	start := time.Now()
-	cfg, exp, err := predictExpected(s.Inner, a, b)
+	cfg, exp, err := predictExpected(s.Inner, &a, &b)
 	s.wall.Observe(float64(time.Since(start).Nanoseconds()))
 	if err != nil {
 		s.failures.Inc()
