@@ -118,9 +118,6 @@ func checkLookup(t *testing.T, db *Database, a, b Observation) {
 	if cfg != want.Cfg || exp != (PairExpectation{EDP: want.Out.EDP, TimeS: want.Out.Makespan, PowerW: want.Out.AvgPower}) {
 		t.Fatalf("%s/%s: LkT %v %+v, legacy %v %+v", a.App.Name, b.App.Name, cfg, exp, want.Cfg, want.Out)
 	}
-	if cfg2, edp, _ := lkt.PredictBestEDP(a, b); cfg2 != cfg || edp != exp.EDP {
-		t.Fatalf("%s/%s: PredictBestEDP %v %v, want %v %v", a.App.Name, b.App.Name, cfg2, edp, cfg, exp.EDP)
-	}
 	if cfg3, _ := lkt.PredictBest(a, b); cfg3 != cfg {
 		t.Fatalf("%s/%s: PredictBest %v, want %v", a.App.Name, b.App.Name, cfg3, cfg)
 	}

@@ -1,20 +1,13 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"strings"
 
-	"ecost/internal/audit"
 	"ecost/internal/cluster"
-	"ecost/internal/flight"
 	"ecost/internal/hdfs"
 	"ecost/internal/mapreduce"
-	"ecost/internal/metrics"
 	"ecost/internal/power"
-	"ecost/internal/tracing"
 	"ecost/internal/workloads"
 )
 
@@ -48,9 +41,9 @@ type shard struct {
 	// incrementally reassociates the float adds, so total energy can
 	// differ from the per-node walk in the last ulps (golden-tested to
 	// 1e-9 relative); scheduling decisions never read energy, so
-	// makespan and every placement stay bit-identical. The fast path
-	// only engages when no per-node attribution is needed (tracer and
-	// audit off); see setFastAccrual.
+	// makespan and every placement stay bit-identical. Span and audit
+	// attribution walk the nodes in the observer, so the fast path
+	// holds with every sink attached; see setFastAccrual.
 	fastAcc    bool
 	phaseWatts [3]float64
 
@@ -90,26 +83,10 @@ type shard struct {
 	lastUpdate float64
 	phases     power.PhaseAccumulator
 
-	// met holds the pre-resolved metric handles (nil = observability
-	// off; see setMetrics).
-	met *schedMetrics
-
-	// tracer records lifecycle and occupancy spans (nil = tracing off;
-	// see setTracer). traced maps in-flight job IDs to their open
-	// spans; nodeSpans holds each node's current occupancy span.
-	tracer    *tracing.Tracer
-	traced    map[int]*jobSpans
-	nodeSpans []*tracing.Span
-
-	// aud records every decision joined with its realized outcome
-	// (nil = auditing off; see setAudit).
-	aud *audit.Log
-
-	// fl is this shard's flight-recorder collector (nil = flight
-	// recording off; see ShardedScheduler.SetFlight). Forecast joins
-	// and drift alerts accumulate here until the control plane drains
-	// them at the next barrier.
-	fl *flight.Collector
+	// obs feeds the shard's observability sinks (nil = every sink off;
+	// see observe.go). Each lifecycle transition calls it behind one nil
+	// check.
+	obs *observer
 
 	// jobPool / ojPool recycle Job and onlineJob records: both become
 	// unreachable at completion (CompletedJob copies every exported
@@ -168,215 +145,6 @@ func (s *shard) classOf(rec *profileRec) workloads.Class {
 		rec.classed = true
 	}
 	return rec.class
-}
-
-// jobSpans tracks one in-flight job's open spans plus the model's
-// latest map/total time split (refreshed at every reschedule, so the
-// final value reflects the contention conditions the job actually
-// finished under).
-type jobSpans struct {
-	job, wait, run *tracing.Span
-	mapFrac        float64
-}
-
-// schedMetrics pre-resolves the scheduler's instruments so the hot
-// event path never takes the registry lock.
-type schedMetrics struct {
-	reg        *metrics.Registry
-	submitted  *metrics.Counter
-	completed  *metrics.Counter
-	pairs      *metrics.Counter
-	reserves   *metrics.Counter
-	leaps      *metrics.Counter
-	tunePair   *metrics.Counter
-	tuneSolo   *metrics.Counter
-	depth      *metrics.Series
-	turnaround *metrics.Histogram
-	wait       map[workloads.Class]*metrics.Histogram
-
-	energyIdle   *metrics.Gauge
-	energySolo   *metrics.Gauge
-	energyPaired *metrics.Gauge
-
-	// Audit mirrors (registered by auditMetrics once both a registry
-	// and an audit log are attached).
-	driftAlert  *metrics.Gauge   // stp.drift_alert: 0 healthy, latched 1 on alarm
-	driftAlerts *metrics.Counter // audit.drift_alerts: alarms fired
-	relErr      map[string]*metrics.Histogram
-
-	// Steal counters, registered lazily on first use so steal-free
-	// runs' snapshots carry no steal families.
-	stealsIn  *metrics.Counter // sched.steals_in: jobs claimed from neighbors
-	stealsOut *metrics.Counter // sched.steals_out: queued jobs claimed away
-}
-
-// stealIn lazily registers the jobs-claimed-from-neighbors counter.
-func (m *schedMetrics) stealIn() *metrics.Counter {
-	if m.stealsIn == nil {
-		m.stealsIn = m.reg.Counter("sched.steals_in")
-	}
-	return m.stealsIn
-}
-
-// stealOut lazily registers the jobs-claimed-away counter.
-func (m *schedMetrics) stealOut() *metrics.Counter {
-	if m.stealsOut == nil {
-		m.stealsOut = m.reg.Counter("sched.steals_out")
-	}
-	return m.stealsOut
-}
-
-// waitFor returns the per-class wait-latency histogram.
-func (m *schedMetrics) waitFor(c workloads.Class) *metrics.Histogram {
-	h, ok := m.wait[c]
-	if !ok {
-		h = m.reg.Histogram("sched.wait_s."+c.String(), metrics.ExpBuckets(16, 2, 14))
-		m.wait[c] = h
-	}
-	return h
-}
-
-// relErrFor returns the per-predicted-class STP relative-error
-// histogram (buckets track audit.ErrBuckets: 5% doubling to 1280%).
-func (m *schedMetrics) relErrFor(class string) *metrics.Histogram {
-	h, ok := m.relErr[class]
-	if !ok {
-		h = m.reg.Histogram("audit.rel_err_pct."+class, metrics.ExpBuckets(5, 2, 9))
-		m.relErr[class] = h
-	}
-	return h
-}
-
-// setMetrics attaches an observability registry to the shard (and its
-// wait queue); nil disables. The execution model is shared across
-// shards and stays uninstrumented.
-func (s *shard) setMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		s.met = nil
-		s.queue.Metrics = nil
-		return
-	}
-	s.met = &schedMetrics{
-		reg:          reg,
-		submitted:    reg.Counter("sched.submitted"),
-		completed:    reg.Counter("sched.completed"),
-		pairs:        reg.Counter("sched.pairings"),
-		reserves:     reg.Counter("sched.reservations"),
-		leaps:        reg.Counter("sched.leaps"),
-		tunePair:     reg.Counter("sched.tune.pair"),
-		tuneSolo:     reg.Counter("sched.tune.solo"),
-		depth:        reg.Series("sched.queue_depth"),
-		turnaround:   reg.Histogram("sched.turnaround_s", metrics.ExpBuckets(16, 2, 14)),
-		wait:         map[workloads.Class]*metrics.Histogram{},
-		energyIdle:   reg.Gauge("power.energy_j.idle"),
-		energySolo:   reg.Gauge("power.energy_j.solo"),
-		energyPaired: reg.Gauge("power.energy_j.paired"),
-		relErr:       map[string]*metrics.Histogram{},
-	}
-	s.queue.Metrics = reg
-	s.auditMetrics()
-}
-
-// setAudit attaches a decision-audit log to the shard; nil disables.
-// When a metrics registry is also attached, joins and drift alarms are
-// mirrored into it (per-class audit.rel_err_pct histograms, the
-// stp.drift_alert gauge, the audit.drift_alerts counter, and EvDrift
-// events).
-func (s *shard) setAudit(l *audit.Log) {
-	s.aud = l
-	s.auditMetrics()
-}
-
-// auditMetrics pre-registers the audit mirror instruments once both an
-// audit log and a registry are attached (either attachment order), so
-// the drift gauge is visible at 0 on healthy runs.
-func (s *shard) auditMetrics() {
-	if s.aud == nil || s.met == nil {
-		return
-	}
-	s.met.driftAlert = s.met.reg.Gauge("stp.drift_alert")
-	s.met.driftAlerts = s.met.reg.Counter("audit.drift_alerts")
-}
-
-// setTracer attaches a span tracer to the shard; nil disables. The
-// tracer's clock must be the control plane's (tracing.New(ev.clock)) or
-// span timestamps will not line up with the event log.
-func (s *shard) setTracer(tr *tracing.Tracer) {
-	s.tracer = tr
-	if tr == nil {
-		s.traced = nil
-		s.nodeSpans = nil
-		return
-	}
-	s.traced = make(map[int]*jobSpans)
-	s.nodeSpans = make([]*tracing.Span, len(s.nodes))
-	for _, n := range s.nodes {
-		s.nodeSpans[n.id] = tr.Start(tracing.KindNode, power.PhaseName(0), nil,
-			tracing.Attrs{Job: -1, Node: s.gid(n)})
-	}
-}
-
-// topTenants names the most-queued applications, busiest first (name
-// ascending on ties), at most max. The flight recorder's triggers use
-// it to name the tenants behind a hot shard.
-func (s *shard) topTenants(max int) []string {
-	counts := make(map[string]int)
-	for _, j := range s.queue.Jobs() {
-		counts[j.Obs.App.Name]++
-	}
-	names := make([]string, 0, len(counts))
-	for name := range counts {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if counts[names[i]] != counts[names[j]] {
-			return counts[names[i]] > counts[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	if len(names) > max {
-		names = names[:max]
-	}
-	return names
-}
-
-// rollOccupancy closes a node's current occupancy span and opens the
-// next one — called whenever the resident set changes (after the
-// closing interval's energy has been accrued). The nil branch must
-// stay small enough to inline (see Histogram.Observe): with tracing
-// off the call compiles down to a compare-and-return (sub-ns,
-// BenchmarkDisabledOccupancyRoll, guarded in CI).
-func (s *shard) rollOccupancy(n *onlineNode) {
-	if s.tracer == nil {
-		return
-	}
-	s.rollOccupancySlow(n)
-}
-
-func (s *shard) rollOccupancySlow(n *onlineNode) {
-	now := s.ev.now
-	s.nodeSpans[n.id].FinishAt(now)
-	var names []string
-	for _, r := range n.residents {
-		names = append(names, r.job.Obs.App.Name)
-	}
-	s.nodeSpans[n.id] = s.tracer.Start(tracing.KindNode, power.PhaseName(len(n.residents)), nil,
-		tracing.Attrs{Job: -1, Node: s.gid(n), Detail: strings.Join(names, "+")})
-}
-
-// sampleDepth records the queue depth at the current sim-time. Like
-// rollOccupancy, the disabled path is a single inlined branch
-// (BenchmarkDisabledDepthSample) — dispatch calls this per placement,
-// so an uninstrumented run must not even read the engine clock.
-func (s *shard) sampleDepth() {
-	if s.met == nil {
-		return
-	}
-	s.sampleDepthSlow()
-}
-
-func (s *shard) sampleDepthSlow() {
-	s.met.depth.Sample(s.ev.now, float64(s.queue.Len()))
 }
 
 // CompletedJob records one finished job for reporting.
@@ -469,9 +237,7 @@ func newShard(ev *eventQueue, model *mapreduce.Model, db *Database, tuner STP, n
 func (s *shard) gid(n *onlineNode) int { return s.base + n.id }
 
 // setFastAccrual enables the O(1) aggregate energy-accrual path (see
-// the fastAcc field). It only takes effect while no tracer and no
-// audit log are attached — per-node and per-job energy attribution
-// need the per-node walk. Call before the first submit.
+// the fastAcc field). Call before the first submit.
 func (s *shard) setFastAccrual(v bool) {
 	s.fastAcc = v
 	if !v {
@@ -613,45 +379,20 @@ func (s *shard) arrive(id int, rec *profileRec, at float64) {
 		Arrived: at,
 		rec:     rec,
 	}
-	app, sizeGB := &j.Obs.App, j.Obs.SizeGB
 	s.queue.Push(j)
-	// app.Class is ground truth the prediction path never sees;
-	// recording it next to the Classify verdict is what makes the
-	// confusion matrix possible.
-	s.aud.Submit(id, app.Name, sizeGB, app.Class.String(), j.Class.String(), at)
-	if s.met != nil {
-		s.met.submitted.Inc()
-		s.met.reg.Emit(metrics.Event{
-			At: at, Kind: metrics.EvSubmit, Job: id, Node: -1,
-			Detail: fmt.Sprintf("%s@%gG class=%s", app.Name, sizeGB, j.Class),
-		})
-		s.sampleDepth()
-	}
-	if s.tracer != nil {
-		attrs := tracing.Attrs{
-			Job: id, Node: -1,
-			App: app.Name, Class: j.Class.String(), SizeGB: sizeGB,
-		}
-		js := &jobSpans{}
-		js.job = s.tracer.Start(tracing.KindJob, "job "+app.Name, nil, attrs)
-		js.wait = s.tracer.Start(tracing.KindWait, "wait", js.job, attrs)
-		s.traced[id] = js
+	if s.obs != nil {
+		s.obs.arrive(j)
 	}
 	s.dispatch()
 }
 
-// finishRun closes out a drained run at the engine's current clock:
-// the last accrual interval is integrated and open occupancy spans are
-// finished. Every shard shares the control plane's engine, whose clock
-// stops at the global makespan, so every shard bills its idle tail up
-// to the same end time.
+// finishRun closes out a drained run at the clock, which every shard
+// shares and which stops at the global makespan: each shard bills its
+// idle tail up to the same end time, and its open spans finish there.
 func (s *shard) finishRun() {
 	s.accrueEnergy() // close the last interval
-	if s.tracer != nil {
-		now := s.ev.now
-		for _, sp := range s.nodeSpans {
-			sp.FinishAt(now)
-		}
+	if s.obs != nil {
+		s.obs.finish()
 	}
 }
 
@@ -662,95 +403,47 @@ func (s *shard) finishRun() {
 func (s *shard) freeSlots() int { return 2*s.freeCnt + s.halfCnt }
 
 // releaseHead removes the wait queue's head for migration to shard
-// `to` at barrier time `at` (the engine clock reads at). The victim
-// records a steal_out span carrying the steal's link id, closes the
-// job's open spans, and forgets it — the audit record stays
-// submit-only, documenting where the job first landed — while the
-// thief re-registers it under the same global id. Returns nil when the
-// queue is empty.
+// `to` at barrier time `at` (the engine clock reads at), under the
+// steal's link id; the thief re-registers it under the same global id.
+// Returns nil when the queue is empty.
 func (s *shard) releaseHead(at float64, to, link int) *Job {
 	j := s.queue.PopHead()
 	if j == nil {
 		return nil
 	}
 	s.pending--
-	if s.met != nil {
-		s.met.stealOut().Inc()
-		s.sampleDepth()
-	}
-	if s.tracer != nil {
-		if js := s.traced[j.ID]; js != nil {
-			if link > 0 {
-				s.tracer.Record(tracing.KindStealOut, "steal_out", js.job, at, at, tracing.Attrs{
-					Job: j.ID, Node: -1,
-					App: j.Obs.App.Name, Class: j.Class.String(), SizeGB: j.Obs.SizeGB,
-					Detail: fmt.Sprintf("to=shard%d", to), Link: link,
-				})
-			}
-			js.wait.FinishAt(at)
-			js.job.FinishAt(at)
-			delete(s.traced, j.ID)
-		}
+	if s.obs != nil {
+		s.obs.stealOut(j, at, to, link)
 	}
 	return j
 }
 
 // acceptStolen registers a job claimed from neighbor shard `from` at
-// barrier time `at` (the engine clock reads at). The job keeps its
-// global id, observation, class, and original arrival time —
-// wait-latency metrics still measure from first submission — and opens
-// fresh spans (plus a steal_in span linked to the victim's steal_out
-// through `link`) and a fresh audit record in this shard's exports.
-// The caller dispatches after the claim batch.
+// barrier time `at` (the engine clock reads at) under the steal's link
+// id. The job keeps its global id, observation, class, and original
+// arrival time. The caller dispatches after the claim batch.
 func (s *shard) acceptStolen(j *Job, from int, at float64, link int) {
 	s.pending++
 	s.queue.Push(j)
-	s.aud.Submit(j.ID, j.Obs.App.Name, j.Obs.SizeGB, j.Obs.App.Class.String(), j.Class.String(), j.Arrived)
-	if s.met != nil {
-		s.met.stealIn().Inc()
-		s.met.reg.Emit(metrics.Event{
-			At: at, Kind: metrics.EvSteal, Job: j.ID, Node: -1,
-			Detail: fmt.Sprintf("from=shard%d arrived=%g", from, j.Arrived),
-		})
-		s.sampleDepth()
-	}
-	if s.tracer != nil {
-		attrs := tracing.Attrs{
-			Job: j.ID, Node: -1,
-			App: j.Obs.App.Name, Class: j.Class.String(), SizeGB: j.Obs.SizeGB,
-		}
-		js := &jobSpans{}
-		js.job = s.tracer.Start(tracing.KindJob, "job "+j.Obs.App.Name, nil, attrs)
-		js.wait = s.tracer.Start(tracing.KindWait, "wait", js.job, attrs)
-		s.traced[j.ID] = js
-		if link > 0 {
-			inAttrs := attrs
-			inAttrs.Detail = fmt.Sprintf("from=shard%d", from)
-			inAttrs.Link = link
-			s.tracer.Record(tracing.KindStealIn, "steal_in", js.job, at, at, inAttrs)
-		}
+	if s.obs != nil {
+		s.obs.stealIn(j, from, at, link)
 	}
 }
 
-// accrueEnergy integrates cluster power since the last update.
-//
-// The per-node watts are read from the cache reschedule maintains, so
-// the loop is a handful of float adds per node — no execution-model
-// solves and no allocations (asserted by TestAccrueEnergyZeroAlloc
-// with tracing, audit, and metrics all attached). The summation keeps
-// the reference per-node order (node id ascending, one phases.Add and
-// one share division per node), so the accumulated energy, phase
-// split, and every span/audit attribution are bit-identical to
-// recomputing Steady per node (testdata/ws4_online.golden) — a running
-// cluster-sum updated at invalidation points would drift in the last
-// ulp.
+// accrueEnergy integrates cluster power since the last update from the
+// node watts reschedule caches: no solves and no allocations
+// (TestAccrueEnergyZeroAlloc, every sink attached). The walk keeps the
+// reference order (node id ascending, one phases.Add per node), so
+// energy and phase split are bit-identical to recomputing Steady per
+// node (testdata/ws4_online.golden). Under fastAcc the phase sums
+// replace the walk.
 func (s *shard) accrueEnergy() {
 	now := s.ev.now
 	dt := now - s.lastUpdate
 	if dt <= 0 {
 		return
 	}
-	if s.fastAcc && s.tracer == nil && s.aud == nil {
+	if s.fastAcc {
 		// O(1) aggregate path: integrate the phase sums reschedule
 		// maintains instead of walking the node array. At 16k nodes the
 		// per-node walk is the dominant cost of every event.
@@ -758,46 +451,17 @@ func (s *shard) accrueEnergy() {
 		s.phases.SoloJ += s.phaseWatts[1] * dt
 		s.phases.CoJ += s.phaseWatts[2] * dt
 		s.energyJ += (s.phaseWatts[0] + s.phaseWatts[1] + s.phaseWatts[2]) * dt
-		s.lastUpdate = now
-		if s.met != nil {
-			s.met.energyIdle.Set(s.phases.IdleJ)
-			s.met.energySolo.Set(s.phases.SoloJ)
-			s.met.energyPaired.Set(s.phases.CoJ)
+	} else {
+		var watts float64
+		for _, n := range s.nodes {
+			watts += n.watts
+			s.phases.Add(len(n.residents), n.watts*dt)
 		}
-		return
+		s.energyJ += watts * dt
 	}
-	var watts float64
-	for _, n := range s.nodes {
-		w := n.watts
-		watts += w
-		s.phases.Add(len(n.residents), w*dt)
-		if s.tracer != nil {
-			// Attribute the node's joules to its occupancy span in full,
-			// so node spans re-integrate to the cluster bill.
-			s.nodeSpans[n.id].AddEnergy(w * dt)
-		}
-		if (s.tracer != nil || s.aud != nil) && len(n.residents) > 0 {
-			// Equal shares to the resident jobs — run spans carry the
-			// solo+co-located share of the bill, and the audit log uses
-			// the *same* division, so its realized join is bit-identical
-			// to tracing's JobReport.EnergyJ.
-			share := w * dt / float64(len(n.residents))
-			for _, r := range n.residents {
-				if s.tracer != nil {
-					if js := s.traced[r.job.ID]; js != nil {
-						js.run.AddEnergy(share)
-					}
-				}
-				s.aud.AddEnergy(r.job.ID, share)
-			}
-		}
-	}
-	s.energyJ += watts * dt
 	s.lastUpdate = now
-	if s.met != nil {
-		s.met.energyIdle.Set(s.phases.IdleJ)
-		s.met.energySolo.Set(s.phases.SoloJ)
-		s.met.energyPaired.Set(s.phases.CoJ)
+	if s.obs != nil {
+		s.obs.accrue(dt)
 	}
 }
 
@@ -871,56 +535,21 @@ func (s *shard) dispatch() {
 		if target == nil {
 			return // cluster full
 		}
-		var j *Job
-		branch := audit.BranchReserve
-		leapOver := -1
-		if len(target.residents) == 1 {
+		pair := len(target.residents) == 1
+		j := s.queue.Head()
+		if pair {
 			running := target.residents[0].job.Class
-			head := s.queue.Head()
 			j = s.queue.SelectPartner(running, s.DB.PartnerPriority(running))
-			if j != nil {
-				taken, err := s.queue.Take(j.ID)
-				if err != nil {
-					panic(err)
-				}
-				j = taken
-				branch = audit.BranchPairHead
-				if head != nil && j.ID != head.ID {
-					branch = audit.BranchPairLeap
-					leapOver = head.ID
-				}
-				if s.met != nil {
-					now := s.ev.now
-					s.met.pairs.Inc()
-					s.met.reg.Counter("sched.pair." + running.String() + "+" + j.Class.String()).Inc()
-					s.met.reg.Emit(metrics.Event{
-						At: now, Kind: metrics.EvPair, Job: j.ID, Node: s.gid(target),
-						Detail: fmt.Sprintf("partner=%s running=%s", j.Class, running),
-					})
-					if branch == audit.BranchPairLeap {
-						s.met.leaps.Inc()
-						s.met.reg.Emit(metrics.Event{
-							At: now, Kind: metrics.EvLeap, Job: j.ID, Node: s.gid(target),
-							Detail: fmt.Sprintf("over=%d", leapOver),
-						})
-					}
-				}
-			}
-		} else {
-			j = s.queue.PopHead()
-			if j != nil && s.met != nil {
-				s.met.reserves.Inc()
-				s.met.reg.Emit(metrics.Event{
-					At: s.ev.now, Kind: metrics.EvReserve, Job: j.ID, Node: s.gid(target),
-					Detail: "head claims fresh slot",
-				})
-			}
 		}
-		if j == nil {
-			return
+		if s.obs != nil { // before j leaves the queue: claim compares it with the head
+			s.obs.claim(target, j)
 		}
-		s.sampleDepth()
-		s.place(target, j, branch, leapOver)
+		if !pair {
+			s.queue.PopHead()
+		} else if _, err := s.queue.Take(j.ID); err != nil {
+			panic(err)
+		}
+		s.place(target, j)
 	}
 }
 
@@ -930,32 +559,9 @@ func (s *shard) dispatch() {
 // (§5). The resident application's frequency and mapper slots are
 // re-tuned live; its HDFS block size stays as loaded (data layout is
 // fixed once written).
-func (s *shard) place(n *onlineNode, j *Job, branch audit.Branch, leapOver int) {
+func (s *shard) place(n *onlineNode, j *Job) {
 	s.accrueEnergy()
-	cfg, ti := s.tuneFor(n, j)
-	now := s.ev.now
-	if s.met != nil {
-		s.met.waitFor(j.Class).Observe(now - j.Arrived)
-	}
-	var partner *onlineJob
-	if len(n.residents) == 1 {
-		partner = n.residents[0]
-	}
-	if s.aud != nil {
-		s.aud.Place(j.ID, s.gid(n), now, branch, leapOver)
-		s.aud.Tune(j.ID, s.Tuner.Name(), cfg.String(), ti.path, ti.exp)
-		if partner != nil {
-			var pred audit.Expectation
-			if ti.path == audit.TunePair {
-				// The pair forecast only holds when the pair tuning was
-				// actually applied; a solo fallback leaves it zero (no
-				// join, no drift sample).
-				pred = ti.exp
-				s.aud.Retune(partner.job.ID, partner.cfg.String())
-			}
-			s.aud.Paired(partner.job.ID, j.ID, s.gid(n), now, branch, pred)
-		}
-	}
+	cfg := s.tuneFor(n, j)
 	var oj *onlineJob
 	if k := len(s.ojPool); k > 0 {
 		oj = s.ojPool[k-1]
@@ -964,134 +570,48 @@ func (s *shard) place(n *onlineNode, j *Job, branch audit.Branch, leapOver int) 
 	} else {
 		oj = new(onlineJob)
 	}
-	*oj = onlineJob{job: j, cfg: cfg, rem: 1, started: now}
+	*oj = onlineJob{job: j, cfg: cfg, rem: 1, started: s.ev.now}
 	n.residents = append(n.residents, oj)
 	s.occupancyChanged(n)
-	if s.tracer != nil {
-		js := s.traced[j.ID]
-		js.wait.FinishAt(now)
-		attrs := tracing.Attrs{
-			Job: j.ID, Node: s.gid(n),
-			App: j.Obs.App.Name, Class: j.Class.String(), SizeGB: j.Obs.SizeGB,
-			Config: cfg.String(),
-		}
-		if partner != nil {
-			attrs.Partner = partner.job.Obs.App.Name
-			// The resident learns its partner too (and its possibly
-			// re-tuned configuration).
-			if pjs := s.traced[partner.job.ID]; pjs != nil {
-				pjs.run.SetPartner(j.Obs.App.Name)
-				pjs.run.SetConfig(partner.cfg.String())
-			}
-		}
-		js.run = s.tracer.Start(tracing.KindRun, "run "+j.Obs.App.Name, js.job, attrs)
-		s.rollOccupancy(n)
+	if s.obs != nil {
+		s.obs.place(n, oj)
 	}
 	s.reschedule(n)
 }
 
-// tuneInfo carries what the audit log wants to know about a tuning
-// decision alongside the chosen configuration.
-type tuneInfo struct {
-	path audit.TunePath
-	exp  audit.Expectation
-}
-
 // tuneFor picks the new job's configuration, adjusting the resident's
-// frequency and mapper count to the pair-tuned values when co-locating.
-// The returned tuneInfo records which path fired and the tuner's own
-// outcome forecast (zero when the technique exposes none).
-func (s *shard) tuneFor(n *onlineNode, j *Job) (mapreduce.Config, tuneInfo) {
+// frequency and mapper count to the pair-tuned values when co-locating
+// and the pair fits the node's cores; otherwise the job is tuned solo
+// into the cores left free.
+func (s *shard) tuneFor(n *onlineNode, j *Job) mapreduce.Config {
+	var resident *onlineJob
+	var pair [2]mapreduce.Config // the resident's and the job's
+	var exp PairExpectation
 	if len(n.residents) == 1 {
-		resident := n.residents[0]
-		pairCfg, exp, err := predictExpected(s.Tuner, &resident.job.Obs, &j.Obs)
-		if err == nil && pairCfg[0].Mappers+pairCfg[1].Mappers <= s.Model.Spec.Cores {
-			resident.cfg.Freq = pairCfg[0].Freq
-			resident.cfg.Mappers = pairCfg[0].Mappers
-			if s.met != nil {
-				s.met.tunePair.Inc()
-				s.met.reg.Emit(metrics.Event{
-					At: s.ev.now, Kind: metrics.EvTune, Job: j.ID, Node: s.gid(n),
-					Detail: fmt.Sprintf("pair cfg=%v resident=%d cfg=%v", pairCfg[1], resident.job.ID, pairCfg[0]),
-				})
-			}
-			if s.tracer != nil { // build the detail string only when traced
-				s.traceTune(n, j, pairCfg[1], fmt.Sprintf("pair resident=%d cfg=%v", resident.job.ID, pairCfg[0]))
-			}
-			return pairCfg[1], tuneInfo{path: audit.TunePair, exp: audit.Expectation(exp)}
+		r := n.residents[0]
+		cfg, e, err := predictExpected(s.Tuner, &r.job.Obs, &j.Obs)
+		if err == nil && cfg[0].Mappers+cfg[1].Mappers <= s.Model.Spec.Cores {
+			r.cfg.Freq = cfg[0].Freq
+			r.cfg.Mappers = cfg[0].Mappers
+			resident, pair, exp = r, cfg, e
 		}
 	}
-	cfg, soloExp, err := PredictSoloBestExpected(s.Tuner, j.Obs, s.DB)
-	if err != nil {
-		cfg = NTConfig(s.Model.Spec.Cores / maxPerNode)
-		soloExp = PairExpectation{}
+	if resident == nil {
+		cfg, e, err := PredictSoloBestExpected(s.Tuner, j.Obs, s.DB)
+		if err != nil {
+			cfg, e = NTConfig(s.Model.Spec.Cores/maxPerNode), PairExpectation{}
+		}
+		free := s.Model.Spec.Cores
+		for _, r := range n.residents {
+			free -= r.cfg.Mappers
+		}
+		cfg.Mappers = max(min(cfg.Mappers, free), 1)
+		pair[1], exp = cfg, e
 	}
-	free := s.Model.Spec.Cores
-	for _, r := range n.residents {
-		free -= r.cfg.Mappers
+	if s.obs != nil {
+		s.obs.tune(n, j, resident, pair, exp)
 	}
-	if cfg.Mappers > free {
-		cfg.Mappers = free
-	}
-	if cfg.Mappers < 1 {
-		cfg.Mappers = 1
-	}
-	if s.met != nil {
-		s.met.tuneSolo.Inc()
-		s.met.reg.Emit(metrics.Event{
-			At: s.ev.now, Kind: metrics.EvTune, Job: j.ID, Node: s.gid(n),
-			Detail: fmt.Sprintf("solo cfg=%v", cfg),
-		})
-	}
-	s.traceTune(n, j, cfg, "solo")
-	return cfg, tuneInfo{path: audit.TuneSolo, exp: audit.Expectation(soloExp)}
-}
-
-// traceTune records the (instantaneous in sim-time) STP tuning decision
-// as a zero-duration span under the job.
-func (s *shard) traceTune(n *onlineNode, j *Job, cfg mapreduce.Config, detail string) {
-	if s.tracer == nil {
-		return
-	}
-	now := s.ev.now
-	var parent *tracing.Span
-	if js := s.traced[j.ID]; js != nil {
-		parent = js.job
-	}
-	s.tracer.Record(tracing.KindTune, "tune", parent, now, now, tracing.Attrs{
-		Job: j.ID, Node: s.gid(n),
-		App: j.Obs.App.Name, Class: j.Class.String(),
-		Config: cfg.String(), Detail: detail,
-	})
-}
-
-// traceComplete closes a finished job's spans: the run span ends now,
-// the retroactive map and shuffle/reduce sub-spans split the run at the
-// model's phase boundary (sharing the run's attributed energy in the
-// same proportion), and the node's occupancy span rolls over.
-func (s *shard) traceComplete(n *onlineNode, finisher *onlineJob) {
-	if s.tracer == nil {
-		return
-	}
-	js := s.traced[finisher.job.ID]
-	if js == nil {
-		return
-	}
-	now := s.ev.now
-	js.run.FinishAt(now)
-	run := js.run.Snapshot()
-	attrs := tracing.Attrs{
-		Job: finisher.job.ID, Node: s.gid(n),
-		App: finisher.job.Obs.App.Name, Class: finisher.job.Class.String(),
-	}
-	mapEnd := run.Start + js.mapFrac*(now-run.Start)
-	s.tracer.Record(tracing.KindMap, "map", js.run, run.Start, mapEnd, attrs).
-		SetEnergy(js.mapFrac * run.EnergyJ)
-	s.tracer.Record(tracing.KindReduce, "shuffle/reduce", js.run, mapEnd, now, attrs).
-		SetEnergy((1 - js.mapFrac) * run.EnergyJ)
-	js.job.FinishAt(now)
-	delete(s.traced, finisher.job.ID)
-	s.rollOccupancy(n)
+	return pair[1]
 }
 
 // reschedule recomputes the node's next completion event from the
@@ -1118,17 +638,8 @@ func (s *shard) reschedule(n *onlineNode) {
 	// accrual (which always runs before the next mutation).
 	n.watts = v.watts
 	s.refreshPhaseWatts(n)
-	if s.tracer != nil {
-		// Refresh each resident's map/total split under the current
-		// contention — the value in force at completion places the
-		// map → shuffle/reduce boundary on the job's span.
-		for i, r := range n.residents {
-			if js := s.traced[r.job.ID]; js != nil {
-				if tot := sts[i].mapT + sts[i].reduce; tot > 0 {
-					js.mapFrac = sts[i].mapT / tot
-				}
-			}
-		}
+	if s.obs != nil {
+		s.obs.steady(n, sts)
 	}
 	// Next finisher under current contention.
 	next := -1
@@ -1192,42 +703,9 @@ func (s *shard) nodeComplete(n *onlineNode) {
 		Node:      s.gid(n),
 		Cfg:       finisher.cfg,
 	})
-	if s.met != nil {
-		now := s.ev.now
-		s.met.completed.Inc()
-		s.met.turnaround.Observe(now - finisher.job.Arrived)
-		s.met.reg.Emit(metrics.Event{
-			At: now, Kind: metrics.EvComplete, Job: finisher.job.ID, Node: s.gid(n),
-			Detail: fmt.Sprintf("%s class=%s", finisher.job.Obs.App.Name, finisher.job.Class),
-		})
+	if s.obs != nil {
+		s.obs.complete(n, finisher)
 	}
-	if s.aud != nil {
-		now := s.ev.now
-		joins, alerts := s.aud.Complete(finisher.job.ID, now)
-		if s.fl != nil {
-			for _, jn := range joins {
-				s.fl.Join(jn.RelErrPct)
-			}
-			for _, a := range alerts {
-				tenant := finisher.job.Obs.App.Name + ":" + finisher.job.Class.String()
-				s.fl.Drift(finisher.job.ID, tenant, a.Stat)
-			}
-		}
-		if s.met != nil {
-			for _, jn := range joins {
-				s.met.relErrFor(jn.Class).Observe(jn.RelErrPct)
-			}
-			for _, a := range alerts {
-				s.met.driftAlerts.Inc()
-				s.met.driftAlert.Set(1)
-				s.met.reg.Emit(metrics.Event{
-					At: now, Kind: metrics.EvDrift, Job: finisher.job.ID, Node: s.gid(n),
-					Detail: fmt.Sprintf("cusum stat=%.1f mean=%.1f%% sample=%d", a.Stat, a.Mean, a.Sample),
-				})
-			}
-		}
-	}
-	s.traceComplete(n, finisher)
 	// The finisher and its job are unreachable now — every export above
 	// copied what it needed — so both records go back to the pools.
 	n.evFinisher = nil

@@ -79,27 +79,34 @@ func disabledScheduler(tb testing.TB) *shard {
 	return newShard(new(eventQueue), model, db, &LkTSTP{DB: db}, 1, 0)
 }
 
-// BenchmarkDisabledDepthSample measures sampleDepth with observability
-// fully off — like the other disabled-path no-ops it must stay a
-// single inlined nil check (sub-ns, zero alloc; guarded in CI).
+// BenchmarkDisabledDepthSample measures the disabled path of the
+// place hook, which took over the per-placement queue-depth sample:
+// with observability fully off it must stay a single nil check
+// (sub-ns, zero alloc; guarded in CI).
 func BenchmarkDisabledDepthSample(b *testing.B) {
 	s := disabledScheduler(b)
+	n, oj := s.nodes[0], &onlineJob{job: &Job{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.sampleDepth()
+		if s.obs != nil {
+			s.obs.place(n, oj)
+		}
 	}
 }
 
-// BenchmarkDisabledOccupancyRoll measures rollOccupancy with
+// BenchmarkDisabledOccupancyRoll measures the disabled path of the
+// complete hook, which took over the occupancy-span roll, with
 // observability fully off (sub-ns, zero alloc; guarded in CI).
 func BenchmarkDisabledOccupancyRoll(b *testing.B) {
 	s := disabledScheduler(b)
-	n := s.nodes[0]
+	n, oj := s.nodes[0], &onlineJob{job: &Job{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.rollOccupancy(n)
+		if s.obs != nil {
+			s.obs.complete(n, oj)
+		}
 	}
 }
 

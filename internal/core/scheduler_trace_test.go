@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -13,12 +14,14 @@ import (
 )
 
 // tracedRun drives one traced online simulation (same workload as
-// metricsRun) and returns the tracer and scheduler. A fresh profiler is
-// seeded identically each call so the noise sequence restarts.
-func tracedRun(t *testing.T) (*tracing.Tracer, *ShardedScheduler) {
+// metricsRun), with fast accrual on or off, and returns the tracer and
+// scheduler. A fresh profiler is seeded identically each call so the
+// noise sequence restarts.
+func tracedRun(t *testing.T, fast bool) (*tracing.Tracer, *ShardedScheduler) {
 	t.Helper()
 	fixture(t)
 	s := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
+	s.SetFastAccrual(fast)
 	ts := tracing.NewShardSet()
 	s.SetTracer(ts)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
@@ -45,10 +48,10 @@ func timelineOf(t *testing.T, tr *tracing.Tracer) string {
 // single-threaded and a multi-threaded run of the same seed.
 func TestSchedulerTraceGoldenAcrossGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
-	tr1, _ := tracedRun(t)
+	tr1, _ := tracedRun(t, false)
 	narrow := timelineOf(t, tr1)
 	runtime.GOMAXPROCS(4)
-	tr4, _ := tracedRun(t)
+	tr4, _ := tracedRun(t, false)
 	runtime.GOMAXPROCS(old)
 	wide := timelineOf(t, tr4)
 	if narrow != wide {
@@ -68,9 +71,19 @@ func relErr(got, want float64) float64 {
 
 // TestSchedulerTraceEnergyConservation is the acceptance invariant: the
 // span energy attribution must re-integrate to the scheduler's own
-// energy accounting within 1e-9 relative error.
+// energy accounting within 1e-9 relative error, under either accrual
+// path: fast accrual sums the phases incrementally while the observer
+// still walks the nodes for attribution.
 func TestSchedulerTraceEnergyConservation(t *testing.T) {
-	tr, s := tracedRun(t)
+	for _, fast := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fast=%v", fast), func(t *testing.T) {
+			checkTraceEnergyConservation(t, fast)
+		})
+	}
+}
+
+func checkTraceEnergyConservation(t *testing.T, fast bool) {
+	tr, s := tracedRun(t, fast)
 	spans := tr.Spans()
 	total := s.EnergyJ()
 	ph := s.Phases()
@@ -112,7 +125,7 @@ func TestSchedulerTraceEnergyConservation(t *testing.T) {
 // TestSchedulerTraceLifecycle checks span structure against the
 // scheduler's completion records.
 func TestSchedulerTraceLifecycle(t *testing.T) {
-	tr, s := tracedRun(t)
+	tr, s := tracedRun(t, false)
 	done := s.Completed()
 	rep := tr.Report()
 	if len(rep.Jobs) != len(done) {
@@ -167,7 +180,7 @@ func TestSchedulerTraceLifecycle(t *testing.T) {
 
 // TestSchedulerTraceChromeExport validates the end-to-end Chrome JSON.
 func TestSchedulerTraceChromeExport(t *testing.T) {
-	tr, _ := tracedRun(t)
+	tr, _ := tracedRun(t, false)
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)

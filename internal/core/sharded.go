@@ -231,9 +231,7 @@ func (c *ShardedScheduler) ShardNodes() []int {
 func (c *ShardedScheduler) SetFlight(r *flight.Recorder) {
 	c.flight = r
 	for i, sh := range c.shards {
-		// Only the owning shard's events write its collector between
-		// barriers; the control plane drains it at every barrier.
-		sh.fl = r.Collector(i)
+		sh.setFlight(r.Collector(i))
 	}
 	r.SetTenantSource(func(i, max int) []string {
 		return c.shards[i].topTenants(max)
@@ -270,12 +268,11 @@ func (c *ShardedScheduler) SetAudit(logs []*audit.Log) {
 // export.
 func (c *ShardedScheduler) SetTracer(ts *tracing.ShardSet) {
 	for _, sh := range c.shards {
-		if ts == nil {
-			sh.setTracer(nil)
-			continue
+		var tr *tracing.Tracer
+		if ts != nil {
+			tr = tracing.New(c.ev.clock)
+			ts.Attach(tr)
 		}
-		tr := tracing.New(c.ev.clock)
-		ts.Attach(tr)
 		sh.setTracer(tr)
 	}
 }
@@ -701,9 +698,9 @@ func (c *ShardedScheduler) QueueLen() int {
 // shard: integrating running per-phase power sums instead of walking
 // every node. The sums reassociate the float adds, so energy may differ
 // from the per-node walk in the last bits (1e-9 relative); placements
-// and makespan stay bit-identical. It stands down on shards with a
-// tracer or audit log attached, whose per-node and per-job attribution
-// needs the walk. Call before the first Submit.
+// and makespan stay bit-identical. Tracing and audit attribute energy
+// with their own node walk, so attaching them changes neither the path
+// nor its sums. Call before the first Submit.
 func (c *ShardedScheduler) SetFastAccrual(v bool) {
 	for _, sh := range c.shards {
 		sh.setFastAccrual(v)

@@ -448,16 +448,21 @@ func TestShardedStealEffectiveness(t *testing.T) {
 // TestFastAccrualGolden proves the O(1) aggregate accrual path against
 // the per-node walk: identical placements and makespan to the bit, and
 // energy (total and per phase) within 1e-9 relative — the documented
-// reassociation tolerance.
+// reassociation tolerance — and a traced, audited fast run bills
+// bit-identically to a bare one.
 func TestFastAccrualGolden(t *testing.T) {
 	fixture(t)
 	wl, err := Scenario("WS4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(fast bool) (uint64, float64, [3]float64, []CompletedJob) {
+	run := func(fast, observed bool) (uint64, float64, [3]float64, []CompletedJob) {
 		s := oneShard(t, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 64)
 		s.SetFastAccrual(fast)
+		if observed {
+			s.SetTracer(tracing.NewShardSet())
+			s.SetAudit([]*audit.Log{audit.NewLog(audit.DriftConfig{})})
+		}
 		rng := sim.NewRNG(18)
 		at := 0.0
 		for i := 0; i < 400; i++ {
@@ -472,8 +477,8 @@ func TestFastAccrualGolden(t *testing.T) {
 		p := s.Phases()
 		return math.Float64bits(mk), en, [3]float64{p.IdleJ, p.SoloJ, p.CoJ}, s.Completed()
 	}
-	mkA, enA, phA, compA := run(false)
-	mkB, enB, phB, compB := run(true)
+	mkA, enA, phA, compA := run(false, false)
+	mkB, enB, phB, compB := run(true, false)
 	if mkA != mkB {
 		t.Fatalf("makespan diverged: %x vs %x", mkA, mkB)
 	}
@@ -500,20 +505,12 @@ func TestFastAccrualGolden(t *testing.T) {
 			t.Fatalf("completion %d diverged: %+v vs %+v", i, compA[i], compB[i])
 		}
 	}
-	// With attribution consumers attached the fast path must stand down
-	// (per-node walk required for span/audit energy shares).
-	s := oneShard(t, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 4)
-	s.SetFastAccrual(true)
-	s.SetTracer(tracing.NewShardSet())
-	s.Submit(wl.Jobs[0].App, 1, 0)
-	if _, _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.EnergyJ() <= 0 {
-		t.Fatal("instrumented fast-accrual run accrued no energy")
-	}
-	if ph := s.Phases(); ph.TotalJ() <= 0 {
-		t.Fatal("instrumented fast-accrual run accrued no phase energy")
+	// Tracing and audit attribute energy with their own node walk, so a
+	// traced and audited fast run bills bit-identically to a bare one.
+	mkC, enC, phC, _ := run(true, true)
+	if mkC != mkB || math.Float64bits(enC) != math.Float64bits(enB) || phC != phB {
+		t.Fatalf("observed fast run diverged: makespan %x energy %v phases %v, bare %x %v %v",
+			mkC, enC, phC, mkB, enB, phB)
 	}
 }
 

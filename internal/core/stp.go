@@ -39,24 +39,6 @@ func (s *LkTSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 	return cfg, err
 }
 
-// PredictBestEDP implements PairEDPPredictor: the lookup table stores
-// the best-resembling known pair's measured EDP alongside its optimal
-// configuration, so LkT's own expectation comes for free.
-func (s *LkTSTP) PredictBestEDP(a, b Observation) ([2]mapreduce.Config, float64, error) {
-	cfg, out, err := s.DB.lookupConfig(&a, &b)
-	if err != nil {
-		return cfg, 0, err
-	}
-	return cfg, out.EDP, nil
-}
-
-// PairEDPPredictor is implemented by STP techniques that expose their
-// own EDP estimate alongside the predicted configuration. The metered
-// wrapper uses it to score predicted-vs-realized EDP error online.
-type PairEDPPredictor interface {
-	PredictBestEDP(a, b Observation) ([2]mapreduce.Config, float64, error)
-}
-
 // PairExpectation is a technique's full outcome forecast at its chosen
 // configuration: pair EDP in J·s, makespan seconds, average watts. Its
 // field layout matches audit.Expectation so the scheduler converts by
@@ -90,8 +72,8 @@ func (s *LkTSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, Pai
 }
 
 // predictExpected dispatches to the richest prediction interface the
-// technique implements, degrading gracefully: full forecast, EDP-only,
-// or configuration-only (zero expectation). It takes the pair by
+// technique implements, degrading gracefully: full forecast or
+// configuration-only (zero expectation). It takes the pair by
 // reference, so the observations are copied at most once, into the
 // technique's call, and not at all into a MemoSTP's.
 func predictExpected(t STP, a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
@@ -100,9 +82,6 @@ func predictExpected(t STP, a, b *Observation) ([2]mapreduce.Config, PairExpecta
 		return p.predict(a, b)
 	case ExpectingSTP:
 		return p.PredictBestExpected(*a, *b)
-	case PairEDPPredictor:
-		cfg, edp, err := p.PredictBestEDP(*a, *b)
-		return cfg, PairExpectation{EDP: edp}, err
 	}
 	cfg, err := t.PredictBest(*a, *b)
 	return cfg, PairExpectation{}, err
@@ -112,8 +91,8 @@ func predictExpected(t STP, a, b *Observation) ([2]mapreduce.Config, PairExpecta
 // counts, the per-prediction candidate-scan size (the deterministic
 // latency proxy), wall-clock prediction latency (volatile — real time
 // is jittery, so it stays out of deterministic snapshots), and, for
-// techniques that expose their own EDP estimate, the error between the
-// predicted EDP and the execution model's realized EDP at the chosen
+// techniques that expose their own forecast (ExpectingSTP), the error
+// between its EDP and the execution model's realized EDP at the chosen
 // configuration. The realized-EDP check consults the observations'
 // ground-truth identity, which is fine for telemetry (like
 // CompletedJob.App) but means the wrapper must never feed predictions

@@ -181,16 +181,6 @@ func (t *Tracer) SetShard(i int) {
 	t.mu.Unlock()
 }
 
-// Shard reports the tracer's shard index. Nil-safe.
-func (t *Tracer) Shard() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.shard
-}
-
 // Start opens a span at the current simulated time. Nil-safe: a nil
 // tracer returns a nil span whose operations are no-ops. The nil branch
 // is small enough to inline, so disabled tracing compiles down to a
