@@ -2,8 +2,12 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+
+	"ecost/internal/scenario"
 )
 
 // runFlags is the parsed flag set that participates in cross-flag
@@ -50,6 +54,7 @@ func (f runFlags) onlineOnly() []struct {
 		set  bool
 	}{
 		{"-jobs", f.Jobs > 0},
+		{"-arrival", f.Arrival > 0},
 		{"-trace-record", f.TraceRecord != ""},
 		{"-trace-replay", f.TraceReplay != ""},
 		{"-trace-out", f.TraceOut != ""},
@@ -75,6 +80,17 @@ func (f runFlags) contradiction() string {
 	}
 	if f.Jobs < 0 {
 		return "-jobs cannot be negative; 0 means the scenario as-is"
+	}
+	if !(f.Arrival >= 0) || math.IsInf(f.Arrival, 1) {
+		return "-arrival must be a finite, non-negative mean gap in seconds (0 = all at t=0)"
+	}
+	if f.Arrival > 0 {
+		// A workload stream's arrivals are a poisson process with this
+		// mean gap: reject what the scenario grammar rejects before the
+		// environment is built.
+		if _, err := scenario.ParseArrivals("poisson:" + strconv.FormatFloat(f.Arrival, 'g', -1, 64)); err != nil {
+			return "-arrival: " + err.Error()
+		}
 	}
 	if (f.MetricsJSON || f.MetricsVolatile) && !f.Metrics {
 		return "-metrics-json and -metrics-volatile shape the -metrics snapshot; pass -metrics as well"

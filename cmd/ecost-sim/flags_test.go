@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,6 +28,18 @@ func TestFlagContradictions(t *testing.T) {
 		{"negative jobs", runFlags{Online: true, Jobs: -1}, "-jobs cannot be negative"},
 		{"jobs offline", runFlags{Jobs: 2000}, "-jobs requires the online scheduler"},
 		{"jobs online", runFlags{Online: true, Jobs: 2000}, ""},
+		// -arrival is a finite mean gap the scenario grammar accepts, and
+		// only workload streams of the online scheduler read it.
+		{"arrival online", runFlags{Online: true, Arrival: 60}, ""},
+		{"arrival offline", runFlags{Arrival: 60}, "-arrival requires the online scheduler"},
+		{"arrival negative", runFlags{Online: true, Arrival: -1}, "-arrival must be a finite, non-negative"},
+		{"arrival NaN", runFlags{Online: true, Arrival: math.NaN()}, "-arrival must be a finite, non-negative"},
+		{"arrival -Inf", runFlags{Online: true, Arrival: math.Inf(-1)}, "-arrival must be a finite, non-negative"},
+		{"arrival +Inf", runFlags{Online: true, Arrival: math.Inf(1)}, "-arrival must be a finite, non-negative"},
+		{"arrival past the scenario bound", runFlags{Online: true, Arrival: 1e16}, "-arrival: scenario: bad arrivals"},
+		{"arrival at the scenario bound", runFlags{Online: true, Arrival: 1e15}, ""},
+		// A nonsense value is reported before the missing -online.
+		{"arrival negative offline", runFlags{Arrival: -1}, "-arrival must be a finite, non-negative"},
 		// Value checks outrank combination checks: a nonsense -nodes is
 		// reported even when an online-only flag is also missing -online.
 		{"nonsense nodes and jobs offline", runFlags{Nodes: -4, Jobs: 10}, "-nodes must be a positive"},
@@ -128,8 +141,8 @@ func TestFlagContradictions(t *testing.T) {
 	}
 	// Completeness guard: every online-only flag is represented in the
 	// rejection table above.
-	all := runFlags{Jobs: 1, TraceRecord: "x", TraceReplay: "x", TraceOut: "x", TimelineOut: "x", EDPReport: true, QualityReport: true, ServeAddr: "x", ShardsSet: true, Steal: true, FlightOut: "x", HealthReport: true}
-	if got := len(all.onlineOnly()); got != 12 {
+	all := runFlags{Jobs: 1, Arrival: 1, TraceRecord: "x", TraceReplay: "x", TraceOut: "x", TimelineOut: "x", EDPReport: true, QualityReport: true, ServeAddr: "x", ShardsSet: true, Steal: true, FlightOut: "x", HealthReport: true}
+	if got := len(all.onlineOnly()); got != 13 {
 		t.Fatalf("onlineOnly lists %d flags; update TestFlagContradictions", got)
 	}
 }

@@ -23,14 +23,14 @@ import (
 )
 
 // onlineOut selects which observability artifacts the online runner
-// produces. Every export is per shard (each shard owns its registry,
-// tracer, and audit log, which the one event loop feeds in event
-// order), printed or written as "== shard N ==" sections in shard order;
-// traceOut and the timeline/EDP surfaces additionally render the
-// deterministic merged view (one Chrome track group per shard, steal
-// flow arrows, a "== merged ==" section). serveAddr exposes merged +
-// ?shard=N views over HTTP, and flightOut/healthReport enable the
-// barrier flight recorder.
+// produces. Metrics and audit exports are per shard (each shard owns
+// its registry and audit log, which the one event loop feeds in event
+// order), printed as "== shard N ==" sections in shard order. One span
+// tracer records every shard; traceOut and the timeline/EDP surfaces
+// render its spans per shard plus the deterministic merged view (one
+// Chrome track group per shard, steal flow arrows, a "== merged =="
+// section). serveAddr exposes merged + ?shard=N views over HTTP, and
+// flightOut/healthReport enable the barrier flight recorder.
 type onlineOut struct {
 	metrics         bool
 	metricsJSON     bool
@@ -87,14 +87,10 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 		}
 	}
 	sched.SetAudit(auds)
-	var ts *tracing.ShardSet
-	trs := make([]*tracing.Tracer, shards)
+	var tr *tracing.Tracer
 	if out.traceOut != "" || out.timelineOut != "" || out.edpReport || serving {
-		ts = tracing.NewShardSet()
-		sched.SetTracer(ts)
-		for i := range trs {
-			trs[i] = ts.Tracer(i)
-		}
+		tr = tracing.New(nil)
+		sched.SetTracer(tr)
 	}
 	var fr *flight.Recorder
 	if out.flightOut != "" || out.healthReport || serving {
@@ -110,7 +106,7 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 		}
 		srv = &http.Server{Handler: newServeMux(serveSources{
 			regs:     regs,
-			trs:      trs,
+			tr:       tr,
 			auds:     auds,
 			qo:       qualityOracle,
 			fr:       fr,
@@ -154,7 +150,7 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 	}
 
 	if out.traceOut != "" {
-		if err := writeArtifact(out.traceOut, ts.WriteChromeTrace); err != nil {
+		if err := writeArtifact(out.traceOut, tr.WriteChromeTrace); err != nil {
 			cliutil.Fatalf("writing -trace-out failed", "err", err)
 		}
 		slog.Info("wrote Chrome trace", "path", out.traceOut, "shards", shards)
@@ -163,19 +159,20 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 		// One shard writes its solo timeline; more write per-shard
 		// "== shard N ==" sections plus the "== merged ==" global
 		// section in canonical merged order.
-		if err := writeArtifact(out.timelineOut, ts.WriteTimeline); err != nil {
+		if err := writeArtifact(out.timelineOut, tr.WriteTimeline); err != nil {
 			cliutil.Fatalf("writing -timeline-out failed", "err", err)
 		}
 	}
 	if out.edpReport {
-		for i, tr := range trs {
+		spans := tr.Spans()
+		for i := 0; i < shards; i++ {
 			fmt.Fprintf(w, "\n== shard %d ==\n", i)
-			if err := tr.Report().WriteText(w); err != nil {
+			if err := tracing.BuildReport(shardSpans(spans, i)).WriteText(w); err != nil {
 				cliutil.Fatalf("writing -edp-report failed", "err", err)
 			}
 		}
 		fmt.Fprintf(w, "\n== merged ==\n")
-		if err := ts.Report().WriteText(w); err != nil {
+		if err := tracing.BuildReport(spans).WriteText(w); err != nil {
 			cliutil.Fatalf("writing -edp-report failed", "err", err)
 		}
 	}
@@ -221,4 +218,16 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 		stop()
 		srv.Close()
 	}
+}
+
+// shardSpans is shard i's part of a span set, in the order of that
+// shard's solo exports.
+func shardSpans(spans []tracing.Span, i int) []tracing.Span {
+	var out []tracing.Span
+	for _, s := range spans {
+		if s.Attrs.Shard == i {
+			out = append(out, s)
+		}
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -14,12 +15,13 @@ import (
 
 // serveSources bundles the live observability surfaces the -serve mux
 // reads at request time. Every slice holds one entry per shard (one
-// entry total for a single-shard run); any entry — or the flight
+// entry total for a single-shard run); the control plane's one span
+// tracer serves every shard. Any entry — or the tracer or the flight
 // recorder — may be nil when the flag combination didn't enable it,
 // and its endpoints then answer 503 with a hint instead of panicking.
 type serveSources struct {
 	regs     []*metrics.Registry
-	trs      []*tracing.Tracer
+	tr       *tracing.Tracer
 	auds     []*audit.Log
 	qo       audit.Oracle
 	fr       *flight.Recorder
@@ -27,18 +29,6 @@ type serveSources struct {
 }
 
 func (s serveSources) shards() int { return len(s.regs) }
-
-// shardSet assembles the selected shards' tracers into a ShardSet for
-// the merged exporters. Selection order is shard order (a merged view
-// always selects every shard), so the attach-time shard stamps match
-// the spans' own.
-func (s serveSources) shardSet(idx []int) *tracing.ShardSet {
-	ts := tracing.NewShardSet()
-	for _, i := range idx {
-		ts.Attach(s.trs[i])
-	}
-	return ts
-}
 
 // shardParam resolves the optional ?shard=N selector: -1 (merged view)
 // when absent, the shard index when valid, an error otherwise.
@@ -61,8 +51,9 @@ func (s serveSources) shardParam(r *http.Request) (int, error) {
 // families gain a shard label; /trace merges span sets into one
 // document with a track group per shard and steal flow arrows; text
 // exports concatenate "== shard N ==" sections) and per-shard views via
-// ?shard=N — byte-identical to that shard's solo export; the flight
-// recorder adds /shards, /epochs, /health, and /flight.
+// ?shard=N — the span exports filter the one tracer's spans to that
+// shard and render its solo layout; the flight recorder adds /shards,
+// /epochs, /health, and /flight.
 func newServeMux(s serveSources) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -128,14 +119,19 @@ func newServeMux(s serveSources) *http.ServeMux {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	needTrace := func(w http.ResponseWriter, idx []int) bool {
-		for _, i := range idx {
-			if s.trs[i] == nil {
-				http.Error(w, "tracing not enabled (run with -trace-out, -edp-report, or -serve)", http.StatusServiceUnavailable)
-				return false
-			}
+	// traced resolves the ?shard selector for a span export: (shard, or
+	// -1 for the merged view, and true), or false after replying.
+	traced := func(w http.ResponseWriter, r *http.Request) (int, bool) {
+		sel, err := s.shardParam(r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return 0, false
 		}
-		return true
+		if s.tr == nil {
+			http.Error(w, "tracing not enabled (run with -trace-out, -edp-report, or -serve)", http.StatusServiceUnavailable)
+			return 0, false
+		}
+		return sel, true
 	}
 	// sections streams one text export per selected shard, prefixed
 	// with "== shard N ==" headers when more than one shard renders
@@ -151,62 +147,50 @@ func newServeMux(s serveSources) *http.ServeMux {
 			}
 		}
 	}
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		idx, ok := pick(w, r)
-		if !ok || !needTrace(w, idx) {
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		var err error
-		if len(idx) == 1 {
-			// One shard selected (or a single-shard run): the solo export,
-			// byte-identical to that shard's own -trace-out.
-			err = s.trs[idx[0]].WriteChromeTrace(w)
-		} else {
-			err = s.shardSet(idx).WriteChromeTrace(w)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
-		idx, ok := pick(w, r)
-		if !ok || !needTrace(w, idx) {
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		var err error
-		if len(idx) == 1 {
-			err = s.trs[idx[0]].WriteTimeline(w)
-		} else {
-			// Per-shard "== shard N ==" sections plus the "== merged =="
-			// global section — the same form -timeline-out writes.
-			err = s.shardSet(idx).WriteTimeline(w)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/report", func(w http.ResponseWriter, r *http.Request) {
-		idx, ok := pick(w, r)
-		if !ok || !needTrace(w, idx) {
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, i := range idx {
-			if len(idx) > 1 {
-				fmt.Fprintf(w, "== shard %d ==\n", i)
-			}
-			if err := s.trs[i].Report().WriteText(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
+	// spanExport serves a span export: the tracer's own layout for the
+	// merged view (the same bytes -trace-out and -timeline-out write),
+	// the solo layout of one shard's spans for ?shard=N.
+	spanExport := func(ctype string, merged func(*tracing.Tracer, io.Writer) error, solo func(io.Writer, []tracing.Span) error) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			sel, ok := traced(w, r)
+			if !ok {
 				return
 			}
-		}
-		if len(idx) > 1 {
-			fmt.Fprintf(w, "== merged ==\n")
-			if err := s.shardSet(idx).Report().WriteText(w); err != nil {
+			w.Header().Set("Content-Type", ctype)
+			var err error
+			if sel < 0 {
+				err = merged(s.tr, w)
+			} else {
+				err = solo(w, shardSpans(s.tr.Spans(), sel))
+			}
+			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
+		}
+	}
+	mux.HandleFunc("/trace", spanExport("application/json", (*tracing.Tracer).WriteChromeTrace, tracing.WriteChromeTrace))
+	mux.HandleFunc("/timeline", spanExport("text/plain; charset=utf-8", (*tracing.Tracer).WriteTimeline, tracing.WriteTimeline))
+	mux.HandleFunc("/report", func(w http.ResponseWriter, r *http.Request) {
+		sel, ok := traced(w, r)
+		if !ok {
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		spans := s.tr.Spans()
+		if sel >= 0 {
+			spans = shardSpans(spans, sel)
+		} else if s.shards() > 1 {
+			for i := 0; i < s.shards(); i++ {
+				fmt.Fprintf(w, "== shard %d ==\n", i)
+				if err := tracing.BuildReport(shardSpans(spans, i)).WriteText(w); err != nil {
+					http.Error(w, err.Error(), http.StatusInternalServerError)
+					return
+				}
+			}
+			fmt.Fprintf(w, "== merged ==\n")
+		}
+		if err := tracing.BuildReport(spans).WriteText(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
 	needAudit := func(w http.ResponseWriter, idx []int) bool {

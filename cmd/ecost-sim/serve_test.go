@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -45,7 +47,7 @@ func serveFixture(t *testing.T) *httptest.Server {
 
 	srv := httptest.NewServer(newServeMux(serveSources{
 		regs: []*metrics.Registry{reg},
-		trs:  []*tracing.Tracer{tr},
+		tr:   tr,
 		auds: []*audit.Log{aud},
 	}))
 	t.Cleanup(srv.Close)
@@ -68,7 +70,6 @@ func serveShardedFixture(t *testing.T) *httptest.Server {
 	})
 	srv := httptest.NewServer(newServeMux(serveSources{
 		regs: []*metrics.Registry{reg0, reg1},
-		trs:  []*tracing.Tracer{nil, nil},
 		auds: []*audit.Log{nil, nil},
 		fr:   fr,
 	}))
@@ -207,7 +208,6 @@ func TestServeDecisionsAndQuality(t *testing.T) {
 func TestServeDisabledSources(t *testing.T) {
 	srv := httptest.NewServer(newServeMux(serveSources{
 		regs: []*metrics.Registry{nil},
-		trs:  []*tracing.Tracer{nil},
 		auds: []*audit.Log{nil},
 	}))
 	defer srv.Close()
@@ -309,30 +309,30 @@ func TestServeSharded(t *testing.T) {
 	}
 }
 
+// shardedTracer is one tracer holding two shards' spans: a node span
+// each, a run on shard 0, and a steal pair linking the shards.
+func shardedTracer() *tracing.Tracer {
+	tr := tracing.New(nil)
+	tr.Record(tracing.KindNode, "solo", nil, 0, 100, tracing.Attrs{Job: -1, Node: 0}).SetEnergy(60)
+	tr.Record(tracing.KindNode, "solo", nil, 0, 100, tracing.Attrs{Job: -1, Node: 1, Shard: 1}).SetEnergy(40)
+	tr.Record(tracing.KindRun, "run wc", nil, 10, 90,
+		tracing.Attrs{Job: 0, Node: 0, App: "wc", Class: "CPU", SizeGB: 5, Config: "m4f2.4"}).SetEnergy(60)
+	tr.Record(tracing.KindStealOut, "steal_out", nil, 20, 20,
+		tracing.Attrs{Job: 1, Node: -1, App: "wc", Detail: "to=shard1", Link: 1})
+	tr.Record(tracing.KindStealIn, "steal_in", nil, 20, 20,
+		tracing.Attrs{Job: 1, Node: -1, App: "wc", Detail: "from=shard0", Link: 1, Shard: 1})
+	return tr
+}
+
 // TestServeShardedTrace covers the sharded trace endpoints: the merged
 // /trace and /timeline views (flow-linked steal pair, per-shard
-// sections), and ?shard=N selection byte-identical to the shard
-// tracer's own solo export.
+// sections), and ?shard=N selection byte-identical to the solo export
+// of that shard's spans.
 func TestServeShardedTrace(t *testing.T) {
-	ts := tracing.NewShardSet()
-	trs := make([]*tracing.Tracer, 2)
-	for i := range trs {
-		now := 0.0
-		trs[i] = tracing.New(func() float64 { return now })
-		ts.Attach(trs[i])
-	}
-	trs[0].Record(tracing.KindNode, "solo", nil, 0, 100, tracing.Attrs{Job: -1, Node: 0}).SetEnergy(60)
-	trs[1].Record(tracing.KindNode, "solo", nil, 0, 100, tracing.Attrs{Job: -1, Node: 1}).SetEnergy(40)
-	trs[0].Record(tracing.KindRun, "run wc", nil, 10, 90,
-		tracing.Attrs{Job: 0, Node: 0, App: "wc", Class: "CPU", SizeGB: 5, Config: "m4f2.4"}).SetEnergy(60)
-	trs[0].Record(tracing.KindStealOut, "steal_out", nil, 20, 20,
-		tracing.Attrs{Job: 1, Node: -1, App: "wc", Detail: "to=shard1", Link: 1})
-	trs[1].Record(tracing.KindStealIn, "steal_in", nil, 20, 20,
-		tracing.Attrs{Job: 1, Node: -1, App: "wc", Detail: "from=shard0", Link: 1})
-
+	tr := shardedTracer()
 	srv := httptest.NewServer(newServeMux(serveSources{
 		regs: []*metrics.Registry{nil, nil},
-		trs:  trs,
+		tr:   tr,
 		auds: []*audit.Log{nil, nil},
 	}))
 	t.Cleanup(srv.Close)
@@ -363,10 +363,11 @@ func TestServeShardedTrace(t *testing.T) {
 		t.Fatalf("merged /trace has %d flow starts and %d finishes, want 1/1", flowS, flowF)
 	}
 
-	// ?shard=N is byte-identical to the shard tracer's solo export.
-	for i, tr := range trs {
+	// ?shard=N is byte-identical to the solo export of the shard's spans.
+	for i := 0; i < 2; i++ {
+		spans := shardSpans(tr.Spans(), i)
 		var want strings.Builder
-		if err := tr.WriteChromeTrace(&want); err != nil {
+		if err := tracing.WriteChromeTrace(&want, spans); err != nil {
 			t.Fatal(err)
 		}
 		code, body := get(t, srv.URL+fmt.Sprintf("/trace?shard=%d", i))
@@ -374,7 +375,7 @@ func TestServeShardedTrace(t *testing.T) {
 			t.Errorf("/trace?shard=%d diverges from solo export (status %d):\n%s\nvs\n%s", i, code, body, want.String())
 		}
 		want.Reset()
-		if err := tr.WriteTimeline(&want); err != nil {
+		if err := tracing.WriteTimeline(&want, spans); err != nil {
 			t.Fatal(err)
 		}
 		code, body = get(t, srv.URL+fmt.Sprintf("/timeline?shard=%d", i))
@@ -405,4 +406,74 @@ func TestServeShardedTrace(t *testing.T) {
 	if code, body := get(t, srv.URL+"/trace?shard=5"); code != http.StatusBadRequest {
 		t.Errorf("/trace?shard=5 status %d body:\n%s", code, body)
 	}
+}
+
+// FuzzServeShardSelector sends fuzzed raw ?shard= values to every
+// endpoint that reads the selector, over one fully populated 2-shard
+// mux. A request may be served (200), rejected (400) or find its source
+// off (503) — never a 500 or a panic — and a 200 for a shard index
+// must carry exactly that shard's direct export.
+func FuzzServeShardSelector(f *testing.F) {
+	regs := make([]*metrics.Registry, 2)
+	auds := make([]*audit.Log, 2)
+	for i := range regs {
+		regs[i] = metrics.NewRegistry()
+		regs[i].Counter("sched.submitted").Add(int64(3 + i))
+		auds[i] = audit.NewLog(audit.DriftConfig{})
+		auds[i].Submit(i, "wc", 5, "C", "C", 0)
+		auds[i].Place(i, i, 10, audit.BranchReserve, -1)
+	}
+	tr := shardedTracer()
+	fr := flight.New(flight.Config{Shards: 2, ShardNodes: []int{1, 1}})
+	fr.RecordEpoch(0, 10, []flight.ShardStat{{Queue: 2, Free: 1, EnergyJ: 50}, {Queue: 1, Free: 2, EnergyJ: 30}})
+	mux := newServeMux(serveSources{regs: regs, tr: tr, auds: auds, fr: fr})
+
+	// direct renders shard i's export for each endpoint without the mux.
+	direct := map[string]func(w io.Writer, i int) error{
+		"/metrics": func(w io.Writer, i int) error { return regs[i].Snapshot(false).WritePrometheus(w) },
+		"/trace": func(w io.Writer, i int) error {
+			return tracing.WriteChromeTrace(w, shardSpans(tr.Spans(), i))
+		},
+		"/timeline": func(w io.Writer, i int) error {
+			return tracing.WriteTimeline(w, shardSpans(tr.Spans(), i))
+		},
+		"/report": func(w io.Writer, i int) error {
+			return tracing.BuildReport(shardSpans(tr.Spans(), i)).WriteText(w)
+		},
+		"/decisions": func(w io.Writer, i int) error { return auds[i].WriteJSONL(w) },
+		"/quality":   func(w io.Writer, i int) error { return auds[i].Quality(nil).WriteText(w) },
+		"/epochs":    func(w io.Writer, i int) error { return fr.WriteEpochs(w, i) },
+	}
+	for _, seed := range []string{"", "0", "1", "2", "-1", "+1", "01", "x", " 1", "1e0", "9223372036854775808", "\x00"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		for path, write := range direct {
+			req := httptest.NewRequest(http.MethodGet, path+"?shard="+url.QueryEscape(raw), nil)
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, req)
+			switch rec.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusServiceUnavailable:
+			default:
+				t.Fatalf("%s?shard=%q: status %d:\n%s", path, raw, rec.Code, rec.Body.String())
+			}
+			n, err := strconv.Atoi(raw)
+			if err != nil || n < 0 || n >= 2 {
+				if rec.Code == http.StatusOK && raw != "" {
+					t.Fatalf("%s?shard=%q: served a selector that names no shard", path, raw)
+				}
+				continue
+			}
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s?shard=%q: status %d for shard %d:\n%s", path, raw, rec.Code, n, rec.Body.String())
+			}
+			var want strings.Builder
+			if err := write(&want, n); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Body.String() != want.String() {
+				t.Fatalf("%s?shard=%q diverges from shard %d's direct export:\n%s\nvs\n%s", path, raw, n, rec.Body.String(), want.String())
+			}
+		}
+	})
 }

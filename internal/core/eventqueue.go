@@ -26,9 +26,6 @@ func before(a, b *completion) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// clock reads the simulated time; tracers take it as their clock.
-func (q *eventQueue) clock() float64 { return q.now }
-
 // set schedules n's completion at time at with a fresh seq, moving the
 // node's pending entry if it has one.
 func (q *eventQueue) set(n *onlineNode, at float64) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -165,9 +166,9 @@ func (o *observer) auditMetrics() {
 	o.met.driftAlerts = o.met.reg.Counter("audit.drift_alerts")
 }
 
-// setTracer attaches a span tracer to the shard; nil detaches. The
-// tracer's clock must be the control plane's (tracing.New(ev.clock)) or
-// span timestamps will not line up with the event log.
+// setTracer attaches a span tracer to the shard; nil detaches. Every
+// shard of a control plane records into the same tracer, at the
+// control plane's times, stamping its index on each span it records.
 func (s *shard) setTracer(tr *tracing.Tracer) {
 	s.attach(func(o *observer) {
 		o.tracer, o.traced, o.nodeSpans = tr, nil, nil
@@ -177,8 +178,8 @@ func (s *shard) setTracer(tr *tracing.Tracer) {
 		o.traced = make(map[int]*jobSpans)
 		o.nodeSpans = make([]*tracing.Span, len(s.nodes))
 		for _, n := range s.nodes {
-			o.nodeSpans[n.id] = tr.Start(tracing.KindNode, power.PhaseName(0), nil,
-				tracing.Attrs{Job: -1, Node: s.gid(n)})
+			o.nodeSpans[n.id] = o.open(tracing.KindNode, power.PhaseName(0), nil,
+				tracing.Attrs{Job: -1, Node: s.gid(n), Shard: s.idx})
 		}
 	})
 }
@@ -214,9 +215,15 @@ func (s *shard) topTenants(max int) []string {
 }
 
 // attrs is the span attribute set naming job j on node (cluster-global
-// id, -1 for none).
+// id, -1 for none), recorded by this shard.
 func (o *observer) attrs(j *Job, node int) tracing.Attrs {
-	return tracing.Attrs{Job: j.ID, Node: node, App: j.Obs.App.Name, Class: j.Class.String()}
+	return tracing.Attrs{Job: j.ID, Node: node, App: j.Obs.App.Name, Class: j.Class.String(), Shard: o.sh.idx}
+}
+
+// open starts a span at the control plane's current time; the span
+// stays open until FinishAt. Tracing must be on.
+func (o *observer) open(kind tracing.Kind, name string, parent *tracing.Span, a tracing.Attrs) *tracing.Span {
+	return o.tracer.Record(kind, name, parent, o.sh.ev.now, math.NaN(), a)
 }
 
 // sampleDepth records the queue depth now. Metrics must be attached.
@@ -233,8 +240,8 @@ func (o *observer) rollOccupancy(n *onlineNode) {
 	for _, r := range n.residents {
 		names = append(names, r.job.Obs.App.Name)
 	}
-	o.nodeSpans[n.id] = o.tracer.Start(tracing.KindNode, power.PhaseName(len(n.residents)), nil,
-		tracing.Attrs{Job: -1, Node: o.sh.gid(n), Detail: strings.Join(names, "+")})
+	o.nodeSpans[n.id] = o.open(tracing.KindNode, power.PhaseName(len(n.residents)), nil,
+		tracing.Attrs{Job: -1, Node: o.sh.gid(n), Detail: strings.Join(names, "+"), Shard: o.sh.idx})
 }
 
 // admit opens a newly queued job's records in this shard's exports: its
@@ -250,8 +257,8 @@ func (o *observer) admit(j *Job) {
 		a := o.attrs(j, -1)
 		a.SizeGB = j.Obs.SizeGB
 		js := &jobSpans{}
-		js.job = o.tracer.Start(tracing.KindJob, "job "+app.Name, nil, a)
-		js.wait = o.tracer.Start(tracing.KindWait, "wait", js.job, a)
+		js.job = o.open(tracing.KindJob, "job "+app.Name, nil, a)
+		js.wait = o.open(tracing.KindWait, "wait", js.job, a)
 		o.traced[j.ID] = js
 	}
 }
@@ -426,7 +433,7 @@ func (o *observer) place(n *onlineNode, oj *onlineJob) {
 				pjs.run.SetConfig(partner.cfg.String())
 			}
 		}
-		js.run = o.tracer.Start(tracing.KindRun, "run "+j.Obs.App.Name, js.job, a)
+		js.run = o.open(tracing.KindRun, "run "+j.Obs.App.Name, js.job, a)
 		o.rollOccupancy(n)
 	}
 }

@@ -31,8 +31,9 @@ type shard struct {
 	// base offsets node ids in every export (metrics events, span
 	// attributes, audit rows, CompletedJob.Node) so a shard owning
 	// nodes [base, base+len) reports cluster-global ids while its
-	// internal indexes stay dense.
-	base int
+	// internal indexes stay dense. idx is the shard's index in the
+	// control plane, stamped on every span it records.
+	base, idx int
 
 	// fastAcc selects the O(1) aggregate accrual path: reschedule
 	// maintains phaseWatts, the running sum of cached node draws per

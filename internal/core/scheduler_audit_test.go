@@ -24,8 +24,8 @@ func auditedRun(t *testing.T) (*audit.Log, *metrics.Registry, *tracing.Tracer, *
 	s.SetMetrics([]*metrics.Registry{reg})
 	aud := audit.NewLog(audit.DriftConfig{})
 	s.SetAudit([]*audit.Log{aud})
-	ts := tracing.NewShardSet()
-	s.SetTracer(ts)
+	tr := tracing.New(nil)
+	s.SetTracer(tr)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
 		s.Submit(workloads.MustByName(name), 5, float64(i)*40)
@@ -33,7 +33,7 @@ func auditedRun(t *testing.T) (*audit.Log, *metrics.Registry, *tracing.Tracer, *
 	if _, _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return aud, reg, ts.Tracer(0), s
+	return aud, reg, tr, s
 }
 
 // TestSchedulerAuditBranches cross-checks the audit log's recorded

@@ -19,9 +19,8 @@ func BenchmarkTraceExport(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := oneShard(b, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
-	ts := tracing.NewShardSet()
-	s.SetTracer(ts)
-	tr := ts.Tracer(0)
+	tr := tracing.New(nil)
+	s.SetTracer(tr)
 	for i, j := range wl.Jobs {
 		s.Submit(j.App, j.SizeGB, float64(i)*40)
 	}

@@ -22,8 +22,8 @@ func tracedRun(t *testing.T, fast bool) (*tracing.Tracer, *ShardedScheduler) {
 	fixture(t)
 	s := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
 	s.SetFastAccrual(fast)
-	ts := tracing.NewShardSet()
-	s.SetTracer(ts)
+	tr := tracing.New(nil)
+	s.SetTracer(tr)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
 		s.Submit(workloads.MustByName(name), 5, float64(i)*40)
@@ -31,7 +31,7 @@ func tracedRun(t *testing.T, fast bool) (*tracing.Tracer, *ShardedScheduler) {
 	if _, _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return ts.Tracer(0), s
+	return tr, s
 }
 
 func timelineOf(t *testing.T, tr *tracing.Tracer) string {

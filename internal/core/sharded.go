@@ -62,7 +62,8 @@ const stealBatch = 8
 // schedulers over disjoint node slices, driven by one clock. It
 // is the only online scheduler — Shards: 1 runs the whole cluster as
 // one shard. Build with NewShardedScheduler, attach observability
-// (SetMetrics, SetAudit, SetTracer, SetFlight — one sink per shard),
+// (SetMetrics and SetAudit take one sink per shard, SetTracer one
+// tracer for every shard, SetFlight one recorder),
 // Submit the stream in nondecreasing arrival order, then Run.
 type ShardedScheduler struct {
 	cfg    ShardedConfig
@@ -200,6 +201,7 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 			return nil, fmt.Errorf("core: sharded scheduler: tuner factory returned nil for shard %d", i)
 		}
 		sh := newShard(&c.ev, model, db, tuner, n, base)
+		sh.idx = i
 		sh.completions = &c.completed
 		c.shards = append(c.shards, sh)
 		base += n
@@ -259,20 +261,14 @@ func (c *ShardedScheduler) SetAudit(logs []*audit.Log) {
 	}
 }
 
-// SetTracer attaches a sharded span tracer: one fresh Tracer per shard
-// — reading the control plane's clock, stamped with its shard index —
-// appended to ts in shard order. Call before the first Submit on a
-// fresh ShardSet; pass nil to detach every shard. Each shard's tracer
-// is written only by that shard's events between barriers (plus the
-// steal pass), and ts merges the span sets deterministically for
-// export.
-func (c *ShardedScheduler) SetTracer(ts *tracing.ShardSet) {
+// SetTracer attaches one span tracer to the whole control plane; nil
+// detaches it. Call before the first Submit, with a fresh tracer
+// (tracing.New(nil)): every shard records into it at the control
+// plane's simulated times and stamps its index in each span's
+// Attrs.Shard, so the tracer's own clock is never read and its exports
+// lay the spans out per shard (DESIGN.md §28).
+func (c *ShardedScheduler) SetTracer(tr *tracing.Tracer) {
 	for _, sh := range c.shards {
-		var tr *tracing.Tracer
-		if ts != nil {
-			tr = tracing.New(c.ev.clock)
-			ts.Attach(tr)
-		}
 		sh.setTracer(tr)
 	}
 }

@@ -33,18 +33,17 @@ type shardedResult struct {
 	// prove both cadences were actually exercised.
 	stats BarrierStats
 
-	// sched and trace are the run's control plane and span tracers, for
+	// sched and trace are the run's control plane and span tracer, for
 	// tests that inspect more than the exports above.
 	sched *ShardedScheduler
-	trace *tracing.ShardSet
+	trace *tracing.Tracer
 }
 
 // runSharded drives one fully instrumented sharded run. submit feeds
-// the stream; every shard gets its own registry, tracer (through the
-// control plane's SetTracer fan-out, the CLI path), and audit log, and
-// every shard's tuner is LkT behind MemoSTP under MeteredSTP on the
-// shard's registry — the chain testdata/ws4_online.golden pins at one
-// shard.
+// the stream; every shard gets its own registry and audit log, the
+// control plane one tracer (the CLI path), and every shard's tuner is
+// LkT behind MemoSTP under MeteredSTP on the shard's registry — the
+// chain testdata/ws4_online.golden pins at one shard.
 func runSharded(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *ShardedScheduler)) shardedResult {
 	return runShardedMode(t, nodes, cfg, false, submit)
 }
@@ -67,7 +66,7 @@ func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, recorded bool, s
 		t.Fatal(err)
 	}
 	c.SetMetrics(regs)
-	ts := tracing.NewShardSet()
+	ts := tracing.New(nil)
 	c.SetTracer(ts)
 	auds := make([]*audit.Log, cfg.Shards)
 	for i := range auds {
@@ -96,7 +95,7 @@ func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, recorded bool, s
 		if err := regs[i].Snapshot(false).WriteText(&snap); err != nil {
 			t.Fatal(err)
 		}
-		if err := ts.Tracer(i).WriteTimeline(&tl); err != nil {
+		if err := tracing.WriteTimeline(&tl, shardSpans(ts, i)); err != nil {
 			t.Fatal(err)
 		}
 		if err := auds[i].WriteJSONL(&dec); err != nil {
@@ -460,7 +459,7 @@ func TestFastAccrualGolden(t *testing.T) {
 		s := oneShard(t, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 64)
 		s.SetFastAccrual(fast)
 		if observed {
-			s.SetTracer(tracing.NewShardSet())
+			s.SetTracer(tracing.New(nil))
 			s.SetAudit([]*audit.Log{audit.NewLog(audit.DriftConfig{})})
 		}
 		rng := sim.NewRNG(18)

@@ -1,8 +1,8 @@
 package core
 
-// Cross-shard distributed tracing tests: the SetTracer fan-out, the
-// deterministic merge, steal flow linkage, and the shard-wise
-// extension of the energy-conservation invariants.
+// Cross-shard distributed tracing tests: one tracer per control plane,
+// the deterministic merged layouts, steal flow linkage, and the
+// shard-wise extension of the energy-conservation invariants.
 
 import (
 	"bytes"
@@ -27,16 +27,29 @@ func render(t *testing.T, write func(w *bytes.Buffer) error) string {
 	return buf.String()
 }
 
-// TestShardSetSingleShardLegacyEquivalence: with one shard, the
-// ShardSet's merged exports are byte-identical to the legacy unsharded
+// shardSpans is shard i's part of tr's spans, in the order of that
+// shard's solo exports.
+func shardSpans(tr *tracing.Tracer, i int) []tracing.Span {
+	var out []tracing.Span
+	for _, s := range tr.Spans() {
+		if s.Attrs.Shard == i {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestOneShardTraceLegacyEquivalence: with one shard, the control
+// plane's tracer exports are byte-identical to the legacy unsharded
 // tracer's — the timeline matches testdata/ws4_online.golden's, which
 // the retired unsharded scheduler recorded from the same stream, and
-// both ShardSet exporters delegate exactly to the solo tracer.
-func TestShardSetSingleShardLegacyEquivalence(t *testing.T) {
+// both exporters render the solo layouts.
+func TestOneShardTraceLegacyEquivalence(t *testing.T) {
 	r := runSharded(t, 2, ShardedConfig{Shards: 1}, submitWS4(t))
 	c, ts := r.sched, r.trace
-	if got := ts.Shards(); got != 1 {
-		t.Fatalf("SetTracer attached %d tracers, want 1", got)
+	spans := ts.Spans()
+	if got := len(shardSpans(ts, 0)); got != len(spans) {
+		t.Fatalf("%d of %d spans stamped shard 0, want all", got, len(spans))
 	}
 	golden, err := os.ReadFile("testdata/ws4_online.golden")
 	if err != nil {
@@ -44,12 +57,11 @@ func TestShardSetSingleShardLegacyEquivalence(t *testing.T) {
 	}
 	timeline := render(t, func(w *bytes.Buffer) error { return ts.WriteTimeline(w) })
 	if section := fmt.Sprintf("--- timeline %d\n%s--- decisions ", len(timeline), timeline); !strings.Contains(string(golden), section) {
-		t.Fatalf("1-shard ShardSet timeline is not testdata/ws4_online.golden's:\n%s", timeline)
+		t.Fatalf("1-shard timeline is not testdata/ws4_online.golden's:\n%s", timeline)
 	}
-	solo := ts.Tracer(0)
 	if got, want := render(t, func(w *bytes.Buffer) error { return ts.WriteChromeTrace(w) }),
-		render(t, func(w *bytes.Buffer) error { return solo.WriteChromeTrace(w) }); got != want {
-		t.Fatal("1-shard ShardSet Chrome trace != solo tracer export")
+		render(t, func(w *bytes.Buffer) error { return tracing.WriteChromeTrace(w, spans) }); got != want {
+		t.Fatal("1-shard Chrome trace != solo layout")
 	}
 	rep := ts.Report()
 	if rel := relErr(rep.Phases.TotalJ(), c.EnergyJ()); rel > 1e-9 {
@@ -100,7 +112,7 @@ func TestShardedStealFlowPairs(t *testing.T) {
 	}
 	outs := map[int]tracing.Span{}
 	ins := map[int]tracing.Span{}
-	for _, s := range ts.Merge() {
+	for _, s := range ts.Spans() {
 		switch s.Kind {
 		case tracing.KindStealOut:
 			if _, dup := outs[s.Attrs.Link]; dup {
@@ -125,14 +137,14 @@ func TestShardedStealFlowPairs(t *testing.T) {
 		if out.Attrs.Job != in.Attrs.Job || out.Attrs.App != in.Attrs.App || out.Start != in.Start {
 			t.Fatalf("link %d halves disagree: out %+v in %+v", link, out.Attrs, in.Attrs)
 		}
-		if out.Shard == in.Shard {
-			t.Fatalf("link %d stayed on shard %d — steals are cross-shard by construction", link, out.Shard)
+		if out.Attrs.Shard == in.Attrs.Shard {
+			t.Fatalf("link %d stayed on shard %d — steals are cross-shard by construction", link, out.Attrs.Shard)
 		}
 		// Each half names the counterparty shard.
-		if want := fmt.Sprintf("to=shard%d", in.Shard); out.Attrs.Detail != want {
+		if want := fmt.Sprintf("to=shard%d", in.Attrs.Shard); out.Attrs.Detail != want {
 			t.Fatalf("link %d steal_out detail %q, want %q", link, out.Attrs.Detail, want)
 		}
-		if want := fmt.Sprintf("from=shard%d", out.Shard); in.Attrs.Detail != want {
+		if want := fmt.Sprintf("from=shard%d", out.Attrs.Shard); in.Attrs.Detail != want {
 			t.Fatalf("link %d steal_in detail %q, want %q", link, in.Attrs.Detail, want)
 		}
 	}
@@ -194,7 +206,7 @@ func TestShardedTraceEnergyConservation(t *testing.T) {
 	}
 	var nodeSum float64
 	for i := 0; i < c.Shards(); i++ {
-		spans := ts.Tracer(i).Spans()
+		spans := shardSpans(ts, i)
 		shardNodes := tracing.TotalEnergyJ(spans, tracing.KindNode)
 		if rel := relErr(shardNodes, c.shards[i].energyJ); rel > 1e-9 {
 			t.Fatalf("shard %d: node spans %.6f J != engine energy %.6f J (rel %g)",
@@ -205,7 +217,7 @@ func TestShardedTraceEnergyConservation(t *testing.T) {
 	if rel := relErr(nodeSum, c.EnergyJ()); rel > 1e-9 {
 		t.Fatalf("Σ per-shard node spans %.6f J != global energy %.6f J (rel %g)", nodeSum, c.EnergyJ(), rel)
 	}
-	merged := ts.Merge()
+	merged := ts.Spans()
 	p := c.Phases()
 	runSum := tracing.TotalEnergyJ(merged, tracing.KindRun)
 	if rel := relErr(runSum, p.SoloJ+p.CoJ); rel > 1e-9 {

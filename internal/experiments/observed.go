@@ -12,9 +12,8 @@ import (
 )
 
 // ShardedObservation bundles the observability handles of one fully
-// observed sharded run: per-shard registries and audit logs, the
-// per-shard span tracers grouped for deterministic merging, plus the
-// control plane's flight recorder. Every export they render (metrics
+// observed sharded run: per-shard registries and audit logs, plus the
+// control plane's one span tracer and flight recorder. Every export they render (metrics
 // snapshots, audit JSONL, merged Chrome trace and timeline, EDP
 // report, shard-health report, epoch JSONL, flight dumps) is a pure
 // function of the submitted stream, independent of GOMAXPROCS — the
@@ -22,7 +21,7 @@ import (
 type ShardedObservation struct {
 	Registries []*metrics.Registry
 	Audits     []*audit.Log
-	Trace      *tracing.ShardSet
+	Trace      *tracing.Tracer
 	Flight     *flight.Recorder
 }
 
@@ -49,7 +48,7 @@ func OnlineScenarioShardedObserved(env *Env, spec scenario.Spec, nodes int, cfg 
 			obs.Audits = append(obs.Audits, audit.NewLog(audit.DriftConfig{}))
 		}
 		sched.SetAudit(obs.Audits)
-		obs.Trace = tracing.NewShardSet()
+		obs.Trace = tracing.New(nil)
 		sched.SetTracer(obs.Trace)
 		obs.Flight = flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: sched.ShardNodes()})
 		sched.SetFlight(obs.Flight)
@@ -70,6 +69,6 @@ func OnlineScenarioShardedObserved(env *Env, spec scenario.Spec, nodes int, cfg 
 	tbl.AddRow("epochs", obs.Flight.Epochs())
 	tbl.AddRow("flight dumps", len(obs.Flight.Dumps()))
 	tbl.Notes = append(tbl.Notes,
-		"fully observed run: per-shard metrics + audit + span tracers, barrier flight recorder; render traces, shard health, and dumps from the returned handles")
+		"fully observed run: per-shard metrics + audit, one span tracer, barrier flight recorder; render traces, shard health, and dumps from the returned handles")
 	return tbl, data, qs, obs, nil
 }

@@ -80,9 +80,13 @@ func TestOnlineScenarioShardedObservedGolden(t *testing.T) {
 		if obs.Flight.Epochs() == 0 {
 			t.Fatalf("GOMAXPROCS=%d: run recorded no barrier epochs", procs)
 		}
-		if len(obs.Registries) != cfg.Shards || len(obs.Audits) != cfg.Shards || obs.Trace.Shards() != cfg.Shards {
-			t.Fatalf("GOMAXPROCS=%d: observation handles incomplete: %d regs, %d audits, %d tracers",
-				procs, len(obs.Registries), len(obs.Audits), obs.Trace.Shards())
+		traced := map[int]bool{}
+		for _, s := range obs.Trace.Spans() {
+			traced[s.Attrs.Shard] = true
+		}
+		if len(obs.Registries) != cfg.Shards || len(obs.Audits) != cfg.Shards || len(traced) != cfg.Shards {
+			t.Fatalf("GOMAXPROCS=%d: observation handles incomplete: %d regs, %d audits, %d traced shards",
+				procs, len(obs.Registries), len(obs.Audits), len(traced))
 		}
 		for _, want := range []string{"shards", "steals", "epochs", "flight dumps"} {
 			if !strings.Contains(tbl.String(), want) {

@@ -69,11 +69,11 @@ func onlineTrace(env *Env, spec trace.Spec, nodes int, traced bool, tuner core.S
 	}
 	// One shard runs the whole cluster; the technique runs unwrapped,
 	// and the tracer and audit log go on it.
-	var ts *tracing.ShardSet
+	var tr *tracing.Tracer
 	attach := func(c *core.ShardedScheduler) {
 		if traced {
-			ts = tracing.NewShardSet()
-			c.SetTracer(ts)
+			tr = tracing.New(nil)
+			c.SetTracer(tr)
 		}
 		c.SetAudit([]*audit.Log{aud})
 	}
@@ -84,7 +84,7 @@ func onlineTrace(env *Env, spec trace.Spec, nodes int, traced bool, tuner core.S
 		return Table{}, data, rep, err
 	}
 	if traced {
-		rep = ts.Tracer(0).Report()
+		rep = tr.Report()
 	}
 	tbl := Table{
 		Title:  fmt.Sprintf("Online ECoST: %d jobs, %d node(s), mean inter-arrival %.0fs", data.Jobs, nodes, spec.MeanInterarrival),

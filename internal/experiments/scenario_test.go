@@ -47,8 +47,8 @@ func instrumentedRun(t *testing.T, env *Env, arrivals []trace.Arrival, nodes int
 		t.Fatal(err)
 	}
 	sched.SetMetrics([]*metrics.Registry{reg})
-	ts := tracing.NewShardSet()
-	sched.SetTracer(ts)
+	tr := tracing.New(nil)
+	sched.SetTracer(tr)
 	sched.SetAudit([]*audit.Log{aud})
 	for _, a := range arrivals {
 		sched.Submit(a.App, a.SizeGB, a.At)
@@ -60,7 +60,7 @@ func instrumentedRun(t *testing.T, env *Env, arrivals []trace.Arrival, nodes int
 	if err := reg.Snapshot(false).WriteText(&snapBuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.WriteTimeline(&tlBuf); err != nil {
+	if err := tr.WriteTimeline(&tlBuf); err != nil {
 		t.Fatal(err)
 	}
 	if err := aud.WriteJSONL(&decBuf); err != nil {

@@ -19,9 +19,11 @@ import (
 //     tests: all values derive from the simulated clock, so same-seed
 //     runs render byte-identical output at any GOMAXPROCS.
 //
-// Both exporters consume the canonical (Start, ID)-sorted snapshot from
-// Tracer.Spans and skip nothing silently: open spans are rendered with
-// their start time and a zero duration, marked "open".
+// Both exporters consume one shard's canonical (Start, ID)-sorted
+// spans and skip nothing silently: open spans are rendered with their
+// start time and a zero duration, marked "open". The Tracer methods in
+// sharded.go choose between these solo layouts and the multi-shard
+// ones.
 
 // chromeEvent is one trace_event entry. Struct (not map) fields keep
 // the JSON key order fixed; Args is a map but encoding/json sorts map
@@ -161,11 +163,6 @@ func ChromeTrace(spans []Span) chromeDoc {
 	return doc
 }
 
-// WriteChromeTrace renders the span set as Chrome trace_event JSON.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTrace(w, t.Spans())
-}
-
 // WriteChromeTrace renders spans as Chrome trace_event JSON.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
 	enc := json.NewEncoder(w)
@@ -196,11 +193,6 @@ func fmtAttrs(a Attrs) string {
 		add("link", strconv.Itoa(a.Link))
 	}
 	return out
-}
-
-// WriteTimeline renders the span set as the sorted text timeline.
-func (t *Tracer) WriteTimeline(w io.Writer) error {
-	return WriteTimeline(w, t.Spans())
 }
 
 // WriteTimeline renders spans (already in canonical order) as text, one

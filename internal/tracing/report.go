@@ -126,7 +126,8 @@ func BuildReport(spans []Span) Report {
 	return rep
 }
 
-// Report builds the attribution from the tracer's current spans.
+// Report builds the attribution from the tracer's current spans — across
+// every shard, in the merged order.
 func (t *Tracer) Report() Report { return BuildReport(t.Spans()) }
 
 // WriteText renders the report as aligned text tables. Deterministic

@@ -1,172 +1,80 @@
 package tracing
 
-// Sharded tracing: each shard of the sharded control plane owns its own
-// Tracer (written only by that shard's events between barriers, so
-// span recording needs no cross-shard synchronization), and a ShardSet
-// groups them for export. The merge is deterministic by construction:
+// Sharded tracing: one Tracer records a whole sharded control plane,
+// and each span carries the index of the shard that recorded it in
+// Attrs.Shard. The exports choose their layout from the spans
+// themselves: spans from one shard render the solo layout (export.go);
+// spans from more render one section or track group per shard plus a
+// merged view. Every byte is deterministic by construction:
 //
-//   - Span identity is (shard, ID) — the shard index stamped at
-//     creation plus the per-tracer creation-order ID — so a span's
-//     identity never depends on when its shard drained relative to the
-//     others.
+//   - Spans sorts by (Start, Shard, ID). Start comes from the simulated
+//     clock, Shard from the recorder, and ID from creation order in the
+//     single-threaded event loop, so the merged order — and every byte
+//     the exporters derive from it — is identical at any GOMAXPROCS.
 //
-//   - Merge sorts by (Start, Shard, ID). Start comes from the simulated
-//     clock and Shard/ID from single-threaded per-shard event loops, so
-//     the merged order — and every byte the exporters derive from it —
-//     is identical at any GOMAXPROCS and invariant to drain order.
+//   - Restricted to one shard, that order is (Start, ID) in the
+//     shard's own creation order, so each shard's section is
+//     byte-identical to the solo export of its spans alone.
 //
 //   - Cross-shard steals appear as a victim-side steal_out span and a
 //     thief-side steal_in span sharing one Attrs.Link id (the control
 //     plane's steal sequence number); the Chrome export joins them with
 //     flow events so Perfetto draws the hand-off arrow between shard
 //     track groups.
-//
-// With a single shard every ShardSet export delegates to the shard's
-// own exporter, byte-identical to a lone tracer's.
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 )
 
-// ShardSet is an ordered set of per-shard tracers. Construct with
-// NewShardSet and let core.ShardedScheduler.SetTracer populate it (or
-// Attach tracers yourself in shard order). A nil *ShardSet is the
-// disabled mode: Tracer returns nil, so the whole per-span path
-// collapses to the usual nil-tracer branch (BenchmarkDisabledShardSpan).
-type ShardSet struct {
-	mu  sync.Mutex
-	trs []*Tracer
-}
-
-// NewShardSet returns an empty shard set.
-func NewShardSet() *ShardSet { return &ShardSet{} }
-
-// Attach appends tr as the next shard's tracer and stamps the shard
-// index on it. Nil-safe on both sides; attach in shard order, before
-// the tracer records any spans.
-func (ts *ShardSet) Attach(tr *Tracer) {
-	if ts == nil {
-		return
-	}
-	ts.mu.Lock()
-	tr.SetShard(len(ts.trs))
-	ts.trs = append(ts.trs, tr)
-	ts.mu.Unlock()
-}
-
-// Shards reports how many tracers are attached. Nil-safe.
-func (ts *ShardSet) Shards() int {
-	if ts == nil {
-		return 0
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.trs)
-}
-
-// Tracer returns shard i's tracer, or nil when the set is nil or i is
-// out of range — so a disabled set hands out disabled tracers and the
-// per-span cost stays one branch per call. The nil check lives here
-// and the locked lookup in tracerAt so the disabled path inlines.
-func (ts *ShardSet) Tracer(i int) *Tracer {
-	if ts == nil {
-		return nil
-	}
-	return ts.tracerAt(i)
-}
-
-func (ts *ShardSet) tracerAt(i int) *Tracer {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if i < 0 || i >= len(ts.trs) {
-		return nil
-	}
-	return ts.trs[i]
-}
-
-// tracers snapshots the tracer slice under the lock.
-func (ts *ShardSet) tracers() []*Tracer {
-	if ts == nil {
-		return nil
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return append([]*Tracer(nil), ts.trs...)
-}
-
-// Merge flattens per-shard span sets into the canonical merged order:
-// (Start, Shard, ID). Each input slice must come from one shard's
-// Tracer.Spans (already Shard-stamped); the result is a pure function
-// of the span sets, independent of slice order or GOMAXPROCS.
-func Merge(shards ...[]Span) []Span {
-	n := 0
-	for _, s := range shards {
-		n += len(s)
-	}
-	out := make([]Span, 0, n)
-	for _, s := range shards {
-		out = append(out, s...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+// byShard splits spans (in Spans order) into one group per shard
+// present, in ascending shard order; each group keeps its shard's
+// (Start, ID) order.
+func byShard(spans []Span) [][]Span {
+	sorted := slices.Clone(spans)
+	slices.SortStableFunc(sorted, func(a, b Span) int { return cmp.Compare(a.Attrs.Shard, b.Attrs.Shard) })
+	var groups [][]Span
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j].Attrs.Shard == sorted[i].Attrs.Shard {
+			j++
 		}
-		if out[i].Shard != out[j].Shard {
-			return out[i].Shard < out[j].Shard
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// shardSpans snapshots every shard's canonical span set, in shard
-// order.
-func (ts *ShardSet) shardSpans() [][]Span {
-	trs := ts.tracers()
-	out := make([][]Span, len(trs))
-	for i, tr := range trs {
-		out[i] = tr.Spans()
+		groups = append(groups, sorted[i:j])
+		i = j
 	}
-	return out
+	return groups
 }
 
-// Merge returns the set's spans in the canonical merged order.
-// Nil-safe.
-func (ts *ShardSet) Merge() []Span { return Merge(ts.shardSpans()...) }
-
-// Report builds the per-job / per-class EDP attribution over the merged
-// span set — job and node ids are global, so the single-tracer rollup
-// applies unchanged.
-func (ts *ShardSet) Report() Report { return BuildReport(ts.Merge()) }
-
-// WriteChromeTrace renders the set as one Chrome trace_event document.
-// With one shard it delegates to that shard's exporter (byte-identical
-// to a lone tracer's trace); with more it emits one process block
-// — scheduler process plus that shard's node processes, contiguous
-// pids, process_sort_index pinned — per shard, so Perfetto shows one
-// track group per shard, and joins steal span pairs with flow events.
-func (ts *ShardSet) WriteChromeTrace(w io.Writer) error {
-	shards := ts.shardSpans()
-	if len(shards) == 1 {
-		return WriteChromeTrace(w, shards[0])
+// WriteChromeTrace renders the span set as one Chrome trace_event
+// document. Spans from one shard render the solo layout; spans from
+// more render one process block — scheduler process plus that shard's
+// node processes, contiguous pids, process_sort_index pinned — per
+// shard, so Perfetto shows one track group per shard, and steal span
+// pairs are joined with flow events.
+func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+	spans := t.Spans()
+	shards := byShard(spans)
+	if len(shards) <= 1 {
+		return WriteChromeTrace(w, spans)
 	}
-	return json.NewEncoder(w).Encode(mergedChromeTrace(shards))
+	return json.NewEncoder(w).Encode(mergedChromeTrace(spans, shards))
 }
 
-// mergedChromeTrace lays the multi-shard document out: shard s owns a
-// contiguous pid block [base, base+1+len(nodes)) — the scheduler
+// mergedChromeTrace lays the multi-shard document out: each shard owns
+// a contiguous pid block [base, base+1+len(nodes)) — the scheduler
 // process first, then that shard's nodes in ascending global id — and
 // every process carries a process_sort_index so the shard grouping
-// survives Perfetto's sorting.
-func mergedChromeTrace(shards [][]Span) chromeDoc {
+// survives Perfetto's sorting. spans is the merged span set and shards
+// its byShard groups.
+func mergedChromeTrace(spans []Span, shards [][]Span) chromeDoc {
 	doc := chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	schedPid := make([]int, len(shards))
+	schedPid := make(map[int]int)
 	nodePid := make(map[int]int)
 	next := 0
 	meta := func(pid int, name string) {
@@ -176,17 +84,18 @@ func mergedChromeTrace(shards [][]Span) chromeDoc {
 			chromeEvent{Name: "process_sort_index", Cat: "__metadata", Ph: "M",
 				Pid: pid, Args: map[string]any{"sort_index": pid}})
 	}
-	for si, spans := range shards {
+	for _, group := range shards {
+		si := group[0].Attrs.Shard
 		schedPid[si] = next
 		meta(next, "shard "+strconv.Itoa(si)+" scheduler")
 		next++
-		for _, n := range shardNodes(spans) {
+		for _, n := range shardNodes(group) {
 			nodePid[n] = next
 			meta(next, fmt.Sprintf("node %d (shard %d)", n, si))
 			next++
 		}
 	}
-	for _, s := range Merge(shards...) {
+	for _, s := range spans {
 		pid, tid := mergedTrack(s, schedPid, nodePid)
 		dur := s.Dur() * 1e6
 		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
@@ -208,10 +117,10 @@ func mergedChromeTrace(shards [][]Span) chromeDoc {
 
 // mergedTrack maps a span onto its shard's pid block, mirroring the
 // solo chromeTrack layout within the block.
-func mergedTrack(s Span, schedPid []int, nodePid map[int]int) (pid, tid int) {
+func mergedTrack(s Span, schedPid, nodePid map[int]int) (pid, tid int) {
 	switch s.Kind {
 	case KindJob, KindWait, KindTune, KindStealOut, KindStealIn:
-		return schedPid[s.Shard], s.Attrs.Job
+		return schedPid[s.Attrs.Shard], s.Attrs.Job
 	case KindNode:
 		return nodePid[s.Attrs.Node], 0
 	default: // run / map / reduce live on their node, one track per job
@@ -234,25 +143,26 @@ func shardNodes(spans []Span) []int {
 	return out
 }
 
-// WriteTimeline renders the set as text. With one shard it delegates
-// (byte-identical to a lone tracer's timeline); with more it writes one
-// "== shard N ==" section per shard — each byte-identical to that
-// shard's solo export — followed by a "== merged ==" section in the
-// canonical merged order with a leading shard column.
-func (ts *ShardSet) WriteTimeline(w io.Writer) error {
-	shards := ts.shardSpans()
-	if len(shards) == 1 {
-		return WriteTimeline(w, shards[0])
+// WriteTimeline renders the span set as text. Spans from one shard
+// render the solo timeline; spans from more render one "== shard N =="
+// section per shard — each byte-identical to the solo timeline of that
+// shard's spans — followed by a "== merged ==" section in the canonical
+// merged order with a leading shard column.
+func (t *Tracer) WriteTimeline(w io.Writer) error {
+	spans := t.Spans()
+	shards := byShard(spans)
+	if len(shards) <= 1 {
+		return WriteTimeline(w, spans)
 	}
 	bw := bufio.NewWriter(w)
-	for i, spans := range shards {
-		fmt.Fprintf(bw, "== shard %d ==\n", i)
-		if err := WriteTimeline(bw, spans); err != nil {
+	for _, group := range shards {
+		fmt.Fprintf(bw, "== shard %d ==\n", group[0].Attrs.Shard)
+		if err := WriteTimeline(bw, group); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(bw, "== merged ==\n")
-	if err := WriteMergedTimeline(bw, Merge(shards...), len(shards)); err != nil {
+	if err := WriteMergedTimeline(bw, spans, len(shards)); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -274,7 +184,7 @@ func WriteMergedTimeline(w io.Writer, spans []Span, shards int) error {
 			open = " (open)"
 		}
 		fmt.Fprintf(bw, " %5d %13.6f %13.6f %13.6f %-9s %-22s %4d %4d %14.6f  %s%s\n",
-			s.Shard, s.Start, end, s.Dur(), s.Kind, s.Name, s.Attrs.Job, s.Attrs.Node,
+			s.Attrs.Shard, s.Start, end, s.Dur(), s.Kind, s.Name, s.Attrs.Job, s.Attrs.Node,
 			s.EnergyJ, fmtAttrs(s.Attrs), open)
 	}
 	return bw.Flush()

@@ -7,89 +7,74 @@ import (
 	"testing"
 )
 
-// shardFixture builds a two-shard set with interleaved span starts and
-// a steal pair linking the shards, exercising the merge tie-breaks:
-// identical starts across shards and within one shard.
-func shardFixture(t *testing.T) *ShardSet {
-	t.Helper()
-	ts := NewShardSet()
-	for i := 0; i < 2; i++ {
-		clk := &fakeClock{}
-		ts.Attach(New(clk.now))
-	}
-	a, b := ts.Tracer(0), ts.Tracer(1)
-	a.Record(KindNode, "solo", nil, 0, 10, Attrs{Node: 0}).AddEnergy(4)
-	b.Record(KindNode, "solo", nil, 0, 10, Attrs{Node: 1}).AddEnergy(6)
-	a.Record(KindRun, "run j0", nil, 1, 5, Attrs{Job: 0, Node: 0, App: "wc"}).AddEnergy(4)
-	b.Record(KindRun, "run j1", nil, 1, 7, Attrs{Job: 1, Node: 1, App: "pr"}).AddEnergy(6)
-	a.Record(KindStealOut, "steal_out", nil, 3, 3, Attrs{Job: 2, Node: -1, App: "wc", Detail: "to=shard1", Link: 1})
-	b.Record(KindStealIn, "steal_in", nil, 3, 3, Attrs{Job: 2, Node: -1, App: "wc", Detail: "from=shard0", Link: 1})
-	return ts
+// shardFixture builds one tracer holding two shards' spans with
+// interleaved starts and a steal pair linking the shards, exercising
+// the merge tie-breaks: identical starts across shards and within one
+// shard.
+func shardFixture() *Tracer {
+	tr := New(nil)
+	tr.Record(KindNode, "solo", nil, 0, 10, Attrs{Node: 0}).AddEnergy(4)
+	tr.Record(KindNode, "solo", nil, 0, 10, Attrs{Node: 1, Shard: 1}).AddEnergy(6)
+	tr.Record(KindRun, "run j0", nil, 1, 5, Attrs{Job: 0, Node: 0, App: "wc"}).AddEnergy(4)
+	tr.Record(KindRun, "run j1", nil, 1, 7, Attrs{Job: 1, Node: 1, App: "pr", Shard: 1}).AddEnergy(6)
+	tr.Record(KindStealIn, "steal_in", nil, 3, 3, Attrs{Job: 2, Node: -1, App: "wc", Detail: "from=shard0", Link: 1, Shard: 1})
+	tr.Record(KindStealOut, "steal_out", nil, 3, 3, Attrs{Job: 2, Node: -1, App: "wc", Detail: "to=shard1", Link: 1})
+	return tr
 }
 
-// TestMergeDeterministic: Merge sorts on (Start, Shard, ID) and is
-// invariant to the order the per-shard span sets are supplied in.
+// TestMergeDeterministic: Spans sorts on (Start, Shard, ID), so a
+// shard's spans sort ahead of a higher shard's at the same start
+// whatever order they were recorded in.
 func TestMergeDeterministic(t *testing.T) {
-	ts := shardFixture(t)
-	s0, s1 := ts.Tracer(0).Spans(), ts.Tracer(1).Spans()
-	fwd := Merge(s0, s1)
-	rev := Merge(s1, s0)
-	if len(fwd) != len(s0)+len(s1) {
-		t.Fatalf("merged %d spans from %d+%d inputs", len(fwd), len(s0), len(s1))
+	spans := shardFixture().Spans()
+	if len(spans) != 6 {
+		t.Fatalf("got %d spans, want 6", len(spans))
 	}
-	for i := range fwd {
-		if fwd[i] != rev[i] {
-			t.Fatalf("merge order depends on input order at %d: %+v vs %+v", i, fwd[i], rev[i])
-		}
-	}
-	for i := 1; i < len(fwd); i++ {
-		a, b := fwd[i-1], fwd[i]
+	for i := 1; i < len(spans); i++ {
+		a, b := spans[i-1], spans[i]
 		if a.Start > b.Start ||
-			(a.Start == b.Start && a.Shard > b.Shard) ||
-			(a.Start == b.Start && a.Shard == b.Shard && a.ID > b.ID) {
+			(a.Start == b.Start && a.Attrs.Shard > b.Attrs.Shard) ||
+			(a.Start == b.Start && a.Attrs.Shard == b.Attrs.Shard && a.ID > b.ID) {
 			t.Fatalf("merged order violates (Start, Shard, ID) at %d: %+v then %+v", i, a, b)
 		}
 	}
-	// Spans carry the shard they were recorded on.
-	for _, s := range fwd {
-		if s.Shard != 0 && s.Shard != 1 {
-			t.Fatalf("span %q has shard %d, want 0 or 1", s.Name, s.Shard)
-		}
+	// The steal_in was recorded first, on the higher shard.
+	if spans[4].Kind != KindStealOut || spans[5].Kind != KindStealIn {
+		t.Fatalf("steal pair out of (Start, Shard) order: %v then %v", spans[4].Kind, spans[5].Kind)
 	}
 }
 
-// TestShardSetSingleDelegation: a one-shard set's exports are
-// byte-identical to the lone tracer's own exporters — the sharded path
-// is a superset, not a dialect.
-func TestShardSetSingleDelegation(t *testing.T) {
-	ts := NewShardSet()
-	clk := &fakeClock{}
-	tr := New(clk.now)
-	ts.Attach(tr)
-	tr.Record(KindNode, "node", nil, 0, 10, Attrs{Node: 0}).AddEnergy(4)
-	tr.Record(KindRun, "run", nil, 1, 5, Attrs{Job: 0, Node: 0, App: "wc"}).AddEnergy(4)
+// TestSingleShardSoloLayout: spans from one shard render the solo
+// layouts, whichever shard recorded them — the sharded path is a
+// superset, not a dialect.
+func TestSingleShardSoloLayout(t *testing.T) {
+	for _, shard := range []int{0, 3} {
+		tr := New(nil)
+		tr.Record(KindNode, "node", nil, 0, 10, Attrs{Node: 0, Shard: shard}).AddEnergy(4)
+		tr.Record(KindRun, "run", nil, 1, 5, Attrs{Job: 0, Node: 0, App: "wc", Shard: shard}).AddEnergy(4)
 
-	var setChrome, soloChrome, setTL, soloTL bytes.Buffer
-	if err := ts.WriteChromeTrace(&setChrome); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteChromeTrace(&soloChrome); err != nil {
-		t.Fatal(err)
-	}
-	if setChrome.String() != soloChrome.String() {
-		t.Fatalf("single-shard Chrome trace != solo export:\n%s\nvs\n%s", setChrome.String(), soloChrome.String())
-	}
-	if err := ts.WriteTimeline(&setTL); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteTimeline(&soloTL); err != nil {
-		t.Fatal(err)
-	}
-	if setTL.String() != soloTL.String() {
-		t.Fatalf("single-shard timeline != solo export:\n%s\nvs\n%s", setTL.String(), soloTL.String())
-	}
-	if strings.Contains(setTL.String(), "== shard") {
-		t.Fatal("single-shard timeline grew section headers")
+		var chrome, soloChrome, tl, soloTL bytes.Buffer
+		if err := tr.WriteChromeTrace(&chrome); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteChromeTrace(&soloChrome, tr.Spans()); err != nil {
+			t.Fatal(err)
+		}
+		if chrome.String() != soloChrome.String() {
+			t.Fatalf("shard %d: single-shard Chrome trace != solo export:\n%s\nvs\n%s", shard, chrome.String(), soloChrome.String())
+		}
+		if err := tr.WriteTimeline(&tl); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteTimeline(&soloTL, tr.Spans()); err != nil {
+			t.Fatal(err)
+		}
+		if tl.String() != soloTL.String() {
+			t.Fatalf("shard %d: single-shard timeline != solo export:\n%s\nvs\n%s", shard, tl.String(), soloTL.String())
+		}
+		if strings.Contains(tl.String(), "== shard") {
+			t.Fatalf("shard %d: single-shard timeline grew section headers", shard)
+		}
 	}
 }
 
@@ -98,9 +83,8 @@ func TestShardSetSingleDelegation(t *testing.T) {
 // named and sort-indexed), and the steal pair renders as a flow
 // start/finish joined by the link id.
 func TestMergedChromeTrace(t *testing.T) {
-	ts := shardFixture(t)
 	var buf bytes.Buffer
-	if err := ts.WriteChromeTrace(&buf); err != nil {
+	if err := shardFixture().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -150,9 +134,8 @@ func TestMergedChromeTrace(t *testing.T) {
 // "== shard N ==" section per shard plus the global "== merged =="
 // section whose rows lead with the shard column.
 func TestMergedTimelineSections(t *testing.T) {
-	ts := shardFixture(t)
 	var buf bytes.Buffer
-	if err := ts.WriteTimeline(&buf); err != nil {
+	if err := shardFixture().WriteTimeline(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -167,38 +150,41 @@ func TestMergedTimelineSections(t *testing.T) {
 	}
 }
 
-// TestShardSetNilSafety: a nil set and out-of-range lookups behave
-// like disabled tracing end to end — no panics, empty exports.
-func TestShardSetNilSafety(t *testing.T) {
-	var ts *ShardSet
-	if ts.Shards() != 0 {
-		t.Fatal("nil set reports shards")
-	}
-	if tr := ts.Tracer(0); tr != nil {
-		t.Fatal("nil set yields a tracer")
-	}
-	// The full span chain on the nil-tracer result is a no-op.
-	sp := ts.Tracer(3).Start(KindRun, "run", nil, Attrs{})
+// TestShardStampedNilSafety: a nil tracer handed shard-stamped
+// attributes behaves like disabled tracing end to end — no panics, no
+// spans, and the empty solo exports.
+func TestShardStampedNilSafety(t *testing.T) {
+	var tr *Tracer
+	sp := tr.Start(KindRun, "run", nil, Attrs{Shard: 3})
 	sp.AddEnergy(1)
 	sp.Finish()
-	if got := ts.Merge(); len(got) != 0 {
-		t.Fatalf("nil set merges %d spans", len(got))
+	tr.Record(KindStealIn, "steal_in", sp, 1, 1, Attrs{Shard: 2, Link: 1}).FinishAt(2)
+	if got := tr.Spans(); len(got) != 0 {
+		t.Fatalf("nil tracer holds %d spans", len(got))
 	}
-	live := NewShardSet()
-	live.Attach(New(nil))
-	if tr := live.Tracer(7); tr != nil {
-		t.Fatal("out-of-range Tracer index yields a tracer")
+	var chrome, want bytes.Buffer
+	if err := tr.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
 	}
-	if tr := live.Tracer(-1); tr != nil {
-		t.Fatal("negative Tracer index yields a tracer")
+	if err := WriteChromeTrace(&want, nil); err != nil {
+		t.Fatal(err)
+	}
+	if chrome.String() != want.String() {
+		t.Fatalf("nil tracer Chrome trace %q, want the empty solo document %q", chrome.String(), want.String())
+	}
+	var tl bytes.Buffer
+	if err := tr.WriteTimeline(&tl); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(tl.String(), "== shard") {
+		t.Fatal("nil tracer timeline grew section headers")
 	}
 }
 
 // TestMergedReportRollsUp: the merged report attributes energy across
 // both shards and ignores the zero-duration steal markers.
 func TestMergedReportRollsUp(t *testing.T) {
-	ts := shardFixture(t)
-	rep := ts.Report()
+	rep := shardFixture().Report()
 	if got := rep.Phases.TotalJ(); got != 10 {
 		t.Fatalf("merged report total %v J, want 10", got)
 	}
@@ -208,15 +194,15 @@ func TestMergedReportRollsUp(t *testing.T) {
 }
 
 // BenchmarkDisabledShardSpan proves the disabled sharded path costs
-// the same single branch as disabled solo tracing: a nil ShardSet's
-// Tracer lookup plus the full span chain must stay under the
-// benchguard-gated sub-nanosecond/zero-alloc budget.
+// the same single branch as disabled solo tracing: a shard-stamped span
+// chain on a nil tracer must stay under the benchguard-gated
+// sub-nanosecond/zero-alloc budget.
 func BenchmarkDisabledShardSpan(b *testing.B) {
-	var ts *ShardSet
-	attrs := Attrs{Job: 1, Node: 0, App: "wc", Class: "C"}
+	var tr *Tracer
+	attrs := Attrs{Job: 1, Node: 0, App: "wc", Class: "C", Shard: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := ts.Tracer(i&3).Start(KindRun, "run", nil, attrs)
+		sp := tr.Start(KindRun, "run", nil, attrs)
 		sp.AddEnergy(1)
 		sp.Finish()
 	}

@@ -12,7 +12,10 @@
 //  1. Determinism. Span timestamps come from the simulated clock and
 //     span order from the single-threaded event loop, so the exported
 //     timeline (export.go) is byte-identical across same-seed runs at
-//     any GOMAXPROCS — golden tests enforce it.
+//     any GOMAXPROCS — golden tests enforce it. One tracer serves a
+//     whole sharded control plane: each span carries the shard that
+//     recorded it, and the exports lay a multi-shard span set out per
+//     shard (sharded.go).
 //
 //  2. Nil-safety. A nil *Tracer hands out nil *Spans, and every span
 //     operation on nil is a single-branch no-op (BenchmarkDisabledSpan
@@ -107,6 +110,10 @@ type Attrs struct {
 	// positive link id (the control plane's deterministic steal
 	// sequence number). 0 means unlinked.
 	Link int
+	// Shard is the index of the control-plane shard that recorded the
+	// span (0 for an unsharded recorder). The exports group spans by
+	// it; no export renders it as an attribute.
+	Shard int
 }
 
 // Span is one traced interval. Fields are written by the tracer under
@@ -114,13 +121,9 @@ type Attrs struct {
 // a finished span.
 type Span struct {
 	// ID is the creation-order identifier (deterministic under the
-	// single-threaded event loop). Together with Shard it is the span's
-	// stable global identity: (shard, ID) never changes across merges.
+	// single-threaded event loop). Restricted to one shard, ID order is
+	// that shard's own creation order.
 	ID int
-	// Shard is the owning tracer's shard index (0 for a lone tracer),
-	// stamped at creation so merged exports can keep one
-	// track group per shard and sort invariant of drain order.
-	Shard int
 	// Parent is the enclosing span's ID, or -1 for a root span.
 	Parent int
 	// Kind and Name classify the span.
@@ -155,7 +158,6 @@ func (s Span) Dur() float64 {
 type Tracer struct {
 	mu    sync.Mutex
 	now   func() float64
-	shard int
 	spans []*Span
 }
 
@@ -166,19 +168,6 @@ func New(now func() float64) *Tracer {
 		now = func() float64 { return 0 }
 	}
 	return &Tracer{now: now}
-}
-
-// SetShard stamps the tracer's shard index onto every span it records
-// from now on. Call once, before any spans, when the tracer is one of a
-// sharded set (ShardSet.Attach does it for you); the default is 0.
-// Nil-safe.
-func (t *Tracer) SetShard(i int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.shard = i
-	t.mu.Unlock()
 }
 
 // Start opens a span at the current simulated time. Nil-safe: a nil
@@ -200,7 +189,8 @@ func (t *Tracer) start(kind Kind, name string, parent *Span, a Attrs) *Span {
 
 // Record adds an already-finished span retroactively — how the
 // scheduler materializes map/reduce sub-phases once a job's actual
-// interval is known. Nil-safe.
+// interval is known. An end of NaN leaves the span open for FinishAt:
+// how a recorder that keeps its own clock opens spans. Nil-safe.
 func (t *Tracer) Record(kind Kind, name string, parent *Span, start, end float64, a Attrs) *Span {
 	if t == nil {
 		return nil
@@ -225,7 +215,6 @@ func (t *Tracer) add(kind Kind, name string, parent *Span, start, end float64, a
 	}
 	s := &Span{
 		ID:     len(t.spans),
-		Shard:  t.shard,
 		Parent: pid,
 		Kind:   kind,
 		Name:   name,
@@ -341,9 +330,10 @@ func (t *Tracer) Len() int {
 	return len(t.spans)
 }
 
-// Spans returns value copies of every span, sorted by (Start, ID) —
-// the canonical deterministic order every exporter uses. Open spans are
-// included with End = NaN. Nil-safe.
+// Spans returns value copies of every span, sorted by (Start, Shard,
+// ID) — the canonical deterministic order every exporter uses; with one
+// shard it is (Start, ID). Open spans are included with End = NaN.
+// Nil-safe.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
@@ -358,6 +348,9 @@ func (t *Tracer) Spans() []Span {
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
+		}
+		if out[i].Attrs.Shard != out[j].Attrs.Shard {
+			return out[i].Attrs.Shard < out[j].Attrs.Shard
 		}
 		return out[i].ID < out[j].ID
 	})
