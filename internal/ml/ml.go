@@ -2,8 +2,8 @@
 // reproduction, standing in for the Weka toolkit the paper uses. It
 // provides the three EDP predictors the paper studies — linear regression
 // (LR), a reduced-error-pruning regression tree (REPTree) and a
-// multilayer perceptron (MLP) — plus the lookup-table model (LkT), and
-// the analysis tools of §3.2: PCA (via a Jacobi eigensolver),
+// multilayer perceptron (MLP) — the lookup-table technique (LkT) is
+// core.LkTSTP over the database — and the analysis tools of §3.2: PCA (via a Jacobi eigensolver),
 // agglomerative hierarchical clustering, and a k-nearest-neighbour
 // classifier.
 //

@@ -273,30 +273,6 @@ func TestMLPUntrainedPredictsZero(t *testing.T) {
 	}
 }
 
-func TestLookupTableExactRecall(t *testing.T) {
-	X := [][]float64{{0, 0}, {10, 0}, {0, 10}, {10, 10}}
-	y := []float64{1, 2, 3, 4}
-	lkt := NewLookupTable()
-	if err := lkt.Train(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if lkt.Len() != 4 {
-		t.Fatalf("table size %d", lkt.Len())
-	}
-	for i, x := range X {
-		if got := lkt.Predict(x); got != y[i] {
-			t.Errorf("exact recall failed at %v: %v", x, got)
-		}
-	}
-	// Nearest-neighbour behaviour off-grid.
-	if got := lkt.Predict([]float64{9, 9}); got != 4 {
-		t.Errorf("Predict(9,9) = %v, want 4", got)
-	}
-	if got := lkt.Predict([]float64{1, 1}); got != 1 {
-		t.Errorf("Predict(1,1) = %v, want 1", got)
-	}
-}
-
 func TestKNNClassifier(t *testing.T) {
 	var X [][]float64
 	var labels []int

@@ -40,9 +40,6 @@ func encodeModel(m Regressor) (string, json.RawMessage, error) {
 	case *LinearRegression:
 		raw, err := json.Marshal(v)
 		return "linreg", raw, err
-	case *LookupTable:
-		raw, err := json.Marshal(lookupDTO{Scaler: v.scaler, Rows: v.rows, Y: v.y})
-		return "lookup", raw, err
 	case *REPTree:
 		raw, err := json.Marshal(treeToDTO(v))
 		return "reptree", raw, err
@@ -76,12 +73,6 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 			return nil, fmt.Errorf("ml: load linreg: %w", err)
 		}
 		return m, nil
-	case "lookup":
-		var dto lookupDTO
-		if err := json.Unmarshal(env.Data, &dto); err != nil {
-			return nil, fmt.Errorf("ml: load lookup: %w", err)
-		}
-		return &LookupTable{scaler: dto.Scaler, rows: dto.Rows, y: dto.Y}, nil
 	case "reptree":
 		var dto treeDTO
 		if err := json.Unmarshal(env.Data, &dto); err != nil {
@@ -116,12 +107,6 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 	default:
 		return nil, fmt.Errorf("ml: load model: unknown kind %q", env.Kind)
 	}
-}
-
-type lookupDTO struct {
-	Scaler *Scaler     `json:"scaler"`
-	Rows   [][]float64 `json:"rows"`
-	Y      []float64   `json:"y"`
 }
 
 type mlpDTO struct {

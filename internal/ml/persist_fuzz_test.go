@@ -37,7 +37,6 @@ func seedModelJSON(f *testing.F, m Regressor) []byte {
 // round trip — never panic.
 func FuzzLoadModel(f *testing.F) {
 	f.Add(seedModelJSON(f, NewLinearRegression()))
-	f.Add(seedModelJSON(f, NewLookupTable()))
 	f.Add(seedModelJSON(f, NewREPTree()))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"kind":"linreg","data":{}}`))

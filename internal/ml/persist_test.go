@@ -60,15 +60,6 @@ func TestPersistMLP(t *testing.T) {
 	assertSamePredictions(t, m, roundTrip(t, m), X[:20])
 }
 
-func TestPersistLookupTable(t *testing.T) {
-	X, y := synthStep(100, 5)
-	m := NewLookupTable()
-	if err := m.Train(X, y); err != nil {
-		t.Fatal(err)
-	}
-	assertSamePredictions(t, m, roundTrip(t, m), X[:20])
-}
-
 func TestPersistBagging(t *testing.T) {
 	X, y := synthStep(300, 7)
 	m := NewBagging(3, func() Regressor {
