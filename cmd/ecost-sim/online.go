@@ -59,20 +59,14 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 		}
 	}
 	// Recurring jobs re-ask the tuner the same question; the memo cache
-	// answers repeats in one lookup. With a registry, MeteredSTP adds
-	// prediction counters and the predicted-vs-realized EDP error; it
-	// unwraps the memo for the deterministic scan-size metric, and the
-	// memo's hit/miss counters are volatile, so -metrics snapshots do
-	// not depend on the cache.
+	// answers repeats in one lookup. Its hit/miss counters are volatile,
+	// and the shard's observer meters the tuner's predictions with the
+	// memo's inner scan size, so -metrics snapshots do not depend on the
+	// cache.
 	next := 0
 	newTuner := func() core.STP {
-		reg := regs[next]
 		next++
-		memo := core.NewMemoSTP(env.LkT, reg)
-		if reg == nil {
-			return memo
-		}
-		return core.NewMeteredSTP(memo, model, reg)
+		return core.NewMemoSTP(env.LkT, regs[next-1])
 	}
 	sched, err := core.NewShardedScheduler(model, env.DB, env.Profiler, newTuner, nodes,
 		core.ShardedConfig{Shards: shards, Steal: steal})
@@ -89,7 +83,7 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 	sched.SetAudit(auds)
 	var tr *tracing.Tracer
 	if out.traceOut != "" || out.timelineOut != "" || out.edpReport || serving {
-		tr = tracing.New(nil)
+		tr = tracing.New()
 		sched.SetTracer(tr)
 	}
 	var fr *flight.Recorder

@@ -28,8 +28,7 @@ func serveFixture(t *testing.T) *httptest.Server {
 	h.Observe(12)
 	h.Observe(40)
 
-	now := 0.0
-	tr := tracing.New(func() float64 { return now })
+	tr := tracing.New()
 	job := tr.Record(tracing.KindJob, "job 0 wc", nil, 0, 100,
 		tracing.Attrs{Job: 0, Node: 0, App: "wc", Class: "CPU", SizeGB: 5})
 	run := tr.Record(tracing.KindRun, "run wc", job, 10, 100,
@@ -312,7 +311,7 @@ func TestServeSharded(t *testing.T) {
 // shardedTracer is one tracer holding two shards' spans: a node span
 // each, a run on shard 0, and a steal pair linking the shards.
 func shardedTracer() *tracing.Tracer {
-	tr := tracing.New(nil)
+	tr := tracing.New()
 	tr.Record(tracing.KindNode, "solo", nil, 0, 100, tracing.Attrs{Job: -1, Node: 0}).SetEnergy(60)
 	tr.Record(tracing.KindNode, "solo", nil, 0, 100, tracing.Attrs{Job: -1, Node: 1, Shard: 1}).SetEnergy(40)
 	tr.Record(tracing.KindRun, "run wc", nil, 10, 90,

@@ -94,7 +94,7 @@ func onlineWithMetrics(env *experiments.Env, nodes int) error {
 	reg := metrics.NewRegistry()
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	sched, err := core.NewShardedScheduler(model, env.DB, env.Profiler,
-		func() core.STP { return core.NewMeteredSTP(core.NewMemoSTP(env.LkT, reg), model, reg) },
+		func() core.STP { return core.NewMemoSTP(env.LkT, reg) },
 		nodes, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		return err

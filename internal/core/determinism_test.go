@@ -46,7 +46,7 @@ func metricsRun(t *testing.T) (string, *ShardedScheduler) {
 	fixture(t)
 	reg := metrics.NewRegistry()
 	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	s := oneShard(t, NewMeteredSTP(fix.lkt, fix.model, reg), prof, 2)
+	s := oneShard(t, fix.lkt, prof, 2)
 	s.SetMetrics([]*metrics.Registry{reg})
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {

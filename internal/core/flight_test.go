@@ -24,7 +24,7 @@ func runShardedFlight(t *testing.T, nodes int, cfg ShardedConfig, submit func(c 
 	newTuner := func() STP {
 		reg := metrics.NewRegistry()
 		regs = append(regs, reg)
-		return NewMeteredSTP(NewMemoSTP(fix.lkt, reg), fix.model, reg)
+		return NewMemoSTP(fix.lkt, reg)
 	}
 	c, err := NewShardedScheduler(fix.model, fix.db, prof, newTuner, nodes, cfg)
 	if err != nil {

@@ -37,10 +37,10 @@ import (
 // returned for the first occurrence of a key (inner techniques are
 // deterministic, so the cached answer is the answer), forwards Name,
 // and exposes the full ExpectingSTP surface via the same
-// predictExpected dispatch the scheduler uses — stack it under
-// MeteredSTP (NewMeteredSTP(NewMemoSTP(inner, reg), model, reg)) and
-// every deterministic metric, audit forecast, and tuning decision is
-// bit-identical to the unmemoized run. Hit/miss counters are volatile
+// predictExpected dispatch the scheduler uses — as a shard's tuner,
+// every deterministic metric (the observer's scan size looks through
+// the memo), audit forecast, and tuning decision is bit-identical to
+// the unmemoized run. Hit/miss counters are volatile
 // (implementation-effort telemetry), so deterministic snapshots do not
 // see the cache either.
 //

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"ecost/internal/audit"
 	"ecost/internal/flight"
@@ -82,6 +83,36 @@ type schedMetrics struct {
 	// snapshots carry no steal families.
 	stealsIn  *metrics.Counter // sched.steals_in: jobs claimed from neighbors
 	stealsOut *metrics.Counter // sched.steals_out: queued jobs claimed away
+
+	// Tuner telemetry, recorded around every pair prediction (see
+	// predictPair). scan is the shard tuner's scanSize.
+	predictions *metrics.Counter   // stp.predictions: successful calls
+	failures    *metrics.Counter   // stp.failures: calls that returned an error
+	evals       *metrics.Histogram // stp.predict.evals: scan per prediction
+	wall        *metrics.Histogram // stp.predict.wall_ns: volatile call latency
+	edpErr      *metrics.Histogram // stp.edp_err_pct: forecast vs model-realized EDP
+	scan        float64
+}
+
+// scanSize is the deterministic work one prediction by t performs: the
+// argmin sweep over the joint configuration space for model
+// techniques, the database scan for the lookup table. A memo is
+// transparent — the scan it may have skipped is still the prediction's
+// deterministic cost — so snapshots stay byte-identical with and
+// without it, and its effectiveness travels in its volatile hit/miss
+// counters instead. It is worked out once per shard, at attach time,
+// because a shard's tuner never changes.
+func scanSize(t STP) int {
+	if m, ok := t.(*MemoSTP); ok {
+		t = m.Inner
+	}
+	switch v := t.(type) {
+	case *MLMSTP:
+		return len(mapreduce.PairConfigsCached(v.db.Oracle().Model.Spec.Cores))
+	case *LkTSTP:
+		return len(v.DB.Entries)
+	}
+	return 1
 }
 
 // waitFor returns the per-class wait-latency histogram.
@@ -139,6 +170,12 @@ func (s *shard) setMetrics(reg *metrics.Registry) {
 				energySolo:   reg.Gauge("power.energy_j.solo"),
 				energyPaired: reg.Gauge("power.energy_j.paired"),
 				relErr:       map[string]*metrics.Histogram{},
+				predictions:  reg.Counter("stp.predictions"),
+				failures:     reg.Counter("stp.failures"),
+				evals:        reg.Histogram("stp.predict.evals", metrics.ExpBuckets(1, 4, 10)),
+				wall:         reg.VolatileHistogram("stp.predict.wall_ns", metrics.ExpBuckets(1e3, 4, 12)),
+				edpErr:       reg.Histogram("stp.edp_err_pct", metrics.LinearBuckets(5, 5, 20)),
+				scan:         float64(scanSize(s.Tuner)),
 			}
 		}
 		o.auditMetrics()
@@ -358,6 +395,39 @@ func (o *observer) claim(n *onlineNode, j *Job) {
 			Detail: fmt.Sprintf("over=%d", o.leapOver),
 		})
 	}
+}
+
+// predictPair asks the shard's tuner for the joint configuration of
+// resident a and newcomer b. With a registry attached it meters the
+// call: a prediction or a failure, its wall time, its scan size, and
+// the error of the tuner's EDP forecast against the EDP the shard's
+// model realizes at the chosen configuration. Realizing it reads the
+// observations' ground-truth apps, which is fine for telemetry (like
+// CompletedJob.App) but must never feed back into tuning.
+func (o *observer) predictPair(a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
+	m := o.met
+	if m == nil {
+		return predictExpected(o.sh.Tuner, a, b)
+	}
+	start := time.Now()
+	cfg, exp, err := predictExpected(o.sh.Tuner, a, b)
+	m.wall.Observe(float64(time.Since(start).Nanoseconds()))
+	if err != nil {
+		m.failures.Inc()
+		return cfg, exp, err
+	}
+	m.predictions.Inc()
+	m.evals.Observe(m.scan)
+	if exp.EDP > 0 {
+		co, err := o.sh.Model.Pair(
+			mapreduce.RunSpec{App: a.App, DataMB: a.SizeGB * 1024, Cfg: cfg[0]},
+			mapreduce.RunSpec{App: b.App, DataMB: b.SizeGB * 1024, Cfg: cfg[1]},
+		)
+		if err == nil && co.EDP > 0 {
+			m.edpErr.Observe(100 * math.Abs(exp.EDP-co.EDP) / co.EDP)
+		}
+	}
+	return cfg, exp, nil
 }
 
 // tune records the configuration tuneFor chose for j on n: pair-tuned

@@ -88,7 +88,7 @@ func TestObserverNilSinks(t *testing.T) {
 	}
 
 	c.SetMetrics([]*metrics.Registry{metrics.NewRegistry()})
-	c.SetTracer(tracing.New(nil))
+	c.SetTracer(tracing.New())
 	if c.shards[0].obs == nil || c.shards[0].queue.Metrics == nil {
 		t.Fatal("attached sinks left shard 0 unobserved")
 	}

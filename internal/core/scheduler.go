@@ -590,7 +590,14 @@ func (s *shard) tuneFor(n *onlineNode, j *Job) mapreduce.Config {
 	var exp PairExpectation
 	if len(n.residents) == 1 {
 		r := n.residents[0]
-		cfg, e, err := predictExpected(s.Tuner, &r.job.Obs, &j.Obs)
+		var cfg [2]mapreduce.Config
+		var e PairExpectation
+		var err error
+		if s.obs != nil { // the observer meters the call
+			cfg, e, err = s.obs.predictPair(&r.job.Obs, &j.Obs)
+		} else {
+			cfg, e, err = predictExpected(s.Tuner, &r.job.Obs, &j.Obs)
+		}
 		if err == nil && cfg[0].Mappers+cfg[1].Mappers <= s.Model.Spec.Cores {
 			r.cfg.Freq = cfg[0].Freq
 			r.cfg.Mappers = cfg[0].Mappers

@@ -24,7 +24,7 @@ func auditedRun(t *testing.T) (*audit.Log, *metrics.Registry, *tracing.Tracer, *
 	s.SetMetrics([]*metrics.Registry{reg})
 	aud := audit.NewLog(audit.DriftConfig{})
 	s.SetAudit([]*audit.Log{aud})
-	tr := tracing.New(nil)
+	tr := tracing.New()
 	s.SetTracer(tr)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {

@@ -19,7 +19,7 @@ func tracedBusyScheduler(tb testing.TB) *shard {
 	fixture(tb)
 	s := newShard(new(eventQueue), fix.model, fix.db, fix.lkt, 4, 0)
 	s.setMetrics(metrics.NewRegistry())
-	s.setTracer(tracing.New(nil))
+	s.setTracer(tracing.New())
 	s.setAudit(audit.NewLog(audit.DriftConfig{}))
 	wl, err := Scenario("WS4")
 	if err != nil {

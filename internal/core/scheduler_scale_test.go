@@ -300,9 +300,8 @@ func TestMemoSTPTransparency(t *testing.T) {
 	if !bytes.Contains(vol.Bytes(), []byte("stp.memo.hits")) {
 		t.Fatalf("memo counters missing from the volatile snapshot:\n%s", vol.String())
 	}
-	// MeteredSTP unwraps the memo for its deterministic scan-size proxy.
-	met := NewMeteredSTP(memo, nil, metrics.NewRegistry())
-	if got, want := met.scanSize(), len(fix.db.Entries); got != want {
+	// The observer's deterministic scan-size proxy unwraps the memo.
+	if got, want := scanSize(memo), len(fix.db.Entries); got != want {
 		t.Fatalf("scanSize through memo = %d, want %d (DB entries)", got, want)
 	}
 }

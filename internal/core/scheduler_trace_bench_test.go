@@ -19,7 +19,7 @@ func BenchmarkTraceExport(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := oneShard(b, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
-	tr := tracing.New(nil)
+	tr := tracing.New()
 	s.SetTracer(tr)
 	for i, j := range wl.Jobs {
 		s.Submit(j.App, j.SizeGB, float64(i)*40)

@@ -22,7 +22,7 @@ func tracedRun(t *testing.T, fast bool) (*tracing.Tracer, *ShardedScheduler) {
 	fixture(t)
 	s := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
 	s.SetFastAccrual(fast)
-	tr := tracing.New(nil)
+	tr := tracing.New()
 	s.SetTracer(tr)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {

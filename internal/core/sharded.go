@@ -263,10 +263,10 @@ func (c *ShardedScheduler) SetAudit(logs []*audit.Log) {
 
 // SetTracer attaches one span tracer to the whole control plane; nil
 // detaches it. Call before the first Submit, with a fresh tracer
-// (tracing.New(nil)): every shard records into it at the control
+// (tracing.New()): every shard records into it at the control
 // plane's simulated times and stamps its index in each span's
-// Attrs.Shard, so the tracer's own clock is never read and its exports
-// lay the spans out per shard (DESIGN.md §28).
+// Attrs.Shard, so its exports lay the spans out per shard (DESIGN.md
+// §28).
 func (c *ShardedScheduler) SetTracer(tr *tracing.Tracer) {
 	for _, sh := range c.shards {
 		sh.setTracer(tr)
@@ -285,7 +285,7 @@ func (c *ShardedScheduler) recordBarrier(t float64) {
 			Active:  sh.pending - sh.queue.Len(),
 			EnergyJ: sh.energyJ,
 		}
-		if m := memoOf(sh.Tuner); m != nil {
+		if m, ok := sh.Tuner.(*MemoSTP); ok { // the deterministic tune-cache hit/miss source
 			st.TuneHits, st.TuneMisses = m.HitMiss()
 		}
 		stats = append(stats, st)
@@ -293,22 +293,6 @@ func (c *ShardedScheduler) recordBarrier(t float64) {
 	c.statBuf = stats
 	c.flight.RecordEpoch(c.flightT0, t, stats)
 	c.flightT0 = t
-}
-
-// memoOf unwraps the shard tuner chain down to its MemoSTP, if any
-// (the deterministic tune-cache hit/miss source for epoch records).
-func memoOf(t STP) *MemoSTP {
-	for t != nil {
-		switch v := t.(type) {
-		case *MemoSTP:
-			return v
-		case *MeteredSTP:
-			t = v.Inner
-		default:
-			return nil
-		}
-	}
-	return nil
 }
 
 // Submit queues a job arrival for its home shard. Arrivals must be

@@ -42,8 +42,8 @@ type shardedResult struct {
 // runSharded drives one fully instrumented sharded run. submit feeds
 // the stream; every shard gets its own registry and audit log, the
 // control plane one tracer (the CLI path), and every shard's tuner is
-// LkT behind MemoSTP under MeteredSTP on the shard's registry — the
-// chain testdata/ws4_online.golden pins at one shard.
+// LkT behind MemoSTP on the shard's registry — the chain
+// testdata/ws4_online.golden pins at one shard.
 func runSharded(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *ShardedScheduler)) shardedResult {
 	return runShardedMode(t, nodes, cfg, false, submit)
 }
@@ -59,14 +59,14 @@ func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, recorded bool, s
 	newTuner := func() STP {
 		reg := metrics.NewRegistry()
 		regs = append(regs, reg)
-		return NewMeteredSTP(NewMemoSTP(fix.lkt, reg), fix.model, reg)
+		return NewMemoSTP(fix.lkt, reg)
 	}
 	c, err := NewShardedScheduler(fix.model, fix.db, prof, newTuner, nodes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetMetrics(regs)
-	ts := tracing.New(nil)
+	ts := tracing.New()
 	c.SetTracer(ts)
 	auds := make([]*audit.Log, cfg.Shards)
 	for i := range auds {
@@ -459,7 +459,7 @@ func TestFastAccrualGolden(t *testing.T) {
 		s := oneShard(t, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 64)
 		s.SetFastAccrual(fast)
 		if observed {
-			s.SetTracer(tracing.New(nil))
+			s.SetTracer(tracing.New())
 			s.SetAudit([]*audit.Log{audit.NewLog(audit.DriftConfig{})})
 		}
 		rng := sim.NewRNG(18)

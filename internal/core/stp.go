@@ -87,102 +87,6 @@ func predictExpected(t STP, a, b *Observation) ([2]mapreduce.Config, PairExpecta
 	return cfg, PairExpectation{}, err
 }
 
-// MeteredSTP wraps any STP technique with observability: prediction
-// counts, the per-prediction candidate-scan size (the deterministic
-// latency proxy), wall-clock prediction latency (volatile — real time
-// is jittery, so it stays out of deterministic snapshots), and, for
-// techniques that expose their own forecast (ExpectingSTP), the error
-// between its EDP and the execution model's realized EDP at the chosen
-// configuration. The realized-EDP check consults the observations'
-// ground-truth identity, which is fine for telemetry (like
-// CompletedJob.App) but means the wrapper must never feed predictions
-// back into the models.
-type MeteredSTP struct {
-	Inner STP
-	// Model realizes predicted configurations for EDP-error accounting;
-	// when nil the error metric is skipped.
-	Model *mapreduce.Model
-
-	predictions *metrics.Counter
-	failures    *metrics.Counter
-	evals       *metrics.Histogram
-	wall        *metrics.Histogram
-	edpErr      *metrics.Histogram
-}
-
-// NewMeteredSTP wraps inner, registering its instruments in reg (a nil
-// registry yields a zero-overhead pass-through).
-func NewMeteredSTP(inner STP, model *mapreduce.Model, reg *metrics.Registry) *MeteredSTP {
-	return &MeteredSTP{
-		Inner:       inner,
-		Model:       model,
-		predictions: reg.Counter("stp.predictions"),
-		failures:    reg.Counter("stp.failures"),
-		evals:       reg.Histogram("stp.predict.evals", metrics.ExpBuckets(1, 4, 10)),
-		wall:        reg.VolatileHistogram("stp.predict.wall_ns", metrics.ExpBuckets(1e3, 4, 12)),
-		edpErr:      reg.Histogram("stp.edp_err_pct", metrics.LinearBuckets(5, 5, 20)),
-	}
-}
-
-// Name implements STP.
-func (s *MeteredSTP) Name() string { return s.Inner.Name() }
-
-// PredictBest implements STP, recording telemetry around the inner call.
-func (s *MeteredSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
-	cfg, _, err := s.PredictBestExpected(a, b)
-	return cfg, err
-}
-
-// PredictBestExpected implements ExpectingSTP, forwarding the inner
-// technique's forecast (zero when it exposes none) and recording the
-// same telemetry as PredictBest — the two paths are one code path, so
-// an audited run predicts identically to an unaudited one.
-func (s *MeteredSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
-	start := time.Now()
-	cfg, exp, err := predictExpected(s.Inner, &a, &b)
-	s.wall.Observe(float64(time.Since(start).Nanoseconds()))
-	if err != nil {
-		s.failures.Inc()
-		return cfg, exp, err
-	}
-	s.predictions.Inc()
-	s.evals.Observe(float64(s.scanSize()))
-	if s.Model != nil && exp.EDP > 0 {
-		co, err2 := s.Model.Pair(
-			mapreduce.RunSpec{App: a.App, DataMB: a.SizeGB * 1024, Cfg: cfg[0]},
-			mapreduce.RunSpec{App: b.App, DataMB: b.SizeGB * 1024, Cfg: cfg[1]},
-		)
-		if err2 == nil && co.EDP > 0 {
-			s.edpErr.Observe(100 * math.Abs(exp.EDP-co.EDP) / co.EDP)
-		}
-	}
-	return cfg, exp, nil
-}
-
-// scanSize is the deterministic work a single prediction performs: the
-// argmin sweep over the joint configuration space for model techniques,
-// the database scan for the lookup table. A memoizing wrapper is
-// transparent (the scan it may have skipped is still the prediction's
-// deterministic cost), so it unwraps to its inner technique — metered
-// snapshots stay byte-identical with and without the cache, and the
-// cache's actual effectiveness travels in its volatile hit/miss
-// counters instead.
-func (s *MeteredSTP) scanSize() int {
-	t := s.Inner
-	for {
-		switch v := t.(type) {
-		case *MemoSTP:
-			t = v.Inner
-		case *MLMSTP:
-			return len(mapreduce.PairConfigsCached(v.db.Oracle().Model.Spec.Cores))
-		case *LkTSTP:
-			return len(v.DB.Entries)
-		default:
-			return 1
-		}
-	}
-}
-
 // modelKey identifies one trained regressor: a class pair at one
 // data-size combination. Splitting by size combination keeps each
 // model's response surface unimodal over the knobs — pooling sizes lets

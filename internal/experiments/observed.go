@@ -26,8 +26,8 @@ type ShardedObservation struct {
 }
 
 // OnlineScenarioShardedObserved is OnlineScenario with the full
-// observability stack attached: per-shard registries feeding memoized
-// metered tuners, per-shard decision audit logs, and the barrier flight
+// observability stack attached: per-shard registries metering memoized
+// tuners, per-shard decision audit logs, and the barrier flight
 // recorder. It reports the same table and observables and additionally
 // returns the observation handles so callers can render shard health,
 // epoch wide-events, and anomaly dumps after the run.
@@ -40,7 +40,7 @@ func OnlineScenarioShardedObserved(env *Env, spec scenario.Spec, nodes int, cfg 
 	newTuner := func() core.STP {
 		reg := metrics.NewRegistry()
 		obs.Registries = append(obs.Registries, reg)
-		return core.NewMeteredSTP(core.NewMemoSTP(env.LkT, reg), env.Model, reg)
+		return core.NewMemoSTP(env.LkT, reg)
 	}
 	attach := func(sched *core.ShardedScheduler) {
 		sched.SetMetrics(obs.Registries)
@@ -48,7 +48,7 @@ func OnlineScenarioShardedObserved(env *Env, spec scenario.Spec, nodes int, cfg 
 			obs.Audits = append(obs.Audits, audit.NewLog(audit.DriftConfig{}))
 		}
 		sched.SetAudit(obs.Audits)
-		obs.Trace = tracing.New(nil)
+		obs.Trace = tracing.New()
 		sched.SetTracer(obs.Trace)
 		obs.Flight = flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: sched.ShardNodes()})
 		sched.SetFlight(obs.Flight)

@@ -72,7 +72,7 @@ func onlineTrace(env *Env, spec trace.Spec, nodes int, traced bool, tuner core.S
 	var tr *tracing.Tracer
 	attach := func(c *core.ShardedScheduler) {
 		if traced {
-			tr = tracing.New(nil)
+			tr = tracing.New()
 			c.SetTracer(tr)
 		}
 		c.SetAudit([]*audit.Log{aud})

@@ -31,7 +31,7 @@ func scenarioSpec(jobs int) scenario.Spec {
 }
 
 // instrumentedRun drives one fully-observed single-shard online run
-// (metrics + tracing + audit, memoized metered LkT tuner — the same
+// (metrics + tracing + audit, memoized LkT tuner — the same
 // stack ecost-sim wires up) over an arrival stream and returns the
 // three deterministic exports: the metrics snapshot text, the span
 // timeline, and the decision JSONL.
@@ -40,14 +40,14 @@ func instrumentedRun(t *testing.T, env *Env, arrivals []trace.Arrival, nodes int
 	reg := metrics.NewRegistry()
 	aud := audit.NewLog(audit.DriftConfig{})
 	model := mapreduce.NewModel(cluster.AtomC2758())
-	tuner := core.NewMeteredSTP(core.NewMemoSTP(env.LkT, reg), model, reg)
+	tuner := core.NewMemoSTP(env.LkT, reg)
 	prof := core.NewProfiler(model, sim.NewRNG(env.Seed))
 	sched, err := core.NewShardedScheduler(model, env.DB, prof, func() core.STP { return tuner }, nodes, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched.SetMetrics([]*metrics.Registry{reg})
-	tr := tracing.New(nil)
+	tr := tracing.New()
 	sched.SetTracer(tr)
 	sched.SetAudit([]*audit.Log{aud})
 	for _, a := range arrivals {

@@ -11,7 +11,7 @@ import (
 
 // sampleTracer builds a small two-node, two-job trace with energy.
 func sampleTracer() *Tracer {
-	tr := New(nil)
+	tr := New()
 	j0 := tr.Record(KindJob, "job wc", nil, 0, 100, Attrs{Job: 0, Node: -1, App: "wc", Class: "C", SizeGB: 5})
 	tr.Record(KindWait, "wait", j0, 0, 10, Attrs{Job: 0, Node: -1})
 	run := tr.Record(KindRun, "run wc", j0, 10, 100, Attrs{Job: 0, Node: 0, App: "wc", Class: "C", Config: "f2.4 m4", Partner: "nb"})
@@ -106,8 +106,7 @@ func TestChromeTraceDeterministic(t *testing.T) {
 
 func TestTimelineExport(t *testing.T) {
 	tr := sampleTracer()
-	open := tr.Start(KindJob, "job open", nil, Attrs{Job: 2, Node: -1, App: "pr"})
-	_ = open
+	tr.Record(KindJob, "job open", nil, 0, math.NaN(), Attrs{Job: 2, Node: -1, App: "pr"})
 	var buf bytes.Buffer
 	if err := tr.WriteTimeline(&buf); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package tracing
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,7 @@ import (
 // the merge tie-breaks: identical starts across shards and within one
 // shard.
 func shardFixture() *Tracer {
-	tr := New(nil)
+	tr := New()
 	tr.Record(KindNode, "solo", nil, 0, 10, Attrs{Node: 0}).AddEnergy(4)
 	tr.Record(KindNode, "solo", nil, 0, 10, Attrs{Node: 1, Shard: 1}).AddEnergy(6)
 	tr.Record(KindRun, "run j0", nil, 1, 5, Attrs{Job: 0, Node: 0, App: "wc"}).AddEnergy(4)
@@ -49,7 +50,7 @@ func TestMergeDeterministic(t *testing.T) {
 // superset, not a dialect.
 func TestSingleShardSoloLayout(t *testing.T) {
 	for _, shard := range []int{0, 3} {
-		tr := New(nil)
+		tr := New()
 		tr.Record(KindNode, "node", nil, 0, 10, Attrs{Node: 0, Shard: shard}).AddEnergy(4)
 		tr.Record(KindRun, "run", nil, 1, 5, Attrs{Job: 0, Node: 0, App: "wc", Shard: shard}).AddEnergy(4)
 
@@ -155,9 +156,9 @@ func TestMergedTimelineSections(t *testing.T) {
 // spans, and the empty solo exports.
 func TestShardStampedNilSafety(t *testing.T) {
 	var tr *Tracer
-	sp := tr.Start(KindRun, "run", nil, Attrs{Shard: 3})
+	sp := tr.Record(KindRun, "run", nil, 0, math.NaN(), Attrs{Shard: 3})
 	sp.AddEnergy(1)
-	sp.Finish()
+	sp.FinishAt(1)
 	tr.Record(KindStealIn, "steal_in", sp, 1, 1, Attrs{Shard: 2, Link: 1}).FinishAt(2)
 	if got := tr.Spans(); len(got) != 0 {
 		t.Fatalf("nil tracer holds %d spans", len(got))
@@ -202,8 +203,9 @@ func BenchmarkDisabledShardSpan(b *testing.B) {
 	attrs := Attrs{Job: 1, Node: 0, App: "wc", Class: "C", Shard: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := tr.Start(KindRun, "run", nil, attrs)
+		at := float64(i)
+		sp := tr.Record(KindRun, "run", nil, at, math.NaN(), attrs)
 		sp.AddEnergy(1)
-		sp.Finish()
+		sp.FinishAt(at)
 	}
 }

@@ -153,44 +153,23 @@ func (s Span) Dur() float64 {
 	return s.End - s.Start
 }
 
-// Tracer records spans against a simulated clock. Construct with New;
-// a nil *Tracer is the disabled mode.
+// Tracer records spans at simulated times its caller supplies.
+// Construct with New; a nil *Tracer is the disabled mode.
 type Tracer struct {
 	mu    sync.Mutex
-	now   func() float64
 	spans []*Span
 }
 
-// New returns a tracer reading the simulated clock through now
-// (typically the online control plane's clock).
-func New(now func() float64) *Tracer {
-	if now == nil {
-		now = func() float64 { return 0 }
-	}
-	return &Tracer{now: now}
-}
+// New returns an empty tracer.
+func New() *Tracer { return &Tracer{} }
 
-// Start opens a span at the current simulated time. Nil-safe: a nil
-// tracer returns a nil span whose operations are no-ops. The nil branch
-// is small enough to inline, so disabled tracing compiles down to a
-// compare-and-return at call sites (see BenchmarkDisabledSpan).
-func (t *Tracer) Start(kind Kind, name string, parent *Span, a Attrs) *Span {
-	if t == nil {
-		return nil
-	}
-	return t.start(kind, name, parent, a)
-}
-
-func (t *Tracer) start(kind Kind, name string, parent *Span, a Attrs) *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.add(kind, name, parent, t.now(), math.NaN(), a)
-}
-
-// Record adds an already-finished span retroactively — how the
-// scheduler materializes map/reduce sub-phases once a job's actual
-// interval is known. An end of NaN leaves the span open for FinishAt:
-// how a recorder that keeps its own clock opens spans. Nil-safe.
+// Record adds a span over [start, end]: retroactively, as the scheduler
+// materializes map/reduce sub-phases once a job's actual interval is
+// known, or open, with an end of NaN, until FinishAt closes it.
+// Nil-safe: a nil tracer returns a nil span whose operations are
+// no-ops. The nil branch is small enough to inline, so disabled tracing
+// compiles down to a compare-and-return at call sites (see
+// BenchmarkDisabledSpan).
 func (t *Tracer) Record(kind Kind, name string, parent *Span, start, end float64, a Attrs) *Span {
 	if t == nil {
 		return nil
@@ -202,17 +181,12 @@ func (t *Tracer) record(kind Kind, name string, parent *Span, start, end float64
 	if end < start {
 		end = start
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.add(kind, name, parent, start, end, a)
-}
-
-// add appends a span; the caller holds t.mu.
-func (t *Tracer) add(kind Kind, name string, parent *Span, start, end float64, a Attrs) *Span {
 	pid := -1
 	if parent != nil {
 		pid = parent.ID
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	s := &Span{
 		ID:     len(t.spans),
 		Parent: pid,
@@ -227,24 +201,8 @@ func (t *Tracer) add(kind Kind, name string, parent *Span, start, end float64, a
 	return s
 }
 
-// Finish closes the span at the current simulated time. Finishing a
-// finished span (or a nil span) is a no-op.
-func (s *Span) Finish() {
-	if s == nil {
-		return
-	}
-	s.finish()
-}
-
-func (s *Span) finish() {
-	s.tr.mu.Lock()
-	if math.IsNaN(s.End) {
-		s.End = s.tr.now()
-	}
-	s.tr.mu.Unlock()
-}
-
-// FinishAt closes the span at an explicit simulated time.
+// FinishAt closes an open span at simulated time at (clamped to its
+// start). Finishing a finished span (or a nil span) is a no-op.
 func (s *Span) FinishAt(at float64) {
 	if s == nil {
 		return

@@ -5,19 +5,13 @@ import (
 	"testing"
 )
 
-// fakeClock is a manually advanced simulated clock.
-type fakeClock struct{ t float64 }
-
-func (c *fakeClock) now() float64 { return c.t }
-
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	sp := tr.Start(KindJob, "job", nil, Attrs{Job: 1})
+	sp := tr.Record(KindJob, "job", nil, 0, math.NaN(), Attrs{Job: 1})
 	if sp != nil {
 		t.Fatal("nil tracer handed out a non-nil span")
 	}
 	// Every span operation must tolerate nil.
-	sp.Finish()
 	sp.FinishAt(5)
 	sp.AddEnergy(10)
 	sp.SetEnergy(10)
@@ -26,36 +20,29 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if got := sp.Snapshot(); got.Parent != -1 {
 		t.Fatalf("nil span snapshot = %+v", got)
 	}
-	if tr.Record(KindMap, "m", nil, 0, 1, Attrs{}) != nil {
-		t.Fatal("nil tracer recorded a span")
-	}
 	if tr.Len() != 0 || tr.Spans() != nil {
 		t.Fatal("nil tracer claims spans")
 	}
 }
 
 func TestSpanLifecycle(t *testing.T) {
-	clk := &fakeClock{}
-	tr := New(clk.now)
-	clk.t = 10
-	job := tr.Start(KindJob, "job wc", nil, Attrs{Job: 3, Node: -1, App: "wc", Class: "C", SizeGB: 5})
-	wait := tr.Start(KindWait, "wait", job, Attrs{Job: 3, Node: -1})
+	tr := New()
+	job := tr.Record(KindJob, "job wc", nil, 10, math.NaN(), Attrs{Job: 3, Node: -1, App: "wc", Class: "C", SizeGB: 5})
+	wait := tr.Record(KindWait, "wait", job, 10, math.NaN(), Attrs{Job: 3, Node: -1})
 	if job.Snapshot().Parent != -1 || wait.Snapshot().Parent != job.ID {
 		t.Fatal("parent linkage wrong")
 	}
 	if !job.Snapshot().Open() {
 		t.Fatal("unended span not open")
 	}
-	clk.t = 25
-	wait.Finish()
-	run := tr.Start(KindRun, "run wc", job, Attrs{Job: 3, Node: 0})
+	wait.FinishAt(25)
+	run := tr.Record(KindRun, "run wc", job, 25, math.NaN(), Attrs{Job: 3, Node: 0})
 	run.SetConfig("f2.4 m4 b128")
 	run.SetPartner("nb")
 	run.AddEnergy(50)
 	run.AddEnergy(25)
-	clk.t = 100
-	run.Finish()
-	run.Finish() // double Finish keeps the first timestamp
+	run.FinishAt(100)
+	run.FinishAt(120) // a second FinishAt keeps the first timestamp
 	job.FinishAt(100)
 
 	ws := wait.Snapshot()
@@ -67,7 +54,7 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatalf("run span = %+v", rs)
 	}
 	if rs.End != 100 {
-		t.Fatalf("double End moved the timestamp: %+v", rs)
+		t.Fatalf("second FinishAt moved the timestamp: %+v", rs)
 	}
 	if js := job.Snapshot(); js.Dur() != 90 {
 		t.Fatalf("job span = %+v", js)
@@ -75,7 +62,7 @@ func TestSpanLifecycle(t *testing.T) {
 }
 
 func TestRecordRetroactive(t *testing.T) {
-	tr := New(nil)
+	tr := New()
 	m := tr.Record(KindMap, "map", nil, 5, 12, Attrs{Job: 0, Node: 1})
 	if s := m.Snapshot(); s.Start != 5 || s.End != 12 {
 		t.Fatalf("retroactive span = %+v", s)
@@ -88,14 +75,12 @@ func TestRecordRetroactive(t *testing.T) {
 }
 
 func TestSpansCanonicalOrder(t *testing.T) {
-	clk := &fakeClock{}
-	tr := New(clk.now)
-	clk.t = 50
-	a := tr.Start(KindRun, "late", nil, Attrs{Job: 0})
+	tr := New()
+	a := tr.Record(KindRun, "late", nil, 50, math.NaN(), Attrs{Job: 0})
 	tr.Record(KindMap, "early", nil, 10, 20, Attrs{Job: 1})
 	tr.Record(KindMap, "same-start-2", nil, 30, 31, Attrs{Job: 2})
 	tr.Record(KindMap, "same-start-1", nil, 30, 32, Attrs{Job: 3})
-	a.Finish()
+	a.FinishAt(50)
 	got := tr.Spans()
 	wantNames := []string{"early", "same-start-2", "same-start-1", "late"}
 	for i, w := range wantNames {
@@ -103,13 +88,13 @@ func TestSpansCanonicalOrder(t *testing.T) {
 			t.Fatalf("order[%d] = %q, want %q (full: %+v)", i, got[i].Name, w, got)
 		}
 	}
-	if !math.IsNaN(tr.Start(KindJob, "open", nil, Attrs{}).Snapshot().End) {
+	if !math.IsNaN(tr.Record(KindJob, "open", nil, 60, math.NaN(), Attrs{}).Snapshot().End) {
 		t.Fatal("open span has a non-NaN end")
 	}
 }
 
 func TestTotalEnergy(t *testing.T) {
-	tr := New(nil)
+	tr := New()
 	tr.Record(KindNode, "idle", nil, 0, 1, Attrs{Node: 0}).AddEnergy(3)
 	tr.Record(KindNode, "solo", nil, 1, 2, Attrs{Node: 0}).AddEnergy(5)
 	tr.Record(KindRun, "run", nil, 1, 2, Attrs{Job: 0, Node: 0}).AddEnergy(5)
@@ -124,26 +109,29 @@ func TestTotalEnergy(t *testing.T) {
 
 // BenchmarkDisabledSpan proves disabled tracing costs one predictable
 // branch per call — the same contract as metrics.BenchmarkDisabledCounter.
+// The call sequence is the scheduler's: open a span at a time, accrue
+// energy onto it, close it.
 func BenchmarkDisabledSpan(b *testing.B) {
 	var tr *Tracer
 	attrs := Attrs{Job: 1, Node: 0, App: "wc", Class: "C"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := tr.Start(KindRun, "run", nil, attrs)
+		at := float64(i)
+		sp := tr.Record(KindRun, "run", nil, at, math.NaN(), attrs)
 		sp.AddEnergy(1)
-		sp.Finish()
+		sp.FinishAt(at)
 	}
 }
 
 // BenchmarkEnabledSpan is the enabled-path cost for contrast.
 func BenchmarkEnabledSpan(b *testing.B) {
-	clk := &fakeClock{}
-	tr := New(clk.now)
+	tr := New()
 	attrs := Attrs{Job: 1, Node: 0, App: "wc", Class: "C"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := tr.Start(KindRun, "run", nil, attrs)
+		at := float64(i)
+		sp := tr.Record(KindRun, "run", nil, at, math.NaN(), attrs)
 		sp.AddEnergy(1)
-		sp.Finish()
+		sp.FinishAt(at)
 	}
 }
