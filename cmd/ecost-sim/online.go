@@ -23,14 +23,15 @@ import (
 )
 
 // onlineOut selects which observability artifacts the online runner
-// produces. Metrics and audit exports are per shard (each shard owns
-// its registry and audit log, which the one event loop feeds in event
-// order), printed as "== shard N ==" sections in shard order. One span
-// tracer records every shard; traceOut and the timeline/EDP surfaces
-// render its spans per shard plus the deterministic merged view (one
-// Chrome track group per shard, steal flow arrows, a "== merged =="
-// section). serveAddr exposes merged + ?shard=N views over HTTP, and
-// flightOut/healthReport enable the barrier flight recorder.
+// produces. The control plane feeds one sink of each kind — a metrics
+// registry, a decision-audit log, a span tracer and a flight recorder —
+// whose records carry the shard that made them. Metrics and audit
+// reports print one "== shard N ==" section per shard, in shard order;
+// traceOut and the timeline/EDP surfaces render the tracer's spans per
+// shard plus the deterministic merged view (one Chrome track group per
+// shard, steal flow arrows, a "== merged ==" section). serveAddr
+// exposes merged + ?shard=N views over HTTP, and flightOut/healthReport
+// enable the barrier flight recorder.
 type onlineOut struct {
 	metrics         bool
 	metricsJSON     bool
@@ -52,35 +53,27 @@ type onlineOut struct {
 func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool, arrivals []trace.Arrival, header string, perJobTable bool, out onlineOut) {
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	serving := out.serveAddr != ""
-	regs := make([]*metrics.Registry, shards)
-	if out.metrics || serving {
-		for i := range regs {
-			regs[i] = metrics.NewRegistry()
-		}
-	}
 	// Recurring jobs re-ask the tuner the same question; the memo cache
-	// answers repeats in one lookup. Its hit/miss counters are volatile,
-	// and the shard's observer meters the tuner's predictions with the
-	// memo's inner scan size, so -metrics snapshots do not depend on the
-	// cache.
-	next := 0
-	newTuner := func() core.STP {
-		next++
-		return core.NewMemoSTP(env.LkT, regs[next-1])
-	}
-	sched, err := core.NewShardedScheduler(model, env.DB, env.Profiler, newTuner, nodes,
+	// answers repeats in one lookup. The shard's observer registers the
+	// memo's volatile hit/miss counters and meters the tuner's
+	// predictions with the memo's inner scan size, so -metrics snapshots
+	// do not depend on the cache.
+	sched, err := core.NewShardedScheduler(model, env.DB, env.Profiler,
+		func() core.STP { return core.NewMemoSTP(env.LkT, nil) }, nodes,
 		core.ShardedConfig{Shards: shards, Steal: steal})
 	if err != nil {
 		cliutil.Fatalf("building online scheduler failed", "err", err)
 	}
-	sched.SetMetrics(regs)
-	auds := make([]*audit.Log, shards)
-	if out.qualityReport || serving {
-		for i := range auds {
-			auds[i] = audit.NewLog(audit.DriftConfig{})
-		}
+	var reg *metrics.Registry
+	if out.metrics || serving {
+		reg = metrics.NewRegistry()
+		sched.SetMetrics(reg)
 	}
-	sched.SetAudit(auds)
+	var aud *audit.Log
+	if out.qualityReport || serving {
+		aud = audit.NewLog(audit.DriftConfig{})
+		sched.SetAudit(aud)
+	}
 	var tr *tracing.Tracer
 	if out.traceOut != "" || out.timelineOut != "" || out.edpReport || serving {
 		tr = tracing.New()
@@ -99,9 +92,10 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 			cliutil.Fatalf("-serve listen failed", "err", err)
 		}
 		srv = &http.Server{Handler: newServeMux(serveSources{
-			regs:     regs,
+			shards:   sched.Shards(),
+			reg:      reg,
 			tr:       tr,
-			auds:     auds,
+			aud:      aud,
 			qo:       qualityOracle,
 			fr:       fr,
 			volatile: out.metricsVolatile,
@@ -171,17 +165,18 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 		}
 	}
 	if out.qualityReport {
-		for i, aud := range auds {
+		for i := 0; i < shards; i++ {
 			fmt.Fprintf(w, "\n== shard %d ==\n", i)
-			if err := aud.Quality(qualityOracle).WriteText(w); err != nil {
+			if err := aud.Shard(i).Quality(qualityOracle).WriteText(w); err != nil {
 				cliutil.Fatalf("writing -quality-report failed", "err", err)
 			}
 		}
 	}
 	if out.metrics {
-		for i, reg := range regs {
+		all := reg.Snapshot(out.metricsVolatile)
+		for i := 0; i < shards; i++ {
 			fmt.Fprintf(w, "\n== shard %d ==\n", i)
-			snap := reg.Snapshot(out.metricsVolatile)
+			snap := all.Shard(i)
 			var werr error
 			if out.metricsJSON {
 				werr = snap.WriteJSON(w)

@@ -44,34 +44,25 @@ func serveFixture(t *testing.T) *httptest.Server {
 	aud.AddEnergy(0, 900)
 	aud.Complete(0, 100)
 
-	srv := httptest.NewServer(newServeMux(serveSources{
-		regs: []*metrics.Registry{reg},
-		tr:   tr,
-		auds: []*audit.Log{aud},
-	}))
+	srv := httptest.NewServer(newServeMux(serveSources{shards: 1, reg: reg, tr: tr, aud: aud}))
 	t.Cleanup(srv.Close)
 	return srv
 }
 
-// serveShardedFixture builds a mux over two hand-made per-shard
-// registries and a flight recorder fed one synthetic barrier epoch.
+// serveShardedFixture builds a mux over a hand-made registry two shards
+// recorded into and a flight recorder fed one synthetic barrier epoch.
 func serveShardedFixture(t *testing.T) *httptest.Server {
 	t.Helper()
-	reg0 := metrics.NewRegistry()
-	reg0.Counter("sched.submitted").Add(3)
-	reg1 := metrics.NewRegistry()
-	reg1.Counter("sched.submitted").Add(5)
+	reg := metrics.NewRegistry()
+	reg.Shard(0).Counter("sched.submitted").Add(3)
+	reg.Shard(1).Counter("sched.submitted").Add(5)
 	fr := flight.New(flight.Config{Shards: 2, ShardNodes: []int{2, 2}})
 	fr.Steal(1, 0)
 	fr.RecordEpoch(0, 10, []flight.ShardStat{
 		{Queue: 2, Free: 1, Active: 1, EnergyJ: 50},
 		{Queue: 1, Free: 2, EnergyJ: 30},
 	})
-	srv := httptest.NewServer(newServeMux(serveSources{
-		regs: []*metrics.Registry{reg0, reg1},
-		auds: []*audit.Log{nil, nil},
-		fr:   fr,
-	}))
+	srv := httptest.NewServer(newServeMux(serveSources{shards: 2, reg: reg, fr: fr}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -205,10 +196,7 @@ func TestServeDecisionsAndQuality(t *testing.T) {
 
 // TestServeDisabledSources checks the 503 hints when a source is off.
 func TestServeDisabledSources(t *testing.T) {
-	srv := httptest.NewServer(newServeMux(serveSources{
-		regs: []*metrics.Registry{nil},
-		auds: []*audit.Log{nil},
-	}))
+	srv := httptest.NewServer(newServeMux(serveSources{shards: 1}))
 	defer srv.Close()
 	for _, path := range []string{
 		"/metrics", "/trace", "/timeline", "/report", "/decisions", "/quality",
@@ -329,11 +317,7 @@ func shardedTracer() *tracing.Tracer {
 // of that shard's spans.
 func TestServeShardedTrace(t *testing.T) {
 	tr := shardedTracer()
-	srv := httptest.NewServer(newServeMux(serveSources{
-		regs: []*metrics.Registry{nil, nil},
-		tr:   tr,
-		auds: []*audit.Log{nil, nil},
-	}))
+	srv := httptest.NewServer(newServeMux(serveSources{shards: 2, tr: tr}))
 	t.Cleanup(srv.Close)
 
 	code, body := get(t, srv.URL+"/trace")
@@ -409,27 +393,26 @@ func TestServeShardedTrace(t *testing.T) {
 
 // FuzzServeShardSelector sends fuzzed raw ?shard= values to every
 // endpoint that reads the selector, over one fully populated 2-shard
-// mux. A request may be served (200), rejected (400) or find its source
-// off (503) — never a 500 or a panic — and a 200 for a shard index
-// must carry exactly that shard's direct export.
+// mux: one registry and one audit log both shards record into. A
+// request may be served (200), rejected (400) or find its source off
+// (503) — never a 500 or a panic — and a 200 for a shard index must
+// carry exactly that shard's direct export.
 func FuzzServeShardSelector(f *testing.F) {
-	regs := make([]*metrics.Registry, 2)
-	auds := make([]*audit.Log, 2)
-	for i := range regs {
-		regs[i] = metrics.NewRegistry()
-		regs[i].Counter("sched.submitted").Add(int64(3 + i))
-		auds[i] = audit.NewLog(audit.DriftConfig{})
-		auds[i].Submit(i, "wc", 5, "C", "C", 0)
-		auds[i].Place(i, i, 10, audit.BranchReserve, -1)
+	reg := metrics.NewRegistry()
+	aud := audit.NewLog(audit.DriftConfig{})
+	for i := 0; i < 2; i++ {
+		reg.Shard(i).Counter("sched.submitted").Add(int64(3 + i))
+		aud.Shard(i).Submit(i, "wc", 5, "C", "C", 0)
+		aud.Shard(i).Place(i, i, 10, audit.BranchReserve, -1)
 	}
 	tr := shardedTracer()
 	fr := flight.New(flight.Config{Shards: 2, ShardNodes: []int{1, 1}})
 	fr.RecordEpoch(0, 10, []flight.ShardStat{{Queue: 2, Free: 1, EnergyJ: 50}, {Queue: 1, Free: 2, EnergyJ: 30}})
-	mux := newServeMux(serveSources{regs: regs, tr: tr, auds: auds, fr: fr})
+	mux := newServeMux(serveSources{shards: 2, reg: reg, tr: tr, aud: aud, fr: fr})
 
 	// direct renders shard i's export for each endpoint without the mux.
 	direct := map[string]func(w io.Writer, i int) error{
-		"/metrics": func(w io.Writer, i int) error { return regs[i].Snapshot(false).WritePrometheus(w) },
+		"/metrics": func(w io.Writer, i int) error { return reg.Snapshot(false).Shard(i).WritePrometheus(w) },
 		"/trace": func(w io.Writer, i int) error {
 			return tracing.WriteChromeTrace(w, shardSpans(tr.Spans(), i))
 		},
@@ -439,8 +422,8 @@ func FuzzServeShardSelector(f *testing.F) {
 		"/report": func(w io.Writer, i int) error {
 			return tracing.BuildReport(shardSpans(tr.Spans(), i)).WriteText(w)
 		},
-		"/decisions": func(w io.Writer, i int) error { return auds[i].WriteJSONL(w) },
-		"/quality":   func(w io.Writer, i int) error { return auds[i].Quality(nil).WriteText(w) },
+		"/decisions": func(w io.Writer, i int) error { return aud.Shard(i).WriteJSONL(w) },
+		"/quality":   func(w io.Writer, i int) error { return aud.Shard(i).Quality(nil).WriteText(w) },
 		"/epochs":    func(w io.Writer, i int) error { return fr.WriteEpochs(w, i) },
 	}
 	for _, seed := range []string{"", "0", "1", "2", "-1", "+1", "01", "x", " 1", "1e0", "9223372036854775808", "\x00"} {

@@ -94,12 +94,12 @@ func onlineWithMetrics(env *experiments.Env, nodes int) error {
 	reg := metrics.NewRegistry()
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	sched, err := core.NewShardedScheduler(model, env.DB, env.Profiler,
-		func() core.STP { return core.NewMemoSTP(env.LkT, reg) },
+		func() core.STP { return core.NewMemoSTP(env.LkT, nil) },
 		nodes, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		return err
 	}
-	sched.SetMetrics([]*metrics.Registry{reg})
+	sched.SetMetrics(reg)
 	for _, j := range wl.Jobs {
 		sched.Submit(j.App, j.SizeGB, 0)
 	}

@@ -146,11 +146,31 @@ type Join struct {
 	RelErrPct float64 `json:"rel_err_pct"`
 }
 
-// Log is the decision-audit log. A nil *Log is valid and disabled:
-// every method short-circuits on one branch. The zero cost matters —
-// the scheduler calls AddEnergy on every energy-accrual interval.
+// Log is the decision-audit log of a whole control plane. A nil *Log
+// is valid and disabled: every method short-circuits on one branch. The
+// zero cost matters — the scheduler calls AddEnergy on every
+// energy-accrual interval.
+//
+// The log keeps one set of records per shard, so a record is keyed by
+// (shard, job): a stolen job keeps its submit-only record at its home
+// shard and gets a fresh one at the thief. Each shard also runs its own
+// drift detector over its own joins. The log NewLog returns is shard
+// 0's handle; Shard(i) returns shard i's. Every method records into and
+// reads from the handle's shard alone (DESIGN.md §30).
 type Log struct {
-	mu       sync.Mutex
+	*book
+	*records
+}
+
+// book is the state every handle of one log shares.
+type book struct {
+	mu     sync.Mutex
+	cfg    DriftConfig
+	shards map[int]*records
+}
+
+// records is one shard's part of the log.
+type records struct {
 	jobs     map[int]*Decision
 	pairings []*Pairing
 	joins    []Join
@@ -171,10 +191,26 @@ func NewLog(cfg DriftConfig) *Log {
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = def.MinSamples
 	}
-	return &Log{
-		jobs:     make(map[int]*Decision),
-		detector: cusum{cfg: cfg},
+	return (&book{cfg: cfg, shards: map[int]*records{}}).shard(0)
+}
+
+// Shard returns shard i's handle on the log. A nil log has nil shards.
+func (l *Log) Shard(i int) *Log {
+	if l == nil {
+		return nil
 	}
+	return l.book.shard(i)
+}
+
+func (b *book) shard(i int) *Log {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r := b.shards[i]
+	if r == nil {
+		r = &records{jobs: make(map[int]*Decision), detector: cusum{cfg: b.cfg}}
+		b.shards[i] = r
+	}
+	return &Log{b, r}
 }
 
 // Enabled reports whether the log records anything.

@@ -243,6 +243,42 @@ func TestNilLogIsSafe(t *testing.T) {
 	if err := l.WriteJSONL(&buf); err != nil || buf.Len() != 0 {
 		t.Fatal("nil log wrote JSONL")
 	}
+	if l.Shard(3) != nil {
+		t.Fatal("nil log has a non-nil shard")
+	}
+}
+
+// TestLogShards checks that shards of one log keep their own records
+// and drift detectors: a stolen job's submit-only record at its home
+// shard and its full record at the thief are two records, and only the
+// shard whose joins drift alarms.
+func TestLogShards(t *testing.T) {
+	l := NewLog(DriftConfig{Delta: 10, Lambda: 5, MinSamples: 1})
+	home, thief := l, l.Shard(1)
+	home.Submit(7, "nb", 5, "C", "C", 0)
+	thief.Submit(7, "nb", 5, "C", "C", 0)
+	thief.Place(7, 4, 10, BranchReserve, -1)
+	thief.Tune(7, "LkT", "cfg", TuneSolo, Expectation{EDP: 100})
+	thief.AddEnergy(7, 50)
+	joins, alerts := thief.Complete(7, 20)
+	if len(joins) != 1 || len(alerts) != 1 {
+		t.Fatalf("thief joins %d alerts %d, want 1 and 1", len(joins), len(alerts))
+	}
+	if d := home.Decisions(); len(d) != 1 || d[0].Done || d[0].Node != -1 {
+		t.Fatalf("home shard records = %+v, want one submit-only record", d)
+	}
+	if d := l.Shard(1).Decisions(); len(d) != 1 || !d[0].Done || d[0].Node != 4 {
+		t.Fatalf("thief shard records = %+v, want one completed record on node 4", d)
+	}
+	if len(home.Joins()) != 0 || len(home.Alerts()) != 0 || home.Quality(nil).Drift.Samples != 0 {
+		t.Fatal("the thief's join reached the home shard's detector")
+	}
+	if q := thief.Quality(nil); q.Jobs != 1 || q.Drift.Samples != 0 || len(q.Drift.Alerts) != 1 {
+		t.Fatalf("thief quality = %+v, want one job and one alert (detector reset)", q)
+	}
+	if l.Shard(0).records != home.records {
+		t.Fatal("Shard(0) is not the log NewLog returned")
+	}
 }
 
 func TestUnknownJobIgnored(t *testing.T) {

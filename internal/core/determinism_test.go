@@ -47,7 +47,7 @@ func metricsRun(t *testing.T) (string, *ShardedScheduler) {
 	reg := metrics.NewRegistry()
 	prof := NewProfiler(fix.model, sim.NewRNG(99))
 	s := oneShard(t, fix.lkt, prof, 2)
-	s.SetMetrics([]*metrics.Registry{reg})
+	s.SetMetrics(reg)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
 		s.Submit(workloads.MustByName(name), 5, float64(i)*40)

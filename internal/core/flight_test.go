@@ -13,31 +13,27 @@ import (
 	"ecost/internal/workloads"
 )
 
-// runShardedFlight drives one sharded run with per-shard registries and
-// the flight recorder attached, returning all three handles for
-// post-run assertions.
-func runShardedFlight(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *ShardedScheduler)) (*ShardedScheduler, *flight.Recorder, []*metrics.Registry) {
+// runShardedFlight drives one sharded run with a registry and the
+// flight recorder attached, returning all three handles for post-run
+// assertions.
+func runShardedFlight(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *ShardedScheduler)) (*ShardedScheduler, *flight.Recorder, *metrics.Registry) {
 	t.Helper()
 	fixture(t)
 	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	regs := make([]*metrics.Registry, 0, cfg.Shards)
-	newTuner := func() STP {
-		reg := metrics.NewRegistry()
-		regs = append(regs, reg)
-		return NewMemoSTP(fix.lkt, reg)
-	}
-	c, err := NewShardedScheduler(fix.model, fix.db, prof, newTuner, nodes, cfg)
+	c, err := NewShardedScheduler(fix.model, fix.db, prof,
+		func() STP { return NewMemoSTP(fix.lkt, nil) }, nodes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetMetrics(regs)
+	reg := metrics.NewRegistry()
+	c.SetMetrics(reg)
 	fr := flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: c.ShardNodes()})
 	c.SetFlight(fr)
 	submit(c)
 	if _, _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return c, fr, regs
+	return c, fr, reg
 }
 
 // seededStream mixes the training tenants with seeded exponential gaps
@@ -63,7 +59,7 @@ func TestFlightStealFlowMatchesCounters(t *testing.T) {
 	totalSteals := 0
 	for _, shards := range []int{2, 4, 8} {
 		for _, seed := range []int64{1, 7, 42} {
-			c, fr, regs := runShardedFlight(t, 8, ShardedConfig{Shards: shards, Steal: true},
+			c, fr, reg := runShardedFlight(t, 8, ShardedConfig{Shards: shards, Steal: true},
 				seededStream(48, seed, 5))
 			flow := fr.StealFlow()
 			if len(flow) != shards {
@@ -77,11 +73,11 @@ func TestFlightStealFlowMatchesCounters(t *testing.T) {
 					colSum += flow[j][i]
 					grand += flow[i][j]
 				}
-				if out := regs[i].Counter("sched.steals_out").Value(); rowSum != out {
+				if out := reg.Shard(i).Counter("sched.steals_out").Value(); rowSum != out {
 					t.Errorf("shards=%d seed=%d: shard %d flow row sum %d != sched.steals_out %d",
 						shards, seed, i, rowSum, out)
 				}
-				if in := regs[i].Counter("sched.steals_in").Value(); colSum != in {
+				if in := reg.Shard(i).Counter("sched.steals_in").Value(); colSum != in {
 					t.Errorf("shards=%d seed=%d: shard %d flow col sum %d != sched.steals_in %d",
 						shards, seed, i, colSum, in)
 				}
@@ -120,11 +116,8 @@ func TestFlightShardedStaleDriftDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auds := make([]*audit.Log, shards)
-	for i := range auds {
-		auds[i] = audit.NewLog(audit.DriftConfig{})
-	}
-	c.SetAudit(auds)
+	aud := audit.NewLog(audit.DriftConfig{})
+	c.SetAudit(aud)
 	fr := flight.New(flight.Config{Shards: shards, ShardNodes: c.ShardNodes()})
 	c.SetFlight(fr)
 	// Each shard runs its own CUSUM (default MinSamples per shard), so
@@ -138,8 +131,8 @@ func TestFlightShardedStaleDriftDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	alerts := 0
-	for _, aud := range auds {
-		alerts += len(aud.Alerts())
+	for i := 0; i < shards; i++ {
+		alerts += len(aud.Shard(i).Alerts())
 	}
 	if alerts == 0 {
 		t.Fatal("stale database tripped no drift alert across shards")

@@ -147,11 +147,15 @@ func (s *shard) attach(set func(o *observer)) {
 	s.obs = o
 }
 
-// setMetrics attaches an observability registry to the shard (and its
-// wait queue); nil detaches. The execution model is shared across
-// shards and stays uninstrumented.
+// setMetrics attaches the shard's handle on the control plane's
+// registry to the shard, its wait queue and its tune memo (the memo's
+// volatile hit/miss counters); nil detaches. The execution model is
+// shared across shards and stays uninstrumented.
 func (s *shard) setMetrics(reg *metrics.Registry) {
 	s.queue.Metrics = reg
+	if m, ok := s.Tuner.(*MemoSTP); ok {
+		m.hits, m.misses = reg.VolatileCounter("stp.memo.hits"), reg.VolatileCounter("stp.memo.misses")
+	}
 	s.attach(func(o *observer) {
 		o.met = nil
 		if reg != nil {

@@ -18,21 +18,21 @@ import (
 func attachOrderRun(t *testing.T, auditFirst bool) string {
 	t.Helper()
 	c := oneShard(t, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(99)), 2)
-	regs := []*metrics.Registry{metrics.NewRegistry()}
-	auds := []*audit.Log{audit.NewLog(audit.DriftConfig{Delta: 1, Lambda: 1e-9, MinSamples: 1})}
+	reg := metrics.NewRegistry()
+	aud := audit.NewLog(audit.DriftConfig{Delta: 1, Lambda: 1e-9, MinSamples: 1})
 	if auditFirst {
-		c.SetAudit(auds)
-		c.SetMetrics(regs)
+		c.SetAudit(aud)
+		c.SetMetrics(reg)
 	} else {
-		c.SetMetrics(regs)
-		c.SetAudit(auds)
+		c.SetMetrics(reg)
+		c.SetAudit(aud)
 	}
 	submitWS4(t)(c)
 	if _, _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := regs[0].Snapshot(false).WriteText(&buf); err != nil {
+	if err := reg.Snapshot(false).WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -77,8 +77,8 @@ func TestObserverNilSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetMetrics(make([]*metrics.Registry, 2))
-	c.SetAudit(make([]*audit.Log, 2))
+	c.SetMetrics(nil)
+	c.SetAudit(nil)
 	c.SetTracer(nil)
 	c.SetFlight(nil)
 	for i, sh := range c.shards {
@@ -87,12 +87,12 @@ func TestObserverNilSinks(t *testing.T) {
 		}
 	}
 
-	c.SetMetrics([]*metrics.Registry{metrics.NewRegistry()})
+	c.SetMetrics(metrics.NewRegistry())
 	c.SetTracer(tracing.New())
 	if c.shards[0].obs == nil || c.shards[0].queue.Metrics == nil {
 		t.Fatal("attached sinks left shard 0 unobserved")
 	}
-	c.SetMetrics([]*metrics.Registry{nil})
+	c.SetMetrics(nil)
 	if c.shards[0].obs == nil {
 		t.Fatal("detaching metrics dropped the tracer's observer")
 	}

@@ -21,9 +21,9 @@ func auditedRun(t *testing.T) (*audit.Log, *metrics.Registry, *tracing.Tracer, *
 	fixture(t)
 	s := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
 	reg := metrics.NewRegistry()
-	s.SetMetrics([]*metrics.Registry{reg})
+	s.SetMetrics(reg)
 	aud := audit.NewLog(audit.DriftConfig{})
-	s.SetAudit([]*audit.Log{aud})
+	s.SetAudit(aud)
 	tr := tracing.New()
 	s.SetTracer(tr)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
@@ -130,9 +130,9 @@ func TestSchedulerAuditLeapForward(t *testing.T) {
 
 	s := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 1)
 	reg := metrics.NewRegistry()
-	s.SetMetrics([]*metrics.Registry{reg})
+	s.SetMetrics(reg)
 	aud := audit.NewLog(audit.DriftConfig{})
-	s.SetAudit([]*audit.Log{aud})
+	s.SetAudit(aud)
 
 	s.Submit(base, 5, 0)    // job 0: reserve (empty node)
 	s.Submit(base, 5, 1)    // job 1: pair with the head's reservation intact
@@ -207,6 +207,9 @@ func TestSchedulerAuditRealizedMatchesTracing(t *testing.T) {
 		}
 		if d.EDP != j.EDP {
 			t.Errorf("job %d audit EDP %v != trace EDP %v", j.Job, d.EDP, j.EDP)
+		}
+		if j.EnergyJ <= 0 || j.EDP <= 0 {
+			t.Errorf("job %d has degenerate attribution: %+v", j.Job, j)
 		}
 	}
 }
@@ -341,9 +344,9 @@ func TestDriftAlertStaleDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	s.SetMetrics([]*metrics.Registry{reg})
+	s.SetMetrics(reg)
 	aud := audit.NewLog(audit.DriftConfig{})
-	s.SetAudit([]*audit.Log{aud})
+	s.SetAudit(aud)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
 		s.Submit(workloads.MustByName(name), 12, float64(i)*40)

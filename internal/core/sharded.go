@@ -62,9 +62,9 @@ const stealBatch = 8
 // schedulers over disjoint node slices, driven by one clock. It
 // is the only online scheduler — Shards: 1 runs the whole cluster as
 // one shard. Build with NewShardedScheduler, attach observability
-// (SetMetrics and SetAudit take one sink per shard, SetTracer one
-// tracer for every shard, SetFlight one recorder),
-// Submit the stream in nondecreasing arrival order, then Run.
+// (SetMetrics, SetAudit, SetTracer and SetFlight each take one sink for
+// every shard), Submit the stream in nondecreasing arrival order, then
+// Run.
 type ShardedScheduler struct {
 	cfg    ShardedConfig
 	shards []*shard
@@ -240,24 +240,25 @@ func (c *ShardedScheduler) SetFlight(r *flight.Recorder) {
 	})
 }
 
-// SetMetrics attaches regs[i] to shard i — its scheduler counters,
-// histograms and event log, and its wait queue's. Call before the first
-// Submit, with at most Shards() entries; a nil entry, or a shard past
-// the end of regs, stays uninstrumented. Each shard needs its own
-// registry: a registry's event log is one shard's export.
-func (c *ShardedScheduler) SetMetrics(regs []*metrics.Registry) {
-	for i, reg := range regs {
-		c.shards[i].setMetrics(reg)
+// SetMetrics attaches one registry to the whole control plane; nil
+// detaches it. Call before the first Submit. Each shard records its
+// scheduler, wait-queue and tuner instruments and its event log through
+// reg.Shard(i), so every instrument and event carries its shard, and
+// reg.Snapshot(…).Shard(i) is shard i's part (DESIGN.md §30).
+func (c *ShardedScheduler) SetMetrics(reg *metrics.Registry) {
+	for _, sh := range c.shards {
+		sh.setMetrics(reg.Shard(sh.idx))
 	}
 }
 
-// SetAudit attaches logs[i] to shard i as its decision-audit log. Call
-// before the first Submit, with at most Shards() entries; a nil entry,
-// or a shard past the end of logs, stays unaudited. With a registry
-// attached as well, joins and drift alarms are mirrored into it.
-func (c *ShardedScheduler) SetAudit(logs []*audit.Log) {
-	for i, l := range logs {
-		c.shards[i].setAudit(l)
+// SetAudit attaches one decision-audit log to the whole control plane;
+// nil detaches it. Call before the first Submit. Each shard records
+// through l.Shard(i), keeping its own records and drift detector, and
+// l.Shard(i) reads them back. With a registry attached as well, joins
+// and drift alarms are mirrored into it.
+func (c *ShardedScheduler) SetAudit(l *audit.Log) {
+	for _, sh := range c.shards {
+		sh.setAudit(l.Shard(sh.idx))
 	}
 }
 

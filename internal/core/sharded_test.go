@@ -40,10 +40,9 @@ type shardedResult struct {
 }
 
 // runSharded drives one fully instrumented sharded run. submit feeds
-// the stream; every shard gets its own registry and audit log, the
-// control plane one tracer (the CLI path), and every shard's tuner is
-// LkT behind MemoSTP on the shard's registry — the chain
-// testdata/ws4_online.golden pins at one shard.
+// the stream; the control plane gets one registry, one audit log and
+// one tracer (the CLI path), and every shard's tuner is LkT behind
+// MemoSTP — the chain testdata/ws4_online.golden pins at one shard.
 func runSharded(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *ShardedScheduler)) shardedResult {
 	return runShardedMode(t, nodes, cfg, false, submit)
 }
@@ -55,24 +54,17 @@ func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, recorded bool, s
 	t.Helper()
 	fixture(t)
 	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	regs := make([]*metrics.Registry, 0, cfg.Shards)
-	newTuner := func() STP {
-		reg := metrics.NewRegistry()
-		regs = append(regs, reg)
-		return NewMemoSTP(fix.lkt, reg)
-	}
-	c, err := NewShardedScheduler(fix.model, fix.db, prof, newTuner, nodes, cfg)
+	c, err := NewShardedScheduler(fix.model, fix.db, prof,
+		func() STP { return NewMemoSTP(fix.lkt, nil) }, nodes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetMetrics(regs)
+	reg := metrics.NewRegistry()
+	c.SetMetrics(reg)
 	ts := tracing.New()
 	c.SetTracer(ts)
-	auds := make([]*audit.Log, cfg.Shards)
-	for i := range auds {
-		auds[i] = audit.NewLog(audit.DriftConfig{})
-	}
-	c.SetAudit(auds)
+	aud := audit.NewLog(audit.DriftConfig{})
+	c.SetAudit(aud)
 	if recorded {
 		c.SetFlight(flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: c.ShardNodes()}))
 	}
@@ -90,15 +82,16 @@ func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, recorded bool, s
 		sched:     c,
 		trace:     ts,
 	}
+	all := reg.Snapshot(false)
 	for i := 0; i < cfg.Shards; i++ {
 		var snap, tl, dec bytes.Buffer
-		if err := regs[i].Snapshot(false).WriteText(&snap); err != nil {
+		if err := all.Shard(i).WriteText(&snap); err != nil {
 			t.Fatal(err)
 		}
 		if err := tracing.WriteTimeline(&tl, shardSpans(ts, i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := auds[i].WriteJSONL(&dec); err != nil {
+		if err := aud.Shard(i).WriteJSONL(&dec); err != nil {
 			t.Fatal(err)
 		}
 		out.perShard = append(out.perShard, equivResult{
@@ -460,7 +453,7 @@ func TestFastAccrualGolden(t *testing.T) {
 		s.SetFastAccrual(fast)
 		if observed {
 			s.SetTracer(tracing.New())
-			s.SetAudit([]*audit.Log{audit.NewLog(audit.DriftConfig{})})
+			s.SetAudit(audit.NewLog(audit.DriftConfig{}))
 		}
 		rng := sim.NewRNG(18)
 		at := 0.0

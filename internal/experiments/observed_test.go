@@ -2,13 +2,75 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
+	"ecost/internal/audit"
 	"ecost/internal/core"
+	"ecost/internal/flight"
 	"ecost/internal/metrics"
+	"ecost/internal/scenario"
+	"ecost/internal/tracing"
 )
+
+// shardedObservation bundles the control plane's one sink of each kind
+// for one fully observed sharded run. Every export they render (metrics
+// snapshots, audit JSONL, merged Chrome trace and timeline, EDP report,
+// shard-health report, epoch JSONL, flight dumps) is a pure function of
+// the submitted stream, independent of GOMAXPROCS — the same
+// determinism contract as the run itself.
+type shardedObservation struct {
+	shards int
+	reg    *metrics.Registry
+	aud    *audit.Log
+	trace  *tracing.Tracer
+	flight *flight.Recorder
+}
+
+// onlineScenarioShardedObserved is OnlineScenario with the full
+// observability stack attached to the control plane: one registry
+// metering the memoized tuners, one decision-audit log, one span tracer
+// and the barrier flight recorder. It reports the same table and
+// observables and returns the sinks, so the test can render every
+// export after the run.
+func onlineScenarioShardedObserved(env *Env, spec scenario.Spec, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, *shardedObservation, error) {
+	arrivals, err := scenario.Generate(spec)
+	if err != nil {
+		return Table{}, OnlineData{}, QueueStats{}, nil, err
+	}
+	obs := &shardedObservation{
+		shards: cfg.Shards,
+		reg:    metrics.NewRegistry(),
+		aud:    audit.NewLog(audit.DriftConfig{}),
+		trace:  tracing.New(),
+	}
+	attach := func(sched *core.ShardedScheduler) {
+		sched.SetMetrics(obs.reg)
+		sched.SetAudit(obs.aud)
+		sched.SetTracer(obs.trace)
+		obs.flight = flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: sched.ShardNodes()})
+		sched.SetFlight(obs.flight)
+	}
+	data, done, sched, err := runStream(env, arrivals, nodes, cfg,
+		func() core.STP { return core.NewMemoSTP(env.LkT, nil) }, attach)
+	if err != nil {
+		return Table{}, data, QueueStats{}, nil, err
+	}
+	qs := StreamStats(done, nodes, data.Makespan)
+	tbl := Table{
+		Title:  fmt.Sprintf("Online ECoST scenario, observed (%d shard(s)): %s, %d node(s)", sched.Shards(), spec.String(), nodes),
+		Header: []string{"metric", "value"},
+	}
+	addOnlineRows(&tbl, data)
+	qs.AddRows(&tbl)
+	tbl.AddRow("shards", sched.Shards())
+	tbl.AddRow("steals", sched.Steals())
+	tbl.AddRow("epochs", obs.flight.Epochs())
+	tbl.AddRow("flight dumps", len(obs.flight.Dumps()))
+	return tbl, data, qs, obs, nil
+}
 
 // observedExports renders every export surface of one observed run into
 // a single byte string: merged shard-labeled Prometheus, per-shard
@@ -16,43 +78,40 @@ import (
 // timeline (per-shard sections + merged section), the merged EDP
 // report, the shard-health report, the epoch wide-event JSONL, the
 // per-shard health rows, and the flight dumps.
-func observedExports(t *testing.T, obs *ShardedObservation) string {
+func observedExports(t *testing.T, obs *shardedObservation) string {
 	t.Helper()
 	var buf bytes.Buffer
-	snaps := make([]metrics.Snapshot, len(obs.Registries))
-	for i, reg := range obs.Registries {
-		snaps[i] = reg.Snapshot(false)
-	}
-	if err := metrics.WritePrometheusSharded(&buf, snaps); err != nil {
+	snap := obs.reg.Snapshot(false)
+	if err := snap.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for i, snap := range snaps {
-		if err := snap.WriteText(&buf); err != nil {
+	for i := 0; i < obs.shards; i++ {
+		if err := snap.Shard(i).WriteText(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := obs.Audits[i].WriteJSONL(&buf); err != nil {
+		if err := obs.aud.Shard(i).WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := obs.Trace.WriteChromeTrace(&buf); err != nil {
+	if err := obs.trace.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Trace.WriteTimeline(&buf); err != nil {
+	if err := obs.trace.WriteTimeline(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Trace.Report().WriteText(&buf); err != nil {
+	if err := obs.trace.Report().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Flight.Health().WriteText(&buf); err != nil {
+	if err := obs.flight.Health().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Flight.WriteEpochs(&buf, -1); err != nil {
+	if err := obs.flight.WriteEpochs(&buf, -1); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Flight.WriteShards(&buf); err != nil {
+	if err := obs.flight.WriteShards(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Flight.WriteDumps(&buf); err != nil {
+	if err := obs.flight.WriteDumps(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -69,7 +128,7 @@ func TestOnlineScenarioShardedObservedGolden(t *testing.T) {
 	var baseData OnlineData
 	for i, procs := range []int{1, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		tbl, data, qs, obs, err := OnlineScenarioShardedObserved(freshEnv(t), spec, 4, cfg)
+		tbl, data, qs, obs, err := onlineScenarioShardedObserved(freshEnv(t), spec, 4, cfg)
 		runtime.GOMAXPROCS(old)
 		if err != nil {
 			t.Fatal(err)
@@ -77,16 +136,24 @@ func TestOnlineScenarioShardedObservedGolden(t *testing.T) {
 		if data.Jobs != 24 || qs.Utilization <= 0 {
 			t.Fatalf("GOMAXPROCS=%d: incoherent run: %+v / %+v", procs, data, qs)
 		}
-		if obs.Flight.Epochs() == 0 {
+		if obs.flight.Epochs() == 0 {
 			t.Fatalf("GOMAXPROCS=%d: run recorded no barrier epochs", procs)
 		}
-		traced := map[int]bool{}
-		for _, s := range obs.Trace.Spans() {
+		// Every shard recorded into the one registry and the one tracer,
+		// and every job has an audit record at some shard.
+		traced, metered, audited := map[int]bool{}, map[int]bool{}, 0
+		for _, s := range obs.trace.Spans() {
 			traced[s.Attrs.Shard] = true
 		}
-		if len(obs.Registries) != cfg.Shards || len(obs.Audits) != cfg.Shards || len(traced) != cfg.Shards {
-			t.Fatalf("GOMAXPROCS=%d: observation handles incomplete: %d regs, %d audits, %d traced shards",
-				procs, len(obs.Registries), len(obs.Audits), len(traced))
+		for _, c := range obs.reg.Snapshot(false).Counters {
+			metered[c.Shard] = true
+		}
+		for i := 0; i < cfg.Shards; i++ {
+			audited += len(obs.aud.Shard(i).Decisions())
+		}
+		if len(traced) != cfg.Shards || len(metered) != cfg.Shards || audited < data.Jobs {
+			t.Fatalf("GOMAXPROCS=%d: sinks incomplete: %d metered and %d traced shards, %d audit records for %d jobs",
+				procs, len(metered), len(traced), audited, data.Jobs)
 		}
 		for _, want := range []string{"shards", "steals", "epochs", "flight dumps"} {
 			if !strings.Contains(tbl.String(), want) {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"ecost/internal/audit"
 	"ecost/internal/core"
 	"ecost/internal/trace"
-	"ecost/internal/tracing"
 )
 
 // OnlineData summarizes an open-loop run of the event-driven scheduler.
@@ -24,79 +22,24 @@ type OnlineData struct {
 // OnlineTrace drives the online ECoST scheduler with a synthetic arrival
 // trace — the open-loop extension of the paper's closed 16-job
 // scenarios. It reports cluster EDP and queueing behaviour (the head
-// reservation keeps the maximum wait bounded).
+// reservation keeps the maximum wait bounded). One shard runs the whole
+// cluster, tuned by REPTree unwrapped.
 func OnlineTrace(env *Env, spec trace.Spec, nodes int) (Table, OnlineData, error) {
-	tbl, data, _, err := onlineTrace(env, spec, nodes, false, env.REPTree, nil)
-	return tbl, data, err
-}
-
-// OnlineTraceObserved is OnlineTrace with span tracing attached: it
-// additionally returns the per-job / per-class EDP attribution report
-// and appends the attributed-energy summary to the table. The traced
-// run is identical to the untraced one (tracing observes the same
-// event loop without perturbing it).
-func OnlineTraceObserved(env *Env, spec trace.Spec, nodes int) (Table, OnlineData, tracing.Report, error) {
-	return onlineTrace(env, spec, nodes, true, env.REPTree, nil)
-}
-
-// OnlineQualityObserved is OnlineTrace with the decision-audit log
-// attached, returning the aggregated quality report (classifier
-// confusion, STP error histograms, interference, oracle regret, drift)
-// alongside the raw log for JSONL export. The run is tuned by the
-// lookup table rather than REPTree: LkT is the technique that exposes
-// an outcome forecast, so the predicted-vs-realized joins the report is
-// about actually populate.
-func OnlineQualityObserved(env *Env, spec trace.Spec, nodes int) (Table, OnlineData, audit.QualityReport, *audit.Log, error) {
-	aud := audit.NewLog(audit.DriftConfig{})
-	tbl, data, _, err := onlineTrace(env, spec, nodes, false, env.LkT, aud)
-	if err != nil {
-		return tbl, data, audit.QualityReport{}, nil, err
-	}
-	q := aud.Quality(core.NewAuditOracle(env.Oracle))
-	tbl.AddRow("classifier accuracy (%)", 100*q.Accuracy)
-	tbl.AddRow("prediction joins", q.Joined)
-	tbl.AddRow("oracle regret rows", len(q.Regret))
-	tbl.AddRow("drift alerts", len(q.Drift.Alerts))
-	tbl.Notes = append(tbl.Notes,
-		"quality rows join every LkT forecast with its realized outcome (full report: ecost-sim -online -quality-report)")
-	return tbl, data, q, aud, nil
-}
-
-func onlineTrace(env *Env, spec trace.Spec, nodes int, traced bool, tuner core.STP, aud *audit.Log) (Table, OnlineData, tracing.Report, error) {
 	arrivals, err := trace.Generate(spec)
 	if err != nil {
-		return Table{}, OnlineData{}, tracing.Report{}, err
+		return Table{}, OnlineData{}, err
 	}
-	// One shard runs the whole cluster; the technique runs unwrapped,
-	// and the tracer and audit log go on it.
-	var tr *tracing.Tracer
-	attach := func(c *core.ShardedScheduler) {
-		if traced {
-			tr = tracing.New()
-			c.SetTracer(tr)
-		}
-		c.SetAudit([]*audit.Log{aud})
-	}
-	var rep tracing.Report
 	data, _, _, err := runStream(env, arrivals, nodes, core.ShardedConfig{Shards: 1},
-		func() core.STP { return tuner }, attach)
+		func() core.STP { return env.REPTree }, nil)
 	if err != nil {
-		return Table{}, data, rep, err
-	}
-	if traced {
-		rep = tr.Report()
+		return Table{}, data, err
 	}
 	tbl := Table{
 		Title:  fmt.Sprintf("Online ECoST: %d jobs, %d node(s), mean inter-arrival %.0fs", data.Jobs, nodes, spec.MeanInterarrival),
 		Header: []string{"metric", "value"},
 	}
 	addOnlineRows(&tbl, data)
-	if traced {
-		tbl.AddRow("attributed energy (kJ)", rep.AttributedJ/1000)
-		tbl.Notes = append(tbl.Notes,
-			"attributed energy is the solo+co-located share of the bill carried by job run spans")
-	}
-	return tbl, data, rep, nil
+	return tbl, data, nil
 }
 
 // addOnlineRows appends the shared summary rows of an online run.

@@ -201,72 +201,3 @@ func OnlineReplay(env *Env, label string, arrivals []trace.Arrival, nodes int, c
 		"one engine fires every shard's events in time order; barriers are event times followed by a steal pass, free windows runs of event times at which no steal can fire (events elided counts work that skipped a barrier)")
 	return tbl, data, qs, nil
 }
-
-// CurvePoint is one load level of a utilization-vs-EDP sweep.
-type CurvePoint struct {
-	MeanGap     float64 // requested mean inter-arrival (s)
-	Utilization float64
-	EDP         float64
-	EnergyJ     float64
-	Makespan    float64
-	MeanWait    float64
-	SojournP95  float64
-	MeanQueue   float64
-}
-
-// UtilizationCurve sweeps the arrival rate of a base scenario across
-// the given mean inter-arrival gaps and reports utilization vs. EDP —
-// the saturation study the paper never ran. Each point reruns the
-// scenario with the same seed and substreams, so only the arrival
-// tempo changes (the Split contract keeps apps and sizes pinned).
-func UtilizationCurve(env *Env, base scenario.Spec, nodes int, meanGaps []float64) (Table, []CurvePoint, error) {
-	tbl := Table{
-		Title:  fmt.Sprintf("Utilization vs. EDP: %s, %d node(s)", base.String(), nodes),
-		Header: []string{"mean gap (s)", "utilization", "EDP (J·s)", "energy (kJ)", "mean wait (s)", "p95 sojourn (s)", "mean queue"},
-	}
-	var points []CurvePoint
-	for _, gap := range meanGaps {
-		spec := base
-		spec.Arrivals = withMeanGap(base.Arrivals, gap)
-		_, data, qs, err := OnlineScenario(env, spec, nodes, core.ShardedConfig{Shards: 1})
-		if err != nil {
-			return Table{}, nil, err
-		}
-		p := CurvePoint{
-			MeanGap:     gap,
-			Utilization: qs.Utilization,
-			EDP:         data.EDP,
-			EnergyJ:     data.EnergyJ,
-			Makespan:    data.Makespan,
-			MeanWait:    data.MeanWait,
-			SojournP95:  qs.SojournP95,
-			MeanQueue:   qs.MeanQueueLen,
-		}
-		points = append(points, p)
-		tbl.AddRow(p.MeanGap, p.Utilization, p.EDP, p.EnergyJ/1000, p.MeanWait, p.SojournP95, p.MeanQueue)
-	}
-	tbl.Notes = append(tbl.Notes,
-		"each row reruns the scenario at a different arrival tempo; apps and sizes stay pinned (Split substreams)")
-	return tbl, points, nil
-}
-
-// withMeanGap retunes an arrival process to a new mean gap, preserving
-// its shape: Poisson/fixed/diurnal move their mean, MMPP scales both
-// regime means proportionally, and the batch process becomes Poisson
-// (a batch has no rate to sweep).
-func withMeanGap(a scenario.ArrivalSpec, gap float64) scenario.ArrivalSpec {
-	switch a.Kind {
-	case scenario.ArrivalMMPP:
-		// Stationary regime occupancy from the stay probabilities.
-		pc := (1 - a.BurstStay) / ((1 - a.CalmStay) + (1 - a.BurstStay))
-		cur := pc*a.CalmMean + (1-pc)*a.BurstMean
-		f := gap / cur
-		a.CalmMean *= f
-		a.BurstMean *= f
-	case scenario.ArrivalFixed, scenario.ArrivalPoisson, scenario.ArrivalDiurnal:
-		a.Mean = gap
-	default:
-		a = scenario.ArrivalSpec{Kind: scenario.ArrivalPoisson, Mean: gap}
-	}
-	return a
-}

@@ -40,16 +40,16 @@ func instrumentedRun(t *testing.T, env *Env, arrivals []trace.Arrival, nodes int
 	reg := metrics.NewRegistry()
 	aud := audit.NewLog(audit.DriftConfig{})
 	model := mapreduce.NewModel(cluster.AtomC2758())
-	tuner := core.NewMemoSTP(env.LkT, reg)
+	tuner := core.NewMemoSTP(env.LkT, nil)
 	prof := core.NewProfiler(model, sim.NewRNG(env.Seed))
 	sched, err := core.NewShardedScheduler(model, env.DB, prof, func() core.STP { return tuner }, nodes, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched.SetMetrics([]*metrics.Registry{reg})
+	sched.SetMetrics(reg)
 	tr := tracing.New()
 	sched.SetTracer(tr)
-	sched.SetAudit([]*audit.Log{aud})
+	sched.SetAudit(aud)
 	for _, a := range arrivals {
 		sched.Submit(a.App, a.SizeGB, a.At)
 	}
@@ -156,33 +156,54 @@ func TestOnlineScenarioStats(t *testing.T) {
 
 // TestUtilizationCurve: sweeping the arrival tempo from idle to
 // saturation raises utilization monotonically (within measurement
-// slack) and keeps every point well-formed.
+// slack) and keeps every point well-formed. Each point reruns the
+// scenario with the same seed and substreams, so only the arrival
+// tempo changes (the Split contract keeps apps and sizes pinned).
 func TestUtilizationCurve(t *testing.T) {
 	env := sharedEnv(t)
 	base := scenarioSpec(16)
-	tbl, points, err := UtilizationCurve(env, base, 2, []float64{2000, 400, 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("%d points, want 3", len(points))
-	}
-	for _, p := range points {
-		if p.Utilization <= 0 || p.Utilization > 1 {
-			t.Fatalf("gap %v: utilization %v outside (0, 1]", p.MeanGap, p.Utilization)
+	var util []float64
+	for _, gap := range []float64{2000, 400, 50} {
+		spec := base
+		spec.Arrivals = withMeanGap(base.Arrivals, gap)
+		_, data, qs, err := OnlineScenario(env, spec, 2, core.ShardedConfig{Shards: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.EDP <= 0 {
-			t.Fatalf("gap %v: EDP %v", p.MeanGap, p.EDP)
+		if qs.Utilization <= 0 || qs.Utilization > 1 {
+			t.Fatalf("gap %v: utilization %v outside (0, 1]", gap, qs.Utilization)
 		}
+		if data.EDP <= 0 {
+			t.Fatalf("gap %v: EDP %v", gap, data.EDP)
+		}
+		util = append(util, qs.Utilization)
 	}
 	// Faster arrivals pack the cluster tighter: the saturated end must
 	// clearly exceed the idle end.
-	if !(points[2].Utilization > points[0].Utilization) {
-		t.Fatalf("utilization did not rise with load: %v vs %v", points[2].Utilization, points[0].Utilization)
+	if !(util[2] > util[0]) {
+		t.Fatalf("utilization did not rise with load: %v vs %v", util[2], util[0])
 	}
-	if !strings.Contains(tbl.String(), "Utilization vs. EDP") {
-		t.Errorf("table title missing:\n%s", tbl.String())
+}
+
+// withMeanGap retunes an arrival process to a new mean gap, preserving
+// its shape: Poisson/fixed/diurnal move their mean, MMPP scales both
+// regime means proportionally, and the batch process becomes Poisson
+// (a batch has no rate to sweep).
+func withMeanGap(a scenario.ArrivalSpec, gap float64) scenario.ArrivalSpec {
+	switch a.Kind {
+	case scenario.ArrivalMMPP:
+		// Stationary regime occupancy from the stay probabilities.
+		pc := (1 - a.BurstStay) / ((1 - a.CalmStay) + (1 - a.BurstStay))
+		cur := pc*a.CalmMean + (1-pc)*a.BurstMean
+		f := gap / cur
+		a.CalmMean *= f
+		a.BurstMean *= f
+	case scenario.ArrivalFixed, scenario.ArrivalPoisson, scenario.ArrivalDiurnal:
+		a.Mean = gap
+	default:
+		a = scenario.ArrivalSpec{Kind: scenario.ArrivalPoisson, Mean: gap}
 	}
+	return a
 }
 
 // TestStreamStatsUnion pins the busy-time union on a hand-built

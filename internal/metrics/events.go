@@ -59,19 +59,25 @@ type Event struct {
 	// must be derived from simulated state only, so the log stays
 	// deterministic.
 	Detail string `json:"detail,omitempty"`
+	// Shard is the index of the shard that emitted the event (Emit sets
+	// it). Like an instrument's, it is not rendered: the text and JSON
+	// forms render one shard's snapshot.
+	Shard int `json:"-"`
 }
 
-// Emit appends an event to the log. No-op on a nil registry.
+// Emit appends an event to the log, stamped with the handle's shard.
+// No-op on a nil registry.
 func (r *Registry) Emit(e Event) {
 	if r == nil {
 		return
 	}
+	e.Shard = r.shard
 	r.mu.Lock()
 	r.events = append(r.events, e)
 	r.mu.Unlock()
 }
 
-// Events returns a copy of the event log in emission order.
+// Events returns a copy of every shard's events in emission order.
 func (r *Registry) Events() []Event {
 	if r == nil {
 		return nil
@@ -81,7 +87,7 @@ func (r *Registry) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// EventCount reports the number of recorded events.
+// EventCount reports the number of events every shard recorded.
 func (r *Registry) EventCount() int {
 	if r == nil {
 		return 0

@@ -293,26 +293,68 @@ func (s *Series) Points() []Point {
 	return append([]Point(nil), s.pts...)
 }
 
-// Registry owns the named instruments. The zero value is not usable;
-// construct with NewRegistry. A nil *Registry is the disabled mode:
-// every lookup returns a nil instrument whose operations are no-ops.
+// Registry owns the named instruments of a whole control plane. The
+// zero value is not usable; construct with NewRegistry. A nil
+// *Registry is the disabled mode: every lookup returns a nil instrument
+// whose operations are no-ops.
+//
+// Every instrument and event carries the index of the shard that
+// recorded it. The registry NewRegistry returns records as shard 0;
+// Shard(i) returns the handle shard i records through. The same name
+// names one instrument per shard, and Snapshot, from any handle, covers
+// every shard (DESIGN.md §30).
 type Registry struct {
+	*instruments
+	shard int
+}
+
+// instruments is the state every handle of one registry shares.
+type instruments struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	series   map[string]*Series
+	counters map[instKey]*Counter
+	gauges   map[instKey]*Gauge
+	hists    map[instKey]*Histogram
+	series   map[instKey]*Series
 	events   []Event
+}
+
+// instKey names one shard's instrument.
+type instKey struct {
+	shard int
+	name  string
 }
 
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		series:   map[string]*Series{},
+	return &Registry{instruments: &instruments{
+		counters: map[instKey]*Counter{},
+		gauges:   map[instKey]*Gauge{},
+		hists:    map[instKey]*Histogram{},
+		series:   map[instKey]*Series{},
+	}}
+}
+
+// Shard returns the handle shard i records through: its instruments
+// and events carry i. A nil registry has nil shards.
+func (r *Registry) Shard(i int) *Registry {
+	if r == nil {
+		return nil
 	}
+	return &Registry{instruments: r.instruments, shard: i}
+}
+
+// lookup returns the handle's shard's instrument called name in m,
+// creating it with mk on first use.
+func lookup[T any](r *Registry, m map[instKey]*T, name string, mk func() *T) *T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	k := instKey{r.shard, name}
+	v, ok := m[k]
+	if !ok {
+		v = mk()
+		m[k] = v
+	}
+	return v
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -333,14 +375,7 @@ func (r *Registry) counter(name string, volatil bool) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{volatil: volatil}
-		r.counters[name] = c
-	}
-	return c
+	return lookup(r, r.counters, name, func() *Counter { return &Counter{volatil: volatil} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -358,14 +393,7 @@ func (r *Registry) gauge(name string, volatil bool) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{volatil: volatil}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, r.gauges, name, func() *Gauge { return &Gauge{volatil: volatil} })
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -385,14 +413,7 @@ func (r *Registry) histogram(name string, bounds []float64, volatil bool) *Histo
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram(bounds, volatil)
-		r.hists[name] = h
-	}
-	return h
+	return lookup(r, r.hists, name, func() *Histogram { return newHistogram(bounds, volatil) })
 }
 
 // Series returns the named series, creating it on first use.
@@ -400,14 +421,7 @@ func (r *Registry) Series(name string) *Series {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.series[name]
-	if !ok {
-		s = newSeries()
-		r.series[name] = s
-	}
-	return s
+	return lookup(r, r.series, name, newSeries)
 }
 
 // ExpBuckets returns n exponential bucket bounds start, start·factor, …

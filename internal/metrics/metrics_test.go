@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -101,10 +103,49 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	if r.Events() != nil || r.EventCount() != 0 || r.Series("x").Points() != nil {
 		t.Fatal("nil registry reported state")
 	}
+	if r.Shard(2) != nil {
+		t.Fatal("nil registry has a non-nil shard")
+	}
 	snap := r.Snapshot(true)
 	var buf bytes.Buffer
 	if err := snap.WriteText(&buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegistryShards checks that one name names one instrument per
+// shard, that the snapshot sorts by name and then shard, and that a
+// shard's part of it holds exactly that shard's instruments and events
+// in order.
+func TestRegistryShards(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("b").Add(1)
+	r.Shard(1).Counter("b").Add(2)
+	r.Shard(1).Counter("a").Add(3)
+	if r.Shard(0).Counter("b") != r.Counter("b") || r.Shard(1).Counter("b") == r.Counter("b") {
+		t.Fatal("shard 0's handle and the registry disagree, or shards share an instrument")
+	}
+	r.Shard(1).Emit(Event{Kind: EvSubmit, Job: 1})
+	r.Emit(Event{Kind: EvSubmit, Job: 0})
+	r.Shard(1).Emit(Event{Kind: EvComplete, Job: 1})
+
+	snap := r.Snapshot(false)
+	var got []string
+	for _, c := range snap.Counters {
+		got = append(got, fmt.Sprintf("%s@%d=%d", c.Name, c.Shard, c.Value))
+	}
+	if want := "a@1=3 b@0=1 b@1=2"; strings.Join(got, " ") != want {
+		t.Fatalf("counters = %v, want %s", got, want)
+	}
+	one := snap.Shard(1)
+	if len(one.Counters) != 2 || one.Counters[0].Name != "a" || one.Counters[1].Value != 2 {
+		t.Fatalf("shard 1 counters = %+v", one.Counters)
+	}
+	if len(one.Events) != 2 || one.Events[0].Kind != EvSubmit || one.Events[1].Kind != EvComplete {
+		t.Fatalf("shard 1 events = %+v", one.Events)
+	}
+	if zero := snap.Shard(0); len(zero.Counters) != 1 || len(zero.Events) != 1 || zero.Events[0].Job != 0 {
+		t.Fatalf("shard 0 part = %+v", zero)
 	}
 }
 

@@ -2,9 +2,11 @@ package metrics
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -90,6 +92,11 @@ func (n *promNamer) conflicts(cand string, suffixes []string) bool {
 }
 
 // WritePrometheus renders the snapshot as Prometheus text exposition.
+// A snapshot of one shard renders one unlabeled family per instrument,
+// in section order. A snapshot of several shards renders each
+// instrument name once per section, name-sorted, with one sample per
+// shard holding it, labeled shard="i" (summary quantiles carry
+// {quantile="q",shard="i"}).
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var namer promNamer
@@ -97,169 +104,117 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "# HELP %s ecost instrument %s\n", name, promEscapeHelp(src))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", name, typ)
 	}
+	merged := s.shards() > 1
+	// labels renders a sample's label set: the quantile, if any, and
+	// the shard in the merged layout.
+	labels := func(quantile string, shard int) string {
+		var ls []string
+		if quantile != "" {
+			ls = append(ls, `quantile="`+quantile+`"`)
+		}
+		if merged {
+			ls = append(ls, `shard="`+strconv.Itoa(shard)+`"`)
+		}
+		if len(ls) == 0 {
+			return ""
+		}
+		return "{" + strings.Join(ls, ",") + "}"
+	}
+	for _, fam := range promFamilies(s.Counters, merged, func(c CounterSnap) (string, int) { return c.Name, c.Shard }) {
+		name := namer.claim(fam[0].Name)
+		head(name, fam[0].Name, "counter")
+		for _, c := range fam {
+			fmt.Fprintf(bw, "%s%s %d\n", name, labels("", c.Shard), c.Value)
+		}
+	}
+	for _, fam := range promFamilies(s.Gauges, merged, func(g GaugeSnap) (string, int) { return g.Name, g.Shard }) {
+		name := namer.claim(fam[0].Name)
+		head(name, fam[0].Name, "gauge")
+		for _, g := range fam {
+			fmt.Fprintf(bw, "%s%s %s\n", name, labels("", g.Shard), fmtF(g.Value))
+		}
+	}
+	for _, fam := range promFamilies(s.Histograms, merged, func(h HistSnap) (string, int) { return h.Name, h.Shard }) {
+		name := namer.claim(fam[0].Name, "_sum", "_count")
+		head(name, fam[0].Name, "summary")
+		for _, h := range fam {
+			if h.Count > 0 {
+				fmt.Fprintf(bw, "%s%s %s\n", name, labels("0.5", h.Shard), fmtF(h.P50))
+				fmt.Fprintf(bw, "%s%s %s\n", name, labels("0.95", h.Shard), fmtF(h.P95))
+				fmt.Fprintf(bw, "%s%s %s\n", name, labels("0.99", h.Shard), fmtF(h.P99))
+			}
+			fmt.Fprintf(bw, "%s_sum%s %s\n", name, labels("", h.Shard), fmtF(h.Sum))
+			fmt.Fprintf(bw, "%s_count%s %d\n", name, labels("", h.Shard), h.Count)
+		}
+	}
+	for _, fam := range promFamilies(s.Series, merged, func(se SeriesSnap) (string, int) { return se.Name, se.Shard }) {
+		name := namer.claim(fam[0].Name)
+		head(name, fam[0].Name+" (latest sample)", "gauge")
+		for _, se := range fam {
+			fmt.Fprintf(bw, "%s%s %s\n", name, labels("", se.Shard), fmtF(se.Last))
+		}
+	}
+	return bw.Flush()
+}
+
+// shards counts the distinct shards the snapshot's instruments carry.
+func (s Snapshot) shards() int {
+	seen := map[int]bool{}
 	for _, c := range s.Counters {
-		name := namer.claim(c.Name)
-		head(name, c.Name, "counter")
-		fmt.Fprintf(bw, "%s %d\n", name, c.Value)
+		seen[c.Shard] = true
 	}
 	for _, g := range s.Gauges {
-		name := namer.claim(g.Name)
-		head(name, g.Name, "gauge")
-		fmt.Fprintf(bw, "%s %s\n", name, fmtF(g.Value))
+		seen[g.Shard] = true
 	}
 	for _, h := range s.Histograms {
-		name := namer.claim(h.Name, "_sum", "_count")
-		head(name, h.Name, "summary")
-		if h.Count > 0 {
-			fmt.Fprintf(bw, "%s{quantile=\"0.5\"} %s\n", name, fmtF(h.P50))
-			fmt.Fprintf(bw, "%s{quantile=\"0.95\"} %s\n", name, fmtF(h.P95))
-			fmt.Fprintf(bw, "%s{quantile=\"0.99\"} %s\n", name, fmtF(h.P99))
-		}
-		fmt.Fprintf(bw, "%s_sum %s\n", name, fmtF(h.Sum))
-		fmt.Fprintf(bw, "%s_count %d\n", name, h.Count)
+		seen[h.Shard] = true
 	}
 	for _, se := range s.Series {
-		name := namer.claim(se.Name)
-		head(name, se.Name+" (latest sample)", "gauge")
-		fmt.Fprintf(bw, "%s %s\n", name, fmtF(se.Last))
+		seen[se.Shard] = true
 	}
-	return bw.Flush()
+	return len(seen)
 }
 
-// promInstKey identifies one merged family: an instrument name plus
-// its occurrence index within its section (a snapshot may legally hold
-// several same-named instruments — e.g. a counter and a volatile
-// sibling — and the single-snapshot renderer gives each its own
-// family, so the merged form must too).
-type promInstKey struct {
-	name string
-	occ  int
-}
-
-// promMerge groups one section's instruments across shards by
-// (name, occurrence) and returns the keys in render order (name
-// ascending, occurrence ascending — the same order the per-snapshot
-// renderer claims them in, so collision suffixes stay deterministic).
-// bySample maps each key to the per-shard sample index, -1 when that
-// shard lacks the instrument.
-func promMerge(n int, section func(shard int) []string) (keys []promInstKey, bySample map[promInstKey][]int) {
-	bySample = make(map[promInstKey][]int)
-	for shard := 0; shard < n; shard++ {
-		occ := make(map[string]int)
-		for idx, nm := range section(shard) {
-			k := promInstKey{nm, occ[nm]}
-			occ[nm]++
-			row, ok := bySample[k]
-			if !ok {
-				row = make([]int, n)
-				for i := range row {
-					row[i] = -1
-				}
-				bySample[k] = row
-				keys = append(keys, k)
-			}
-			row[shard] = idx
+// promFamilies groups one section's entries into families. Unmerged,
+// every entry is a family of its own, in section order. Merged, the
+// k-th entry named n in each shard's part of the section joins n's k-th
+// family (a snapshot may hold several same-named instruments, and the
+// one-shard layout gives each its own family, so the merged one must
+// too); families sort by (name, k) and their entries by shard.
+func promFamilies[T any](xs []T, merged bool, key func(T) (string, int)) [][]T {
+	if !merged {
+		fams := make([][]T, len(xs))
+		for i, x := range xs {
+			fams[i] = []T{x}
 		}
+		return fams
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].name != keys[j].name {
-			return keys[i].name < keys[j].name
-		}
-		return keys[i].occ < keys[j].occ
+	type entry struct {
+		name       string
+		occ, shard int
+		x          T
+	}
+	type seenKey struct {
+		name  string
+		shard int
+	}
+	seen := map[seenKey]int{}
+	ents := make([]entry, len(xs))
+	for i, x := range xs {
+		name, shard := key(x)
+		k := seenKey{name, shard}
+		ents[i] = entry{name, seen[k], shard, x}
+		seen[k]++
+	}
+	slices.SortStableFunc(ents, func(a, b entry) int {
+		return cmp.Or(strings.Compare(a.name, b.name), cmp.Compare(a.occ, b.occ), cmp.Compare(a.shard, b.shard))
 	})
-	return keys, bySample
-}
-
-// WritePrometheusSharded merges per-shard snapshots into one
-// exposition: every instrument family appears once, carrying one
-// sample per shard labeled shard="i" (snaps index order). An
-// instrument absent from a shard's snapshot simply has no sample for
-// that shard. Families render in the single-snapshot section order —
-// counters, gauges, histograms, series, name-sorted over the union —
-// and summary quantile samples carry {quantile="q",shard="i"}.
-func WritePrometheusSharded(w io.Writer, snaps []Snapshot) error {
-	bw := bufio.NewWriter(w)
-	var namer promNamer
-	head := func(name, src, typ string) {
-		fmt.Fprintf(bw, "# HELP %s ecost instrument %s\n", name, promEscapeHelp(src))
-		fmt.Fprintf(bw, "# TYPE %s %s\n", name, typ)
+	var fams [][]T
+	for i, e := range ents {
+		if i == 0 || e.name != ents[i-1].name || e.occ != ents[i-1].occ {
+			fams = append(fams, nil)
+		}
+		fams[len(fams)-1] = append(fams[len(fams)-1], e.x)
 	}
-	n := len(snaps)
-
-	keys, rows := promMerge(n, func(shard int) []string {
-		names := make([]string, len(snaps[shard].Counters))
-		for i, c := range snaps[shard].Counters {
-			names[i] = c.Name
-		}
-		return names
-	})
-	for _, k := range keys {
-		fam := namer.claim(k.name)
-		head(fam, k.name, "counter")
-		for shard, idx := range rows[k] {
-			if idx >= 0 {
-				fmt.Fprintf(bw, "%s{shard=\"%d\"} %d\n", fam, shard, snaps[shard].Counters[idx].Value)
-			}
-		}
-	}
-
-	keys, rows = promMerge(n, func(shard int) []string {
-		names := make([]string, len(snaps[shard].Gauges))
-		for i, g := range snaps[shard].Gauges {
-			names[i] = g.Name
-		}
-		return names
-	})
-	for _, k := range keys {
-		fam := namer.claim(k.name)
-		head(fam, k.name, "gauge")
-		for shard, idx := range rows[k] {
-			if idx >= 0 {
-				fmt.Fprintf(bw, "%s{shard=\"%d\"} %s\n", fam, shard, fmtF(snaps[shard].Gauges[idx].Value))
-			}
-		}
-	}
-
-	keys, rows = promMerge(n, func(shard int) []string {
-		names := make([]string, len(snaps[shard].Histograms))
-		for i, h := range snaps[shard].Histograms {
-			names[i] = h.Name
-		}
-		return names
-	})
-	for _, k := range keys {
-		fam := namer.claim(k.name, "_sum", "_count")
-		head(fam, k.name, "summary")
-		for shard, idx := range rows[k] {
-			if idx < 0 {
-				continue
-			}
-			h := snaps[shard].Histograms[idx]
-			if h.Count > 0 {
-				fmt.Fprintf(bw, "%s{quantile=\"0.5\",shard=\"%d\"} %s\n", fam, shard, fmtF(h.P50))
-				fmt.Fprintf(bw, "%s{quantile=\"0.95\",shard=\"%d\"} %s\n", fam, shard, fmtF(h.P95))
-				fmt.Fprintf(bw, "%s{quantile=\"0.99\",shard=\"%d\"} %s\n", fam, shard, fmtF(h.P99))
-			}
-			fmt.Fprintf(bw, "%s_sum{shard=\"%d\"} %s\n", fam, shard, fmtF(h.Sum))
-			fmt.Fprintf(bw, "%s_count{shard=\"%d\"} %d\n", fam, shard, h.Count)
-		}
-	}
-
-	keys, rows = promMerge(n, func(shard int) []string {
-		names := make([]string, len(snaps[shard].Series))
-		for i, se := range snaps[shard].Series {
-			names[i] = se.Name
-		}
-		return names
-	})
-	for _, k := range keys {
-		fam := namer.claim(k.name)
-		head(fam, k.name+" (latest sample)", "gauge")
-		for shard, idx := range rows[k] {
-			if idx >= 0 {
-				fmt.Fprintf(bw, "%s{shard=\"%d\"} %s\n", fam, shard, fmtF(snaps[shard].Series[idx].Last))
-			}
-		}
-	}
-	return bw.Flush()
+	return fams
 }

@@ -33,6 +33,30 @@ func fuzzSnapshot(cname, gname, hname, sname string, v float64) Snapshot {
 	}
 }
 
+// twoShards is snap as shards 0 and 1 would both record it.
+func twoShards(snap Snapshot) Snapshot {
+	var out Snapshot
+	for shard := 0; shard < 2; shard++ {
+		for _, c := range snap.Counters {
+			c.Shard = shard
+			out.Counters = append(out.Counters, c)
+		}
+		for _, g := range snap.Gauges {
+			g.Shard = shard
+			out.Gauges = append(out.Gauges, g)
+		}
+		for _, h := range snap.Histograms {
+			h.Shard = shard
+			out.Histograms = append(out.Histograms, h)
+		}
+		for _, se := range snap.Series {
+			se.Shard = shard
+			out.Series = append(out.Series, se)
+		}
+	}
+	return out
+}
+
 // FuzzWritePrometheus renders arbitrary instrument names and values and
 // round-trips the exposition through the strict parser: whatever the
 // registry holds, /metrics must stay well-formed 0.0.4 text with no
@@ -79,9 +103,10 @@ func FuzzWritePrometheus(f *testing.F) {
 		// The shard-labeled merged form must round-trip too: same 7
 		// families, one labeled sample per shard per instrument sample,
 		// and no duplicates (the shard label disambiguates).
+		both := twoShards(snap)
 		var sharded bytes.Buffer
-		if err := WritePrometheusSharded(&sharded, []Snapshot{snap, snap}); err != nil {
-			t.Fatalf("WritePrometheusSharded: %v", err)
+		if err := both.WritePrometheus(&sharded); err != nil {
+			t.Fatalf("merged WritePrometheus: %v", err)
 		}
 		sfams, err := parsePromText(sharded.String())
 		if err != nil {
@@ -103,7 +128,7 @@ func FuzzWritePrometheus(f *testing.F) {
 			t.Fatalf("sharded: got %d samples, want 12 per shard x 2:\n%s", ssamples, sharded.String())
 		}
 		var sagain bytes.Buffer
-		if err := WritePrometheusSharded(&sagain, []Snapshot{snap, snap}); err != nil {
+		if err := both.WritePrometheus(&sagain); err != nil {
 			t.Fatalf("second sharded render: %v", err)
 		}
 		if !bytes.Equal(sharded.Bytes(), sagain.Bytes()) {

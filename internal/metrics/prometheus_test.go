@@ -208,25 +208,25 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrometheusShardedRoundTrip renders two different per-shard
-// registries through the merged shard-labeled writer and parses the
+// TestPrometheusShardedRoundTrip renders one registry that two shards
+// recorded into, different instruments on each, and parses the merged
 // exposition back: one family per instrument, one shard="i" sample per
 // shard that holds it, values intact.
 func TestPrometheusShardedRoundTrip(t *testing.T) {
-	reg0 := NewRegistry()
+	reg := NewRegistry()
+	reg0, reg1 := reg.Shard(0), reg.Shard(1)
 	reg0.Counter("sched.submitted").Add(16)
 	reg0.Gauge("power.energy_j.idle").Set(331.61)
 	h := reg0.Histogram("sched.wait_s", ExpBuckets(16, 2, 8))
 	h.Observe(12)
 	h.Observe(40)
 	reg0.Series("sched.queue_depth").Sample(0, 3)
-	reg1 := NewRegistry()
 	reg1.Counter("sched.submitted").Add(9)
 	reg1.Counter("sched.steals_in").Add(4) // only shard 1 has this one
 	reg1.Gauge("power.energy_j.idle").Set(120.5)
 
 	var buf bytes.Buffer
-	if err := WritePrometheusSharded(&buf, []Snapshot{reg0.Snapshot(false), reg1.Snapshot(false)}); err != nil {
+	if err := reg.Snapshot(false).WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	fams := parsePrometheus(t, buf.String())
@@ -261,11 +261,19 @@ func TestPrometheusShardedRoundTrip(t *testing.T) {
 	}
 	// Determinism across renders.
 	var again bytes.Buffer
-	if err := WritePrometheusSharded(&again, []Snapshot{reg0.Snapshot(false), reg1.Snapshot(false)}); err != nil {
+	if err := reg.Snapshot(false).WritePrometheus(&again); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != again.String() {
 		t.Fatal("sharded exposition not deterministic")
+	}
+	// One shard's part renders the unlabeled one-shard layout.
+	var one bytes.Buffer
+	if err := reg.Snapshot(false).Shard(1).WritePrometheus(&one); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(one.String(), "ecost_sched_submitted 9\n") || strings.Contains(one.String(), `shard="`) {
+		t.Errorf("shard 1's exposition is not its unlabeled one-shard layout:\n%s", one.String())
 	}
 }
 

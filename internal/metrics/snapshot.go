@@ -1,11 +1,14 @@
 package metrics
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // Snapshot is a point-in-time, name-sorted copy of every instrument.
@@ -13,6 +16,10 @@ import (
 // rendering the same snapshot twice — or the snapshot of two same-seed
 // runs — yields byte-identical output (volatile wall-clock instruments
 // are excluded unless requested; see Registry.Snapshot).
+//
+// Every entry carries the shard that recorded it. WritePrometheus
+// labels the shards when more than one is present; the text and JSON
+// forms render one shard's snapshot (see Shard) and omit it.
 type Snapshot struct {
 	Counters   []CounterSnap `json:"counters,omitempty"`
 	Gauges     []GaugeSnap   `json:"gauges,omitempty"`
@@ -26,6 +33,7 @@ type CounterSnap struct {
 	Name     string `json:"name"`
 	Value    int64  `json:"value"`
 	Volatile bool   `json:"volatile,omitempty"`
+	Shard    int    `json:"-"`
 }
 
 // GaugeSnap is one gauge's reading.
@@ -33,6 +41,7 @@ type GaugeSnap struct {
 	Name     string  `json:"name"`
 	Value    float64 `json:"value"`
 	Volatile bool    `json:"volatile,omitempty"`
+	Shard    int     `json:"-"`
 }
 
 // HistSnap summarizes one histogram.
@@ -46,6 +55,7 @@ type HistSnap struct {
 	P95      float64 `json:"p95"`
 	P99      float64 `json:"p99"`
 	Volatile bool    `json:"volatile,omitempty"`
+	Shard    int     `json:"-"`
 }
 
 // SeriesSnap carries one series' retained points plus a summary.
@@ -54,54 +64,44 @@ type SeriesSnap struct {
 	Points []Point `json:"points"`
 	Last   float64 `json:"last"`
 	Max    float64 `json:"max"`
+	Shard  int     `json:"-"`
 }
 
-// Snapshot copies every instrument, sorted by name. Volatile
-// instruments (wall-clock readings, implementation-effort counters)
-// are included only when includeVolatile is true; everything else in
-// the snapshot is deterministic.
+// Snapshot copies every shard's instruments, sorted by name and then
+// shard, and every event in emission order. Volatile instruments
+// (wall-clock readings, implementation-effort counters) are included
+// only when includeVolatile is true; everything else in the snapshot
+// is deterministic.
 func (r *Registry) Snapshot(includeVolatile bool) Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	series := make(map[string]*Series, len(r.series))
-	for k, v := range r.series {
-		series[k] = v
-	}
-	s.Events = append([]Event(nil), r.events...)
+	counters := maps.Clone(r.counters)
+	gauges := maps.Clone(r.gauges)
+	hists := maps.Clone(r.hists)
+	series := maps.Clone(r.series)
+	s.Events = slices.Clone(r.events)
 	r.mu.Unlock()
 
-	for name, c := range counters {
+	for k, c := range counters {
 		if c.Volatile() && !includeVolatile {
 			continue
 		}
-		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: c.Value(), Volatile: c.Volatile()})
+		s.Counters = append(s.Counters, CounterSnap{Name: k.name, Value: c.Value(), Volatile: c.Volatile(), Shard: k.shard})
 	}
-	for name, g := range gauges {
+	for k, g := range gauges {
 		if g.Volatile() && !includeVolatile {
 			continue
 		}
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.Value(), Volatile: g.Volatile()})
+		s.Gauges = append(s.Gauges, GaugeSnap{Name: k.name, Value: g.Value(), Volatile: g.Volatile(), Shard: k.shard})
 	}
-	for name, h := range hists {
+	for k, h := range hists {
 		if h.Volatile() && !includeVolatile {
 			continue
 		}
-		hs := HistSnap{Name: name, Count: h.Count(), Sum: h.Sum(), Volatile: h.Volatile()}
+		hs := HistSnap{Name: k.name, Count: h.Count(), Sum: h.Sum(), Volatile: h.Volatile(), Shard: k.shard}
 		if hs.Count > 0 {
 			hs.Min = h.min.load()
 			hs.Max = h.max.load()
@@ -111,8 +111,8 @@ func (r *Registry) Snapshot(includeVolatile bool) Snapshot {
 		}
 		s.Histograms = append(s.Histograms, hs)
 	}
-	for name, se := range series {
-		ss := SeriesSnap{Name: name, Points: se.Points()}
+	for k, se := range series {
+		ss := SeriesSnap{Name: k.name, Points: se.Points(), Shard: k.shard}
 		for i, p := range ss.Points {
 			if i == 0 || p.V > ss.Max {
 				ss.Max = p.V
@@ -121,11 +121,43 @@ func (r *Registry) Snapshot(includeVolatile bool) Snapshot {
 		}
 		s.Series = append(s.Series, ss)
 	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
-	sort.Slice(s.Series, func(i, j int) bool { return s.Series[i].Name < s.Series[j].Name })
+	sortSection(s.Counters, func(c CounterSnap) (string, int) { return c.Name, c.Shard })
+	sortSection(s.Gauges, func(g GaugeSnap) (string, int) { return g.Name, g.Shard })
+	sortSection(s.Histograms, func(h HistSnap) (string, int) { return h.Name, h.Shard })
+	sortSection(s.Series, func(se SeriesSnap) (string, int) { return se.Name, se.Shard })
 	return s
+}
+
+// sortSection sorts one section by name, then shard.
+func sortSection[T any](xs []T, key func(T) (string, int)) {
+	slices.SortFunc(xs, func(a, b T) int {
+		an, as := key(a)
+		bn, bs := key(b)
+		return cmp.Or(strings.Compare(an, bn), cmp.Compare(as, bs))
+	})
+}
+
+// Shard returns shard i's part of the snapshot: the snapshot a registry
+// holding only that shard's instruments and events would take.
+func (s Snapshot) Shard(i int) Snapshot {
+	return Snapshot{
+		Counters:   onShard(s.Counters, func(c CounterSnap) int { return c.Shard }, i),
+		Gauges:     onShard(s.Gauges, func(g GaugeSnap) int { return g.Shard }, i),
+		Histograms: onShard(s.Histograms, func(h HistSnap) int { return h.Shard }, i),
+		Series:     onShard(s.Series, func(se SeriesSnap) int { return se.Shard }, i),
+		Events:     onShard(s.Events, func(e Event) int { return e.Shard }, i),
+	}
+}
+
+// onShard keeps the entries of xs that shard i recorded, in order.
+func onShard[T any](xs []T, shard func(T) int, i int) []T {
+	var out []T
+	for _, x := range xs {
+		if shard(x) == i {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // fmtF renders a float the same way everywhere (shortest round-trip
