@@ -62,30 +62,6 @@ func APE(pred, truth float64) float64 {
 	return 100 * math.Abs(pred-truth) / math.Abs(truth)
 }
 
-// MAPE returns the mean APE over a prediction set.
-func MAPE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := range pred {
-		s += APE(pred[i], truth[i])
-	}
-	return s / float64(len(pred))
-}
-
-// MAE returns the mean absolute error.
-func MAE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - truth[i])
-	}
-	return s / float64(len(pred))
-}
-
 // RMSE returns the root-mean-square error.
 func RMSE(pred, truth []float64) float64 {
 	if len(pred) != len(truth) || len(pred) == 0 {

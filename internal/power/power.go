@@ -53,12 +53,6 @@ func NodePower(spec cluster.NodeSpec, act Activity) float64 {
 	return p
 }
 
-// CorePower returns the activity power above idle — the quantity the
-// paper reports after subtracting system idle power.
-func CorePower(spec cluster.NodeSpec, act Activity) float64 {
-	return NodePower(spec, act) - spec.IdleWatts
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0
@@ -73,10 +67,4 @@ func clamp01(x float64) float64 {
 // energyJoules over execTime seconds: E × T = P·T².
 func EDP(energyJoules, execTime float64) float64 {
 	return energyJoules * execTime
-}
-
-// EDPFromPower returns the EDP of a run at constant average power:
-// P · T².
-func EDPFromPower(avgWatts, execTime float64) float64 {
-	return avgWatts * execTime * execTime
 }

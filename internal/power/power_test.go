@@ -10,13 +10,16 @@ import (
 
 func spec() cluster.NodeSpec { return cluster.AtomC2758() }
 
+// activePower is the node's power above idle — the quantity the paper
+// reports after subtracting system idle power.
+func activePower(s cluster.NodeSpec, act Activity) float64 {
+	return NodePower(s, act) - s.IdleWatts
+}
+
 func TestIdleNodePower(t *testing.T) {
 	s := spec()
 	if got := NodePower(s, Activity{}); got != s.IdleWatts {
 		t.Fatalf("idle power = %v, want %v", got, s.IdleWatts)
-	}
-	if got := CorePower(s, Activity{}); got != 0 {
-		t.Fatalf("idle core power = %v, want 0", got)
 	}
 }
 
@@ -37,7 +40,7 @@ func TestPowerSuperlinearInFrequency(t *testing.T) {
 	// the EDP race-to-idle tradeoff in the paper exists.
 	s := spec()
 	dyn := func(f cluster.FreqGHz) float64 {
-		return CorePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: f, Util: 1}}})
+		return activePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: f, Util: 1}}})
 	}
 	lo, hi := dyn(cluster.Freq1200), dyn(cluster.Freq2400)
 	if ratio := hi / lo; ratio <= 2.0 {
@@ -47,12 +50,12 @@ func TestPowerSuperlinearInFrequency(t *testing.T) {
 
 func TestPowerScalesWithCoresAndUtil(t *testing.T) {
 	s := spec()
-	one := CorePower(s, Activity{Loads: []CoreLoad{{Cores: 1, Freq: cluster.MaxFreq, Util: 1}}})
-	eight := CorePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: cluster.MaxFreq, Util: 1}}})
+	one := activePower(s, Activity{Loads: []CoreLoad{{Cores: 1, Freq: cluster.MaxFreq, Util: 1}}})
+	eight := activePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: cluster.MaxFreq, Util: 1}}})
 	if math.Abs(eight-8*one) > 1e-9 {
 		t.Fatalf("core power not linear in cores: 1→%v, 8→%v", one, eight)
 	}
-	half := CorePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: cluster.MaxFreq, Util: 0.5}}})
+	half := activePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: cluster.MaxFreq, Util: 0.5}}})
 	if math.Abs(half-eight/2) > 1e-9 {
 		t.Fatalf("core power not linear in util: %v vs %v/2", half, eight)
 	}
@@ -100,14 +103,12 @@ func TestEDP(t *testing.T) {
 	if got := EDP(100, 10); got != 1000 {
 		t.Fatalf("EDP(100,10) = %v", got)
 	}
-	if got := EDPFromPower(20, 10); got != 2000 {
-		t.Fatalf("EDPFromPower(20,10) = %v", got)
-	}
-	// P·T² identity: EDP(P·T, T) == EDPFromPower(P, T).
+	// P·T² identity: a run at constant power P for T seconds has
+	// EDP(P·T, T) == P·T².
 	f := func(p, tt float64) bool {
 		p = math.Mod(math.Abs(p), 1e3) + 0.1
 		tt = math.Mod(math.Abs(tt), 1e5) + 0.1
-		return math.Abs(EDP(p*tt, tt)-EDPFromPower(p, tt)) < 1e-6*EDPFromPower(p, tt)
+		return math.Abs(EDP(p*tt, tt)-p*tt*tt) < 1e-6*p*tt*tt
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -70,32 +70,13 @@ func FuzzGenerate(f *testing.F) {
 			}
 		}
 		// The class tally must agree with the trace itself.
-		counts := ClassCounts(tr)
+		counts := classCounts(tr)
 		total := 0
 		for _, c := range counts {
 			total += c
 		}
 		if total != len(tr) {
-			t.Fatalf("ClassCounts sums to %d over %d arrivals", total, len(tr))
+			t.Fatalf("classCounts sums to %d over %d arrivals", total, len(tr))
 		}
 	})
-}
-
-func TestClassCounts(t *testing.T) {
-	if got := ClassCounts(nil); len(got) != 0 {
-		t.Errorf("ClassCounts(nil) = %v", got)
-	}
-	apps := workloads.Apps()
-	tr := []Arrival{{App: apps[0]}, {App: apps[0]}, {App: apps[len(apps)-1]}}
-	counts := ClassCounts(tr)
-	if counts[apps[0].Class] < 2 {
-		t.Errorf("counts = %v, want ≥2 for class %v", counts, apps[0].Class)
-	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != 3 {
-		t.Errorf("counts sum to %d, want 3", total)
-	}
 }

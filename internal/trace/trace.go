@@ -128,12 +128,3 @@ func Generate(spec Spec) ([]Arrival, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out, nil
 }
-
-// ClassCounts tallies arrivals per class — used by tests and reports.
-func ClassCounts(tr []Arrival) map[workloads.Class]int {
-	out := map[workloads.Class]int{}
-	for _, a := range tr {
-		out[a.App.Class]++
-	}
-	return out
-}

@@ -8,6 +8,15 @@ import (
 	"ecost/internal/workloads"
 )
 
+// classCounts tallies arrivals per class.
+func classCounts(tr []Arrival) map[workloads.Class]int {
+	out := map[workloads.Class]int{}
+	for _, a := range tr {
+		out[a.App.Class]++
+	}
+	return out
+}
+
 func TestGenerateBasics(t *testing.T) {
 	tr, err := Generate(Spec{N: 100, MeanInterarrival: 60, Poisson: true, Seed: 1})
 	if err != nil {
@@ -94,7 +103,7 @@ func TestGenerateClassMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := ClassCounts(tr)
+	counts := classCounts(tr)
 	if counts[workloads.Hybrid] != 0 || counts[workloads.MemBound] != 0 {
 		t.Fatalf("unselected classes drawn: %v", counts)
 	}

@@ -268,17 +268,6 @@ func Testing() []App {
 	return out
 }
 
-// OfClass returns all applications of the given class.
-func OfClass(c Class) []App {
-	var out []App
-	for _, a := range apps {
-		if a.Class == c {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // DataSizesGB lists the studied per-node input data sizes: 1, 5 and
 // 10 GB, representing small, medium and large datasets.
 func DataSizesGB() []float64 { return []float64{1, 5, 10} }

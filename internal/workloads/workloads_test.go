@@ -83,12 +83,25 @@ func TestMustByNamePanics(t *testing.T) {
 	MustByName("bogus")
 }
 
+// ofClass returns all applications of the given class.
+func ofClass(c Class) []App {
+	var out []App
+	for _, a := range Apps() {
+		if a.Class == c {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// TestOfClassPartition checks that the classes partition the eleven
+// applications.
 func TestOfClassPartition(t *testing.T) {
 	total := 0
 	for _, c := range Classes() {
-		for _, a := range OfClass(c) {
+		for _, a := range ofClass(c) {
 			if a.Class != c {
-				t.Errorf("OfClass(%v) returned %s of class %v", c, a.Name, a.Class)
+				t.Errorf("ofClass(%v) returned %s of class %v", c, a.Name, a.Class)
 			}
 			total++
 		}
@@ -119,12 +132,12 @@ func TestClassProfileSeparation(t *testing.T) {
 	// application must move the most bytes per instruction — otherwise
 	// the classifier cannot separate them the way the paper reports.
 	var maxC, minM float64 = 0, 1e9
-	for _, a := range OfClass(Compute) {
+	for _, a := range ofClass(Compute) {
 		if a.Profile.LLCMPKI > maxC {
 			maxC = a.Profile.LLCMPKI
 		}
 	}
-	for _, a := range OfClass(MemBound) {
+	for _, a := range ofClass(MemBound) {
 		if a.Profile.LLCMPKI < minM {
 			minM = a.Profile.LLCMPKI
 		}
