@@ -102,7 +102,7 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /report, /decisions, /quality, and /debug/pprof/ on this address during and after the online run (requires -online)")
 	shards := flag.Int("shards", 1, "partition the online cluster into this many per-shard schedulers with hash-routed submissions (requires -online; 1 = one shard over the whole cluster)")
 	steal := flag.Bool("steal", false, "let idle shards steal queued jobs at event barriers (requires -shards 2+)")
-	flightOut := flag.String("flight-out", "", "write the flight recorder's anomaly-triggered epoch dumps as JSONL to this file after the run (requires -online; epoch records need every global event time, so the recorder pins the exact barrier cadence instead of eliding barriers)")
+	flightOut := flag.String("flight-out", "", "write the flight recorder's anomaly-triggered epoch dumps as JSONL to this file after the run (requires -online; the recorder closes one epoch per event time and leaves the drive's barrier cadence as it is)")
 	healthReport := flag.Bool("health-report", false, "print the shard-health report (steal flow, fairness, queue slope, power skew) after the run (requires -online)")
 	logLevel := flag.String("log-level", "warn", "log verbosity: debug, info, warn, error")
 	flag.Parse()

@@ -81,7 +81,7 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 	}
 	var fr *flight.Recorder
 	if out.flightOut != "" || out.healthReport || serving {
-		fr = flight.New(flight.Config{Shards: shards, ShardNodes: sched.ShardNodes()})
+		fr = flight.New()
 		sched.SetFlight(fr)
 	}
 	qualityOracle := core.NewAuditOracle(env.Oracle)

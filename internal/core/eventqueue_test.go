@@ -154,13 +154,15 @@ func TestDriveOrder(t *testing.T) {
 	})
 
 	t.Run("completion rescheduled to the same time fires in the same step", func(t *testing.T) {
-		// Without a recorder the time is one window of two events; a
-		// recorder makes every drive step a barrier, so one barrier
-		// means one step.
-		for _, want := range []BarrierStats{{Windows: 1, WindowEvents: 2}, {Barriers: 1}} {
+		// The time is one window of two events, with or without a
+		// recorder; the recorder closes one epoch per drive step, so one
+		// epoch means one step.
+		for _, recorded := range []bool{false, true} {
 			c := twoShards(t)
-			if want.Barriers > 0 {
-				c.SetFlight(flight.New(flight.Config{Shards: 2, ShardNodes: c.ShardNodes()}))
+			var fr *flight.Recorder
+			if recorded {
+				fr = flight.New()
+				c.SetFlight(fr)
 			}
 			a, _ := twoShardApps(t)
 			c.Submit(a, 1, 0)
@@ -180,8 +182,11 @@ func TestDriveOrder(t *testing.T) {
 				}
 			}
 			c.drive()
-			if c.stats != want {
-				t.Fatalf("drive stats %+v, want %+v", c.stats, want)
+			if want := (BarrierStats{Windows: 1, WindowEvents: 2}); c.stats != want {
+				t.Fatalf("recorded=%v: drive stats %+v, want %+v", recorded, c.stats, want)
+			}
+			if recorded && fr.Epochs() != 1 {
+				t.Fatalf("recorder closed %d epochs over one drive step", fr.Epochs())
 			}
 			if len(c.completed) != 2 || c.completed[0].Finished != done || c.completed[1].Finished != done {
 				t.Fatalf("completions %+v, want two at %g", c.completed, done)

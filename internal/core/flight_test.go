@@ -27,7 +27,7 @@ func runShardedFlight(t *testing.T, nodes int, cfg ShardedConfig, submit func(c 
 	}
 	reg := metrics.NewRegistry()
 	c.SetMetrics(reg)
-	fr := flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: c.ShardNodes()})
+	fr := flight.New()
 	c.SetFlight(fr)
 	submit(c)
 	if _, _, err := c.Run(); err != nil {
@@ -118,7 +118,7 @@ func TestFlightShardedStaleDriftDump(t *testing.T) {
 	}
 	aud := audit.NewLog(audit.DriftConfig{})
 	c.SetAudit(aud)
-	fr := flight.New(flight.Config{Shards: shards, ShardNodes: c.ShardNodes()})
+	fr := flight.New()
 	c.SetFlight(fr)
 	// Each shard runs its own CUSUM (default MinSamples per shard), so
 	// the stream cycles the tenant list enough times that every shard

@@ -17,25 +17,25 @@ import (
 )
 
 // observer feeds one shard's sinks — metrics registry, span tracer,
-// decision-audit log and flight collector — from one nil-checked hook
+// decision-audit log and flight recorder — from one nil-checked hook
 // per lifecycle transition in the scheduler, and works out the values
 // only sinks need (DESIGN.md §27). It is one struct, not a consumer per
 // sink, because the sinks feed each other: audit joins mirror into
-// metrics and the flight collector, and tracing and audit share one
+// metrics and the flight recorder, and tracing and audit share one
 // energy-share division.
 type observer struct {
 	sh *shard
 
 	// The sinks, each nil when off. traced maps in-flight job IDs to
 	// their open spans; nodeSpans holds each node's current occupancy
-	// span. fl accumulates forecast joins and drift alerts until the
-	// control plane drains it at the next barrier.
+	// span. fl takes the shard's forecast joins and drift alerts, tagged
+	// with its index, until the control plane closes the epoch.
 	met       *schedMetrics
 	tracer    *tracing.Tracer
 	traced    map[int]*jobSpans
 	nodeSpans []*tracing.Span
 	aud       *audit.Log
-	fl        *flight.Collector
+	fl        *flight.Recorder
 
 	// branch and leapOver are the decision-tree branch that claimed the
 	// job being placed and, for a leap, the head it passed over; pred is
@@ -225,9 +225,9 @@ func (s *shard) setTracer(tr *tracing.Tracer) {
 	})
 }
 
-// setFlight attaches the shard's flight-recorder collector; nil
-// detaches.
-func (s *shard) setFlight(fl *flight.Collector) {
+// setFlight attaches the control plane's flight recorder to the shard;
+// nil detaches.
+func (s *shard) setFlight(fl *flight.Recorder) {
 	s.attach(func(o *observer) { o.fl = fl })
 }
 
@@ -530,7 +530,7 @@ func (o *observer) steady(n *onlineNode, sts []steadyTimes) {
 }
 
 // complete records fin finishing on n: metrics, the audit joins it
-// made comparable (mirrored into metrics and the flight collector), and
+// made comparable (mirrored into metrics and the flight recorder), and
 // its spans closed — the retroactive map and shuffle/reduce sub-spans
 // split the run at the model's phase boundary, sharing the run's energy
 // in the same proportion — before the node's occupancy span rolls over.
@@ -548,10 +548,10 @@ func (o *observer) complete(n *onlineNode, fin *onlineJob) {
 		joins, alerts := o.aud.Complete(j.ID, now)
 		if o.fl != nil {
 			for _, jn := range joins {
-				o.fl.Join(jn.RelErrPct)
+				o.fl.Join(o.sh.idx, jn.RelErrPct)
 			}
 			for _, a := range alerts {
-				o.fl.Drift(j.ID, j.Obs.App.Name+":"+j.Class.String(), a.Stat)
+				o.fl.Drift(o.sh.idx, j.ID, j.Obs.App.Name+":"+j.Class.String(), a.Stat)
 			}
 		}
 		if m := o.met; m != nil {

@@ -21,8 +21,8 @@ package core
 // arrival, and every arrival is submitted before Run, so a steal can
 // fire at t only if some queue is non-empty before t's events or an
 // arrival is due at t. Every other event time runs without one. An
-// attached flight recorder makes every event time a barrier, because
-// epoch records sample every shard at every global event time.
+// attached flight recorder closes one epoch at every event time, after
+// the steal pass where there is one, and never adds a barrier.
 
 import (
 	"fmt"
@@ -112,10 +112,9 @@ type ShardedScheduler struct {
 	// stats counts barrier and window event times.
 	stats BarrierStats
 
-	// flight is the barrier-epoch flight recorder (nil = off; see
-	// SetFlight). flightT0 is the previous barrier time (each epoch
-	// record spans [flightT0, t]); statBuf is the reusable per-barrier
-	// sample buffer.
+	// flight is the flight recorder (nil = off; see SetFlight).
+	// flightT0 is the previous epoch's end (each epoch record spans
+	// [flightT0, t]); statBuf is the reusable per-epoch sample buffer.
 	flight   *flight.Recorder
 	flightT0 float64
 	statBuf  []flight.ShardStat
@@ -123,11 +122,12 @@ type ShardedScheduler struct {
 
 // BarrierStats counts how the run's event work was driven. Barriers is
 // the number of barrier iterations: event times followed by a steal
-// pass or a flight epoch (DESIGN.md §22 defines which times those are).
-// Windows is the number of maximal runs of the other event times, and
-// WindowEvents how many events fired in them — each would have cost
-// one barrier under the full cadence a flight recorder pins, so it
-// measures the barriers elided.
+// pass (DESIGN.md §22 defines which times those are). Windows is the
+// number of maximal runs of the other event times, and WindowEvents how
+// many events fired in them — each would have cost one barrier under
+// the full cadence of a steal pass at every event time, so it measures
+// the barriers elided. An attached flight recorder changes none of
+// them.
 type BarrierStats struct {
 	Barriers     int64
 	Windows      int64
@@ -224,18 +224,20 @@ func (c *ShardedScheduler) ShardNodes() []int {
 	return out
 }
 
-// SetFlight attaches a flight recorder: every barrier epoch emits one
-// wide record per shard, each shard's forecast joins and drift alerts
-// flow into its collector, and the steal pass reports per-edge flow.
-// The recorder's triggers read shard queues through the tenant source
-// to name the implicated applications. Pass nil to detach (the
-// disabled path costs one branch per barrier).
+// SetFlight attaches one flight recorder to the whole control plane;
+// nil detaches it. Call before the first Submit, with a fresh recorder
+// (flight.New()): SetFlight sizes it to the plane's shards and their
+// node counts. Every event time then closes one epoch of one wide
+// record per shard, each shard's forecast joins and drift alerts reach
+// the recorder tagged with its index, and the steal pass reports
+// per-edge flow. The recorder's triggers read shard queues to name the
+// implicated applications (DESIGN.md §31).
 func (c *ShardedScheduler) SetFlight(r *flight.Recorder) {
 	c.flight = r
-	for i, sh := range c.shards {
-		sh.setFlight(r.Collector(i))
+	for _, sh := range c.shards {
+		sh.setFlight(r)
 	}
-	r.SetTenantSource(func(i, max int) []string {
+	r.Attach(c.ShardNodes(), func(i, max int) []string {
 		return c.shards[i].topTenants(max)
 	})
 }
@@ -274,10 +276,9 @@ func (c *ShardedScheduler) SetTracer(tr *tracing.Tracer) {
 	}
 }
 
-// recordBarrier samples every shard once a barrier's events and steal
-// pass have settled and closes the epoch [flightT0, t] in the
-// recorder.
-func (c *ShardedScheduler) recordBarrier(t float64) {
+// recordEpoch samples every shard once t's events and steal pass have
+// settled and closes the epoch [flightT0, t] in the recorder.
+func (c *ShardedScheduler) recordEpoch(t float64) {
 	stats := c.statBuf[:0]
 	for _, sh := range c.shards {
 		st := flight.ShardStat{
@@ -426,15 +427,15 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	if c.flight != nil {
 		// One closing epoch so trailing idle energy and the drained
 		// final state land in the ring.
-		c.recordBarrier(end)
+		c.recordEpoch(end)
 	}
 	return end, c.EnergyJ(), nil
 }
 
-// drive is the event loop (DESIGN.md §22, §24). At the next event
-// time t it fires every event at t, including those t's events
-// schedule at t; at a barrier time the steal pass (stealing on) and
-// the flight epoch (recorder attached) follow.
+// drive is the event loop (DESIGN.md §22, §24, §31). At the next
+// event time t it fires every event at t, including those t's events
+// schedule at t; the steal pass follows at a barrier time, then the
+// flight epoch (recorder attached) at every event time.
 func (c *ShardedScheduler) drive() {
 	inWindow := false
 	for {
@@ -447,30 +448,26 @@ func (c *ShardedScheduler) drive() {
 		for c.step(t) {
 			fired++
 		}
-		if !barrier {
+		if barrier {
+			inWindow = false
+			c.stats.Barriers++
+			c.stealPass(t)
+		} else {
 			if !inWindow {
 				c.stats.Windows++
 				inWindow = true
 			}
 			c.stats.WindowEvents += fired
-			continue
-		}
-		inWindow = false
-		c.stats.Barriers++
-		if c.cfg.Steal {
-			c.stealPass(t)
 		}
 		if c.flight != nil {
-			c.recordBarrier(t)
+			c.recordEpoch(t)
 		}
 	}
 }
 
-// barrierAt reports whether event time t needs a barrier, read before
-// t's events fire:
+// barrierAt reports whether event time t needs a barrier (a steal
+// pass), read before t's events fire:
 //
-//   - always with a flight recorder attached: epoch records sample
-//     every shard at every global event time;
 //   - never with stealing off: shards share no mutable state at all;
 //   - otherwise exactly when the steal pass could move a job at t:
 //     some wait queue is non-empty, or an arrival is due at t. A wait
@@ -482,10 +479,7 @@ func (c *ShardedScheduler) drive() {
 // undelivered arrival, and t is the earliest event time), so the ring
 // head is due at t exactly when its time is t.
 func (c *ShardedScheduler) barrierAt(t float64) bool {
-	switch {
-	case c.flight != nil:
-		return true
-	case !c.cfg.Steal:
+	if !c.cfg.Steal {
 		return false
 	}
 	return (c.arrHead < len(c.arrQ) && c.arrQ[c.arrHead].at <= t) || c.anyQueued()

@@ -15,8 +15,8 @@ import (
 // TestShardedElisionMatchesFullBarriers is the tentpole property: for
 // every seed × shard count × steal mode, the barrier-eliding drive
 // (no steal pass wherever no thief/victim pairing can exist) must be
-// byte-identical to the exact full-barrier cadence a flight
-// recorder pins — makespan and energy bits, per-shard metrics
+// byte-identical to the exact full-barrier cadence of
+// driveFullBarriers — makespan and energy bits, per-shard metrics
 // snapshots, span timelines, and decision JSONL. The dense streams
 // force queueing (and steals, when enabled) so the exact-barrier
 // fallback is exercised; the matrix also proves windows actually
@@ -120,15 +120,15 @@ func TestShardedElisionStealExactness(t *testing.T) {
 		gotStats.Barriers, gotStats.WindowEvents, 100*gotStats.ElidedRatio(), got.stats.Barriers, jobs)
 }
 
-// TestShardedFlightPinsFullBarriers proves the flight-recorder
-// contract: epoch records sample every shard at every global event
-// time, which elision cannot reproduce, so attaching a recorder must
-// force the exact cadence — zero windows, one epoch record per barrier
-// plus the closing epoch — while leaving the run itself unchanged:
-// makespan and energy bits and the steal count equal the elided run's.
+// TestShardedFlightKeepsDriveCadence proves the flight-recorder
+// contract: the recorder closes one epoch at every event time of the
+// drive as it is — one per distinct event time, counted by the
+// full-cadence reference's barriers, plus the closing epoch — and
+// leaves the run unchanged: barrier counts, makespan and energy bits
+// and the steal count equal the unrecorded run's.
 // TestShardedDriveCadence pins the barrier counts themselves.
-func TestShardedFlightPinsFullBarriers(t *testing.T) {
-	run := func(record bool) (*ShardedScheduler, *flight.Recorder, float64, float64) {
+func TestShardedFlightKeepsDriveCadence(t *testing.T) {
+	run := func(record, full bool) (*ShardedScheduler, *flight.Recorder, float64, float64) {
 		fixture(t)
 		prof := NewProfiler(fix.model, sim.NewRNG(99))
 		c, err := NewShardedScheduler(fix.model, fix.db, prof,
@@ -139,25 +139,28 @@ func TestShardedFlightPinsFullBarriers(t *testing.T) {
 		}
 		var fr *flight.Recorder
 		if record {
-			fr = flight.New(flight.Config{Shards: 4, ShardNodes: c.ShardNodes()})
+			fr = flight.New()
 			c.SetFlight(fr)
 		}
 		seededStream(48, 7, 5)(c)
+		if full {
+			driveFullBarriers(c)
+		}
 		mk, en, err := c.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c, fr, mk, en
 	}
-	rec, fr, mkRec, enRec := run(true)
-	free, _, mkFree, enFree := run(false)
-	stats := rec.BarrierStats()
-	if stats.Windows != 0 || stats.WindowEvents != 0 {
-		t.Fatalf("flight-attached run opened %d windows (%d events) — epoch records would skip barriers",
-			stats.Windows, stats.WindowEvents)
+	rec, fr, mkRec, enRec := run(true, false)
+	free, _, mkFree, enFree := run(false, false)
+	ref, _, _, _ := run(false, true)
+	if rec.BarrierStats() != free.BarrierStats() {
+		t.Fatalf("flight-attached run drove %+v, unrecorded run %+v", rec.BarrierStats(), free.BarrierStats())
 	}
-	if got, want := int64(fr.Epochs()), stats.Barriers+1; got != want {
-		t.Fatalf("flight recorded %d epochs over %d barriers, want one per barrier plus the closing epoch", got, stats.Barriers)
+	if got, want := int64(fr.Epochs()), ref.BarrierStats().Barriers+1; got != want {
+		t.Fatalf("flight recorded %d epochs over %d event times, want one per event time plus the closing epoch",
+			got, ref.BarrierStats().Barriers)
 	}
 	if free.BarrierStats().WindowEvents == 0 {
 		t.Fatal("unrecorded run elided nothing — the cadence comparison is vacuous")
@@ -172,9 +175,11 @@ func TestShardedFlightPinsFullBarriers(t *testing.T) {
 // TestShardedDriveCadence pins the drive loop's own counts — exact
 // barriers, free windows, events run inside windows, and steals — for
 // the dense seeded stream and a single-tenant burst at every shard
-// count × steal mode × flight recorder combination. The elision goldens
-// only compare exports, and the repository benchmark reports these
-// counts as its drive.* metrics.
+// count × steal mode, with and without a flight recorder, which must
+// change none of them and close one epoch per distinct event time
+// (times) plus the closing epoch. The elision goldens only compare
+// exports, and the repository benchmark reports these counts as its
+// drive.* metrics.
 func TestShardedDriveCadence(t *testing.T) {
 	burst := func(c *ShardedScheduler) {
 		app := workloads.MustByName("wc")
@@ -187,49 +192,49 @@ func TestShardedDriveCadence(t *testing.T) {
 		"burst":  burst,
 	}
 	cases := []struct {
-		stream   string
-		shards   int
-		steal    bool
-		recorded bool
-		stats    BarrierStats
-		steals   int
+		stream string
+		shards int
+		steal  bool
+		stats  BarrierStats
+		steals int
+		times  int
 	}{
-		{"seeded", 2, false, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 96}, 0},
-		{"seeded", 2, false, true, BarrierStats{Barriers: 96, Windows: 0, WindowEvents: 0}, 0},
-		{"seeded", 2, true, false, BarrierStats{Barriers: 80, Windows: 1, WindowEvents: 16}, 2},
-		{"seeded", 2, true, true, BarrierStats{Barriers: 96, Windows: 0, WindowEvents: 0}, 2},
-		{"seeded", 4, false, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 96}, 0},
-		{"seeded", 4, false, true, BarrierStats{Barriers: 96, Windows: 0, WindowEvents: 0}, 0},
-		{"seeded", 4, true, false, BarrierStats{Barriers: 80, Windows: 1, WindowEvents: 16}, 22},
-		{"seeded", 4, true, true, BarrierStats{Barriers: 96, Windows: 0, WindowEvents: 0}, 22},
-		{"burst", 2, false, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 33}, 0},
-		{"burst", 2, false, true, BarrierStats{Barriers: 9, Windows: 0, WindowEvents: 0}, 0},
-		{"burst", 2, true, false, BarrierStats{Barriers: 3, Windows: 1, WindowEvents: 16}, 16},
-		{"burst", 2, true, true, BarrierStats{Barriers: 5, Windows: 0, WindowEvents: 0}, 16},
-		{"burst", 4, false, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 33}, 0},
-		{"burst", 4, false, true, BarrierStats{Barriers: 17, Windows: 0, WindowEvents: 0}, 0},
-		{"burst", 4, true, false, BarrierStats{Barriers: 3, Windows: 1, WindowEvents: 16}, 24},
-		{"burst", 4, true, true, BarrierStats{Barriers: 5, Windows: 0, WindowEvents: 0}, 24},
+		{"seeded", 2, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 96}, 0, 96},
+		{"seeded", 2, true, BarrierStats{Barriers: 80, Windows: 1, WindowEvents: 16}, 2, 96},
+		{"seeded", 4, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 96}, 0, 96},
+		{"seeded", 4, true, BarrierStats{Barriers: 80, Windows: 1, WindowEvents: 16}, 22, 96},
+		{"burst", 2, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 33}, 0, 9},
+		{"burst", 2, true, BarrierStats{Barriers: 3, Windows: 1, WindowEvents: 16}, 16, 5},
+		{"burst", 4, false, BarrierStats{Barriers: 0, Windows: 1, WindowEvents: 33}, 0, 17},
+		{"burst", 4, true, BarrierStats{Barriers: 3, Windows: 1, WindowEvents: 16}, 24, 5},
 	}
 	for _, tc := range cases {
-		fixture(t)
-		prof := NewProfiler(fix.model, sim.NewRNG(99))
-		c, err := NewShardedScheduler(fix.model, fix.db, prof,
-			func() STP { return NewMemoSTP(fix.lkt, nil) }, 8,
-			ShardedConfig{Shards: tc.shards, Steal: tc.steal})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.recorded {
-			c.SetFlight(flight.New(flight.Config{Shards: tc.shards, ShardNodes: c.ShardNodes()}))
-		}
-		streams[tc.stream](c)
-		if _, _, err := c.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.BarrierStats(); got != tc.stats || c.Steals() != tc.steals {
-			t.Errorf("%s shards=%d steal=%v recorded=%v: cadence %+v with %d steals, want %+v with %d",
-				tc.stream, tc.shards, tc.steal, tc.recorded, got, c.Steals(), tc.stats, tc.steals)
+		for _, recorded := range []bool{false, true} {
+			fixture(t)
+			prof := NewProfiler(fix.model, sim.NewRNG(99))
+			c, err := NewShardedScheduler(fix.model, fix.db, prof,
+				func() STP { return NewMemoSTP(fix.lkt, nil) }, 8,
+				ShardedConfig{Shards: tc.shards, Steal: tc.steal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fr *flight.Recorder
+			if recorded {
+				fr = flight.New()
+				c.SetFlight(fr)
+			}
+			streams[tc.stream](c)
+			if _, _, err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.BarrierStats(); got != tc.stats || c.Steals() != tc.steals {
+				t.Errorf("%s shards=%d steal=%v recorded=%v: cadence %+v with %d steals, want %+v with %d",
+					tc.stream, tc.shards, tc.steal, recorded, got, c.Steals(), tc.stats, tc.steals)
+			}
+			if recorded && fr.Epochs() != tc.times+1 {
+				t.Errorf("%s shards=%d steal=%v: %d epochs, want %d event times plus the closing epoch",
+					tc.stream, tc.shards, tc.steal, fr.Epochs(), tc.times)
+			}
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"ecost/internal/audit"
-	"ecost/internal/flight"
 	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
 	"ecost/internal/sim"
@@ -47,10 +46,10 @@ func runSharded(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *Shard
 	return runShardedMode(t, nodes, cfg, false, submit)
 }
 
-// runShardedMode is runSharded with the drive cadence explicit:
-// recorded true attaches a flight recorder, which makes every event
-// time a barrier — the full cadence the elision goldens diff against.
-func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, recorded bool, submit func(c *ShardedScheduler)) shardedResult {
+// runShardedMode is runSharded with the drive cadence explicit: full
+// true drives every event time as a barrier (driveFullBarriers) — the
+// full cadence the elision goldens diff against.
+func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, full bool, submit func(c *ShardedScheduler)) shardedResult {
 	t.Helper()
 	fixture(t)
 	prof := NewProfiler(fix.model, sim.NewRNG(99))
@@ -65,10 +64,10 @@ func runShardedMode(t *testing.T, nodes int, cfg ShardedConfig, recorded bool, s
 	c.SetTracer(ts)
 	aud := audit.NewLog(audit.DriftConfig{})
 	c.SetAudit(aud)
-	if recorded {
-		c.SetFlight(flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: c.ShardNodes()}))
-	}
 	submit(c)
+	if full {
+		driveFullBarriers(c)
+	}
 	mk, en, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +120,8 @@ func submitWS4(t *testing.T) func(c *ShardedScheduler) {
 // unsharded reference in testdata/ws4_online.golden byte for byte —
 // makespan and energy bits, metrics snapshot, span timeline, decision
 // JSONL — under every control-plane setting that has no effect with a
-// single shard: the steal pass (no neighbor to claim from) and the
-// flight recorder's pinned full barrier cadence, at GOMAXPROCS 1 and 4.
+// single shard: the steal pass (no neighbor to claim from) and the full
+// barrier cadence, at GOMAXPROCS 1 and 4.
 // The router profiles serially at submission instead of inside arrival
 // events, so this also proves the profiling-order contract
 // (nondecreasing arrivals ⇒ identical sampler draws) on every path.
@@ -132,17 +131,17 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name     string
-		cfg      ShardedConfig
-		recorded bool
+		name string
+		cfg  ShardedConfig
+		full bool
 	}{
 		{"steal", ShardedConfig{Shards: 1, Steal: true}, false},
-		{"recorded", ShardedConfig{Shards: 1}, true},
-		{"steal+recorded", ShardedConfig{Shards: 1, Steal: true}, true},
+		{"full", ShardedConfig{Shards: 1}, true},
+		{"steal+full", ShardedConfig{Shards: 1, Steal: true}, true},
 	} {
 		for _, procs := range []int{1, 4} {
 			old := runtime.GOMAXPROCS(procs)
-			r := runShardedMode(t, 2, tc.cfg, tc.recorded, submitWS4(t))
+			r := runShardedMode(t, 2, tc.cfg, tc.full, submitWS4(t))
 			runtime.GOMAXPROCS(old)
 			if r.steals != 0 {
 				t.Fatalf("%s GOMAXPROCS=%d: a lone shard stole %d jobs", tc.name, procs, r.steals)

@@ -50,7 +50,7 @@ func onlineScenarioShardedObserved(env *Env, spec scenario.Spec, nodes int, cfg 
 		sched.SetMetrics(obs.reg)
 		sched.SetAudit(obs.aud)
 		sched.SetTracer(obs.trace)
-		obs.flight = flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: sched.ShardNodes()})
+		obs.flight = flight.New()
 		sched.SetFlight(obs.flight)
 	}
 	data, done, sched, err := runStream(env, arrivals, nodes, cfg,

@@ -43,44 +43,21 @@ type Dump struct {
 	Records []EpochRecord
 }
 
-// evalTriggers runs the anomaly checks for the epoch just recorded.
-// Caller holds r.mu.
-func (r *Recorder) evalTriggers(epoch int, t float64, stats []ShardStat, drift bool) {
-	if drift {
-		// Collect the epoch's marks back out of the just-appended
-		// records (they were moved off the collectors).
-		var shards []int
-		var tenants []string
-		seenT := map[string]bool{}
-		worst := 0.0
-		recs := r.snapshotLocked()
-		for _, rec := range recs {
-			if rec.Epoch != epoch || len(rec.Drift) == 0 {
-				continue
-			}
-			shards = append(shards, rec.Shard)
-			for _, m := range rec.Drift {
-				if !seenT[m.Tenant] {
-					seenT[m.Tenant] = true
-					tenants = append(tenants, m.Tenant)
-				}
-				if m.Stat > worst {
-					worst = m.Stat
-				}
-			}
-		}
-		sort.Strings(tenants)
-		r.fire(Trigger{
-			Kind: TriggerDrift, AtS: t, Epoch: epoch,
-			Shards: shards, Tenants: tenants, Value: worst,
-		})
+// evalTriggers runs the anomaly checks for the epoch just recorded;
+// drift is the epoch's drift trigger, with no shards when no mark
+// landed. Caller holds r.mu.
+func (r *Recorder) evalTriggers(epoch int, t float64, stats []ShardStat, drift Trigger) {
+	if drift.Shards != nil {
+		sort.Strings(drift.Tenants)
+		drift.Kind, drift.AtS, drift.Epoch = TriggerDrift, t, epoch
+		r.fire(drift)
 	}
 
 	load := 0
 	for _, st := range stats {
 		load += st.Queue + st.Active
 	}
-	if load < r.cfg.QueueFloor {
+	if load < queueFloorPerShard*len(stats) {
 		return
 	}
 	// The hottest shard is the implicated one for both load triggers.
@@ -90,18 +67,18 @@ func (r *Recorder) evalTriggers(epoch int, t float64, stats []ShardStat, drift b
 			hot, hotLoad = i, l
 		}
 	}
-	if r.qn == len(r.qt) && r.slope > r.cfg.QueueSlopeBound {
+	if r.qn == len(r.qt) && r.slope > queueSlopeBound {
 		r.fire(Trigger{
 			Kind: TriggerQueue, AtS: t, Epoch: epoch,
 			Shards: []int{hot}, Tenants: r.tenantsOf(hot),
-			Value: r.slope, Bound: r.cfg.QueueSlopeBound,
+			Value: r.slope, Bound: queueSlopeBound,
 		})
 	}
-	if r.fairLast < r.cfg.FairnessMin {
+	if r.fairLast < fairnessMin {
 		r.fire(Trigger{
 			Kind: TriggerImbalance, AtS: t, Epoch: epoch,
 			Shards: []int{hot}, Tenants: r.tenantsOf(hot),
-			Value: r.fairLast, Bound: r.cfg.FairnessMin,
+			Value: r.fairLast, Bound: fairnessMin,
 		})
 	}
 }
@@ -120,10 +97,10 @@ func (r *Recorder) fire(tr Trigger) {
 	if len(r.triggers) < maxKeptTriggers {
 		r.triggers = append(r.triggers, tr)
 	}
-	if len(r.dumps) >= r.cfg.MaxDumps || tr.Epoch < r.cooldownUntil {
+	if len(r.dumps) >= maxDumps || tr.Epoch < r.cooldownUntil {
 		return
 	}
-	r.cooldownUntil = tr.Epoch + r.cfg.CooldownEpochs
+	r.cooldownUntil = tr.Epoch + cooldownEpochs
 	r.dumps = append(r.dumps, Dump{Trigger: tr, Records: r.snapshotLocked()})
 }
 

@@ -1,99 +1,67 @@
 // Package flight is the control plane's black box: a nil-safe,
 // fixed-size ring-buffer flight recorder fed by one wide event per
-// shard per barrier epoch. Per-decision logs (tracing spans, audit
-// JSONL) do not survive 130k jobs/s; the recorder keeps a bounded
-// always-on window of per-shard state — queue depth, free slots,
-// active jobs, steal flow by neighbor, accrued energy, tune-cache hit
-// rate, forecast-error summary — and aggregates it into shard-health
-// observables (steal-flow matrix, Jain's fairness index, queue-growth
-// slope, power skew). Anomaly triggers snapshot the ring into a
-// deterministic JSONL dump naming the implicated tenants, shards, and
-// epochs.
+// shard per epoch — one epoch per event time of the drive. Per-decision
+// logs (tracing spans, audit JSONL) do not survive 130k jobs/s; the
+// recorder keeps a bounded always-on window of per-shard state — queue
+// depth, free slots, active jobs, steal flow by neighbor, accrued
+// energy, tune-cache hit rate, forecast-error summary — and aggregates
+// it into shard-health observables (steal-flow matrix, Jain's fairness
+// index, queue-growth slope, power skew). Anomaly triggers snapshot the
+// ring into a deterministic JSONL dump naming the implicated tenants,
+// shards, and epochs.
 //
 // Like every observability layer in this repo (metrics, tracing,
-// audit), a nil *Recorder and a nil *Collector are valid and disabled:
-// every method short-circuits on a single inlined branch, so the
-// instrumented hot paths cost nothing when flight recording is off
-// (benchguard-gated by BenchmarkDisabledEpochRecord and
-// BenchmarkDisabledFlightAppend).
+// audit), a nil *Recorder is valid and disabled: every method
+// short-circuits on a single inlined branch, so the instrumented hot
+// paths cost nothing when flight recording is off (benchguard-gated by
+// BenchmarkDisabledEpochRecord and BenchmarkDisabledFlightAppend).
 //
-// Determinism contract: the recorder is driven only from the sharded
-// control plane's barrier loop (RecordEpoch, Steal) and from per-shard
-// collectors that are written exclusively by their shard's events
-// between barriers, on the goroutine that drains them. Every export —
-// epoch records, health report, flight dumps — is therefore a pure
-// function of the submitted stream, byte-identical at any GOMAXPROCS.
-// The mutex on Recorder exists only for live HTTP reads during a run;
-// it never reorders writes.
+// Determinism contract: one control plane sizes and feeds the
+// recorder, all from its drive loop's goroutine — joins and drift
+// marks from its shards' events, tagged with the shard, and steals and
+// epochs from the loop itself. Every export — epoch records, health
+// report, flight dumps — is therefore a pure function of the submitted
+// stream, byte-identical at any GOMAXPROCS. The mutex on Recorder
+// exists only for live HTTP reads during a run; it never reorders
+// writes.
 package flight
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// Config parameterizes the recorder. The zero value of every field is
-// replaced by the documented default in New, so callers set only what
-// they tune.
-type Config struct {
-	// Shards is the shard count (required, >= 1).
-	Shards int
-	// ShardNodes holds each shard's node count, used to normalize the
-	// power-skew observable to per-node watts (an uneven node split is
-	// not a power anomaly). Nil weighs every shard equally.
-	ShardNodes []int
-	// RingCap bounds the record ring (one record per shard per epoch).
-	// Default 4096, clamped to at least Shards so a full epoch fits.
-	RingCap int
-	// QueueSlopeBound is the queue-growth trigger threshold in queued
+// The recorder's tuning. No program tunes it; the bounds that scale
+// with the shard count (the ring holds at least one full epoch, the
+// load floor is four jobs per shard) are applied when a control plane
+// sizes the recorder.
+const (
+	// ringCap bounds the record ring (one record per shard per epoch).
+	ringCap = 4096
+	// queueSlopeBound is the queue-growth trigger threshold in queued
 	// jobs per simulated second, measured by least squares over the
-	// slope window. Default 0.5.
-	QueueSlopeBound float64
-	// QueueSlopeWindow is how many barrier samples the slope regression
-	// spans. Default 64.
-	QueueSlopeWindow int
-	// FairnessMin is the imbalance trigger threshold on the
-	// instantaneous Jain index over per-shard load. Default 0.5.
-	FairnessMin float64
-	// QueueFloor gates the queue-growth and imbalance triggers: below
-	// this total load (queued + active jobs) a skewed cluster is merely
-	// idle, not anomalous. Default 4*Shards.
-	QueueFloor int
-	// MaxDumps caps how many ring snapshots a run keeps. Default 8.
-	MaxDumps int
-	// CooldownEpochs suppresses new dumps for this many epochs after
+	// slope window.
+	queueSlopeBound = 0.5
+	// queueSlopeWindow is how many epoch samples the slope regression
+	// spans.
+	queueSlopeWindow = 64
+	// fairnessMin is the imbalance trigger threshold on the
+	// instantaneous Jain index over per-shard load.
+	fairnessMin = 0.5
+	// queueFloorPerShard gates the queue-growth and imbalance triggers:
+	// below this many jobs (queued + active) per shard a skewed cluster
+	// is merely idle, not anomalous.
+	queueFloorPerShard = 4
+	// maxDumps caps how many ring snapshots a run keeps.
+	maxDumps = 8
+	// cooldownEpochs suppresses new dumps for this many epochs after
 	// one fires, so a sustained anomaly yields one snapshot, not
-	// thousands. Default 256.
-	CooldownEpochs int
-}
+	// thousands.
+	cooldownEpochs = 256
+)
 
-func (c Config) withDefaults() Config {
-	if c.RingCap <= 0 {
-		c.RingCap = 4096
-	}
-	if c.RingCap < c.Shards {
-		c.RingCap = c.Shards
-	}
-	if c.QueueSlopeBound <= 0 {
-		c.QueueSlopeBound = 0.5
-	}
-	if c.QueueSlopeWindow <= 1 {
-		c.QueueSlopeWindow = 64
-	}
-	if c.FairnessMin <= 0 {
-		c.FairnessMin = 0.5
-	}
-	if c.QueueFloor <= 0 {
-		c.QueueFloor = 4 * c.Shards
-	}
-	if c.MaxDumps <= 0 {
-		c.MaxDumps = 8
-	}
-	if c.CooldownEpochs <= 0 {
-		c.CooldownEpochs = 256
-	}
-	return c
-}
-
-// ShardStat is one shard's state at a barrier, sampled by the control
-// plane after the epoch's events and steal pass have run. Energy and
+// ShardStat is one shard's state at the end of an epoch, sampled by the
+// control plane after the epoch's events and any steal pass have run. Energy and
 // tune-cache counts are cumulative; the recorder differences them into
 // per-epoch records where needed.
 type ShardStat struct {
@@ -123,7 +91,7 @@ type DriftMark struct {
 }
 
 // EpochRecord is the wide event: one shard's full state for one
-// barrier epoch. StartS/EndS bound the epoch's sim-time window;
+// epoch. StartS/EndS bound the epoch's sim-time window;
 // EnergyJ and TuneHits/TuneMisses are cumulative readings at EndS
 // (differencing them across records gives per-epoch deltas without
 // losing the running totals a dump reader wants).
@@ -145,53 +113,31 @@ type EpochRecord struct {
 	Drift      []DriftMark `json:"drift,omitempty"`
 }
 
-// Collector is one shard's epoch-scoped accumulator. The shard's
-// scheduler appends forecast joins and drift alerts as its events run;
-// the recorder drains it at the next barrier. A nil *Collector is
-// valid and disabled. No locking: the owning shard's events are the
-// only writer between barriers, and they run on the goroutine that
-// drains the collector at the barrier.
-type Collector struct {
+// epochAcc accumulates one shard's forecast joins and drift marks
+// between epochs; recordEpoch drains it into the shard's record.
+type epochAcc struct {
 	joins  int64
 	errSum float64
 	drifts []DriftMark
 }
 
-// Join records one audited forecast join (relative EDP error, percent).
-func (c *Collector) Join(relErrPct float64) {
-	if c == nil {
-		return
-	}
-	c.join(relErrPct)
-}
-
-func (c *Collector) join(relErrPct float64) {
-	c.joins++
-	c.errSum += relErrPct
-}
-
-// Drift records one CUSUM drift alert against tenant ("app:class").
-func (c *Collector) Drift(job int, tenant string, stat float64) {
-	if c == nil {
-		return
-	}
-	c.drift(job, tenant, stat)
-}
-
-func (c *Collector) drift(job int, tenant string, stat float64) {
-	c.drifts = append(c.drifts, DriftMark{Job: job, Tenant: tenant, Stat: stat})
-}
-
 type flowEdge struct{ from, to int }
 
-// Recorder is the flight recorder. Build with New, hand each shard its
-// Collector, then drive Steal/RecordEpoch from the barrier loop. A nil
-// *Recorder is valid and disabled.
+// Recorder is the flight recorder. Build with New and hand it to the
+// control plane (ShardedScheduler.SetFlight), which sizes it with
+// Attach and drives Join/Drift from its shards' events and
+// Steal/RecordEpoch from its drive loop. A nil *Recorder is valid and
+// disabled.
 type Recorder struct {
-	mu  sync.Mutex
-	cfg Config
+	mu sync.Mutex
 
-	cols []*Collector
+	nodes []int // each shard's node count
+
+	// cur holds each shard's joins and drift marks since the last
+	// epoch. Only the drive loop touches it — Join and Drift from the
+	// shards' events, recordEpoch draining it — so it takes no lock;
+	// readers never see it.
+	cur []epochAcc
 
 	ring    []EpochRecord
 	next    int // ring write position
@@ -199,7 +145,7 @@ type Recorder struct {
 	epochs  int // epochs recorded (== next epoch index)
 	dropped int // records overwritten by ring wrap
 
-	pend map[flowEdge]int64 // steals since the last barrier record
+	pend map[flowEdge]int64 // steals since the last epoch record
 	flow [][]int64          // cumulative steal-flow matrix [from][to]
 
 	// cumulative per-shard aggregates
@@ -225,61 +171,74 @@ type Recorder struct {
 	tenants func(shard, max int) []string
 }
 
-// New builds a recorder for cfg.Shards shards. Returns nil (the
-// disabled recorder) when cfg.Shards < 1.
-func New(cfg Config) *Recorder {
-	if cfg.Shards < 1 {
-		return nil
-	}
-	cfg = cfg.withDefaults()
-	r := &Recorder{
-		cfg:      cfg,
-		cols:     make([]*Collector, cfg.Shards),
-		ring:     make([]EpochRecord, 0, cfg.RingCap),
-		pend:     make(map[flowEdge]int64),
-		flow:     make([][]int64, cfg.Shards),
-		loadJobS: make([]float64, cfg.Shards),
-		joins:    make([]int64, cfg.Shards),
-		errSum:   make([]float64, cfg.Shards),
-		drifts:   make([]int64, cfg.Shards),
-		last:     make([]ShardStat, cfg.Shards),
-		qt:       make([]float64, cfg.QueueSlopeWindow),
-		qv:       make([]float64, cfg.QueueSlopeWindow),
-		fairLast: 1,
-	}
-	for i := range r.cols {
-		r.cols[i] = &Collector{}
-	}
-	for i := range r.flow {
-		r.flow[i] = make([]int64, cfg.Shards)
-	}
-	return r
-}
+// New returns a recorder for the control plane to size (see Attach).
+func New() *Recorder { return &Recorder{} }
 
-// Collector returns shard i's collector (nil on a nil recorder — the
-// disabled collector).
-func (r *Recorder) Collector(i int) *Collector {
-	if r == nil {
-		return nil
-	}
-	return r.cols[i]
-}
-
-// SetTenantSource installs the callback a trigger uses to name the
-// implicated tenants of a hot shard (e.g. the most-queued application
-// names). It is invoked only when a trigger fires, from the barrier
-// goroutine, so it may read shard state directly.
-func (r *Recorder) SetTenantSource(fn func(shard, max int) []string) {
+// Attach sizes the recorder for a control plane whose shard i owns
+// nodes[i] nodes — the per-node normalizer of the power-skew
+// observable, since an uneven node split is not a power anomaly — and
+// installs tenants, the callback a trigger uses to name a hot shard's
+// most-queued applications (nil names none). A trigger invokes it on
+// the drive loop's goroutine, so it may read shard state directly.
+// Attach discards anything recorded before; call it before anything
+// reads the recorder.
+func (r *Recorder) Attach(nodes []int, tenants func(shard, max int) []string) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.tenants = fn
-	r.mu.Unlock()
+	s := len(nodes)
+	*r = Recorder{
+		nodes:    nodes,
+		cur:      make([]epochAcc, s),
+		ring:     make([]EpochRecord, 0, max(ringCap, s)),
+		pend:     make(map[flowEdge]int64),
+		flow:     make([][]int64, s),
+		loadJobS: make([]float64, s),
+		joins:    make([]int64, s),
+		errSum:   make([]float64, s),
+		drifts:   make([]int64, s),
+		last:     make([]ShardStat, s),
+		qt:       make([]float64, queueSlopeWindow),
+		qv:       make([]float64, queueSlopeWindow),
+		fairLast: 1,
+		tenants:  tenants,
+	}
+	for i := range r.flow {
+		r.flow[i] = make([]int64, s)
+	}
+}
+
+// Join records one audited forecast join (relative EDP error, percent)
+// at shard.
+func (r *Recorder) Join(shard int, relErrPct float64) {
+	if r == nil {
+		return
+	}
+	r.join(shard, relErrPct)
+}
+
+func (r *Recorder) join(shard int, relErrPct float64) {
+	a := &r.cur[shard]
+	a.joins++
+	a.errSum += relErrPct
+}
+
+// Drift records one CUSUM drift alert at shard against tenant
+// ("app:class").
+func (r *Recorder) Drift(shard, job int, tenant string, stat float64) {
+	if r == nil {
+		return
+	}
+	r.drift(shard, job, tenant, stat)
+}
+
+func (r *Recorder) drift(shard, job int, tenant string, stat float64) {
+	a := &r.cur[shard]
+	a.drifts = append(a.drifts, DriftMark{Job: job, Tenant: tenant, Stat: stat})
 }
 
 // Steal records one stolen job migrating from shard `from` to shard
-// `to`, called from the barrier steal pass.
+// `to`, called from the steal pass.
 func (r *Recorder) Steal(from, to int) {
 	if r == nil {
 		return
@@ -294,8 +253,8 @@ func (r *Recorder) steal(from, to int) {
 	r.mu.Unlock()
 }
 
-// RecordEpoch closes one barrier epoch spanning sim time [t0, t1]:
-// it drains every shard's collector and the pending steal flows into
+// RecordEpoch closes one epoch spanning sim time [t0, t1]: it drains
+// every shard's joins and drift marks and the pending steal flows into
 // one wide record per shard, appends them to the ring, refreshes the
 // aggregate observables, and evaluates the anomaly triggers. stats
 // must hold one entry per shard, in shard order.
@@ -311,7 +270,7 @@ func (r *Recorder) recordEpoch(t0, t1 float64, stats []ShardStat) {
 	defer r.mu.Unlock()
 	epoch := r.epochs
 	r.epochs++
-	s := r.cfg.Shards
+	s := len(r.cur)
 
 	// Fold the pending steal edges into per-shard sorted flow lists.
 	var in, out [][]Flow
@@ -331,7 +290,10 @@ func (r *Recorder) recordEpoch(t0, t1 float64, stats []ShardStat) {
 		clear(r.pend)
 	}
 
-	driftThisEpoch := false
+	// drift gathers the epoch's drift marks into its trigger as the
+	// records are built: the shards that raised one, their tenants and
+	// the worst CUSUM statistic.
+	var drift Trigger
 	for i := 0; i < s; i++ {
 		st := stats[i]
 		rec := EpochRecord{
@@ -349,21 +311,27 @@ func (r *Recorder) recordEpoch(t0, t1 float64, stats []ShardStat) {
 		if in != nil {
 			rec.StealsIn, rec.StealsOut = in[i], out[i]
 		}
-		// Drain the shard collector (ordered after the epoch's event
-		// processing by the barrier's WaitGroup).
-		c := r.cols[i]
-		if c.joins > 0 {
-			rec.Joins = int(c.joins)
-			rec.ErrMeanPct = c.errSum / float64(c.joins)
-			r.joins[i] += c.joins
-			r.errSum[i] += c.errSum
-			c.joins, c.errSum = 0, 0
+		a := &r.cur[i]
+		if a.joins > 0 {
+			rec.Joins = int(a.joins)
+			rec.ErrMeanPct = a.errSum / float64(a.joins)
+			r.joins[i] += a.joins
+			r.errSum[i] += a.errSum
+			a.joins, a.errSum = 0, 0
 		}
-		if len(c.drifts) > 0 {
-			rec.Drift = append([]DriftMark(nil), c.drifts...)
-			r.drifts[i] += int64(len(c.drifts))
-			c.drifts = c.drifts[:0]
-			driftThisEpoch = true
+		if len(a.drifts) > 0 {
+			rec.Drift = append([]DriftMark(nil), a.drifts...)
+			r.drifts[i] += int64(len(a.drifts))
+			a.drifts = a.drifts[:0]
+			drift.Shards = append(drift.Shards, i)
+			for _, m := range rec.Drift {
+				if !slices.Contains(drift.Tenants, m.Tenant) {
+					drift.Tenants = append(drift.Tenants, m.Tenant)
+				}
+				if m.Stat > drift.Value {
+					drift.Value = m.Stat
+				}
+			}
 		}
 		r.append(rec)
 
@@ -386,7 +354,7 @@ func (r *Recorder) recordEpoch(t0, t1 float64, stats []ShardStat) {
 	r.slope = slope(r.qt[:r.qn], r.qv[:r.qn])
 	r.fairLast = jainStats(stats)
 
-	r.evalTriggers(epoch, t1, stats, driftThisEpoch)
+	r.evalTriggers(epoch, t1, stats, drift)
 }
 
 // append pushes one record into the ring, overwriting the oldest when

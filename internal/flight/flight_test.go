@@ -12,18 +12,26 @@ func stat(queue, active int, energy float64) ShardStat {
 	return ShardStat{Queue: queue, Active: active, EnergyJ: energy}
 }
 
+// sized returns a recorder attached to a plane of the given shard
+// count, one node per shard.
+func sized(shards int, tenants func(shard, max int) []string) *Recorder {
+	r := New()
+	nodes := make([]int, shards)
+	for i := range nodes {
+		nodes[i] = 1
+	}
+	r.Attach(nodes, tenants)
+	return r
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Recorder
-	var c *Collector
 	// Every disabled-path call must be a no-op, not a panic.
 	r.RecordEpoch(0, 1, nil)
 	r.Steal(0, 1)
-	r.SetTenantSource(nil)
-	c.Join(12.5)
-	c.Drift(1, "nb:C", 50)
-	if r.Collector(3) != nil {
-		t.Error("nil recorder handed out a collector")
-	}
+	r.Attach([]int{1, 1}, nil)
+	r.Join(3, 12.5)
+	r.Drift(3, 1, "nb:C", 50)
 	if got := r.Snapshot(); got != nil {
 		t.Errorf("nil recorder snapshot = %v", got)
 	}
@@ -40,24 +48,26 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WriteEpochs(&buf, -1); err != nil || buf.Len() != 0 {
 		t.Errorf("nil WriteEpochs: err=%v len=%d", err, buf.Len())
 	}
-	if New(Config{Shards: 0}) != nil {
-		t.Error("New with zero shards should return the disabled recorder")
+	if New() == nil {
+		t.Error("New returned the disabled recorder")
 	}
 }
 
 func TestRingWrap(t *testing.T) {
-	r := New(Config{Shards: 2, RingCap: 6})
-	for e := 0; e < 5; e++ {
+	r := sized(2, nil)
+	const epochs = ringCap/2 + 3
+	for e := 0; e < epochs; e++ {
 		t0, t1 := float64(e), float64(e+1)
 		r.RecordEpoch(t0, t1, []ShardStat{stat(e, 0, 0), stat(0, e, 0)})
 	}
 	recs := r.Snapshot()
-	if len(recs) != 6 {
-		t.Fatalf("ring holds %d records, want cap 6", len(recs))
+	if len(recs) != ringCap {
+		t.Fatalf("ring holds %d records, want cap %d", len(recs), ringCap)
 	}
-	// 5 epochs x 2 shards = 10 records; the 4 oldest fell off.
-	if h := r.Health(); h.Dropped != 4 || h.Epochs != 5 {
-		t.Fatalf("dropped=%d epochs=%d, want 4/5", h.Dropped, h.Epochs)
+	// ringCap/2+3 epochs x 2 shards = ringCap+6 records; the 6 oldest
+	// fell off.
+	if h := r.Health(); h.Dropped != 6 || h.Epochs != epochs {
+		t.Fatalf("dropped=%d epochs=%d, want 6/%d", h.Dropped, h.Epochs, epochs)
 	}
 	// Chronological: epoch nondecreasing, shard ascending within epoch.
 	for i := 1; i < len(recs); i++ {
@@ -66,8 +76,12 @@ func TestRingWrap(t *testing.T) {
 			t.Fatalf("snapshot not chronological at %d: %+v then %+v", i, a, b)
 		}
 	}
-	if recs[0].Epoch != 2 || recs[len(recs)-1].Epoch != 4 {
-		t.Fatalf("window spans epochs %d..%d, want 2..4", recs[0].Epoch, recs[len(recs)-1].Epoch)
+	if recs[0].Epoch != 3 || recs[len(recs)-1].Epoch != epochs-1 {
+		t.Fatalf("window spans epochs %d..%d, want 3..%d", recs[0].Epoch, recs[len(recs)-1].Epoch, epochs-1)
+	}
+	// A plane with more shards than ringCap still fits a full epoch.
+	if h := sized(ringCap+1, nil).Health(); h.RingCap != ringCap+1 {
+		t.Fatalf("ring cap %d for %d shards, want one full epoch", h.RingCap, ringCap+1)
 	}
 }
 
@@ -118,7 +132,7 @@ func TestPowerSkew(t *testing.T) {
 }
 
 func TestStealFlowMatrix(t *testing.T) {
-	r := New(Config{Shards: 3})
+	r := sized(3, nil)
 	r.Steal(0, 1)
 	r.Steal(0, 1)
 	r.Steal(2, 0)
@@ -141,22 +155,22 @@ func TestStealFlowMatrix(t *testing.T) {
 	}
 }
 
-// driveGrowth feeds a linearly growing queue concentrated on shard 0
-// until the slope window is full and past the floor.
+// driveGrowth feeds a linearly growing queue, heaviest on shard 0 but
+// fair enough that the imbalance trigger stays quiet, until the slope
+// window is full and past the floor.
 func driveGrowth(r *Recorder, epochs int) {
 	for e := 0; e < epochs; e++ {
 		q := 10 * (e + 1)
-		r.RecordEpoch(float64(e), float64(e+1), []ShardStat{stat(q, 0, 0), stat(0, 0, 0)})
+		r.RecordEpoch(float64(e), float64(e+1), []ShardStat{stat(q, 0, 0), stat(q/2, 0, 0)})
 	}
 }
 
 func TestTriggerQueueGrowth(t *testing.T) {
-	r := New(Config{Shards: 2, QueueSlopeWindow: 8, QueueSlopeBound: 1, FairnessMin: 0.01})
-	r.SetTenantSource(func(shard, max int) []string { return []string{"nb", "pr"} })
-	driveGrowth(r, 12)
+	r := sized(2, func(shard, max int) []string { return []string{"nb", "pr"} })
+	driveGrowth(r, queueSlopeWindow+8)
 	h := r.Health()
-	if h.QueueSlope <= 1 {
-		t.Fatalf("slope = %v, want > 1", h.QueueSlope)
+	if h.QueueSlope <= queueSlopeBound {
+		t.Fatalf("slope = %v, want > %v", h.QueueSlope, queueSlopeBound)
 	}
 	var tr *Trigger
 	for i := range h.Triggers {
@@ -184,7 +198,8 @@ func TestTriggerQueueGrowth(t *testing.T) {
 }
 
 func TestTriggerImbalance(t *testing.T) {
-	r := New(Config{Shards: 4, FairnessMin: 0.5, QueueFloor: 8})
+	// Four shards: a load floor of 16 jobs.
+	r := sized(4, nil)
 	// All load on one shard: J = 1/4 < 0.5.
 	r.RecordEpoch(0, 1, []ShardStat{stat(20, 4, 0), {}, {}, {}})
 	h := r.Health()
@@ -195,7 +210,7 @@ func TestTriggerImbalance(t *testing.T) {
 		t.Errorf("fairness = %v, want 0.25", h.FairnessQueue)
 	}
 	// Below the floor nothing fires, however skewed.
-	r2 := New(Config{Shards: 4, FairnessMin: 0.5, QueueFloor: 8})
+	r2 := sized(4, nil)
 	r2.RecordEpoch(0, 1, []ShardStat{stat(2, 1, 0), {}, {}, {}})
 	if h2 := r2.Health(); h2.TriggersTotal != 0 {
 		t.Errorf("under-floor skew fired %d triggers", h2.TriggersTotal)
@@ -203,12 +218,11 @@ func TestTriggerImbalance(t *testing.T) {
 }
 
 func TestTriggerDriftNamesTenant(t *testing.T) {
-	r := New(Config{Shards: 2})
-	c := r.Collector(1)
-	c.Join(120)
-	c.Join(80)
-	c.Drift(7, "nb:C", 55.2)
-	c.Drift(9, "st:I/O", 41.0)
+	r := sized(2, nil)
+	r.Join(1, 120)
+	r.Join(1, 80)
+	r.Drift(1, 7, "nb:C", 55.2)
+	r.Drift(1, 9, "st:I/O", 41.0)
 	r.RecordEpoch(0, 40, []ShardStat{{}, stat(1, 1, 9.5)})
 	dumps := r.Dumps()
 	if len(dumps) != 1 {
@@ -246,16 +260,16 @@ func TestTriggerDriftNamesTenant(t *testing.T) {
 // TestExportsDeterministic replays the same synthetic stream twice and
 // requires byte-identical health, epochs, and dump exports — the same
 // purity contract the run-level GOMAXPROCS goldens enforce end to end.
+// The stream wraps the ring and fires drift and queue-growth triggers.
 func TestExportsDeterministic(t *testing.T) {
+	const epochs = ringCap/3 + 10
 	build := func() *Recorder {
-		r := New(Config{Shards: 3, RingCap: 16, QueueSlopeWindow: 4, QueueSlopeBound: 0.1})
-		r.SetTenantSource(func(shard, max int) []string { return []string{"km"} })
-		for e := 0; e < 10; e++ {
+		r := sized(3, func(shard, max int) []string { return []string{"km"} })
+		for e := 0; e < epochs; e++ {
 			r.Steal(0, (e%2)+1)
-			c := r.Collector(e % 3)
-			c.Join(float64(10 * e))
+			r.Join(e%3, float64(10*e))
 			if e == 7 {
-				c.Drift(e, "km:C", 60)
+				r.Drift(e%3, e, "km:C", 60)
 			}
 			r.RecordEpoch(float64(e), float64(e+1),
 				[]ShardStat{stat(5*e, 1, float64(100*e)), stat(e, 0, 50), stat(0, 2, 75)})
@@ -285,9 +299,12 @@ func TestExportsDeterministic(t *testing.T) {
 	if !strings.Contains(a, "stp_drift_alert") {
 		t.Fatalf("expected a drift trigger in:\n%s", a)
 	}
+	if h := build().Health(); h.Dropped == 0 || !strings.Contains(a, TriggerQueue) {
+		t.Fatalf("stream must wrap the ring and grow the queue: dropped %d, triggers %+v", h.Dropped, h.Triggers)
+	}
 }
 
-// BenchmarkDisabledEpochRecord measures the nil recorder's barrier
+// BenchmarkDisabledEpochRecord measures the nil recorder's per-epoch
 // cost: a single inlined branch (benchguard-gated at ≤1 ns, 0 allocs).
 func BenchmarkDisabledEpochRecord(b *testing.B) {
 	var r *Recorder
@@ -298,13 +315,13 @@ func BenchmarkDisabledEpochRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkDisabledFlightAppend measures the nil collector's per-join
+// BenchmarkDisabledFlightAppend measures the nil recorder's per-join
 // cost on the scheduler's completion path (benchguard-gated at ≤1 ns,
 // 0 allocs).
 func BenchmarkDisabledFlightAppend(b *testing.B) {
-	var c *Collector
+	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Join(12.5)
+		r.Join(0, 12.5)
 	}
 }

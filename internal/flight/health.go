@@ -62,7 +62,7 @@ func slope(t, q []float64) float64 {
 }
 
 // powerSkew is max/mean of the shards' per-node cumulative energy
-// (ShardNodes-normalized): 1 when power is perfectly balanced, rising
+// (normalized by each shard's node count; nil weighs shards equally): 1 when power is perfectly balanced, rising
 // as one shard's nodes burn disproportionately.
 func powerSkew(last []ShardStat, nodes []int) float64 {
 	var sum, max float64
@@ -85,7 +85,7 @@ func powerSkew(last []ShardStat, nodes []int) float64 {
 }
 
 // ShardHealth is one shard's row in the health report: the latest
-// barrier state plus the run-cumulative aggregates.
+// epoch state plus the run-cumulative aggregates.
 type ShardHealth struct {
 	Shard      int     `json:"shard"`
 	Nodes      int     `json:"nodes,omitempty"`
@@ -133,7 +133,7 @@ func (r *Recorder) Health() HealthReport {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.cfg.Shards
+	s := len(r.cur)
 	h := HealthReport{
 		Shards:        s,
 		Epochs:        r.epochs,
@@ -145,8 +145,8 @@ func (r *Recorder) Health() HealthReport {
 		FairnessQueue: r.fairLast,
 		FairnessLoad:  jain(r.loadJobS),
 		QueueSlope:    r.slope,
-		SlopeWindow:   r.cfg.QueueSlopeWindow,
-		PowerSkew:     powerSkew(r.last, r.cfg.ShardNodes),
+		SlopeWindow:   queueSlopeWindow,
+		PowerSkew:     powerSkew(r.last, r.nodes),
 		Triggers:      append([]Trigger(nil), r.triggers...),
 		TriggersTotal: r.triggersTotal,
 		Dumps:         len(r.dumps),
@@ -163,6 +163,7 @@ func (r *Recorder) Health() HealthReport {
 	for i := 0; i < s; i++ {
 		sh := ShardHealth{
 			Shard:      i,
+			Nodes:      r.nodes[i],
 			Queue:      r.last[i].Queue,
 			Free:       r.last[i].Free,
 			Active:     r.last[i].Active,
@@ -174,9 +175,6 @@ func (r *Recorder) Health() HealthReport {
 			LoadJobS:   r.loadJobS[i],
 			StealsIn:   stealsIn[i],
 			StealsOut:  stealsOut[i],
-		}
-		if i < len(r.cfg.ShardNodes) {
-			sh.Nodes = r.cfg.ShardNodes[i]
 		}
 		if r.joins[i] > 0 {
 			sh.ErrMeanPct = r.errSum[i] / float64(r.joins[i])
