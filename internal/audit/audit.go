@@ -130,7 +130,6 @@ type Pairing struct {
 
 	RealEDP   float64 `json:"real_edp"`    // (Eres+Einc) × (last finish − first start); 0 until both done
 	RelErrPct float64 `json:"rel_err_pct"` // -1 = not joined
-	joined    bool
 }
 
 // Join is one predicted-vs-realized EDP comparison produced at job
@@ -169,10 +168,13 @@ type book struct {
 	shards map[int]*records
 }
 
-// records is one shard's part of the log.
+// records is one shard's part of the log. open indexes the pairings
+// not yet joined by member job, each job's in decision order, so a
+// completion visits only its own job's pairings.
 type records struct {
 	jobs     map[int]*Decision
 	pairings []*Pairing
+	open     map[int][]*Pairing
 	joins    []Join
 	detector cusum
 	alerts   []Alert
@@ -207,7 +209,7 @@ func (b *book) shard(i int) *Log {
 	defer b.mu.Unlock()
 	r := b.shards[i]
 	if r == nil {
-		r = &records{jobs: make(map[int]*Decision), detector: cusum{cfg: b.cfg}}
+		r = &records{jobs: make(map[int]*Decision), open: make(map[int][]*Pairing), detector: cusum{cfg: b.cfg}}
 		b.shards[i] = r
 	}
 	return &Log{b, r}
@@ -308,10 +310,13 @@ func (l *Log) Paired(resident, incoming, node int, at float64, branch Branch, pr
 func (l *Log) paired(resident, incoming, node int, at float64, branch Branch, pred Expectation) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.pairings = append(l.pairings, &Pairing{
+	p := &Pairing{
 		Node: node, Resident: resident, Incoming: incoming,
 		AtS: at, Branch: branch, Pred: pred, RelErrPct: -1,
-	})
+	}
+	l.pairings = append(l.pairings, p)
+	l.open[resident] = append(l.open[resident], p)
+	l.open[incoming] = append(l.open[incoming], p)
 	if d := l.jobs[resident]; d != nil {
 		d.Partner = incoming
 		d.Colocated = true
@@ -377,18 +382,17 @@ func (l *Log) complete(job int, at float64) (joins []Join, alerts []Alert) {
 	}
 
 	// Pair joins: any pairing whose other member already finished is now
-	// fully realized over the union residency window.
-	for _, p := range l.pairings {
-		if p.joined || (p.Resident != job && p.Incoming != job) {
-			continue
-		}
+	// fully realized over the union residency window. The job's open
+	// pairings come in decision order, the order a walk of every pairing
+	// would meet them; a pairing still waiting for its other member
+	// stays open under that member.
+	for _, p := range l.open[job] {
 		a, b := l.jobs[p.Resident], l.jobs[p.Incoming]
 		if a == nil || b == nil || !a.Done || !b.Done {
 			continue
 		}
 		span := math.Max(a.FinishS, b.FinishS) - math.Min(a.StartS, b.StartS)
 		p.RealEDP = (a.EnergyJ + b.EnergyJ) * span
-		p.joined = true
 		if p.Pred.EDP > 0 && p.RealEDP > 0 {
 			p.RelErrPct = relErrPct(p.Pred.EDP, p.RealEDP)
 			joins = append(joins, l.recordJoin(Join{
@@ -397,6 +401,8 @@ func (l *Log) complete(job int, at float64) (joins []Join, alerts []Alert) {
 			}))
 		}
 	}
+
+	delete(l.open, job)
 
 	// Feed the detector in join order.
 	for _, j := range joins {

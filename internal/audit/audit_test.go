@@ -320,3 +320,71 @@ func BenchmarkDisabledAudit(b *testing.B) {
 		l.AddEnergy(i, 1.5)
 	}
 }
+
+// pairUp records jobs a and b placed together on node 0 at time at,
+// b the incoming partner, each with 1 J of energy.
+func pairUp(l *Log, a, b int, at float64) {
+	for _, j := range []int{a, b} {
+		l.Submit(j, "wc", 5, "C", "C", at)
+		l.Place(j, 0, at, BranchPairHead, -1)
+		l.AddEnergy(j, 1)
+	}
+	l.Paired(a, b, 0, at, BranchPairHead, Expectation{EDP: 4})
+}
+
+// TestCompleteVisitsOpenPairingsOnly pins the join index: a completion
+// visits only its own job's open pairings, in decision order, and a
+// pairing leaves the index once both members finished — so the cost of
+// a completion does not grow with the pairings closed before it.
+func TestCompleteVisitsOpenPairingsOnly(t *testing.T) {
+	l := NewLog(DriftConfig{})
+	// Resident 0 outlives partners 1..3: their pairings wait for it,
+	// then join in decision order at its completion.
+	for b := 1; b <= 3; b++ {
+		pairUp(l, 0, b, float64(b))
+		if joins, _ := l.Complete(b, float64(b)+1); len(joins) != 0 {
+			t.Fatalf("pair (0,%d) joined before the resident finished: %v", b, joins)
+		}
+	}
+	if n := len(l.open[0]); n != 3 {
+		t.Fatalf("resident holds %d open pairings, want 3", n)
+	}
+	joins, _ := l.Complete(0, 10)
+	if len(joins) != 3 || joins[0].Job != 1 || joins[1].Job != 2 || joins[2].Job != 3 {
+		t.Fatalf("resident's joins %+v, want partners 1, 2, 3 in decision order", joins)
+	}
+	// Thousands of closed pairings leave nothing behind in the index.
+	for i := 0; i < 5000; i++ {
+		a, b := 10+2*i, 11+2*i
+		pairUp(l, a, b, 20)
+		l.Complete(a, 21)
+		l.Complete(b, 22)
+	}
+	if len(l.open) != 0 {
+		t.Fatalf("%d jobs still index open pairings after every pair closed", len(l.open))
+	}
+	pairUp(l, 1e6, 1e6+1, 30)
+	if n := len(l.open[1e6]); n != 1 {
+		t.Fatalf("a fresh pair's job indexes %d pairings, want 1", n)
+	}
+	l.Complete(1e6, 31)
+	if joins, _ := l.Complete(1e6+1, 32); len(joins) != 1 || !joins[0].Pair {
+		t.Fatalf("fresh pair joins %+v, want its one pair join", joins)
+	}
+	if got := len(l.Pairings()); got != 5004 {
+		t.Fatalf("log keeps %d pairings, want all 5004", got)
+	}
+}
+
+// BenchmarkCompletePaired times one co-located pair's life — submit,
+// place and pair both jobs, complete both — on a log that keeps every
+// earlier pair: ns/op stays flat as b.N grows.
+func BenchmarkCompletePaired(b *testing.B) {
+	l := NewLog(DriftConfig{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pairUp(l, 2*i, 2*i+1, float64(i))
+		l.Complete(2*i, float64(i)+1)
+		l.Complete(2*i+1, float64(i)+2)
+	}
+}
