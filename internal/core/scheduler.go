@@ -605,7 +605,7 @@ func (s *shard) tuneFor(n *onlineNode, j *Job) mapreduce.Config {
 		}
 	}
 	if resident == nil {
-		cfg, e, err := PredictSoloBestExpected(s.Tuner, j.Obs, s.DB)
+		cfg, e, err := PredictSoloBestExpected(j.Obs, s.DB)
 		if err != nil {
 			cfg, e = NTConfig(s.Model.Spec.Cores/maxPerNode), PairExpectation{}
 		}

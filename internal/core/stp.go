@@ -405,10 +405,10 @@ func (s *MLMSTP) argminChunk(m ml.Regressor, rows [][]float64, fa, fb []float64,
 
 // PredictSoloBest predicts the best standalone configuration for one
 // application (used by the PTM mapping policy, which tunes without
-// pairing): the observation is paired with itself at a token 1-mapper
-// slot and the primary slot's knobs are returned.
-func PredictSoloBest(s STP, o Observation, db *Database) (mapreduce.Config, error) {
-	cfg, _, err := PredictSoloBestExpected(s, o, db)
+// pairing): the solo-optimal configuration of the database's known
+// application nearest the observation.
+func PredictSoloBest(o Observation, db *Database) (mapreduce.Config, error) {
+	cfg, _, err := PredictSoloBestExpected(o, db)
 	return cfg, err
 }
 
@@ -418,9 +418,7 @@ func PredictSoloBest(s STP, o Observation, db *Database) (mapreduce.Config, erro
 // and size, run alone at the returned configuration), so its error
 // against the realized outcome measures how well the database still
 // resembles the live workload — the decision-audit drift signal.
-func PredictSoloBestExpected(s STP, o Observation, db *Database) (mapreduce.Config, PairExpectation, error) {
-	// LkT has a natural solo answer: the nearest known application's
-	// solo-optimal configuration.
+func PredictSoloBestExpected(o Observation, db *Database) (mapreduce.Config, PairExpectation, error) {
 	near := db.Classifier().NearestKnown(o)
 	best, err := db.Oracle().BestSolo(near.App, near.SizeGB*1024)
 	if err != nil {
