@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ecost/internal/mapreduce"
 	"ecost/internal/ml"
@@ -136,7 +137,7 @@ type Classifier struct {
 	knn      *ml.KNNClassifier
 	scaler   *ml.Scaler
 	training []Observation
-	scaled   [][]float64
+	scaled   [][reducedLen]float64 // training's reduced features, standardized
 }
 
 // NewClassifier trains a classifier on observations of the known
@@ -159,11 +160,15 @@ func NewClassifier(training []Observation) (*Classifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: classifier: %w", err)
 	}
+	scaled := make([][reducedLen]float64, len(X))
+	for i, x := range X {
+		scaler.TransformInto(scaled[i][:], x)
+	}
 	return &Classifier{
 		knn:      knn,
 		scaler:   scaler,
 		training: training,
-		scaled:   scaler.TransformAll(X),
+		scaled:   scaled,
 	}, nil
 }
 
@@ -186,14 +191,22 @@ func (c *Classifier) NearestKnown(o Observation) Observation {
 }
 
 // nearestIndex is NearestKnown's scan, returning the training index:
-// the first one at the minimum distance. It allocates nothing.
+// the first one at the minimum distance. The distance is ml.Euclid's:
+// the squared differences summed in feature order, then the root. It
+// allocates nothing.
 func (c *Classifier) nearestIndex(o *Observation) int {
-	var raw, buf [reducedLen]float64
+	var raw, x [reducedLen]float64
 	o.reducedInto(&raw)
-	x := c.scaler.TransformInto(buf[:], raw[:])
+	c.scaler.TransformInto(x[:], raw[:])
 	best, bestD := -1, 0.0
-	for i := range c.training {
-		d := ml.Euclid(x, c.scaled[i])
+	for i := range c.scaled {
+		r := &c.scaled[i]
+		var sq float64
+		for j := range x {
+			dj := x[j] - r[j]
+			sq += dj * dj
+		}
+		d := math.Sqrt(sq)
 		// Same-size entries are strongly preferred.
 		if c.training[i].SizeGB != o.SizeGB {
 			d *= 4

@@ -53,7 +53,7 @@ type MemoSTP struct {
 	// clears it, and local with it, wholesale. Which pairs survive is a
 	// function of the query stream alone, so HitMiss — which the
 	// flight recorder samples — is the same in every run.
-	table memoTable
+	table memoTable[memoKey, memoVal]
 	limit int
 	local obsTable
 
@@ -73,6 +73,8 @@ const memoCap = 16 * 4096
 // memoKey is a pair's identity words, in argument order.
 type memoKey struct{ a, b uint64 }
 
+func (k memoKey) hash() uint64 { return fpFinish(k.a*fpMul ^ k.b) }
+
 // memoVal is one cached prediction.
 type memoVal struct {
 	cfg [2]mapreduce.Config
@@ -80,36 +82,46 @@ type memoVal struct {
 	err error
 }
 
-// memoTable maps id pairs to answers: open addressing with linear
-// probing, at most three quarters full. A key's slot is a fixed
-// function of its ids and the table doubles at fixed counts, so its
-// allocations are the same in every run, which a Go map's, split by
-// seeded hash bits, are not. A zero key marks an empty slot; a cached
-// pair never holds id 0. A clear keeps the slots, so refilling a
-// cleared table allocates nothing.
-type memoTable struct {
-	slots []memoSlot
+// memoTable is the id-keyed table under both of a shard's memos:
+// MemoSTP's, keyed by a pair's two identity words, and the steady
+// memo, keyed by a node's one-word solver input. It is open addressing
+// with linear probing, at most three quarters full. A key's slot is a
+// fixed function of the key and the table doubles at fixed counts, so
+// its allocations are the same in every run, which a Go map's, split
+// by seeded hash bits, are not. The zero key marks an empty slot, so
+// the zero key is never stored and never looked up. A clear keeps the
+// slots, so refilling a cleared table allocates nothing.
+type memoTable[K tableKey, V any] struct {
+	slots []memoSlot[K, V]
 	n     int
 }
 
-type memoSlot struct {
-	k memoKey
-	v memoVal
+// tableKey is a memoTable key: a nonzero identity word or words, with
+// the hash that places them.
+type tableKey interface {
+	comparable
+	hash() uint64
+}
+
+type memoSlot[K tableKey, V any] struct {
+	k K
+	v V
 }
 
 // slot returns the slot holding k, or the empty slot where k belongs.
 // The table must have an empty slot.
-func (t *memoTable) slot(k memoKey) *memoSlot {
+func (t *memoTable[K, V]) slot(k K) *memoSlot[K, V] {
+	var empty K
 	mask := len(t.slots) - 1
-	for i := int(fpFinish(k.a*fpMul^k.b)) & mask; ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.k == k || s.k == (memoKey{}) {
+	for i := int(k.hash()) & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.k == k || s.k == empty {
 			return s
 		}
 	}
 }
 
-// get returns k's answer, or nil.
-func (t *memoTable) get(k memoKey) *memoVal {
+// get returns k's value, or nil.
+func (t *memoTable[K, V]) get(k K) *V {
 	if t.n == 0 {
 		return nil
 	}
@@ -120,21 +132,22 @@ func (t *memoTable) get(k memoKey) *memoVal {
 }
 
 // put stores v under k, which the table does not hold.
-func (t *memoTable) put(k memoKey, v memoVal) {
+func (t *memoTable[K, V]) put(k K, v V) {
 	if 4*(t.n+1) > 3*len(t.slots) {
+		var empty K
 		old := t.slots
-		t.slots = make([]memoSlot, max(16, 2*len(old)))
+		t.slots = make([]memoSlot[K, V], max(16, 2*len(old)))
 		for _, s := range old {
-			if s.k != (memoKey{}) {
+			if s.k != empty {
 				*t.slot(s.k) = s
 			}
 		}
 	}
-	*t.slot(k) = memoSlot{k, v}
+	*t.slot(k) = memoSlot[K, V]{k, v}
 	t.n++
 }
 
-func (t *memoTable) clear() {
+func (t *memoTable[K, V]) clear() {
 	clear(t.slots)
 	t.n = 0
 }

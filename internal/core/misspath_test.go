@@ -24,7 +24,7 @@ func legacyNearestKnown(c *Classifier, o Observation) Observation {
 	x := c.scaler.Transform(o.Reduced())
 	for i := range c.training {
 		t := &c.training[i]
-		d := ml.Euclid(x, c.scaled[i])
+		d := ml.Euclid(x, c.scaler.Transform(t.Reduced()))
 		if t.SizeGB != o.SizeGB {
 			d *= 4
 		}
@@ -233,8 +233,8 @@ func interned(obs ...Observation) []Observation {
 
 // TestMissPathZeroAlloc pins the allocation-free miss path: after
 // warm-up, classifying, nearest-known matching, an LkT prediction (in
-// both slot orders, so the reversed-entry path is covered) and a memo
-// hit allocate nothing — on router-interned observations and on ones
+// both slot orders, so the reversed-entry path is covered, and through
+// the tune path's in-place dispatch) and a memo hit allocate nothing — on router-interned observations and on ones
 // the memo interns itself.
 func TestMissPathZeroAlloc(t *testing.T) {
 	fixture(t)
@@ -248,11 +248,21 @@ func TestMissPathZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The tune path reaches LkT in place; it answers as the exported
+	// entry point does.
+	for _, q := range [][2]Observation{{a, b}, {b, a}} {
+		cfg, exp, err := predictExpected(fix.lkt, &q[0], &q[1])
+		wantCfg, wantExp, wantErr := fix.lkt.PredictBestExpected(q[0], q[1])
+		if cfg != wantCfg || exp != wantExp || err != wantErr {
+			t.Fatalf("predictExpected on LkT: %v %+v %v, PredictBestExpected %v %+v %v", cfg, exp, err, wantCfg, wantExp, wantErr)
+		}
+	}
 	for name, f := range map[string]func(){
 		"Classifier.Classify":        func() { c.Classify(a) },
 		"NearestKnown":               func() { c.NearestKnown(a) },
 		"LkTSTP.PredictBestExpected": func() { _, _, _ = fix.lkt.PredictBestExpected(a, b) },
 		"LkTSTP reversed":            func() { _, _, _ = fix.lkt.PredictBestExpected(b, a) },
+		"predictExpected on LkTSTP":  func() { _, _, _ = predictExpected(fix.lkt, &a, &b) },
 		"MemoSTP hit":                func() { _, _, _ = memo.PredictBestExpected(a, b) },
 		"MemoSTP hit, un-interned":   func() { _, _, _ = memo.PredictBestExpected(raw[0], raw[1]) },
 	} {

@@ -54,10 +54,13 @@ type shard struct {
 	// index; see steadyKey). Steady is a pure function of those inputs,
 	// so a hit returns bit-identical times and watts — the cache is
 	// transparent to every golden — while recurring tenant pairs skip
-	// the fluid solver entirely. At steadyMemoCap entries it clears
-	// wholesale (the MemoSTP policy: recurring streams re-warm
-	// instantly, adversarial key churn cannot grow memory).
-	steadyMemo map[steadyKey]steadyVal
+	// the fluid solver entirely. It is the open-addressed memoTable
+	// MemoSTP uses, here on the one-word key, and its slots hold no
+	// pointers. At steadyMemoCap entries it clears wholesale and keeps
+	// its slots (the MemoSTP policy: recurring streams re-warm
+	// instantly and without allocating, adversarial key churn cannot
+	// grow memory).
+	steadyMemo memoTable[steadyKey, steadyVal]
 
 	// freeCnt / halfCnt mirror the dispatch bitmaps' populations so
 	// freeSlots — called per shard at every steal barrier — is O(1)
@@ -210,13 +213,12 @@ type onlineNode struct {
 // on ev (the control plane's one heap).
 func newShard(ev *eventQueue, model *mapreduce.Model, db *Database, tuner STP, nodes, base int) *shard {
 	s := &shard{
-		ev:         ev,
-		Model:      model,
-		DB:         db,
-		Tuner:      tuner,
-		queue:      NewWaitQueue(),
-		base:       base,
-		steadyMemo: make(map[steadyKey]steadyVal),
+		ev:    ev,
+		Model: model,
+		DB:    db,
+		Tuner: tuner,
+		queue: NewWaitQueue(),
+		base:  base,
 	}
 	// The idle draw is the same expression Model.Steady evaluates for an
 	// empty spec set, so cached node watts stay bit-identical to a fresh
@@ -270,7 +272,9 @@ func nodePhase(residents int) int8 {
 // high half. A one-resident key leaves the low half zero, which no
 // resident's half equals, as spec ids start at 1. Equal halves mean
 // equal RunSpecs (DESIGN.md §25).
-type steadyKey = uint64
+type steadyKey uint64
+
+func (k steadyKey) hash() uint64 { return fpFinish(uint64(k)) }
 
 // steadyTimes is the part of one resident's SteadyState reschedule
 // reads.
@@ -319,14 +323,14 @@ func steadyHalf(r *onlineJob) (uint64, bool) {
 // steadyKeyOf builds the memo key for a 1- or 2-resident node straight
 // from its residents, so a memo hit never builds the spec list. ok is
 // false when the set does not fit a key.
-func steadyKeyOf(res []*onlineJob) (k steadyKey, ok bool) {
-	k, ok = steadyHalf(res[0])
+func steadyKeyOf(res []*onlineJob) (steadyKey, bool) {
+	k, ok := steadyHalf(res[0])
 	k <<= 32
 	if len(res) == 2 {
 		b, okB := steadyHalf(res[1])
 		k, ok = k|b, ok && okB
 	}
-	return k, ok
+	return steadyKey(k), ok
 }
 
 // steady returns the steady-state solve for n's resident set (one or
@@ -335,8 +339,8 @@ func steadyKeyOf(res []*onlineJob) (k steadyKey, ok bool) {
 func (s *shard) steady(n *onlineNode) (steadyVal, error) {
 	k, fits := steadyKeyOf(n.residents)
 	if fits {
-		if v, ok := s.steadyMemo[k]; ok {
-			return v, nil
+		if v := s.steadyMemo.get(k); v != nil {
+			return *v, nil
 		}
 	}
 	out, w, err := s.eval.Steady(s.specsInto(n))
@@ -350,10 +354,10 @@ func (s *shard) steady(n *onlineNode) (steadyVal, error) {
 	if !fits {
 		return v, nil
 	}
-	if len(s.steadyMemo) >= steadyMemoCap {
-		clear(s.steadyMemo)
+	if s.steadyMemo.n >= steadyMemoCap {
+		s.steadyMemo.clear()
 	}
-	s.steadyMemo[k] = v
+	s.steadyMemo.put(k, v)
 	return v, nil
 }
 

@@ -123,22 +123,21 @@ func TestSteadyMemoExact(t *testing.T) {
 				specs[i] = mapreduce.RunSpec{App: r.job.Obs.App, DataMB: r.job.Obs.SizeGB * 1024, Cfg: r.cfg}
 			}
 			want, wantW, wantErr := fix.model.Steady(specs)
-			before := len(s.steadyMemo)
+			before := s.steadyMemo.n
 			k, fits := steadyKeyOf(res)
-			_, hit := s.steadyMemo[k]
-			hit = hit && fits
+			hit := fits && s.steadyMemo.get(k) != nil
 			got, err := s.steady(&onlineNode{residents: res})
 			if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("seed %d op %d: memo error %v, fresh solve %v", seed, op, err, wantErr)
 			}
 			if err != nil {
-				if len(s.steadyMemo) != before {
-					t.Fatalf("seed %d op %d: a failed solve changed the memo from %d to %d entries", seed, op, before, len(s.steadyMemo))
+				if s.steadyMemo.n != before {
+					t.Fatalf("seed %d op %d: a failed solve changed the memo from %d to %d entries", seed, op, before, s.steadyMemo.n)
 				}
 				errs++
 				continue
 			}
-			if len(s.steadyMemo) < before {
+			if s.steadyMemo.n < before {
 				cleared = true
 			}
 			wideSpec := false
@@ -147,8 +146,8 @@ func TestSteadyMemoExact(t *testing.T) {
 			}
 			switch {
 			case !fits:
-				if len(s.steadyMemo) != before {
-					t.Fatalf("seed %d op %d: a set that does not fit a key changed the memo from %d to %d entries", seed, op, before, len(s.steadyMemo))
+				if s.steadyMemo.n != before {
+					t.Fatalf("seed %d op %d: a set that does not fit a key changed the memo from %d to %d entries", seed, op, before, s.steadyMemo.n)
 				}
 				unfit++
 			case hit:
@@ -176,6 +175,58 @@ func TestSteadyMemoExact(t *testing.T) {
 			t.Fatalf("seed %d: %d hits (%d at spec 2^24−1), %d misses, %d errors, %d unfit sets, cleared=%v — want every case exercised",
 				seed, hits, wideHits, misses, errs, unfit, cleared)
 		}
+	}
+}
+
+// TestSteadyTableRefillZeroAlloc fills the steady memo to the cap
+// through the shard's solve path, lets the next new resident set clear
+// it, and refills it: the table keeps its slots across the clear, so
+// the refill allocates nothing. After the first fill and after the
+// last refill the table holds exactly that fill's sets, in as many
+// slots as it counts: nothing from before a clear survives it.
+func TestSteadyTableRefillZeroAlloc(t *testing.T) {
+	s := newShard(nil, mapreduce.NewModel(cluster.AtomC2758()), nil, nil, 1, 0)
+	rec := &profileRec{obs: Observation{App: workloads.MustByName("wc"), SizeGB: 1}}
+	node := &onlineNode{residents: []*onlineJob{{job: &Job{Obs: rec.obs, rec: rec}, cfg: ProfilingConfig()}}}
+	fill := func() {
+		for i := 0; i < steadyMemoCap; i++ {
+			rec.spec++
+			if _, err := s.steady(node); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(first int) {
+		t.Helper()
+		if s.steadyMemo.n != steadyMemoCap {
+			t.Fatalf("full table holds %d entries, want %d", s.steadyMemo.n, steadyMemoCap)
+		}
+		used := 0
+		for _, sl := range s.steadyMemo.slots {
+			if sl.k != 0 {
+				used++
+			}
+		}
+		if used != s.steadyMemo.n {
+			t.Fatalf("%d slots in use for %d entries", used, s.steadyMemo.n)
+		}
+		for spec := 1; spec <= rec.spec; spec++ {
+			r := profileRec{spec: spec}
+			k, _ := steadyKeyOf([]*onlineJob{{job: &Job{rec: &r}, cfg: ProfilingConfig()}})
+			if got := s.steadyMemo.get(k) != nil; got != (spec >= first) {
+				t.Fatalf("spec %d cached=%v, want %v (the refill holds specs %d..%d)", spec, got, !got, first, rec.spec)
+			}
+		}
+	}
+	fill()
+	check(1)
+	slots := len(s.steadyMemo.slots)
+	if allocs := testing.AllocsPerRun(3, fill); allocs != 0 {
+		t.Fatalf("refilling a cleared table allocates %.1f objects, want 0", allocs)
+	}
+	check(rec.spec - steadyMemoCap + 1)
+	if len(s.steadyMemo.slots) != slots {
+		t.Fatalf("refills resized the table from %d to %d slots", slots, len(s.steadyMemo.slots))
 	}
 }
 

@@ -60,7 +60,12 @@ type ExpectingSTP interface {
 // the best-resembling known pair's full measured outcome alongside its
 // optimal configuration, so LkT's forecast comes for free.
 func (s *LkTSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
-	cfg, out, err := s.DB.lookupConfig(&a, &b)
+	return s.predict(&a, &b)
+}
+
+// predict is PredictBestExpected on the pair in place.
+func (s *LkTSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
+	cfg, out, err := s.DB.lookupConfig(a, b)
 	if err != nil {
 		return cfg, PairExpectation{}, err
 	}
@@ -75,10 +80,12 @@ func (s *LkTSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, Pai
 // technique implements, degrading gracefully: full forecast or
 // configuration-only (zero expectation). It takes the pair by
 // reference, so the observations are copied at most once, into the
-// technique's call, and not at all into a MemoSTP's.
+// technique's call, and not at all into a MemoSTP's or an LkTSTP's.
 func predictExpected(t STP, a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
 	switch p := t.(type) {
 	case *MemoSTP:
+		return p.predict(a, b)
+	case *LkTSTP:
 		return p.predict(a, b)
 	case ExpectingSTP:
 		return p.PredictBestExpected(*a, *b)

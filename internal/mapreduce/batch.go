@@ -20,7 +20,11 @@ import (
 // Every routine here computes the exact floating-point sequence of the
 // original serial implementation: buffer reuse changes where
 // intermediate values live, never what they are, so batched results are
-// bit-identical to CoLocate's.
+// bit-identical to CoLocate's. The solo path goes further and skips
+// work whose result is already known — the first epoch's repeat of the
+// initial solve, and a lone app's loop-invariant fixed-point terms —
+// but every value it keeps is computed by the same operations in the
+// same order.
 
 // ioPhase is one MapReduce phase's per-task demand: CPU seconds and
 // disk traffic.
@@ -163,34 +167,10 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 		}
 	}
 
-	for iter := 0; iter < 8; iter++ {
-		var sumRates float64
-		for _, r := range rate {
-			sumRates += r
-		}
-		for i := range specs {
-			sp := &specs[i]
-			if splits[i] == 0 {
-				continue
-			}
-			duty := sp.App.Profile.DiskDutyCap
-			avail := bw - (sumRates - rate[i])
-			if avail < 0.1*bw {
-				avail = 0.1 * bw
-			}
-			burst := duty * bw
-			if burst > avail {
-				burst = avail
-			}
-			tMap, _ := m.taskTime(float64(sp.Cfg.Mappers), mapPh[i], burst)
-			tRed, _ := m.taskTime(float64(sp.Cfg.Mappers), redPh[i], burst)
-			waves := (splits[i] + sp.Cfg.Mappers - 1) / sp.Cfg.Mappers
-			mapTime := float64(waves) * tMap
-			total := mapTime + tRed
-			mi := float64(sp.Cfg.Mappers)
-			newRate := (float64(splits[i])*mapPh[i].ioMB + mi*redPh[i].ioMB) / total
-			rate[i] = 0.5*rate[i] + 0.5*newRate
-		}
+	if r, ok := m.soloRate(specs, mapPh, redPh, splits, bw); ok {
+		rate[0] = r
+	} else {
+		m.dampRates(specs, mapPh, redPh, splits, bw, rate)
 	}
 
 	var sumRates float64
@@ -205,15 +185,7 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 			continue
 		}
 		p := &sp.App.Profile
-		duty := p.DiskDutyCap
-		avail := bw - (sumRates - rate[i])
-		if avail < 0.1*bw {
-			avail = 0.1 * bw
-		}
-		burst := duty * bw
-		if burst > avail {
-			burst = avail
-		}
+		burst := burstBW(p.DiskDutyCap, bw, sumRates-rate[i])
 		tMap, tioMap := m.taskTime(float64(sp.Cfg.Mappers), mapPh[i], burst)
 		tRed, tioRed := m.taskTime(float64(sp.Cfg.Mappers), redPh[i], burst)
 		waves := (splits[i] + sp.Cfg.Mappers - 1) / sp.Cfg.Mappers
@@ -247,6 +219,84 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 		}
 	}
 	return out
+}
+
+// fixedPointIters is the damped fixed point's step count.
+const fixedPointIters = 8
+
+// dampRates runs the damped fixed point on achieved disk rates: each
+// step moves every app halfway to the rate its phases would drive if
+// the others held their current rates. rate enters zeroed.
+func (m *Model) dampRates(specs []RunSpec, mapPh, redPh []ioPhase, splits []int, bw float64, rate []float64) {
+	for iter := 0; iter < fixedPointIters; iter++ {
+		var sumRates float64
+		for _, r := range rate {
+			sumRates += r
+		}
+		for i := range specs {
+			if splits[i] == 0 {
+				continue
+			}
+			burst := burstBW(specs[i].App.Profile.DiskDutyCap, bw, sumRates-rate[i])
+			newRate := m.targetRate(&specs[i], mapPh[i], redPh[i], splits[i], burst)
+			rate[i] = 0.5*rate[i] + 0.5*newRate
+		}
+	}
+}
+
+// soloRate is dampRates for a lone application on a scalar, and false
+// for any other set (DESIGN.md §32). Alone, the others' rate — the sum
+// of rates less the app's own — is r − r = +0 at every step while the
+// app's rate r is finite, so its burst bandwidth, task times and target
+// rate are loop invariants: computed once, then stepped exactly as
+// dampRates steps them. A non-finite target makes r non-finite after
+// the first step, r − r NaN and the burst no longer invariant; soloRate
+// then reports false and the caller runs the full loop.
+func (m *Model) soloRate(specs []RunSpec, mapPh, redPh []ioPhase, splits []int, bw float64) (float64, bool) {
+	if len(specs) != 1 {
+		return 0, false
+	}
+	if splits[0] == 0 {
+		return 0, true
+	}
+	sp := &specs[0]
+	burst := burstBW(sp.App.Profile.DiskDutyCap, bw, 0)
+	newRate := m.targetRate(sp, mapPh[0], redPh[0], splits[0], burst)
+	if math.IsNaN(newRate) || math.IsInf(newRate, 0) {
+		return 0, false
+	}
+	rate := 0.0
+	for iter := 0; iter < fixedPointIters; iter++ {
+		rate = 0.5*rate + 0.5*newRate
+	}
+	return rate, true
+}
+
+// burstBW is an app's burst disk bandwidth while the others achieve
+// `others` MB/s: its duty-cycle cap, but never more than is left, and
+// never less than a tenth of the disk.
+func burstBW(duty, bw, others float64) float64 {
+	avail := bw - others
+	if avail < 0.1*bw {
+		avail = 0.1 * bw
+	}
+	burst := duty * bw
+	if burst > avail {
+		burst = avail
+	}
+	return burst
+}
+
+// targetRate is the average disk rate an app's phases drive at the
+// given burst bandwidth: its whole job's traffic over its task time.
+func (m *Model) targetRate(sp *RunSpec, mapPh, redPh ioPhase, splits int, burst float64) float64 {
+	tMap, _ := m.taskTime(float64(sp.Cfg.Mappers), mapPh, burst)
+	tRed, _ := m.taskTime(float64(sp.Cfg.Mappers), redPh, burst)
+	waves := (splits + sp.Cfg.Mappers - 1) / sp.Cfg.Mappers
+	mapTime := float64(waves) * tMap
+	total := mapTime + tRed
+	mi := float64(sp.Cfg.Mappers)
+	return (float64(splits)*mapPh.ioMB + mi*redPh.ioMB) / total
 }
 
 // activityInto is activity with a caller-owned loads buffer.
@@ -300,13 +350,19 @@ func (m *Model) coLocateInto(specs []RunSpec, s *evalScratch, apps []Outcome) (C
 	co := CoOutcome{Apps: apps}
 	active := s.active[:n]
 	rem := s.rem[:n]
+	idx := s.idx[:n]
 	for i := range specs {
 		active[i] = true
 		rem[i] = 1
+		idx[i] = i
 	}
+	// The first epoch runs the whole set, so its solve is the initial
+	// contention the per-app outcomes report; later epochs re-solve
+	// only after an app finishes.
+	sub := specs
+	sts := m.evaluateInto(specs, s)
 	if apps != nil {
-		first := m.evaluateInto(specs, s)
-		for i, st := range first {
+		for i, st := range sts {
 			apps[i] = Outcome{
 				MapTime:    st.mapTime,
 				ReduceTime: st.redTime,
@@ -325,16 +381,18 @@ func (m *Model) coLocateInto(specs []RunSpec, s *evalScratch, apps []Outcome) (C
 
 	now := 0.0
 	remaining := n
-	for remaining > 0 {
-		sub := s.sub[:0]
-		idx := s.idx[:0]
-		for i, a := range active {
-			if a {
-				sub = append(sub, specs[i])
-				idx = append(idx, i)
+	for stale := false; remaining > 0; {
+		if stale {
+			sub, idx = s.sub[:0], s.idx[:0]
+			for i, a := range active {
+				if a {
+					sub = append(sub, specs[i])
+					idx = append(idx, i)
+				}
 			}
+			sts = m.evaluateInto(sub, s)
+			stale = false
 		}
-		sts := m.evaluateInto(sub, s)
 		// Epoch ends when the first active app finishes.
 		dt := math.Inf(1)
 		for k, i := range idx {
@@ -361,6 +419,7 @@ func (m *Model) coLocateInto(specs []RunSpec, s *evalScratch, apps []Outcome) (C
 					apps[i].Time = now
 				}
 				remaining--
+				stale = true
 			}
 		}
 	}

@@ -44,7 +44,7 @@ func legacySteady(m *Model, specs []RunSpec) ([]SteadyState, float64, error) {
 
 func legacyEvaluate(m *Model, specs []RunSpec) []steady {
 	var s evalScratch
-	sts := m.evaluateInto(specs, &s)
+	sts := refEvaluateInto(m, specs, &s)
 	out := make([]steady, len(sts))
 	copy(out, sts)
 	return out
