@@ -49,3 +49,12 @@ func driveFullBarriers(c *ShardedScheduler) {
 		}
 	}
 }
+
+// SteadyMemoEntries sums the entries every shard's steady memo holds.
+func SteadyMemoEntries(c *ShardedScheduler) int {
+	n := 0
+	for _, sh := range c.shards {
+		n += sh.steadyMemo.n
+	}
+	return n
+}
