@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"ecost/internal/mapreduce"
 	"ecost/internal/ml"
@@ -41,22 +42,35 @@ const ProfilingRuns = 3
 // ground-truth accounting by experiments but is never consulted by the
 // classifier or the STP models.
 //
-// id is the observation's identity word (DESIGN.md §26). The router
-// stamps it when it interns a record, and it rides inside the value
-// through every STP wrapper, so MemoSTP keys a pair by two words
-// instead of hashing and comparing two observations. Interning makes
-// ids canonical: within one intern table, observations share an id
-// exactly when they are equal under ==. Ids come from one process-wide
-// counter, so two tables never hand out the same one. An observation
-// the router never interned, or one holding a NaN, has id 0. Because
-// the id is part of the value, == tells an interned observation from
-// an un-interned copy of it.
+// id is the observation's identity word (DESIGN.md §26): it names
+// the router record that holds the observation, not its contents. The
+// router stamps a fresh id on every record it carves, and the id rides
+// inside the value through every STP wrapper, so MemoSTP keys a pair
+// by two words instead of hashing and comparing two observations. Ids
+// come from one process-wide counter, so no two records, and no two
+// control planes, share one. An observation no router stamped, or one
+// holding a NaN, has id 0. Because the id is part of the value, ==
+// tells a stamped observation from an un-stamped copy of it, and two
+// records holding equal profiles apart.
 type Observation struct {
 	App      workloads.App // ground truth; hidden from the predictor path
 	SizeGB   float64
 	Features perfctr.Vector
 
 	id uint64
+}
+
+// obsIDs is the one process-wide source of observation ids: router
+// records and the observations MemoSTP keys for itself. Ids start at 1
+// and are never reused.
+var obsIDs atomic.Uint64
+
+// stamp gives o a fresh id. An observation holding a NaN keeps id 0:
+// it equals nothing under ==, not even itself, so nothing may key it.
+func (o *Observation) stamp() {
+	if *o == *o {
+		o.id = obsIDs.Add(1)
+	}
 }
 
 // Reduced returns the 7 PCA-selected features the predictors consume.
@@ -134,7 +148,6 @@ func (p *Profiler) ObserveExact(app workloads.App, sizeGB float64) (Observation,
 // applications' feature vectors — "the classifier chooses the application
 // in the database that best resembles the testing application" (§6.4).
 type Classifier struct {
-	knn      *ml.KNNClassifier
 	scaler   *ml.Scaler
 	training []Observation
 	scaled   [][reducedLen]float64 // training's reduced features, standardized
@@ -147,14 +160,8 @@ func NewClassifier(training []Observation) (*Classifier, error) {
 		return nil, fmt.Errorf("core: classifier needs training observations")
 	}
 	X := make([][]float64, len(training))
-	labels := make([]int, len(training))
 	for i, o := range training {
 		X[i] = o.Reduced()
-		labels[i] = int(o.App.Class)
-	}
-	knn := ml.NewKNN(3)
-	if err := knn.Train(X, labels); err != nil {
-		return nil, fmt.Errorf("core: classifier: %w", err)
 	}
 	scaler, err := ml.FitScaler(X)
 	if err != nil {
@@ -165,20 +172,75 @@ func NewClassifier(training []Observation) (*Classifier, error) {
 		scaler.TransformInto(scaled[i][:], x)
 	}
 	return &Classifier{
-		knn:      knn,
 		scaler:   scaler,
 		training: training,
 		scaled:   scaled,
 	}, nil
 }
 
-// Classify returns the behaviour class for an observation: the k-NN
-// vote of ml.KNNClassifier.Classify (majority, then nearest member,
-// then lowest class). It allocates nothing.
+// knnK is the classifier's neighbourhood size.
+const knnK = 3
+
+// neighbour is one of the k nearest training observations: its
+// distance and class.
+type neighbour struct {
+	d     float64
+	class workloads.Class
+}
+
+// Classify returns the behaviour class for an observation: the majority
+// class among the knnK training observations nearest in standardized
+// reduced features. Ties on the vote go to the class whose nearest
+// member is closest, and a tie on that distance too to the lower class,
+// so the answer is a pure function of the observation and the training
+// set. It allocates nothing.
 func (c *Classifier) Classify(o Observation) workloads.Class {
-	var x [reducedLen]float64
-	o.reducedInto(&x)
-	return workloads.Class(c.knn.Classify(x[:]))
+	x := c.standardize(&o)
+	var nearest [knnK]neighbour
+	n := 0
+	for i := range c.scaled {
+		nb := neighbour{c.dist(&x, i), c.training[i].App.Class}
+		if n < knnK {
+			nearest[n] = nb
+			n++
+			continue
+		}
+		// Replace the farthest if closer.
+		far := 0
+		for j := 1; j < knnK; j++ {
+			if nearest[j].d > nearest[far].d {
+				far = j
+			}
+		}
+		if nb.d < nearest[far].d {
+			nearest[far] = nb
+		}
+	}
+	return vote(nearest[:n])
+}
+
+// vote applies Classify's majority and tie rules: the winner is the
+// class that is greatest under (votes, then the nearer nearest member,
+// then the lower class), a strict order, so the neighbours' order does
+// not matter.
+func vote(nearest []neighbour) workloads.Class {
+	var best workloads.Class
+	bestVotes, bestD := 0, 0.0
+	for _, n := range nearest {
+		votes, d := 0, n.d
+		for _, m := range nearest {
+			if m.class == n.class {
+				votes++
+				if m.d < d {
+					d = m.d
+				}
+			}
+		}
+		if votes > bestVotes || (votes == bestVotes && (d < bestD || (d == bestD && n.class < best))) {
+			best, bestVotes, bestD = n.class, votes, d
+		}
+	}
+	return best
 }
 
 // NearestKnown returns the training observation whose features best
@@ -191,22 +253,12 @@ func (c *Classifier) NearestKnown(o Observation) Observation {
 }
 
 // nearestIndex is NearestKnown's scan, returning the training index:
-// the first one at the minimum distance. The distance is ml.Euclid's:
-// the squared differences summed in feature order, then the root. It
-// allocates nothing.
+// the first one at the minimum distance. It allocates nothing.
 func (c *Classifier) nearestIndex(o *Observation) int {
-	var raw, x [reducedLen]float64
-	o.reducedInto(&raw)
-	c.scaler.TransformInto(x[:], raw[:])
+	x := c.standardize(o)
 	best, bestD := -1, 0.0
 	for i := range c.scaled {
-		r := &c.scaled[i]
-		var sq float64
-		for j := range x {
-			dj := x[j] - r[j]
-			sq += dj * dj
-		}
-		d := math.Sqrt(sq)
+		d := c.dist(&x, i)
 		// Same-size entries are strongly preferred.
 		if c.training[i].SizeGB != o.SizeGB {
 			d *= 4
@@ -216,6 +268,27 @@ func (c *Classifier) nearestIndex(o *Observation) int {
 		}
 	}
 	return best
+}
+
+// standardize returns o's reduced features, standardized as the
+// training rows are.
+func (c *Classifier) standardize(o *Observation) (x [reducedLen]float64) {
+	var raw [reducedLen]float64
+	o.reducedInto(&raw)
+	c.scaler.TransformInto(x[:], raw[:])
+	return x
+}
+
+// dist is ml.Euclid's distance from the standardized x to training row
+// i: the squared differences summed in feature order, then the root.
+func (c *Classifier) dist(x *[reducedLen]float64, i int) float64 {
+	r := &c.scaled[i]
+	var sq float64
+	for j := range x {
+		dj := x[j] - r[j]
+		sq += dj * dj
+	}
+	return math.Sqrt(sq)
 }
 
 // RuleClassify is the threshold-based classifier sketched in §6.1 of the

@@ -22,16 +22,17 @@ import (
 // call misses.
 //
 // The key is the pair's two identity words (DESIGN.md §26). The router
-// interns every observation it hands a shard, so within a control plane
-// equal observations carry one id and unequal ones different ids, and
-// a lookup probes one table by two words: no hashing of observations,
-// no compare, no copy. An observation built outside any router arrives
-// with id 0; the memo interns it in a table of its own, which clears
-// with the memo, so such callers are cached too. Hits are therefore
-// exactly those of a cache keyed by the pair under ==, which counts the
-// id word: ±0 features hit each other, an interned observation and an
-// un-interned copy of it are different keys, and a pair holding a NaN
-// is never cached (a NaN equals nothing) and counts as a miss.
+// stamps every record it hands a shard with an id of its own, so a
+// lookup probes one table by two words: no hashing of observations, no
+// compare, no copy. An observation built outside any router arrives
+// with id 0; the memo gives it an id from a map of its own, keyed by
+// the observation, which clears with the memo, so such callers are
+// cached too. Hits are therefore exactly those of a cache keyed by the
+// pair under ==, which counts the id word: ±0 features hit each other,
+// two records never share a key even when their profiles are equal, a
+// stamped observation and an un-stamped copy of it are different keys,
+// and a pair holding a NaN is never cached (a NaN equals nothing) and
+// counts as a miss.
 //
 // The wrapper is transparent: it returns whatever the inner technique
 // returned for the first occurrence of a key (inner techniques are
@@ -50,12 +51,13 @@ type MemoSTP struct {
 	Inner STP
 
 	// table holds at most limit entries; a new pair into a full table
-	// clears it, and local with it, wholesale. Which pairs survive is a
+	// clears it, and local with it, wholesale. local ids the un-stamped
+	// observations of the cached pairs. Which pairs survive is a
 	// function of the query stream alone, so HitMiss — which the
 	// flight recorder samples — is the same in every run.
 	table memoTable[memoKey, memoVal]
 	limit int
-	local obsTable
+	local map[Observation]uint64
 
 	hits   *metrics.Counter
 	misses *metrics.Counter
@@ -74,6 +76,22 @@ const memoCap = 16 * 4096
 type memoKey struct{ a, b uint64 }
 
 func (k memoKey) hash() uint64 { return fpFinish(k.a*fpMul ^ k.b) }
+
+// fpMul is 2^64 / golden ratio, odd: a key's first word is mixed by one
+// multiply before fpFinish.
+const fpMul = 0x9e3779b97f4a7c15
+
+// fpFinish avalanches a key's words (the murmur3 64-bit finalizer), so
+// every bit of the hash, the table mask's low bits included, depends on
+// every input bit.
+func fpFinish(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
 
 // memoVal is one cached prediction.
 type memoVal struct {
@@ -210,9 +228,9 @@ func (m *MemoSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectati
 	}
 	if m.table.n >= m.limit {
 		m.table.clear()
-		if m.local.n > 0 {
+		if len(m.local) > 0 {
 			// The pair's local ids went with the table.
-			m.local.reset()
+			clear(m.local)
 			k, _ = m.localKey(a, b)
 		}
 	}
@@ -220,20 +238,30 @@ func (m *MemoSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectati
 	return cfg, exp, err
 }
 
-// localKey keys a pair with an un-interned side: such an observation's
-// id is its id in the memo's own table. ok is false when either side
-// holds a NaN, which nothing equals; neither side is interned then, so
-// the local table grows only with the pairs the table caches.
+// localKey keys a pair with an un-stamped side: such an observation's
+// id is its id in the memo's own map. ok is false when either
+// un-stamped side holds a NaN, which nothing equals; neither side is
+// entered then, so the map grows only with the pairs the table caches.
 func (m *MemoSTP) localKey(a, b *Observation) (k memoKey, ok bool) {
 	if (a.id == 0 && *a != *a) || (b.id == 0 && *b != *b) {
 		return memoKey{}, false
 	}
-	k = memoKey{a.id, b.id}
-	if k.a == 0 {
-		k.a = m.local.internAt(a, obsFingerprint(a), 0, 0).obs.id
+	return memoKey{m.localID(a), m.localID(b)}, true
+}
+
+// localID is o's id, or for an un-stamped o the one the memo's own map
+// gives it.
+func (m *MemoSTP) localID(o *Observation) uint64 {
+	if o.id != 0 {
+		return o.id
 	}
-	if k.b == 0 {
-		k.b = m.local.internAt(b, obsFingerprint(b), 0, 0).obs.id
+	id, ok := m.local[*o]
+	if !ok {
+		if m.local == nil {
+			m.local = make(map[Observation]uint64)
+		}
+		id = obsIDs.Add(1)
+		m.local[*o] = id
 	}
-	return k, true
+	return id
 }

@@ -220,13 +220,12 @@ func TestProfilerObserveMatchesLegacy(t *testing.T) {
 	}
 }
 
-// interned returns obs as the router hands them to a shard: each
-// interned in one table, so equal observations share an id.
-func interned(obs ...Observation) []Observation {
-	var tab obsTable
-	out := make([]Observation, len(obs))
-	for i := range obs {
-		out[i] = tab.intern(&obs[i], 0, 0).obs
+// stamped returns obs as router records hand them to a shard: each
+// stamped with a fresh id.
+func stamped(obs ...Observation) []Observation {
+	out := append([]Observation(nil), obs...)
+	for i := range out {
+		out[i].stamp()
 	}
 	return out
 }
@@ -234,13 +233,13 @@ func interned(obs ...Observation) []Observation {
 // TestMissPathZeroAlloc pins the allocation-free miss path: after
 // warm-up, classifying, nearest-known matching, an LkT prediction (in
 // both slot orders, so the reversed-entry path is covered, and through
-// the tune path's in-place dispatch) and a memo hit allocate nothing — on router-interned observations and on ones
-// the memo interns itself.
+// the tune path's in-place dispatch) and a memo hit allocate nothing —
+// on stamped observations and on ones the memo keys itself.
 func TestMissPathZeroAlloc(t *testing.T) {
 	fixture(t)
 	c := fix.db.Classifier()
 	raw := []Observation{obsOf(t, "wc", 5), obsOf(t, "st", 1)}
-	ids := interned(raw...)
+	ids := stamped(raw...)
 	a, b := ids[0], ids[1]
 	memo := NewMemoSTP(fix.lkt, nil)
 	for _, q := range [][2]Observation{{a, b}, {raw[0], raw[1]}} {
@@ -264,7 +263,7 @@ func TestMissPathZeroAlloc(t *testing.T) {
 		"LkTSTP reversed":            func() { _, _, _ = fix.lkt.PredictBestExpected(b, a) },
 		"predictExpected on LkTSTP":  func() { _, _, _ = predictExpected(fix.lkt, &a, &b) },
 		"MemoSTP hit":                func() { _, _, _ = memo.PredictBestExpected(a, b) },
-		"MemoSTP hit, un-interned":   func() { _, _, _ = memo.PredictBestExpected(raw[0], raw[1]) },
+		"MemoSTP hit, un-stamped":    func() { _, _, _ = memo.PredictBestExpected(raw[0], raw[1]) },
 	} {
 		f()
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
@@ -273,47 +272,6 @@ func TestMissPathZeroAlloc(t *testing.T) {
 	}
 	if h, m := memo.HitMiss(); m != 2 || h == 0 {
 		t.Fatalf("memo: %d hits / %d misses, want 2 misses and every repeat a hit", h, m)
-	}
-}
-
-// TestInternFingerprintCollision plants a fingerprint collision in the
-// intern table: two different observations entered under one
-// fingerprint must get distinct ids, each must find its own record
-// again, and the memo keyed by those ids must not answer one pair with
-// the other's entry.
-func TestInternFingerprintCollision(t *testing.T) {
-	fixture(t)
-	a, b, p := obsOf(t, "wc", 5), obsOf(t, "st", 5), obsOf(t, "gp", 1)
-	var tab obsTable
-	const fp = 12345
-	ra := tab.internAt(&a, fp, 1, 0)
-	rb := tab.internAt(&b, fp, 2, 0)
-	if ra == rb || ra.obs.id == 0 || rb.obs.id == 0 || ra.obs.id == rb.obs.id {
-		t.Fatalf("colliding observations interned as records %p/%p with ids %d/%d", ra, rb, ra.obs.id, rb.obs.id)
-	}
-	if tab.internAt(&a, fp, 9, 9) != ra || tab.internAt(&b, fp, 9, 9) != rb || tab.n != 2 {
-		t.Fatalf("re-interning a colliding observation did not find its own record (%d records)", tab.n)
-	}
-	if ra.spec != 1 || rb.spec != 2 {
-		t.Fatalf("a found record was overwritten: specs %d/%d", ra.spec, rb.spec)
-	}
-	rp := tab.intern(&p, 3, 0)
-	memo := NewMemoSTP(fix.lkt, nil)
-	stale := [2]mapreduce.Config{{Freq: 1.2, Block: 64, Mappers: 1}, {Freq: 1.2, Block: 64, Mappers: 1}}
-	memo.table.put(memoKey{ra.obs.id, rp.obs.id}, memoVal{cfg: stale})
-	wantCfg, wantExp, err := fix.lkt.PredictBestExpected(rb.obs, rp.obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, exp, err := memo.PredictBestExpected(rb.obs, rp.obs)
-	if err != nil || cfg != wantCfg || exp != wantExp {
-		t.Fatalf("colliding pair answered %v %+v %v, inner %v %+v", cfg, exp, err, wantCfg, wantExp)
-	}
-	if cfg, _, _ := memo.PredictBestExpected(ra.obs, rp.obs); cfg != stale {
-		t.Fatalf("the planted pair answered %v, want its entry %v", cfg, stale)
-	}
-	if h, m := memo.HitMiss(); h != 1 || m != 1 {
-		t.Fatalf("%d hits / %d misses, want 1/1", h, m)
 	}
 }
 
@@ -341,30 +299,23 @@ func TestMemoRefillAfterClearZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMemosSignedZeroAndNaN checks interning and the memo treat
-// features exactly as == does: vectors differing only in the sign of a
-// zero intern to one id and hit each other, and a vector holding a NaN
-// keeps id 0 and never hits, not even itself. The class cache has no
-// key to compare: a record is classified once, whatever its features
-// hold.
+// TestMemosSignedZeroAndNaN checks the memo keys un-stamped
+// observations exactly as == does: vectors differing only in the sign
+// of a zero share one key and hit each other, and a vector holding a
+// NaN is never entered and never hits, not even itself. The class cache
+// has no key to compare: a record is classified once, whatever its
+// features hold.
 func TestMemosSignedZeroAndNaN(t *testing.T) {
 	fixture(t)
 	a, b := obsOf(t, "wc", 5), obsOf(t, "st", 5)
 	a.Features[perfctr.CPUSystem] = 0
 	negA := a
 	negA.Features[perfctr.CPUSystem] = math.Copysign(0, -1)
-	if obsFingerprint(&a) != obsFingerprint(&negA) {
-		t.Fatal("±0 vectors fingerprint differently")
-	}
 	nanA := a
 	nanA.Features[perfctr.CtxSwitch] = math.NaN()
-	ids := interned(a, negA, nanA, b)
-	if ids[0].id == 0 || ids[1].id != ids[0].id || ids[2].id != 0 {
-		t.Fatalf("ids a %d, -0 variant %d, NaN variant %d: want a shared nonzero id and 0", ids[0].id, ids[1].id, ids[2].id)
-	}
 
 	memo := NewMemoSTP(fix.lkt, nil)
-	for _, q := range [][2]Observation{{ids[0], ids[3]}, {ids[1], ids[3]}, {ids[2], ids[3]}, {ids[2], ids[3]}} {
+	for _, q := range [][2]Observation{{a, b}, {negA, b}, {nanA, b}, {nanA, b}} {
 		if _, _, err := memo.PredictBestExpected(q[0], q[1]); err != nil {
 			t.Fatal(err)
 		}
@@ -372,12 +323,15 @@ func TestMemosSignedZeroAndNaN(t *testing.T) {
 	if h, m := memo.HitMiss(); h != 1 || m != 3 {
 		t.Fatalf("memo: %d hits / %d misses, want 1/3 (±0 hits, NaN never)", h, m)
 	}
-	if memo.table.n != 1 {
-		t.Fatalf("memo caches %d pairs, want 1 (a NaN pair passes through)", memo.table.n)
+	if memo.table.n != 1 || len(memo.local) != 2 {
+		t.Fatalf("memo caches %d pairs over %d observations, want 1 over 2 (a NaN pair passes through)", memo.table.n, len(memo.local))
+	}
+	if stamped(nanA)[0].id != 0 {
+		t.Fatal("a NaN-bearing observation was stamped")
 	}
 
 	s := newShard(new(eventQueue), fix.model, fix.db, fix.lkt, 1, 0)
-	for _, o := range ids[:3] {
+	for _, o := range []Observation{a, negA, nanA} {
 		rec := &profileRec{obs: o}
 		want := fix.db.Classifier().Classify(o)
 		if got := s.classOf(rec); got != want || !rec.classed || rec.class != want {
@@ -396,7 +350,7 @@ func (constSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 }
 
 // TestMemoHitMissDeterministicPastCap feeds two fresh memos the same
-// stream of more unique router-interned pairs than the table holds
+// stream of more unique stamped pairs than the table holds
 // (16 × 4096), so the table fills and clears, then re-queries a spread
 // of early and late pairs. Which entries survive the clear, and so the
 // hit count, is a function of the stream alone: the same for both
@@ -406,24 +360,24 @@ func TestMemoHitMissDeterministicPastCap(t *testing.T) {
 		t.Skip("fills the memo table past the cap")
 	}
 	fixture(t)
-	var tab obsTable
 	base := obsOf(t, "wc", 5)
-	partner := obsOf(t, "st", 5)
-	partner = tab.intern(&partner, 0, 0).obs
+	partner := stamped(obsOf(t, "st", 5))[0]
 	const unique = memoCap + 5000
-	pair := func(i int) Observation {
-		o := base
+	recs := make([]Observation, unique)
+	for i := range recs {
+		o := &recs[i]
+		*o = base
 		o.SizeGB = float64(1 + i%20)
 		o.Features[perfctr.IPC] = float64(i)
-		return tab.intern(&o, 0, 0).obs
+		o.stamp()
 	}
 	run := func() (hits, misses int64) {
 		memo := NewMemoSTP(constSTP{}, nil)
 		for i := 0; i < unique; i++ {
-			_, _ = memo.PredictBest(pair(i), partner)
+			_, _ = memo.PredictBest(recs[i], partner)
 		}
 		for i := 0; i < unique; i += 97 {
-			_, _ = memo.PredictBest(pair(i), partner)
+			_, _ = memo.PredictBest(recs[i], partner)
 		}
 		return memo.HitMiss()
 	}

@@ -116,12 +116,13 @@ type pendingArrival struct {
 	rec *profileRec
 }
 
-// profileRec is one interned router profile: the observation measured
-// for a submission and the behaviour class derived from it. The sharded
+// profileRec is one router profile: the observation measured for a
+// submission and the behaviour class derived from it. The sharded
 // router owns the records for the run — one per (app, size) under
-// ProfileMemo, one per distinct observation otherwise — and hands them
-// to the home shard by pointer, so the observation is copied once, into
-// the Job. The record's observation carries its id (DESIGN.md §26).
+// ProfileMemo, one per submission otherwise — and hands them to the
+// home shard by pointer, so the observation is copied once, into the
+// Job. The record's observation carries the record's id (DESIGN.md
+// §26).
 //
 // home is the shard the router sends every job holding the record to.
 // The class is computed on first arrival and cached here. Classify is

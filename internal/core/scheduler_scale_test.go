@@ -247,14 +247,14 @@ func FuzzWaitQueueIndex(f *testing.F) {
 }
 
 // TestMemoSTPTransparency checks the memo wrapper end to end on
-// router-interned observations: repeat
+// stamped observations: repeat
 // predictions hit, hits return the exact first answer, and the metered
 // wrapper's deterministic telemetry cannot tell the cache is there.
 func TestMemoSTPTransparency(t *testing.T) {
 	fixture(t)
 	reg := metrics.NewRegistry()
 	memo := NewMemoSTP(fix.lkt, reg)
-	ids := interned(obsOf(t, "wc", 5), obsOf(t, "st", 5))
+	ids := stamped(obsOf(t, "wc", 5), obsOf(t, "st", 5))
 	a, b := ids[0], ids[1]
 	cfg1, exp1, err1 := memo.PredictBestExpected(a, b)
 	cfg2, exp2, err2 := memo.PredictBestExpected(a, b)

@@ -79,17 +79,15 @@ type ShardedScheduler struct {
 	arrQ    []pendingArrival
 	arrHead int
 
-	// memo finds the (app, size) record under ProfileMemo. obs interns
-	// every record: one per distinct observation, each with its id
-	// (DESIGN.md §26). A record keeps its address for the run.
-	memo map[profileKey]*profileRec
-	obs  obsTable
-
-	// specIDs gives each (app, size) its spec id when ProfileMemo is off
-	// (under it the (app, size) record carries the id); specs counts the
-	// ids handed out, so ids are dense, start at 1 and are never reused.
-	specIDs map[profileKey]int
-	specs   int
+	// recs holds the first record of each (app, size): under
+	// ProfileMemo the one record every job of the pair gets, otherwise
+	// the record whose spec id and home later submissions of the pair
+	// share. chunk is the store records are carved from; a record keeps
+	// its address for the run. specs counts the spec ids handed out, so
+	// ids are dense, start at 1 and are never reused.
+	recs  map[profileKey]*profileRec
+	chunk []profileRec
+	specs int
 
 	nextID int
 	lastAt float64
@@ -184,12 +182,8 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 	if newTuner == nil {
 		return nil, fmt.Errorf("core: sharded scheduler: nil tuner factory")
 	}
-	c := &ShardedScheduler{cfg: cfg, prof: prof, queued: newNodeSet(cfg.Shards)}
-	if cfg.ProfileMemo {
-		c.memo = make(map[profileKey]*profileRec)
-	} else {
-		c.specIDs = make(map[profileKey]int)
-	}
+	c := &ShardedScheduler{cfg: cfg, prof: prof, queued: newNodeSet(cfg.Shards),
+		recs: make(map[profileKey]*profileRec)}
 	base := 0
 	for i := 0; i < cfg.Shards; i++ {
 		n := nodes / cfg.Shards
@@ -346,50 +340,45 @@ func (c *ShardedScheduler) fireArrivals() {
 	}
 }
 
-// profile returns the interned record for one submission: under
-// ProfileMemo the (app, size) record, profiled exactly on first sight;
-// otherwise the interned record of this job's noisy profile, new unless
-// an equal profile came before, with the spec id of its (app, size). A
-// new record is homed on the app's shard.
+// profile returns the record for one submission: under ProfileMemo
+// the (app, size) record, profiled exactly on first sight; otherwise a
+// new record of this job's noisy profile, with the spec id and home of
+// its (app, size). A record's id names the record, not its contents
+// (DESIGN.md §26, §33).
 func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileRec, error) {
 	k := profileKey{app.Name, sizeGB}
-	if c.memo == nil {
-		obs, err := c.prof.Observe(app, sizeGB)
-		if err != nil {
-			return nil, err
-		}
-		spec, ok := c.specIDs[k]
-		if !ok {
-			spec = c.newSpec()
-			c.specIDs[k] = spec
-		}
-		return c.intern(&obs, app.Name, spec), nil
+	first := c.recs[k]
+	if first != nil && c.cfg.ProfileMemo {
+		return first, nil
 	}
-	if rec, ok := c.memo[k]; ok {
-		return rec, nil
+	observe := c.prof.Observe
+	if c.cfg.ProfileMemo {
+		observe = c.prof.ObserveExact
 	}
-	obs, err := c.prof.ObserveExact(app, sizeGB)
+	obs, err := observe(app, sizeGB)
 	if err != nil {
 		return nil, err
 	}
-	rec := c.intern(&obs, app.Name, c.newSpec())
-	c.memo[k] = rec
+	if len(c.chunk) == cap(c.chunk) {
+		c.chunk = make([]profileRec, 0, recChunk)
+	}
+	c.chunk = append(c.chunk, profileRec{obs: obs})
+	rec := &c.chunk[len(c.chunk)-1]
+	rec.obs.stamp()
+	if first != nil {
+		rec.spec, rec.home = first.spec, first.home
+	} else {
+		c.specs++
+		rec.spec, rec.home = c.specs, routeShard(app.Name, len(c.shards))
+		c.recs[k] = rec
+	}
 	return rec, nil
 }
 
-// newSpec hands out the next spec id.
-func (c *ShardedScheduler) newSpec() int {
-	c.specs++
-	return c.specs
-}
-
-// intern returns the record of an observation equal to obs, or a new
-// record holding obs and the given spec id, homed on app's shard. An
-// equal observation has the same app and size, so a shared record's
-// spec id and home are the ones given.
-func (c *ShardedScheduler) intern(obs *Observation, app string, spec int) *profileRec {
-	return c.obs.intern(obs, spec, routeShard(app, len(c.shards)))
-}
+// recChunk is how many records one store chunk holds: one allocation
+// per recChunk records, instead of one per record or a store that
+// regrows.
+const recChunk = 256
 
 // BarrierStats reports how the last Run drove the shards: barriers
 // executed vs events fired between them.

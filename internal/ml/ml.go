@@ -3,9 +3,10 @@
 // provides the three EDP predictors the paper studies — linear regression
 // (LR), a reduced-error-pruning regression tree (REPTree) and a
 // multilayer perceptron (MLP) — the lookup-table technique (LkT) is
-// core.LkTSTP over the database — and the analysis tools of §3.2: PCA (via a Jacobi eigensolver),
-// agglomerative hierarchical clustering, and a k-nearest-neighbour
-// classifier.
+// core.LkTSTP over the database — and the analysis tools of §3.2: PCA
+// (via a Jacobi eigensolver) and agglomerative hierarchical clustering.
+// The k-nearest-neighbour classifier is core.Classifier, over this
+// package's Scaler.
 //
 // Everything is deterministic for a fixed seed and uses only the
 // standard library.

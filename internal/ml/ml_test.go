@@ -265,46 +265,6 @@ func TestMLPUntrainedPredictsZero(t *testing.T) {
 	}
 }
 
-func TestKNNClassifier(t *testing.T) {
-	var X [][]float64
-	var labels []int
-	rng := sim.NewRNG(17)
-	centers := [][]float64{{0, 0}, {10, 0}, {5, 10}}
-	for c, ctr := range centers {
-		for i := 0; i < 30; i++ {
-			X = append(X, []float64{ctr[0] + rng.Normal(0, 1), ctr[1] + rng.Normal(0, 1)})
-			labels = append(labels, c)
-		}
-	}
-	knn := NewKNN(3)
-	if err := knn.Train(X, labels); err != nil {
-		t.Fatal(err)
-	}
-	for c, ctr := range centers {
-		if got := knn.Classify(ctr); got != c {
-			t.Errorf("Classify(center %d) = %d", c, got)
-		}
-	}
-}
-
-func TestKNNKClamped(t *testing.T) {
-	knn := NewKNN(0)
-	if knn.K != 1 {
-		t.Fatalf("K=0 not clamped: %d", knn.K)
-	}
-	X := [][]float64{{0}, {1}}
-	if err := knn.Train(X, []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	big := NewKNN(50)
-	if err := big.Train(X, []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := big.Classify([]float64{0.1}); got != 0 && got != 1 {
-		t.Fatalf("classify with k>n returned %d", got)
-	}
-}
-
 func TestPCARecoversDominantDirection(t *testing.T) {
 	// Points stretched along (1,1): PC1 must align with it and carry most
 	// of the variance.
