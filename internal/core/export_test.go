@@ -58,3 +58,14 @@ func SteadyMemoEntries(c *ShardedScheduler) int {
 	}
 	return n
 }
+
+// SteadyMemoCounts returns each shard's steady-memo hits and misses.
+func SteadyMemoCounts(c *ShardedScheduler) (hits, misses []int64) {
+	for _, sh := range c.shards {
+		hits, misses = append(hits, sh.steadyHits), append(misses, sh.steadyMisses)
+	}
+	return hits, misses
+}
+
+// TuneTableCounts returns m's tune-table probes and inserts.
+func TuneTableCounts(m *MemoSTP) (probes, inserts int64) { return m.probes, m.inserts }

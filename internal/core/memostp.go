@@ -66,6 +66,10 @@ type MemoSTP struct {
 	// samples at epoch barriers, unlike the volatile registry counters
 	// above.
 	nhits, nmisses int64
+
+	// probes / inserts count table lookups and stores, deterministic
+	// like nhits/nmisses.
+	probes, inserts int64
 }
 
 // memoCap bounds the table (the workload stream's working set is tiny
@@ -214,6 +218,7 @@ func (m *MemoSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectati
 		k, ok = m.localKey(a, b)
 	}
 	if ok {
+		m.probes++
 		if v := m.table.get(k); v != nil {
 			m.hits.Inc()
 			m.nhits++
@@ -235,6 +240,7 @@ func (m *MemoSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectati
 		}
 	}
 	m.table.put(k, memoVal{cfg: cfg, exp: exp, err: err})
+	m.inserts++
 	return cfg, exp, err
 }
 

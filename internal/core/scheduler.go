@@ -62,6 +62,10 @@ type shard struct {
 	// grow memory).
 	steadyMemo memoTable[steadyKey, steadyVal]
 
+	// steadyHits / steadyMisses count steady solves answered by the
+	// memo and solves run, a deterministic function of the stream.
+	steadyHits, steadyMisses int64
+
 	// freeCnt / halfCnt mirror the dispatch bitmaps' populations so
 	// freeSlots — called per shard at every steal barrier — is O(1)
 	// instead of a popcount walk.
@@ -341,9 +345,11 @@ func (s *shard) steady(n *onlineNode) (steadyVal, error) {
 	k, fits := steadyKeyOf(n.residents)
 	if fits {
 		if v := s.steadyMemo.get(k); v != nil {
+			s.steadyHits++
 			return *v, nil
 		}
 	}
+	s.steadyMisses++
 	out, w, err := s.eval.Steady(s.specsInto(n))
 	if err != nil {
 		return steadyVal{}, err
