@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"ecost/internal/mapreduce"
@@ -164,5 +165,113 @@ func TestMemoIDExact(t *testing.T) {
 			t.Fatalf("seed %d: %d ±0 hits, %d un-stamped hits, %d stamped hits, %d NaN queries, %d clears — want every case exercised",
 				seed, signedHits, localHits, stampedHits, nanQueries, clears)
 		}
+	}
+}
+
+// storeAll is a memo that stores every key: it reaches its MemoSTP
+// through PredictBestExpected, which never passes the single-use bit,
+// so every miss probes and fills the table.
+type storeAll struct{ *MemoSTP }
+
+// stepTime fires c's events at its next event time and takes the steal
+// pass Run's drive takes there, and reports false when c has no event
+// left.
+func stepTime(c *ShardedScheduler) bool {
+	t, ok := c.nextAt()
+	if !ok {
+		return false
+	}
+	barrier := c.barrierAt(t)
+	for c.step(t) {
+	}
+	if barrier {
+		c.stealPass(t)
+	}
+	return true
+}
+
+// TestSharedMemoSingleUse runs one MemoSTP as the tuner of every shard
+// of two control planes, one with ProfileMemo on over recurring
+// (app, size) pairs and one with it off over a noisy stream of every
+// application at continuous sizes, stepping the planes' event times
+// alternately so their tunes interleave. The memo skips the table for
+// the second plane's single-use pairs. A twin setup runs on a storeAll
+// memo. After every step the two memos' HitMiss must be equal, and so
+// must both planes' completions at the end. The cap is cut to 256
+// keys, so the shared table clears many times mid-stream, on the
+// single-use keys' count as on its own entries.
+func TestSharedMemoSingleUse(t *testing.T) {
+	fixture(t)
+	type arrival struct {
+		app      workloads.App
+		size, at float64
+	}
+	stream := func(seed int64, apps []workloads.App, size func(*sim.RNG) float64, gap float64) []arrival {
+		rng := sim.NewRNG(seed)
+		out := make([]arrival, 1500)
+		at := 0.0
+		for i := range out {
+			at += rng.Exp(gap)
+			out[i] = arrival{apps[rng.Intn(len(apps))], size(rng), at}
+		}
+		return out
+	}
+	recurring := stream(1, workloads.Training(), func(r *sim.RNG) float64 { return float64(1 + r.Intn(4)) }, 2)
+	noisy := stream(2, workloads.Apps(), func(r *sim.RNG) float64 { return 1 + 10*r.Float64() }, 2)
+	const limit = 256
+	plane := func(tuner STP, profileMemo bool, arrivals []arrival) *ShardedScheduler {
+		c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(7)),
+			func() STP { return tuner }, 48, ShardedConfig{Shards: 4, Steal: true, ProfileMemo: profileMemo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range arrivals {
+			c.Submit(a.app, a.size, a.at)
+		}
+		return c
+	}
+	shared, ref := NewMemoSTP(fix.lkt, nil), NewMemoSTP(fix.lkt, nil)
+	shared.limit, ref.limit = limit, limit
+	planes := [2][2]*ShardedScheduler{
+		{plane(shared, true, recurring), plane(shared, false, noisy)},
+		{plane(storeAll{ref}, true, recurring), plane(storeAll{ref}, false, noisy)},
+	}
+	clears, single := 0, int64(0)
+	for live := [2]bool{true, true}; live[0] || live[1]; {
+		for p := range live {
+			if !live[p] {
+				continue
+			}
+			before := shared.counted
+			h0, m0 := shared.HitMiss()
+			p0, _ := shared.probes, shared.inserts
+			live[p] = stepTime(planes[0][p])
+			if stepTime(planes[1][p]) != live[p] {
+				t.Fatalf("plane %d: the twins ran out of events at different steps", p)
+			}
+			if shared.counted < before {
+				clears++
+			}
+			h, m := shared.HitMiss()
+			single += (h - h0) + (m - m0) - (shared.probes - p0)
+			if rh, rm := ref.HitMiss(); h != rh || m != rm {
+				t.Fatalf("shared memo HitMiss %d/%d, storing every key %d/%d", h, m, rh, rm)
+			}
+		}
+	}
+	for p := range planes[0] {
+		for _, c := range []*ShardedScheduler{planes[0][p], planes[1][p]} {
+			if _, _, err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a, b := planes[0][p].Completed(), planes[1][p].Completed(); !slices.Equal(a, b) {
+			t.Fatalf("plane %d: completions differ between the shared memo and the storing one", p)
+		}
+	}
+	h, m := shared.HitMiss()
+	if h == 0 || single == 0 || clears < 4 || ref.inserts-shared.inserts != single {
+		t.Fatalf("%d hits / %d misses, %d single-use tunes (%d fewer inserts), %d clears: want hits, single-use tunes that skip the table and several clears",
+			h, m, single, ref.inserts-shared.inserts, clears)
 	}
 }

@@ -18,8 +18,11 @@ import (
 // changing tuning decisions; exact keys are what keeps the wrapper
 // bit-identical to the unmemoized run. The price is that with the
 // noise-model profiler each job instance's feature vector differs, so a
-// stream that re-profiles every arrival keeps the cache cold and every
-// call misses.
+// stream that re-profiles every arrival never hits. Its router hands
+// out one record per submission, and the shard passes that fact with
+// each tune: such a pair cannot recur, so the memo counts a miss and
+// asks the inner technique without probing or filling the table
+// (DESIGN.md §34).
 //
 // The key is the pair's two identity words (DESIGN.md §26). The router
 // stamps every record it hands a shard with an id of its own, so a
@@ -51,13 +54,17 @@ type MemoSTP struct {
 	Inner STP
 
 	// table holds at most limit entries; a new pair into a full table
-	// clears it, and local with it, wholesale. local ids the un-stamped
-	// observations of the cached pairs. Which pairs survive is a
-	// function of the query stream alone, so HitMiss — which the
-	// flight recorder samples — is the same in every run.
-	table memoTable[memoKey, memoVal]
-	limit int
-	local map[Observation]uint64
+	// clears it, and local with it, wholesale. counted is the table's
+	// count had every single-use pair been stored too: the table clears
+	// when counted reaches limit, so it clears where it would if it
+	// stored them. local ids the un-stamped observations of the cached
+	// pairs. Which pairs survive is a function of the query stream
+	// alone, so HitMiss — which the flight recorder samples — is the
+	// same in every run.
+	table   memoTable[memoKey, memoVal]
+	limit   int
+	counted int
+	local   map[Observation]uint64
 
 	hits   *metrics.Counter
 	misses *metrics.Counter
@@ -107,15 +114,21 @@ type memoVal struct {
 // memoTable is the id-keyed table under both of a shard's memos:
 // MemoSTP's, keyed by a pair's two identity words, and the steady
 // memo, keyed by a node's one-word solver input. It is open addressing
-// with linear probing, at most three quarters full. A key's slot is a
-// fixed function of the key and the table doubles at fixed counts, so
-// its allocations are the same in every run, which a Go map's, split
-// by seeded hash bits, are not. The zero key marks an empty slot, so
-// the zero key is never stored and never looked up. A clear keeps the
-// slots, so refilling a cleared table allocates nothing.
+// with linear probing, at most three quarters full. Slots are stored
+// in groups of eight, each group's keys ahead of its values, so a
+// probe scans 8- or 16-byte keys and reads a value only on a hit
+// (DESIGN.md §34); slot i is lane i%8 of group i/8, so the probe
+// order is that of a flat slot array. The groups are one allocation,
+// the size of the flat slots they replace. A key's slot is a fixed
+// function of the key and the table doubles at fixed counts, so its
+// allocations are the same in every run, which a Go map's, split by
+// seeded hash bits, are not. The zero key marks an empty slot, so the
+// zero key is never stored and never looked up. A clear empties the
+// keys and keeps the groups, so refilling a cleared table allocates
+// nothing; a value is written before its slot is read again.
 type memoTable[K tableKey, V any] struct {
-	slots []memoSlot[K, V]
-	n     int
+	groups []memoGroup[K, V]
+	n      int
 }
 
 // tableKey is a memoTable key: a nonzero identity word or words, with
@@ -125,19 +138,32 @@ type tableKey interface {
 	hash() uint64
 }
 
-type memoSlot[K tableKey, V any] struct {
-	k K
-	v V
+// memoGroup is eight consecutive slots: their keys, then their values.
+type memoGroup[K tableKey, V any] struct {
+	keys [groupSlots]K
+	vals [groupSlots]V
 }
 
-// slot returns the slot holding k, or the empty slot where k belongs.
-// The table must have an empty slot.
-func (t *memoTable[K, V]) slot(k K) *memoSlot[K, V] {
+// groupSlots is the slot count of a memoGroup; table sizes are powers
+// of two from 16, so every table is whole groups.
+const groupSlots = 8
+
+// slots is the table's slot count.
+func (t *memoTable[K, V]) slots() int { return groupSlots * len(t.groups) }
+
+// key returns slot i's key.
+func (t *memoTable[K, V]) key(i int) *K {
+	return &t.groups[uint(i)/groupSlots].keys[uint(i)%groupSlots]
+}
+
+// slot returns the index of the slot holding k, or of the empty slot
+// where k belongs. The table must have an empty slot.
+func (t *memoTable[K, V]) slot(k K) int {
 	var empty K
-	mask := len(t.slots) - 1
+	mask := t.slots() - 1
 	for i := int(k.hash()) & mask; ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.k == k || s.k == empty {
-			return s
+		if c := *t.key(i); c == k || c == empty {
+			return i
 		}
 	}
 }
@@ -147,30 +173,41 @@ func (t *memoTable[K, V]) get(k K) *V {
 	if t.n == 0 {
 		return nil
 	}
-	if s := t.slot(k); s.k == k {
-		return &s.v
+	if i := t.slot(k); *t.key(i) == k {
+		return &t.groups[uint(i)/groupSlots].vals[uint(i)%groupSlots]
 	}
 	return nil
 }
 
 // put stores v under k, which the table does not hold.
 func (t *memoTable[K, V]) put(k K, v V) {
-	if 4*(t.n+1) > 3*len(t.slots) {
+	if 4*(t.n+1) > 3*t.slots() {
 		var empty K
-		old := t.slots
-		t.slots = make([]memoSlot[K, V], max(16, 2*len(old)))
-		for _, s := range old {
-			if s.k != empty {
-				*t.slot(s.k) = s
+		old := t.groups
+		t.groups = make([]memoGroup[K, V], max(16/groupSlots, 2*len(old)))
+		for gi := range old {
+			g := &old[gi]
+			for j, key := range g.keys {
+				if key != empty {
+					t.set(t.slot(key), key, g.vals[j])
+				}
 			}
 		}
 	}
-	*t.slot(k) = memoSlot[K, V]{k, v}
+	t.set(t.slot(k), k, v)
 	t.n++
 }
 
+// set writes k and v into slot i.
+func (t *memoTable[K, V]) set(i int, k K, v V) {
+	g, j := &t.groups[uint(i)/groupSlots], uint(i)%groupSlots
+	g.keys[j], g.vals[j] = k, v
+}
+
 func (t *memoTable[K, V]) clear() {
-	clear(t.slots)
+	for i := range t.groups {
+		clear(t.groups[i].keys[:])
+	}
 	t.n = 0
 }
 
@@ -206,18 +243,24 @@ func (m *MemoSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 // degradation), so a PredictBest after a PredictBestExpected of the
 // same pair — or vice versa — hits.
 func (m *MemoSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
-	return m.predict(&a, &b)
+	return m.predict(&a, &b, false)
 }
 
 // predict is PredictBestExpected on the pair in place; predictExpected
 // calls it directly, so a scheduler's tune reaches the table without
-// copying the pair.
-func (m *MemoSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
+// copying the pair. single reports that b's record belongs to one
+// submission. With both sides stamped, the pair's key then occurs in
+// this one call, so no entry can answer it and none would be read: the
+// call is a miss with no probe and no insert, and the key only counts
+// toward the cap.
+func (m *MemoSTP) predict(a, b *Observation, single bool) ([2]mapreduce.Config, PairExpectation, error) {
 	k, ok := memoKey{a.id, b.id}, true
-	if k.a == 0 || k.b == 0 {
+	stamped := k.a != 0 && k.b != 0
+	if !stamped {
 		k, ok = m.localKey(a, b)
 	}
-	if ok {
+	store := ok && !(single && stamped)
+	if store {
 		m.probes++
 		if v := m.table.get(k); v != nil {
 			m.hits.Inc()
@@ -227,20 +270,24 @@ func (m *MemoSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectati
 	}
 	m.misses.Inc()
 	m.nmisses++
-	cfg, exp, err := predictExpected(m.Inner, a, b)
+	cfg, exp, err := predictExpected(m.Inner, a, b, single)
 	if !ok {
 		return cfg, exp, err
 	}
-	if m.table.n >= m.limit {
+	if m.counted >= m.limit {
 		m.table.clear()
+		m.counted = 0
 		if len(m.local) > 0 {
 			// The pair's local ids went with the table.
 			clear(m.local)
 			k, _ = m.localKey(a, b)
 		}
 	}
-	m.table.put(k, memoVal{cfg: cfg, exp: exp, err: err})
-	m.inserts++
+	m.counted++
+	if store {
+		m.table.put(k, memoVal{cfg: cfg, exp: exp, err: err})
+		m.inserts++
+	}
 	return cfg, exp, err
 }
 

@@ -250,7 +250,7 @@ func TestMissPathZeroAlloc(t *testing.T) {
 	// The tune path reaches LkT in place; it answers as the exported
 	// entry point does.
 	for _, q := range [][2]Observation{{a, b}, {b, a}} {
-		cfg, exp, err := predictExpected(fix.lkt, &q[0], &q[1])
+		cfg, exp, err := predictExpected(fix.lkt, &q[0], &q[1], false)
 		wantCfg, wantExp, wantErr := fix.lkt.PredictBestExpected(q[0], q[1])
 		if cfg != wantCfg || exp != wantExp || err != wantErr {
 			t.Fatalf("predictExpected on LkT: %v %+v %v, PredictBestExpected %v %+v %v", cfg, exp, err, wantCfg, wantExp, wantErr)
@@ -261,7 +261,7 @@ func TestMissPathZeroAlloc(t *testing.T) {
 		"NearestKnown":               func() { c.NearestKnown(a) },
 		"LkTSTP.PredictBestExpected": func() { _, _, _ = fix.lkt.PredictBestExpected(a, b) },
 		"LkTSTP reversed":            func() { _, _, _ = fix.lkt.PredictBestExpected(b, a) },
-		"predictExpected on LkTSTP":  func() { _, _, _ = predictExpected(fix.lkt, &a, &b) },
+		"predictExpected on LkTSTP":  func() { _, _, _ = predictExpected(fix.lkt, &a, &b, false) },
 		"MemoSTP hit":                func() { _, _, _ = memo.PredictBestExpected(a, b) },
 		"MemoSTP hit, un-stamped":    func() { _, _, _ = memo.PredictBestExpected(raw[0], raw[1]) },
 	} {
@@ -354,7 +354,8 @@ func (constSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 // (16 × 4096), so the table fills and clears, then re-queries a spread
 // of early and late pairs. Which entries survive the clear, and so the
 // hit count, is a function of the stream alone: the same for both
-// memos, and exactly the late pairs the clear kept.
+// memos, and exactly the late pairs the clear kept. The key array
+// then holds exactly the pairs stored since the clear, one slot each.
 func TestMemoHitMissDeterministicPastCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills the memo table past the cap")
@@ -371,18 +372,19 @@ func TestMemoHitMissDeterministicPastCap(t *testing.T) {
 		o.Features[perfctr.IPC] = float64(i)
 		o.stamp()
 	}
-	run := func() (hits, misses int64) {
-		memo := NewMemoSTP(constSTP{}, nil)
+	run := func() (memo *MemoSTP, hits, misses int64) {
+		memo = NewMemoSTP(constSTP{}, nil)
 		for i := 0; i < unique; i++ {
 			_, _ = memo.PredictBest(recs[i], partner)
 		}
 		for i := 0; i < unique; i += 97 {
 			_, _ = memo.PredictBest(recs[i], partner)
 		}
-		return memo.HitMiss()
+		hits, misses = memo.HitMiss()
+		return memo, hits, misses
 	}
-	h1, m1 := run()
-	h2, m2 := run()
+	memo, h1, m1 := run()
+	_, h2, m2 := run()
 	if h1 != h2 || m1 != m2 {
 		t.Fatalf("HitMiss differs between identical streams: %d/%d vs %d/%d", h1, m1, h2, m2)
 	}
@@ -397,5 +399,22 @@ func TestMemoHitMissDeterministicPastCap(t *testing.T) {
 	}
 	if h1 != wantH || m1 != wantM {
 		t.Fatalf("HitMiss %d/%d, want %d/%d", h1, m1, wantH, wantM)
+	}
+	// The table then holds the late pairs and the early ones the
+	// re-queries missed and stored again, each in one key slot.
+	stored := map[int]bool{}
+	for i := memoCap; i < unique; i++ {
+		stored[i] = true
+	}
+	for i := 0; i < memoCap; i += 97 {
+		stored[i] = true
+	}
+	if used := memo.table.inUse(); used != memo.table.n || memo.table.n != len(stored) {
+		t.Fatalf("%d keys in use over %d entries, want %d entries", used, memo.table.n, len(stored))
+	}
+	for i := range stored {
+		if memo.table.get(memoKey{recs[i].id, partner.id}) == nil {
+			t.Fatalf("pair %d is not in the table", i)
+		}
 	}
 }

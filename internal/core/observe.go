@@ -408,13 +408,13 @@ func (o *observer) claim(n *onlineNode, j *Job) {
 // model realizes at the chosen configuration. Realizing it reads the
 // observations' ground-truth apps, which is fine for telemetry (like
 // CompletedJob.App) but must never feed back into tuning.
-func (o *observer) predictPair(a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
+func (o *observer) predictPair(a, b *Observation, single bool) ([2]mapreduce.Config, PairExpectation, error) {
 	m := o.met
 	if m == nil {
-		return predictExpected(o.sh.Tuner, a, b)
+		return predictExpected(o.sh.Tuner, a, b, single)
 	}
 	start := time.Now()
-	cfg, exp, err := predictExpected(o.sh.Tuner, a, b)
+	cfg, exp, err := predictExpected(o.sh.Tuner, a, b, single)
 	m.wall.Observe(float64(time.Since(start).Nanoseconds()))
 	if err != nil {
 		m.failures.Inc()

@@ -35,7 +35,10 @@ type routerPin struct {
 // change they guard: the memo, steady-entry, steal and completion
 // values before the router stopped interning observations (DESIGN.md
 // §33), the tune-table and steady-memo counts before the pair kernel
-// and the key-only tables (DESIGN.md §34).
+// and the key-only tables (DESIGN.md §34). Of those counts only the
+// tune-table probes and inserts of the two ProfileMemo-off streams
+// moved with that change: a single-use record's pair never reaches the
+// table, so they fell to 0.
 var routerStreams = []struct {
 	name        string
 	nodes       int
@@ -54,16 +57,12 @@ var routerStreams = []struct {
 	}},
 	{"recurring/noisy", 256, "gen:jobs=4000;arrivals=poisson:0.56;sizes=pareto:alpha=1.6,min=1,max=12;mix=zipf:s=1.1,tenants=64", false, routerPin{
 		misses:       [16]int64{454, 426, 722, 401, 265, 199, 72, 150, 0, 311, 0, 82, 183, 0, 0, 281},
-		probes:       [16]int64{454, 426, 722, 401, 265, 199, 72, 150, 0, 311, 0, 82, 183, 0, 0, 281},
-		inserts:      [16]int64{454, 426, 722, 401, 265, 199, 72, 150, 0, 311, 0, 82, 183, 0, 0, 281},
 		steadyHits:   [16]int64{511, 473, 1083, 431, 306, 296, 64, 283, 0, 454, 0, 162, 335, 0, 0, 541},
 		steadyMisses: [16]int64{425, 409, 410, 423, 294, 131, 130, 70, 0, 195, 0, 26, 48, 0, 0, 46},
 		steady:       2607, steals: 1888, digest: 0x1a036af8c781cce9, makespan: 0x40a7500e9d0c39e3, energy: 0x416e0eeaf7a6aefc,
 	}},
 	{"churn", 64, "gen:jobs=2000;arrivals=poisson:8;sizes=lognormal:mu=1.2,sigma=0.8,max=20;mix=zipf:s=0.8,tenants=100000,unknown", false, routerPin{
 		misses:       [16]int64{184, 187, 164, 234, 100, 169, 60, 222, 23, 253, 8, 0, 106, 0, 0, 0},
-		probes:       [16]int64{184, 187, 164, 234, 100, 169, 60, 222, 23, 253, 8, 0, 106, 0, 0, 0},
-		inserts:      [16]int64{184, 187, 164, 234, 100, 169, 60, 222, 23, 253, 8, 0, 106, 0, 0, 0},
 		steadyHits:   [16]int64{45, 56, 47, 67, 12, 47, 14, 107, 2, 126, 0, 0, 32, 0, 0, 0},
 		steadyMisses: [16]int64{339, 336, 306, 434, 218, 309, 135, 398, 63, 405, 24, 0, 188, 0, 0, 0},
 		steady:       3155, steals: 1020, digest: 0xd2e9d1f89bd4b73c, makespan: 0x40d2e2466432c65a, energy: 0x4178f0243759b696,

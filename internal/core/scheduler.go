@@ -55,8 +55,9 @@ type shard struct {
 	// so a hit returns bit-identical times and watts — the cache is
 	// transparent to every golden — while recurring tenant pairs skip
 	// the fluid solver entirely. It is the open-addressed memoTable
-	// MemoSTP uses, here on the one-word key, and its slots hold no
-	// pointers. At steadyMemoCap entries it clears wholesale and keeps
+	// MemoSTP uses, here on the one-word key, and neither of its arrays
+	// holds a pointer. Each resident carries its key half (setCfg), so
+	// a lookup reads two words. At steadyMemoCap entries it clears wholesale and keeps
 	// its slots (the MemoSTP policy: recurring streams re-warm
 	// instantly and without allocating, adversarial key churn cannot
 	// grow memory).
@@ -139,12 +140,18 @@ type pendingArrival struct {
 // spec is the router's id for the record's (app name, size), shared by
 // every record of that pair and never reused (DESIGN.md §25). Ids
 // start at 1, so a zero spec word marks an empty steadyKey slot.
+//
+// single marks a record that belongs to a single submission, as every
+// record does without ProfileMemo. Its job is placed once, so no tune
+// pair with it as the newcomer can recur, and the shard tells the
+// tuner so (DESIGN.md §34).
 type profileRec struct {
 	obs     Observation
 	spec    int
 	home    int
 	class   workloads.Class
 	classed bool
+	single  bool
 }
 
 // classOf returns rec's behaviour class, classifying on first use.
@@ -174,6 +181,17 @@ type onlineJob struct {
 	cfg     mapreduce.Config
 	rem     float64 // fraction of work remaining
 	started float64
+
+	// half is the job's steady-key half for its record's spec id and
+	// cfg, or 0 when they do not fit one; setCfg keeps it in step with
+	// cfg, so a lookup reads it instead of rebuilding it.
+	half uint64
+}
+
+// setCfg sets the job's configuration and its steady-key half.
+func (r *onlineJob) setCfg(cfg mapreduce.Config) {
+	r.cfg = cfg
+	r.half = steadyHalf(r.job.rec.spec, cfg)
 }
 
 type onlineNode struct {
@@ -316,24 +334,27 @@ func gridIndex(c mapreduce.Config) (uint64, bool) {
 	return uint64((fi*len(gridBlocks)+bi)*gridMappers + c.Mappers - 1), true
 }
 
-// steadyHalf is one resident's half of a steady key, and false when the
-// resident does not fit one: a spec id of 2^24 or more, or a
-// configuration off the grid.
-func steadyHalf(r *onlineJob) (uint64, bool) {
-	spec := uint64(r.job.rec.spec)
-	g, ok := gridIndex(r.cfg)
-	return spec<<8 | g, ok && spec < 1<<24
+// steadyHalf is a resident's half of a steady key for its record's
+// spec id and its configuration, and 0 when they do not fit one: a
+// spec id of 2^24 or more, or a configuration off the grid. A half
+// that fits is nonzero, as spec ids start at 1.
+func steadyHalf(spec int, cfg mapreduce.Config) uint64 {
+	g, ok := gridIndex(cfg)
+	if !ok || spec < 1 || spec >= 1<<24 {
+		return 0
+	}
+	return uint64(spec)<<8 | g
 }
 
-// steadyKeyOf builds the memo key for a 1- or 2-resident node straight
-// from its residents, so a memo hit never builds the spec list. ok is
-// false when the set does not fit a key.
+// steadyKeyOf builds the memo key for a 1- or 2-resident node from the
+// halves its residents carry, so a memo hit never builds the spec
+// list. ok is false when the set does not fit a key.
 func steadyKeyOf(res []*onlineJob) (steadyKey, bool) {
-	k, ok := steadyHalf(res[0])
-	k <<= 32
+	h := res[0].half
+	k, ok := h<<32, h != 0
 	if len(res) == 2 {
-		b, okB := steadyHalf(res[1])
-		k, ok = k|b, ok && okB
+		h = res[1].half
+		k, ok = k|h, ok && h != 0
 	}
 	return steadyKey(k), ok
 }
@@ -582,7 +603,8 @@ func (s *shard) place(n *onlineNode, j *Job) {
 	} else {
 		oj = new(onlineJob)
 	}
-	*oj = onlineJob{job: j, cfg: cfg, rem: 1, started: s.ev.now}
+	*oj = onlineJob{job: j, rem: 1, started: s.ev.now}
+	oj.setCfg(cfg)
 	n.residents = append(n.residents, oj)
 	s.occupancyChanged(n)
 	if s.obs != nil {
@@ -605,13 +627,14 @@ func (s *shard) tuneFor(n *onlineNode, j *Job) mapreduce.Config {
 		var e PairExpectation
 		var err error
 		if s.obs != nil { // the observer meters the call
-			cfg, e, err = s.obs.predictPair(&r.job.Obs, &j.Obs)
+			cfg, e, err = s.obs.predictPair(&r.job.Obs, &j.Obs, j.rec.single)
 		} else {
-			cfg, e, err = predictExpected(s.Tuner, &r.job.Obs, &j.Obs)
+			cfg, e, err = predictExpected(s.Tuner, &r.job.Obs, &j.Obs, j.rec.single)
 		}
 		if err == nil && cfg[0].Mappers+cfg[1].Mappers <= s.Model.Spec.Cores {
-			r.cfg.Freq = cfg[0].Freq
-			r.cfg.Mappers = cfg[0].Mappers
+			rc := r.cfg
+			rc.Freq, rc.Mappers = cfg[0].Freq, cfg[0].Mappers
+			r.setCfg(rc)
 			resident, pair, exp = r, cfg, e
 		}
 	}

@@ -362,7 +362,7 @@ func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileR
 	if len(c.chunk) == cap(c.chunk) {
 		c.chunk = make([]profileRec, 0, recChunk)
 	}
-	c.chunk = append(c.chunk, profileRec{obs: obs})
+	c.chunk = append(c.chunk, profileRec{obs: obs, single: !c.cfg.ProfileMemo})
 	rec := &c.chunk[len(c.chunk)-1]
 	rec.obs.stamp()
 	if first != nil {

@@ -94,7 +94,7 @@ func TestSteadyMemoExact(t *testing.T) {
 				// (app, size) pairs and the same configurations.
 				for _, r := range history[rng.Intn(len(history))] {
 					j := job(op, r.job.Obs.App, r.job.Obs.SizeGB)
-					res = append(res, &onlineJob{job: j, cfg: r.cfg})
+					res = append(res, resident(j, r.cfg))
 				}
 			} else {
 				n := 1 + rng.Intn(maxPerNode)
@@ -110,7 +110,7 @@ func TestSteadyMemoExact(t *testing.T) {
 				}
 				for i := 0; i < n; i++ {
 					j := job(op, apps[rng.Intn(len(apps))], sizes[rng.Intn(len(sizes))])
-					res = append(res, &onlineJob{job: j, cfg: cfgs[i]})
+					res = append(res, resident(j, cfgs[i]))
 				}
 			}
 			// A pair first seen now, possibly after a clear, must get a
@@ -187,10 +187,12 @@ func TestSteadyMemoExact(t *testing.T) {
 func TestSteadyTableRefillZeroAlloc(t *testing.T) {
 	s := newShard(nil, mapreduce.NewModel(cluster.AtomC2758()), nil, nil, 1, 0)
 	rec := &profileRec{obs: Observation{App: workloads.MustByName("wc"), SizeGB: 1}}
-	node := &onlineNode{residents: []*onlineJob{{job: &Job{Obs: rec.obs, rec: rec}, cfg: ProfilingConfig()}}}
+	r := resident(&Job{Obs: rec.obs, rec: rec}, ProfilingConfig())
+	node := &onlineNode{residents: []*onlineJob{r}}
 	fill := func() {
 		for i := 0; i < steadyMemoCap; i++ {
 			rec.spec++
+			r.setCfg(r.cfg)
 			if _, err := s.steady(node); err != nil {
 				t.Fatal(err)
 			}
@@ -201,18 +203,12 @@ func TestSteadyTableRefillZeroAlloc(t *testing.T) {
 		if s.steadyMemo.n != steadyMemoCap {
 			t.Fatalf("full table holds %d entries, want %d", s.steadyMemo.n, steadyMemoCap)
 		}
-		used := 0
-		for _, sl := range s.steadyMemo.slots {
-			if sl.k != 0 {
-				used++
-			}
-		}
-		if used != s.steadyMemo.n {
+		if used := s.steadyMemo.inUse(); used != s.steadyMemo.n {
 			t.Fatalf("%d slots in use for %d entries", used, s.steadyMemo.n)
 		}
 		for spec := 1; spec <= rec.spec; spec++ {
 			r := profileRec{spec: spec}
-			k, _ := steadyKeyOf([]*onlineJob{{job: &Job{rec: &r}, cfg: ProfilingConfig()}})
+			k, _ := steadyKeyOf([]*onlineJob{resident(&Job{rec: &r}, ProfilingConfig())})
 			if got := s.steadyMemo.get(k) != nil; got != (spec >= first) {
 				t.Fatalf("spec %d cached=%v, want %v (the refill holds specs %d..%d)", spec, got, !got, first, rec.spec)
 			}
@@ -220,14 +216,34 @@ func TestSteadyTableRefillZeroAlloc(t *testing.T) {
 	}
 	fill()
 	check(1)
-	slots := len(s.steadyMemo.slots)
+	slots := s.steadyMemo.slots()
 	if allocs := testing.AllocsPerRun(3, fill); allocs != 0 {
 		t.Fatalf("refilling a cleared table allocates %.1f objects, want 0", allocs)
 	}
 	check(rec.spec - steadyMemoCap + 1)
-	if len(s.steadyMemo.slots) != slots {
-		t.Fatalf("refills resized the table from %d to %d slots", slots, len(s.steadyMemo.slots))
+	if s.steadyMemo.slots() != slots {
+		t.Fatalf("refills resized the table from %d to %d slots", slots, s.steadyMemo.slots())
 	}
+}
+
+// inUse counts the table's slots holding a key.
+func (t *memoTable[K, V]) inUse() int {
+	var empty K
+	n := 0
+	for i := 0; i < t.slots(); i++ {
+		if *t.key(i) != empty {
+			n++
+		}
+	}
+	return n
+}
+
+// resident is a resident running j at cfg, its steady-key half set as
+// place sets it.
+func resident(j *Job, cfg mapreduce.Config) *onlineJob {
+	r := &onlineJob{job: j}
+	r.setCfg(cfg)
+	return r
 }
 
 // TestSpecIDsUnderProfileMemo checks that under ProfileMemo the spec id

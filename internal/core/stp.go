@@ -81,10 +81,12 @@ func (s *LkTSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectatio
 // configuration-only (zero expectation). It takes the pair by
 // reference, so the observations are copied at most once, into the
 // technique's call, and not at all into a MemoSTP's or an LkTSTP's.
-func predictExpected(t STP, a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
+// single reports that b's record belongs to one submission, so the
+// pair cannot recur; only a MemoSTP reads it.
+func predictExpected(t STP, a, b *Observation, single bool) ([2]mapreduce.Config, PairExpectation, error) {
 	switch p := t.(type) {
 	case *MemoSTP:
-		return p.predict(a, b)
+		return p.predict(a, b, single)
 	case *LkTSTP:
 		return p.predict(a, b)
 	case ExpectingSTP:

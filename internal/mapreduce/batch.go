@@ -20,11 +20,15 @@ import (
 // Every routine here computes the exact floating-point sequence of the
 // original serial implementation: buffer reuse changes where
 // intermediate values live, never what they are, so batched results are
-// bit-identical to CoLocate's. The solo path goes further and skips
-// work whose result is already known — the first epoch's repeat of the
-// initial solve, and a lone app's loop-invariant fixed-point terms —
-// but every value it keeps is computed by the same operations in the
-// same order.
+// bit-identical to CoLocate's. The solo and pair paths go further and
+// skip work whose result is already known — the first epoch's repeat
+// of the initial solve, a lone app's loop-invariant fixed-point terms,
+// and each app's burst-independent terms in a two-app fixed point —
+// but every value they keep is computed by the same operations in the
+// same order. The pair path's one substitution, an inline compare for
+// math.Max and math.Min, runs only where both operands are positive,
+// where the two agree bit for bit; elsewhere it falls back to the full
+// loop.
 
 // ioPhase is one MapReduce phase's per-task demand: CPU seconds and
 // disk traffic.
@@ -169,6 +173,8 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 
 	if r, ok := m.soloRate(specs, mapPh, redPh, splits, bw); ok {
 		rate[0] = r
+	} else if r0, r1, ok := m.pairRates(specs, mapPh, redPh, splits, bw); ok {
+		rate[0], rate[1] = r0, r1
 	} else {
 		m.dampRates(specs, mapPh, redPh, splits, bw, rate)
 	}
@@ -271,6 +277,92 @@ func (m *Model) soloRate(specs []RunSpec, mapPh, redPh []ioPhase, splits []int, 
 	}
 	return rate, true
 }
+
+// pairLane is one application's loop invariants in the two-app fixed
+// point: every term of targetRate that does not depend on the burst
+// bandwidth.
+type pairLane struct {
+	duty           float64 // DiskDutyCap
+	mapCPU, redCPU float64 // per-task CPU seconds
+	mapIO, redIO   float64 // mappers × per-task MB: taskTime's numerator
+	waves          float64
+	traffic        float64 // the job's MB: targetRate's numerator
+}
+
+// target is targetRate at the given burst for the lane's app, with the
+// same operations in the same order, and false unless both phases'
+// I/O times are positive: then every max/min operand is positive (the
+// CPU times were checked when the lane was built), and an inline
+// compare agrees with math.Max and math.Min bit for bit. Those differ
+// only on a NaN or on zeros of opposite sign.
+func (l *pairLane) target(burst, keep, startup float64) (float64, bool) {
+	tioMap := l.mapIO / burst
+	tioRed := l.redIO / burst
+	if !(tioMap > 0 && tioRed > 0) {
+		return 0, false
+	}
+	hi, lo := l.mapCPU, tioMap
+	if lo > hi {
+		hi, lo = lo, hi
+	}
+	tMap := hi + keep*lo + startup
+	hi, lo = l.redCPU, tioRed
+	if lo > hi {
+		hi, lo = lo, hi
+	}
+	tRed := hi + keep*lo + startup
+	return l.traffic / (l.waves*tMap + tRed), true
+}
+
+// pairRates is dampRates for two applications that both have splits,
+// with each app's loop invariants hoisted into a pairLane (DESIGN.md
+// §34), and false for any other set. Each step sums the rates as
+// dampRates does, (0 + r0) + r1, and moves both apps from the rates
+// that entered it. It reports false when a CPU time is not positive
+// and finite, when a step's I/O time is not positive, or when a rate
+// ends non-finite; the caller then runs dampRates.
+func (m *Model) pairRates(specs []RunSpec, mapPh, redPh []ioPhase, splits []int, bw float64) (r0, r1 float64, ok bool) {
+	if len(specs) != 2 || splits[0] == 0 || splits[1] == 0 {
+		return 0, 0, false
+	}
+	var lanes [2]pairLane
+	for i := range lanes {
+		sp := &specs[i]
+		if !(mapPh[i].cpu > 0 && finite(mapPh[i].cpu) && redPh[i].cpu > 0 && finite(redPh[i].cpu)) {
+			return 0, 0, false
+		}
+		mi := float64(sp.Cfg.Mappers)
+		lanes[i] = pairLane{
+			duty:    sp.App.Profile.DiskDutyCap,
+			mapCPU:  mapPh[i].cpu,
+			redCPU:  redPh[i].cpu,
+			mapIO:   mi * mapPh[i].ioMB,
+			redIO:   mi * redPh[i].ioMB,
+			waves:   float64((splits[i] + sp.Cfg.Mappers - 1) / sp.Cfg.Mappers),
+			traffic: float64(splits[i])*mapPh[i].ioMB + mi*redPh[i].ioMB,
+		}
+	}
+	keep, startup := 1-m.OverlapFrac, m.TaskStartupSec
+	a, b := &lanes[0], &lanes[1]
+	for iter := 0; iter < fixedPointIters; iter++ {
+		sum := 0 + r0
+		sum += r1
+		n0, ok0 := a.target(burstBW(a.duty, bw, sum-r0), keep, startup)
+		n1, ok1 := b.target(burstBW(b.duty, bw, sum-r1), keep, startup)
+		if !(ok0 && ok1) {
+			return 0, 0, false
+		}
+		r0 = 0.5*r0 + 0.5*n0
+		r1 = 0.5*r1 + 0.5*n1
+	}
+	if !finite(r0) || !finite(r1) {
+		return 0, 0, false
+	}
+	return r0, r1, true
+}
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 
 // burstBW is an app's burst disk bandwidth while the others achieve
 // `others` MB/s: its duty-cycle cap, but never more than is left, and

@@ -222,3 +222,18 @@ func TestEvaluatorSoloAppMatchesSolo(t *testing.T) {
 		t.Fatalf("SoloApp allocates %.1f objects per call, want 0", allocs)
 	}
 }
+
+// BenchmarkEvaluatorSteadyPair measures one paired steady solve, the
+// online scheduler's steady-memo miss: the two-app fixed point and the
+// node's power draw.
+func BenchmarkEvaluatorSteadyPair(b *testing.B) {
+	e := model().NewEvaluator()
+	pair := []RunSpec{spec("wc", 5*1024, 2.4, 256, 4), spec("st", 1024, 1.6, 512, 3)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := e.Steady(pair); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
