@@ -55,12 +55,12 @@ type shard struct {
 	// so a hit returns bit-identical times and watts — the cache is
 	// transparent to every golden — while recurring tenant pairs skip
 	// the fluid solver entirely. It is the open-addressed memoTable
-	// MemoSTP uses, here on the one-word key, and neither of its arrays
-	// holds a pointer. Each resident carries its key half (setCfg), so
-	// a lookup reads two words. At steadyMemoCap entries it clears wholesale and keeps
-	// its slots (the MemoSTP policy: recurring streams re-warm
-	// instantly and without allocating, adversarial key churn cannot
-	// grow memory).
+	// MemoSTP uses, here on the one-word key, and its groups hold no
+	// pointers. Each resident carries its key half (setCfg), so a
+	// lookup reads two words. At steadyMemoCap entries it clears
+	// wholesale and keeps its slots (the MemoSTP policy: recurring
+	// streams re-warm instantly and without allocating, adversarial key
+	// churn cannot grow memory).
 	steadyMemo memoTable[steadyKey, steadyVal]
 
 	// steadyHits / steadyMisses count steady solves answered by the
