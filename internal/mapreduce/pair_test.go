@@ -58,7 +58,8 @@ func checkPairAgainstReference(t *testing.T, e *Evaluator, ref *refAPI, a, b Run
 // Evaluator.Pair, PairMetrics, CoLocate and a two-app Steady, on the
 // calibrated model and on a noisy one against a reference model with
 // the same seed, so the jitter draws must match call for call as well.
-// A 0-GB side has no splits, so those points take the full loop.
+// Every point with data on both sides must take the kernel, and a 0-GB
+// side, which has no splits, the full loop.
 func TestPairPathMatchesReference(t *testing.T) {
 	apps := workloads.Apps()
 	sizes := []float64{0, 1, 3.7, 5, 10, 20}
@@ -81,6 +82,9 @@ func TestPairPathMatchesReference(t *testing.T) {
 							a := RunSpec{App: appA, DataMB: gbA * 1024, Cfg: cfg[0]}
 							b := RunSpec{App: appB, DataMB: gbB * 1024, Cfg: cfg[1]}
 							checkPairAgainstReference(t, e, ref, a, b)
+							if pairKernelRuns(m, a, b) != (gbA > 0 && gbB > 0) {
+								t.Fatalf("%s@%gGB / %s@%gGB %v: kernel ran = %v", appA.Name, gbA, appB.Name, gbB, cfg, !(gbA > 0 && gbB > 0))
+							}
 							seen[ci] = true
 							points++
 						}
