@@ -232,8 +232,8 @@ func BenchmarkFig9MappingPolicies(b *testing.B) {
 // (11,200 model evaluations) — the cost ECoST's prediction replaces.
 func BenchmarkOracleCOLAO(b *testing.B) {
 	e := env(b)
-	a := workloads.MustByName("gp")
-	c := workloads.MustByName("km")
+	a := workloads.MustLookup("gp")
+	c := workloads.MustLookup("km")
 	for i := 0; i < b.N; i++ {
 		fresh := core.NewOracle(e.Model)
 		if _, err := fresh.COLAO(a, 5120, c, 5120); err != nil {
@@ -246,11 +246,11 @@ func BenchmarkOracleCOLAO(b *testing.B) {
 // paper's preferred model (REPTree).
 func BenchmarkSTPPredict(b *testing.B) {
 	e := env(b)
-	oa, err := e.Observe(workloads.MustByName("nb"), 5)
+	oa, err := e.Observe(workloads.MustLookup("nb"), 5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ob, err := e.Observe(workloads.MustByName("cf"), 5)
+	ob, err := e.Observe(workloads.MustLookup("cf"), 5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -267,8 +267,8 @@ func BenchmarkSTPPredict(b *testing.B) {
 // the unit cost every search above is built from.
 func BenchmarkModelPairEval(b *testing.B) {
 	e := env(b)
-	a := workloads.MustByName("wc")
-	c := workloads.MustByName("st")
+	a := workloads.MustLookup("wc")
+	c := workloads.MustLookup("st")
 	cfg := [2]mapreduce.Config{
 		{Freq: 2.4, Block: 256, Mappers: 4},
 		{Freq: 1.6, Block: 512, Mappers: 4},

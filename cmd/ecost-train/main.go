@@ -52,7 +52,7 @@ func main() {
 
 	fmt.Println("classifier check (unknown applications):")
 	for _, app := range workloads.Testing() {
-		obs, err := env.Observe(app, 5)
+		obs, err := env.Profiler.Observe(app, 5)
 		if err != nil {
 			cliutil.Fatalf("profiling failed", "app", app.Name, "err", err)
 		}
@@ -63,7 +63,7 @@ func main() {
 			mark = "MISCLASSIFIED"
 		}
 		fmt.Printf("  %-4s true %v → classified %v, nearest known %s  [%s]\n",
-			app.Name, app.Class, got, near.App.Name, mark)
+			app.Name, app.Class, got, near.App.Name(), mark)
 	}
 	fmt.Println()
 

@@ -33,11 +33,11 @@ func main() {
 			log.Fatalf("usage: autotune app1 sizeGB app2 sizeGB")
 		}
 	}
-	appA, err := workloads.ByName(nameA)
+	idA, err := workloads.Lookup(nameA)
 	if err != nil {
 		log.Fatal(err)
 	}
-	appB, err := workloads.ByName(nameB)
+	idB, err := workloads.Lookup(nameB)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,23 +48,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	oa, err := env.Observe(appA, sizeA)
+	oa, err := env.Observe(idA, sizeA)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ob, err := env.Observe(appB, sizeB)
+	ob, err := env.Observe(idB, sizeB)
 	if err != nil {
 		log.Fatal(err)
 	}
+	appA, appB := idA.App(), idB.App()
 	fmt.Printf("\nincoming pair: %s (%gGB) + %s (%gGB)\n", appA.Name, sizeA, appB.Name, sizeB)
 	ca := env.DB.Classifier().Classify(oa)
 	cb := env.DB.Classifier().Classify(ob)
 	fmt.Printf("  %s classified %v (true %v), nearest known: %s\n",
-		appA.Name, ca, appA.Class, env.DB.Classifier().NearestKnown(oa).App.Name)
+		appA.Name, ca, appA.Class, env.DB.Classifier().NearestKnown(oa).App.Name())
 	fmt.Printf("  %s classified %v (true %v), nearest known: %s\n",
-		appB.Name, cb, appB.Class, env.DB.Classifier().NearestKnown(ob).App.Name)
+		appB.Name, cb, appB.Class, env.DB.Classifier().NearestKnown(ob).App.Name())
 
-	colao, err := env.Oracle.COLAO(appA, sizeA*1024, appB, sizeB*1024)
+	colao, err := env.Oracle.COLAO(idA, sizeA*1024, idB, sizeB*1024)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, err := env.Oracle.EvalPair(appA, sizeA*1024, appB, sizeB*1024, cfg)
+		out, err := env.Oracle.EvalPair(idA, sizeA*1024, idB, sizeB*1024, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

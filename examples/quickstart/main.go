@@ -48,8 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for i, j := range batch {
-		app := workloads.MustByName(j.app)
-		sched.Submit(app, j.size, float64(i)*90)
+		sched.Submit(workloads.MustLookup(j.app), j.size, float64(i)*90)
 	}
 
 	makespan, energy, err := sched.Run()

@@ -28,7 +28,7 @@ var _ audit.Oracle = (*AuditOracle)(nil)
 
 // SoloBestEDP implements audit.Oracle.
 func (a *AuditOracle) SoloBestEDP(app string, sizeGB float64) (float64, error) {
-	w, err := workloads.ByName(app)
+	w, err := workloads.Lookup(app)
 	if err != nil {
 		return 0, err
 	}
@@ -42,11 +42,11 @@ func (a *AuditOracle) SoloBestEDP(app string, sizeGB float64) (float64, error) {
 // PairBestEDP implements audit.Oracle via COLAO's exhaustive search
 // over the joint configuration space for the actually co-located pair.
 func (a *AuditOracle) PairBestEDP(appA string, sizeAGB float64, appB string, sizeBGB float64) (float64, error) {
-	wa, err := workloads.ByName(appA)
+	wa, err := workloads.Lookup(appA)
 	if err != nil {
 		return 0, err
 	}
-	wb, err := workloads.ByName(appB)
+	wb, err := workloads.Lookup(appB)
 	if err != nil {
 		return 0, err
 	}

@@ -38,9 +38,10 @@ func ProfilingConfig() mapreduce.Config {
 const ProfilingRuns = 3
 
 // Observation is what ECoST knows about an application: its measured
-// feature vector and data size. The true identity (App) is carried for
-// ground-truth accounting by experiments but is never consulted by the
-// classifier or the STP models.
+// feature vector and data size. The true identity (App, an id into the
+// application table) is carried for ground-truth accounting by
+// experiments but is never consulted by the classifier or the STP
+// models. An observation holds no pointer (DESIGN.md §35).
 //
 // id is the observation's identity word (DESIGN.md §26): it names
 // the router record that holds the observation, not its contents. The
@@ -53,7 +54,7 @@ const ProfilingRuns = 3
 // tells a stamped observation from an un-stamped copy of it, and two
 // records holding equal profiles apart.
 type Observation struct {
-	App      workloads.App // ground truth; hidden from the predictor path
+	App      workloads.ID // ground truth; hidden from the predictor path
 	SizeGB   float64
 	Features perfctr.Vector
 
@@ -114,33 +115,62 @@ func NewProfiler(m *mapreduce.Model, rng *sim.RNG) *Profiler {
 	return &Profiler{Model: m, Sampler: perfctr.NewSampler(rng)}
 }
 
-// Observe profiles one application at the reference configuration. It
-// draws from the sampler's RNG and reuses one solver's scratch, so a
-// Profiler serves one goroutine at a time.
+// Observe profiles one application, a copy of a table entry, at the
+// reference configuration. It draws from the sampler's RNG and reuses
+// one solver's scratch, so a Profiler serves one goroutine at a time.
 func (p *Profiler) Observe(app workloads.App, sizeGB float64) (Observation, error) {
-	if p.eval == nil || p.evalModel != p.Model {
-		p.eval, p.evalModel = p.Model.NewEvaluator(), p.Model
-	}
-	out, err := p.eval.SoloApp(mapreduce.RunSpec{
-		App: app, DataMB: sizeGB * 1024, Cfg: ProfilingConfig(),
-	})
-	if err != nil {
-		return Observation{}, fmt.Errorf("core: profile %s: %w", app.Name, err)
-	}
-	v := p.Sampler.MeasureAveraged(app.Profile, out.Telemetry(), ProfilingRuns)
-	return Observation{App: app, SizeGB: sizeGB, Features: v}, nil
+	return byID(p.observe, app, sizeGB)
 }
 
 // ObserveExact is Observe without measurement noise (used by the oracle
 // experiments and to build noise-free training matrices).
 func (p *Profiler) ObserveExact(app workloads.App, sizeGB float64) (Observation, error) {
+	return byID(p.observeExact, app, sizeGB)
+}
+
+// byID profiles app through the form of observe that takes its id.
+func byID(observe func(*Observation, workloads.ID, float64) error, app workloads.App, sizeGB float64) (o Observation, err error) {
+	id, err := app.ID()
+	if err == nil {
+		err = observe(&o, id, sizeGB)
+	}
+	if err != nil {
+		return Observation{}, fmt.Errorf("core: profile %s: %w", app.Name, err)
+	}
+	return o, nil
+}
+
+// observe is Observe of the application id names, written into dst on
+// success only: the router measures into its record store.
+func (p *Profiler) observe(dst *Observation, id workloads.ID, sizeGB float64) error {
+	if p.eval == nil || p.evalModel != p.Model {
+		p.eval, p.evalModel = p.Model.NewEvaluator(), p.Model
+	}
+	app := id.App()
+	out, err := p.eval.SoloApp(mapreduce.RunSpec{
+		App: app, DataMB: sizeGB * 1024, Cfg: ProfilingConfig(),
+	})
+	if err != nil {
+		return err
+	}
+	dst.App, dst.SizeGB = id, sizeGB
+	tel := out.Telemetry()
+	p.Sampler.MeasureAveragedInto(&dst.Features, &app.Profile, &tel, ProfilingRuns)
+	return nil
+}
+
+// observeExact is ObserveExact of the application id names, into dst.
+func (p *Profiler) observeExact(dst *Observation, id workloads.ID, sizeGB float64) error {
+	app := id.App()
 	out, _, err := p.Model.Solo(mapreduce.RunSpec{
 		App: app, DataMB: sizeGB * 1024, Cfg: ProfilingConfig(),
 	})
 	if err != nil {
-		return Observation{}, fmt.Errorf("core: profile %s: %w", app.Name, err)
+		return err
 	}
-	return Observation{App: app, SizeGB: sizeGB, Features: perfctr.Exact(app.Profile, out.Telemetry())}, nil
+	dst.App, dst.SizeGB = id, sizeGB
+	dst.Features = perfctr.Exact(app.Profile, out.Telemetry())
+	return nil
 }
 
 // Classifier assigns an incoming application to one of the four behaviour
@@ -151,7 +181,14 @@ type Classifier struct {
 	scaler   *ml.Scaler
 	training []Observation
 	scaled   [][reducedLen]float64 // training's reduced features, standardized
+
+	// id names the classifier in the answers a router record caches
+	// (profileRec.by), so no other classifier's lookup reads them.
+	id uint64
 }
+
+// classifierIDs numbers classifiers from 1, process-wide.
+var classifierIDs atomic.Uint64
 
 // NewClassifier trains a classifier on observations of the known
 // (training-set) applications.
@@ -175,6 +212,7 @@ func NewClassifier(training []Observation) (*Classifier, error) {
 		scaler:   scaler,
 		training: training,
 		scaled:   scaled,
+		id:       classifierIDs.Add(1),
 	}, nil
 }
 
@@ -195,11 +233,39 @@ type neighbour struct {
 // so the answer is a pure function of the observation and the training
 // set. It allocates nothing.
 func (c *Classifier) Classify(o Observation) workloads.Class {
-	x := c.standardize(&o)
+	class, _ := c.answer(&o)
+	return class
+}
+
+// NearestKnown returns the training observation whose features best
+// resemble o — the LkT-STP matching step. Distances are computed on
+// standardized features (so megabyte-scale metrics do not drown the
+// ratios) and same-data-size entries are strongly preferred, mirroring
+// the paper's per-size database organization.
+func (c *Classifier) NearestKnown(o Observation) Observation {
+	_, near := c.answer(&o)
+	return c.training[near]
+}
+
+// answer is the classifier's one scan over its rows: Classify's vote,
+// and NearestKnown's training index, the first one at the minimum
+// distance with other-size rows' distances counted four times. It
+// allocates nothing.
+func (c *Classifier) answer(o *Observation) (workloads.Class, int) {
+	x := c.standardize(o)
 	var nearest [knnK]neighbour
 	n := 0
+	near, nearD := -1, 0.0
 	for i := range c.scaled {
-		nb := neighbour{c.dist(&x, i), c.training[i].App.Class}
+		nb := neighbour{c.dist(&x, i), c.training[i].App.Class()}
+		// Same-size entries are strongly preferred.
+		d := nb.d
+		if c.training[i].SizeGB != o.SizeGB {
+			d *= 4
+		}
+		if near < 0 || d < nearD {
+			near, nearD = i, d
+		}
 		if n < knnK {
 			nearest[n] = nb
 			n++
@@ -216,7 +282,7 @@ func (c *Classifier) Classify(o Observation) workloads.Class {
 			nearest[far] = nb
 		}
 	}
-	return vote(nearest[:n])
+	return vote(nearest[:n]), near
 }
 
 // vote applies Classify's majority and tie rules: the winner is the
@@ -238,33 +304,6 @@ func vote(nearest []neighbour) workloads.Class {
 		}
 		if votes > bestVotes || (votes == bestVotes && (d < bestD || (d == bestD && n.class < best))) {
 			best, bestVotes, bestD = n.class, votes, d
-		}
-	}
-	return best
-}
-
-// NearestKnown returns the training observation whose features best
-// resemble o — the LkT-STP matching step. Distances are computed on
-// standardized features (so megabyte-scale metrics do not drown the
-// ratios) and same-data-size entries are strongly preferred, mirroring
-// the paper's per-size database organization.
-func (c *Classifier) NearestKnown(o Observation) Observation {
-	return c.training[c.nearestIndex(&o)]
-}
-
-// nearestIndex is NearestKnown's scan, returning the training index:
-// the first one at the minimum distance. It allocates nothing.
-func (c *Classifier) nearestIndex(o *Observation) int {
-	x := c.standardize(o)
-	best, bestD := -1, 0.0
-	for i := range c.scaled {
-		d := c.dist(&x, i)
-		// Same-size entries are strongly preferred.
-		if c.training[i].SizeGB != o.SizeGB {
-			d *= 4
-		}
-		if best < 0 || d < bestD {
-			best, bestD = i, d
 		}
 	}
 	return best

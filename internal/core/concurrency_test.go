@@ -14,10 +14,10 @@ import (
 func TestOracleConcurrentHammer(t *testing.T) {
 	fixture(t)
 	o := NewOracle(fix.model)
-	apps := []workloads.App{
-		workloads.MustByName("wc"),
-		workloads.MustByName("gp"),
-		workloads.MustByName("st"),
+	apps := []workloads.ID{
+		workloads.MustLookup("wc"),
+		workloads.MustLookup("gp"),
+		workloads.MustLookup("st"),
 	}
 	const goroutines = 8
 	const rounds = 3
@@ -78,8 +78,8 @@ func TestOracleConcurrentHammer(t *testing.T) {
 func TestOracleSwappedCallersShareCache(t *testing.T) {
 	fixture(t)
 	o := NewOracle(fix.model)
-	a := workloads.MustByName("wc")
-	b := workloads.MustByName("st")
+	a := workloads.MustLookup("wc")
+	b := workloads.MustLookup("st")
 	var wg sync.WaitGroup
 	fwd := make([]PairBest, 4)
 	rev := make([]PairBest, 4)

@@ -86,9 +86,9 @@ func TestNearestKnownSameClass(t *testing.T) {
 			t.Fatal(err)
 		}
 		near := fix.db.Classifier().NearestKnown(o)
-		if near.App.Class != app.Class {
+		if near.App.Class() != app.Class {
 			t.Errorf("%s nearest known is %s of class %v, want class %v",
-				app.Name, near.App.Name, near.App.Class, app.Class)
+				app.Name, near.App.Name(), near.App.Class(), app.Class)
 		}
 		if near.SizeGB != 5 {
 			t.Errorf("%s matched size %v, want same-size preference", app.Name, near.SizeGB)
@@ -112,8 +112,8 @@ func TestObservationReducedWidth(t *testing.T) {
 
 func TestOracleCOLAOIsOptimal(t *testing.T) {
 	fixture(t)
-	a := workloads.MustByName("gp")
-	b := workloads.MustByName("st")
+	a := workloads.MustLookup("gp")
+	b := workloads.MustLookup("st")
 	best, err := fix.oracle.COLAO(a, 1024, b, 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestOracleCOLAOIsOptimal(t *testing.T) {
 
 func TestOracleMemoization(t *testing.T) {
 	fixture(t)
-	a := workloads.MustByName("wc")
+	a := workloads.MustLookup("wc")
 	before := fix.oracle.CachedPairs()
 	if _, err := fix.oracle.COLAO(a, 1024, a, 1024); err != nil {
 		t.Fatal(err)
@@ -149,8 +149,8 @@ func TestOracleMemoization(t *testing.T) {
 
 func TestOracleSymmetry(t *testing.T) {
 	fixture(t)
-	a := workloads.MustByName("wc")
-	b := workloads.MustByName("fp")
+	a := workloads.MustLookup("wc")
+	b := workloads.MustLookup("fp")
 	ab, err := fix.oracle.COLAO(a, 1024, b, 5120)
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +169,8 @@ func TestOracleSymmetry(t *testing.T) {
 
 func TestILAOFormula(t *testing.T) {
 	fixture(t)
-	a := workloads.MustByName("wc")
-	b := workloads.MustByName("st")
+	a := workloads.MustLookup("wc")
+	b := workloads.MustLookup("st")
 	edp, cfgs, err := fix.oracle.ILAO(a, 1024, b, 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestLookupBestReturnsStoredOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fix.oracle.COLAO(workloads.MustByName("st"), 5120, workloads.MustByName("st"), 5120)
+	want, err := fix.oracle.COLAO(workloads.MustLookup("st"), 5120, workloads.MustLookup("st"), 5120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestSTPReasonableVsOracle(t *testing.T) {
 	fixture(t)
 	oa := obsOf(t, "nb", 5)
 	ob := obsOf(t, "cf", 5)
-	colao, err := fix.oracle.COLAO(workloads.MustByName("nb"), 5120, workloads.MustByName("cf"), 5120)
+	colao, err := fix.oracle.COLAO(workloads.MustLookup("nb"), 5120, workloads.MustLookup("cf"), 5120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestSTPReasonableVsOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := fix.oracle.EvalPair(workloads.MustByName("nb"), 5120, workloads.MustByName("cf"), 5120, cfg)
+		out, err := fix.oracle.EvalPair(workloads.MustLookup("nb"), 5120, workloads.MustLookup("cf"), 5120, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,8 +378,8 @@ func TestParallelCOLAOMatchesSerialScan(t *testing.T) {
 	fixture(t)
 	// The parallel search must return the exact argmin of the serial scan
 	// (ties broken by configuration index).
-	a := workloads.MustByName("gp")
-	b := workloads.MustByName("km")
+	a := workloads.MustLookup("gp")
+	b := workloads.MustLookup("km")
 	got, err := fix.oracle.COLAO(a, 2048, b, 2048)
 	if err != nil {
 		t.Fatal(err)
@@ -407,8 +407,8 @@ func TestParallelCOLAOMatchesSerialScan(t *testing.T) {
 
 func TestParallelCOLAODeterministic(t *testing.T) {
 	fixture(t)
-	a := workloads.MustByName("pr")
-	b := workloads.MustByName("hmm")
+	a := workloads.MustLookup("pr")
+	b := workloads.MustLookup("hmm")
 	first, err := fix.oracle.searchPair(a, 3072, b, 3072)
 	if err != nil {
 		t.Fatal(err)

@@ -217,8 +217,8 @@ func buildPair(oracle *Oracle, ev *mapreduce.Evaluator, a, b Observation, stride
 // loaded database (entries only) needs its training matrices back.
 func pairRows(oracle *Oracle, ev *mapreduce.Evaluator, a, b Observation, stride int) (ClassPair, []TrainRow, error) {
 	cores := oracle.Model.Spec.Cores
-	specA := mapreduce.RunSpec{App: a.App, DataMB: a.SizeGB * 1024}
-	specB := mapreduce.RunSpec{App: b.App, DataMB: b.SizeGB * 1024}
+	specA := mapreduce.RunSpec{App: a.App.App(), DataMB: a.SizeGB * 1024}
+	specB := mapreduce.RunSpec{App: b.App.App(), DataMB: b.SizeGB * 1024}
 	baseCfg := baselinePairConfig(cores)
 	specA.Cfg, specB.Cfg = baseCfg[0], baseCfg[1]
 	base, err := ev.PairMetrics(specA, specB)
@@ -226,7 +226,7 @@ func pairRows(oracle *Oracle, ev *mapreduce.Evaluator, a, b Observation, stride 
 		return ClassPair{}, nil, err
 	}
 
-	cp := NewClassPair(a.App.Class, b.App.Class)
+	cp := NewClassPair(a.App.Class(), b.App.Class())
 	swapped := slotLess(b, a)
 	caObs, cbObs := a, b
 	if swapped {
@@ -290,14 +290,14 @@ func (db *Database) RebuildRows(opt BuildOptions) error {
 	// Recover the unique observation list in build order: entries are in
 	// canonical (i, j) order, so first appearance order is index order.
 	type obsKey struct {
-		app  string
+		app  workloads.ID
 		size float64
 	}
 	seen := make(map[obsKey]bool)
 	var obs []Observation
 	for _, e := range db.Entries {
 		for _, o := range []Observation{e.A, e.B} {
-			k := obsKey{o.App.Name, o.SizeGB}
+			k := obsKey{o.App, o.SizeGB}
 			if !seen[k] {
 				seen[k] = true
 				obs = append(obs, o)
@@ -380,13 +380,13 @@ func ConfigRow(sizeA, sizeB float64, cfg [2]mapreduce.Config) []float64 {
 // slotLess orders observations into canonical model slots: by class,
 // then data size, then application name.
 func slotLess(a, b Observation) bool {
-	if a.App.Class != b.App.Class {
-		return a.App.Class < b.App.Class
+	if a.App.Class() != b.App.Class() {
+		return a.App.Class() < b.App.Class()
 	}
 	if a.SizeGB != b.SizeGB {
 		return a.SizeGB < b.SizeGB
 	}
-	return a.App.Name < b.App.Name
+	return a.App.Name() < b.App.Name()
 }
 
 // Classifier returns the classifier trained on the database's
@@ -396,24 +396,15 @@ func (db *Database) Classifier() *Classifier { return db.classer }
 // Oracle returns the oracle used to build the database.
 func (db *Database) Oracle() *Oracle { return db.oracle }
 
-// LookupBest returns the stored optimal configuration for the known pair
-// most resembling (a, b): the LkT-STP lookup of §6.4. Each slot maps to
-// its nearest known training observation; the entry storing that
-// (name, size) pair wins — the first one in slot order, else the last
-// one with the slots reversed, whose answer is swapped back.
-func (db *Database) LookupBest(a, b Observation) (PairBest, error) {
-	i, swapped, err := db.lookup(&a, &b)
-	if err != nil {
-		return PairBest{}, err
-	}
-	return unswap(db.Entries[i].Best, swapped), nil
-}
-
-// lookupConfig is LookupBest without copying the matched outcome: the
-// configuration oriented to (a, b) and the entry's measured outcome,
-// whose node-level scalars do not depend on slot order. It allocates
-// nothing.
-func (db *Database) lookupConfig(a, b *Observation) ([2]mapreduce.Config, *mapreduce.CoOutcome, error) {
+// lookupConfig is the LkT-STP lookup of §6.4: the stored optimal
+// configuration for the known pair most resembling records (a, b).
+// Each slot maps to its nearest known training observation; the entry
+// storing that (name, size) pair wins — the first one in slot order,
+// else the last one with the slots reversed, whose answer is swapped
+// back. It returns the configuration oriented to (a, b) and, without
+// copying it, the entry's measured outcome, whose node-level scalars
+// do not depend on slot order. It allocates nothing.
+func (db *Database) lookupConfig(a, b *profileRec) ([2]mapreduce.Config, *mapreduce.CoOutcome, error) {
 	i, swapped, err := db.lookup(a, b)
 	if err != nil {
 		return [2]mapreduce.Config{}, nil, err
@@ -426,14 +417,14 @@ func (db *Database) lookupConfig(a, b *Observation) ([2]mapreduce.Config, *mapre
 	return cfg, &best.Out, nil
 }
 
-// lookup resolves (a, b) to the index of the entry LookupBest answers
-// from and whether that entry's slots are reversed.
-func (db *Database) lookup(a, b *Observation) (int, bool, error) {
+// lookup resolves (a, b) to the index of the entry lookupConfig
+// answers from and whether that entry's slots are reversed.
+func (db *Database) lookup(a, b *profileRec) (int, bool, error) {
 	if len(db.Entries) == 0 {
 		return 0, false, fmt.Errorf("core: lookup: empty database")
 	}
 	db.lktOnce.Do(db.buildLkTIndex)
-	ia, ib := db.classer.nearestIndex(a), db.classer.nearestIndex(b)
+	ia, ib := db.nearest(a), db.nearest(b)
 	ix := &db.lkt
 	m := ix.match[int(ix.keys[ia])*ix.n+int(ix.keys[ib])]
 	switch {
@@ -443,7 +434,17 @@ func (db *Database) lookup(a, b *Observation) (int, bool, error) {
 		return int(m.reverse), true, nil
 	}
 	return 0, false, fmt.Errorf("core: lookup: no entry for %s/%s",
-		db.classer.training[ia].App.Name, db.classer.training[ib].App.Name)
+		db.classer.training[ia].App.Name(), db.classer.training[ib].App.Name())
+}
+
+// nearest is r's nearest-known training index: the one r caches if
+// this database's classifier gave it (DESIGN.md §35), else a scan.
+func (db *Database) nearest(r *profileRec) int {
+	if r.by == db.classer.id {
+		return int(r.near)
+	}
+	_, near := db.classer.answer(&r.obs)
+	return near
 }
 
 // lktIndex answers the LkT lookup by table instead of a scan over the
@@ -466,15 +467,15 @@ type lktMatch struct{ direct, reverse int32 }
 // buildLkTIndex builds the index in one pass over the entries. Entries
 // are frozen after build/load, so one build serves every lookup.
 func (db *Database) buildLkTIndex() {
-	type nameSize struct {
-		name string
+	type appSize struct {
+		app  workloads.ID
 		size float64
 	}
 	train := db.classer.training
-	ids := make(map[nameSize]int32, len(train))
+	ids := make(map[appSize]int32, len(train))
 	keys := make([]int32, len(train))
 	for i := range train {
-		k := nameSize{train[i].App.Name, train[i].SizeGB}
+		k := appSize{train[i].App, train[i].SizeGB}
 		id, ok := ids[k]
 		if !ok {
 			id = int32(len(ids))
@@ -489,8 +490,8 @@ func (db *Database) buildLkTIndex() {
 	}
 	for i := range db.Entries {
 		e := &db.Entries[i]
-		ka, okA := ids[nameSize{e.A.App.Name, e.A.SizeGB}]
-		kb, okB := ids[nameSize{e.B.App.Name, e.B.SizeGB}]
+		ka, okA := ids[appSize{e.A.App, e.A.SizeGB}]
+		kb, okB := ids[appSize{e.B.App, e.B.SizeGB}]
 		if !okA || !okB {
 			continue // no nearest-known pair can match it
 		}
@@ -518,7 +519,7 @@ func (db *Database) pairBenefits() map[ClassPair]float64 {
 		if err != nil || e.Best.Out.EDP <= 0 {
 			continue
 		}
-		cp := NewClassPair(e.A.App.Class, e.B.App.Class)
+		cp := NewClassPair(e.A.App.Class(), e.B.App.Class())
 		sums[cp] += ilao / e.Best.Out.EDP
 		counts[cp]++
 	}

@@ -16,8 +16,8 @@ import (
 // parallelism.
 func TestParallelCOLAOAcrossGOMAXPROCS(t *testing.T) {
 	fixture(t)
-	a := workloads.MustByName("gp")
-	b := workloads.MustByName("hmm")
+	a := workloads.MustLookup("gp")
+	b := workloads.MustLookup("hmm")
 	wide, err := fix.oracle.searchPair(a, 1024, b, 5120)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func metricsRun(t *testing.T) (string, *ShardedScheduler) {
 	s.SetMetrics(reg)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
-		s.Submit(workloads.MustByName(name), 5, float64(i)*40)
+		s.Submit(workloads.MustLookup(name), 5, float64(i)*40)
 	}
 	if _, _, err := s.Run(); err != nil {
 		t.Fatal(err)

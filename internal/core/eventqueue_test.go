@@ -82,12 +82,12 @@ func TestEventQueueAgainstSortedSlice(t *testing.T) {
 // twoShardApps returns two training apps that route to different shards
 // of a two-shard control plane, so the arrivals of one never touch the
 // other's node.
-func twoShardApps(t *testing.T) (a, b workloads.App) {
+func twoShardApps(t *testing.T) (a, b workloads.ID) {
 	t.Helper()
-	apps := workloads.Training()
+	apps := workloads.TrainingIDs()
 	for _, x := range apps {
 		for _, y := range apps {
-			if routeShard(x.Name, 2) == 0 && routeShard(y.Name, 2) == 1 {
+			if routeShard(x.Name(), 2) == 0 && routeShard(y.Name(), 2) == 1 {
 				return x, y
 			}
 		}
@@ -168,7 +168,7 @@ func TestDriveOrder(t *testing.T) {
 			c.Submit(a, 1, 0)
 			c.Submit(a, 1, 0)
 			c.step(0)
-			n := c.shards[routeShard(a.Name, 2)].nodes[0]
+			n := c.shards[routeShard(a.Name(), 2)].nodes[0]
 			if len(n.residents) != 2 {
 				t.Fatalf("node runs %d jobs, want the pair", len(n.residents))
 			}

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"ecost/internal/workloads"
+)
 
 // DriveCheckingStealSet fires c's events in the drive loop's order and
 // takes a steal pass at every barrier time, as Run does with stealing
@@ -69,3 +73,67 @@ func SteadyMemoCounts(c *ShardedScheduler) (hits, misses []int64) {
 
 // TuneTableCounts returns m's tune-table probes and inserts.
 func TuneTableCounts(m *MemoSTP) (probes, inserts int64) { return m.probes, m.inserts }
+
+// LookupBest is the LkT lookup (lookupConfig) of two observations from
+// outside the control plane, with the matched entry's whole outcome.
+func (db *Database) LookupBest(a, b Observation) (PairBest, error) {
+	i, swapped, err := db.lookup(&profileRec{obs: a}, &profileRec{obs: b})
+	if err != nil {
+		return PairBest{}, err
+	}
+	return unswap(db.Entries[i].Best, swapped), nil
+}
+
+// CachedPairs reports how many COLAO searches have been memoized.
+func (o *Oracle) CachedPairs() int {
+	n := 0
+	for i := range o.shards {
+		sh := &o.shards[i]
+		sh.mu.Lock()
+		n += len(sh.pair)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// QueueLen sums the shard wait-queue lengths.
+func (c *ShardedScheduler) QueueLen() int {
+	n := 0
+	for _, sh := range c.shards {
+		n += sh.queue.Len()
+	}
+	return n
+}
+
+// DepthByClass tallies the queued jobs per class (for depth gauges).
+func (q *WaitQueue) DepthByClass() map[workloads.Class]int {
+	out := map[workloads.Class]int{}
+	for _, j := range q.jobs {
+		out[j.Class]++
+	}
+	return out
+}
+
+// Candidates returns the jobs eligible to fill a fresh node slot: the
+// head (always, by reservation) plus any job small enough to leap
+// forward without delaying the head.
+func (q *WaitQueue) Candidates() []*Job {
+	if len(q.jobs) == 0 {
+		return nil
+	}
+	head := q.jobs[0]
+	out := []*Job{head}
+	for _, j := range q.jobs[1:] {
+		if head.EstTime > 0 && j.EstTime <= q.LeapFraction*head.EstTime {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// DefaultPriority is the static partner-class order the paper reads off
+// Figure 5 when no database-derived order is available: I/O-bound
+// applications pair best with anything; memory-bound last.
+func DefaultPriority() []workloads.Class {
+	return []workloads.Class{workloads.IOBound, workloads.Hybrid, workloads.Compute, workloads.MemBound}
+}

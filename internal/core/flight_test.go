@@ -39,7 +39,7 @@ func runShardedFlight(t *testing.T, nodes int, cfg ShardedConfig, submit func(c 
 // seededStream mixes the training tenants with seeded exponential gaps
 // — dense enough that multi-shard steal-on runs migrate work.
 func seededStream(jobs int, seed int64, meanGap float64) func(c *ShardedScheduler) {
-	apps := workloads.Training()
+	apps := workloads.TrainingIDs()
 	return func(c *ShardedScheduler) {
 		rng := sim.NewRNG(seed)
 		at := 0.0
@@ -125,7 +125,7 @@ func TestFlightShardedStaleDriftDump(t *testing.T) {
 	// joins plenty of mispredicted completions.
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i := 0; i < 4*len(apps); i++ {
-		c.Submit(workloads.MustByName(apps[i%len(apps)]), 12, float64(i)*40)
+		c.Submit(workloads.MustLookup(apps[i%len(apps)]), 12, float64(i)*40)
 	}
 	if _, _, err := c.Run(); err != nil {
 		t.Fatal(err)

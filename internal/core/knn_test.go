@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"ecost/internal/ml"
@@ -27,7 +28,7 @@ func newLegacyKNN(t testing.TB, training []Observation) *legacyKNN {
 	X := make([][]float64, len(training))
 	labels := make([]workloads.Class, len(training))
 	for i, o := range training {
-		X[i], labels[i] = o.Reduced(), o.App.Class
+		X[i], labels[i] = o.Reduced(), o.App.Class()
 	}
 	s, err := ml.FitScaler(X)
 	if err != nil {
@@ -78,11 +79,57 @@ func (c *legacyKNN) classify(o Observation) workloads.Class {
 	return best
 }
 
-// TestKNNClassifyMatchesLegacy checks Classify against legacyKNN: on
-// every training observation, on noisy profiles of every application
-// at the sampler noise scales of the noise ablation (0×, 1×, 10×,
-// 30×), and on 10k random queries over random training sets with four
-// classes, where three-way vote ties are common.
+// separateClassify is Classify's scan before it shared one pass with
+// the nearest-known match: the kNN vote alone.
+func separateClassify(c *Classifier, o *Observation) workloads.Class {
+	x := c.standardize(o)
+	var nearest [knnK]neighbour
+	n := 0
+	for i := range c.scaled {
+		nb := neighbour{c.dist(&x, i), c.training[i].App.Class()}
+		if n < knnK {
+			nearest[n] = nb
+			n++
+			continue
+		}
+		far := 0
+		for j := 1; j < knnK; j++ {
+			if nearest[j].d > nearest[far].d {
+				far = j
+			}
+		}
+		if nb.d < nearest[far].d {
+			nearest[far] = nb
+		}
+	}
+	return vote(nearest[:n])
+}
+
+// separateNearestIndex is the nearest-known scan before it shared one
+// pass with the vote: the first training index at the minimum
+// distance, other-size rows counted four times.
+func separateNearestIndex(c *Classifier, o *Observation) int {
+	x := c.standardize(o)
+	best, bestD := -1, 0.0
+	for i := range c.scaled {
+		d := c.dist(&x, i)
+		if c.training[i].SizeGB != o.SizeGB {
+			d *= 4
+		}
+		if best < 0 || d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
+// TestKNNClassifyMatchesLegacy checks Classify against legacyKNN, and
+// the classifier's one scan against the two separate scans it replaced
+// (the vote, and the nearest-known match): on every training
+// observation, on noisy profiles of every application at the sampler
+// noise scales of the noise ablation (0×, 1×, 10×, 30×), and on 10k
+// random queries over random training sets with four classes and two
+// sizes, where three-way vote ties are common.
 func TestKNNClassifyMatchesLegacy(t *testing.T) {
 	fixture(t)
 	c := fix.db.Classifier()
@@ -90,7 +137,11 @@ func TestKNNClassifyMatchesLegacy(t *testing.T) {
 	check := func(what string, c *Classifier, ref *legacyKNN, o Observation) {
 		t.Helper()
 		if got, want := c.Classify(o), ref.classify(o); got != want {
-			t.Fatalf("%s %s@%v: Classify %v, legacy %v", what, o.App.Name, o.SizeGB, got, want)
+			t.Fatalf("%s %s@%v: Classify %v, legacy %v", what, o.App.Name(), o.SizeGB, got, want)
+		}
+		class, near := c.answer(&o)
+		if wantC, wantN := separateClassify(c, &o), separateNearestIndex(c, &o); class != wantC || near != wantN {
+			t.Fatalf("%s %s@%v: one scan answers (%v, %d), separate scans (%v, %d)", what, o.App.Name(), o.SizeGB, class, near, wantC, wantN)
 		}
 	}
 	for _, o := range c.training {
@@ -116,7 +167,7 @@ func TestKNNClassifyMatchesLegacy(t *testing.T) {
 
 	rng := sim.NewRNG(3)
 	random := func(class workloads.Class) Observation {
-		o := Observation{App: workloads.App{Class: class}, SizeGB: 1}
+		o := Observation{App: classApp(class), SizeGB: float64(1 + 4*rng.Intn(2))}
 		for j, m := range reducedMetrics {
 			o.Features[m] = rng.Normal(float64(class)*2, 3) * float64(j+1)
 		}
@@ -138,10 +189,22 @@ func TestKNNClassifyMatchesLegacy(t *testing.T) {
 	}
 }
 
+// classApp is the first table application of the given class: the
+// synthetic observations below stand for an application of that class
+// only.
+func classApp(c workloads.Class) workloads.ID {
+	for _, id := range workloads.IDs() {
+		if id.Class() == c {
+			return id
+		}
+	}
+	panic(fmt.Sprintf("no application of class %v", c))
+}
+
 // oneFeature is an observation of the given class whose only nonzero
 // reduced feature is IPC = x.
 func oneFeature(class workloads.Class, x float64) Observation {
-	o := Observation{App: workloads.App{Class: class}}
+	o := Observation{App: classApp(class)}
 	o.Features[perfctr.IPC] = x
 	return o
 }
@@ -232,7 +295,7 @@ func TestKNNClassifyZeroAlloc(t *testing.T) {
 	rng := sim.NewRNG(5)
 	training := make([]Observation, 36)
 	for i := range training {
-		training[i].App.Class = workloads.Class(i % 4)
+		training[i].App = classApp(workloads.Class(i % 4))
 		for j, m := range reducedMetrics {
 			training[i].Features[m] = rng.Normal(float64(i%4)*2, 3) * float64(j+1)
 		}

@@ -28,8 +28,8 @@ func (contentSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 func (contentSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
 	fa, fb := contentHash(&a), contentHash(&b)
 	cfg := [2]mapreduce.Config{{Mappers: int(fa % 7)}, {Mappers: int(fb % 7)}}
-	if a.App.Name == b.App.Name {
-		return cfg, PairExpectation{}, fmt.Errorf("same app %s", a.App.Name)
+	if a.App.Name() == b.App.Name() {
+		return cfg, PairExpectation{}, fmt.Errorf("same app %s", a.App.Name())
 	}
 	return cfg, PairExpectation{EDP: float64(fa), TimeS: float64(fb)}, nil
 }
@@ -38,7 +38,7 @@ func (contentSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, Pa
 // and feature bits.
 func contentHash(o *Observation) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(o.App.Name))
+	h.Write([]byte(o.App.Name()))
 	var buf [8]byte
 	for _, x := range append([]float64{o.SizeGB}, o.Features[:]...) {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
@@ -89,7 +89,7 @@ func (r *refMemo) predict(a, b Observation) memoVal {
 // The memo's own map of un-stamped observations must stay bounded by
 // the pairs cached.
 func TestMemoIDExact(t *testing.T) {
-	apps := workloads.Apps()
+	apps := workloads.IDs()
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := sim.NewRNG(seed)
 		// pool[i][v] is entry i's variant v: as drawn, ±0, NaN. Its
@@ -203,10 +203,10 @@ func stepTime(c *ShardedScheduler) bool {
 func TestSharedMemoSingleUse(t *testing.T) {
 	fixture(t)
 	type arrival struct {
-		app      workloads.App
+		app      workloads.ID
 		size, at float64
 	}
-	stream := func(seed int64, apps []workloads.App, size func(*sim.RNG) float64, gap float64) []arrival {
+	stream := func(seed int64, apps []workloads.ID, size func(*sim.RNG) float64, gap float64) []arrival {
 		rng := sim.NewRNG(seed)
 		out := make([]arrival, 1500)
 		at := 0.0
@@ -216,8 +216,8 @@ func TestSharedMemoSingleUse(t *testing.T) {
 		}
 		return out
 	}
-	recurring := stream(1, workloads.Training(), func(r *sim.RNG) float64 { return float64(1 + r.Intn(4)) }, 2)
-	noisy := stream(2, workloads.Apps(), func(r *sim.RNG) float64 { return 1 + 10*r.Float64() }, 2)
+	recurring := stream(1, workloads.TrainingIDs(), func(r *sim.RNG) float64 { return float64(1 + r.Intn(4)) }, 2)
+	noisy := stream(2, workloads.IDs(), func(r *sim.RNG) float64 { return 1 + 10*r.Float64() }, 2)
 	const limit = 256
 	plane := func(tuner STP, profileMemo bool, arrivals []arrival) *ShardedScheduler {
 		c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(7)),

@@ -243,23 +243,23 @@ func (m *MemoSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 // degradation), so a PredictBest after a PredictBestExpected of the
 // same pair — or vice versa — hits.
 func (m *MemoSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
-	return m.predict(&a, &b, false)
+	return m.predict(&profileRec{obs: a}, &profileRec{obs: b})
 }
 
-// predict is PredictBestExpected on the pair in place; predictExpected
-// calls it directly, so a scheduler's tune reaches the table without
-// copying the pair. single reports that b's record belongs to one
-// submission. With both sides stamped, the pair's key then occurs in
-// this one call, so no entry can answer it and none would be read: the
-// call is a miss with no probe and no insert, and the key only counts
-// toward the cap.
-func (m *MemoSTP) predict(a, b *Observation, single bool) ([2]mapreduce.Config, PairExpectation, error) {
-	k, ok := memoKey{a.id, b.id}, true
+// predict is PredictBestExpected on two records in place;
+// predictExpected calls it directly, so a scheduler's tune reaches the
+// table without copying the pair. b.single reports that b's record
+// belongs to one submission. With both sides stamped, the pair's key
+// then occurs in this one call, so no entry can answer it and none
+// would be read: the call is a miss with no probe and no insert, and
+// the key only counts toward the cap.
+func (m *MemoSTP) predict(a, b *profileRec) ([2]mapreduce.Config, PairExpectation, error) {
+	k, ok := memoKey{a.obs.id, b.obs.id}, true
 	stamped := k.a != 0 && k.b != 0
 	if !stamped {
-		k, ok = m.localKey(a, b)
+		k, ok = m.localKey(&a.obs, &b.obs)
 	}
-	store := ok && !(single && stamped)
+	store := ok && !(b.single && stamped)
 	if store {
 		m.probes++
 		if v := m.table.get(k); v != nil {
@@ -270,7 +270,7 @@ func (m *MemoSTP) predict(a, b *Observation, single bool) ([2]mapreduce.Config, 
 	}
 	m.misses.Inc()
 	m.nmisses++
-	cfg, exp, err := predictExpected(m.Inner, a, b, single)
+	cfg, exp, err := predictExpected(m.Inner, a, b)
 	if !ok {
 		return cfg, exp, err
 	}
@@ -280,7 +280,7 @@ func (m *MemoSTP) predict(a, b *Observation, single bool) ([2]mapreduce.Config, 
 		if len(m.local) > 0 {
 			// The pair's local ids went with the table.
 			clear(m.local)
-			k, _ = m.localKey(a, b)
+			k, _ = m.localKey(&a.obs, &b.obs)
 		}
 	}
 	m.counted++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -41,12 +42,12 @@ func legacyScanEntries(db *Database, na, nb Observation) (direct, reverse int) {
 	direct, reverse = -1, -1
 	for i := range db.Entries {
 		e := &db.Entries[i]
-		if e.A.App.Name == na.App.Name && e.A.SizeGB == na.SizeGB &&
-			e.B.App.Name == nb.App.Name && e.B.SizeGB == nb.SizeGB {
+		if e.A.App.Name() == na.App.Name() && e.A.SizeGB == na.SizeGB &&
+			e.B.App.Name() == nb.App.Name() && e.B.SizeGB == nb.SizeGB {
 			return i, reverse
 		}
-		if e.A.App.Name == nb.App.Name && e.A.SizeGB == nb.SizeGB &&
-			e.B.App.Name == na.App.Name && e.B.SizeGB == na.SizeGB {
+		if e.A.App.Name() == nb.App.Name() && e.A.SizeGB == nb.SizeGB &&
+			e.B.App.Name() == na.App.Name() && e.B.SizeGB == na.SizeGB {
 			reverse = i
 		}
 	}
@@ -66,16 +67,20 @@ func legacyLookupBest(db *Database, a, b Observation) (PairBest, error) {
 	case reverse >= 0:
 		return unswap(db.Entries[reverse].Best, true), nil
 	}
-	return PairBest{}, fmt.Errorf("core: lookup: no entry for %s/%s", na.App.Name, nb.App.Name)
+	return PairBest{}, fmt.Errorf("core: lookup: no entry for %s/%s", na.App.Name(), nb.App.Name())
 }
 
 func legacyObserve(m *mapreduce.Model, smp *perfctr.Sampler, app workloads.App, sizeGB float64) (Observation, error) {
-	out, _, err := m.Solo(mapreduce.RunSpec{App: app, DataMB: sizeGB * 1024, Cfg: ProfilingConfig()})
+	id, err := app.ID()
+	if err != nil {
+		return Observation{}, err
+	}
+	out, _, err := m.Solo(mapreduce.RunSpec{App: &app, DataMB: sizeGB * 1024, Cfg: ProfilingConfig()})
 	if err != nil {
 		return Observation{}, fmt.Errorf("core: profile %s: %w", app.Name, err)
 	}
 	v := smp.MeasureAveraged(app.Profile, out.Telemetry(), ProfilingRuns)
-	return Observation{App: app, SizeGB: sizeGB, Features: v}, nil
+	return Observation{App: id, SizeGB: sizeGB, Features: v}, nil
 }
 
 // noisyObservations profiles every application at on- and off-grid
@@ -105,10 +110,10 @@ func checkLookup(t *testing.T, db *Database, a, b Observation) {
 	want, wantErr := legacyLookupBest(db, a, b)
 	got, err := db.LookupBest(a, b)
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-		t.Fatalf("%s@%v/%s@%v: error %v, legacy %v", a.App.Name, a.SizeGB, b.App.Name, b.SizeGB, err, wantErr)
+		t.Fatalf("%s@%v/%s@%v: error %v, legacy %v", a.App.Name(), a.SizeGB, b.App.Name(), b.SizeGB, err, wantErr)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s@%v/%s@%v: LookupBest %+v, legacy %+v", a.App.Name, a.SizeGB, b.App.Name, b.SizeGB, got, want)
+		t.Fatalf("%s@%v/%s@%v: LookupBest %+v, legacy %+v", a.App.Name(), a.SizeGB, b.App.Name(), b.SizeGB, got, want)
 	}
 	lkt := &LkTSTP{DB: db}
 	cfg, exp, err := lkt.PredictBestExpected(a, b)
@@ -116,10 +121,10 @@ func checkLookup(t *testing.T, db *Database, a, b Observation) {
 		return
 	}
 	if cfg != want.Cfg || exp != (PairExpectation{EDP: want.Out.EDP, TimeS: want.Out.Makespan, PowerW: want.Out.AvgPower}) {
-		t.Fatalf("%s/%s: LkT %v %+v, legacy %v %+v", a.App.Name, b.App.Name, cfg, exp, want.Cfg, want.Out)
+		t.Fatalf("%s/%s: LkT %v %+v, legacy %v %+v", a.App.Name(), b.App.Name(), cfg, exp, want.Cfg, want.Out)
 	}
 	if cfg3, _ := lkt.PredictBest(a, b); cfg3 != cfg {
-		t.Fatalf("%s/%s: PredictBest %v, want %v", a.App.Name, b.App.Name, cfg3, cfg)
+		t.Fatalf("%s/%s: PredictBest %v, want %v", a.App.Name(), b.App.Name(), cfg3, cfg)
 	}
 }
 
@@ -154,7 +159,7 @@ func TestNearestKnownMatchesLegacy(t *testing.T) {
 	c := fix.db.Classifier()
 	for _, o := range append(noisyObservations(t, 5, 12), c.training...) {
 		if got, want := c.NearestKnown(o), legacyNearestKnown(c, o); got != want {
-			t.Fatalf("%s@%v: NearestKnown %s@%v, legacy %s@%v", o.App.Name, o.SizeGB, got.App.Name, got.SizeGB, want.App.Name, want.SizeGB)
+			t.Fatalf("%s@%v: NearestKnown %s@%v, legacy %s@%v", o.App.Name(), o.SizeGB, got.App.Name(), got.SizeGB, want.App.Name(), want.SizeGB)
 		}
 	}
 }
@@ -163,6 +168,62 @@ func TestNearestKnownMatchesLegacy(t *testing.T) {
 // run yields the legacy Observation sequence for the same seeds — on
 // the noise-free model, on a noisy model (whose jitter draws must line
 // up too), across a Model swap, and for a struct-literal Profiler.
+// TestLookupReadsRecordAnswers checks that the LkT lookup of two router
+// records reads the nearest-known indices the home shard cached at
+// classify, directly and under a MemoSTP miss, and that another
+// database's lookup, or one from outside the control plane, scans. A
+// doctored cached index shows which path answered.
+func TestLookupReadsRecordAnswers(t *testing.T) {
+	fixture(t)
+	var buf bytes.Buffer
+	if err := fix.db.SaveDatabase(&buf); err != nil {
+		t.Fatal(err)
+	}
+	other, err := LoadDatabase(&buf, fix.oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newShard(new(eventQueue), fix.model, fix.db, fix.lkt, 1, 0)
+	a, b := &profileRec{obs: obsOf(t, "nb", 5)}, &profileRec{obs: obsOf(t, "pr", 1)}
+	s.classOf(a)
+	s.classOf(b)
+	if want := separateNearestIndex(fix.db.classer, &a.obs); int(a.near) != want || a.by != fix.db.classer.id {
+		t.Fatalf("cached index %d by classifier %d, want %d by %d", a.near, a.by, want, fix.db.classer.id)
+	}
+	scanned, _, err := fix.db.lookupConfig(&profileRec{obs: a.obs}, &profileRec{obs: b.obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg, _, err := fix.db.lookupConfig(a, b); err != nil || cfg != scanned {
+		t.Fatalf("lookup of the records: %v %v, of their observations %v", cfg, err, scanned)
+	}
+	// Doctor a's cached index until the lookup's answer changes.
+	doctored := a.near
+	var want [2]mapreduce.Config
+	for k := range fix.db.classer.training {
+		a.near = int32(k)
+		if cfg, _, err := fix.db.lookupConfig(a, b); err == nil && cfg != scanned {
+			doctored, want = a.near, cfg
+			break
+		}
+	}
+	if doctored == int32(separateNearestIndex(fix.db.classer, &a.obs)) {
+		t.Fatal("no other nearest-known index changes the lookup's answer")
+	}
+	a.near = doctored
+	for name, tuner := range map[string]STP{"LkTSTP": fix.lkt, "MemoSTP miss": NewMemoSTP(fix.lkt, nil)} {
+		if cfg, _, err := predictExpected(tuner, a, b); err != nil || cfg != want {
+			t.Errorf("%s on the records: %v %v, want the cached index's %v", name, cfg, err, want)
+		}
+	}
+	if cfg, _, err := other.lookupConfig(a, b); err != nil || cfg != scanned {
+		t.Errorf("another database's lookup: %v %v, want its own scan's %v", cfg, err, scanned)
+	}
+	if cfg, err := fix.lkt.PredictBest(a.obs, b.obs); err != nil || cfg != scanned {
+		t.Errorf("PredictBest from outside the plane: %v %v, want the scan's %v", cfg, err, scanned)
+	}
+}
+
 func TestProfilerObserveMatchesLegacy(t *testing.T) {
 	fixture(t)
 	type run struct {
@@ -250,7 +311,7 @@ func TestMissPathZeroAlloc(t *testing.T) {
 	// The tune path reaches LkT in place; it answers as the exported
 	// entry point does.
 	for _, q := range [][2]Observation{{a, b}, {b, a}} {
-		cfg, exp, err := predictExpected(fix.lkt, &q[0], &q[1], false)
+		cfg, exp, err := predictExpected(fix.lkt, &profileRec{obs: q[0]}, &profileRec{obs: q[1]})
 		wantCfg, wantExp, wantErr := fix.lkt.PredictBestExpected(q[0], q[1])
 		if cfg != wantCfg || exp != wantExp || err != wantErr {
 			t.Fatalf("predictExpected on LkT: %v %+v %v, PredictBestExpected %v %+v %v", cfg, exp, err, wantCfg, wantExp, wantErr)
@@ -261,7 +322,7 @@ func TestMissPathZeroAlloc(t *testing.T) {
 		"NearestKnown":               func() { c.NearestKnown(a) },
 		"LkTSTP.PredictBestExpected": func() { _, _, _ = fix.lkt.PredictBestExpected(a, b) },
 		"LkTSTP reversed":            func() { _, _, _ = fix.lkt.PredictBestExpected(b, a) },
-		"predictExpected on LkTSTP":  func() { _, _, _ = predictExpected(fix.lkt, &a, &b, false) },
+		"predictExpected on LkTSTP":  func() { _, _, _ = predictExpected(fix.lkt, &profileRec{obs: a}, &profileRec{obs: b}) },
 		"MemoSTP hit":                func() { _, _, _ = memo.PredictBestExpected(a, b) },
 		"MemoSTP hit, un-stamped":    func() { _, _, _ = memo.PredictBestExpected(raw[0], raw[1]) },
 	} {
@@ -334,8 +395,8 @@ func TestMemosSignedZeroAndNaN(t *testing.T) {
 	for _, o := range []Observation{a, negA, nanA} {
 		rec := &profileRec{obs: o}
 		want := fix.db.Classifier().Classify(o)
-		if got := s.classOf(rec); got != want || !rec.classed || rec.class != want {
-			t.Fatalf("classOf answered %v (cached %v, %v), classifier %v", got, rec.class, rec.classed, want)
+		if got := s.classOf(rec); got != want || rec.by != fix.db.classer.id || workloads.Class(rec.class) != want {
+			t.Fatalf("classOf answered %v (cached %v by classifier %d), classifier %v", got, rec.class, rec.by, want)
 		}
 	}
 }

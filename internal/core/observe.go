@@ -237,7 +237,7 @@ func (s *shard) setFlight(fl *flight.Recorder) {
 func (s *shard) topTenants(max int) []string {
 	counts := make(map[string]int)
 	for _, j := range s.queue.Jobs() {
-		counts[j.Obs.App.Name]++
+		counts[j.Obs.App.Name()]++
 	}
 	names := make([]string, 0, len(counts))
 	for name := range counts {
@@ -258,7 +258,7 @@ func (s *shard) topTenants(max int) []string {
 // attrs is the span attribute set naming job j on node (cluster-global
 // id, -1 for none), recorded by this shard.
 func (o *observer) attrs(j *Job, node int) tracing.Attrs {
-	return tracing.Attrs{Job: j.ID, Node: node, App: j.Obs.App.Name, Class: j.Class.String(), Shard: o.sh.idx}
+	return tracing.Attrs{Job: j.ID, Node: node, App: j.Obs.App.Name(), Class: j.Class.String(), Shard: o.sh.idx}
 }
 
 // open starts a span at the control plane's current time; the span
@@ -279,7 +279,7 @@ func (o *observer) rollOccupancy(n *onlineNode) {
 	o.nodeSpans[n.id].FinishAt(o.sh.ev.now)
 	var names []string
 	for _, r := range n.residents {
-		names = append(names, r.job.Obs.App.Name)
+		names = append(names, r.job.Obs.App.Name())
 	}
 	o.nodeSpans[n.id] = o.open(tracing.KindNode, power.PhaseName(len(n.residents)), nil,
 		tracing.Attrs{Job: -1, Node: o.sh.gid(n), Detail: strings.Join(names, "+"), Shard: o.sh.idx})
@@ -290,7 +290,7 @@ func (o *observer) rollOccupancy(n *onlineNode) {
 // prediction path never sees; recording it next to the Classify
 // verdict is what makes the confusion matrix possible.
 func (o *observer) admit(j *Job) {
-	app := &j.Obs.App
+	app := j.Obs.App.App()
 	if o.aud != nil {
 		o.aud.Submit(j.ID, app.Name, j.Obs.SizeGB, app.Class.String(), j.Class.String(), j.Arrived)
 	}
@@ -311,7 +311,7 @@ func (o *observer) arrive(j *Job) {
 		m.submitted.Inc()
 		m.reg.Emit(metrics.Event{
 			At: j.Arrived, Kind: metrics.EvSubmit, Job: j.ID, Node: -1,
-			Detail: fmt.Sprintf("%s@%gG class=%s", j.Obs.App.Name, j.Obs.SizeGB, j.Class),
+			Detail: fmt.Sprintf("%s@%gG class=%s", j.Obs.App.Name(), j.Obs.SizeGB, j.Class),
 		})
 		o.sampleDepth()
 	}
@@ -408,13 +408,13 @@ func (o *observer) claim(n *onlineNode, j *Job) {
 // model realizes at the chosen configuration. Realizing it reads the
 // observations' ground-truth apps, which is fine for telemetry (like
 // CompletedJob.App) but must never feed back into tuning.
-func (o *observer) predictPair(a, b *Observation, single bool) ([2]mapreduce.Config, PairExpectation, error) {
+func (o *observer) predictPair(ra, rb *profileRec) ([2]mapreduce.Config, PairExpectation, error) {
 	m := o.met
 	if m == nil {
-		return predictExpected(o.sh.Tuner, a, b, single)
+		return predictExpected(o.sh.Tuner, ra, rb)
 	}
 	start := time.Now()
-	cfg, exp, err := predictExpected(o.sh.Tuner, a, b, single)
+	cfg, exp, err := predictExpected(o.sh.Tuner, ra, rb)
 	m.wall.Observe(float64(time.Since(start).Nanoseconds()))
 	if err != nil {
 		m.failures.Inc()
@@ -422,10 +422,10 @@ func (o *observer) predictPair(a, b *Observation, single bool) ([2]mapreduce.Con
 	}
 	m.predictions.Inc()
 	m.evals.Observe(m.scan)
-	if exp.EDP > 0 {
+	if a, b := &ra.obs, &rb.obs; exp.EDP > 0 {
 		co, err := o.sh.Model.Pair(
-			mapreduce.RunSpec{App: a.App, DataMB: a.SizeGB * 1024, Cfg: cfg[0]},
-			mapreduce.RunSpec{App: b.App, DataMB: b.SizeGB * 1024, Cfg: cfg[1]},
+			mapreduce.RunSpec{App: a.App.App(), DataMB: a.SizeGB * 1024, Cfg: cfg[0]},
+			mapreduce.RunSpec{App: b.App.App(), DataMB: b.SizeGB * 1024, Cfg: cfg[1]},
 		)
 		if err == nil && co.EDP > 0 {
 			m.edpErr.Observe(100 * math.Abs(exp.EDP-co.EDP) / co.EDP)
@@ -501,13 +501,13 @@ func (o *observer) place(n *onlineNode, oj *onlineJob) {
 		a := o.attrs(j, node)
 		a.SizeGB, a.Config = j.Obs.SizeGB, oj.cfg.String()
 		if partner != nil {
-			a.Partner = partner.job.Obs.App.Name
+			a.Partner = partner.job.Obs.App.Name()
 			if pjs := o.traced[partner.job.ID]; pjs != nil {
-				pjs.run.SetPartner(j.Obs.App.Name)
+				pjs.run.SetPartner(j.Obs.App.Name())
 				pjs.run.SetConfig(partner.cfg.String())
 			}
 		}
-		js.run = o.open(tracing.KindRun, "run "+j.Obs.App.Name, js.job, a)
+		js.run = o.open(tracing.KindRun, "run "+j.Obs.App.Name(), js.job, a)
 		o.rollOccupancy(n)
 	}
 }
@@ -541,7 +541,7 @@ func (o *observer) complete(n *onlineNode, fin *onlineJob) {
 		m.turnaround.Observe(now - j.Arrived)
 		m.reg.Emit(metrics.Event{
 			At: now, Kind: metrics.EvComplete, Job: j.ID, Node: node,
-			Detail: fmt.Sprintf("%s class=%s", j.Obs.App.Name, j.Class),
+			Detail: fmt.Sprintf("%s class=%s", j.Obs.App.Name(), j.Class),
 		})
 	}
 	if o.aud != nil {
@@ -551,7 +551,7 @@ func (o *observer) complete(n *onlineNode, fin *onlineJob) {
 				o.fl.Join(o.sh.idx, jn.RelErrPct)
 			}
 			for _, a := range alerts {
-				o.fl.Drift(o.sh.idx, j.ID, j.Obs.App.Name+":"+j.Class.String(), a.Stat)
+				o.fl.Drift(o.sh.idx, j.ID, j.Obs.App.Name()+":"+j.Class.String(), a.Stat)
 			}
 		}
 		if m := o.met; m != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"runtime"
 	"sync"
@@ -32,14 +31,13 @@ type PairBest struct {
 // 84,480-run budget collapses to milliseconds on the analytic model).
 //
 // The oracle is safe for concurrent use: memoization is sharded (one
-// mutex per shard, keyed by a hash of the search key) and each key is
-// computed at most once — concurrent callers of the same uncached
-// search wait for the single in-flight computation instead of
-// duplicating an 11,200-point scan.
+// mutex per shard, chosen by a hash of the key's application ids) and
+// each key is computed at most once — concurrent callers of the same
+// uncached search wait for the single in-flight computation instead of
+// duplicating an 11,200-point scan. Applications are named by table id.
 type Oracle struct {
 	Model *mapreduce.Model
 
-	seed   maphash.Seed
 	shards [oracleShards]oracleShard
 }
 
@@ -65,27 +63,28 @@ type inflight[V any] struct {
 }
 
 type soloKey struct {
-	app  string
+	app  workloads.ID
 	data float64
 }
 
 type pairKey struct {
-	appA  string
+	appA  workloads.ID
 	dataA float64
-	appB  string
+	appB  workloads.ID
 	dataB float64
 }
 
-func canonPair(a workloads.App, dataA float64, b workloads.App, dataB float64) (pairKey, bool) {
-	if a.Name < b.Name || (a.Name == b.Name && dataA <= dataB) {
-		return pairKey{a.Name, dataA, b.Name, dataB}, false
+// canonPair orders a pair by application name, then data size.
+func canonPair(a workloads.ID, dataA float64, b workloads.ID, dataB float64) (pairKey, bool) {
+	if na, nb := a.Name(), b.Name(); na < nb || (na == nb && dataA <= dataB) {
+		return pairKey{a, dataA, b, dataB}, false
 	}
-	return pairKey{b.Name, dataB, a.Name, dataA}, true
+	return pairKey{b, dataB, a, dataA}, true
 }
 
 // NewOracle returns a memoizing oracle over the given model.
 func NewOracle(m *mapreduce.Model) *Oracle {
-	o := &Oracle{Model: m, seed: maphash.MakeSeed()}
+	o := &Oracle{Model: m}
 	for i := range o.shards {
 		o.shards[i] = oracleShard{
 			solo:     make(map[soloKey]SoloBest),
@@ -97,25 +96,10 @@ func NewOracle(m *mapreduce.Model) *Oracle {
 	return o
 }
 
-func (o *Oracle) soloShard(k soloKey) *oracleShard {
-	var h maphash.Hash
-	h.SetSeed(o.seed)
-	h.WriteString(k.app)
-	return &o.shards[h.Sum64()&(oracleShards-1)]
-}
-
-func (o *Oracle) pairShard(k pairKey) *oracleShard {
-	var h maphash.Hash
-	h.SetSeed(o.seed)
-	h.WriteString(k.appA)
-	h.WriteString(k.appB)
-	return &o.shards[h.Sum64()&(oracleShards-1)]
-}
-
 // BestSolo exhaustively tunes one application running alone.
-func (o *Oracle) BestSolo(app workloads.App, dataMB float64) (SoloBest, error) {
-	k := soloKey{app.Name, dataMB}
-	sh := o.soloShard(k)
+func (o *Oracle) BestSolo(app workloads.ID, dataMB float64) (SoloBest, error) {
+	k := soloKey{app, dataMB}
+	sh := &o.shards[fpFinish(uint64(app))&(oracleShards-1)]
 	sh.mu.Lock()
 	if b, ok := sh.solo[k]; ok {
 		sh.mu.Unlock()
@@ -143,8 +127,9 @@ func (o *Oracle) BestSolo(app workloads.App, dataMB float64) (SoloBest, error) {
 
 // searchSolo scans the standalone tuning space (160 points) with a
 // reused evaluator, then realizes the winner's full outcome.
-func (o *Oracle) searchSolo(app workloads.App, dataMB float64) (SoloBest, error) {
+func (o *Oracle) searchSolo(id workloads.ID, dataMB float64) (SoloBest, error) {
 	ev := o.Model.NewEvaluator()
+	app := id.App()
 	cfgs := mapreduce.AllConfigs(o.Model.Spec.Cores)
 	bestIdx := -1
 	bestEDP := math.Inf(1)
@@ -171,7 +156,7 @@ func (o *Oracle) searchSolo(app workloads.App, dataMB float64) (SoloBest, error)
 // ILAO evaluates the individually-located application optimization
 // baseline for a pair: each application is tuned alone and the pair runs
 // serially, so the workload's energy is the sum and its delay the sum.
-func (o *Oracle) ILAO(a workloads.App, dataA float64, b workloads.App, dataB float64) (edp float64, cfgs [2]mapreduce.Config, err error) {
+func (o *Oracle) ILAO(a workloads.ID, dataA float64, b workloads.ID, dataB float64) (edp float64, cfgs [2]mapreduce.Config, err error) {
 	ba, err := o.BestSolo(a, dataA)
 	if err != nil {
 		return 0, cfgs, err
@@ -187,9 +172,9 @@ func (o *Oracle) ILAO(a workloads.App, dataA float64, b workloads.App, dataB flo
 
 // COLAO evaluates the co-located application optimization oracle: a
 // brute-force search over the joint configuration space for the pair.
-func (o *Oracle) COLAO(a workloads.App, dataA float64, b workloads.App, dataB float64) (PairBest, error) {
+func (o *Oracle) COLAO(a workloads.ID, dataA float64, b workloads.ID, dataB float64) (PairBest, error) {
 	k, swapped := canonPair(a, dataA, b, dataB)
-	sh := o.pairShard(k)
+	sh := &o.shards[fpFinish(uint64(k.appA)<<8|uint64(k.appB))&(oracleShards-1)]
 	sh.mu.Lock()
 	if best, ok := sh.pair[k]; ok {
 		sh.mu.Unlock()
@@ -238,7 +223,7 @@ const searchPairChunk = 512
 // and keeps its chunk's argmin; the merge breaks EDP ties by
 // configuration index, so the result is bit-identical to the serial
 // scan regardless of worker count.
-func (o *Oracle) searchPair(a workloads.App, dataA float64, b workloads.App, dataB float64) (PairBest, error) {
+func (o *Oracle) searchPair(a workloads.ID, dataA float64, b workloads.ID, dataB float64) (PairBest, error) {
 	pcs := mapreduce.PairConfigsCached(o.Model.Spec.Cores)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(pcs) {
@@ -256,8 +241,8 @@ func (o *Oracle) searchPair(a workloads.App, dataA float64, b workloads.App, dat
 	results := make([]localBest, workers)
 	var wg sync.WaitGroup
 	chunk := (len(pcs) + workers - 1) / workers
-	specA := mapreduce.RunSpec{App: a, DataMB: dataA}
-	specB := mapreduce.RunSpec{App: b, DataMB: dataB}
+	specA := mapreduce.RunSpec{App: a.App(), DataMB: dataA}
+	specB := mapreduce.RunSpec{App: b.App(), DataMB: dataB}
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
 		hi := lo + chunk
@@ -296,7 +281,7 @@ func (o *Oracle) searchPair(a workloads.App, dataA float64, b workloads.App, dat
 	merged := localBest{edp: math.Inf(1)}
 	for _, lb := range results {
 		if lb.err != nil {
-			return PairBest{}, fmt.Errorf("core: COLAO %s+%s: %w", a.Name, b.Name, lb.err)
+			return PairBest{}, fmt.Errorf("core: COLAO %s+%s: %w", a.Name(), b.Name(), lb.err)
 		}
 		if !lb.seen {
 			continue
@@ -306,12 +291,12 @@ func (o *Oracle) searchPair(a workloads.App, dataA float64, b workloads.App, dat
 		}
 	}
 	if !merged.seen {
-		return PairBest{}, fmt.Errorf("core: COLAO %s+%s: empty configuration space", a.Name, b.Name)
+		return PairBest{}, fmt.Errorf("core: COLAO %s+%s: empty configuration space", a.Name(), b.Name())
 	}
 	specA.Cfg, specB.Cfg = pcs[merged.idx][0], pcs[merged.idx][1]
 	co, err := o.Model.Pair(specA, specB)
 	if err != nil {
-		return PairBest{}, fmt.Errorf("core: COLAO %s+%s: %w", a.Name, b.Name, err)
+		return PairBest{}, fmt.Errorf("core: COLAO %s+%s: %w", a.Name(), b.Name(), err)
 	}
 	return PairBest{Cfg: pcs[merged.idx], Out: co}, nil
 }
@@ -331,21 +316,9 @@ func unswap(b PairBest, swapped bool) PairBest {
 
 // EvalPair runs the pair at a given joint configuration (used to score
 // STP-predicted configurations against the oracle).
-func (o *Oracle) EvalPair(a workloads.App, dataA float64, b workloads.App, dataB float64, cfg [2]mapreduce.Config) (mapreduce.CoOutcome, error) {
+func (o *Oracle) EvalPair(a workloads.ID, dataA float64, b workloads.ID, dataB float64, cfg [2]mapreduce.Config) (mapreduce.CoOutcome, error) {
 	return o.Model.Pair(
-		mapreduce.RunSpec{App: a, DataMB: dataA, Cfg: cfg[0]},
-		mapreduce.RunSpec{App: b, DataMB: dataB, Cfg: cfg[1]},
+		mapreduce.RunSpec{App: a.App(), DataMB: dataA, Cfg: cfg[0]},
+		mapreduce.RunSpec{App: b.App(), DataMB: dataB, Cfg: cfg[1]},
 	)
-}
-
-// CachedPairs reports how many COLAO searches have been memoized.
-func (o *Oracle) CachedPairs() int {
-	n := 0
-	for i := range o.shards {
-		sh := &o.shards[i]
-		sh.mu.Lock()
-		n += len(sh.pair)
-		sh.mu.Unlock()
-	}
-	return n
 }

@@ -120,8 +120,8 @@ func TestPredictBestGOMAXPROCSInvariant(t *testing.T) {
 // way: fresh oracles at different GOMAXPROCS must agree exactly.
 func TestCOLAOGOMAXPROCSInvariant(t *testing.T) {
 	fixture(t)
-	a := workloads.MustByName("wc")
-	b := workloads.MustByName("gp")
+	a := workloads.MustLookup("wc")
+	b := workloads.MustLookup("gp")
 	var base *PairBest
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)

@@ -47,11 +47,11 @@ type cfgDTO struct {
 }
 
 func toObsDTO(o Observation) obsDTO {
-	return obsDTO{App: o.App.Name, SizeGB: o.SizeGB, Features: o.Features.Slice()}
+	return obsDTO{App: o.App.Name(), SizeGB: o.SizeGB, Features: o.Features.Slice()}
 }
 
 func fromObsDTO(d obsDTO) (Observation, error) {
-	app, err := workloads.ByName(d.App)
+	app, err := workloads.Lookup(d.App)
 	if err != nil {
 		return Observation{}, err
 	}
@@ -128,8 +128,8 @@ func LoadDatabase(r io.Reader, oracle *Oracle) (*Database, error) {
 				EDP: ed.EDP, Makespan: ed.Time, EnergyJ: ed.En,
 			}},
 		})
-		seen[fmt.Sprintf("%s@%g", a.App.Name, a.SizeGB)] = a
-		seen[fmt.Sprintf("%s@%g", b.App.Name, b.SizeGB)] = b
+		seen[fmt.Sprintf("%s@%g", a.App.Name(), a.SizeGB)] = a
+		seen[fmt.Sprintf("%s@%g", b.App.Name(), b.SizeGB)] = b
 	}
 	keys := make([]string, 0, len(seen))
 	for k := range seen {

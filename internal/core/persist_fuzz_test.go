@@ -19,7 +19,7 @@ func seedDatabaseJSON(f *testing.F) []byte {
 		feat[i] = float64(i+1) / float64(len(feat))
 	}
 	obs := func(name string, size float64) Observation {
-		app, err := workloads.ByName(name)
+		app, err := workloads.Lookup(name)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func FuzzLoadDatabase(f *testing.F) {
 			t.Fatal("LoadDatabase succeeded with an empty database")
 		}
 		for i, e := range db.Entries {
-			if e.A.App.Name == "" || e.B.App.Name == "" {
+			if e.A.App.Name() == "" || e.B.App.Name() == "" {
 				t.Fatalf("entry %d resolved to an empty application", i)
 			}
 		}

@@ -23,7 +23,7 @@ func TestDatabaseRoundTrip(t *testing.T) {
 	}
 	for i := range loaded.Entries {
 		a, b := loaded.Entries[i], fix.db.Entries[i]
-		if a.A.App.Name != b.A.App.Name || a.B.SizeGB != b.B.SizeGB {
+		if a.A.App.Name() != b.A.App.Name() || a.B.SizeGB != b.B.SizeGB {
 			t.Fatalf("entry %d identity changed", i)
 		}
 		if a.Best.Cfg != b.Best.Cfg || a.Best.Out.EDP != b.Best.Out.EDP {

@@ -129,7 +129,7 @@ func (r *PolicyRunner) aggregate(p Policy, nodes int, lanes []lane) Result {
 // soloUnit runs one app alone across `nodes` nodes (data split evenly).
 func (r *PolicyRunner) soloUnit(j JobSpec, nodes int, cfg mapreduce.Config) (unit, error) {
 	_, co, err := r.Oracle.Model.Solo(mapreduce.RunSpec{
-		App: j.App, DataMB: j.SizeGB * 1024 / float64(nodes), Cfg: cfg,
+		App: j.App.App(), DataMB: j.SizeGB * 1024 / float64(nodes), Cfg: cfg,
 	})
 	if err != nil {
 		return unit{}, err
@@ -239,7 +239,7 @@ func (r *PolicyRunner) predictSoloCfg(j JobSpec) (mapreduce.Config, error) {
 	if r.DB == nil || r.Profiler == nil {
 		return mapreduce.Config{}, fmt.Errorf("core: PTM needs a database and profiler")
 	}
-	obs, err := r.Profiler.Observe(j.App, j.SizeGB)
+	obs, err := r.Profiler.Observe(*j.App.App(), j.SizeGB)
 	if err != nil {
 		return mapreduce.Config{}, err
 	}
@@ -284,7 +284,7 @@ func (r *PolicyRunner) runECoST(wl Workload, nodes int) (Result, error) {
 	}
 	q := NewWaitQueue()
 	for i, j := range wl.Jobs {
-		obs, err := r.Profiler.Observe(j.App, j.SizeGB)
+		obs, err := r.Profiler.Observe(*j.App.App(), j.SizeGB)
 		if err != nil {
 			return Result{}, err
 		}
@@ -292,7 +292,7 @@ func (r *PolicyRunner) runECoST(wl Workload, nodes int) (Result, error) {
 		// Rough runtime estimate for the leap-forward smallness test:
 		// scale the profiling-config run time by data size.
 		est := obs.SizeGB
-		q.Push(&Job{ID: i, Obs: obs, Class: cls, EstTime: est})
+		q.Push(&Job{ID: i, Obs: &obs, Class: cls, EstTime: est})
 	}
 
 	lanes := make([]lane, nodes)
@@ -319,7 +319,7 @@ func (r *PolicyRunner) runECoST(wl Workload, nodes int) (Result, error) {
 			partner = q.SelectPartner(a.Class, r.DB.PartnerPriority(a.Class))
 		}
 		if partner == nil {
-			cfg, err := PredictSoloBest(a.Obs, r.DB)
+			cfg, err := PredictSoloBest(*a.Obs, r.DB)
 			if err != nil {
 				return Result{}, err
 			}
@@ -334,7 +334,7 @@ func (r *PolicyRunner) runECoST(wl Workload, nodes int) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		cfg, err := r.Tuner.PredictBest(a.Obs, b.Obs)
+		cfg, err := r.Tuner.PredictBest(*a.Obs, *b.Obs)
 		if err != nil {
 			return Result{}, err
 		}

@@ -25,7 +25,7 @@ func smallWorkload() Workload {
 	names := []string{"st", "nb", "pr", "st", "km", "pr"}
 	w := Workload{Name: "test6"}
 	for i, n := range names {
-		w.Jobs = append(w.Jobs, JobSpec{App: workloads.MustByName(n), SizeGB: []float64{5, 1}[i%2]})
+		w.Jobs = append(w.Jobs, JobSpec{App: workloads.MustLookup(n), SizeGB: []float64{5, 1}[i%2]})
 	}
 	return w
 }
@@ -57,8 +57,8 @@ func TestScenarioClassSignatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range ws1.Jobs {
-		if j.App.Class != workloads.Compute {
-			t.Fatalf("WS1 must be all-C; %s is %v", j.App.Name, j.App.Class)
+		if j.App.Class() != workloads.Compute {
+			t.Fatalf("WS1 must be all-C; %s is %v", j.App.Name(), j.App.Class())
 		}
 	}
 	ws3, err := Scenario("WS3")
@@ -66,8 +66,8 @@ func TestScenarioClassSignatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range ws3.Jobs {
-		if j.App.Name != "st" {
-			t.Fatalf("WS3 must be all sort; got %s", j.App.Name)
+		if j.App.Name() != "st" {
+			t.Fatalf("WS3 must be all sort; got %s", j.App.Name())
 		}
 	}
 	ws8, err := Scenario("WS8")
@@ -76,7 +76,7 @@ func TestScenarioClassSignatures(t *testing.T) {
 	}
 	seen := map[workloads.Class]bool{}
 	for _, j := range ws8.Jobs {
-		seen[j.App.Class] = true
+		seen[j.App.Class()] = true
 	}
 	if len(seen) != 4 {
 		t.Fatalf("WS8 must cover all 4 classes, saw %d", len(seen))
@@ -261,7 +261,7 @@ func TestUBMatchingRejectsHugeWorkloads(t *testing.T) {
 	r := runner(t)
 	var wl Workload
 	for i := 0; i < 21; i++ {
-		wl.Jobs = append(wl.Jobs, JobSpec{App: workloads.MustByName("st"), SizeGB: 1})
+		wl.Jobs = append(wl.Jobs, JobSpec{App: workloads.MustLookup("st"), SizeGB: 1})
 	}
 	if _, err := r.Run(UB, wl, 2); err == nil {
 		t.Error("UB accepted a 21-job matching")

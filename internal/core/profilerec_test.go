@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"unsafe"
 
 	"ecost/internal/sim"
+	"ecost/internal/trace"
 	"ecost/internal/workloads"
 )
 
@@ -15,6 +17,50 @@ func TestPendingArrivalSize(t *testing.T) {
 	if n := unsafe.Sizeof(pendingArrival{}); n > 24 {
 		t.Fatalf("pendingArrival is %d B, want ≤ 24", n)
 	}
+}
+
+// TestRecordSizes pins what each arrival, observation and router record
+// carries now that they name their application by id: no copy of a
+// workloads.App, and no pointer, so the garbage collector scans none
+// of them.
+func TestRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		v   any
+		max uintptr
+	}{
+		{trace.Arrival{}, 24},
+		{Observation{}, 136},
+		{profileRec{}, 168},
+	} {
+		typ := reflect.TypeOf(c.v)
+		if n := typ.Size(); n > c.max {
+			t.Errorf("%v is %d B, want ≤ %d", typ, n, c.max)
+		}
+		if hasPointers(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t holds a pointer the
+// garbage collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true
 }
 
 // TestShardedSubmitWarmZeroAlloc pins the warm ProfileMemo submission:
@@ -28,7 +74,7 @@ func TestShardedSubmitWarmZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := workloads.MustByName("wc")
+	app := workloads.MustLookup("wc")
 	c.Submit(app, 5, 0)
 	if allocs := testing.AllocsPerRun(1000, func() { c.Submit(app, 5, 1) }); allocs != 0 {
 		t.Fatalf("warm Submit allocates %.1f objects per call, want 0", allocs)
@@ -58,7 +104,7 @@ func TestShardedClassCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		apps, sizes := workloads.Apps(), []float64{1, 5, 10}
+		apps, sizes := workloads.IDs(), []float64{1, 5, 10}
 		rng := sim.NewRNG(6)
 		at := 0.0
 		for i := 0; i < 400; i++ {
@@ -99,7 +145,7 @@ func TestShardedClassCache(t *testing.T) {
 // (app, size) share one record.
 func TestProfileRecords(t *testing.T) {
 	fixture(t)
-	apps, sizes := workloads.Apps()[:4], []float64{1, 5}
+	apps, sizes := workloads.IDs()[:4], []float64{1, 5}
 	for _, memo := range []bool{false, true} {
 		c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(3)),
 			func() STP { return NewMemoSTP(fix.lkt, nil) }, 8, ShardedConfig{Shards: 4, ProfileMemo: memo})
@@ -119,7 +165,7 @@ func TestProfileRecords(t *testing.T) {
 		recOf, specOf := map[key]*profileRec{}, map[key]int{}
 		ids := map[uint64]bool{}
 		for _, p := range c.arrQ {
-			r, k := p.rec, key{p.rec.obs.App.Name, p.rec.obs.SizeGB}
+			r, k := p.rec, key{p.rec.obs.App.Name(), p.rec.obs.SizeGB}
 			if r.obs.id == 0 {
 				t.Fatalf("memo=%v: job %d holds id 0", memo, p.id)
 			}

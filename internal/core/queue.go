@@ -9,9 +9,11 @@ import (
 )
 
 // Job is one application instance flowing through the ECoST scheduler.
+// Obs points at the job's observation: in the control plane, the one
+// its router record holds, so a job copies no profile (DESIGN.md §35).
 type Job struct {
 	ID    int
-	Obs   Observation
+	Obs   *Observation
 	Class workloads.Class // assigned by the incoming-application analyzer
 
 	// EstTime is the scheduler's rough runtime estimate (from the
@@ -75,15 +77,6 @@ func (q *WaitQueue) Push(j *Job) {
 	}
 }
 
-// DepthByClass tallies the queued jobs per class (for depth gauges).
-func (q *WaitQueue) DepthByClass() map[workloads.Class]int {
-	out := map[workloads.Class]int{}
-	for _, j := range q.jobs {
-		out[j.Class]++
-	}
-	return out
-}
-
 // Len reports the queue length.
 func (q *WaitQueue) Len() int { return len(q.jobs) }
 
@@ -140,23 +133,6 @@ func (q *WaitQueue) unindex(j *Job) {
 		d = slices.Delete(d, i, i+1)
 	}
 	q.byClass[j.Class] = d
-}
-
-// Candidates returns the jobs eligible to fill a fresh node slot: the
-// head (always, by reservation) plus any job small enough to leap
-// forward without delaying the head.
-func (q *WaitQueue) Candidates() []*Job {
-	if len(q.jobs) == 0 {
-		return nil
-	}
-	head := q.jobs[0]
-	out := []*Job{head}
-	for _, j := range q.jobs[1:] {
-		if head.EstTime > 0 && j.EstTime <= q.LeapFraction*head.EstTime {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // PartnerCandidates returns the jobs eligible to be co-located NEXT TO an
@@ -224,13 +200,6 @@ func classRank(c workloads.Class, priority []workloads.Class) int {
 		}
 	}
 	return r
-}
-
-// DefaultPriority is the static partner-class order the paper reads off
-// Figure 5 when no database-derived order is available: I/O-bound
-// applications pair best with anything; memory-bound last.
-func DefaultPriority() []workloads.Class {
-	return []workloads.Class{workloads.IOBound, workloads.Hybrid, workloads.Compute, workloads.MemBound}
 }
 
 // SelectPartnerSized extends the Figure-4 decision tree with a

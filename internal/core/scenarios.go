@@ -8,7 +8,7 @@ import (
 
 // JobSpec names one application instance in a workload scenario.
 type JobSpec struct {
-	App    workloads.App
+	App    workloads.ID
 	SizeGB float64
 }
 
@@ -26,7 +26,7 @@ func (w Workload) ClassSignature() string {
 		if i > 0 {
 			s += ","
 		}
-		s += j.App.Class.String()
+		s += j.App.App().Class.String()
 	}
 	return s + "]"
 }
@@ -38,7 +38,7 @@ func (w Workload) AppSignature() string {
 		if i > 0 {
 			s += ", "
 		}
-		s += j.App.Name
+		s += j.App.Name()
 	}
 	return s + "]"
 }
@@ -83,7 +83,7 @@ func ScenarioMixed(name string, sizeCycle []float64) (Workload, error) {
 	}
 	w := Workload{Name: name}
 	for i, n := range names {
-		app, err := workloads.ByName(n)
+		app, err := workloads.Lookup(n)
 		if err != nil {
 			return Workload{}, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -83,9 +84,11 @@ type shard struct {
 	freeSet   nodeSet
 	halfSet   nodeSet
 
-	// completions points at the control plane's one completion log.
+	// completions points at the control plane's one completion log,
+	// err at its error: the first error an event hit (see fail).
 	pending     int
 	completions *[]CompletedJob
+	err         *error
 
 	// energy accounting
 	energyJ    float64
@@ -122,20 +125,23 @@ type pendingArrival struct {
 }
 
 // profileRec is one router profile: the observation measured for a
-// submission and the behaviour class derived from it. The sharded
-// router owns the records for the run — one per (app, size) under
+// submission and the classifier's answers for it. The sharded router
+// owns the records for the run — one per (app, size) under
 // ProfileMemo, one per submission otherwise — and hands them to the
-// home shard by pointer, so the observation is copied once, into the
-// Job. The record's observation carries the record's id (DESIGN.md
-// §26).
+// home shard by pointer; a Job points at its record's observation, so
+// the observation is never copied. The record's observation carries
+// the record's id (DESIGN.md §26). A record holds no pointer, so the
+// garbage collector never scans the chunks records are carved from.
 //
 // home is the shard the router sends every job holding the record to.
-// The class is computed on first arrival and cached here. Classify is
-// a pure function of the observation, so the cache is bit-identical to
-// classifying every arrival. Only the home shard classifies a record:
-// routing is by app name, so every job sharing a record shares a home
-// shard, and a stolen job carries its class in the Job instead. A
-// thief reads only the record's spec id, fixed at Submit.
+// The class and the nearest-known training index are computed on first
+// arrival, in one classifier scan, and cached with by, the id of the
+// classifier that gave them (DESIGN.md §35): both are pure functions of
+// the observation, so the cache is bit-identical to classifying every
+// arrival and scanning at every lookup, and another classifier's
+// lookup scans. Only the home shard classifies a record: routing is by
+// app name, so every job sharing a record shares a home shard, and a
+// stolen job carries its class in the Job instead.
 //
 // spec is the router's id for the record's (app name, size), shared by
 // every record of that pair and never reused (DESIGN.md §25). Ids
@@ -144,23 +150,25 @@ type pendingArrival struct {
 // single marks a record that belongs to a single submission, as every
 // record does without ProfileMemo. Its job is placed once, so no tune
 // pair with it as the newcomer can recur, and the shard tells the
-// tuner so (DESIGN.md §34).
+// tuner so (DESIGN.md §34). class holds a workloads.Class in a byte, so
+// a record is 168 bytes.
 type profileRec struct {
-	obs     Observation
-	spec    int
-	home    int
-	class   workloads.Class
-	classed bool
-	single  bool
+	obs    Observation
+	spec   int
+	by     uint64
+	home   int32
+	near   int32
+	class  uint8
+	single bool
 }
 
 // classOf returns rec's behaviour class, classifying on first use.
 func (s *shard) classOf(rec *profileRec) workloads.Class {
-	if !rec.classed {
-		rec.class = s.DB.Classifier().Classify(rec.obs)
-		rec.classed = true
+	if c := s.DB.Classifier(); rec.by != c.id {
+		class, near := c.answer(&rec.obs)
+		rec.class, rec.near, rec.by = uint8(class), int32(near), c.id
 	}
-	return rec.class
+	return workloads.Class(rec.class)
 }
 
 // CompletedJob records one finished job for reporting.
@@ -406,7 +414,7 @@ func (s *shard) arrive(id int, rec *profileRec, at float64) {
 	}
 	*j = Job{
 		ID:      id,
-		Obs:     rec.obs,
+		Obs:     &rec.obs,
 		Class:   s.classOf(rec),
 		EstTime: rec.obs.SizeGB,
 		Arrived: at,
@@ -506,7 +514,7 @@ func (s *shard) specsInto(n *onlineNode) []mapreduce.RunSpec {
 	out := s.scratch[:0]
 	for _, r := range n.residents {
 		out = append(out, mapreduce.RunSpec{
-			App:    r.job.Obs.App,
+			App:    r.job.Obs.App.App(),
 			DataMB: r.job.Obs.SizeGB * 1024,
 			Cfg:    r.cfg,
 		})
@@ -580,9 +588,18 @@ func (s *shard) dispatch() {
 		if !pair {
 			s.queue.PopHead()
 		} else if _, err := s.queue.Take(j.ID); err != nil {
-			panic(err)
+			s.fail(err)
+			return
 		}
 		s.place(target, j)
+	}
+}
+
+// fail keeps err, wrapped, as the run's error unless an earlier event's
+// is kept. The drive stops once the event returns, and Run returns it.
+func (s *shard) fail(err error) {
+	if *s.err == nil {
+		*s.err = fmt.Errorf("core: sharded scheduler: %w", err)
 	}
 }
 
@@ -627,9 +644,9 @@ func (s *shard) tuneFor(n *onlineNode, j *Job) mapreduce.Config {
 		var e PairExpectation
 		var err error
 		if s.obs != nil { // the observer meters the call
-			cfg, e, err = s.obs.predictPair(&r.job.Obs, &j.Obs, j.rec.single)
+			cfg, e, err = s.obs.predictPair(r.job.rec, j.rec)
 		} else {
-			cfg, e, err = predictExpected(s.Tuner, &r.job.Obs, &j.Obs, j.rec.single)
+			cfg, e, err = predictExpected(s.Tuner, r.job.rec, j.rec)
 		}
 		if err == nil && cfg[0].Mappers+cfg[1].Mappers <= s.Model.Spec.Cores {
 			rc := r.cfg
@@ -639,7 +656,7 @@ func (s *shard) tuneFor(n *onlineNode, j *Job) mapreduce.Config {
 		}
 	}
 	if resident == nil {
-		cfg, e, err := PredictSoloBestExpected(j.Obs, s.DB)
+		cfg, e, err := predictSolo(j.rec, s.DB)
 		if err != nil {
 			cfg, e = NTConfig(s.Model.Spec.Cores/maxPerNode), PairExpectation{}
 		}
@@ -671,7 +688,8 @@ func (s *shard) reschedule(n *onlineNode) {
 	// resident set fits a memo key.
 	v, err := s.steady(n)
 	if err != nil {
-		panic(err)
+		s.fail(err)
+		return
 	}
 	sts := v.res[:len(n.residents)]
 	// Capture the node's steady-state draw for the incremental accrual
@@ -734,17 +752,12 @@ func (s *shard) nodeComplete(n *onlineNode) {
 	}
 	s.occupancyChanged(n)
 	s.pending--
-	*s.completions = append(*s.completions, CompletedJob{
-		ID:        finisher.job.ID,
-		App:       finisher.job.Obs.App.Name,
-		Class:     finisher.job.Class,
-		SizeGB:    finisher.job.Obs.SizeGB,
-		Submitted: finisher.job.Arrived,
-		Started:   finisher.started,
-		Finished:  s.ev.now,
-		Node:      s.gid(n),
-		Cfg:       finisher.cfg,
-	})
+	// Filled in place, where a literal would be built aside and copied.
+	*s.completions = append(*s.completions, CompletedJob{})
+	d, j := &(*s.completions)[len(*s.completions)-1], finisher.job
+	d.ID, d.App, d.Class, d.SizeGB = j.ID, j.Obs.App.Name(), j.Class, j.Obs.SizeGB
+	d.Submitted, d.Started, d.Finished = j.Arrived, finisher.started, s.ev.now
+	d.Node, d.Cfg = s.gid(n), finisher.cfg
 	if s.obs != nil {
 		s.obs.complete(n, finisher)
 	}

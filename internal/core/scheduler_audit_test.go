@@ -28,7 +28,7 @@ func auditedRun(t *testing.T) (*audit.Log, *metrics.Registry, *tracing.Tracer, *
 	s.SetTracer(tr)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
-		s.Submit(workloads.MustByName(name), 5, float64(i)*40)
+		s.Submit(workloads.MustLookup(name), 5, float64(i)*40)
 	}
 	if _, _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -114,17 +114,17 @@ func TestSchedulerAuditBranches(t *testing.T) {
 func TestSchedulerAuditLeapForward(t *testing.T) {
 	fixture(t)
 	// Pick the apps by what the fixture database actually ranks.
-	base := workloads.MustByName("nb") // Compute
-	prio := fix.db.PartnerPriority(base.Class)
+	base := workloads.MustLookup("nb") // Compute
+	prio := fix.db.PartnerPriority(base.Class())
 	appOf := map[workloads.Class]string{}
-	for _, a := range workloads.Apps() {
-		if _, ok := appOf[a.Class]; !ok {
-			appOf[a.Class] = a.Name
+	for _, a := range workloads.IDs() {
+		if _, ok := appOf[a.Class()]; !ok {
+			appOf[a.Class()] = a.Name()
 		}
 	}
-	headApp := workloads.MustByName(appOf[prio[len(prio)-1]])
-	leapApp := workloads.MustByName(appOf[prio[0]])
-	if headApp.Class == leapApp.Class {
+	headApp := workloads.MustLookup(appOf[prio[len(prio)-1]])
+	leapApp := workloads.MustLookup(appOf[prio[0]])
+	if headApp.Class() == leapApp.Class() {
 		t.Fatalf("degenerate priority order %v", prio)
 	}
 
@@ -349,7 +349,7 @@ func TestDriftAlertStaleDatabase(t *testing.T) {
 	s.SetAudit(aud)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
-		s.Submit(workloads.MustByName(name), 12, float64(i)*40)
+		s.Submit(workloads.MustLookup(name), 12, float64(i)*40)
 	}
 	if _, _, err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func tracedBusyScheduler(tb testing.TB) *shard {
 	}
 	prof := NewProfiler(fix.model, sim.NewRNG(3))
 	for i, j := range wl.Jobs[:8] {
-		obs, err := prof.Observe(j.App, j.SizeGB)
+		obs, err := prof.Observe(*j.App.App(), j.SizeGB)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -93,7 +93,7 @@ func TestNodeSetsAgainstLinearScan(t *testing.T) {
 	fixture(t)
 	c := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(5)), 5)
 	s := c.shards[0]
-	apps := workloads.Training()
+	apps := workloads.TrainingIDs()
 	rng := sim.NewRNG(6)
 	at := 0.0
 	for i := 0; i < 40; i++ {

@@ -39,7 +39,7 @@ func TestOnlineSchedulerCompletesAll(t *testing.T) {
 	s := newSched(t, 2)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm"}
 	for i, name := range apps {
-		s.Submit(workloads.MustByName(name), 5, float64(i)*50)
+		s.Submit(workloads.MustLookup(name), 5, float64(i)*50)
 	}
 	makespan, energy, err := s.Run()
 	if err != nil {
@@ -68,8 +68,8 @@ func TestOnlineSchedulerCompletesAll(t *testing.T) {
 func TestOnlineSchedulerCoLocates(t *testing.T) {
 	s := newSched(t, 1)
 	// Two jobs arriving together on one node must overlap in time.
-	s.Submit(workloads.MustByName("st"), 5, 0)
-	s.Submit(workloads.MustByName("pr"), 5, 0)
+	s.Submit(workloads.MustLookup("st"), 5, 0)
+	s.Submit(workloads.MustLookup("pr"), 5, 0)
 	if _, _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestOnlineSchedulerAtMostTwoPerNode(t *testing.T) {
 	// co-location cap of two applications per node.
 	s := newSched(t, 1)
 	for _, name := range []string{"nb", "cf", "pr", "km", "svm"} {
-		s.Submit(workloads.MustByName(name), 1, 0)
+		s.Submit(workloads.MustLookup(name), 1, 0)
 	}
 	if _, _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestOnlineSchedulerFasterWithMoreNodes(t *testing.T) {
 	run := func(nodes int) float64 {
 		s := newSched(t, nodes)
 		for _, name := range []string{"nb", "pr", "km", "svm", "cf", "hmm", "nb", "pr"} {
-			s.Submit(workloads.MustByName(name), 5, 0)
+			s.Submit(workloads.MustLookup(name), 5, 0)
 		}
 		makespan, _, err := s.Run()
 		if err != nil {
@@ -138,7 +138,7 @@ func TestOnlineSchedulerFasterWithMoreNodes(t *testing.T) {
 
 func TestOnlineSchedulerEnergyMatchesIdleFloor(t *testing.T) {
 	s := newSched(t, 2)
-	s.Submit(workloads.MustByName("nb"), 1, 0)
+	s.Submit(workloads.MustLookup("nb"), 1, 0)
 	makespan, energy, err := s.Run()
 	if err != nil {
 		t.Fatal(err)

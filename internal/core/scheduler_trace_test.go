@@ -26,7 +26,7 @@ func tracedRun(t *testing.T, fast bool) (*tracing.Tracer, *ShardedScheduler) {
 	s.SetTracer(tr)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
-		s.Submit(workloads.MustByName(name), 5, float64(i)*40)
+		s.Submit(workloads.MustLookup(name), 5, float64(i)*40)
 	}
 	if _, _, err := s.Run(); err != nil {
 		t.Fatal(err)

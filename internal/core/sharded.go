@@ -27,6 +27,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"ecost/internal/audit"
 	"ecost/internal/flight"
@@ -103,8 +104,9 @@ type ShardedScheduler struct {
 	completed []CompletedJob
 
 	// err is the first bad submission (a profile error or an
-	// out-of-order arrival time). Submit ignores everything after it and
-	// Run returns it without driving anything.
+	// out-of-order arrival time) or the first error an event hit.
+	// Submit ignores everything after it; Run returns a submission's
+	// without driving anything, an event's once the drive stops at it.
 	err error
 
 	// stats counts barrier and window event times.
@@ -143,7 +145,7 @@ func (b BarrierStats) ElidedRatio() float64 {
 }
 
 type profileKey struct {
-	app    string
+	app    workloads.ID
 	sizeGB float64
 }
 
@@ -196,7 +198,7 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 		}
 		sh := newShard(&c.ev, model, db, tuner, n, base)
 		sh.idx = i
-		sh.completions = &c.completed
+		sh.completions, sh.err = &c.completed, &c.err
 		c.shards = append(c.shards, sh)
 		base += n
 	}
@@ -298,7 +300,7 @@ func (c *ShardedScheduler) recordEpoch(t float64) {
 // generators, trace replay, workload cycling — emits sorted arrivals).
 // An out-of-order arrival or a job the profiler rejects is kept as the
 // run's error: later submissions are ignored and Run returns it.
-func (c *ShardedScheduler) Submit(app workloads.App, sizeGB, at float64) {
+func (c *ShardedScheduler) Submit(app workloads.ID, sizeGB, at float64) {
 	if c.err != nil {
 		return
 	}
@@ -345,31 +347,32 @@ func (c *ShardedScheduler) fireArrivals() {
 // new record of this job's noisy profile, with the spec id and home of
 // its (app, size). A record's id names the record, not its contents
 // (DESIGN.md §26, §33).
-func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (*profileRec, error) {
-	k := profileKey{app.Name, sizeGB}
+func (c *ShardedScheduler) profile(app workloads.ID, sizeGB float64) (*profileRec, error) {
+	k := profileKey{app, sizeGB}
 	first := c.recs[k]
 	if first != nil && c.cfg.ProfileMemo {
 		return first, nil
 	}
-	observe := c.prof.Observe
+	observe := c.prof.observe
 	if c.cfg.ProfileMemo {
-		observe = c.prof.ObserveExact
-	}
-	obs, err := observe(app, sizeGB)
-	if err != nil {
-		return nil, err
+		observe = c.prof.observeExact
 	}
 	if len(c.chunk) == cap(c.chunk) {
 		c.chunk = make([]profileRec, 0, recChunk)
 	}
-	c.chunk = append(c.chunk, profileRec{obs: obs, single: !c.cfg.ProfileMemo})
-	rec := &c.chunk[len(c.chunk)-1]
+	// The profile is measured into its record's place in the store.
+	rec := &c.chunk[:len(c.chunk)+1][len(c.chunk)]
+	if err := observe(&rec.obs, app, sizeGB); err != nil {
+		return nil, fmt.Errorf("core: profile %s: %w", app.Name(), err)
+	}
+	c.chunk = c.chunk[:len(c.chunk)+1]
+	rec.single = !c.cfg.ProfileMemo
 	rec.obs.stamp()
 	if first != nil {
 		rec.spec, rec.home = first.spec, first.home
 	} else {
 		c.specs++
-		rec.spec, rec.home = c.specs, routeShard(app.Name, len(c.shards))
+		rec.spec, rec.home = c.specs, int32(routeShard(app.Name(), len(c.shards)))
 		c.recs[k] = rec
 	}
 	return rec, nil
@@ -386,8 +389,10 @@ func (c *ShardedScheduler) BarrierStats() BarrierStats { return c.stats }
 
 // Run drives all shards to completion and returns the global makespan
 // and summed energy, or the first bad submission's error without
-// driving anything. A panic in a shard event surfaces as the error, at
-// the first panicking event in (time, seq) order. After the last event
+// driving anything. An error an event hits stops the drive at that
+// event and is returned wrapped, so errors.Is and errors.As reach it;
+// a panic in a shard event surfaces as the error too, at the first
+// panicking event in (time, seq) order. After the last event
 // the clock reads the global makespan, and every shard is closed
 // out there, so every shard bills its trailing idle energy up to the
 // same end time.
@@ -401,7 +406,9 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 		}
 	}()
 	c.completed = append(make([]CompletedJob, 0, c.nextID), c.completed...)
-	c.drive()
+	if c.drive(); c.err != nil {
+		return 0, 0, c.err
+	}
 	pending := 0
 	for _, sh := range c.shards {
 		pending += sh.pending
@@ -424,7 +431,8 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 // drive is the event loop (DESIGN.md §22, §24, §31). At the next
 // event time t it fires every event at t, including those t's events
 // schedule at t; the steal pass follows at a barrier time, then the
-// flight epoch (recorder attached) at every event time.
+// flight epoch (recorder attached) at every event time. It returns
+// after an event that failed (shard.fail).
 func (c *ShardedScheduler) drive() {
 	inWindow := false
 	for {
@@ -434,8 +442,11 @@ func (c *ShardedScheduler) drive() {
 		}
 		barrier := c.barrierAt(t)
 		var fired int64
-		for c.step(t) {
+		for c.err == nil && c.step(t) {
 			fired++
+		}
+		if c.err != nil {
+			return
 		}
 		if barrier {
 			inWindow = false
@@ -610,22 +621,21 @@ func (c *ShardedScheduler) stealPass(t float64) {
 // The log is appended in event order, so it is already in
 // nondecreasing finish order, save for same-instant completions that
 // landed out of id order. It is sorted in place — linear on an
-// already-sorted log.
+// already-sorted log — by index, so no comparison copies a record.
 func (c *ShardedScheduler) Completed() []CompletedJob {
-	slices.SortFunc(c.completed, func(a, b CompletedJob) int { return cmpCompleted(&a, &b) })
+	sort.Sort(completionLog(c.completed))
 	return append(make([]CompletedJob, 0, len(c.completed)), c.completed...)
 }
 
-// cmpCompleted orders completions by (Finished, ID), a total order: a
+// completionLog orders completions by (Finished, ID), a total order: a
 // job completes once.
-func cmpCompleted(a, b *CompletedJob) int {
-	switch {
-	case a.Finished < b.Finished:
-		return -1
-	case a.Finished > b.Finished:
-		return 1
-	}
-	return a.ID - b.ID
+type completionLog []CompletedJob
+
+func (l completionLog) Len() int      { return len(l) }
+func (l completionLog) Swap(i, j int) { l[i], l[j] = l[j], l[i] }
+func (l completionLog) Less(i, j int) bool {
+	a, b := &l[i], &l[j]
+	return a.Finished < b.Finished || (a.Finished == b.Finished && a.ID < b.ID)
 }
 
 // EnergyJ sums shard energy in shard order.
@@ -647,15 +657,6 @@ func (c *ShardedScheduler) Phases() power.PhaseAccumulator {
 		p.CoJ += sp.CoJ
 	}
 	return p
-}
-
-// QueueLen sums the shard wait-queue lengths.
-func (c *ShardedScheduler) QueueLen() int {
-	n := 0
-	for _, sh := range c.shards {
-		n += sh.queue.Len()
-	}
-	return n
 }
 
 // SetFastAccrual toggles the O(1) aggregate accrual path on every

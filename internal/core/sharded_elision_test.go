@@ -73,7 +73,7 @@ func TestShardedElisionStealExactness(t *testing.T) {
 	// non-empty from the first barrier until the backlog drains, so no
 	// window may open before the last steal-eligible barrier has run.
 	burst := func(c *ShardedScheduler) {
-		app := workloads.MustByName("wc")
+		app := workloads.MustLookup("wc")
 		for i := 0; i < 32; i++ {
 			c.Submit(app, 5, 0)
 		}
@@ -98,7 +98,7 @@ func TestShardedElisionStealExactness(t *testing.T) {
 	// barriers sit at arrival times (each fires at least one arrival).
 	const jobs = 12
 	sparse := func(c *ShardedScheduler) {
-		apps := workloads.Training()
+		apps := workloads.TrainingIDs()
 		for i := 0; i < jobs; i++ {
 			c.Submit(apps[i%len(apps)], 5, float64(i)*5e4)
 		}
@@ -182,7 +182,7 @@ func TestShardedFlightKeepsDriveCadence(t *testing.T) {
 // drive.* metrics.
 func TestShardedDriveCadence(t *testing.T) {
 	burst := func(c *ShardedScheduler) {
-		app := workloads.MustByName("wc")
+		app := workloads.MustLookup("wc")
 		for i := 0; i < 32; i++ {
 			c.Submit(app, 5, 0)
 		}
@@ -244,8 +244,8 @@ func TestShardedDriveCadence(t *testing.T) {
 // tenant and break the recorded sweep baselines.
 func TestRouteShardMatchesFNV(t *testing.T) {
 	names := []string{"", "a", "wc", "st", "gp", "ts", "kmeans", "pagerank", "tenant-4711", "Σ/utf8·name"}
-	for _, app := range workloads.Training() {
-		names = append(names, app.Name)
+	for _, app := range workloads.TrainingIDs() {
+		names = append(names, app.Name())
 	}
 	for _, name := range names {
 		for _, shards := range []int{1, 2, 3, 4, 16} {

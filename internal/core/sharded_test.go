@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"runtime"
@@ -176,7 +177,7 @@ func shardedExportsEqual(t *testing.T, label string, a, b shardedResult) {
 // skewedStream sends `jobs` copies of one application, which all hash
 // to a single home shard — the adversarial input for work stealing.
 func skewedStream(t *testing.T, jobs int, gap float64) func(c *ShardedScheduler) {
-	app := workloads.MustByName("wc")
+	app := workloads.MustLookup("wc")
 	return func(c *ShardedScheduler) {
 		for i := 0; i < jobs; i++ {
 			c.Submit(app, 5, float64(i)*gap)
@@ -263,10 +264,10 @@ func (panicSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 func TestShardedRunRecoversShardPanic(t *testing.T) {
 	fixture(t)
 	const shards = 4
-	var app workloads.App
+	var app workloads.ID
 	bad := 0
-	for _, a := range workloads.Training() {
-		if bad = routeShard(a.Name, shards); bad != 0 {
+	for _, a := range workloads.TrainingIDs() {
+		if bad = routeShard(a.Name(), shards); bad != 0 {
 			app = a
 			break
 		}
@@ -295,6 +296,45 @@ func TestShardedRunRecoversShardPanic(t *testing.T) {
 	_, _, err = c.Run()
 	if err == nil || !strings.Contains(err.Error(), "panicSTP: pair prediction") {
 		t.Fatalf("Run error = %v, want the shard %d panic value", err, bad)
+	}
+}
+
+// offGridSTP answers every pair with a frequency no DVFS level has, so
+// the steady solve that follows rejects the resident's configuration.
+type offGridSTP struct{}
+
+func (offGridSTP) Name() string { return "off-grid" }
+
+func (offGridSTP) cfg() mapreduce.Config { return mapreduce.Config{Freq: 1.7, Block: 128, Mappers: 2} }
+
+func (s offGridSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
+	return [2]mapreduce.Config{s.cfg(), s.cfg()}, nil
+}
+
+// TestShardedRunReturnsEventError: an error an event hits — here the
+// steady solve's validation of a pair-tuned configuration — stops the
+// drive, and Run returns that error wrapped, so the chain reaches it,
+// where a recovered panic would carry only its text.
+func TestShardedRunReturnsEventError(t *testing.T) {
+	fixture(t)
+	c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(99)),
+		func() STP { return offGridSTP{} }, 1, ShardedConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // the second job pair-tunes beside the first
+		c.Submit(workloads.MustLookup("wc"), 5, float64(i))
+	}
+	_, _, err = c.Run()
+	want := offGridSTP{}.cfg().Validate(fix.model.Spec.Cores)
+	if cause := errors.Unwrap(err); cause == nil || cause.Error() != want.Error() {
+		t.Fatalf("Run error = %v (cause %v), want the steady solve's %q wrapped", err, cause, want)
+	}
+	if !strings.HasPrefix(err.Error(), "core: sharded scheduler: mapreduce: config") {
+		t.Fatalf("Run error = %q", err)
+	}
+	if done := c.Completed(); len(done) != 0 {
+		t.Fatalf("the drive went on past the failed event: %d completions", len(done))
 	}
 }
 
@@ -510,13 +550,13 @@ func TestFastAccrualGolden(t *testing.T) {
 // across shards rather than collapsing onto one.
 func TestRouteShardDeterministic(t *testing.T) {
 	seen := map[int]bool{}
-	for _, app := range workloads.Training() {
-		s := routeShard(app.Name, 4)
+	for _, app := range workloads.TrainingIDs() {
+		s := routeShard(app.Name(), 4)
 		if s < 0 || s >= 4 {
-			t.Fatalf("routeShard(%q, 4) = %d out of range", app.Name, s)
+			t.Fatalf("routeShard(%q, 4) = %d out of range", app.Name(), s)
 		}
-		if s2 := routeShard(app.Name, 4); s2 != s {
-			t.Fatalf("routeShard(%q, 4) unstable: %d then %d", app.Name, s, s2)
+		if s2 := routeShard(app.Name(), 4); s2 != s {
+			t.Fatalf("routeShard(%q, 4) unstable: %d then %d", app.Name(), s, s2)
 		}
 		seen[s] = true
 	}
@@ -531,7 +571,7 @@ func TestRouteShardDeterministic(t *testing.T) {
 // the cause without driving anything.
 func TestShardedSubmitBadInput(t *testing.T) {
 	fixture(t)
-	app := workloads.MustByName("wc")
+	app := workloads.MustLookup("wc")
 	cases := []struct {
 		name   string
 		submit func(c *ShardedScheduler)

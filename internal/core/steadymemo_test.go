@@ -32,7 +32,7 @@ import (
 // seen after a memo clear gets an id no earlier pair had.
 func TestSteadyMemoExact(t *testing.T) {
 	fixture(t)
-	apps := workloads.Training()
+	apps := workloads.TrainingIDs()
 	sizes := []float64{1, 2.5, 5}
 	cores := fix.model.Spec.Cores
 	solo := mapreduce.AllConfigs(cores)
@@ -52,21 +52,21 @@ func TestSteadyMemoExact(t *testing.T) {
 		}
 		s := c.shards[0]
 		wide := map[profileKey]int{
-			{apps[0].Name, sizes[0]}: 1<<24 - 1,
-			{apps[1].Name, sizes[1]}: 1 << 24,
+			{apps[0], sizes[0]}: 1<<24 - 1,
+			{apps[1], sizes[1]}: 1 << 24,
 		}
 		specOf := map[profileKey]int{}
 		keyOf := map[int]profileKey{}
 		maxSpec := 0
 		cleared := false
-		job := func(op int, app workloads.App, size float64) *Job {
+		job := func(op int, app workloads.ID, size float64) *Job {
 			rec, err := c.profile(app, size)
 			if err != nil {
 				t.Fatalf("seed %d op %d: profile: %v", seed, op, err)
 			}
-			k := profileKey{app.Name, size}
+			k := profileKey{app, size}
 			if id, ok := specOf[k]; ok && id != rec.spec {
-				t.Fatalf("seed %d op %d: %s@%g got spec %d, earlier record had %d", seed, op, app.Name, size, rec.spec, id)
+				t.Fatalf("seed %d op %d: %s@%g got spec %d, earlier record had %d", seed, op, app.Name(), size, rec.spec, id)
 			}
 			if prev, ok := keyOf[rec.spec]; ok && prev != k {
 				t.Fatalf("seed %d op %d: spec %d names both %v and %v", seed, op, rec.spec, prev, k)
@@ -83,7 +83,7 @@ func TestSteadyMemoExact(t *testing.T) {
 				r.spec = id
 				rec = &r
 			}
-			return &Job{Obs: rec.obs, rec: rec}
+			return &Job{Obs: &rec.obs, rec: rec}
 		}
 		var history [][]*onlineJob
 		var hits, misses, errs, wideHits, unfit int
@@ -120,7 +120,7 @@ func TestSteadyMemoExact(t *testing.T) {
 			}
 			specs := make([]mapreduce.RunSpec, len(res))
 			for i, r := range res {
-				specs[i] = mapreduce.RunSpec{App: r.job.Obs.App, DataMB: r.job.Obs.SizeGB * 1024, Cfg: r.cfg}
+				specs[i] = mapreduce.RunSpec{App: r.job.Obs.App.App(), DataMB: r.job.Obs.SizeGB * 1024, Cfg: r.cfg}
 			}
 			want, wantW, wantErr := fix.model.Steady(specs)
 			before := s.steadyMemo.n
@@ -186,8 +186,8 @@ func TestSteadyMemoExact(t *testing.T) {
 // slots as it counts: nothing from before a clear survives it.
 func TestSteadyTableRefillZeroAlloc(t *testing.T) {
 	s := newShard(nil, mapreduce.NewModel(cluster.AtomC2758()), nil, nil, 1, 0)
-	rec := &profileRec{obs: Observation{App: workloads.MustByName("wc"), SizeGB: 1}}
-	r := resident(&Job{Obs: rec.obs, rec: rec}, ProfilingConfig())
+	rec := &profileRec{obs: Observation{App: workloads.MustLookup("wc"), SizeGB: 1}}
+	r := resident(&Job{Obs: &rec.obs, rec: rec}, ProfilingConfig())
 	node := &onlineNode{residents: []*onlineJob{r}}
 	fill := func() {
 		for i := 0; i < steadyMemoCap; i++ {
@@ -258,20 +258,20 @@ func TestSpecIDsUnderProfileMemo(t *testing.T) {
 	}
 	seen := map[int]*profileRec{}
 	for round := 0; round < 2; round++ {
-		for _, app := range workloads.Training() {
+		for _, app := range workloads.TrainingIDs() {
 			for _, size := range []float64{1, 5} {
 				rec, err := c.profile(app, size)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if prev, ok := seen[rec.spec]; ok && prev != rec {
-					t.Fatalf("spec %d names two records (%s@%g and %s@%g)", rec.spec, prev.obs.App.Name, prev.obs.SizeGB, app.Name, size)
+					t.Fatalf("spec %d names two records (%s@%g and %s@%g)", rec.spec, prev.obs.App.Name(), prev.obs.SizeGB, app.Name(), size)
 				}
 				seen[rec.spec] = rec
 			}
 		}
 	}
-	if want := 2 * len(workloads.Training()); len(seen) != want || c.specs != want {
+	if want := 2 * len(workloads.TrainingIDs()); len(seen) != want || c.specs != want {
 		t.Fatalf("%d spec ids over %d handed out, want %d", len(seen), c.specs, want)
 	}
 }

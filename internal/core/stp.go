@@ -35,7 +35,7 @@ func (s *LkTSTP) Name() string { return "LkT" }
 
 // PredictBest implements STP.
 func (s *LkTSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
-	cfg, _, err := s.DB.lookupConfig(&a, &b)
+	cfg, _, err := s.DB.lookupConfig(&profileRec{obs: a}, &profileRec{obs: b})
 	return cfg, err
 }
 
@@ -60,11 +60,12 @@ type ExpectingSTP interface {
 // the best-resembling known pair's full measured outcome alongside its
 // optimal configuration, so LkT's forecast comes for free.
 func (s *LkTSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
-	return s.predict(&a, &b)
+	return s.predict(&profileRec{obs: a}, &profileRec{obs: b})
 }
 
-// predict is PredictBestExpected on the pair in place.
-func (s *LkTSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
+// predict is PredictBestExpected on two records in place; a router
+// record's cached nearest-known index spares the lookup its scan.
+func (s *LkTSTP) predict(a, b *profileRec) ([2]mapreduce.Config, PairExpectation, error) {
 	cfg, out, err := s.DB.lookupConfig(a, b)
 	if err != nil {
 		return cfg, PairExpectation{}, err
@@ -78,21 +79,22 @@ func (s *LkTSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectatio
 
 // predictExpected dispatches to the richest prediction interface the
 // technique implements, degrading gracefully: full forecast or
-// configuration-only (zero expectation). It takes the pair by
-// reference, so the observations are copied at most once, into the
-// technique's call, and not at all into a MemoSTP's or an LkTSTP's.
-// single reports that b's record belongs to one submission, so the
-// pair cannot recur; only a MemoSTP reads it.
-func predictExpected(t STP, a, b *Observation, single bool) ([2]mapreduce.Config, PairExpectation, error) {
+// configuration-only (zero expectation). It takes the pair's records
+// by reference, so the observations are copied at most once, into the
+// technique's call, and not at all into a MemoSTP's or an LkTSTP's,
+// which read what the records cache: b.single, that b's record belongs
+// to one submission, so the pair cannot recur (a MemoSTP's), and each
+// record's nearest-known index (an LkTSTP's).
+func predictExpected(t STP, a, b *profileRec) ([2]mapreduce.Config, PairExpectation, error) {
 	switch p := t.(type) {
 	case *MemoSTP:
-		return p.predict(a, b, single)
+		return p.predict(a, b)
 	case *LkTSTP:
 		return p.predict(a, b)
 	case ExpectingSTP:
-		return p.PredictBestExpected(*a, *b)
+		return p.PredictBestExpected(a.obs, b.obs)
 	}
-	cfg, err := t.PredictBest(*a, *b)
+	cfg, err := t.PredictBest(a.obs, b.obs)
 	return cfg, PairExpectation{}, err
 }
 
@@ -417,18 +419,20 @@ func (s *MLMSTP) argminChunk(m ml.Regressor, rows [][]float64, fa, fb []float64,
 // pairing): the solo-optimal configuration of the database's known
 // application nearest the observation.
 func PredictSoloBest(o Observation, db *Database) (mapreduce.Config, error) {
-	cfg, _, err := PredictSoloBestExpected(o, db)
+	cfg, _, err := predictSolo(&profileRec{obs: o}, db)
 	return cfg, err
 }
 
-// PredictSoloBestExpected is PredictSoloBest plus the forecast backing
-// it: the nearest known application's solo-optimal measured outcome.
-// The forecast is for the database's conditions (the neighbour's app
-// and size, run alone at the returned configuration), so its error
-// against the realized outcome measures how well the database still
-// resembles the live workload — the decision-audit drift signal.
-func PredictSoloBestExpected(o Observation, db *Database) (mapreduce.Config, PairExpectation, error) {
-	near := db.Classifier().NearestKnown(o)
+// predictSolo is PredictSoloBest on a record in place, matched through
+// its cached nearest-known index where it has one, plus the forecast
+// backing it: the nearest known application's solo-optimal measured
+// outcome. The forecast is for the database's conditions (the
+// neighbour's app and size, run alone at the returned configuration),
+// so its error against the realized outcome measures how well the
+// database still resembles the live workload — the decision-audit
+// drift signal.
+func predictSolo(r *profileRec, db *Database) (mapreduce.Config, PairExpectation, error) {
+	near := &db.classer.training[db.nearest(r)]
 	best, err := db.Oracle().BestSolo(near.App, near.SizeGB*1024)
 	if err != nil {
 		return mapreduce.Config{}, PairExpectation{}, err

@@ -121,7 +121,7 @@ func treePairUntuned(env *Env, wl core.Workload, nodes int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		q.Push(&core.Job{ID: i, Obs: obs, Class: env.DB.Classifier().Classify(obs), EstTime: j.SizeGB})
+		q.Push(&core.Job{ID: i, Obs: &obs, Class: env.DB.Classifier().Classify(obs), EstTime: j.SizeGB})
 	}
 	half := env.Model.Spec.Cores / 2
 	lanes := make([][]abUnit, nodes)
@@ -131,14 +131,14 @@ func treePairUntuned(env *Env, wl core.Workload, nodes int) (float64, error) {
 		partner := q.SelectPartner(a.Class, env.DB.PartnerPriority(a.Class))
 		if partner == nil {
 			out, _, err := env.Model.Solo(mapreduce.RunSpec{
-				App: a.Obs.App, DataMB: a.Obs.SizeGB * 1024, Cfg: core.NTConfig(env.Model.Spec.Cores),
+				App: a.Obs.App.App(), DataMB: a.Obs.SizeGB * 1024, Cfg: core.NTConfig(env.Model.Spec.Cores),
 			})
 			_ = out
 			if err != nil {
 				return 0, err
 			}
 			co, err := env.Model.CoLocate([]mapreduce.RunSpec{{
-				App: a.Obs.App, DataMB: a.Obs.SizeGB * 1024, Cfg: core.NTConfig(env.Model.Spec.Cores),
+				App: a.Obs.App.App(), DataMB: a.Obs.SizeGB * 1024, Cfg: core.NTConfig(env.Model.Spec.Cores),
 			}})
 			if err != nil {
 				return 0, err
@@ -235,13 +235,13 @@ func AblationNoise(env *Env, scales []float64) (Table, AblationNoiseData, error)
 			}
 		}
 		for _, tp := range pairs {
-			a := workloads.MustByName(tp.NameA)
-			b := workloads.MustByName(tp.NameB)
-			oa, err := prof.Observe(a, tp.SizeA)
+			a := workloads.MustLookup(tp.NameA)
+			b := workloads.MustLookup(tp.NameB)
+			oa, err := prof.Observe(*a.App(), tp.SizeA)
 			if err != nil {
 				return Table{}, data, err
 			}
-			ob, err := prof.Observe(b, tp.SizeB)
+			ob, err := prof.Observe(*b.App(), tp.SizeB)
 			if err != nil {
 				return Table{}, data, err
 			}
@@ -292,7 +292,7 @@ func AblationBeyondTwo(env *Env) (Table, AblationBeyondTwoData, error) {
 		var specs []mapreduce.RunSpec
 		for i := 0; i < degree; i++ {
 			specs = append(specs, mapreduce.RunSpec{
-				App:    workloads.MustByName(apps[i%2]),
+				App:    workloads.MustLookup(apps[i%2]).App(),
 				DataMB: 10240,
 				Cfg:    mapreduce.Config{Freq: 2.0, Block: 256, Mappers: mappers},
 			})

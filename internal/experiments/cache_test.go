@@ -48,19 +48,19 @@ func TestEnvCacheRoundTrip(t *testing.T) {
 	// Identical predictions from every technique, on noisy observations
 	// drawn from both envs' (independent but same-seed) profilers.
 	for _, pair := range [][2]string{{"wc", "st"}, {"gp", "wc"}} {
-		fa, err := fresh.Observe(workloads.MustByName(pair[0]), 1)
+		fa, err := fresh.Observe(workloads.MustLookup(pair[0]), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb, err := fresh.Observe(workloads.MustByName(pair[1]), 5)
+		fb, err := fresh.Observe(workloads.MustLookup(pair[1]), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ca, err := cached.Observe(workloads.MustByName(pair[0]), 1)
+		ca, err := cached.Observe(workloads.MustLookup(pair[0]), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cb, err := cached.Observe(workloads.MustByName(pair[1]), 5)
+		cb, err := cached.Observe(workloads.MustLookup(pair[1]), 5)
 		if err != nil {
 			t.Fatal(err)
 		}

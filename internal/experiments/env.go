@@ -194,6 +194,6 @@ func (e *Env) STPs() []core.STP {
 
 // Observe profiles an application the way the online system would
 // (with measurement noise).
-func (e *Env) Observe(app workloads.App, sizeGB float64) (core.Observation, error) {
-	return e.Profiler.Observe(app, sizeGB)
+func (e *Env) Observe(app workloads.ID, sizeGB float64) (core.Observation, error) {
+	return e.Profiler.Observe(*app.App(), sizeGB)
 }

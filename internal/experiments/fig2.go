@@ -34,14 +34,14 @@ type Fig2Data struct {
 // function of the number of mappers.
 func Fig2EDPImprovement(env *Env) (Table, Fig2Data, error) {
 	const dataMB = 10 * 1024
-	apps := workloads.Apps()
+	apps := workloads.IDs()
 	cores := env.Model.Spec.Cores
 
 	var data Fig2Data
 	data.RangeMin = math.Inf(1)
 
-	eval := func(app workloads.App, cfg mapreduce.Config) (float64, error) {
-		_, co, err := env.Model.Solo(mapreduce.RunSpec{App: app, DataMB: dataMB, Cfg: cfg})
+	eval := func(app workloads.ID, cfg mapreduce.Config) (float64, error) {
+		_, co, err := env.Model.Solo(mapreduce.RunSpec{App: app.App(), DataMB: dataMB, Cfg: cfg})
 		return co.EDP, err
 	}
 

@@ -32,7 +32,7 @@ func Fig3ColaoVsIlao(env *Env) (Table, Fig3Data, error) {
 		Title:  "Figure 3: EDP of ILAO relative to COLAO, training pairs, equal input sizes",
 		Header: []string{"pair", "size", "classes", "ILAO EDP", "COLAO EDP", "ILAO/COLAO"},
 	}
-	training := workloads.Training()
+	training := workloads.TrainingIDs()
 	for i, a := range training {
 		for _, b := range training[i:] {
 			for _, size := range workloads.DataSizesGB() {
@@ -46,14 +46,14 @@ func Fig3ColaoVsIlao(env *Env) (Table, Fig3Data, error) {
 					return Table{}, data, err
 				}
 				ratio := ilao / colao.Out.EDP
-				cp := core.NewClassPair(a.Class, b.Class)
+				cp := core.NewClassPair(a.Class(), b.Class())
 				data.Ratio[cp] += ratio
 				counts[cp]++
 				if ratio > data.MaxRatio {
 					data.MaxRatio = ratio
-					data.MaxRatioPair = fmt.Sprintf("%s+%s@%gGB (%v)", a.Name, b.Name, size, cp)
+					data.MaxRatioPair = fmt.Sprintf("%s+%s@%gGB (%v)", a.Name(), b.Name(), size, cp)
 				}
-				tbl.AddRow(a.Name+"+"+b.Name, fmt.Sprintf("%gGB", size), cp.String(),
+				tbl.AddRow(a.Name()+"+"+b.Name(), fmt.Sprintf("%gGB", size), cp.String(),
 					ilao, colao.Out.EDP, ratio)
 			}
 		}

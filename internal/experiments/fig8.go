@@ -29,8 +29,8 @@ func Fig8Overheads(env *Env) (Table, Fig8Data, error) {
 	// database population, re-measured on a representative entry and
 	// scaled to the entry count.
 	start := time.Now()
-	a := workloads.MustByName("wc")
-	b := workloads.MustByName("ts")
+	a := workloads.MustLookup("wc")
+	b := workloads.MustLookup("ts")
 	probe := core.NewOracle(env.Model) // fresh, unmemoized
 	if _, err := probe.COLAO(a, 5*1024, b, 5*1024); err != nil {
 		return Table{}, data, err
@@ -50,8 +50,8 @@ func Fig8Overheads(env *Env) (Table, Fig8Data, error) {
 		var total time.Duration
 		n := 0
 		for _, tp := range pairs {
-			appA := workloads.MustByName(tp.NameA)
-			appB := workloads.MustByName(tp.NameB)
+			appA := workloads.MustLookup(tp.NameA)
+			appB := workloads.MustLookup(tp.NameB)
 			oa, err := env.Observe(appA, tp.SizeA)
 			if err != nil {
 				return Table{}, data, err

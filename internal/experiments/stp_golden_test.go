@@ -35,11 +35,11 @@ func stpPredictions(t *testing.T, env *Env) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, tp := range DefaultTestPairs() {
-		oa, err := env.Observe(workloads.MustByName(tp.NameA), tp.SizeA)
+		oa, err := env.Observe(workloads.MustLookup(tp.NameA), tp.SizeA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ob, err := env.Observe(workloads.MustByName(tp.NameB), tp.SizeB)
+		ob, err := env.Observe(workloads.MustLookup(tp.NameB), tp.SizeB)
 		if err != nil {
 			t.Fatal(err)
 		}

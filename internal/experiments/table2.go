@@ -69,11 +69,11 @@ func Table2On(env *Env, pairs []TestPair) (Table, Table2Data, error) {
 			"LkT err%", "LR err%", "REPTree err%", "MLP err%"},
 	}
 	for _, tp := range pairs {
-		a, err := workloads.ByName(tp.NameA)
+		a, err := workloads.Lookup(tp.NameA)
 		if err != nil {
 			return Table{}, data, err
 		}
-		b, err := workloads.ByName(tp.NameB)
+		b, err := workloads.Lookup(tp.NameB)
 		if err != nil {
 			return Table{}, data, err
 		}
@@ -90,8 +90,8 @@ func Table2On(env *Env, pairs []TestPair) (Table, Table2Data, error) {
 			return Table{}, data, err
 		}
 		cells := []any{
-			fmt.Sprintf("%s(%g)+%s(%g)", a.Name, tp.SizeA, b.Name, tp.SizeB),
-			core.NewClassPair(a.Class, b.Class).String(),
+			fmt.Sprintf("%s(%g)+%s(%g)", a.Name(), tp.SizeA, b.Name(), tp.SizeB),
+			core.NewClassPair(a.Class(), b.Class()).String(),
 			colao.Cfg[0].String() + "|" + colao.Cfg[1].String(),
 		}
 		var errs []any

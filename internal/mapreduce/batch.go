@@ -208,21 +208,14 @@ func (m *Model) evaluateInto(specs []RunSpec, s *evalScratch) []steady {
 
 		interMB := sp.DataMB * p.ShuffleSel
 		outMB := sp.DataMB * p.OutputSel
-		out[i] = steady{
-			T:          T,
-			mapTime:    mapTime,
-			redTime:    tRed,
-			util:       clamp01(util),
-			iowait:     clamp01(iowait),
-			readMB:     sp.DataMB + interMB,
-			writeMB:    sp.DataMB*p.SpillFactor + interMB + outMB,
-			ipc:        1 / cpi[i],
-			mpki:       mpki[i],
-			memMB:      float64(sp.Cfg.Mappers) * (m.BufFracOfBlock*float64(sp.Cfg.Block) + p.MemFootprintMBPerTask),
-			ioRateMBps: rate[i],
-			splits:     splits[i],
-			waves:      waves,
-		}
+		// Field by field, where a literal would be built aside and copied.
+		o := &out[i]
+		o.T, o.mapTime, o.redTime = T, mapTime, tRed
+		o.util, o.iowait = clamp01(util), clamp01(iowait)
+		o.readMB, o.writeMB = sp.DataMB+interMB, sp.DataMB*p.SpillFactor+interMB+outMB
+		o.ipc, o.mpki = 1/cpi[i], mpki[i]
+		o.memMB = float64(sp.Cfg.Mappers) * (m.BufFracOfBlock*float64(sp.Cfg.Block) + p.MemFootprintMBPerTask)
+		o.ioRateMBps, o.splits, o.waves = rate[i], splits[i], waves
 	}
 	return out
 }
@@ -454,20 +447,12 @@ func (m *Model) coLocateInto(specs []RunSpec, s *evalScratch, apps []Outcome) (C
 	sub := specs
 	sts := m.evaluateInto(specs, s)
 	if apps != nil {
-		for i, st := range sts {
-			apps[i] = Outcome{
-				MapTime:    st.mapTime,
-				ReduceTime: st.redTime,
-				CPUUtil:    st.util,
-				IOWaitFrac: st.iowait,
-				ReadMB:     st.readMB,
-				WrittenMB:  st.writeMB,
-				EffIPC:     st.ipc,
-				EffLLCMPKI: st.mpki,
-				MemMB:      st.memMB,
-				Waves:      st.waves,
-				Splits:     st.splits,
-			}
+		for i := range sts {
+			st, o := &sts[i], &apps[i] // field by field, as in evaluateInto
+			o.Time, o.MapTime, o.ReduceTime = 0, st.mapTime, st.redTime
+			o.CPUUtil, o.IOWaitFrac, o.ReadMB, o.WrittenMB = st.util, st.iowait, st.readMB, st.writeMB
+			o.EffIPC, o.EffLLCMPKI, o.MemMB = st.ipc, st.mpki, st.memMB
+			o.Waves, o.Splits = st.waves, st.splits
 		}
 	}
 
@@ -656,7 +641,8 @@ func (e *Evaluator) Steady(specs []RunSpec) ([]SteadyState, float64, error) {
 	}
 	out := e.states[:len(sts)]
 	active := e.s.active[:len(sts)]
-	for i, st := range sts {
+	for i := range sts {
+		st := &sts[i]
 		out[i] = SteadyState{
 			JobTime: st.T, CPUUtil: st.util, IOWait: st.iowait,
 			MapTime: st.mapTime, ReduceTime: st.redTime,

@@ -14,8 +14,8 @@ import (
 func TestEvaluatorMatchesCoLocate(t *testing.T) {
 	m := model()
 	e := m.NewEvaluator()
-	a := RunSpec{App: workloads.MustByName("wc"), DataMB: 5 * 1024}
-	b := RunSpec{App: workloads.MustByName("st"), DataMB: 1024}
+	a := RunSpec{App: workloads.MustLookup("wc").App(), DataMB: 5 * 1024}
+	b := RunSpec{App: workloads.MustLookup("st").App(), DataMB: 1024}
 	cfgs := PairConfigsCached(m.Spec.Cores)
 	// Every 97th point keeps the sweep fast while covering all knob
 	// dimensions.

@@ -10,8 +10,10 @@ import (
 
 // RunSpec is one application's placement on a node: what it runs, how
 // much data it processes on this node, and its tuning configuration.
+// App points at the application rather than copying it: usually a
+// table entry (workloads.ID.App), which the spec must not modify.
 type RunSpec struct {
-	App    workloads.App
+	App    *workloads.App
 	DataMB float64
 	Cfg    Config
 }

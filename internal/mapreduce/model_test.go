@@ -15,7 +15,7 @@ func model() *Model { return NewModel(cluster.AtomC2758()) }
 
 func spec(name string, dataMB float64, f cluster.FreqGHz, b hdfs.BlockMB, m int) RunSpec {
 	return RunSpec{
-		App:    workloads.MustByName(name),
+		App:    workloads.MustLookup(name).App(),
 		DataMB: dataMB,
 		Cfg:    Config{Freq: f, Block: b, Mappers: m},
 	}
@@ -336,7 +336,7 @@ func TestEDPPositivityProperty(t *testing.T) {
 	m := model()
 	appNames := []string{"wc", "st", "gp", "ts", "cf"}
 	f := func(ai, fi, bi uint8, mappers uint8, dataRaw uint16) bool {
-		a := workloads.MustByName(appNames[int(ai)%len(appNames)])
+		a := workloads.MustLookup(appNames[int(ai)%len(appNames)]).App()
 		cfg := Config{
 			Freq:    cluster.Frequencies()[int(fi)%4],
 			Block:   hdfs.BlockSizes()[int(bi)%5],
@@ -387,8 +387,8 @@ func TestMemBoundPrefersMaxCoresWhenPaired(t *testing.T) {
 	var bestM, bestI int
 	for _, pc := range PairConfigs(8) {
 		co, err := m.Pair(
-			RunSpec{App: workloads.MustByName("cf"), DataMB: 10240, Cfg: pc[0]},
-			RunSpec{App: workloads.MustByName("st"), DataMB: 10240, Cfg: pc[1]},
+			RunSpec{App: workloads.MustLookup("cf").App(), DataMB: 10240, Cfg: pc[0]},
+			RunSpec{App: workloads.MustLookup("st").App(), DataMB: 10240, Cfg: pc[1]},
 		)
 		if err != nil {
 			continue
@@ -479,7 +479,7 @@ func TestEnergyAboveIdleFloorProperty(t *testing.T) {
 	m := model()
 	f := func(ai, bi, fi uint8, mappers uint8, raw uint16) bool {
 		names := []string{"wc", "st", "gp", "ts", "cf", "km"}
-		a := workloads.MustByName(names[int(ai)%len(names)])
+		a := workloads.MustLookup(names[int(ai)%len(names)]).App()
 		cfg := Config{
 			Freq:    cluster.Frequencies()[int(fi)%4],
 			Block:   hdfs.BlockSizes()[int(bi)%5],

@@ -79,8 +79,8 @@ func TestPairPathMatchesReference(t *testing.T) {
 						for k := 0; k < perSizePair; k++ {
 							ci := ((((ai*len(apps)+bi)*len(sizes)+si)*len(sizes)+sj)*perSizePair + k) * 7919 % len(grid)
 							cfg := grid[ci]
-							a := RunSpec{App: appA, DataMB: gbA * 1024, Cfg: cfg[0]}
-							b := RunSpec{App: appB, DataMB: gbB * 1024, Cfg: cfg[1]}
+							a := RunSpec{App: &appA, DataMB: gbA * 1024, Cfg: cfg[0]}
+							b := RunSpec{App: &appB, DataMB: gbB * 1024, Cfg: cfg[1]}
 							checkPairAgainstReference(t, e, ref, a, b)
 							if pairKernelRuns(m, a, b) != (gbA > 0 && gbB > 0) {
 								t.Fatalf("%s@%gGB / %s@%gGB %v: kernel ran = %v", appA.Name, gbA, appB.Name, gbB, cfg, !(gbA > 0 && gbB > 0))
@@ -176,7 +176,7 @@ func fuzzPair(startup, overlap, seek, diskBW, duty, mapIPB, redIPB, spill, shuff
 	b.Profile.DiskDutyCap, b.Profile.SpillFactor = dutyB, spillB
 	grid := PairConfigsCached(m.Spec.Cores)
 	c := grid[(cfg%len(grid)+len(grid))%len(grid)]
-	return m, RunSpec{App: a, DataMB: dataMB, Cfg: c[0]}, RunSpec{App: b, DataMB: dataMBB, Cfg: c[1]}
+	return m, RunSpec{App: &a, DataMB: dataMB, Cfg: c[0]}, RunSpec{App: &b, DataMB: dataMBB, Cfg: c[1]}
 }
 
 // pairKernelRuns reports whether the pair's steady solve takes the

@@ -154,8 +154,8 @@ func TestSoloPathMatchesReference(t *testing.T) {
 					if cfg.Mappers+bc.Mappers > m.Spec.Cores {
 						overfull++
 					}
-					a := RunSpec{App: app, DataMB: gb * 1024, Cfg: cfg}
-					b := RunSpec{App: apps[(ai+ci+1)%len(apps)], DataMB: sizes[(si+ci)%len(sizes)] * 1024, Cfg: bc}
+					a := RunSpec{App: &app, DataMB: gb * 1024, Cfg: cfg}
+					b := RunSpec{App: &apps[(ai+ci+1)%len(apps)], DataMB: sizes[(si+ci)%len(sizes)] * 1024, Cfg: bc}
 					checkAgainstReference(t, e, ref, a, b)
 					points++
 				}
@@ -265,5 +265,5 @@ func fuzzSolo(startup, overlap, seek, diskBW, duty, mapIPB, redIPB, spill, shuff
 	p.BaseIPC, p.LLCMPKI, p.MemFootprintMBPerTask = ipc, mpki, memFP
 	grid := AllConfigs(m.Spec.Cores)
 	c := grid[(cfg%len(grid)+len(grid))%len(grid)]
-	return m, RunSpec{App: app, DataMB: dataMB, Cfg: c}
+	return m, RunSpec{App: &app, DataMB: dataMB, Cfg: c}
 }

@@ -84,11 +84,11 @@ func steadySpecSets(cores int) [][]RunSpec {
 			partner := apps[(ai+3)%len(apps)]
 			for step := 0; step < 6; step++ {
 				k++
-				a := RunSpec{App: app, DataMB: gb * 1024, Cfg: solo[(k*37)%len(solo)]}
+				a := RunSpec{App: &app, DataMB: gb * 1024, Cfg: solo[(k*37)%len(solo)]}
 				sets = append(sets, []RunSpec{a})
 				pc := pcs[(k*1913)%len(pcs)]
 				a.Cfg = pc[0]
-				b := RunSpec{App: partner, DataMB: (11 - gb) * 1024, Cfg: pc[1]}
+				b := RunSpec{App: &partner, DataMB: (11 - gb) * 1024, Cfg: pc[1]}
 				sets = append(sets, []RunSpec{a, b})
 			}
 		}

@@ -146,9 +146,11 @@ const rawPMUEvents = 6
 // raw events in one run (it must on the 4-slot Atom PMU).
 func (s *Sampler) multiplexed() bool { return rawPMUEvents > s.HWCounters }
 
-// exact builds the noise-free feature vector for a run.
-func exact(p workloads.Profile, t Telemetry) Vector {
-	var v Vector
+// exact builds the noise-free feature vector for a run into v. The
+// functions below write vectors in place: returned, a vector is copied
+// at every return.
+func exact(v *Vector, p *workloads.Profile, t *Telemetry) {
+	*v = Vector{}
 	v[CPUUser] = 100 * t.CPUBusyFrac
 	v[CPUSystem] = 100 * 0.12 * t.CPUBusyFrac // kernel share of busy time
 	v[CPUIOWait] = 100 * t.IOWaitFrac
@@ -172,27 +174,30 @@ func exact(p workloads.Profile, t Telemetry) Vector {
 	// footprint churn. Reported in thousands/second.
 	v[CtxSwitch] = 0.8 + 6*t.IOWaitFrac
 	v[PageFaults] = 0.3 + t.MemFootMB/500
-	return v
 }
 
 // Measure returns the feature vector for one run, with measurement noise
 // and single-run PMU multiplexing error applied.
-func (s *Sampler) Measure(p workloads.Profile, t Telemetry) Vector {
-	return s.measure(p, t, 1)
+func (s *Sampler) Measure(p workloads.Profile, t Telemetry) (v Vector) {
+	s.measure(&v, &p, &t, 1)
+	return v
 }
 
 // MeasureAveraged models the paper's methodology of running a workload
 // `runs` times and averaging the multiplexed counter readings; noise on
 // PMU metrics shrinks as 1/√runs.
-func (s *Sampler) MeasureAveraged(p workloads.Profile, t Telemetry, runs int) Vector {
-	if runs < 1 {
-		runs = 1
-	}
-	return s.measure(p, t, runs)
+func (s *Sampler) MeasureAveraged(p workloads.Profile, t Telemetry, runs int) (v Vector) {
+	s.MeasureAveragedInto(&v, &p, &t, runs)
+	return v
 }
 
-func (s *Sampler) measure(p workloads.Profile, t Telemetry, runs int) Vector {
-	v := exact(p, t)
+// MeasureAveragedInto is MeasureAveraged into v.
+func (s *Sampler) MeasureAveragedInto(v *Vector, p *workloads.Profile, t *Telemetry, runs int) {
+	s.measure(v, p, t, max(runs, 1))
+}
+
+func (s *Sampler) measure(v *Vector, p *workloads.Profile, t *Telemetry, runs int) {
+	exact(v, p, t)
 	scale := 1.0 / math.Sqrt(float64(runs))
 	for m := Metric(0); m < NumMetrics; m++ {
 		rel := s.BaseNoise
@@ -210,12 +215,14 @@ func (s *Sampler) measure(p workloads.Profile, t Telemetry, runs int) Vector {
 			v[m] = 100
 		}
 	}
-	return v
 }
 
 // Exact returns the noise-free vector (the asymptote of infinitely many
 // averaged runs) — used by tests and by the model-fidelity experiments.
-func Exact(p workloads.Profile, t Telemetry) Vector { return exact(p, t) }
+func Exact(p workloads.Profile, t Telemetry) (v Vector) {
+	exact(&v, &p, &t)
+	return v
+}
 
 func minf(a, b float64) float64 {
 	if a < b {

@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"ecost/internal/workloads"
 )
 
 // FuzzParseTrace: the JSONL trace reader never panics and either
@@ -41,24 +44,49 @@ func FuzzParseTrace(f *testing.F) {
 				t.Fatalf("arrival %d at invalid/non-monotone time %v (prev %v)", i, a.At, prev)
 			}
 			prev = a.At
-			if a.App.Name == "" {
+			if int(a.App) >= len(workloads.IDs()) {
 				t.Fatalf("arrival %d has no application", i)
 			}
 			if !(a.SizeGB > 0) || math.IsInf(a.SizeGB, 0) {
 				t.Fatalf("arrival %d has size %v", i, a.SizeGB)
 			}
 		}
-		// Accepted input must survive a write→read round trip intact.
+		// Each arrival's id names the table entry its line names.
+		var lines []string
+		for _, l := range strings.Split(input, "\n") {
+			if l = strings.TrimSpace(l); l != "" {
+				lines = append(lines, l)
+			}
+		}
+		if len(lines) != len(tr) {
+			t.Fatalf("%d arrivals from %d lines", len(tr), len(lines))
+		}
+		for i, a := range tr {
+			var tl traceLine
+			if err := json.Unmarshal([]byte(lines[i]), &tl); err != nil {
+				t.Fatalf("line %d: %v", i+1, err)
+			}
+			if want, err := workloads.ByName(tl.App); err != nil || *a.App.App() != want {
+				t.Fatalf("arrival %d names %s, its line %q", i, a.App.Name(), tl.App)
+			}
+		}
+		// Accepted input must survive a write→read round trip intact,
+		// and the canonical form must rewrite byte for byte.
 		var buf bytes.Buffer
 		if err := WriteTrace(&buf, tr); err != nil {
 			t.Fatalf("re-writing an accepted trace failed: %v", err)
 		}
+		canon := bytes.Clone(buf.Bytes())
 		again, err := ReadTrace(&buf)
 		if err != nil {
 			t.Fatalf("re-reading the canonical form failed: %v", err)
 		}
 		if render(again) != render(tr) {
 			t.Fatal("canonical round trip changed the stream")
+		}
+		var rewrite bytes.Buffer
+		if err := WriteTrace(&rewrite, again); err != nil || !bytes.Equal(rewrite.Bytes(), canon) {
+			t.Fatalf("write→read→write changed the bytes (%v):\n%s\n%s", err, canon, rewrite.Bytes())
 		}
 	})
 }

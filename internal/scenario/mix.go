@@ -97,7 +97,7 @@ func (m MixSpec) validate() error {
 
 // tenant is one recurring-job template.
 type tenant struct {
-	app    workloads.App
+	app    workloads.ID
 	sizeGB float64
 }
 
@@ -109,11 +109,11 @@ type mixGen struct {
 	spec MixSpec
 	rng  *sim.RNG
 
-	pool        []workloads.App // uniform draws
-	jobs        []core.JobSpec  // cycle
-	cycleResize bool            // cycle with an explicit size clause
-	tenants     []tenant        // zipf templates, index = popularity rank
-	cum         []float64       // zipf cumulative weights
+	pool        []workloads.ID // uniform draws
+	jobs        []core.JobSpec // cycle
+	cycleResize bool           // cycle with an explicit size clause
+	tenants     []tenant       // zipf templates, index = popularity rank
+	cum         []float64      // zipf cumulative weights
 }
 
 func newMixGen(spec MixSpec, sizes SizeSpec, rng, tenantRNG *sim.RNG) (*mixGen, error) {
@@ -130,9 +130,9 @@ func newMixGen(spec MixSpec, sizes SizeSpec, rng, tenantRNG *sim.RNG) (*mixGen, 
 		}
 		g.cycleResize = sizes.Kind != SizeDefault
 	case MixZipf:
-		pool := workloads.Apps()
+		pool := workloads.IDs()
 		if spec.Unknown {
-			pool = workloads.Testing()
+			pool = workloads.TestingIDs()
 		}
 		// Tenant templates are built once from the dedicated tenants
 		// substream: sampling order is tenant-index order, so the
@@ -151,15 +151,15 @@ func newMixGen(spec MixSpec, sizes SizeSpec, rng, tenantRNG *sim.RNG) (*mixGen, 
 			g.cum[i] = total
 		}
 	default: // MixUniform
-		g.pool = workloads.Apps()
+		g.pool = workloads.IDs()
 		if spec.Unknown {
-			g.pool = workloads.Testing()
+			g.pool = workloads.TestingIDs()
 		}
 	}
 	return g, nil
 }
 
-func (g *mixGen) next(i int) (app workloads.App, sizeGB float64, recurring bool) {
+func (g *mixGen) next(i int) (app workloads.ID, sizeGB float64, recurring bool) {
 	switch g.spec.Kind {
 	case MixCycle:
 		j := g.jobs[i%len(g.jobs)]

@@ -17,7 +17,7 @@ import (
 func render(tr []trace.Arrival) string {
 	var b strings.Builder
 	for _, a := range tr {
-		fmt.Fprintf(&b, "%v %s %v\n", a.At, a.App.Name, a.SizeGB)
+		fmt.Fprintf(&b, "%v %s %v\n", a.At, a.App.Name(), a.SizeGB)
 	}
 	return b.String()
 }
@@ -86,7 +86,7 @@ func TestGenerateWellFormed(t *testing.T) {
 						t.Fatalf("%s: arrival %d at %v precedes %v", name, i, arr.At, prev)
 					}
 					prev = arr.At
-					if arr.App.Name == "" {
+					if arr.App.Name() == "" {
 						t.Fatalf("%s: arrival %d has no application", name, i)
 					}
 					if !(arr.SizeGB > 0) || arr.SizeGB > maxSizeGB {
@@ -138,8 +138,8 @@ func TestSubstreamComposability(t *testing.T) {
 			if got[i].At != ref[i].At {
 				t.Fatalf("arrival %d moved %v -> %v when only sizes changed", i, ref[i].At, got[i].At)
 			}
-			if got[i].App.Name != ref[i].App.Name {
-				t.Fatalf("arrival %d app changed %s -> %s when only sizes changed", i, ref[i].App.Name, got[i].App.Name)
+			if got[i].App.Name() != ref[i].App.Name() {
+				t.Fatalf("arrival %d app changed %s -> %s when only sizes changed", i, ref[i].App.Name(), got[i].App.Name())
 			}
 		}
 	})
@@ -148,9 +148,9 @@ func TestSubstreamComposability(t *testing.T) {
 		alt.Arrivals = ArrivalSpec{Kind: ArrivalMMPP, CalmMean: 200, BurstMean: 4, CalmStay: 0.9, BurstStay: 0.9}
 		got := mustGenerate(t, alt)
 		for i := range ref {
-			if got[i].App.Name != ref[i].App.Name || got[i].SizeGB != ref[i].SizeGB {
+			if got[i].App.Name() != ref[i].App.Name() || got[i].SizeGB != ref[i].SizeGB {
 				t.Fatalf("arrival %d payload changed (%s %v) -> (%s %v) when only arrivals changed",
-					i, ref[i].App.Name, ref[i].SizeGB, got[i].App.Name, got[i].SizeGB)
+					i, ref[i].App.Name(), ref[i].SizeGB, got[i].App.Name(), got[i].SizeGB)
 			}
 		}
 	})
@@ -230,7 +230,7 @@ func TestCycleSizesOverride(t *testing.T) {
 		if a.SizeGB != 1 {
 			t.Fatalf("arrival %d size %v, want the explicit 1 GB", i, a.SizeGB)
 		}
-		if a.App.Name != def[i].App.Name {
+		if a.App.Name() != def[i].App.Name() {
 			t.Fatalf("arrival %d app changed when only sizes changed", i)
 		}
 	}
@@ -253,7 +253,7 @@ func TestZipfRecurringTemplates(t *testing.T) {
 	}
 	seen := map[tmpl]bool{}
 	for _, a := range tr {
-		seen[tmpl{a.App.Name, a.SizeGB}] = true
+		seen[tmpl{a.App.Name(), a.SizeGB}] = true
 	}
 	if len(seen) > 12 {
 		t.Fatalf("%d distinct (app,size) templates for 12 tenants; recurring jobs must reuse templates", len(seen))

@@ -136,7 +136,7 @@ func TestZipfRankFrequencySlope(t *testing.T) {
 			// attribute each arrival to its lowest-ranked matching
 			// template; collisions only flatten the measured slope.
 			for r, tn := range mg.tenants {
-				if tn.app.Name == a.App.Name && tn.sizeGB == a.SizeGB {
+				if tn.app == a.App && tn.sizeGB == a.SizeGB {
 					counts[r]++
 					break
 				}

@@ -56,7 +56,7 @@ const maxTraceLine = 1 << 20
 func WriteTrace(w io.Writer, tr []trace.Arrival) error {
 	bw := bufio.NewWriter(w)
 	for _, a := range tr {
-		raw, err := json.Marshal(traceLine{At: a.At, App: a.App.Name, SizeGB: a.SizeGB})
+		raw, err := json.Marshal(traceLine{At: a.At, App: a.App.Name(), SizeGB: a.SizeGB})
 		if err != nil {
 			return err
 		}
@@ -107,7 +107,7 @@ func ReadTrace(r io.Reader) ([]trace.Arrival, error) {
 		if !(tl.SizeGB > 0) || math.IsInf(tl.SizeGB, 0) {
 			return nil, traceErrf(line, "size %v GB must be positive and finite", tl.SizeGB)
 		}
-		app, err := workloads.ByName(tl.App)
+		app, err := workloads.Lookup(tl.App)
 		if err != nil {
 			return nil, traceErrf(line, "%v", err)
 		}

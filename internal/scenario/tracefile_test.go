@@ -85,7 +85,7 @@ func TestReadTraceLenient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].App.Name != "wc" || got[1].App.Name != "st" {
+	if len(got) != 2 || got[0].App.Name() != "wc" || got[1].App.Name() != "st" {
 		t.Fatalf("parsed %v", got)
 	}
 }

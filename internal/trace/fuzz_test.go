@@ -59,7 +59,7 @@ func FuzzGenerate(f *testing.F) {
 				t.Fatalf("arrival %d at %v precedes %v", i, a.At, prev)
 			}
 			prev = a.At
-			if a.App.Name == "" {
+			if int(a.App) >= len(workloads.IDs()) {
 				t.Fatalf("arrival %d has no application", i)
 			}
 			if !(a.SizeGB > 0) {

@@ -14,10 +14,11 @@ import (
 	"ecost/internal/workloads"
 )
 
-// Arrival is one job arrival.
+// Arrival is one job arrival. It names its application by id, so it
+// is three words and holds no pointer.
 type Arrival struct {
 	At     float64
-	App    workloads.App
+	App    workloads.ID
 	SizeGB float64
 }
 
@@ -51,9 +52,9 @@ func Generate(spec Spec) ([]Arrival, error) {
 	if math.IsNaN(spec.MeanInterarrival) || math.IsInf(spec.MeanInterarrival, 0) {
 		return nil, fmt.Errorf("trace: mean interarrival %v must be finite", spec.MeanInterarrival)
 	}
-	pool := workloads.Apps()
+	pool := workloads.IDs()
 	if spec.UnknownOnly {
-		pool = workloads.Testing()
+		pool = workloads.TestingIDs()
 	}
 	sizes := spec.Sizes
 	if len(sizes) == 0 {
@@ -67,9 +68,9 @@ func Generate(spec Spec) ([]Arrival, error) {
 	}
 
 	// Normalize the class mix over classes that have candidate apps.
-	byClass := map[workloads.Class][]workloads.App{}
-	for _, a := range pool {
-		byClass[a.Class] = append(byClass[a.Class], a)
+	byClass := map[workloads.Class][]workloads.ID{}
+	for _, id := range pool {
+		byClass[id.Class()] = append(byClass[id.Class()], id)
 	}
 	mix := spec.Mix
 	if len(mix) == 0 {

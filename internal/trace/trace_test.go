@@ -12,7 +12,7 @@ import (
 func classCounts(tr []Arrival) map[workloads.Class]int {
 	out := map[workloads.Class]int{}
 	for _, a := range tr {
-		out[a.App.Class]++
+		out[a.App.Class()]++
 	}
 	return out
 }
@@ -34,7 +34,7 @@ func TestGenerateBasics(t *testing.T) {
 		if a.SizeGB != 1 && a.SizeGB != 5 && a.SizeGB != 10 {
 			t.Fatalf("size %v outside the studied set", a.SizeGB)
 		}
-		if a.App.Name == "" {
+		if a.App.Name() == "" {
 			t.Fatal("empty application")
 		}
 	}
@@ -61,7 +61,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	same := 0
 	for i := range a {
-		if a[i].App.Name == c[i].App.Name && a[i].SizeGB == c[i].SizeGB {
+		if a[i].App.Name() == c[i].App.Name() && a[i].SizeGB == c[i].SizeGB {
 			same++
 		}
 	}
@@ -123,8 +123,8 @@ func TestGenerateUnknownOnly(t *testing.T) {
 		known[a.Name] = true
 	}
 	for _, a := range tr {
-		if known[a.App.Name] {
-			t.Fatalf("training app %s in unknown-only trace", a.App.Name)
+		if known[a.App.Name()] {
+			t.Fatalf("training app %s in unknown-only trace", a.App.Name())
 		}
 	}
 }

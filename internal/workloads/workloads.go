@@ -226,14 +226,87 @@ func Apps() []App {
 	return out
 }
 
-// ByName returns the application with the given short code.
-func ByName(name string) (App, error) {
-	for _, a := range apps {
-		if a.Name == name {
-			return a, nil
+// ID names one of the eleven applications by its index in Apps(): a
+// one-byte reference that holds no pointer, so a record carrying one
+// is neither a copy of the application nor scanned by the garbage
+// collector (DESIGN.md §35).
+type ID uint8
+
+// App returns the application id names. The entry is shared by every
+// holder of the id: read it, never write through it.
+func (id ID) App() *App { return &apps[id] }
+
+// Name returns the application's short code.
+func (id ID) Name() string { return apps[id].Name }
+
+// Class returns the application's behaviour class.
+func (id ID) Class() Class { return apps[id].Class }
+
+// IDs returns the ids of the eleven applications in Apps() order.
+func IDs() []ID {
+	out := make([]ID, len(apps))
+	for i := range out {
+		out[i] = ID(i)
+	}
+	return out
+}
+
+// TrainingIDs returns the ids of the known (training-set) applications,
+// in Training() order.
+func TrainingIDs() []ID { return idsKnown(true) }
+
+// TestingIDs returns the ids of the unknown (testing-set) applications,
+// in Testing() order.
+func TestingIDs() []ID { return idsKnown(false) }
+
+func idsKnown(known bool) []ID {
+	var out []ID
+	for _, id := range IDs() {
+		if id.App().Known == known {
+			out = append(out, id)
 		}
 	}
-	return App{}, fmt.Errorf("workloads: unknown application %q", name)
+	return out
+}
+
+// Lookup returns the id of the application with the given short code.
+func Lookup(name string) (ID, error) {
+	for i := range apps {
+		if apps[i].Name == name {
+			return ID(i), nil
+		}
+	}
+	return 0, fmt.Errorf("workloads: unknown application %q", name)
+}
+
+// MustLookup is Lookup for static application codes; it panics on an
+// unknown code.
+func MustLookup(name string) ID {
+	id, err := Lookup(name)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// ID returns the id of the table entry a is a copy of, and an error
+// when a is no entry's copy: an unknown name, or a known name with any
+// other field changed.
+func (a *App) ID() (ID, error) {
+	id, err := Lookup(a.Name)
+	if err == nil && *id.App() != *a {
+		err = fmt.Errorf("workloads: application %q differs from the table's", a.Name)
+	}
+	return id, err
+}
+
+// ByName returns the application with the given short code.
+func ByName(name string) (App, error) {
+	id, err := Lookup(name)
+	if err != nil {
+		return App{}, err
+	}
+	return *id.App(), nil
 }
 
 // MustByName is ByName for static application codes; it panics on an

@@ -178,3 +178,41 @@ func TestAppsReturnsCopy(t *testing.T) {
 		t.Fatal("Apps() exposes internal slice")
 	}
 }
+
+// TestIDs pins the id lists to the App lists they index and the id of
+// a table copy: every list in the order of its App counterpart, Lookup
+// and (*App).ID agreeing with the index, and any changed copy or
+// unknown name rejected.
+func TestIDs(t *testing.T) {
+	for _, c := range []struct {
+		ids  []ID
+		apps []App
+	}{{IDs(), Apps()}, {TrainingIDs(), Training()}, {TestingIDs(), Testing()}} {
+		if len(c.ids) != len(c.apps) {
+			t.Fatalf("%d ids for %d apps", len(c.ids), len(c.apps))
+		}
+		for i, id := range c.ids {
+			a := c.apps[i]
+			if *id.App() != a || id.Name() != a.Name || id.Class() != a.Class {
+				t.Fatalf("id %d names %s, want %s", id, id.Name(), a.Name)
+			}
+			if got, err := Lookup(a.Name); err != nil || got != id {
+				t.Fatalf("Lookup(%q) = %d, %v; want %d", a.Name, got, err, id)
+			}
+			if got, err := a.ID(); err != nil || got != id {
+				t.Fatalf("%s.ID() = %d, %v; want %d", a.Name, got, err, id)
+			}
+		}
+	}
+	changed := MustByName("wc")
+	changed.Profile.BaseIPC *= 2
+	if _, err := changed.ID(); err == nil {
+		t.Fatal("a changed copy of wc has an id")
+	}
+	if _, err := Lookup("nope"); err == nil {
+		t.Fatal("Lookup of an unknown name succeeded")
+	}
+	if _, err := (&App{Name: "nope"}).ID(); err == nil {
+		t.Fatal("an unknown application has an id")
+	}
+}
