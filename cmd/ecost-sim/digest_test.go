@@ -54,8 +54,8 @@ func TestShardedOnlineDigests(t *testing.T) {
 		out  onlineOut
 		want uint64
 	}{
-		{"-metrics", onlineOut{metrics: true}, 0x4465bda1acb29f42},
-		{"-metrics -metrics-json", onlineOut{metrics: true, metricsJSON: true}, 0xcecd6b3921d41e95},
+		{"-metrics", onlineOut{metrics: true}, 0x4f9b3864828ae463},
+		{"-metrics -metrics-json", onlineOut{metrics: true, metricsJSON: true}, 0xbee696af4a4dad32},
 		{"-quality-report", onlineOut{qualityReport: true}, 0xfc0d4ac27d90f9f0},
 	}
 	for _, r := range runs {
@@ -69,11 +69,11 @@ func TestShardedOnlineDigests(t *testing.T) {
 	srv := httptest.NewServer(newServeMux(digestSources(t, env, arrivals)))
 	defer srv.Close()
 	want := map[string]uint64{
-		"/metrics":           0x83e637d36cd787c1,
-		"/metrics?shard=0":   0xb17ee3146b8a4956,
-		"/metrics?shard=1":   0x9386c4607306b7a0,
-		"/metrics?shard=2":   0xe393ace74b93fbba,
-		"/metrics?shard=3":   0xa63d899c36068495,
+		"/metrics":           0x595ad7387d3d14ce,
+		"/metrics?shard=0":   0x200c56f2e896476c,
+		"/metrics?shard=1":   0x556b03076b2f7e52,
+		"/metrics?shard=2":   0x514e065a0f151b78,
+		"/metrics?shard=3":   0x54c83cedd9e12f20,
 		"/decisions":         0x2e39a6e97050d609,
 		"/decisions?shard=0": 0xf2018c970d765f34,
 		"/decisions?shard=1": 0x308a9f5d3b1079ef,
@@ -84,14 +84,14 @@ func TestShardedOnlineDigests(t *testing.T) {
 		"/quality?shard=1":   0xe6659628a2ddace2,
 		"/quality?shard=2":   0xd45784a0162d0fdc,
 		"/quality?shard=3":   0x0e2151939ea0db07,
-		"/epochs":            0x902b833160ab3e18,
-		"/epochs?shard=0":    0x155131dcb1de8aa2,
-		"/epochs?shard=1":    0xcb5958c02e28bedf,
-		"/epochs?shard=2":    0xc73e2cf688c20330,
+		"/epochs":            0xf1da2caf6d6130cb,
+		"/epochs?shard=0":    0x190ad26509b9030c,
+		"/epochs?shard=1":    0x896d7902bded0c19,
+		"/epochs?shard=2":    0xbf6b1bb88f92ef1f,
 		"/epochs?shard=3":    0x72c28c77d23a7316,
-		"/shards":            0xe0dce3747a86de56,
+		"/shards":            0x1be9dc209e9cafdd,
 		"/health":            0xfa734a92240cb586,
-		"/flight":            0x2ea734776093b920,
+		"/flight":            0xff39785b7a388cce,
 	}
 	var paths []string
 	for _, ep := range []string{"/metrics", "/decisions", "/quality", "/epochs"} {

@@ -127,18 +127,18 @@ func TestShardedMetricsDigests(t *testing.T) {
 		func(c *core.ShardedScheduler) { c.SetMetrics(reg) })
 
 	all := reg.Snapshot(false)
-	pin(t, "merged prometheus", 0xae340945e25f6a56, all.WritePrometheus)
+	pin(t, "merged prometheus", 0x317601d36d98a23e, all.WritePrometheus)
 	wantText := [shards]uint64{
-		0x75b8d88930fdf47a, 0xbd6e4db790be586c, 0x37a2ea5dbcaf5395, 0xfb7ace5bb8febd1d,
-		0x048c2f9bd5964f1a, 0x4e4f16ae9a837212, 0x41aa244171b9225e, 0x6f1a4c1432690bac,
+		0x43e9f83851738d7a, 0xe2aeec1f562661d4, 0xc923676b20bcc3f6, 0x2ebf511918ac276a,
+		0x7f04967adf71b981, 0x4a2196e370b45e59, 0x52cecdf4dd3dfcec, 0x5525f9130c7436b4,
 	}
 	wantJSON := [shards]uint64{
-		0x44f24c5895921352, 0x4a27dae6713d579f, 0x36fbdc8b6b05514e, 0xfd69d4406e7265fc,
-		0xa5899d16ba66dc1d, 0x63f6f583b6c0cb1e, 0x2d091524af01fb82, 0xb750dc0015dc657d,
+		0x6070a01ed6557d84, 0xad71f9a3d53307eb, 0x9768272977ed7a21, 0x660fc88d9dc5792f,
+		0x8d7aa61fcc587b88, 0xe534a29e3df066cd, 0xfa4b240bd7b1028a, 0x616ae173a93ce06d,
 	}
 	wantProm := [shards]uint64{
-		0xd9d53cebd6af12be, 0x4ced58283e891701, 0xea1ec31ce6008288, 0x1173d067797988af,
-		0x540ec578ba17e2ab, 0xcee8a94db8bd335a, 0xc50d031a2c2113f9, 0x70087a3d7eb3d3c2,
+		0x9e468fb2b22dba14, 0x8ec64c2806613373, 0x4d30df213c2696a7, 0xd5df6ae45acc1f44,
+		0x974f311bbdae7bc6, 0x635514519c504b23, 0xcf7bd66d65e12a25, 0x69f140a85769cd0c,
 	}
 	for i := 0; i < shards; i++ {
 		s := all.Shard(i)
@@ -177,8 +177,8 @@ func TestShardedAuditDigests(t *testing.T) {
 		0x737376e28e5d9cd9, 0xe401b81d66766de4, 0x493d72547c9e680e, 0x54d3a1b5860f5370,
 	}
 	wantText := [shards]uint64{
-		0x6120a0eb041dea1b, 0xe7614fa9e7a65f62, 0x8bb22cf503fa2fef, 0x22750d70056bc436,
-		0x2aee939da49fef30, 0x049c8b5e798989c3, 0x22de2d7d7597c04d, 0xc3858be421f0d797,
+		0x1225bd11fc8516c1, 0xa5219b23409c6796, 0xfc5bb46f4bd2580e, 0xd2fdf9beab346a89,
+		0x37602a471a12d8e9, 0x36f20dd2a2e9dda8, 0xd74ab3f47a0e1eed, 0xfd03cce7f8482bf7,
 	}
 	all := reg.Snapshot(false)
 	var mirrors strings.Builder
@@ -218,15 +218,15 @@ func TestShardedFlightDigests(t *testing.T) {
 	if len(fr.Dumps()) == 0 {
 		t.Fatal("the steal-heavy stream fired no flight dump")
 	}
-	pin(t, "merged epochs", 0xa542406ef998e824, func(w io.Writer) error { return fr.WriteEpochs(w, -1) })
+	pin(t, "merged epochs", 0x770afb0630a932a5, func(w io.Writer) error { return fr.WriteEpochs(w, -1) })
 	wantEpochs := [shards]uint64{
-		0x7b76b860850b1da6, 0x9cbe09d31fec1b42, 0x68b19bc4de61cdd3, 0x6c05d0475e191cee,
-		0x8180a7315685dc90, 0x52a6ecb23b96cebf, 0xfc5cbd77c609e8d5, 0x0f5cde3965f3b7b2,
+		0x5ac5481c0872eccf, 0xeb3e5035c6f8ffe0, 0x1defab04c3c660de, 0x6fe2121d3d5ee494,
+		0xad557b9c09ee2453, 0x8f9810fd2c72695d, 0x384a452ac1865327, 0xc22cbf60ba3262b4,
 	}
 	for i := 0; i < shards; i++ {
 		pin(t, fmt.Sprintf("shard %d epochs", i), wantEpochs[i], func(w io.Writer) error { return fr.WriteEpochs(w, i) })
 	}
-	pin(t, "dumps", 0x2d4bf81f16134242, fr.WriteDumps)
-	pin(t, "shard rows", 0x0c1fcea28d2edd9f, fr.WriteShards)
+	pin(t, "dumps", 0xd00fe17bf2ffaa6e, fr.WriteDumps)
+	pin(t, "shard rows", 0xdc0f1998bb886745, fr.WriteShards)
 	pin(t, "health report", 0x14eac059dc73d9bf, fr.Health().WriteText)
 }
