@@ -588,9 +588,9 @@ func (o *observer) complete(n *onlineNode, fin *onlineJob) {
 // residents' run spans and audit records — one division for both, so
 // the audit's realized join is bit-identical to tracing's
 // JobReport.EnergyJ — and the phase totals to the energy gauges. The
-// walk hands each accumulator the same w*dt values, in node order, as
-// the shard's per-node accrual, so the attribution re-integrates to
-// the bill under either accrual path.
+// walk is the per-node reference for the shard's phase-sum bill: the
+// w*dt values it hands the occupancy spans re-integrate to the bill
+// within 1e-9 relative (TestAccrualMatchesNodeWalk, DESIGN.md §36).
 func (o *observer) accrue(dt float64) {
 	sh := o.sh
 	if o.tracer != nil || o.aud != nil {

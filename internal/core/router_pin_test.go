@@ -113,7 +113,6 @@ func TestRouterStreamPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetFastAccrual(true)
 		for _, a := range arrivals {
 			c.Submit(a.App, a.SizeGB, a.At)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -14,14 +13,12 @@ import (
 )
 
 // tracedRun drives one traced online simulation (same workload as
-// metricsRun), with fast accrual on or off, and returns the tracer and
-// scheduler. A fresh profiler is seeded identically each call so the
-// noise sequence restarts.
-func tracedRun(t *testing.T, fast bool) (*tracing.Tracer, *ShardedScheduler) {
+// metricsRun) and returns the tracer and scheduler. A fresh profiler is
+// seeded identically each call so the noise sequence restarts.
+func tracedRun(t *testing.T) (*tracing.Tracer, *ShardedScheduler) {
 	t.Helper()
 	fixture(t)
 	s := oneShard(t, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
-	s.SetFastAccrual(fast)
 	tr := tracing.New()
 	s.SetTracer(tr)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
@@ -48,10 +45,10 @@ func timelineOf(t *testing.T, tr *tracing.Tracer) string {
 // single-threaded and a multi-threaded run of the same seed.
 func TestSchedulerTraceGoldenAcrossGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
-	tr1, _ := tracedRun(t, false)
+	tr1, _ := tracedRun(t)
 	narrow := timelineOf(t, tr1)
 	runtime.GOMAXPROCS(4)
-	tr4, _ := tracedRun(t, false)
+	tr4, _ := tracedRun(t)
 	runtime.GOMAXPROCS(old)
 	wide := timelineOf(t, tr4)
 	if narrow != wide {
@@ -71,19 +68,11 @@ func relErr(got, want float64) float64 {
 
 // TestSchedulerTraceEnergyConservation is the acceptance invariant: the
 // span energy attribution must re-integrate to the scheduler's own
-// energy accounting within 1e-9 relative error, under either accrual
-// path: fast accrual sums the phases incrementally while the observer
-// still walks the nodes for attribution.
+// energy accounting within 1e-9 relative error. The shard sums the
+// phases incrementally while the observer walks the nodes for
+// attribution.
 func TestSchedulerTraceEnergyConservation(t *testing.T) {
-	for _, fast := range []bool{false, true} {
-		t.Run(fmt.Sprintf("fast=%v", fast), func(t *testing.T) {
-			checkTraceEnergyConservation(t, fast)
-		})
-	}
-}
-
-func checkTraceEnergyConservation(t *testing.T, fast bool) {
-	tr, s := tracedRun(t, fast)
+	tr, s := tracedRun(t)
 	spans := tr.Spans()
 	total := s.EnergyJ()
 	ph := s.Phases()
@@ -125,7 +114,7 @@ func checkTraceEnergyConservation(t *testing.T, fast bool) {
 // TestSchedulerTraceLifecycle checks span structure against the
 // scheduler's completion records.
 func TestSchedulerTraceLifecycle(t *testing.T) {
-	tr, s := tracedRun(t, false)
+	tr, s := tracedRun(t)
 	done := s.Completed()
 	rep := tr.Report()
 	if len(rep.Jobs) != len(done) {
@@ -180,7 +169,7 @@ func TestSchedulerTraceLifecycle(t *testing.T) {
 
 // TestSchedulerTraceChromeExport validates the end-to-end Chrome JSON.
 func TestSchedulerTraceChromeExport(t *testing.T) {
-	tr, _ := tracedRun(t, false)
+	tr, _ := tracedRun(t)
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)

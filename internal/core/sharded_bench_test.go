@@ -16,8 +16,7 @@ var shardsFlag = flag.Int("ecost.shards", 0,
 
 // newBenchSharded builds the sharded benchmarks' run, submitted and
 // ready to Run: cycled WS4 jobs at exponential interarrivals of the
-// given mean, with stealing, ProfileMemo and fast accrual on and no
-// sink attached.
+// given mean, with stealing and ProfileMemo on and no sink attached.
 func newBenchSharded(tb testing.TB, nodes, jobs, shards int, mean float64) *ShardedScheduler {
 	wl, err := Scenario("WS4")
 	if err != nil {
@@ -30,7 +29,6 @@ func newBenchSharded(tb testing.TB, nodes, jobs, shards int, mean float64) *Shar
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c.SetFastAccrual(true)
 	rng := sim.NewRNG(18)
 	at := 0.0
 	for j := 0; j < jobs; j++ {

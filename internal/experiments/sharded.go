@@ -29,8 +29,8 @@ type ShardSweepPoint struct {
 // env.Seed, so the offered stream is identical across rows and only the
 // partitioning changes; jobs/s is host-dependent and meant for relative
 // comparison, the simulated columns for checking outcome stability. The
-// sweep runs the perf configuration: stealing, recurring-tenant profile
-// memoization, and O(1) aggregate energy accrual all on.
+// sweep runs the perf configuration: stealing and recurring-tenant
+// profile memoization on.
 func ShardSweep(env *Env, spec scenario.Spec, nodes int, shardCounts []int) (Table, []ShardSweepPoint, error) {
 	arrivals, err := scenario.Generate(spec)
 	if err != nil {
@@ -50,7 +50,6 @@ func ShardSweep(env *Env, spec scenario.Spec, nodes int, shardCounts []int) (Tab
 		if err != nil {
 			return Table{}, nil, err
 		}
-		sched.SetFastAccrual(true)
 		start := time.Now()
 		for _, a := range arrivals {
 			sched.Submit(a.App, a.SizeGB, a.At)

@@ -2,27 +2,14 @@ package power
 
 // PhaseAccumulator splits integrated cluster energy by node-occupancy
 // phase: idle (no residents), solo (one application), and co-located
-// (two or more). The online scheduler feeds it per-node energy slices
-// at every accounting interval; the split is what shows whether the
+// (two or more). The online scheduler adds its per-phase power sums at
+// every accounting interval; the split is what shows whether the
 // pairing policy is actually converting idle/solo watt-seconds into
 // co-located ones (the mechanism behind the paper's EDP wins).
 type PhaseAccumulator struct {
 	IdleJ float64 // energy burned by empty nodes
 	SoloJ float64 // energy burned by single-resident nodes
 	CoJ   float64 // energy burned by co-located nodes
-}
-
-// Add accrues joules for a node that held `residents` applications over
-// the interval.
-func (p *PhaseAccumulator) Add(residents int, joules float64) {
-	switch {
-	case residents <= 0:
-		p.IdleJ += joules
-	case residents == 1:
-		p.SoloJ += joules
-	default:
-		p.CoJ += joules
-	}
 }
 
 // TotalJ returns the summed energy across phases.
