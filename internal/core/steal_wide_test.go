@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -22,7 +23,8 @@ const stealHeavySpec = "gen:jobs=2000;arrivals=mmpp:calm=0.1,burst=0.01,pcalm=0.
 // set of shards with queued work spans two 64-bit words: the steal
 // count, the drive cadence and a digest of every completion must equal
 // the values recorded before the pass kept that set (DESIGN.md §25). A
-// second run of the stream checks the set itself after every pass.
+// second run of the stream checks the set itself after every pass, and
+// the control plane's invariants after every event.
 func TestStealPassWideShards(t *testing.T) {
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	db, err := core.BuildDatabase(core.NewProfiler(model, sim.NewRNG(42)), core.NewOracle(model),
@@ -74,7 +76,7 @@ func TestStealPassWideShards(t *testing.T) {
 	}
 
 	checked := build()
-	if err := core.DriveCheckingStealSet(checked); err != nil {
+	if err := core.DriveCheckingInvariants(checked); err != nil {
 		t.Fatal(err)
 	}
 	if got := checked.Steals(); got != wantSteals {
@@ -82,6 +84,62 @@ func TestStealPassWideShards(t *testing.T) {
 	}
 	if got := completionDigest(checked.Completed()); got != wantDigest {
 		t.Errorf("checked drive: completion digest = %#x, want %#x", got, uint64(wantDigest))
+	}
+}
+
+// TestInvariantsStealStream runs the invariant checker on the CI
+// steal-heavy gen: stream (seed 5) through 16 stealing shards over 64
+// nodes, with ProfileMemo on and off, and checks that the checked drive
+// completes the same jobs and bills the same energy, to the bit, as Run.
+func TestInvariantsStealStream(t *testing.T) {
+	model := mapreduce.NewModel(cluster.AtomC2758())
+	db, err := core.BuildDatabase(core.NewProfiler(model, sim.NewRNG(42)), core.NewOracle(model),
+		workloads.Training(), core.BuildOptions{Sizes: []float64{1, 5}, ConfigStride: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lkt := &core.LkTSTP{DB: db}
+	spec, err := scenario.ParseSpec(stealHeavySpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Seed = 5
+	arrivals, err := scenario.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, memo := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ProfileMemo=%v", memo), func(t *testing.T) {
+			build := func() *core.ShardedScheduler {
+				c, err := core.NewShardedScheduler(model, db, core.NewProfiler(model, sim.NewRNG(99)),
+					func() core.STP { return core.NewMemoSTP(lkt, nil) }, 64,
+					core.ShardedConfig{Shards: 16, Steal: true, ProfileMemo: memo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range arrivals {
+					c.Submit(a.App, a.SizeGB, a.At)
+				}
+				return c
+			}
+			c := build()
+			if err := core.DriveCheckingInvariants(c); err != nil {
+				t.Fatal(err)
+			}
+			if c.Steals() == 0 {
+				t.Fatal("the steal-heavy stream fired no steals")
+			}
+			ref := build()
+			if _, _, err := ref.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(c.EnergyJ()) != math.Float64bits(ref.EnergyJ()) ||
+				c.Steals() != ref.Steals() ||
+				completionDigest(c.Completed()) != completionDigest(ref.Completed()) {
+				t.Fatalf("the checked drive diverged from Run: energy %v vs %v, %d vs %d steals",
+					c.EnergyJ(), ref.EnergyJ(), c.Steals(), ref.Steals())
+			}
+		})
 	}
 }
 
