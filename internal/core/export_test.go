@@ -22,14 +22,9 @@ func driveFullBarriers(c *ShardedScheduler) {
 	}
 }
 
-// SteadyMemoEntries sums the entries every shard's steady memo holds.
-func SteadyMemoEntries(c *ShardedScheduler) int {
-	n := 0
-	for _, sh := range c.shards {
-		n += sh.steadyMemo.n
-	}
-	return n
-}
+// SteadyMemoEntries reports the entries the control plane's one steady
+// memo holds.
+func SteadyMemoEntries(c *ShardedScheduler) int { return c.steadyMemo.n }
 
 // SteadyMemoCounts returns each shard's steady-memo hits and misses.
 func SteadyMemoCounts(c *ShardedScheduler) (hits, misses []int64) {

@@ -20,7 +20,10 @@ import (
 //     1e-9 relative;
 //   - no shard's energy ever decreases;
 //   - the jobs pending on the shards plus the completed ones are the
-//     jobs submitted.
+//     jobs submitted;
+//   - every shard caches its steady solves in the plane's one steady
+//     memo, which holds at most steadyMemoCap entries in no more slots
+//     than a table at the cap (DESIGN.md §37).
 //
 // paired and queued record whether any check saw a co-located node and
 // a queued job, so a caller can tell that the run exercised them.
@@ -33,8 +36,14 @@ type invariantChecker struct {
 // check returns an error naming the first invariant that fails.
 func (k *invariantChecker) check() error {
 	c := k.c
+	if m := &c.steadyMemo; m.n > steadyMemoCap || m.slots() > capSlots {
+		return fmt.Errorf("steady memo: %d entries in %d slots, cap %d entries in %d slots", m.n, m.slots(), steadyMemoCap, capSlots)
+	}
 	pending := 0
 	for i, sh := range c.shards {
+		if sh.steadyMemo != &c.steadyMemo {
+			return fmt.Errorf("shard %d: steady memo is not the plane's", i)
+		}
 		pending += sh.pending
 		if sh.queue.Len() > 0 {
 			k.queued = true
@@ -72,6 +81,16 @@ func (k *invariantChecker) check() error {
 	}
 	return nil
 }
+
+// capSlots is the slot count of a memoTable holding steadyMemoCap
+// entries: the least power of two from 16 at most three quarters full.
+var capSlots = func() int {
+	n := 16
+	for 4*steadyMemoCap > 3*n {
+		n *= 2
+	}
+	return n
+}()
 
 // DriveCheckingInvariants fires c's events in the drive loop's order,
 // with the steal pass at every barrier time, as Run does, and checks

@@ -111,9 +111,9 @@ type memoVal struct {
 	err error
 }
 
-// memoTable is the id-keyed table under both of a shard's memos:
-// MemoSTP's, keyed by a pair's two identity words, and the steady
-// memo, keyed by a node's one-word solver input. It is open addressing
+// memoTable is the id-keyed table under both memos: MemoSTP's, keyed
+// by a pair's two identity words, and the control plane's steady memo,
+// keyed by a node's one-word solver input. It is open addressing
 // with linear probing, at most three quarters full. Slots are stored
 // in groups of eight, each group's keys ahead of its values, so a
 // probe scans 8- or 16-byte keys and reads a value only on a hit

@@ -183,7 +183,7 @@ func TestLookupReadsRecordAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newShard(new(eventQueue), fix.model, fix.db, fix.lkt, 1, 0)
+	s := newShard(new(eventQueue), new(memoTable[steadyKey, steadyVal]), fix.model, fix.db, fix.lkt, 1, 0)
 	a, b := &profileRec{obs: obsOf(t, "nb", 5)}, &profileRec{obs: obsOf(t, "pr", 1)}
 	s.classOf(a)
 	s.classOf(b)
@@ -391,7 +391,7 @@ func TestMemosSignedZeroAndNaN(t *testing.T) {
 		t.Fatal("a NaN-bearing observation was stamped")
 	}
 
-	s := newShard(new(eventQueue), fix.model, fix.db, fix.lkt, 1, 0)
+	s := newShard(new(eventQueue), new(memoTable[steadyKey, steadyVal]), fix.model, fix.db, fix.lkt, 1, 0)
 	for _, o := range []Observation{a, negA, nanA} {
 		rec := &profileRec{obs: o}
 		want := fix.db.Classifier().Classify(o)

@@ -28,7 +28,8 @@ type Job struct {
 
 	// rec is the router profile the job was submitted with (nil for a
 	// job built outside the control plane); it travels with a stolen
-	// job, so the thief's steady memo keys it by the same spec id.
+	// job, so the thief keys its steady solves in the plane's one
+	// steady memo by the same spec id.
 	rec *profileRec
 }
 

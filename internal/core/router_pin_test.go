@@ -14,8 +14,8 @@ import (
 
 // routerPin is what one stream must reproduce: every shard's memo
 // hit/miss counts, its tune-table probe and insert counts and its
-// steady-memo hit and miss counts, the steady memos' entries at the
-// end of the run, the steal count, a digest of the completion log,
+// steady-memo hit and miss counts, the entries the plane's one steady
+// memo holds at the end of the run, the steal count, a digest of the completion log,
 // and the makespan and energy bits.
 type routerPin struct {
 	hits, misses             [16]int64
@@ -38,7 +38,11 @@ type routerPin struct {
 // and the key-only tables (DESIGN.md §34). Of those counts only the
 // tune-table probes and inserts of the two ProfileMemo-off streams
 // moved with that change: a single-use record's pair never reaches the
-// table, so they fell to 0.
+// table, so they fell to 0. The steady-memo counts and entries were
+// re-recorded when the shards' private steady memos became one table
+// for the plane (DESIGN.md §37): a set one shard solved is a hit on
+// every other, so hits rose, misses fell and the entries are no longer
+// summed over 16 tables. No other value moved.
 var routerStreams = []struct {
 	name        string
 	nodes       int
@@ -51,30 +55,30 @@ var routerStreams = []struct {
 		misses:       [16]int64{214, 204, 217, 212, 151, 70, 61, 27, 0, 136, 0, 9, 23, 0, 0, 20},
 		probes:       [16]int64{463, 407, 744, 375, 270, 207, 73, 146, 0, 311, 0, 80, 178, 0, 0, 279},
 		inserts:      [16]int64{214, 204, 217, 212, 151, 70, 61, 27, 0, 136, 0, 9, 23, 0, 0, 20},
-		steadyHits:   [16]int64{547, 444, 1130, 381, 291, 299, 64, 284, 0, 454, 0, 164, 334, 0, 0, 544},
-		steadyMisses: [16]int64{409, 408, 402, 423, 311, 143, 137, 63, 0, 195, 0, 22, 42, 0, 0, 42},
-		steady:       2597, steals: 1854, digest: 0x3f8c1cadf249a6db, makespan: 0x40a87bb1e9decc06, energy: 0x416f3583c6e3babd,
+		steadyHits:   [16]int64{711, 633, 1254, 563, 457, 327, 152, 294, 0, 457, 0, 164, 336, 0, 0, 547},
+		steadyMisses: [16]int64{245, 219, 278, 241, 145, 115, 49, 53, 0, 192, 0, 22, 40, 0, 0, 39},
+		steady:       1638, steals: 1854, digest: 0x3f8c1cadf249a6db, makespan: 0x40a87bb1e9decc06, energy: 0x416f3583c6e3babd,
 	}},
 	{"recurring/noisy", 256, "gen:jobs=4000;arrivals=poisson:0.56;sizes=pareto:alpha=1.6,min=1,max=12;mix=zipf:s=1.1,tenants=64", false, routerPin{
 		misses:       [16]int64{454, 426, 722, 401, 265, 199, 72, 150, 0, 311, 0, 82, 183, 0, 0, 281},
-		steadyHits:   [16]int64{511, 473, 1083, 431, 306, 296, 64, 283, 0, 454, 0, 162, 335, 0, 0, 541},
-		steadyMisses: [16]int64{425, 409, 410, 423, 294, 131, 130, 70, 0, 195, 0, 26, 48, 0, 0, 46},
-		steady:       2607, steals: 1888, digest: 0x1a036af8c781cce9, makespan: 0x40a7500e9d0c39e3, energy: 0x416e0eeaf7a6aefc,
+		steadyHits:   [16]int64{657, 659, 1222, 613, 466, 330, 154, 292, 0, 457, 0, 162, 337, 0, 0, 543},
+		steadyMisses: [16]int64{279, 223, 271, 241, 134, 97, 40, 61, 0, 192, 0, 26, 46, 0, 0, 44},
+		steady:       1654, steals: 1888, digest: 0x1a036af8c781cce9, makespan: 0x40a7500e9d0c39e3, energy: 0x416e0eeaf7a6aefc,
 	}},
 	{"churn", 64, "gen:jobs=2000;arrivals=poisson:8;sizes=lognormal:mu=1.2,sigma=0.8,max=20;mix=zipf:s=0.8,tenants=100000,unknown", false, routerPin{
 		misses:       [16]int64{184, 187, 164, 234, 100, 169, 60, 222, 23, 253, 8, 0, 106, 0, 0, 0},
-		steadyHits:   [16]int64{45, 56, 47, 67, 12, 47, 14, 107, 2, 126, 0, 0, 32, 0, 0, 0},
-		steadyMisses: [16]int64{339, 336, 306, 434, 218, 309, 135, 398, 63, 405, 24, 0, 188, 0, 0, 0},
-		steady:       3155, steals: 1020, digest: 0xd2e9d1f89bd4b73c, makespan: 0x40d2e2466432c65a, energy: 0x4178f0243759b696,
+		steadyHits:   [16]int64{56, 70, 61, 78, 17, 54, 21, 112, 4, 132, 1, 0, 34, 0, 0, 0},
+		steadyMisses: [16]int64{328, 322, 292, 423, 213, 302, 128, 393, 61, 399, 23, 0, 186, 0, 0, 0},
+		steady:       3070, steals: 1020, digest: 0xd2e9d1f89bd4b73c, makespan: 0x40d2e2466432c65a, energy: 0x4178f0243759b696,
 	}},
 	{"backlog", 32, "gen:jobs=4000;arrivals=poisson:2;sizes=pareto:alpha=1.6,min=1,max=12;mix=zipf:s=1.5,tenants=64", true, routerPin{
 		hits:         [16]int64{327, 533, 434, 83, 72, 89, 78, 100, 92, 84, 116, 100, 125, 161, 158, 163},
 		misses:       [16]int64{79, 62, 50, 110, 107, 104, 138, 118, 98, 94, 51, 50, 53, 44, 39, 47},
 		probes:       [16]int64{406, 595, 484, 193, 179, 193, 216, 218, 190, 178, 167, 150, 178, 205, 197, 210},
 		inserts:      [16]int64{79, 62, 50, 110, 107, 104, 138, 118, 98, 94, 51, 50, 53, 44, 39, 47},
-		steadyHits:   [16]int64{664, 1071, 877, 187, 167, 195, 199, 230, 198, 188, 228, 200, 254, 320, 320, 334},
-		steadyMisses: [16]int64{150, 123, 93, 202, 194, 193, 236, 211, 184, 170, 108, 102, 104, 93, 76, 88},
-		steady:       2327, steals: 3007, digest: 0x3347fd5209901939, makespan: 0x40c06b5c4360670a, energy: 0x415b3adee4d68725,
+		steadyHits:   [16]int64{727, 1134, 902, 276, 271, 293, 317, 337, 290, 285, 301, 268, 316, 378, 370, 388},
+		steadyMisses: [16]int64{87, 60, 68, 113, 90, 95, 118, 104, 92, 73, 35, 34, 42, 35, 26, 34},
+		steady:       1106, steals: 3007, digest: 0x3347fd5209901939, makespan: 0x40c06b5c4360670a, energy: 0x415b3adee4d68725,
 	}},
 }
 

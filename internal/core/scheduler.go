@@ -42,23 +42,26 @@ type shard struct {
 	// instead of walking every node (DESIGN.md §36).
 	phaseWatts [3]float64
 
-	// steadyMemo caches steady-state contention solves by the exact
-	// model inputs packed in one word (per resident, in resident order:
-	// the spec id of its (app, size) and its configuration's grid
-	// index; see steadyKey). Steady is a pure function of those inputs,
-	// so a hit returns bit-identical times and watts — the cache is
-	// transparent to every golden — while recurring tenant pairs skip
-	// the fluid solver entirely. It is the open-addressed memoTable
-	// MemoSTP uses, here on the one-word key, and its groups hold no
-	// pointers. Each resident carries its key half (setCfg), so a
-	// lookup reads two words. At steadyMemoCap entries it clears
-	// wholesale and keeps its slots (the MemoSTP policy: recurring
-	// streams re-warm instantly and without allocating, adversarial key
-	// churn cannot grow memory).
-	steadyMemo memoTable[steadyKey, steadyVal]
+	// steadyMemo points at the control plane's one steady memo
+	// (ShardedScheduler.steadyMemo, DESIGN.md §37): steady-state
+	// contention solves cached by the exact model inputs packed in one
+	// word (per resident, in resident order: the plane-wide spec id of
+	// its (app, size) and its configuration's grid index; see
+	// steadyKey). Steady is a pure function of those inputs, so a hit
+	// returns bit-identical times and watts — the cache is transparent
+	// to every golden — while recurring tenant pairs skip the fluid
+	// solver entirely, on whichever shard solved the set first. It is
+	// the open-addressed memoTable MemoSTP uses, here on the one-word
+	// key, and its groups hold no pointers. Each resident carries its
+	// key half (setCfg), so a lookup reads two words. At steadyMemoCap
+	// entries it clears wholesale and keeps its slots (the MemoSTP
+	// policy: recurring streams re-warm instantly and without
+	// allocating, adversarial key churn cannot grow memory).
+	steadyMemo *memoTable[steadyKey, steadyVal]
 
-	// steadyHits / steadyMisses count steady solves answered by the
-	// memo and solves run, a deterministic function of the stream.
+	// steadyHits / steadyMisses count this shard's steady solves
+	// answered by the shared memo and solves it ran, a deterministic
+	// function of the stream.
 	steadyHits, steadyMisses int64
 
 	// freeCnt / halfCnt mirror the dispatch bitmaps' populations so
@@ -232,15 +235,17 @@ type onlineNode struct {
 
 // newShard builds a shard over `nodes` single-node lanes whose
 // cluster-global ids start at base, scheduling its nodes' completions
-// on ev (the control plane's one heap).
-func newShard(ev *eventQueue, model *mapreduce.Model, db *Database, tuner STP, nodes, base int) *shard {
+// on ev (the control plane's one heap) and caching its steady solves
+// in memo (the control plane's one steady memo).
+func newShard(ev *eventQueue, memo *memoTable[steadyKey, steadyVal], model *mapreduce.Model, db *Database, tuner STP, nodes, base int) *shard {
 	s := &shard{
-		ev:    ev,
-		Model: model,
-		DB:    db,
-		Tuner: tuner,
-		queue: NewWaitQueue(),
-		base:  base,
+		ev:         ev,
+		steadyMemo: memo,
+		Model:      model,
+		DB:         db,
+		Tuner:      tuner,
+		queue:      NewWaitQueue(),
+		base:       base,
 	}
 	// The idle draw is the same expression Model.Steady evaluates for an
 	// empty spec set, so cached node watts stay bit-identical to a fresh
@@ -373,8 +378,10 @@ func (s *shard) steady(n *onlineNode) (steadyVal, error) {
 	return v, nil
 }
 
-// steadyMemoCap bounds the steady memo.
-const steadyMemoCap = 4096
+// steadyMemoCap bounds the control plane's steady memo. At 8,192
+// entries the working sets of the recurring and backlog benchmark
+// streams fit without a clear, in a table of 16,384 slots (1 MB).
+const steadyMemoCap = 8192
 
 // arrive is the in-event half of submission: classify, queue, record,
 // dispatch. The observation's SizeGB doubles as the nominal size

@@ -17,7 +17,7 @@ import (
 func tracedBusyScheduler(tb testing.TB) *shard {
 	tb.Helper()
 	fixture(tb)
-	s := newShard(new(eventQueue), fix.model, fix.db, fix.lkt, 4, 0)
+	s := newShard(new(eventQueue), new(memoTable[steadyKey, steadyVal]), fix.model, fix.db, fix.lkt, 4, 0)
 	s.setMetrics(metrics.NewRegistry())
 	s.setTracer(tracing.New())
 	s.setAudit(audit.NewLog(audit.DriftConfig{}))
@@ -76,7 +76,7 @@ func disabledScheduler(tb testing.TB) *shard {
 	tb.Helper()
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	db := &Database{}
-	return newShard(new(eventQueue), model, db, &LkTSTP{DB: db}, 1, 0)
+	return newShard(new(eventQueue), new(memoTable[steadyKey, steadyVal]), model, db, &LkTSTP{DB: db}, 1, 0)
 }
 
 // BenchmarkDisabledDepthSample measures the disabled path of the

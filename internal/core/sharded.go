@@ -80,6 +80,12 @@ type ShardedScheduler struct {
 	arrQ    []pendingArrival
 	arrHead int
 
+	// steadyMemo is the one steady memo every shard probes and fills
+	// (shard.steadyMemo, DESIGN.md §37). Its key is made of plane-wide
+	// spec ids, so a set one shard solved is a hit on every other, and
+	// the one drive fixes the order of its fills and clears.
+	steadyMemo memoTable[steadyKey, steadyVal]
+
 	// recs holds the first record of each (app, size): under
 	// ProfileMemo the one record every job of the pair gets, otherwise
 	// the record whose spec id and home later submissions of the pair
@@ -196,7 +202,7 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 		if tuner == nil {
 			return nil, fmt.Errorf("core: sharded scheduler: tuner factory returned nil for shard %d", i)
 		}
-		sh := newShard(&c.ev, model, db, tuner, n, base)
+		sh := newShard(&c.ev, &c.steadyMemo, model, db, tuner, n, base)
 		sh.idx = i
 		sh.completions, sh.err = &c.completed, &c.err
 		c.shards = append(c.shards, sh)

@@ -50,7 +50,7 @@ func TestSteadyMemoExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := c.shards[0]
+		s, memo := c.shards[0], &c.steadyMemo
 		wide := map[profileKey]int{
 			{apps[0], sizes[0]}: 1<<24 - 1,
 			{apps[1], sizes[1]}: 1 << 24,
@@ -123,21 +123,21 @@ func TestSteadyMemoExact(t *testing.T) {
 				specs[i] = mapreduce.RunSpec{App: r.job.Obs.App.App(), DataMB: r.job.Obs.SizeGB * 1024, Cfg: r.cfg}
 			}
 			want, wantW, wantErr := fix.model.Steady(specs)
-			before := s.steadyMemo.n
+			before := memo.n
 			k, fits := steadyKeyOf(res)
-			hit := fits && s.steadyMemo.get(k) != nil
+			hit := fits && memo.get(k) != nil
 			got, err := s.steady(&onlineNode{residents: res})
 			if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("seed %d op %d: memo error %v, fresh solve %v", seed, op, err, wantErr)
 			}
 			if err != nil {
-				if s.steadyMemo.n != before {
-					t.Fatalf("seed %d op %d: a failed solve changed the memo from %d to %d entries", seed, op, before, s.steadyMemo.n)
+				if memo.n != before {
+					t.Fatalf("seed %d op %d: a failed solve changed the memo from %d to %d entries", seed, op, before, memo.n)
 				}
 				errs++
 				continue
 			}
-			if s.steadyMemo.n < before {
+			if memo.n < before {
 				cleared = true
 			}
 			wideSpec := false
@@ -146,8 +146,8 @@ func TestSteadyMemoExact(t *testing.T) {
 			}
 			switch {
 			case !fits:
-				if s.steadyMemo.n != before {
-					t.Fatalf("seed %d op %d: a set that does not fit a key changed the memo from %d to %d entries", seed, op, before, s.steadyMemo.n)
+				if memo.n != before {
+					t.Fatalf("seed %d op %d: a set that does not fit a key changed the memo from %d to %d entries", seed, op, before, memo.n)
 				}
 				unfit++
 			case hit:
@@ -178,14 +178,16 @@ func TestSteadyMemoExact(t *testing.T) {
 	}
 }
 
-// TestSteadyTableRefillZeroAlloc fills the steady memo to the cap
-// through the shard's solve path, lets the next new resident set clear
+// TestSteadyTableRefillZeroAlloc fills the control plane's steady memo
+// to the cap through a shard's solve path, lets the next new resident set clear
 // it, and refills it: the table keeps its slots across the clear, so
 // the refill allocates nothing. After the first fill and after the
 // last refill the table holds exactly that fill's sets, in as many
 // slots as it counts: nothing from before a clear survives it.
 func TestSteadyTableRefillZeroAlloc(t *testing.T) {
-	s := newShard(nil, mapreduce.NewModel(cluster.AtomC2758()), nil, nil, 1, 0)
+	c := new(ShardedScheduler)
+	memo := &c.steadyMemo
+	s := newShard(nil, memo, mapreduce.NewModel(cluster.AtomC2758()), nil, nil, 1, 0)
 	rec := &profileRec{obs: Observation{App: workloads.MustLookup("wc"), SizeGB: 1}}
 	r := resident(&Job{Obs: &rec.obs, rec: rec}, ProfilingConfig())
 	node := &onlineNode{residents: []*onlineJob{r}}
@@ -200,29 +202,103 @@ func TestSteadyTableRefillZeroAlloc(t *testing.T) {
 	}
 	check := func(first int) {
 		t.Helper()
-		if s.steadyMemo.n != steadyMemoCap {
-			t.Fatalf("full table holds %d entries, want %d", s.steadyMemo.n, steadyMemoCap)
+		if memo.n != steadyMemoCap {
+			t.Fatalf("full table holds %d entries, want %d", memo.n, steadyMemoCap)
 		}
-		if used := s.steadyMemo.inUse(); used != s.steadyMemo.n {
-			t.Fatalf("%d slots in use for %d entries", used, s.steadyMemo.n)
+		if used := memo.inUse(); used != memo.n {
+			t.Fatalf("%d slots in use for %d entries", used, memo.n)
 		}
 		for spec := 1; spec <= rec.spec; spec++ {
 			r := profileRec{spec: spec}
 			k, _ := steadyKeyOf([]*onlineJob{resident(&Job{rec: &r}, ProfilingConfig())})
-			if got := s.steadyMemo.get(k) != nil; got != (spec >= first) {
+			if got := memo.get(k) != nil; got != (spec >= first) {
 				t.Fatalf("spec %d cached=%v, want %v (the refill holds specs %d..%d)", spec, got, !got, first, rec.spec)
 			}
 		}
 	}
 	fill()
 	check(1)
-	slots := s.steadyMemo.slots()
+	slots := memo.slots()
 	if allocs := testing.AllocsPerRun(3, fill); allocs != 0 {
 		t.Fatalf("refilling a cleared table allocates %.1f objects, want 0", allocs)
 	}
 	check(rec.spec - steadyMemoCap + 1)
-	if s.steadyMemo.slots() != slots {
-		t.Fatalf("refills resized the table from %d to %d slots", slots, s.steadyMemo.slots())
+	if memo.slots() != slots {
+		t.Fatalf("refills resized the table from %d to %d slots", slots, memo.slots())
+	}
+}
+
+// TestSteadyMemoAcrossShards checks that the control plane's shards
+// share one steady memo: a resident set one shard solved is a hit on
+// another, counted by the shard that looked it up, and bit-equal to a
+// fresh Model.Steady. The second shard's residents hold fresh records
+// (ProfileMemo off), so the hit rests on the plane-wide spec ids alone.
+func TestSteadyMemoAcrossShards(t *testing.T) {
+	fixture(t)
+	c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(1)),
+		func() STP { return fix.lkt }, 4, ShardedConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := c.shards[0], c.shards[1]
+	apps := workloads.TrainingIDs()
+	pair := mapreduce.PairConfigsCached(fix.model.Spec.Cores)[7]
+	sets := []struct {
+		apps []workloads.ID
+		cfgs []mapreduce.Config
+	}{
+		{apps[:1], []mapreduce.Config{ProfilingConfig()}},
+		{apps[1:3], pair[:]},
+	}
+	residents := func(apps []workloads.ID, cfgs []mapreduce.Config) []*onlineJob {
+		var res []*onlineJob
+		for i, app := range apps {
+			rec, err := c.profile(app, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res = append(res, resident(&Job{Obs: &rec.obs, rec: rec}, cfgs[i]))
+		}
+		return res
+	}
+	for i, set := range sets {
+		onA, onB := residents(set.apps, set.cfgs), residents(set.apps, set.cfgs)
+		if onA[0].job.rec == onB[0].job.rec {
+			t.Fatal("ProfileMemo off handed both shards one record")
+		}
+		if _, err := a.steady(&onlineNode{residents: onA}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.steady(&onlineNode{residents: onB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.steadyHits != 0 || a.steadyMisses != int64(i+1) || b.steadyHits != int64(i+1) || b.steadyMisses != 0 {
+			t.Fatalf("set %d: shard A counts %d hits / %d misses, shard B %d / %d; want A 0 / %d, B %d / 0",
+				i, a.steadyHits, a.steadyMisses, b.steadyHits, b.steadyMisses, i+1, i+1)
+		}
+		if c.steadyMemo.n != i+1 {
+			t.Fatalf("set %d: the plane's memo holds %d entries, want %d", i, c.steadyMemo.n, i+1)
+		}
+		specs := make([]mapreduce.RunSpec, len(onB))
+		for j, r := range onB {
+			specs[j] = mapreduce.RunSpec{App: r.job.Obs.App.App(), DataMB: r.job.Obs.SizeGB * 1024, Cfg: r.cfg}
+		}
+		want, wantW, err := fix.model.Steady(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, st := range want {
+			g := got.res[j]
+			if math.Float64bits(g.job) != math.Float64bits(st.JobTime) ||
+				math.Float64bits(g.mapT) != math.Float64bits(st.MapTime) ||
+				math.Float64bits(g.reduce) != math.Float64bits(st.ReduceTime) {
+				t.Fatalf("set %d resident %d: shard B's hit %+v, fresh solve %+v", i, j, g, st)
+			}
+		}
+		if math.Float64bits(got.watts) != math.Float64bits(wantW) {
+			t.Fatalf("set %d: shard B's hit draws %v W, fresh solve %v W", i, got.watts, wantW)
+		}
 	}
 }
 
