@@ -9,8 +9,8 @@ import (
 // Oracle supplies lazily-computed reference EDPs for the quality
 // report: the solo-optimal baseline (interference ratios) and the
 // co-location oracle COLAO (regret). Implemented in internal/core by an
-// adapter over the memoized sharded-singleflight Oracle, so repeated
-// reports stay cheap. A nil Oracle skips both sections.
+// adapter over the memoizing Oracle, so repeated reports stay cheap. A
+// nil Oracle skips both sections.
 type Oracle interface {
 	// SoloBestEDP is the app's solo-optimal EDP at the given input size.
 	SoloBestEDP(app string, sizeGB float64) (float64, error)

@@ -7,9 +7,9 @@ import (
 
 // AuditOracle adapts the memoized brute-force Oracle to the
 // audit.Oracle reference interface. Lookups resolve applications by
-// name and hit the sharded singleflight caches, so the first quality
-// report pays for each distinct (app, size) search once and every
-// later report — or a second /quality scrape — is a cache hit.
+// name and hit the oracle's memo, so the first quality report pays for
+// each distinct (app, size) search once and every later report — or a
+// second /quality scrape — is a cache hit.
 type AuditOracle struct {
 	o *Oracle
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // TestOracleConcurrentHammer drives COLAO and BestSolo from many
-// goroutines over the same keys. Run under -race it proves the sharded
-// memoization is sound; the result comparison proves concurrent callers
-// all see the single in-flight computation's answer.
+// goroutines over the same keys. Run under -race it proves the one-lock
+// memo is sound; the result comparison proves every goroutine sees the
+// same answer, and the entry count that the memo holds one entry per
+// key, however many goroutines searched it.
 func TestOracleConcurrentHammer(t *testing.T) {
 	fixture(t)
 	o := NewOracle(fix.model)
@@ -69,7 +70,7 @@ func TestOracleConcurrentHammer(t *testing.T) {
 		}
 	}
 	if got := o.CachedPairs(); got != len(apps) {
-		t.Fatalf("CachedPairs = %d, want %d (singleflight should compute each key once)", got, len(apps))
+		t.Fatalf("CachedPairs = %d, want %d (the memo should hold one entry per key)", got, len(apps))
 	}
 }
 

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ecost/internal/mapreduce"
 	"ecost/internal/workloads"
@@ -104,20 +102,17 @@ type BuildOptions struct {
 // search for every known pair and size combination, and assembles the
 // per-class-pair training matrices.
 //
-// Pair jobs fan out over a GOMAXPROCS-sized worker pool (each worker
-// sweeps the joint configuration space through a reused evaluator);
-// results merge back in canonical (i, j) pair order, so the entries,
-// the training rows and everything trained from them are byte-identical
-// to a serial build at any worker count.
+// The COLAO entries fan out over pairs through fanOut, then the same
+// row sweep RebuildRows runs fills the training matrices. Both write
+// index-addressed results and merge them in canonical (i, j) pair
+// order, so the entries, the training rows and everything trained from
+// them are byte-identical to a serial build at any worker count.
 func BuildDatabase(profiler *Profiler, oracle *Oracle, training []workloads.App, opt BuildOptions) (*Database, error) {
 	if len(training) == 0 {
 		return nil, fmt.Errorf("core: database: no training applications")
 	}
 	if len(opt.Sizes) == 0 {
 		opt.Sizes = workloads.DataSizesGB()
-	}
-	if opt.ConfigStride < 1 {
-		opt.ConfigStride = 1
 	}
 
 	// Profile every (app, size) once, noise-free: the database stores the
@@ -137,84 +132,72 @@ func BuildDatabase(profiler *Profiler, oracle *Oracle, training []workloads.App,
 		return nil, err
 	}
 
-	db := &Database{
-		Rows:    make(map[ClassPair][]TrainRow),
-		classer: classer,
-		oracle:  oracle,
-	}
-
-	type pairJob struct{ i, j int }
-	var jobs []pairJob
-	for i := 0; i < len(obs); i++ {
-		for j := i; j < len(obs); j++ {
-			jobs = append(jobs, pairJob{i, j})
+	db := &Database{classer: classer, oracle: oracle}
+	grid := pairGrid(len(obs))
+	db.Entries = make([]DBEntry, len(grid))
+	errs := make([]error, len(grid))
+	fanOut(len(grid), func() struct{} { return struct{}{} }, func(_ struct{}, n int) {
+		a, b := obs[grid[n][0]], obs[grid[n][1]]
+		db.Entries[n] = DBEntry{A: a, B: b}
+		db.Entries[n].Best, errs[n] = oracle.COLAO(a.App, a.SizeGB*1024, b.App, b.SizeGB*1024)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	type pairResult struct {
-		entry DBEntry
-		cp    ClassPair
-		rows  []TrainRow
-		err   error
-	}
-	results := make([]pairResult, len(jobs))
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := oracle.Model.NewEvaluator()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(jobs) {
-					return
-				}
-				a, b := obs[jobs[n].i], obs[jobs[n].j]
-				entry, cp, rows, err := buildPair(oracle, ev, a, b, opt.ConfigStride)
-				results[n] = pairResult{entry: entry, cp: cp, rows: rows, err: err}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Deterministic merge: canonical (i, j) order, exactly the serial
-	// loop's append order.
-	for n := range results {
-		if results[n].err != nil {
-			return nil, results[n].err
-		}
-		db.Entries = append(db.Entries, results[n].entry)
-		db.Rows[results[n].cp] = append(db.Rows[results[n].cp], results[n].rows...)
+	if err := db.sweepRows(obs, opt.ConfigStride); err != nil {
+		return nil, err
 	}
 	return db, nil
 }
 
-// buildPair computes one database pair: the COLAO-optimal entry plus
-// the strided training-row sweep. The evaluator is reused across
-// configurations (zero allocations per point); row feature vectors
-// reference the shared design matrix where the canonical slot order
-// permits.
-func buildPair(oracle *Oracle, ev *mapreduce.Evaluator, a, b Observation, stride int) (DBEntry, ClassPair, []TrainRow, error) {
-	best, err := oracle.COLAO(a.App, a.SizeGB*1024, b.App, b.SizeGB*1024)
-	if err != nil {
-		return DBEntry{}, ClassPair{}, nil, err
+// pairGrid enumerates the pairs of n observations in canonical order,
+// (i, j) for i ≤ j: the order of the entries and of every class pair's
+// training rows.
+func pairGrid(n int) [][2]int {
+	grid := make([][2]int, 0, n*(n+1)/2)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			grid = append(grid, [2]int{i, j})
+		}
 	}
-	entry := DBEntry{A: a, B: b, Best: best}
-	cp, rows, err := pairRows(oracle, ev, a, b, stride)
-	if err != nil {
-		return DBEntry{}, ClassPair{}, nil, err
-	}
-	return entry, cp, rows, nil
+	return grid
 }
 
-// pairRows runs the strided training-row sweep for one pair — the
-// COLAO-independent part of buildPair, reused by RebuildRows when a
-// loaded database (entries only) needs its training matrices back.
+// sweepRows replaces the training matrices with the strided row sweep
+// of every pair of obs. The pairs fan out, each worker with its own
+// reused evaluator, and merge in pairGrid order.
+func (db *Database) sweepRows(obs []Observation, stride int) error {
+	if stride < 1 {
+		stride = 1
+	}
+	grid := pairGrid(len(obs))
+	type pairSweep struct {
+		cp   ClassPair
+		rows []TrainRow
+		err  error
+	}
+	results := make([]pairSweep, len(grid))
+	fanOut(len(grid), db.oracle.Model.NewEvaluator, func(ev *mapreduce.Evaluator, n int) {
+		r := &results[n]
+		r.cp, r.rows, r.err = pairRows(db.oracle, ev, obs[grid[n][0]], obs[grid[n][1]], stride)
+	})
+	rows := make(map[ClassPair][]TrainRow)
+	for _, r := range results {
+		if r.err != nil {
+			return r.err
+		}
+		rows[r.cp] = append(rows[r.cp], r.rows...)
+	}
+	db.Rows = rows
+	return nil
+}
+
+// pairRows runs the strided training-row sweep for one pair. The
+// evaluator is reused across configurations (zero allocations per
+// point); row feature vectors reference the shared design matrix where
+// the canonical slot order permits.
 func pairRows(oracle *Oracle, ev *mapreduce.Evaluator, a, b Observation, stride int) (ClassPair, []TrainRow, error) {
 	cores := oracle.Model.Spec.Cores
 	specA := mapreduce.RunSpec{App: a.App.App(), DataMB: a.SizeGB * 1024}
@@ -275,17 +258,13 @@ func (db *Database) HasRows() bool {
 }
 
 // RebuildRows regenerates the per-class-pair training matrices from the
-// entries' stored observations — the sweep half of BuildDatabase,
-// skipping the COLAO searches the entries already hold. The sweep is a
-// pure function of the observations, so the rebuilt rows are
-// byte-identical to the original build's. Jobs fan out and merge
-// exactly like BuildDatabase.
+// entries' stored observations: BuildDatabase's row sweep, skipping the
+// COLAO searches the entries already hold. The sweep is a pure function
+// of the observations, so the rebuilt rows are byte-identical to the
+// original build's.
 func (db *Database) RebuildRows(opt BuildOptions) error {
 	if db.oracle == nil {
 		return fmt.Errorf("core: rebuild rows: database has no oracle")
-	}
-	if opt.ConfigStride < 1 {
-		opt.ConfigStride = 1
 	}
 	// Recover the unique observation list in build order: entries are in
 	// canonical (i, j) order, so first appearance order is index order.
@@ -304,53 +283,10 @@ func (db *Database) RebuildRows(opt BuildOptions) error {
 			}
 		}
 	}
-	type pairJob struct{ i, j int }
-	var jobs []pairJob
-	for i := 0; i < len(obs); i++ {
-		for j := i; j < len(obs); j++ {
-			jobs = append(jobs, pairJob{i, j})
-		}
+	if n := len(obs); len(db.Entries) != n*(n+1)/2 {
+		return fmt.Errorf("core: rebuild rows: %d entries do not form a full pair grid over %d observations", len(db.Entries), n)
 	}
-	if len(jobs) != len(db.Entries) {
-		return fmt.Errorf("core: rebuild rows: %d entries do not form a full pair grid over %d observations", len(db.Entries), len(obs))
-	}
-	type rowResult struct {
-		cp   ClassPair
-		rows []TrainRow
-		err  error
-	}
-	results := make([]rowResult, len(jobs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := db.oracle.Model.NewEvaluator()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(jobs) {
-					return
-				}
-				cp, rows, err := pairRows(db.oracle, ev, obs[jobs[n].i], obs[jobs[n].j], opt.ConfigStride)
-				results[n] = rowResult{cp: cp, rows: rows, err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	rowsByPair := make(map[ClassPair][]TrainRow)
-	for n := range results {
-		if results[n].err != nil {
-			return results[n].err
-		}
-		rowsByPair[results[n].cp] = append(rowsByPair[results[n].cp], results[n].rows...)
-	}
-	db.Rows = rowsByPair
-	return nil
+	return db.sweepRows(obs, opt.ConfigStride)
 }
 
 // ConfigRow assembles the model input for one tunable-parameter

@@ -49,14 +49,9 @@ func (db *Database) LookupBest(a, b Observation) (PairBest, error) {
 
 // CachedPairs reports how many COLAO searches have been memoized.
 func (o *Oracle) CachedPairs() int {
-	n := 0
-	for i := range o.shards {
-		sh := &o.shards[i]
-		sh.mu.Lock()
-		n += len(sh.pair)
-		sh.mu.Unlock()
-	}
-	return n
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.pair)
 }
 
 // QueueLen sums the shard wait-queue lengths.
@@ -77,6 +72,12 @@ func (q *WaitQueue) DepthByClass() map[workloads.Class]int {
 	return out
 }
 
+// leapFraction caps how large a leaping job may be relative to the head
+// job's estimated runtime. A job at most this fraction of the head's
+// size is "small": co-locating it alongside the current resident leaves
+// the head's reserved slot unaffected.
+const leapFraction = 0.5
+
 // Candidates returns the jobs eligible to fill a fresh node slot: the
 // head (always, by reservation) plus any job small enough to leap
 // forward without delaying the head.
@@ -87,7 +88,7 @@ func (q *WaitQueue) Candidates() []*Job {
 	head := q.jobs[0]
 	out := []*Job{head}
 	for _, j := range q.jobs[1:] {
-		if head.EstTime > 0 && j.EstTime <= q.LeapFraction*head.EstTime {
+		if head.EstTime > 0 && j.EstTime <= leapFraction*head.EstTime {
 			out = append(out, j)
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"ecost/internal/mapreduce"
@@ -30,36 +29,18 @@ type PairBest struct {
 // covers every joint knob setting with m1+m2 ≤ cores (the study's
 // 84,480-run budget collapses to milliseconds on the analytic model).
 //
-// The oracle is safe for concurrent use: memoization is sharded (one
-// mutex per shard, chosen by a hash of the key's application ids) and
-// each key is computed at most once — concurrent callers of the same
-// uncached search wait for the single in-flight computation instead of
-// duplicating an 11,200-point scan. Applications are named by table id.
+// The oracle is safe for concurrent use. One mutex guards both memo
+// maps and is held only to read or store an entry, never across a
+// search. Two goroutines that miss on the same key both search and
+// store the same pure result; no caller does that in practice, as the
+// database build asks for each canonical pair once and every other
+// caller runs on one goroutine. Applications are named by table id.
 type Oracle struct {
 	Model *mapreduce.Model
 
-	shards [oracleShards]oracleShard
-}
-
-// oracleShards is a power of two so shard selection is a mask. 16
-// shards keeps contention negligible for the worker-pool sizes the
-// database build uses.
-const oracleShards = 16
-
-type oracleShard struct {
-	mu       sync.Mutex
-	solo     map[soloKey]SoloBest
-	pair     map[pairKey]PairBest
-	soloWait map[soloKey]*inflight[SoloBest]
-	pairWait map[pairKey]*inflight[PairBest]
-}
-
-// inflight is one in-progress search other goroutines can wait on
-// (a minimal per-key singleflight).
-type inflight[V any] struct {
-	done chan struct{}
-	v    V
-	err  error
+	mu   sync.Mutex
+	solo map[soloKey]SoloBest
+	pair map[pairKey]PairBest
 }
 
 type soloKey struct {
@@ -84,45 +65,26 @@ func canonPair(a workloads.ID, dataA float64, b workloads.ID, dataB float64) (pa
 
 // NewOracle returns a memoizing oracle over the given model.
 func NewOracle(m *mapreduce.Model) *Oracle {
-	o := &Oracle{Model: m}
-	for i := range o.shards {
-		o.shards[i] = oracleShard{
-			solo:     make(map[soloKey]SoloBest),
-			pair:     make(map[pairKey]PairBest),
-			soloWait: make(map[soloKey]*inflight[SoloBest]),
-			pairWait: make(map[pairKey]*inflight[PairBest]),
-		}
-	}
-	return o
+	return &Oracle{Model: m, solo: make(map[soloKey]SoloBest), pair: make(map[pairKey]PairBest)}
 }
 
 // BestSolo exhaustively tunes one application running alone.
 func (o *Oracle) BestSolo(app workloads.ID, dataMB float64) (SoloBest, error) {
 	k := soloKey{app, dataMB}
-	sh := &o.shards[fpFinish(uint64(app))&(oracleShards-1)]
-	sh.mu.Lock()
-	if b, ok := sh.solo[k]; ok {
-		sh.mu.Unlock()
+	o.mu.Lock()
+	b, ok := o.solo[k]
+	o.mu.Unlock()
+	if ok {
 		return b, nil
 	}
-	if c, ok := sh.soloWait[k]; ok {
-		sh.mu.Unlock()
-		<-c.done
-		return c.v, c.err
+	b, err := o.searchSolo(app, dataMB)
+	if err != nil {
+		return SoloBest{}, err
 	}
-	c := &inflight[SoloBest]{done: make(chan struct{})}
-	sh.soloWait[k] = c
-	sh.mu.Unlock()
-
-	c.v, c.err = o.searchSolo(app, dataMB)
-	sh.mu.Lock()
-	if c.err == nil {
-		sh.solo[k] = c.v
-	}
-	delete(sh.soloWait, k)
-	sh.mu.Unlock()
-	close(c.done)
-	return c.v, c.err
+	o.mu.Lock()
+	o.solo[k] = b
+	o.mu.Unlock()
+	return b, nil
 }
 
 // searchSolo scans the standalone tuning space (160 points) with a
@@ -174,131 +136,70 @@ func (o *Oracle) ILAO(a workloads.ID, dataA float64, b workloads.ID, dataB float
 // brute-force search over the joint configuration space for the pair.
 func (o *Oracle) COLAO(a workloads.ID, dataA float64, b workloads.ID, dataB float64) (PairBest, error) {
 	k, swapped := canonPair(a, dataA, b, dataB)
-	sh := &o.shards[fpFinish(uint64(k.appA)<<8|uint64(k.appB))&(oracleShards-1)]
-	sh.mu.Lock()
-	if best, ok := sh.pair[k]; ok {
-		sh.mu.Unlock()
-		return unswap(best, swapped), nil
-	}
-	if c, ok := sh.pairWait[k]; ok {
-		sh.mu.Unlock()
-		<-c.done
-		if c.err != nil {
-			return PairBest{}, c.err
+	o.mu.Lock()
+	best, ok := o.pair[k]
+	o.mu.Unlock()
+	if !ok {
+		var err error
+		if best, err = o.searchPair(k.appA, k.dataA, k.appB, k.dataB); err != nil {
+			return PairBest{}, err
 		}
-		return unswap(c.v, swapped), nil
+		o.mu.Lock()
+		o.pair[k] = best
+		o.mu.Unlock()
 	}
-	c := &inflight[PairBest]{done: make(chan struct{})}
-	sh.pairWait[k] = c
-	sh.mu.Unlock()
-
-	ca, cb := a, b
-	da, db := dataA, dataB
-	if swapped {
-		ca, cb, da, db = b, a, dataB, dataA
-	}
-	c.v, c.err = o.searchPair(ca, da, cb, db)
-	sh.mu.Lock()
-	if c.err == nil {
-		sh.pair[k] = c.v
-	}
-	delete(sh.pairWait, k)
-	sh.mu.Unlock()
-	close(c.done)
-	if c.err != nil {
-		return PairBest{}, c.err
-	}
-	return unswap(c.v, swapped), nil
+	return unswap(best, swapped), nil
 }
 
 // searchPairChunk is the batch granularity of the COLAO scan: small
-// enough that per-worker metric buffers stay cache-resident, large
+// enough that a worker's metric buffer stays cache-resident, large
 // enough to amortize the loop bookkeeping.
 const searchPairChunk = 512
 
-// searchPair scans the 11,200-point joint configuration space with a
-// pool of worker goroutines (the execution model is pure, so the scan is
-// embarrassingly parallel). Each worker sweeps its chunks through a
-// reused Evaluator via PairBatch — zero allocations per configuration —
-// and keeps its chunk's argmin; the merge breaks EDP ties by
-// configuration index, so the result is bit-identical to the serial
-// scan regardless of worker count.
+// pairScanner is one COLAO scan worker's state: a reused Evaluator and
+// the metric buffer its chunks fill.
+type pairScanner struct {
+	ev  *mapreduce.Evaluator
+	buf [searchPairChunk]mapreduce.CoMetrics
+}
+
+// searchPair scans the 11,200-point joint configuration space in
+// chunks through argminChunks (the execution model is pure, so the
+// scan is embarrassingly parallel). Each worker sweeps its chunks
+// through a reused Evaluator via PairBatch — zero allocations per
+// configuration — and the chunks merge by the serial scan's first-wins
+// rule, so the result is bit-identical at any worker count.
 func (o *Oracle) searchPair(a workloads.ID, dataA float64, b workloads.ID, dataB float64) (PairBest, error) {
 	pcs := mapreduce.PairConfigsCached(o.Model.Spec.Cores)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pcs) {
-		workers = len(pcs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	type localBest struct {
-		idx  int
-		err  error
-		edp  float64
-		seen bool
-	}
-	results := make([]localBest, workers)
-	var wg sync.WaitGroup
-	chunk := (len(pcs) + workers - 1) / workers
 	specA := mapreduce.RunSpec{App: a.App(), DataMB: dataA}
 	specB := mapreduce.RunSpec{App: b.App(), DataMB: dataB}
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(pcs) {
-			hi = len(pcs)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			ev := o.Model.NewEvaluator()
-			var buf [searchPairChunk]mapreduce.CoMetrics
-			lb := localBest{edp: math.Inf(1)}
-			for start := lo; start < hi; start += searchPairChunk {
-				end := start + searchPairChunk
-				if end > hi {
-					end = hi
-				}
-				out := buf[:end-start]
-				if err := ev.PairBatch(specA, specB, pcs[start:end], out); err != nil {
-					lb.err = err
-					break
-				}
-				for j, cm := range out {
-					if cm.EDP < lb.edp {
-						lb = localBest{idx: start + j, edp: cm.EDP, seen: true}
-					}
+	idx, err := argminChunks(len(pcs), searchPairChunk,
+		func() *pairScanner { return &pairScanner{ev: o.Model.NewEvaluator()} },
+		func(w *pairScanner, lo, hi int) (int, float64, error) {
+			out := w.buf[:hi-lo]
+			if err := w.ev.PairBatch(specA, specB, pcs[lo:hi], out); err != nil {
+				return -1, 0, err
+			}
+			best, bestEDP := -1, math.Inf(1)
+			for j, cm := range out {
+				if cm.EDP < bestEDP {
+					best, bestEDP = lo+j, cm.EDP
 				}
 			}
-			results[w] = lb
-		}(w, lo, hi)
+			return best, bestEDP, nil
+		})
+	if err != nil {
+		return PairBest{}, fmt.Errorf("core: COLAO %s+%s: %w", a.Name(), b.Name(), err)
 	}
-	wg.Wait()
-	merged := localBest{edp: math.Inf(1)}
-	for _, lb := range results {
-		if lb.err != nil {
-			return PairBest{}, fmt.Errorf("core: COLAO %s+%s: %w", a.Name(), b.Name(), lb.err)
-		}
-		if !lb.seen {
-			continue
-		}
-		if lb.edp < merged.edp || (lb.edp == merged.edp && merged.seen && lb.idx < merged.idx) {
-			merged = lb
-		}
-	}
-	if !merged.seen {
+	if idx < 0 {
 		return PairBest{}, fmt.Errorf("core: COLAO %s+%s: empty configuration space", a.Name(), b.Name())
 	}
-	specA.Cfg, specB.Cfg = pcs[merged.idx][0], pcs[merged.idx][1]
+	specA.Cfg, specB.Cfg = pcs[idx][0], pcs[idx][1]
 	co, err := o.Model.Pair(specA, specB)
 	if err != nil {
 		return PairBest{}, fmt.Errorf("core: COLAO %s+%s: %w", a.Name(), b.Name(), err)
 	}
-	return PairBest{Cfg: pcs[merged.idx], Out: co}, nil
+	return PairBest{Cfg: pcs[idx], Out: co}, nil
 }
 
 func unswap(b PairBest, swapped bool) PairBest {

@@ -17,7 +17,9 @@ type Job struct {
 	Class workloads.Class // assigned by the incoming-application analyzer
 
 	// EstTime is the scheduler's rough runtime estimate (from the
-	// profiling run), used only by the leap-forward smallness test.
+	// profiling run). SelectPartnerSized prefers the partner whose
+	// estimate is closest to the running job's, and the leap-forward
+	// smallness test compares it with the head's.
 	EstTime float64
 
 	Arrived float64 // arrival time (seconds)
@@ -39,11 +41,6 @@ type Job struct {
 // only if taking it does not delay the head (§5).
 type WaitQueue struct {
 	jobs []*Job
-	// LeapFraction caps how large a leaping job may be relative to the
-	// head job's estimated runtime. A job at most this fraction of the
-	// head's size is "small": co-locating it alongside the current
-	// resident leaves the head's reserved slot unaffected.
-	LeapFraction float64
 
 	// Metrics, when non-nil, receives queue telemetry: per-class push
 	// counts and the depth high-water mark. The owning scheduler samples
@@ -60,8 +57,8 @@ type WaitQueue struct {
 	nextSeq uint64
 }
 
-// NewWaitQueue returns an empty queue with the default smallness bound.
-func NewWaitQueue() *WaitQueue { return &WaitQueue{LeapFraction: 0.5} }
+// NewWaitQueue returns an empty queue.
+func NewWaitQueue() *WaitQueue { return &WaitQueue{} }
 
 // Push appends a job at the tail.
 func (q *WaitQueue) Push(j *Job) {

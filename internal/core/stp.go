@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -314,7 +313,9 @@ func (s *MLMSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 	if swapped {
 		sa, sb = b, a
 	}
-	fa, fb := sa.Reduced(), sb.Reduced()
+	var fa, fb [reducedLen]float64
+	sa.reducedInto(&fa)
+	sb.reducedInto(&fb)
 	cores := s.db.Oracle().Model.Spec.Cores
 	rows := DesignMatrixCached(cores, sa.SizeGB, sb.SizeGB)
 	idx := s.argminRows(m, rows, fa, fb)
@@ -330,89 +331,44 @@ func (s *MLMSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 
 // argminRows returns the index of the design-matrix row the regressor
 // scores lowest, ties broken by lowest index (the serial scan's
-// first-wins rule). Chunks fan out over GOMAXPROCS workers; each worker
-// reuses one input-row scratch buffer, so the sweep allocates nothing
-// per configuration.
-func (s *MLMSTP) argminRows(m ml.Regressor, rows [][]float64, fa, fb []float64) int {
-	if len(rows) == 0 {
-		return -1
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(rows)/minRowsPerWorker {
-		workers = len(rows) / minRowsPerWorker
-	}
-	if workers <= 1 {
-		best, _ := s.argminChunk(m, rows, fa, fb, 0, len(rows))
-		return best
-	}
-	type localBest struct {
-		idx  int
-		pred float64
-	}
-	results := make([]localBest, workers)
-	var wg sync.WaitGroup
-	chunk := (len(rows) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		if lo >= hi {
-			results[w] = localBest{idx: -1}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			idx, pred := s.argminChunk(m, rows, fa, fb, lo, hi)
-			results[w] = localBest{idx: idx, pred: pred}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	best := localBest{idx: -1, pred: math.Inf(1)}
-	for _, lb := range results {
-		if lb.idx < 0 {
-			continue
-		}
-		if best.idx < 0 || lb.pred < best.pred || (lb.pred == best.pred && lb.idx < best.idx) {
-			best = lb
-		}
-	}
-	return best.idx
+// first-wins rule), or -1 when there is none. Chunks of argminChunk
+// rows fan out through argminChunks; each worker reuses one input-row
+// buffer, so the sweep allocates nothing per configuration. The slot
+// features come by value, so the closures copy them and nothing else
+// escapes.
+func (s *MLMSTP) argminRows(m ml.Regressor, rows [][]float64, fa, fb [reducedLen]float64) int {
+	const off = 2 * reducedLen
+	idx, _ := argminChunks(len(rows), argminChunk,
+		func() []float64 {
+			if !s.useFeatures {
+				return nil
+			}
+			x := make([]float64, off+len(rows[0]))
+			for i := range fa {
+				x[i], x[reducedLen+i] = fa[i], fb[i]
+			}
+			return x
+		},
+		func(x []float64, lo, hi int) (int, float64, error) {
+			best, bestPred := -1, math.Inf(1)
+			for i := lo; i < hi; i++ {
+				in := rows[i]
+				if s.useFeatures {
+					copy(x[off:], in)
+					in = x
+				}
+				if pred := m.Predict(in); pred < bestPred {
+					best, bestPred = i, pred
+				}
+			}
+			return best, bestPred, nil
+		})
+	return idx
 }
 
-// minRowsPerWorker keeps tiny sweeps serial: below this many rows per
-// worker the goroutine hand-off costs more than the scan.
-const minRowsPerWorker = 512
-
-// argminChunk scans rows[lo:hi] with one reused input buffer.
-func (s *MLMSTP) argminChunk(m ml.Regressor, rows [][]float64, fa, fb []float64, lo, hi int) (int, float64) {
-	bestIdx := -1
-	bestPred := math.Inf(1)
-	var x []float64
-	off := 0
-	if s.useFeatures {
-		x = make([]float64, len(fa)+len(fb)+len(rows[0]))
-		copy(x, fa)
-		copy(x[len(fa):], fb)
-		off = len(fa) + len(fb)
-	}
-	for i := lo; i < hi; i++ {
-		var in []float64
-		if s.useFeatures {
-			copy(x[off:], rows[i])
-			in = x
-		} else {
-			in = rows[i]
-		}
-		if pred := m.Predict(in); pred < bestPred {
-			bestPred = pred
-			bestIdx = i
-		}
-	}
-	return bestIdx, bestPred
-}
+// argminChunk is the argmin sweep's chunk size: below it a goroutine
+// hand-off costs more than the scan.
+const argminChunk = 512
 
 // PredictSoloBest predicts the best standalone configuration for one
 // application (used by the PTM mapping policy, which tunes without

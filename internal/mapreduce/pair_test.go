@@ -13,8 +13,8 @@ import (
 // checkPairAgainstReference runs every two-app entry point on (a, b)
 // through the production evaluator e and its model and through the
 // reference ref, in one order on both, and fails on any output or error
-// that differs: Evaluator.Pair, PairMetrics, CoLocate and a two-app
-// Steady. The two models must draw identical jitter.
+// that differs: PairMetrics, CoLocate and a two-app Steady. The two
+// models must draw identical jitter.
 func checkPairAgainstReference(t *testing.T, e *Evaluator, ref *refAPI, a, b RunSpec) {
 	t.Helper()
 	check := func(what string, got, want any, gotErr, wantErr error) {
@@ -30,15 +30,11 @@ func checkPairAgainstReference(t *testing.T, e *Evaluator, ref *refAPI, a, b Run
 	}
 	two := []RunSpec{a, b}
 
-	gotCo, err := e.Pair(a, b)
-	wantCo, wantErr := ref.coLocate(two, make([]Outcome, 2))
-	check("Evaluator.Pair", gotCo, wantCo, err, wantErr)
-
 	gotM, err := e.PairMetrics(a, b)
-	wantCo, wantErr = ref.coLocate(two, ref.metricsApps(2))
+	wantCo, wantErr := ref.coLocate(two, ref.metricsApps(2))
 	check("PairMetrics", gotM, wantCo.Metrics(), err, wantErr)
 
-	gotCo, err = e.m.CoLocate(two)
+	gotCo, err := e.m.CoLocate(two)
 	wantCo, wantErr = ref.coLocate(two, make([]Outcome, 2))
 	check("CoLocate", gotCo, wantCo, err, wantErr)
 
@@ -54,12 +50,11 @@ func checkPairAgainstReference(t *testing.T, e *Evaluator, ref *refAPI, a, b Run
 // joint configurations, picked by a prime stride that visits every
 // point of the grid over the product (three per size pair keeps the
 // test well under a second, where the whole product would take
-// minutes). Each point runs
-// Evaluator.Pair, PairMetrics, CoLocate and a two-app Steady, on the
-// calibrated model and on a noisy one against a reference model with
-// the same seed, so the jitter draws must match call for call as well.
-// Every point with data on both sides must take the kernel, and a 0-GB
-// side, which has no splits, the full loop.
+// minutes). Each point runs PairMetrics, CoLocate and a two-app
+// Steady, on the calibrated model and on a noisy one against a
+// reference model with the same seed, so the jitter draws must match
+// call for call as well. Every point with data on both sides must take
+// the kernel, and a 0-GB side, which has no splits, the full loop.
 func TestPairPathMatchesReference(t *testing.T) {
 	apps := workloads.Apps()
 	sizes := []float64{0, 1, 3.7, 5, 10, 20}
@@ -135,8 +130,8 @@ var pairFixedPointSeeds = [][14]float64{
 }
 
 // FuzzPairFixedPoint holds the two-app fixed point to the reference
-// solver over arbitrary model knobs and profile fields: Evaluator.Pair,
-// PairMetrics, CoLocate and a two-app Steady must match bit for bit,
+// solver over arbitrary model knobs and profile fields: PairMetrics,
+// CoLocate and a two-app Steady must match bit for bit,
 // errors included. A disk bandwidth of 0 keeps the node's own. The
 // seeds reach both of the pair path's branches: the hoisted kernel,
 // and the full loop it falls back to when an operand of its inline
