@@ -69,29 +69,29 @@ func TestShardedOnlineDigests(t *testing.T) {
 	srv := httptest.NewServer(newServeMux(digestSources(t, env, arrivals)))
 	defer srv.Close()
 	want := map[string]uint64{
-		"/metrics":           0x595ad7387d3d14ce,
+		"/metrics":           0xad4daabb18e38b50,
 		"/metrics?shard=0":   0x200c56f2e896476c,
 		"/metrics?shard=1":   0x556b03076b2f7e52,
 		"/metrics?shard=2":   0x514e065a0f151b78,
-		"/metrics?shard=3":   0x54c83cedd9e12f20,
-		"/decisions":         0x2e39a6e97050d609,
-		"/decisions?shard=0": 0xf2018c970d765f34,
-		"/decisions?shard=1": 0x308a9f5d3b1079ef,
-		"/decisions?shard=2": 0x589104eaf004f563,
-		"/decisions?shard=3": 0xd2c077f44b02af8a,
+		"/metrics?shard=3":   0xc902250b261fb344,
+		"/decisions":         0x58cbb29de7b33a4a,
+		"/decisions?shard=0": 0x7cc5079f4073bd5c,
+		"/decisions?shard=1": 0xeb0ef55d08074cae,
+		"/decisions?shard=2": 0x9c8021a163ed6064,
+		"/decisions?shard=3": 0xf45c4e8c3d961225,
 		"/quality":           0x5dffb6477c73afb1,
 		"/quality?shard=0":   0xc405957ee387d24b,
 		"/quality?shard=1":   0xe6659628a2ddace2,
 		"/quality?shard=2":   0xd45784a0162d0fdc,
 		"/quality?shard=3":   0x0e2151939ea0db07,
-		"/epochs":            0xf1da2caf6d6130cb,
-		"/epochs?shard=0":    0x190ad26509b9030c,
-		"/epochs?shard=1":    0x896d7902bded0c19,
-		"/epochs?shard=2":    0xbf6b1bb88f92ef1f,
-		"/epochs?shard=3":    0x72c28c77d23a7316,
+		"/epochs":            0x34d60ccc0b77cf94,
+		"/epochs?shard=0":    0xead364ff22af3476,
+		"/epochs?shard=1":    0x90534b554fbd79bd,
+		"/epochs?shard=2":    0xf7db2abd42064b03,
+		"/epochs?shard=3":    0xb1759ba16179e617,
 		"/shards":            0x1be9dc209e9cafdd,
 		"/health":            0xfa734a92240cb586,
-		"/flight":            0xff39785b7a388cce,
+		"/flight":            0x786a2eed2d0b303f,
 	}
 	var paths []string
 	for _, ep := range []string{"/metrics", "/decisions", "/quality", "/epochs"} {

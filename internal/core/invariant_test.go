@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
+	"ecost/internal/hdfs"
 	"ecost/internal/sim"
+	"ecost/internal/tracing"
 )
 
 // invariantChecker checks the control plane's state after every event
@@ -16,21 +19,49 @@ import (
 //     popcounts;
 //   - no node holds more than maxPerNode residents;
 //   - each node's accPhase is nodePhase of its resident count;
+//   - every resident's configuration is on the paper's grid
+//     (Config.Validate), and a node's residents run at most Spec.Cores
+//     mappers between them;
+//   - the shards' node ranges tile the cluster in shard order: disjoint,
+//     and covering the nodes the plane was built with;
 //   - each shard's phase sums add up to its nodes' cached draws, within
 //     1e-9 relative;
 //   - no shard's energy ever decreases;
+//   - with a tracer attached, the energy each shard's observer billed to
+//     its node spans plus each node's unbilled draw since its last bill,
+//     n.watts × (lastUpdate − since), equals the shard's bill within
+//     1e-9 relative (DESIGN.md §39);
 //   - the jobs pending on the shards plus the completed ones are the
 //     jobs submitted;
 //   - every shard caches its steady solves in the plane's one steady
 //     memo, which holds at most steadyMemoCap entries in no more slots
 //     than a table at the cap (DESIGN.md §37).
 //
-// paired and queued record whether any check saw a co-located node and
-// a queued job, so a caller can tell that the run exercised them.
+// nodes is the plane's node count before the drive. spans and closedJ
+// follow each traced shard's node spans: the span each node held at the
+// last check, and the energy of the spans that closed since. A span
+// that opens and closes between two checks lasts no time, so it carries
+// no energy. paired and queued record whether any check saw a
+// co-located node and a queued job, so a caller can tell that the run
+// exercised them.
 type invariantChecker struct {
 	c              *ShardedScheduler
+	nodes          int
 	energy         []float64
+	spans          [][]*tracing.Span
+	closedJ        []float64
 	paired, queued bool
+}
+
+// newInvariantChecker returns a checker for c before its drive.
+func newInvariantChecker(c *ShardedScheduler) *invariantChecker {
+	k := &invariantChecker{c: c, energy: make([]float64, len(c.shards)),
+		spans: make([][]*tracing.Span, len(c.shards)), closedJ: make([]float64, len(c.shards))}
+	for i, sh := range c.shards {
+		k.nodes += len(sh.nodes)
+		k.spans[i] = make([]*tracing.Span, len(sh.nodes))
+	}
+	return k
 }
 
 // check returns an error naming the first invariant that fails.
@@ -39,11 +70,15 @@ func (k *invariantChecker) check() error {
 	if m := &c.steadyMemo; m.n > steadyMemoCap || m.slots() > capSlots {
 		return fmt.Errorf("steady memo: %d entries in %d slots, cap %d entries in %d slots", m.n, m.slots(), steadyMemoCap, capSlots)
 	}
-	pending := 0
+	pending, next := 0, 0
 	for i, sh := range c.shards {
 		if sh.steadyMemo != &c.steadyMemo {
 			return fmt.Errorf("shard %d: steady memo is not the plane's", i)
 		}
+		if sh.base != next {
+			return fmt.Errorf("shard %d: nodes start at %d, shard %d's end at %d", i, sh.base, i-1, next)
+		}
+		next += len(sh.nodes)
 		pending += sh.pending
 		if sh.queue.Len() > 0 {
 			k.queued = true
@@ -54,7 +89,9 @@ func (k *invariantChecker) check() error {
 		if n := sh.halfSet.count(); sh.halfCnt != n {
 			return fmt.Errorf("shard %d: halfCnt %d, half bitmap holds %d", i, sh.halfCnt, n)
 		}
-		var watts float64
+		var watts, billed float64
+		o := sh.obs
+		traced := o != nil && o.tracer != nil
 		for _, n := range sh.nodes {
 			if len(n.residents) > maxPerNode {
 				return fmt.Errorf("shard %d node %d: %d residents, cap %d", i, n.id, len(n.residents), maxPerNode)
@@ -65,7 +102,25 @@ func (k *invariantChecker) check() error {
 			if want := nodePhase(len(n.residents)); n.accPhase != want {
 				return fmt.Errorf("shard %d node %d: accPhase %d with %d residents", i, n.id, n.accPhase, len(n.residents))
 			}
+			cores := 0
+			for _, r := range n.residents {
+				if err := r.cfg.Validate(sh.Model.Spec.Cores); err != nil {
+					return fmt.Errorf("shard %d node %d: job %d: %w", i, n.id, r.job.ID, err)
+				}
+				cores += r.cfg.Mappers
+			}
+			if cores > sh.Model.Spec.Cores {
+				return fmt.Errorf("shard %d node %d: residents run %d mappers on %d cores", i, n.id, cores, sh.Model.Spec.Cores)
+			}
 			watts += n.watts
+			if traced {
+				sp := o.nodeSpans[n.id]
+				if last := k.spans[i][n.id]; last != sp {
+					k.closedJ[i] += last.Snapshot().EnergyJ // a nil span's is 0
+					k.spans[i][n.id] = sp
+				}
+				billed += sp.Snapshot().EnergyJ + n.watts*(sh.lastUpdate-o.since[n.id])
+			}
 		}
 		sums := sh.phaseWatts[0] + sh.phaseWatts[1] + sh.phaseWatts[2]
 		if math.Abs(sums-watts) > 1e-9*math.Abs(watts) {
@@ -75,6 +130,15 @@ func (k *invariantChecker) check() error {
 			return fmt.Errorf("shard %d: energy fell from %v to %v", i, k.energy[i], sh.energyJ)
 		}
 		k.energy[i] = sh.energyJ
+		if traced {
+			billed += k.closedJ[i]
+			if math.Abs(billed-sh.energyJ) > 1e-9*sh.energyJ {
+				return fmt.Errorf("shard %d: node spans billed %v J with the unbilled tail, the shard %v J", i, billed, sh.energyJ)
+			}
+		}
+	}
+	if next != k.nodes {
+		return fmt.Errorf("the shards' nodes end at %d, the plane has %d", next, k.nodes)
 	}
 	if done := len(c.completed); pending+done != c.nextID {
 		return fmt.Errorf("%d pending + %d completed != %d submitted", pending, done, c.nextID)
@@ -100,8 +164,13 @@ var capSlots = func() int {
 // Run then closes the run out, and the invariants are checked once
 // more. It returns an error at the first check that fails, or when the
 // run never co-located or queued a job. Call it instead of Run.
-func DriveCheckingInvariants(c *ShardedScheduler) error {
-	k := &invariantChecker{c: c, energy: make([]float64, len(c.shards))}
+func DriveCheckingInvariants(c *ShardedScheduler) error { return driveChecking(c, nil) }
+
+// driveChecking is DriveCheckingInvariants with doctor, when non-nil,
+// called after every event, before its check: a test breaks one
+// invariant through it and expects the check to catch it.
+func driveChecking(c *ShardedScheduler, doctor func()) error {
+	k := newInvariantChecker(c)
 	if err := k.check(); err != nil {
 		return fmt.Errorf("before the drive: %w", err)
 	}
@@ -112,6 +181,9 @@ func DriveCheckingInvariants(c *ShardedScheduler) error {
 		}
 		barrier := c.barrierAt(t)
 		for c.err == nil && c.step(t) {
+			if doctor != nil {
+				doctor()
+			}
 			if err := k.check(); err != nil {
 				return fmt.Errorf("after an event at t=%g: %w", t, err)
 			}
@@ -146,36 +218,165 @@ func DriveCheckingInvariants(c *ShardedScheduler) error {
 }
 
 // TestInvariantsWS4 runs the invariant checker on the WS4 scenario on
-// one shard, loaded so that jobs queue and pair, and checks that the
-// checked drive completes the same jobs and bills the same energy, to
-// the bit, as Run. TestInvariantsStealStream runs it on 16 stealing
-// shards.
+// one traced shard, loaded so that jobs queue and pair, and checks that
+// the checked drive completes the same jobs and bills the same energy,
+// to the bit, as an untraced Run. The stream runs twice: with one job
+// per arrival time, and with WS4's jobs submitted four at a time, so
+// that placements share an instant and every one after the first bills
+// its node at a zero-length accrual. TestInvariantsStealStream runs the
+// checker on 16 stealing shards.
 func TestInvariantsWS4(t *testing.T) {
 	fixture(t)
 	wl, err := Scenario("WS4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() *ShardedScheduler {
-		c := oneShard(t, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 8)
-		rng := sim.NewRNG(18)
-		at := 0.0
-		for i := 0; i < 400; i++ {
-			j := wl.Jobs[i%len(wl.Jobs)]
-			c.Submit(j.App, j.SizeGB, at)
-			at += rng.Exp(20)
+	for _, batch := range []int{1, 4} {
+		build := func(tr *tracing.Tracer) *ShardedScheduler {
+			c := oneShard(t, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 8)
+			c.SetTracer(tr)
+			rng := sim.NewRNG(18)
+			at := 0.0
+			for i := 0; i < 400; i++ {
+				j := wl.Jobs[i%len(wl.Jobs)]
+				c.Submit(j.App, j.SizeGB, at)
+				if (i+1)%batch == 0 {
+					at += rng.Exp(20 * float64(batch))
+				}
+			}
+			return c
 		}
-		return c
+		c := build(tracing.New())
+		if err := DriveCheckingInvariants(c); err != nil {
+			t.Fatalf("batches of %d: %v", batch, err)
+		}
+		ref := build(nil)
+		if _, _, err := ref.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(c.EnergyJ()) != math.Float64bits(ref.EnergyJ()) || !slices.Equal(c.Completed(), ref.Completed()) {
+			t.Fatalf("batches of %d: the checked drive diverged from Run: energy %v vs %v", batch, c.EnergyJ(), ref.EnergyJ())
+		}
 	}
-	c := build()
-	if err := DriveCheckingInvariants(c); err != nil {
+}
+
+// TestInvariantCheckerCatchesDoctoredRuns breaks each invariant the
+// checker names, once, in the state of a traced two-shard WS4 run, and
+// checks that the drive stops at the check that follows with that
+// invariant's error.
+func TestInvariantCheckerCatchesDoctoredRuns(t *testing.T) {
+	fixture(t)
+	wl, err := Scenario("WS4")
+	if err != nil {
 		t.Fatal(err)
 	}
-	ref := build()
-	if _, _, err := ref.Run(); err != nil {
-		t.Fatal(err)
+	// occupied returns the first node holding at least min residents.
+	occupied := func(c *ShardedScheduler, min int) *onlineNode {
+		for _, sh := range c.shards {
+			for _, n := range sh.nodes {
+				if len(n.residents) >= min {
+					return n
+				}
+			}
+		}
+		return nil
 	}
-	if math.Float64bits(c.EnergyJ()) != math.Float64bits(ref.EnergyJ()) || !slices.Equal(c.Completed(), ref.Completed()) {
-		t.Fatalf("the checked drive diverged from Run: energy %v vs %v", c.EnergyJ(), ref.EnergyJ())
+	cases := []struct {
+		name, want string
+		doctor     func(c *ShardedScheduler) bool // reports whether it broke the state
+	}{
+		{"free count", "freeCnt", func(c *ShardedScheduler) bool {
+			c.shards[0].freeCnt++
+			return true
+		}},
+		{"resident cap", "residents, cap", func(c *ShardedScheduler) bool {
+			n := occupied(c, 2)
+			if n != nil {
+				n.residents = append(n.residents, n.residents[0])
+			}
+			return n != nil
+		}},
+		{"occupancy phase", "accPhase", func(c *ShardedScheduler) bool {
+			n := occupied(c, 1)
+			if n != nil {
+				n.accPhase = 0
+			}
+			return n != nil
+		}},
+		{"off-grid configuration", "block size not in studied set", func(c *ShardedScheduler) bool {
+			n := occupied(c, 1)
+			if n != nil {
+				n.residents[0].cfg.Block = hdfs.BlockMB(100)
+			}
+			return n != nil
+		}},
+		{"mappers over cores", "mappers on 8 cores", func(c *ShardedScheduler) bool {
+			n := occupied(c, 2)
+			if n != nil {
+				n.residents[0].cfg.Mappers, n.residents[1].cfg.Mappers = 7, 7
+			}
+			return n != nil
+		}},
+		{"overlapping shards", "nodes start at", func(c *ShardedScheduler) bool {
+			c.shards[1].base--
+			return true
+		}},
+		{"phase sums", "phase sums", func(c *ShardedScheduler) bool {
+			c.shards[0].phaseWatts[1]++
+			return true
+		}},
+		{"falling energy", "energy fell", func(c *ShardedScheduler) bool {
+			c.shards[0].energyJ = -1
+			return true
+		}},
+		{"unbilled interval", "node spans billed", func(c *ShardedScheduler) bool {
+			// Move a node's last bill up to the clock without billing it.
+			for _, sh := range c.shards {
+				for _, n := range sh.nodes {
+					if sh.obs.since[n.id] < sh.lastUpdate {
+						sh.obs.since[n.id] = sh.lastUpdate
+						return true
+					}
+				}
+			}
+			return false
+		}},
+		{"lost job", "submitted", func(c *ShardedScheduler) bool {
+			c.shards[0].pending++
+			return true
+		}},
+		{"private steady memo", "steady memo is not the plane's", func(c *ShardedScheduler) bool {
+			c.shards[0].steadyMemo = new(memoTable[steadyKey, steadyVal])
+			return true
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(17)),
+				func() STP { return NewMemoSTP(fix.lkt, nil) }, 8, ShardedConfig{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetTracer(tracing.New())
+			rng := sim.NewRNG(18)
+			at := 0.0
+			for i := 0; i < 100; i++ {
+				j := wl.Jobs[i%len(wl.Jobs)]
+				c.Submit(j.App, j.SizeGB, at)
+				at += rng.Exp(20)
+			}
+			broke := false
+			err = driveChecking(c, func() {
+				if !broke {
+					broke = tc.doctor(c)
+				}
+			})
+			if !broke {
+				t.Fatal("the run never reached a state to doctor")
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("the checker returned %v; want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }

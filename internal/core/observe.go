@@ -34,6 +34,7 @@ type observer struct {
 	tracer    *tracing.Tracer
 	traced    map[int]*jobSpans
 	nodeSpans []*tracing.Span
+	since     []float64 // each node's last bill time (see bill)
 	aud       *audit.Log
 	fl        *flight.Recorder
 
@@ -138,7 +139,7 @@ func (m *schedMetrics) relErrFor(class string) *metrics.Histogram {
 func (s *shard) attach(set func(o *observer)) {
 	o := s.obs
 	if o == nil {
-		o = &observer{sh: s}
+		o = &observer{sh: s, since: make([]float64, len(s.nodes))}
 	}
 	set(o)
 	if o.met == nil && o.tracer == nil && o.aud == nil && o.fl == nil {
@@ -273,7 +274,7 @@ func (o *observer) sampleDepth() {
 }
 
 // rollOccupancy closes a node's occupancy span and opens the next, once
-// its resident set changed and the closing interval was accrued.
+// its resident set changed and the closing interval was billed.
 // Tracing must be on.
 func (o *observer) rollOccupancy(n *onlineNode) {
 	o.nodeSpans[n.id].FinishAt(o.sh.ev.now)
@@ -583,44 +584,47 @@ func (o *observer) complete(n *onlineNode, fin *onlineJob) {
 	}
 }
 
-// accrue attributes the dt-second interval the shard just billed: each
-// node's joules to its occupancy span, equal shares of them to its
-// residents' run spans and audit records — one division for both, so
-// the audit's realized join is bit-identical to tracing's
-// JobReport.EnergyJ — and the phase totals to the energy gauges. The
-// walk is the per-node reference for the shard's phase-sum bill: the
-// w*dt values it hands the occupancy spans re-integrate to the bill
-// within 1e-9 relative (TestAccrualMatchesNodeWalk, DESIGN.md §36).
-func (o *observer) accrue(dt float64) {
-	sh := o.sh
-	if o.tracer != nil || o.aud != nil {
-		for _, n := range sh.nodes {
-			e := n.watts * dt
-			if o.tracer != nil {
-				o.nodeSpans[n.id].AddEnergy(e)
-			}
-			if len(n.residents) == 0 {
-				continue
-			}
-			share := e / float64(len(n.residents))
-			for _, r := range n.residents {
-				if js := o.traced[r.job.ID]; js != nil {
-					js.run.AddEnergy(share)
-				}
-				o.aud.AddEnergy(r.job.ID, share)
-			}
-		}
+// bill closes n's occupancy interval at the clock: n.watts × (now −
+// since) to the node's occupancy span, and equal shares of it to the
+// residents that drew it, one division for both a run span and an audit
+// record (so the audit's join is bit-identical to JobReport.EnergyJ).
+// It runs before n's resident set changes and before reschedule moves
+// n.watts, even when accrueEnergy billed no time (DESIGN.md §39).
+func (o *observer) bill(n *onlineNode) {
+	if o.tracer == nil && o.aud == nil {
+		return
 	}
-	if m := o.met; m != nil {
-		m.energyIdle.Set(sh.phases.IdleJ)
-		m.energySolo.Set(sh.phases.SoloJ)
-		m.energyPaired.Set(sh.phases.CoJ)
+	now := o.sh.ev.now
+	e := n.watts * (now - o.since[n.id])
+	o.since[n.id] = now
+	if o.tracer != nil {
+		o.nodeSpans[n.id].AddEnergy(e)
+	}
+	for _, r := range n.residents {
+		share := e / float64(len(n.residents))
+		if js := o.traced[r.job.ID]; js != nil {
+			js.run.AddEnergy(share)
+		}
+		o.aud.AddEnergy(r.job.ID, share)
 	}
 }
 
-// finish closes the open occupancy spans at the end of the run.
+// accrue sets the energy gauges to the shard's phase totals.
+func (o *observer) accrue() {
+	if m := o.met; m != nil {
+		m.energyIdle.Set(o.sh.phases.IdleJ)
+		m.energySolo.Set(o.sh.phases.SoloJ)
+		m.energyPaired.Set(o.sh.phases.CoJ)
+	}
+}
+
+// finish bills every node's last interval and closes the open
+// occupancy spans at the end of the run.
 func (o *observer) finish() {
-	for _, sp := range o.nodeSpans {
-		sp.FinishAt(o.sh.ev.now)
+	for _, n := range o.sh.nodes {
+		o.bill(n)
+		if o.tracer != nil {
+			o.nodeSpans[n.id].FinishAt(o.sh.ev.now)
+		}
 	}
 }

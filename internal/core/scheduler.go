@@ -457,9 +457,9 @@ func (s *shard) acceptStolen(j *Job, from int, at float64, link int) {
 // accrueEnergy integrates cluster power since the last update from the
 // phase sums reschedule maintains: O(1) in the node count, with no
 // solves and no allocations (TestAccrueEnergyZeroAlloc, every sink
-// attached). The observer walks the nodes for attribution, and the
-// per-node sums it attributes match the bill to 1e-9 relative
-// (TestAccrualMatchesNodeWalk, DESIGN.md §36).
+// attached). The observer bills each node apart, once per occupancy
+// interval (observer.bill), and its node bills match this one to 1e-9
+// relative (TestAccrualMatchesNodeWalk, DESIGN.md §36, §39).
 func (s *shard) accrueEnergy() {
 	now := s.ev.now
 	dt := now - s.lastUpdate
@@ -472,7 +472,7 @@ func (s *shard) accrueEnergy() {
 	s.energyJ += (s.phaseWatts[0] + s.phaseWatts[1] + s.phaseWatts[2]) * dt
 	s.lastUpdate = now
 	if s.obs != nil {
-		s.obs.accrue(dt)
+		s.obs.accrue()
 	}
 }
 
@@ -578,6 +578,9 @@ func (s *shard) fail(err error) {
 // fixed once written).
 func (s *shard) place(n *onlineNode, j *Job) {
 	s.accrueEnergy()
+	if s.obs != nil {
+		s.obs.bill(n)
+	}
 	cfg := s.tuneFor(n, j)
 	var oj *onlineJob
 	if k := len(s.ojPool); k > 0 {
@@ -702,6 +705,9 @@ func (s *shard) nodeComplete(n *onlineNode) {
 	finisher := n.evFinisher
 	rates := n.rates[:len(n.residents)]
 	s.accrueEnergy()
+	if s.obs != nil {
+		s.obs.bill(n)
+	}
 	for i, r := range n.residents {
 		r.rem -= nextDT * rates[i]
 		if r.rem < 0 {

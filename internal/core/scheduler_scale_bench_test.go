@@ -44,22 +44,28 @@ func tracedBusyScheduler(tb testing.TB) *shard {
 
 // TestAccrueEnergyZeroAlloc is the satellite acceptance check: with
 // metrics, tracing, AND the decision audit all attached, the energy
-// accrual path must not allocate — the per-node watts cache and the
-// scratch spec buffer removed the last per-accrual allocations.
+// accrual path and a node's bill must not allocate — the per-node watts
+// cache and the scratch spec buffer removed the last per-accrual
+// allocations.
 func TestAccrueEnergyZeroAlloc(t *testing.T) {
 	s := tracedBusyScheduler(t)
 	allocs := testing.AllocsPerRun(100, func() {
 		s.lastUpdate = -1 // force dt > 0 so the full accrual body runs
 		s.accrueEnergy()
+		s.obs.bill(s.nodes[0])
 	})
 	if allocs != 0 {
-		t.Fatalf("accrueEnergy allocates %v times per call with tracing+audit enabled; want 0", allocs)
+		t.Fatalf("accrueEnergy and bill allocate %v times per call with tracing+audit enabled; want 0", allocs)
 	}
 }
 
-// BenchmarkAccrueEnergyTraced measures the fully instrumented accrual
-// path (metrics + tracing + audit attached, all nodes co-running).
-// Guarded in CI via BENCH_PERF.json: must stay allocation-free.
+// BenchmarkAccrueEnergyTraced measures the observed per-event energy
+// work with metrics, tracing and audit attached and all nodes
+// co-running: one accrual (the shard's three phase sums and the
+// observer's energy gauges) plus one node's bill (its occupancy span
+// and its two residents' run spans and audit records, DESIGN.md §39),
+// taking the nodes in turn. Guarded in CI via BENCH_PERF.json: must
+// stay allocation-free.
 func BenchmarkAccrueEnergyTraced(b *testing.B) {
 	s := tracedBusyScheduler(b)
 	b.ReportAllocs()
@@ -67,6 +73,7 @@ func BenchmarkAccrueEnergyTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.lastUpdate = -1
 		s.accrueEnergy()
+		s.obs.bill(s.nodes[i%len(s.nodes)])
 	}
 }
 

@@ -69,8 +69,8 @@ func relErr(got, want float64) float64 {
 // TestSchedulerTraceEnergyConservation is the acceptance invariant: the
 // span energy attribution must re-integrate to the scheduler's own
 // energy accounting within 1e-9 relative error. The shard sums the
-// phases incrementally while the observer walks the nodes for
-// attribution.
+// phases incrementally while the observer bills each node at its
+// occupancy changes.
 func TestSchedulerTraceEnergyConservation(t *testing.T) {
 	tr, s := tracedRun(t)
 	spans := tr.Spans()

@@ -479,32 +479,36 @@ func TestShardedStealEffectiveness(t *testing.T) {
 }
 
 // TestAccrualMatchesNodeWalk checks the shard's phase-sum accrual
-// against the observer's per-node walk, the reference since the walk
-// left the shard (DESIGN.md §36). With a tracer attached, each node's
-// occupancy span carries that node's w·dt for every interval, named by
-// its phase; summed by phase, the spans must match Phases() and
-// EnergyJ() within 1e-9 relative, the reassociation tolerance. It runs
-// the 400-job WS4 stream on 64 nodes under one shard and under 16
-// stealing shards, and checks that a traced and audited run bills
-// bit-identically to a bare one.
+// against the observer's per-node bills, the reference since the walk
+// over every node left the shard (DESIGN.md §36). With a tracer
+// attached, each node's occupancy span carries that node's draw times
+// the span's length, billed once (DESIGN.md §39), and named by its
+// phase; summed by phase, the spans must match Phases() and EnergyJ()
+// within 1e-9 relative, the reassociation tolerance. Every idle span
+// must carry IdlePower() × (End − Start) bit for bit: one write per
+// span. The nodes idle at 15.3 W, not the Atom's 16 W, whose power of
+// two would scale a sum of per-event pieces exactly. It runs the 400-job
+// WS4 stream on 64 nodes under one shard and under 16 stealing shards,
+// and checks that a traced and audited run bills bit-identically to a
+// bare one, and that an audited run without a tracer (ecost-sim's
+// -quality-report) records bit-identical per-job energy.
 func TestAccrualMatchesNodeWalk(t *testing.T) {
 	fixture(t)
 	wl, err := Scenario("WS4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(cfg ShardedConfig, observed bool) (*ShardedScheduler, *tracing.Tracer) {
-		c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(17)),
+	spec := fix.model.Spec
+	spec.IdleWatts = 15.3
+	model := mapreduce.NewModel(spec)
+	run := func(cfg ShardedConfig, tr *tracing.Tracer, aud *audit.Log) *ShardedScheduler {
+		c, err := NewShardedScheduler(model, fix.db, NewProfiler(fix.model, sim.NewRNG(17)),
 			func() STP { return NewMemoSTP(fix.lkt, nil) }, 64, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tr *tracing.Tracer
-		if observed {
-			tr = tracing.New()
-			c.SetTracer(tr)
-			c.SetAudit(audit.NewLog(audit.DriftConfig{}))
-		}
+		c.SetTracer(tr)
+		c.SetAudit(aud)
 		rng := sim.NewRNG(18)
 		at := 0.0
 		for i := 0; i < 400; i++ {
@@ -515,18 +519,34 @@ func TestAccrualMatchesNodeWalk(t *testing.T) {
 		if _, _, err := c.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return c, tr
+		return c
 	}
 	for _, cfg := range []ShardedConfig{{Shards: 1}, {Shards: 16, Steal: true}} {
-		c, tr := run(cfg, true)
+		tr, aud := tracing.New(), audit.NewLog(audit.DriftConfig{})
+		c := run(cfg, tr, aud)
 		if cfg.Steal && c.Steals() == 0 {
 			t.Fatalf("%d shards: no steal fired", cfg.Shards)
 		}
 		var walk power.PhaseAccumulator
+		idle := 0
 		for _, sp := range tr.Spans() {
-			if sp.Kind == tracing.KindNode && !walk.AddNamed(sp.Name, sp.EnergyJ) {
+			if sp.Kind != tracing.KindNode {
+				continue
+			}
+			if !walk.AddNamed(sp.Name, sp.EnergyJ) {
 				t.Fatalf("node span %d has no phase name: %q", sp.ID, sp.Name)
 			}
+			if sp.Name != power.PhaseName(0) {
+				continue
+			}
+			idle++
+			if want := model.IdlePower() * (sp.End - sp.Start); math.Float64bits(sp.EnergyJ) != math.Float64bits(want) {
+				t.Fatalf("%d shards: idle span %d over [%v, %v] carries %v J, want IdlePower × length = %v J",
+					cfg.Shards, sp.ID, sp.Start, sp.End, sp.EnergyJ, want)
+			}
+		}
+		if idle == 0 {
+			t.Fatalf("%d shards: no idle occupancy span", cfg.Shards)
 		}
 		ph := c.Phases()
 		for _, p := range []struct {
@@ -539,21 +559,35 @@ func TestAccrualMatchesNodeWalk(t *testing.T) {
 			{"total", walk.TotalJ(), c.EnergyJ()},
 		} {
 			if p.walk <= 0 {
-				t.Fatalf("%d shards: the node walk billed no %s energy", cfg.Shards, p.name)
+				t.Fatalf("%d shards: the node spans billed no %s energy", cfg.Shards, p.name)
 			}
 			if e := relErr(p.got, p.walk); e > 1e-9 {
-				t.Errorf("%d shards: %s energy %v, node walk %v (rel %.2e)", cfg.Shards, p.name, p.got, p.walk, e)
+				t.Errorf("%d shards: %s energy %v, node spans %v (rel %.2e)", cfg.Shards, p.name, p.got, p.walk, e)
 			}
 		}
-		// The observer attributes with its own walk and never writes the
-		// bill, so a bare run bills bit-identically.
-		bare, _ := run(cfg, false)
+		// The observer bills apart and never writes the shard's bill, so
+		// a bare run bills bit-identically.
+		bare := run(cfg, nil, nil)
 		if math.Float64bits(bare.EnergyJ()) != math.Float64bits(c.EnergyJ()) || bare.Phases() != ph {
 			t.Errorf("%d shards: observed run billed %v %+v, bare %v %+v",
 				cfg.Shards, c.EnergyJ(), ph, bare.EnergyJ(), bare.Phases())
 		}
 		if a, b := bare.Completed(), c.Completed(); !slices.Equal(a, b) {
 			t.Errorf("%d shards: observed run's completions differ from the bare run's", cfg.Shards)
+		}
+		// Without a tracer the audit takes the same shares.
+		audOnly := audit.NewLog(audit.DriftConfig{})
+		run(cfg, nil, audOnly)
+		for i := 0; i < cfg.Shards; i++ {
+			want, got := aud.Shard(i).Decisions(), audOnly.Shard(i).Decisions()
+			if len(got) != len(want) {
+				t.Fatalf("%d shards: shard %d audit-only run recorded %d decisions, traced run %d", cfg.Shards, i, len(got), len(want))
+			}
+			for k := range want {
+				if math.Float64bits(got[k].EnergyJ) != math.Float64bits(want[k].EnergyJ) {
+					t.Errorf("%d shards: job %d audit-only energy %v, traced %v", cfg.Shards, want[k].Job, got[k].EnergyJ, want[k].EnergyJ)
+				}
+			}
 		}
 	}
 }

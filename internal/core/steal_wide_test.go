@@ -12,6 +12,7 @@ import (
 	"ecost/internal/mapreduce"
 	"ecost/internal/scenario"
 	"ecost/internal/sim"
+	"ecost/internal/tracing"
 	"ecost/internal/workloads"
 )
 
@@ -88,9 +89,10 @@ func TestStealPassWideShards(t *testing.T) {
 }
 
 // TestInvariantsStealStream runs the invariant checker on the CI
-// steal-heavy gen: stream (seed 5) through 16 stealing shards over 64
-// nodes, with ProfileMemo on and off, and checks that the checked drive
-// completes the same jobs and bills the same energy, to the bit, as Run.
+// steal-heavy gen: stream (seed 5) through 16 stealing, traced shards
+// over 64 nodes, with ProfileMemo on and off, and checks that the
+// checked drive completes the same jobs and bills the same energy, to
+// the bit, as an untraced Run.
 func TestInvariantsStealStream(t *testing.T) {
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	db, err := core.BuildDatabase(core.NewProfiler(model, sim.NewRNG(42)), core.NewOracle(model),
@@ -110,26 +112,27 @@ func TestInvariantsStealStream(t *testing.T) {
 	}
 	for _, memo := range []bool{false, true} {
 		t.Run(fmt.Sprintf("ProfileMemo=%v", memo), func(t *testing.T) {
-			build := func() *core.ShardedScheduler {
+			build := func(tr *tracing.Tracer) *core.ShardedScheduler {
 				c, err := core.NewShardedScheduler(model, db, core.NewProfiler(model, sim.NewRNG(99)),
 					func() core.STP { return core.NewMemoSTP(lkt, nil) }, 64,
 					core.ShardedConfig{Shards: 16, Steal: true, ProfileMemo: memo})
 				if err != nil {
 					t.Fatal(err)
 				}
+				c.SetTracer(tr)
 				for _, a := range arrivals {
 					c.Submit(a.App, a.SizeGB, a.At)
 				}
 				return c
 			}
-			c := build()
+			c := build(tracing.New())
 			if err := core.DriveCheckingInvariants(c); err != nil {
 				t.Fatal(err)
 			}
 			if c.Steals() == 0 {
 				t.Fatal("the steal-heavy stream fired no steals")
 			}
-			ref := build()
+			ref := build(nil)
 			if _, _, err := ref.Run(); err != nil {
 				t.Fatal(err)
 			}

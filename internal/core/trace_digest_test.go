@@ -86,12 +86,12 @@ func TestShardedTraceDigests(t *testing.T) {
 	tr := tracing.New()
 	runStealHeavy(t, func(lkt *core.LkTSTP) core.STP { return core.NewMemoSTP(lkt, nil) },
 		func(c *core.ShardedScheduler) { c.SetTracer(tr) })
-	pin(t, "merged chrome trace", 0x2c415999ae45f67a, tr.WriteChromeTrace)
+	pin(t, "merged chrome trace", 0xe6c2f32765a6ab09, tr.WriteChromeTrace)
 	pin(t, "sectioned timeline", 0x5754d7e8e72c68a0, tr.WriteTimeline)
 	pin(t, "merged EDP report", 0x973e2ae9d486846a, tr.Report().WriteText)
 	wantChrome := [shards]uint64{
-		0xa8d6fb9a511d391e, 0x0820988cd8d8a02a, 0xf9c01672a4b57791, 0x0290ffa670e93fa1,
-		0xeeac2e48177af12b, 0x9821d15da9094cae, 0x0c70e5ba7b150a08, 0x440d209ca2574f17,
+		0xddce5570dd941696, 0x0a73f759f5f58eed, 0x1eb9d8d83bba6b42, 0x0e88515966075efd,
+		0xb4a514b7e9795d2f, 0x3bd0201dead8972a, 0xfe5cb18533b01e2f, 0xaa39f926528b8eb7,
 	}
 	wantTimeline := [shards]uint64{
 		0x78b31fdfa2040491, 0x92192856576b9d21, 0x7ea08c43ce0123f3, 0x090ea7ec3d8da68f,
@@ -169,16 +169,16 @@ func TestShardedAuditDigests(t *testing.T) {
 
 	oracle := core.NewAuditOracle(core.NewOracle(mapreduce.NewModel(cluster.AtomC2758())))
 	wantJSONL := [shards]uint64{
-		0x7c9868c106334264, 0xe9146fe1e18b7b6e, 0xee929709a4971126, 0x1e3a7d99ce7830cb,
-		0x8f997a301cebefba, 0x2047aab3054d5fbc, 0xa1d7380494717594, 0xe7d44d3d93489d66,
+		0x24f073abac5745aa, 0x4640b2572936ef97, 0xb5dcac44b81e15b6, 0xb91560c9131c43bd,
+		0x28222c1192c247e0, 0xd6191aea81b9a1f2, 0x61e079d3c7ec07ac, 0xe92fd1905e5ddfb4,
 	}
 	wantQuality := [shards]uint64{
 		0xf24a688dea592ef3, 0x8326c8124f38fc0a, 0x924707b2b6a7b2f8, 0x6923994c97d1382c,
 		0x737376e28e5d9cd9, 0xe401b81d66766de4, 0x493d72547c9e680e, 0x54d3a1b5860f5370,
 	}
 	wantText := [shards]uint64{
-		0x1225bd11fc8516c1, 0xa5219b23409c6796, 0xfc5bb46f4bd2580e, 0xd2fdf9beab346a89,
-		0x37602a471a12d8e9, 0x36f20dd2a2e9dda8, 0xd74ab3f47a0e1eed, 0xfd03cce7f8482bf7,
+		0xcae4aabdcf029121, 0xd4f18a539564203d, 0x2bf981f0d29d8f13, 0x1122cd94a77c632e,
+		0xf2572311b46d376e, 0x77066822f3d21681, 0x068077573a6859ee, 0x1e71620c604fccc1,
 	}
 	all := reg.Snapshot(false)
 	var mirrors strings.Builder
@@ -218,15 +218,15 @@ func TestShardedFlightDigests(t *testing.T) {
 	if len(fr.Dumps()) == 0 {
 		t.Fatal("the steal-heavy stream fired no flight dump")
 	}
-	pin(t, "merged epochs", 0x770afb0630a932a5, func(w io.Writer) error { return fr.WriteEpochs(w, -1) })
+	pin(t, "merged epochs", 0x9f22bab5d4b29262, func(w io.Writer) error { return fr.WriteEpochs(w, -1) })
 	wantEpochs := [shards]uint64{
-		0x5ac5481c0872eccf, 0xeb3e5035c6f8ffe0, 0x1defab04c3c660de, 0x6fe2121d3d5ee494,
-		0xad557b9c09ee2453, 0x8f9810fd2c72695d, 0x384a452ac1865327, 0xc22cbf60ba3262b4,
+		0x72f7ed3fc1f15cbb, 0x265dce2bc2beffde, 0x763efd1aa753c36d, 0x8dba690f9b39638a,
+		0xbe5157d31fe22136, 0xd2a7923bc4f88437, 0x2ea7567929af6ee8, 0x5c20ea02a2396a7e,
 	}
 	for i := 0; i < shards; i++ {
 		pin(t, fmt.Sprintf("shard %d epochs", i), wantEpochs[i], func(w io.Writer) error { return fr.WriteEpochs(w, i) })
 	}
-	pin(t, "dumps", 0xd00fe17bf2ffaa6e, fr.WriteDumps)
+	pin(t, "dumps", 0x50fe30eee6e690fe, fr.WriteDumps)
 	pin(t, "shard rows", 0xdc0f1998bb886745, fr.WriteShards)
 	pin(t, "health report", 0x14eac059dc73d9bf, fr.Health().WriteText)
 }
