@@ -42,11 +42,15 @@ func main() {
 	fmt.Printf("database: %d pair entries over %d training applications ×%d sizes (built in %v)\n",
 		len(env.DB.Entries), len(workloads.Training()), len(workloads.DataSizesGB()),
 		time.Since(start).Round(time.Millisecond))
+	all, err := env.DB.Rows()
+	if err != nil {
+		cliutil.Fatalf("sweeping training rows failed", "err", err)
+	}
 	var rows int
-	for _, r := range env.DB.Rows {
+	for _, r := range all {
 		rows += len(r)
 	}
-	fmt.Printf("training rows: %d across %d class pairs\n", rows, len(env.DB.Rows))
+	fmt.Printf("training rows: %d across %d class pairs\n", rows, len(all))
 	fmt.Printf("models: LR %d, REPTree %d, MLP %d (per class pair × size combination)\n\n",
 		env.LR.Models(), env.REPTree.Models(), env.MLP.Models())
 

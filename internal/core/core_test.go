@@ -198,10 +198,14 @@ func TestDatabaseShape(t *testing.T) {
 	if got := len(fix.db.Entries); got != 55 {
 		t.Fatalf("database entries = %d, want 55", got)
 	}
-	if len(fix.db.Rows) == 0 {
+	all, err := fix.db.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) == 0 {
 		t.Fatal("no training rows")
 	}
-	for cp, rows := range fix.db.Rows {
+	for cp, rows := range all {
 		for _, r := range rows {
 			if len(r.X) != len(ConfigRow(1, 1, [2]mapreduce.Config{{Freq: 1.2, Block: 64, Mappers: 1}, {Freq: 1.2, Block: 64, Mappers: 1}})) {
 				t.Fatalf("%v row width %d inconsistent", cp, len(r.X))
@@ -330,7 +334,11 @@ func TestMLMSTPSlotCanonicalization(t *testing.T) {
 
 func TestPredictRowKnownPair(t *testing.T) {
 	fixture(t)
-	for cp, rows := range fix.db.Rows {
+	all, err := fix.db.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cp, rows := range all {
 		if len(rows) == 0 {
 			continue
 		}
@@ -403,18 +411,27 @@ func TestParallelCOLAOMatchesSerialScan(t *testing.T) {
 	if got.Out.EDP != bestEDP {
 		t.Fatalf("parallel COLAO EDP %g, serial %g", got.Out.EDP, bestEDP)
 	}
+	// The database build's path — one batch on a worker's own evaluator
+	// — must agree with the chunked search bit for bit.
+	batch, err := fix.oracle.searchPair(fix.model.NewEvaluator(), a, 2048, b, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.Cfg != got.Cfg || batch.Out.EDP != got.Out.EDP || batch.Out.EnergyJ != got.Out.EnergyJ || batch.Out.Makespan != got.Out.Makespan {
+		t.Fatalf("one-batch search %+v, chunked search %+v", batch, got)
+	}
 }
 
 func TestParallelCOLAODeterministic(t *testing.T) {
 	fixture(t)
 	a := workloads.MustLookup("pr")
 	b := workloads.MustLookup("hmm")
-	first, err := fix.oracle.searchPair(a, 3072, b, 3072)
+	first, err := fix.oracle.searchPair(nil, a, 3072, b, 3072)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := fix.oracle.searchPair(a, 3072, b, 3072)
+		again, err := fix.oracle.searchPair(nil, a, 3072, b, 3072)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"ecost/internal/mapreduce"
+	"ecost/internal/metrics"
 	"ecost/internal/workloads"
 )
 
@@ -67,9 +69,19 @@ func baselinePairConfig(cores int) [2]mapreduce.Config {
 // per-class-pair training matrices for the learning models.
 type Database struct {
 	Entries []DBEntry
-	Rows    map[ClassPair][]TrainRow
 	classer *Classifier
 	oracle  *Oracle
+
+	// obs are the observations the entries pair, in pairGrid order, and
+	// stride the row sweep's configuration stride: all the training
+	// rows are a function of. rowsOnce guards the rows, swept on first
+	// use (see Rows); rowsGauge receives the sweep's wall seconds.
+	obs       []Observation
+	stride    int
+	rowsGauge *metrics.Gauge
+	rowsOnce  sync.Once
+	rows      map[ClassPair][]TrainRow
+	rowsErr   error
 
 	// partnerOnce guards the lazily-built PartnerPriority cache. The
 	// ranking is a pure function of Entries (which are frozen after
@@ -98,15 +110,16 @@ type BuildOptions struct {
 	ConfigStride int
 }
 
-// BuildDatabase profiles the training applications, runs the COLAO
-// search for every known pair and size combination, and assembles the
-// per-class-pair training matrices.
+// BuildDatabase profiles the training applications and runs the COLAO
+// search for every known pair and size combination. The per-class-pair
+// training matrices are not swept here: Rows sweeps them on first use,
+// so a program that only consults the lookup table never pays for them.
 //
-// The COLAO entries fan out over pairs through fanOut, then the same
-// row sweep RebuildRows runs fills the training matrices. Both write
-// index-addressed results and merge them in canonical (i, j) pair
-// order, so the entries, the training rows and everything trained from
-// them are byte-identical to a serial build at any worker count.
+// The COLAO entries fan out over pairs through fanOut; each worker runs
+// its entries' searches serially on one Evaluator, so the build runs at
+// most GOMAXPROCS goroutines and evaluators. Every entry is written to
+// its own index in canonical (i, j) pair order, so the entries are
+// byte-identical to a serial build at any worker count.
 func BuildDatabase(profiler *Profiler, oracle *Oracle, training []workloads.App, opt BuildOptions) (*Database, error) {
 	if len(training) == 0 {
 		return nil, fmt.Errorf("core: database: no training applications")
@@ -132,22 +145,19 @@ func BuildDatabase(profiler *Profiler, oracle *Oracle, training []workloads.App,
 		return nil, err
 	}
 
-	db := &Database{classer: classer, oracle: oracle}
+	db := &Database{classer: classer, oracle: oracle, obs: obs, stride: opt.ConfigStride}
 	grid := pairGrid(len(obs))
 	db.Entries = make([]DBEntry, len(grid))
 	errs := make([]error, len(grid))
-	fanOut(len(grid), func() struct{} { return struct{}{} }, func(_ struct{}, n int) {
+	fanOut(len(grid), oracle.Model.NewEvaluator, func(ev *mapreduce.Evaluator, n int) {
 		a, b := obs[grid[n][0]], obs[grid[n][1]]
 		db.Entries[n] = DBEntry{A: a, B: b}
-		db.Entries[n].Best, errs[n] = oracle.COLAO(a.App, a.SizeGB*1024, b.App, b.SizeGB*1024)
+		db.Entries[n].Best, errs[n] = oracle.colao(ev, a.App, a.SizeGB*1024, b.App, b.SizeGB*1024)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if err := db.sweepRows(obs, opt.ConfigStride); err != nil {
-		return nil, err
 	}
 	return db, nil
 }
@@ -165,116 +175,135 @@ func pairGrid(n int) [][2]int {
 	return grid
 }
 
-// sweepRows replaces the training matrices with the strided row sweep
-// of every pair of obs. The pairs fan out, each worker with its own
-// reused evaluator, and merge in pairGrid order.
-func (db *Database) sweepRows(obs []Observation, stride int) error {
-	if stride < 1 {
-		stride = 1
-	}
-	grid := pairGrid(len(obs))
-	type pairSweep struct {
-		cp   ClassPair
-		rows []TrainRow
-		err  error
-	}
-	results := make([]pairSweep, len(grid))
-	fanOut(len(grid), db.oracle.Model.NewEvaluator, func(ev *mapreduce.Evaluator, n int) {
-		r := &results[n]
-		r.cp, r.rows, r.err = pairRows(db.oracle, ev, obs[grid[n][0]], obs[grid[n][1]], stride)
-	})
-	rows := make(map[ClassPair][]TrainRow)
-	for _, r := range results {
-		if r.err != nil {
-			return r.err
-		}
-		rows[r.cp] = append(rows[r.cp], r.rows...)
-	}
-	db.Rows = rows
-	return nil
+// Rows returns the per-class-pair training matrices, sweeping them on
+// the first call; every later call, from any goroutine, sees the same
+// map and error. A built and a loaded database sweep the same way, from
+// their observations and stride, so the rows are byte-identical either
+// way. Callers must treat the map and its rows as read-only.
+func (db *Database) Rows() (map[ClassPair][]TrainRow, error) {
+	db.rowsOnce.Do(db.sweepRows)
+	return db.rows, db.rowsErr
 }
 
-// pairRows runs the strided training-row sweep for one pair. The
-// evaluator is reused across configurations (zero allocations per
-// point); row feature vectors reference the shared design matrix where
-// the canonical slot order permits.
-func pairRows(oracle *Oracle, ev *mapreduce.Evaluator, a, b Observation, stride int) (ClassPair, []TrainRow, error) {
-	cores := oracle.Model.Spec.Cores
+// SetRowsGauge makes the row sweep record its wall-clock seconds in g
+// when it runs. Call it before the rows' first use.
+func (db *Database) SetRowsGauge(g *metrics.Gauge) { db.rowsGauge = g }
+
+// sweepRows fills the training matrices with the strided row sweep of
+// every pair of the observations. The rows of each class pair are
+// counted first and allocated once; the pairs fan out, each worker
+// with its own rowSweeper, and each pair writes its rows straight to
+// its pairGrid-order offset in its class pair's matrix.
+func (db *Database) sweepRows() {
+	if db.oracle == nil {
+		db.rowsErr = fmt.Errorf("core: training rows: database has no oracle")
+		return
+	}
+	if len(db.obs) == 0 {
+		db.rowsErr = fmt.Errorf("core: training rows: database has no pair grid")
+		return
+	}
+	start := time.Now()
+	stride := max(db.stride, 1)
+	all := mapreduce.PairConfigsCached(db.oracle.Model.Spec.Cores)
+	strided := make([][2]mapreduce.Config, 0, (len(all)+stride-1)/stride)
+	for k := 0; k < len(all); k += stride {
+		strided = append(strided, all[k])
+	}
+
+	grid := pairGrid(len(db.obs))
+	classes := make([]ClassPair, len(grid))
+	offsets := make([]int, len(grid))
+	counts := make(map[ClassPair]int)
+	for n, p := range grid {
+		cp := NewClassPair(db.obs[p[0]].App.Class(), db.obs[p[1]].App.Class())
+		classes[n], offsets[n] = cp, counts[cp]
+		counts[cp] += len(strided)
+	}
+	rows := make(map[ClassPair][]TrainRow, len(counts))
+	for cp, c := range counts {
+		rows[cp] = make([]TrainRow, c)
+	}
+	errs := make([]error, len(grid))
+	fanOut(len(grid), func() *rowSweeper {
+		return &rowSweeper{ev: db.oracle.Model.NewEvaluator(), out: make([]mapreduce.CoMetrics, len(strided))}
+	}, func(w *rowSweeper, n int) {
+		dst := rows[classes[n]][offsets[n] : offsets[n]+len(strided)]
+		errs[n] = w.pairRows(db.oracle.Model.Spec.Cores, db.obs[grid[n][0]], db.obs[grid[n][1]], strided, stride, dst)
+	})
+	for _, err := range errs {
+		if err != nil {
+			db.rowsErr = err
+			return
+		}
+	}
+	db.rows = rows
+	db.rowsGauge.Set(time.Since(start).Seconds())
+}
+
+// rowSweeper is one row-sweep worker's state: a reused Evaluator and
+// the metric buffer its pairs' batches fill.
+type rowSweeper struct {
+	ev  *mapreduce.Evaluator
+	out []mapreduce.CoMetrics
+}
+
+// pairRows fills dst with one pair's training rows, one per strided
+// configuration (every stride-th of the pair grid), from one PairBatch
+// after the baseline evaluation. Row feature vectors reference the
+// shared design matrix where the canonical slot order permits.
+func (w *rowSweeper) pairRows(cores int, a, b Observation, strided [][2]mapreduce.Config, stride int, dst []TrainRow) error {
 	specA := mapreduce.RunSpec{App: a.App.App(), DataMB: a.SizeGB * 1024}
 	specB := mapreduce.RunSpec{App: b.App.App(), DataMB: b.SizeGB * 1024}
 	baseCfg := baselinePairConfig(cores)
 	specA.Cfg, specB.Cfg = baseCfg[0], baseCfg[1]
-	base, err := ev.PairMetrics(specA, specB)
+	base, err := w.ev.PairMetrics(specA, specB)
 	if err != nil {
-		return ClassPair{}, nil, err
+		return err
+	}
+	if err := w.ev.PairBatch(specA, specB, strided, w.out); err != nil {
+		return err
 	}
 
-	cp := NewClassPair(a.App.Class(), b.App.Class())
 	swapped := slotLess(b, a)
 	caObs, cbObs := a, b
 	if swapped {
 		caObs, cbObs = b, a
 	}
 	fa, fb := caObs.Reduced(), cbObs.Reduced()
-	configs := mapreduce.PairConfigsCached(cores)
 	dm := DesignMatrixCached(cores, caObs.SizeGB, cbObs.SizeGB)
-	rows := make([]TrainRow, 0, (len(configs)+stride-1)/stride)
-	for k := 0; k < len(configs); k += stride {
-		pc := configs[k]
-		specA.Cfg, specB.Cfg = pc[0], pc[1]
-		co, err := ev.PairMetrics(specA, specB)
-		if err != nil {
-			return ClassPair{}, nil, err
-		}
+	for j, pc := range strided {
 		// Canonical slot order so asymmetric class pairs always see the
 		// lower class in slot 0 (prediction swaps the same way and swaps
 		// the answer back). In the unswapped case the input row IS the
 		// shared design-matrix row; only swapped slots materialize one.
-		x := dm[k]
+		x := dm[j*stride]
 		if swapped {
 			x = ConfigRow(caObs.SizeGB, cbObs.SizeGB, [2]mapreduce.Config{pc[1], pc[0]})
 		}
-		rows = append(rows, TrainRow{
+		dst[j] = TrainRow{
 			X:      x,
-			EDP:    co.EDP,
-			RelEDP: co.EDP / base.EDP,
+			EDP:    w.out[j].EDP,
+			RelEDP: w.out[j].EDP / base.EDP,
 			FA:     fa,
 			FB:     fb,
-		})
-	}
-	return cp, rows, nil
-}
-
-// HasRows reports whether the training matrices are populated. A
-// database loaded from disk carries entries only (rows are too large to
-// persist at full stride); RebuildRows restores them.
-func (db *Database) HasRows() bool {
-	for _, rows := range db.Rows {
-		if len(rows) > 0 {
-			return true
 		}
 	}
-	return false
+	return nil
 }
 
-// RebuildRows regenerates the per-class-pair training matrices from the
-// entries' stored observations: BuildDatabase's row sweep, skipping the
-// COLAO searches the entries already hold. The sweep is a pure function
-// of the observations, so the rebuilt rows are byte-identical to the
-// original build's.
-func (db *Database) RebuildRows(opt BuildOptions) error {
-	if db.oracle == nil {
-		return fmt.Errorf("core: rebuild rows: database has no oracle")
-	}
-	// Recover the unique observation list in build order: entries are in
-	// canonical (i, j) order, so first appearance order is index order.
+// pairObservations recovers the observations a database's entries
+// pair, in pairGrid order, or nil when the entries are not the full
+// canonical pair grid over them (a database that can never have rows).
+// Entries are in (i, j) order, so first appearance order is index order.
+func pairObservations(entries []DBEntry) []Observation {
 	type obsKey struct {
 		app  workloads.ID
 		size float64
 	}
 	seen := make(map[obsKey]bool)
 	var obs []Observation
-	for _, e := range db.Entries {
+	for _, e := range entries {
 		for _, o := range []Observation{e.A, e.B} {
 			k := obsKey{o.App, o.SizeGB}
 			if !seen[k] {
@@ -283,10 +312,17 @@ func (db *Database) RebuildRows(opt BuildOptions) error {
 			}
 		}
 	}
-	if n := len(obs); len(db.Entries) != n*(n+1)/2 {
-		return fmt.Errorf("core: rebuild rows: %d entries do not form a full pair grid over %d observations", len(db.Entries), n)
+	grid := pairGrid(len(obs))
+	if len(grid) != len(entries) {
+		return nil
 	}
-	return db.sweepRows(obs, opt.ConfigStride)
+	for n, p := range grid {
+		a, b := &obs[p[0]], &obs[p[1]]
+		if e := &entries[n]; e.A.App != a.App || e.A.SizeGB != a.SizeGB || e.B.App != b.App || e.B.SizeGB != b.SizeGB {
+			return nil
+		}
+	}
+	return obs
 }
 
 // ConfigRow assembles the model input for one tunable-parameter

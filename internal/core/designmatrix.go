@@ -20,14 +20,23 @@ type designKey struct {
 	sizeA, sizeB float64
 }
 
-var designCache sync.Map // designKey → [][]float64
+var (
+	designMu    sync.Mutex // serializes misses
+	designCache sync.Map   // designKey → [][]float64
+)
 
 // DesignMatrixCached returns the ConfigRow design matrix for every
 // configuration in PairConfigsCached(cores), in enumeration order:
 // row i is ConfigRow(sizeA, sizeB, PairConfigsCached(cores)[i]).
-// The matrix is shared — callers must not mutate the rows.
+// The matrix is shared — callers must not mutate the rows. Each matrix
+// is built once, also when the row sweep's workers all miss at once.
 func DesignMatrixCached(cores int, sizeA, sizeB float64) [][]float64 {
 	k := designKey{cores, sizeA, sizeB}
+	if v, ok := designCache.Load(k); ok {
+		return v.([][]float64)
+	}
+	designMu.Lock()
+	defer designMu.Unlock()
 	if v, ok := designCache.Load(k); ok {
 		return v.([][]float64)
 	}
@@ -44,6 +53,6 @@ func DesignMatrixCached(cores int, sizeA, sizeB float64) [][]float64 {
 		copy(row, ConfigRow(sizeA, sizeB, pc))
 		rows[i] = row
 	}
-	v, _ := designCache.LoadOrStore(k, rows)
-	return v.([][]float64)
+	designCache.Store(k, rows)
+	return rows
 }

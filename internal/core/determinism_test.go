@@ -18,13 +18,13 @@ func TestParallelCOLAOAcrossGOMAXPROCS(t *testing.T) {
 	fixture(t)
 	a := workloads.MustLookup("gp")
 	b := workloads.MustLookup("hmm")
-	wide, err := fix.oracle.searchPair(a, 1024, b, 5120)
+	wide, err := fix.oracle.searchPair(nil, a, 1024, b, 5120)
 	if err != nil {
 		t.Fatal(err)
 	}
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	narrow, err := fix.oracle.searchPair(a, 1024, b, 5120)
+	narrow, err := fix.oracle.searchPair(nil, a, 1024, b, 5120)
 	if err != nil {
 		t.Fatal(err)
 	}

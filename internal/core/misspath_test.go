@@ -179,7 +179,7 @@ func TestLookupReadsRecordAnswers(t *testing.T) {
 	if err := fix.db.SaveDatabase(&buf); err != nil {
 		t.Fatal(err)
 	}
-	other, err := LoadDatabase(&buf, fix.oracle)
+	other, err := LoadDatabase(&buf, fix.oracle, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

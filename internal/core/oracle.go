@@ -135,13 +135,19 @@ func (o *Oracle) ILAO(a workloads.ID, dataA float64, b workloads.ID, dataB float
 // COLAO evaluates the co-located application optimization oracle: a
 // brute-force search over the joint configuration space for the pair.
 func (o *Oracle) COLAO(a workloads.ID, dataA float64, b workloads.ID, dataB float64) (PairBest, error) {
+	return o.colao(nil, a, dataA, b, dataB)
+}
+
+// colao is COLAO with a miss's search run serially on ev, or, when ev
+// is nil, fanned out in chunks (see searchPair).
+func (o *Oracle) colao(ev *mapreduce.Evaluator, a workloads.ID, dataA float64, b workloads.ID, dataB float64) (PairBest, error) {
 	k, swapped := canonPair(a, dataA, b, dataB)
 	o.mu.Lock()
 	best, ok := o.pair[k]
 	o.mu.Unlock()
 	if !ok {
 		var err error
-		if best, err = o.searchPair(k.appA, k.dataA, k.appB, k.dataB); err != nil {
+		if best, err = o.searchPair(ev, k.appA, k.dataA, k.appB, k.dataB); err != nil {
 			return PairBest{}, err
 		}
 		o.mu.Lock()
@@ -151,43 +157,36 @@ func (o *Oracle) COLAO(a workloads.ID, dataA float64, b workloads.ID, dataB floa
 	return unswap(best, swapped), nil
 }
 
-// searchPairChunk is the batch granularity of the COLAO scan: small
-// enough that a worker's metric buffer stays cache-resident, large
-// enough to amortize the loop bookkeeping.
+// searchPairChunk is the granularity of the chunked COLAO scan: enough
+// configurations to amortize a chunk's bookkeeping and its solo-tail
+// table, few enough to spread over the workers.
 const searchPairChunk = 512
 
-// pairScanner is one COLAO scan worker's state: a reused Evaluator and
-// the metric buffer its chunks fill.
-type pairScanner struct {
-	ev  *mapreduce.Evaluator
-	buf [searchPairChunk]mapreduce.CoMetrics
-}
-
-// searchPair scans the 11,200-point joint configuration space in
-// chunks through argminChunks (the execution model is pure, so the
-// scan is embarrassingly parallel). Each worker sweeps its chunks
-// through a reused Evaluator via PairBatch — zero allocations per
-// configuration — and the chunks merge by the serial scan's first-wins
-// rule, so the result is bit-identical at any worker count.
-func (o *Oracle) searchPair(a workloads.ID, dataA float64, b workloads.ID, dataB float64) (PairBest, error) {
+// searchPair scans the 11,200-point joint configuration space (the
+// execution model is pure, so the scan is embarrassingly parallel).
+// Given an evaluator — the database build's, one per build worker — it
+// runs as one PairArgmin on it. Without one it splits into chunks that
+// argminChunks fans out, each worker with its own evaluator; the
+// chunks merge by the serial scan's first-wins rule. Either way the
+// result is bit-identical at any worker count.
+func (o *Oracle) searchPair(ev *mapreduce.Evaluator, a workloads.ID, dataA float64, b workloads.ID, dataB float64) (PairBest, error) {
 	pcs := mapreduce.PairConfigsCached(o.Model.Spec.Cores)
 	specA := mapreduce.RunSpec{App: a.App(), DataMB: dataA}
 	specB := mapreduce.RunSpec{App: b.App(), DataMB: dataB}
-	idx, err := argminChunks(len(pcs), searchPairChunk,
-		func() *pairScanner { return &pairScanner{ev: o.Model.NewEvaluator()} },
-		func(w *pairScanner, lo, hi int) (int, float64, error) {
-			out := w.buf[:hi-lo]
-			if err := w.ev.PairBatch(specA, specB, pcs[lo:hi], out); err != nil {
-				return -1, 0, err
-			}
-			best, bestEDP := -1, math.Inf(1)
-			for j, cm := range out {
-				if cm.EDP < bestEDP {
-					best, bestEDP = lo+j, cm.EDP
+	var idx int
+	var err error
+	if ev != nil {
+		idx, _, err = ev.PairArgmin(specA, specB, pcs)
+	} else {
+		idx, err = argminChunks(len(pcs), searchPairChunk, o.Model.NewEvaluator,
+			func(ev *mapreduce.Evaluator, lo, hi int) (int, float64, error) {
+				i, s, err := ev.PairArgmin(specA, specB, pcs[lo:hi])
+				if i >= 0 {
+					i += lo
 				}
-			}
-			return best, bestEDP, nil
-		})
+				return i, s, err
+			})
+	}
 	if err != nil {
 		return PairBest{}, fmt.Errorf("core: COLAO %s+%s: %w", a.Name(), b.Name(), err)
 	}

@@ -14,9 +14,10 @@ import (
 	"ecost/internal/workloads"
 )
 
-// buildAt constructs a fresh database under GOMAXPROCS procs — which
-// sizes the build's worker pool — holding everything else (profiler
-// seed, sizes, stride) fixed.
+// buildAt constructs a fresh database and sweeps its training rows
+// under GOMAXPROCS procs — which sizes the build's and the sweep's
+// worker pools — holding everything else (profiler seed, sizes, stride)
+// fixed.
 func buildAt(t *testing.T, procs int) *Database {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -29,6 +30,9 @@ func buildAt(t *testing.T, procs int) *Database {
 	})
 	if err != nil {
 		t.Fatalf("build (GOMAXPROCS=%d): %v", procs, err)
+	}
+	if _, err := db.Rows(); err != nil {
+		t.Fatalf("row sweep (GOMAXPROCS=%d): %v", procs, err)
 	}
 	return db
 }
@@ -72,11 +76,13 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serial.Entries, parallel.Entries) {
 		t.Fatal("parallel entries diverge from serial build")
 	}
-	if len(serial.Rows) != len(parallel.Rows) {
-		t.Fatalf("row map sizes differ: %d vs %d", len(serial.Rows), len(parallel.Rows))
+	serialRows, _ := serial.Rows()
+	parallelRows, _ := parallel.Rows()
+	if len(serialRows) != len(parallelRows) {
+		t.Fatalf("row map sizes differ: %d vs %d", len(serialRows), len(parallelRows))
 	}
-	for cp, rows := range serial.Rows {
-		if !reflect.DeepEqual(rows, parallel.Rows[cp]) {
+	for cp, rows := range serialRows {
+		if !reflect.DeepEqual(rows, parallelRows[cp]) {
 			t.Fatalf("training rows for %v diverge", cp)
 		}
 	}

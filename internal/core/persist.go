@@ -17,7 +17,8 @@ import (
 // trains the STP models once (cmd/ecost-train), then ships the bundle to
 // the schedulers. The database serializes its entries and observations;
 // the raw training rows are not persisted (they are only needed to train
-// models, which serialize themselves through the ml package).
+// models, which serialize themselves through the ml package, and Rows
+// sweeps them again from the entries' observations on first use).
 
 // dbDTO is the serialized database.
 type dbDTO struct {
@@ -98,8 +99,12 @@ func (db *Database) SaveDatabase(w io.Writer) error {
 
 // LoadDatabase reads a database written by SaveDatabase and rebuilds the
 // classifier over its observations. The oracle is re-attached so lookups
-// and evaluations keep working against the given model.
-func LoadDatabase(r io.Reader, oracle *Oracle) (*Database, error) {
+// and evaluations keep working against the given model. rowStride is
+// the ConfigStride the database was built with: Rows sweeps the
+// training rows at it, as a built database does, when they are first
+// used. Entries that are not a full canonical pair grid load, but can
+// never have rows.
+func LoadDatabase(r io.Reader, oracle *Oracle, rowStride int) (*Database, error) {
 	var dto dbDTO
 	if err := json.NewDecoder(r).Decode(&dto); err != nil {
 		return nil, fmt.Errorf("core: load database: %w", err)
@@ -110,7 +115,7 @@ func LoadDatabase(r io.Reader, oracle *Oracle) (*Database, error) {
 	if len(dto.Entries) == 0 {
 		return nil, fmt.Errorf("core: load database: no entries")
 	}
-	db := &Database{Rows: map[ClassPair][]TrainRow{}, oracle: oracle}
+	db := &Database{oracle: oracle, stride: rowStride}
 	seen := map[string]Observation{}
 	for i, ed := range dto.Entries {
 		a, err := fromObsDTO(ed.A)
@@ -145,5 +150,6 @@ func LoadDatabase(r io.Reader, oracle *Oracle) (*Database, error) {
 		return nil, fmt.Errorf("core: load database: %w", err)
 	}
 	db.classer = classer
+	db.obs = pairObservations(db.Entries)
 	return db, nil
 }

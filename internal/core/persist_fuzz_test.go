@@ -68,7 +68,7 @@ func FuzzLoadDatabase(f *testing.F) {
 	f.Add([]byte(`not json at all`))
 	f.Add(valid[:len(valid)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := LoadDatabase(bytes.NewReader(data), nil)
+		db, err := LoadDatabase(bytes.NewReader(data), nil, 0)
 		if err != nil {
 			return
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestDatabaseRoundTrip(t *testing.T) {
 	if err := fix.db.SaveDatabase(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDatabase(&buf, fix.oracle)
+	loaded, err := LoadDatabase(&buf, fix.oracle, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +41,19 @@ func TestDatabaseRoundTrip(t *testing.T) {
 			t.Errorf("%s classified %v after reload, want %v", app.Name, got, want)
 		}
 	}
+	// Loaded at the build's stride, the database sweeps the built one's
+	// training rows bit for bit.
+	builtRows, err := fix.db.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadedRows, err := loaded.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loadedRows, builtRows) {
+		t.Fatal("a loaded database's training rows differ from the built database's")
+	}
 	// LkT lookups keep working on the reloaded database.
 	oa, err := fix.profiler.Observe(workloads.MustByName("nb"), 5)
 	if err != nil {
@@ -57,18 +71,18 @@ func TestDatabaseRoundTrip(t *testing.T) {
 
 func TestLoadDatabaseRejectsGarbage(t *testing.T) {
 	fixture(t)
-	if _, err := LoadDatabase(strings.NewReader("nope"), fix.oracle); err == nil {
+	if _, err := LoadDatabase(strings.NewReader("nope"), fix.oracle, 0); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := LoadDatabase(strings.NewReader(`{"version":99,"entries":[]}`), fix.oracle); err == nil {
+	if _, err := LoadDatabase(strings.NewReader(`{"version":99,"entries":[]}`), fix.oracle, 0); err == nil {
 		t.Error("bad version accepted")
 	}
-	if _, err := LoadDatabase(strings.NewReader(`{"version":1,"entries":[]}`), fix.oracle); err == nil {
+	if _, err := LoadDatabase(strings.NewReader(`{"version":1,"entries":[]}`), fix.oracle, 0); err == nil {
 		t.Error("empty database accepted")
 	}
 	bad := `{"version":1,"entries":[{"a":{"app":"bogus","size_gb":5,"features":[]},` +
 		`"b":{"app":"wc","size_gb":5,"features":[]},"cfg":[{},{}],"edp":1}]}`
-	if _, err := LoadDatabase(strings.NewReader(bad), fix.oracle); err == nil {
+	if _, err := LoadDatabase(strings.NewReader(bad), fix.oracle, 0); err == nil {
 		t.Error("unknown application accepted")
 	}
 }

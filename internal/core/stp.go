@@ -113,9 +113,10 @@ type modelKey struct {
 // the tunable parameters, and returns the argmin.
 //
 // The models train on first use: the first call of PredictBest,
-// PredictRow, Models, TrainTime or SaveModels runs the training, once,
-// and every later call — from any goroutine — sees its result. A
-// program that only ever consults the lookup table never pays for it.
+// PredictRow, Models, TrainTime or SaveModels runs the training (and,
+// if nothing has yet, the database's row sweep), once, and every later
+// call — from any goroutine — sees its result. A program that only
+// ever consults the lookup table never pays for either.
 // Every regressor seeds itself and the rows group deterministically, so
 // when training runs does not change a bit of what the models predict.
 type MLMSTP struct {
@@ -155,14 +156,16 @@ func NewMLMSTPFeatures(name string, db *Database, factory ModelFactory, rowStrid
 	return newMLMSTP(name, db, factory, rowStride, true)
 }
 
-// newMLMSTP checks that the database has rows to train on; the training
-// itself waits for first use. Every class pair's first row survives any
-// stride, so a database with rows always yields at least one model.
+// newMLMSTP checks that the database can have rows to train on — a
+// non-empty pair grid — without sweeping them; the sweep and the
+// training wait for first use. Every pair sweeps at least one row and
+// every class pair's first row survives any stride, so such a database
+// always yields at least one model.
 func newMLMSTP(name string, db *Database, factory ModelFactory, rowStride int, useFeatures bool) (*MLMSTP, error) {
 	if rowStride < 1 {
 		rowStride = 1
 	}
-	if !db.HasRows() {
+	if len(db.obs) == 0 {
 		return nil, fmt.Errorf("core: %s: database has no training rows", name)
 	}
 	return &MLMSTP{name: name, db: db, factory: factory, rowStride: rowStride, useFeatures: useFeatures}, nil
@@ -180,11 +183,18 @@ func (s *MLMSTP) trained() error {
 }
 
 // train fits one regressor per (class pair, size combination) from the
-// database rows. Models stay nil unless every regressor trains.
+// database rows, sweeping them first if nothing has yet. Models stay nil
+// unless every regressor trains. The training time is the fit alone:
+// the row sweep is the database's, timed on its own gauge.
 func (s *MLMSTP) train() {
+	dbRows, err := s.db.Rows()
+	if err != nil {
+		s.trainErr = fmt.Errorf("core: %s: %w", s.name, err)
+		return
+	}
 	start := time.Now()
 	groups := make(map[modelKey][]TrainRow)
-	for cp, all := range s.db.Rows {
+	for cp, all := range dbRows {
 		for i := 0; i < len(all); i += s.rowStride {
 			r := all[i]
 			groups[modelKey{cp, r.X[0], r.X[1]}] = append(groups[modelKey{cp, r.X[0], r.X[1]}], r)

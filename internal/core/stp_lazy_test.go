@@ -3,12 +3,16 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"ecost/internal/cluster"
 	"ecost/internal/mapreduce"
 	"ecost/internal/ml"
+	"ecost/internal/sim"
+	"ecost/internal/workloads"
 )
 
 // TestMLMSTPConcurrentFirstUse has several goroutines make the first
@@ -94,9 +98,13 @@ func TestMLMSTPTrainError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("constructor reported %v; training must wait for first use", err)
 	}
+	all, err := fix.db.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var cp ClassPair
 	var row TrainRow
-	for k, rows := range fix.db.Rows {
+	for k, rows := range all {
 		if len(rows) > 0 {
 			cp, row = k, rows[0]
 			break
@@ -137,4 +145,137 @@ func TestMLMSTPEmptyDatabase(t *testing.T) {
 	if called {
 		t.Fatal("constructor built a model for an empty database")
 	}
+}
+
+// freshDatabase builds a small database (one data size, 15 pairs)
+// whose training rows nothing has read yet.
+func freshDatabase(t *testing.T) *Database {
+	t.Helper()
+	model := mapreduce.NewModel(cluster.AtomC2758())
+	db, err := BuildDatabase(NewProfiler(model, sim.NewRNG(42)), NewOracle(model), workloads.Training(),
+		BuildOptions{Sizes: []float64{1}, ConfigStride: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestRowsSweptOnFirstUse checks that building a database, wrapping it
+// in the three MLM constructors and running the online control plane
+// over its lookup table sweep no training rows; the first Rows call
+// sweeps them.
+func TestRowsSweptOnFirstUse(t *testing.T) {
+	db := freshDatabase(t)
+	factory := func() ml.Regressor { return ml.NewLinearRegression() }
+	if _, err := NewMLMSTP("LR", db, factory); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewMLMSTPSampled("MLP", db, factory, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewMLMSTPFeatures("REPTree", db, factory, 1); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewShardedScheduler(db.Oracle().Model, db, NewProfiler(db.Oracle().Model, sim.NewRNG(99)),
+		func() STP { return NewMemoSTP(&LkTSTP{DB: db}, nil) }, 4, ShardedConfig{Shards: 2, Steal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seededStream(40, 3, 30)(c)
+	if _, _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Completed()) != 40 {
+		t.Fatalf("online run completed %d of 40 jobs", len(c.Completed()))
+	}
+	if db.rows != nil || db.rowsErr != nil {
+		t.Fatal("the build, the constructors or the online run swept the training rows")
+	}
+	rows, err := db.Rows()
+	if err != nil || len(rows) == 0 {
+		t.Fatalf("first Rows call: %d class pairs, %v", len(rows), err)
+	}
+}
+
+// TestRowsConcurrentFirstUse has goroutines make the first reads of one
+// database's rows at once — directly and through the first use of two
+// MLM techniques — and checks the rows were swept once: every caller
+// holds the one map, equal to a second build's rows, and each
+// technique's models equal those trained on that second build.
+func TestRowsConcurrentFirstUse(t *testing.T) {
+	db, ref := freshDatabase(t), freshDatabase(t)
+	newLR := func(db *Database) *MLMSTP {
+		s, err := NewMLMSTP("LR", db, func() ml.Regressor { return ml.NewLinearRegression() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	newTree := func(db *Database) *MLMSTP {
+		s, err := NewMLMSTP("REPTree", db, func() ml.Regressor { return ml.NewREPTree() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	lr, tree := newLR(db), newTree(db)
+	fixture(t) // for its profiler
+	oa, ob := obsOf(t, "wc", 1), obsOf(t, "st", 5)
+
+	const goroutines = 9
+	maps := make([]map[ClassPair][]TrainRow, goroutines)
+	errs := make([]error, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			switch i % 3 {
+			case 0:
+				maps[i], errs[i] = db.Rows()
+			case 1:
+				_, errs[i] = lr.PredictBest(oa, ob)
+			default:
+				_, errs[i] = tree.PredictBest(oa, ob)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", i, err)
+		}
+	}
+	swept, _ := db.Rows()
+	for i := 0; i < goroutines; i += 3 {
+		if reflect.ValueOf(maps[i]).UnsafePointer() != reflect.ValueOf(swept).UnsafePointer() {
+			t.Fatalf("goroutine %d read a different row map: the rows were swept more than once", i)
+		}
+	}
+	refRows, err := ref.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(swept, refRows) {
+		t.Fatal("concurrently swept rows differ from a second build's")
+	}
+	for _, p := range []struct{ got, want *MLMSTP }{{lr, newLR(ref)}, {tree, newTree(ref)}} {
+		if !bytes.Equal(fitBytes(t, p.got), fitBytes(t, p.want)) {
+			t.Fatalf("%s trained on concurrently swept rows differs from one trained on a second build", p.got.Name())
+		}
+	}
+}
+
+// fitBytes serializes a technique's models with the training time
+// masked.
+func fitBytes(t *testing.T, s *MLMSTP) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.SaveModels(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return trainTimeRE.ReplaceAll(buf.Bytes(), []byte(`"train_time_ns":0`))
 }

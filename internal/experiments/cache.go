@@ -21,8 +21,8 @@ import (
 // the expensive artifacts — database entries and trained models — keyed
 // by a hash of everything that determines them, so repeat runs skip
 // straight to the experiments. Training rows are NOT cached (a stride-1
-// database carries millions); Env.EnsureRows regenerates them on demand
-// for the one experiment that needs them.
+// database carries millions): a loaded database sweeps them on first
+// use, at the manifest's stride, exactly as a built one does.
 
 // envCacheVersion invalidates every cached artifact when the build
 // pipeline's output format or semantics change. Bump it whenever the
@@ -74,9 +74,9 @@ func CacheDir(root string, opt Options) string {
 // trained models from the cache under root when a valid entry exists
 // and building (then populating the cache) otherwise. The second
 // return reports a cache hit. A loaded Env is experiment-equivalent to
-// a built one: the profiler noise stream, database entries, classifier
-// and model predictions are identical; only DB.Rows starts empty (see
-// Env.EnsureRows).
+// a built one: the profiler noise stream, database entries, classifier,
+// model predictions and (swept on first use) training rows are
+// identical.
 func LoadOrBuildEnv(opt Options, root string) (*Env, bool, error) {
 	opt = opt.withDefaults()
 	dir := CacheDir(root, opt)
@@ -121,10 +121,11 @@ func loadEnv(opt Options, dir string) (*Env, error) {
 		return nil, err
 	}
 	defer df.Close()
-	db, err := core.LoadDatabase(df, oracle)
+	db, err := core.LoadDatabase(df, oracle, man.Stride)
 	if err != nil {
 		return nil, err
 	}
+	db.SetRowsGauge(opt.Metrics.VolatileGauge(rowsGauge))
 	env := &Env{
 		Model:    model,
 		Oracle:   oracle,
@@ -132,7 +133,6 @@ func loadEnv(opt Options, dir string) (*Env, error) {
 		DB:       db,
 		LkT:      &core.LkTSTP{DB: db},
 		Seed:     opt.Seed,
-		opt:      opt,
 	}
 	for _, slot := range []struct {
 		name string

@@ -7,13 +7,15 @@ import (
 	"reflect"
 	"testing"
 
+	"ecost/internal/metrics"
 	"ecost/internal/workloads"
 )
 
 // TestEnvCacheRoundTrip drives the artifact cache end to end: a miss
 // builds and populates the entry, a hit loads it, and the loaded Env is
 // experiment-equivalent — same predictions, same noise stream, and
-// (through EnsureRows) the same Table-1 numbers.
+// (through the training rows it sweeps on first use) the same Table-1
+// numbers.
 func TestEnvCacheRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: cache round trip builds a full Env")
@@ -30,7 +32,12 @@ func TestEnvCacheRoundTrip(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(CacheDir(root, opt), manifestFile)); err != nil {
 		t.Fatalf("cache entry not written: %v", err)
 	}
-	cached, hit, err := LoadOrBuildEnv(opt, root)
+	// The registry is not part of the cache key; it watches the loaded
+	// database's row sweep.
+	reg := metrics.NewRegistry()
+	cachedOpt := opt
+	cachedOpt.Metrics = reg
+	cached, hit, err := LoadOrBuildEnv(cachedOpt, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +48,8 @@ func TestEnvCacheRoundTrip(t *testing.T) {
 	if len(cached.DB.Entries) != len(fresh.DB.Entries) {
 		t.Fatalf("cached entries = %d, want %d", len(cached.DB.Entries), len(fresh.DB.Entries))
 	}
-	if cached.DB.HasRows() {
-		t.Fatal("cache-loaded database should start without training rows")
+	if v := reg.VolatileGauge(rowsGauge).Value(); v != 0 {
+		t.Fatalf("cache-loaded database swept its training rows on load (%s = %v)", rowsGauge, v)
 	}
 
 	// Identical predictions from every technique, on noisy observations
@@ -79,8 +86,8 @@ func TestEnvCacheRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Table 1 forces EnsureRows on the cached env; the regenerated rows
-	// must reproduce the fresh build's error numbers exactly.
+	// Table 1 reads the cached env's training rows, swept on this first
+	// use; they must reproduce the fresh build's error numbers exactly.
 	_, freshT1, err := Table1ModelAPE(fresh)
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +96,8 @@ func TestEnvCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cached.DB.HasRows() {
-		t.Fatal("EnsureRows did not repopulate the cached database")
+	if rows, err := cached.DB.Rows(); err != nil || len(rows) == 0 || reg.VolatileGauge(rowsGauge).Value() <= 0 {
+		t.Fatalf("Table 1 did not sweep the cached database's rows: %d class pairs, %v", len(rows), err)
 	}
 	for name, want := range freshT1.Average {
 		got, ok := cachedT1.Average[name]

@@ -40,10 +40,6 @@ type Env struct {
 
 	// Seed drives every stochastic element (measurement noise).
 	Seed int64
-
-	// opt remembers the (normalized) build options so EnsureRows can
-	// regenerate training matrices dropped by the artifact cache.
-	opt Options
 }
 
 // Options tunes the cost of building an Env.
@@ -58,9 +54,9 @@ type Options struct {
 	MLPEpochs    int
 	MLPRowStride int
 	// Metrics, when set, receives build observability: volatile
-	// wall-clock gauges for the database build and per-technique
-	// training times (set when a technique trains, 0 until then). It
-	// does not participate in the cache key.
+	// wall-clock gauges for the database build, the training-row sweep
+	// and per-technique training times (the last two set when they
+	// run, 0 until then). It does not participate in the cache key.
 	Metrics *metrics.Registry
 }
 
@@ -98,9 +94,10 @@ func FastOptions() Options {
 }
 
 // NewEnv builds the shared setup: model, oracle, profiler, database,
-// classifiers and the four STP techniques. It does not train the LR,
-// REPTree and MLP models; each family trains on its first use, and only
-// then sets its env.train.<name>.wall_seconds gauge.
+// classifiers and the four STP techniques. It neither sweeps the
+// training rows nor trains the LR, REPTree and MLP models: the rows are
+// swept on their first use (env.rows_build.wall_seconds), and each
+// family trains on its first use (env.train.<name>.wall_seconds).
 func NewEnv(opt Options) (*Env, error) {
 	opt = opt.withDefaults()
 	model := mapreduce.NewModel(cluster.AtomC2758())
@@ -115,6 +112,7 @@ func NewEnv(opt Options) (*Env, error) {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	opt.Metrics.VolatileGauge("env.db_build.wall_seconds").Set(time.Since(buildStart).Seconds())
+	db.SetRowsGauge(opt.Metrics.VolatileGauge(rowsGauge))
 	env := &Env{
 		Model:    model,
 		Oracle:   oracle,
@@ -122,7 +120,6 @@ func NewEnv(opt Options) (*Env, error) {
 		DB:       db,
 		LkT:      &core.LkTSTP{DB: db},
 		Seed:     opt.Seed,
-		opt:      opt,
 	}
 	env.LR, err = core.NewMLMSTP("LR", db, func() ml.Regressor { return ml.NewLinearRegression() })
 	if err != nil {
@@ -168,24 +165,8 @@ func NewEnv(opt Options) (*Env, error) {
 	return env, nil
 }
 
-// EnsureRows makes sure the database's training matrices are populated.
-// A cache-loaded Env carries entries and trained models but no rows
-// (they are too large to persist at full stride); experiments that read
-// DB.Rows directly — the Table-1 training-accuracy sweep — call this
-// first. The rebuild is a pure sweep, so the rows match the original
-// build's bit for bit.
-func (e *Env) EnsureRows() error {
-	if e.DB.HasRows() {
-		return nil
-	}
-	start := time.Now()
-	err := e.DB.RebuildRows(core.BuildOptions{
-		Sizes:        workloads.DataSizesGB(),
-		ConfigStride: e.opt.ConfigStride,
-	})
-	e.opt.Metrics.VolatileGauge("env.rows_rebuild.wall_seconds").Set(time.Since(start).Seconds())
-	return err
-}
+// rowsGauge names the training-row sweep's wall-clock gauge.
+const rowsGauge = "env.rows_build.wall_seconds"
 
 // STPs returns the four techniques in the paper's order.
 func (e *Env) STPs() []core.STP {

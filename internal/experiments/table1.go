@@ -26,8 +26,8 @@ type Table1Data struct {
 // fitted and evaluated on the database rows of the known applications;
 // the generalization question is Table 2's.
 func Table1ModelAPE(env *Env) (Table, Table1Data, error) {
-	// A cache-loaded Env drops the raw training rows; regenerate them.
-	if err := env.EnsureRows(); err != nil {
+	all, err := env.DB.Rows()
+	if err != nil {
 		return Table{}, Table1Data{}, err
 	}
 	data := Table1Data{
@@ -36,7 +36,7 @@ func Table1ModelAPE(env *Env) (Table, Table1Data, error) {
 	}
 	models := []*core.MLMSTP{env.LR, env.REPTree, env.MLP}
 
-	for cp, rows := range env.DB.Rows {
+	for cp, rows := range all {
 		data.APE[cp] = map[string]float64{}
 		for _, m := range models {
 			var sum float64

@@ -3,7 +3,9 @@ package mapreduce
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"ecost/internal/cluster"
 	"ecost/internal/hdfs"
 	"ecost/internal/power"
 )
@@ -52,6 +54,9 @@ type evalScratch struct {
 	active   []bool
 	subActv  []bool
 	loads    []power.CoreLoad
+	// tails, when non-nil, memoizes the pair's solo tails; PairBatch
+	// sets it for the length of one call.
+	tails *soloTails
 }
 
 func (s *evalScratch) ensure(n int) {
@@ -406,6 +411,69 @@ func (m *Model) activityInto(specs []RunSpec, sts []steady, active []bool, s *ev
 	return act
 }
 
+// epochWatts is the node's draw while every app of specs runs at its
+// steady state sts.
+func (m *Model) epochWatts(specs []RunSpec, sts []steady, s *evalScratch) float64 {
+	active := s.subActv[:len(specs)]
+	for k := range active {
+		active[k] = true
+	}
+	return power.NodePower(m.Spec, m.activityInto(specs, sts, active, s))
+}
+
+// soloTails memoizes a pair's solo tails within one PairBatch call
+// (DESIGN.md §40). Once the first app of a pair finishes, coLocateInto
+// solves the survivor alone, and that solve's job time and node draw
+// depend only on the survivor's spec. A call holds each side's
+// application and data size fixed, so the table is dense over side ×
+// frequency × block × mappers, and it is reset on every call: the
+// model's knobs are read afresh each time, as everywhere else.
+type soloTails struct {
+	cores   int
+	freqs   []cluster.FreqGHz
+	blocks  []hdfs.BlockMB
+	entries []soloTail
+	one     [1]steady // the tail's solve, as the epoch loop reads it
+}
+
+// soloTail is one survivor's job time and the node's draw while it
+// runs alone; ok marks a filled entry.
+type soloTail struct {
+	T, watts float64
+	ok       bool
+}
+
+// reset empties the table for a call on a node with the given cores.
+func (t *soloTails) reset(cores int) {
+	if t.freqs == nil {
+		t.freqs, t.blocks = cluster.Frequencies(), hdfs.BlockSizes()
+	}
+	n := 2 * len(t.freqs) * len(t.blocks) * cores
+	if t.cores != cores || len(t.entries) != n {
+		t.cores, t.entries = cores, make([]soloTail, n)
+		return
+	}
+	clear(t.entries)
+}
+
+// solve is the epoch solve of sub, the lone survivor of side: the
+// table's entry when filled, else evaluateInto and epochWatts, stored.
+// Only the job time of the returned steady state is set; it is all the
+// epoch loop reads once the per-app outcomes are taken. coLocateInto
+// validated the configuration, so it lies on the table's grid.
+func (t *soloTails) solve(m *Model, side int, sub []RunSpec, s *evalScratch) ([]steady, float64) {
+	cfg := &sub[0].Cfg
+	f := slices.Index(t.freqs, cfg.Freq)
+	b := slices.Index(t.blocks, cfg.Block)
+	e := &t.entries[((side*len(t.freqs)+f)*len(t.blocks)+b)*t.cores+cfg.Mappers-1]
+	if !e.ok {
+		sts := m.evaluateInto(sub, s)
+		e.T, e.watts, e.ok = sts[0].T, m.epochWatts(sub, sts, s), true
+	}
+	t.one[0] = steady{T: e.T}
+	return t.one[:], e.watts
+}
+
 // coLocateInto is CoLocate with caller-owned buffers. apps, when
 // non-nil, must have len(specs) elements and receives the per-app
 // outcomes; a nil apps skips the initial-contention evaluation and the
@@ -443,7 +511,8 @@ func (m *Model) coLocateInto(specs []RunSpec, s *evalScratch, apps []Outcome) (C
 	}
 	// The first epoch runs the whole set, so its solve is the initial
 	// contention the per-app outcomes report; later epochs re-solve
-	// only after an app finishes.
+	// only after an app finishes. A solve fixes the node's draw until
+	// the next one.
 	sub := specs
 	sts := m.evaluateInto(specs, s)
 	if apps != nil {
@@ -456,6 +525,8 @@ func (m *Model) coLocateInto(specs []RunSpec, s *evalScratch, apps []Outcome) (C
 		}
 	}
 
+	watts := m.epochWatts(specs, sts, s)
+
 	now := 0.0
 	remaining := n
 	for stale := false; remaining > 0; {
@@ -467,7 +538,12 @@ func (m *Model) coLocateInto(specs []RunSpec, s *evalScratch, apps []Outcome) (C
 					idx = append(idx, i)
 				}
 			}
-			sts = m.evaluateInto(sub, s)
+			if len(sub) == 1 && s.tails != nil {
+				sts, watts = s.tails.solve(m, idx[0], sub, s)
+			} else {
+				sts = m.evaluateInto(sub, s)
+				watts = m.epochWatts(sub, sts, s)
+			}
 			stale = false
 		}
 		// Epoch ends when the first active app finishes.
@@ -480,11 +556,6 @@ func (m *Model) coLocateInto(specs []RunSpec, s *evalScratch, apps []Outcome) (C
 		if math.IsInf(dt, 1) || dt < 0 {
 			return CoOutcome{}, fmt.Errorf("mapreduce: co-locate: non-finite epoch")
 		}
-		subActive := s.subActv[:len(sub)]
-		for k := range sub {
-			subActive[k] = true
-		}
-		watts := power.NodePower(m.Spec, m.activityInto(sub, sts, subActive, s))
 		co.EnergyJ += watts * dt
 		now += dt
 		for k, i := range idx {
@@ -539,6 +610,7 @@ type Evaluator struct {
 	specs  [2]RunSpec
 	apps   []Outcome // per-app outcomes: SoloApp and the noisy-model fallback
 	states []SteadyState
+	tails  soloTails // PairBatch's solo tails
 }
 
 // NewEvaluator returns a reusable evaluator over the model. The
@@ -633,35 +705,61 @@ func (e *Evaluator) Steady(specs []RunSpec) ([]SteadyState, float64, error) {
 		e.states = make([]SteadyState, len(sts))
 	}
 	out := e.states[:len(sts)]
-	active := e.s.active[:len(sts)]
 	for i := range sts {
 		st := &sts[i]
 		out[i] = SteadyState{
 			JobTime: st.T, CPUUtil: st.util, IOWait: st.iowait,
 			MapTime: st.mapTime, ReduceTime: st.redTime,
 		}
-		active[i] = true
 	}
-	watts := power.NodePower(m.Spec, m.activityInto(specs, sts, active, &e.s))
-	return out, watts, nil
+	return out, m.epochWatts(specs, sts, &e.s), nil
 }
 
 // PairBatch evaluates the same two applications at every joint
 // configuration in cfgs, overwriting each spec's Cfg in turn; out must
-// have len(cfgs) elements. This is the inner loop of the COLAO search
-// and the database's training-row sweep: zero allocations per
-// configuration after the first call.
+// have len(cfgs) elements. This is the inner loop of the database's
+// training-row sweep: zero allocations per configuration after the
+// first call. Each side's solo tail is solved once per configuration
+// of that side (soloTails); every result is bit-identical to
+// Model.Pair's, and a noisy model draws the same jitter sequence.
 func (e *Evaluator) PairBatch(a, b RunSpec, cfgs [][2]Config, out []CoMetrics) error {
 	if len(out) != len(cfgs) {
 		return fmt.Errorf("mapreduce: pair batch: %d outputs for %d configs", len(out), len(cfgs))
 	}
+	return e.pairEach(a, b, cfgs, func(i int, cm CoMetrics) { out[i] = cm })
+}
+
+// PairArgmin is PairBatch reduced to the COLAO search's answer: the
+// first index into cfgs whose EDP is strictly below every earlier one
+// (starting from +Inf), with that EDP, or -1 when none scores (all
+// NaN). It needs no buffer for the metrics it scans.
+func (e *Evaluator) PairArgmin(a, b RunSpec, cfgs [][2]Config) (int, float64, error) {
+	best, bestEDP := -1, math.Inf(1)
+	err := e.pairEach(a, b, cfgs, func(i int, cm CoMetrics) {
+		if cm.EDP < bestEDP {
+			best, bestEDP = i, cm.EDP
+		}
+	})
+	if err != nil {
+		return -1, 0, err
+	}
+	return best, bestEDP, nil
+}
+
+// pairEach evaluates the pair at every configuration of cfgs in order,
+// with the solo-tail table on for the length of the call, and hands
+// each result to emit.
+func (e *Evaluator) pairEach(a, b RunSpec, cfgs [][2]Config, emit func(int, CoMetrics)) error {
+	e.tails.reset(e.m.Spec.Cores)
+	e.s.tails = &e.tails
+	defer func() { e.s.tails = nil }()
 	for i := range cfgs {
 		a.Cfg, b.Cfg = cfgs[i][0], cfgs[i][1]
 		cm, err := e.PairMetrics(a, b)
 		if err != nil {
 			return err
 		}
-		out[i] = cm
+		emit(i, cm)
 	}
 	return nil
 }

@@ -73,13 +73,22 @@ func AllConfigs(maxMappers int) []Config {
 	return out
 }
 
-var pairConfigCache sync.Map // cores → [][2]Config
+var (
+	pairConfigMu    sync.Mutex // serializes misses
+	pairConfigCache sync.Map   // cores → [][2]Config
+)
 
 // PairConfigsCached returns PairConfigs(cores), memoized. The slice is
 // shared: callers must not mutate it. The oracle searches and the
 // MLM-STP argmin call this on every pair, so the 11,200-element
-// enumeration is built once per core count.
+// enumeration is built once per core count, also when the database
+// build's workers all miss at once.
 func PairConfigsCached(cores int) [][2]Config {
+	if v, ok := pairConfigCache.Load(cores); ok {
+		return v.([][2]Config)
+	}
+	pairConfigMu.Lock()
+	defer pairConfigMu.Unlock()
 	if v, ok := pairConfigCache.Load(cores); ok {
 		return v.([][2]Config)
 	}
