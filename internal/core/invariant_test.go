@@ -33,11 +33,15 @@ import (
 //     1e-9 relative (DESIGN.md §39);
 //   - the jobs pending on the shards plus the completed ones are the
 //     jobs submitted;
+//   - the completion log entries added since the last check keep the
+//     log's (Finished, ID) order, and each has Submitted ≤ Started <
+//     Finished ≤ the clock (bench/check.go's rule for a whole run);
 //   - every shard caches its steady solves in the plane's one steady
 //     memo, which holds at most steadyMemoCap entries in no more slots
 //     than a table at the cap (DESIGN.md §37).
 //
-// nodes is the plane's node count before the drive. spans and closedJ
+// nodes is the plane's node count before the drive. logged is the
+// completion log's length at the last check. spans and closedJ
 // follow each traced shard's node spans: the span each node held at the
 // last check, and the energy of the spans that closed since. A span
 // that opens and closes between two checks lasts no time, so it carries
@@ -46,7 +50,7 @@ import (
 // exercised them.
 type invariantChecker struct {
 	c              *ShardedScheduler
-	nodes          int
+	nodes, logged  int
 	energy         []float64
 	spans          [][]*tracing.Span
 	closedJ        []float64
@@ -143,6 +147,32 @@ func (k *invariantChecker) check() error {
 	if done := len(c.completed); pending+done != c.nextID {
 		return fmt.Errorf("%d pending + %d completed != %d submitted", pending, done, c.nextID)
 	}
+	return k.checkLog()
+}
+
+// checkLog checks the completion log entries added since the last
+// check. An entry lands at the end or moves back only past entries
+// finished at the same instant, so every entry that moved lies in the
+// run of equal finish times reaching the first new slot; the check
+// starts at that run.
+func (k *invariantChecker) checkLog() error {
+	l, now := k.c.completed, k.c.ev.now
+	lo := k.logged
+	for lo > 0 && lo < len(l) && l[lo-1].Finished == l[lo].Finished {
+		lo--
+	}
+	for i := lo; i < len(l); i++ {
+		d := &l[i]
+		if i > 0 && !l[i-1].precedes(d) {
+			return fmt.Errorf("completion log: job %d @%v follows job %d @%v, out of (Finished, ID) order",
+				d.ID, d.Finished, l[i-1].ID, l[i-1].Finished)
+		}
+		if !(d.Submitted <= d.Started && d.Started < d.Finished && d.Finished <= now) {
+			return fmt.Errorf("completion log: job %d submitted %v, started %v, finished %v at clock %v",
+				d.ID, d.Submitted, d.Started, d.Finished, now)
+		}
+	}
+	k.logged = len(l)
 	return nil
 }
 
@@ -347,6 +377,26 @@ func TestInvariantCheckerCatchesDoctoredRuns(t *testing.T) {
 		}},
 		{"private steady memo", "steady memo is not the plane's", func(c *ShardedScheduler) bool {
 			c.shards[0].steadyMemo = new(memoTable[steadyKey, steadyVal])
+			return true
+		}},
+		// A completion this event logged finishes at the clock, and the
+		// entry before it earlier: swapping the two breaks the order.
+		{"completion order", "out of (Finished, ID) order", func(c *ShardedScheduler) bool {
+			l := c.completed
+			n := len(l)
+			if n < 2 || l[n-1].Finished != c.ev.now || l[n-2].Finished >= l[n-1].Finished {
+				return false
+			}
+			l[n-2], l[n-1] = l[n-1], l[n-2]
+			return true
+		}},
+		{"completion after the clock", "at clock", func(c *ShardedScheduler) bool {
+			l := c.completed
+			n := len(l)
+			if n == 0 || l[n-1].Finished != c.ev.now {
+				return false
+			}
+			l[n-1].Finished++
 			return true
 		}},
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -11,18 +12,120 @@ import (
 	"ecost/internal/workloads"
 )
 
-// TestPendingArrivalSize pins the arrival-ring entry at three words: it
-// carries the profile record by pointer, never an Observation.
+// TestPendingArrivalSize pins the arrival-ring entry at two words: it
+// carries the profile record by pointer, never an Observation, and no
+// job id, which the ring's delivery order gives.
 func TestPendingArrivalSize(t *testing.T) {
-	if n := unsafe.Sizeof(pendingArrival{}); n > 24 {
-		t.Fatalf("pendingArrival is %d B, want ≤ 24", n)
+	if n := unsafe.Sizeof(pendingArrival{}); n != 16 {
+		t.Fatalf("pendingArrival is %d B, want 16", n)
 	}
 }
 
-// TestRecordSizes pins what each arrival, observation and router record
-// carries now that they name their application by id: no copy of a
-// workloads.App, and no pointer, so the garbage collector scans none
-// of them.
+// ringEntries returns the ring's undelivered entries in delivery order.
+func ringEntries(r *arrivalRing) []pendingArrival {
+	var out []pendingArrival
+	for k, ch := range r.chunks {
+		lo, hi := 0, arrChunk
+		if k == 0 {
+			lo = r.hi
+		}
+		if k == len(r.chunks)-1 {
+			hi = r.ti
+		}
+		out = append(out, ch[lo:hi]...)
+	}
+	return out
+}
+
+// TestArrivalRingChunks submits 3×arrChunk+1 arrivals and checks that
+// the ring takes on four chunks and never moves one: every chunk the
+// tail took on stays in the ring, in order, holding the arrivals
+// submitted into it. During the drive each drained head chunk leaves
+// the ring with its entries cleared, while later arrivals are still
+// pending; the last chunk is refilled from its start once the ring
+// drains. Every job's id is its submission index.
+func TestArrivalRingChunks(t *testing.T) {
+	fixture(t)
+	c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(23)),
+		func() STP { return NewMemoSTP(fix.lkt, nil) }, 16, ShardedConfig{Shards: 2, ProfileMemo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := workloads.TrainingIDs()
+	var chunks []*[arrChunk]pendingArrival
+	var at []float64
+	submit := func(i int) {
+		t.Helper()
+		at = append(at, 100*float64(i))
+		c.Submit(apps[i%len(apps)], 1, at[i])
+		if tail := c.arrivals.chunks[len(c.arrivals.chunks)-1]; len(chunks) == 0 || tail != chunks[len(chunks)-1] {
+			chunks = append(chunks, tail)
+		}
+	}
+	const n = 3*arrChunk + 1
+	for i := 0; i < n; i++ {
+		submit(i)
+	}
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	r := &c.arrivals
+	if len(chunks) != 4 || !slices.Equal(r.chunks, chunks) || r.hi != 0 || r.ti != 1 {
+		t.Fatalf("ring holds %d chunks (tail took on %d), head at %d, tail at %d; want the 4 chunks in order, 0 and 1",
+			len(r.chunks), len(chunks), r.hi, r.ti)
+	}
+	for i, p := range ringEntries(r) {
+		if p.at != at[i] || p.rec == nil {
+			t.Fatalf("entry %d holds an arrival at %g (record %p), want the one submitted at %g", i, p.at, p.rec, at[i])
+		}
+	}
+
+	released := 0
+	for {
+		t0, ok := c.nextAt()
+		if !ok {
+			break
+		}
+		head := r.chunks[0]
+		for c.step(t0) {
+		}
+		if r.chunks[0] == head {
+			continue
+		}
+		if slices.Contains(r.chunks, head) || *head != ([arrChunk]pendingArrival{}) {
+			t.Fatalf("chunk %d left in the ring or holding entries", released)
+		}
+		released++
+		if r.chunks[0] != chunks[released] || r.peek() == nil {
+			t.Fatalf("after chunk %d drained, the head is not chunk %d with arrivals pending", released-1, released)
+		}
+	}
+	if released != 3 || len(r.chunks) != 1 || r.chunks[0] != chunks[3] || r.hi != 0 || r.ti != 0 {
+		t.Fatalf("released %d chunks, ring of %d, head at %d, tail at %d; want 3, with the last chunk kept empty",
+			released, len(r.chunks), r.hi, r.ti)
+	}
+	submit(n)
+	if len(chunks) != 4 || len(r.chunks) != 1 || r.ti != 1 {
+		t.Fatalf("an arrival into the drained ring took on chunk %d at %d, want the kept chunk at 0", len(chunks), r.ti)
+	}
+	if _, _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	done := c.Completed()
+	if len(done) != n+1 {
+		t.Fatalf("%d jobs completed, want %d", len(done), n+1)
+	}
+	for _, j := range done {
+		if j.Submitted != at[j.ID] {
+			t.Fatalf("job %d was submitted at %g, want the arrival submitted %dth, at %g", j.ID, j.Submitted, j.ID, at[j.ID])
+		}
+	}
+}
+
+// TestRecordSizes pins what each arrival, observation, router record
+// and completion log entry carries now that they name their
+// application by id: no copy of a workloads.App, and no pointer, so the
+// garbage collector scans none of them.
 func TestRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		v   any
@@ -31,6 +134,7 @@ func TestRecordSizes(t *testing.T) {
 		{trace.Arrival{}, 24},
 		{Observation{}, 136},
 		{profileRec{}, 168},
+		{doneJob{}, 72},
 	} {
 		typ := reflect.TypeOf(c.v)
 		if n := typ.Size(); n > c.max {
@@ -65,8 +169,9 @@ func hasPointers(t reflect.Type) bool {
 
 // TestShardedSubmitWarmZeroAlloc pins the warm ProfileMemo submission:
 // once (app, size) has its record, routing a job copies no observation and
-// allocates nothing. The arrival ring still grows by doubling, which
-// AllocsPerRun's whole-allocations-per-call average rounds away.
+// allocates nothing. The arrival ring links one chunk per arrChunk
+// submissions, which AllocsPerRun's whole-allocations-per-call average
+// rounds away.
 func TestShardedSubmitWarmZeroAlloc(t *testing.T) {
 	fixture(t)
 	c, err := NewShardedScheduler(fix.model, fix.db, fix.profiler,
@@ -164,21 +269,21 @@ func TestProfileRecords(t *testing.T) {
 		}
 		recOf, specOf := map[key]*profileRec{}, map[key]int{}
 		ids := map[uint64]bool{}
-		for _, p := range c.arrQ {
+		for id, p := range ringEntries(&c.arrivals) {
 			r, k := p.rec, key{p.rec.obs.App.Name(), p.rec.obs.SizeGB}
 			if r.obs.id == 0 {
-				t.Fatalf("memo=%v: job %d holds id 0", memo, p.id)
+				t.Fatalf("memo=%v: job %d holds id 0", memo, id)
 			}
 			if first, ok := recOf[k]; !ok {
 				recOf[k], specOf[k] = r, r.spec
 			} else if memo && r != first {
-				t.Fatalf("memo=%v: job %d of %v got a second record", memo, p.id, k)
+				t.Fatalf("memo=%v: job %d of %v got a second record", memo, id, k)
 			}
 			if r.spec != specOf[k] {
-				t.Fatalf("memo=%v: job %d of %v has spec %d, want %d", memo, p.id, k, r.spec, specOf[k])
+				t.Fatalf("memo=%v: job %d of %v has spec %d, want %d", memo, id, k, r.spec, specOf[k])
 			}
 			if !memo && ids[r.obs.id] {
-				t.Fatalf("memo=%v: job %d reuses id %d", memo, p.id, r.obs.id)
+				t.Fatalf("memo=%v: job %d reuses id %d", memo, id, r.obs.id)
 			}
 			ids[r.obs.id] = true
 		}

@@ -83,7 +83,7 @@ type shard struct {
 	// completions points at the control plane's one completion log,
 	// err at its error: the first error an event hit (see fail).
 	pending     int
-	completions *[]CompletedJob
+	completions *[]doneJob
 	err         *error
 
 	// energy accounting
@@ -112,10 +112,10 @@ const maxPerNode = 2
 
 // pendingArrival is one undelivered submission in the control plane's
 // arrival ring. It holds the profile by reference, and the home shard
-// lives on the record, so an entry is three words however large an
-// Observation grows (TestPendingArrivalSize pins it at 24 B or less).
+// lives on the record; the job's id is its place in the ring's delivery
+// order, so an entry is two words however large an Observation grows
+// (TestPendingArrivalSize pins it at 16 B).
 type pendingArrival struct {
-	id  int
 	at  float64
 	rec *profileRec
 }
@@ -178,6 +178,43 @@ type CompletedJob struct {
 	Finished  float64
 	Node      int
 	Cfg       mapreduce.Config
+}
+
+// doneJob is one entry of the control plane's completion log: a
+// CompletedJob with its application and class by id and its node in
+// 32 bits. It holds no pointer, so the garbage collector never scans
+// the log, and it is 72 bytes to CompletedJob's 96 (TestRecordSizes).
+// Completed expands the entries into CompletedJobs.
+type doneJob struct {
+	ID        int
+	SizeGB    float64
+	Submitted float64
+	Started   float64
+	Finished  float64
+	Cfg       mapreduce.Config
+	Node      int32
+	App       workloads.ID
+	Class     uint8
+}
+
+// precedes reports whether d comes before e in the log's (Finished, ID)
+// order, a total order: a job completes once.
+func (d *doneJob) precedes(e *doneJob) bool {
+	return d.Finished < e.Finished || (d.Finished == e.Finished && d.ID < e.ID)
+}
+
+// logCompletion appends d to the completion log, in (Finished, ID)
+// order. The engine fires completions in time order, so d is never
+// earlier than the log's last entry; only a same-instant completion
+// with a lower id than the ones before it moves back, past those few.
+func logCompletion(log *[]doneJob, d doneJob) {
+	l := append(*log, d)
+	i := len(l) - 1
+	for ; i > 0 && d.precedes(&l[i-1]); i-- {
+		l[i] = l[i-1]
+	}
+	l[i] = d
+	*log = l
 }
 
 type onlineJob struct {
@@ -723,12 +760,12 @@ func (s *shard) nodeComplete(n *onlineNode) {
 	}
 	s.occupancyChanged(n)
 	s.pending--
-	// Filled in place, where a literal would be built aside and copied.
-	*s.completions = append(*s.completions, CompletedJob{})
-	d, j := &(*s.completions)[len(*s.completions)-1], finisher.job
-	d.ID, d.App, d.Class, d.SizeGB = j.ID, j.Obs.App.Name(), j.Class, j.Obs.SizeGB
-	d.Submitted, d.Started, d.Finished = j.Arrived, finisher.started, s.ev.now
-	d.Node, d.Cfg = s.gid(n), finisher.cfg
+	j := finisher.job
+	logCompletion(s.completions, doneJob{
+		ID: j.ID, SizeGB: j.Obs.SizeGB,
+		Submitted: j.Arrived, Started: finisher.started, Finished: s.ev.now,
+		Cfg: finisher.cfg, Node: int32(s.gid(n)), App: j.Obs.App, Class: uint8(j.Class),
+	})
 	if s.obs != nil {
 		s.obs.complete(n, finisher)
 	}

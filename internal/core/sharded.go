@@ -12,9 +12,9 @@ package core
 // owns the only completion heap and the only pending-arrival ring, and
 // each shard schedules its nodes' completions on that heap. Between
 // steal passes the shards share no mutable state but the one
-// completion log, whose order Completed fixes by sorting, so
-// interleaving their events in one (time, seq) order is invisible in
-// every export.
+// completion log, which every append keeps in (finish time, job id)
+// order (DESIGN.md §41), so interleaving their events in one
+// (time, seq) order is invisible in every export.
 //
 // The steal pass is the only cross-shard interaction, and it runs only
 // at barrier times (DESIGN.md §17): a wait queue can only grow at an
@@ -26,8 +26,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 
 	"ecost/internal/audit"
 	"ecost/internal/flight"
@@ -72,13 +70,12 @@ type ShardedScheduler struct {
 	prof   *Profiler
 
 	// ev is the clock and completion heap every shard schedules on.
-	// arrQ is the pending-arrival ring Submit fills: its head is the
-	// one arrival event, which delivers every arrival sharing its
-	// timestamp to its home shard, in submission order (DESIGN.md §24).
-	// arrHead indexes the first undelivered entry.
-	ev      eventQueue
-	arrQ    []pendingArrival
-	arrHead int
+	// arrivals is the pending-arrival ring Submit fills: its head is
+	// the one arrival event, which delivers every arrival sharing its
+	// timestamp to its home shard, in submission order (DESIGN.md §24,
+	// §41).
+	ev       eventQueue
+	arrivals arrivalRing
 
 	// steadyMemo is the one steady memo every shard probes and fills
 	// (shard.steadyMemo, DESIGN.md §37). Its key is made of plane-wide
@@ -104,10 +101,12 @@ type ShardedScheduler struct {
 	// reused across passes.
 	queued nodeSet
 
-	// completed is the one completion log: every shard appends to it at
-	// its completion events, which the one engine fires in time order.
-	// Run reserves it for every submitted job, so it never regrows.
-	completed []CompletedJob
+	// completed is the one completion log, in (Finished, ID) order:
+	// every shard appends to it at its completion events through
+	// logCompletion, which keeps the order. Run reserves it for every
+	// submitted job, so it never regrows. Its entries hold no pointer
+	// (doneJob), so the collector never scans it.
+	completed []doneJob
 
 	// err is the first bad submission (a profile error or an
 	// out-of-order arrival time) or the first error an event hit.
@@ -321,31 +320,77 @@ func (c *ShardedScheduler) Submit(app workloads.ID, sizeGB, at float64) {
 		return
 	}
 	c.shards[rec.home].pending++
-	if len(c.arrQ) == cap(c.arrQ) {
-		// Double a full ring: append's 1.25× step for large slices
-		// allocates about five times the final ring.
-		c.arrQ = slices.Grow(c.arrQ, len(c.arrQ)+1)
-	}
-	c.arrQ = append(c.arrQ, pendingArrival{id: c.nextID, at: at, rec: rec})
+	c.arrivals.push(pendingArrival{at: at, rec: rec})
 	c.nextID++
 }
 
 // fireArrivals is the ring's head event: it delivers every arrival due
 // at the current clock to its home shard in submission order — each
 // shard's arrive runs classify, queue and dispatch exactly as a per-job
-// event would.
+// event would. A job's id is the number of arrivals delivered before
+// it, which is its submission index.
 func (c *ShardedScheduler) fireArrivals() {
-	now := c.ev.now
-	for c.arrHead < len(c.arrQ) && c.arrQ[c.arrHead].at <= now {
-		p := c.arrQ[c.arrHead]
-		c.arrQ[c.arrHead] = pendingArrival{}
-		c.arrHead++
-		c.shards[p.rec.home].arrive(p.id, p.rec, p.at)
+	r := &c.arrivals
+	for p := r.peek(); p != nil && p.at <= c.ev.now; p = r.peek() {
+		a, id := r.pop()
+		c.shards[a.rec.home].arrive(id, a.rec, a.at)
 	}
-	if c.arrHead == len(c.arrQ) {
-		c.arrQ = c.arrQ[:0]
-		c.arrHead = 0
+}
+
+// arrChunk is how many arrivals one ring chunk holds: 64 KiB of
+// entries, one allocation per arrChunk submissions.
+const arrChunk = 4096
+
+// arrivalRing is the control plane's FIFO of undelivered arrivals, in
+// fixed chunks filled at the tail and drained at the head (DESIGN.md
+// §41). A full tail chunk is followed by a new one rather than regrown,
+// so no entry is ever copied; only the short list of chunk pointers
+// grows. A drained head chunk leaves the list at once, for the
+// collector, and a ring drained empty keeps its last chunk to refill.
+//
+// chunks[0] holds the first undelivered entry, at hi; the last chunk
+// is filled up to ti. delivered counts the entries popped over the
+// ring's life.
+type arrivalRing struct {
+	chunks    []*[arrChunk]pendingArrival
+	hi, ti    int
+	delivered int
+}
+
+// push appends p at the tail.
+func (r *arrivalRing) push(p pendingArrival) {
+	if len(r.chunks) == 0 || r.ti == arrChunk {
+		r.chunks = append(r.chunks, new([arrChunk]pendingArrival))
+		r.ti = 0
 	}
+	r.chunks[len(r.chunks)-1][r.ti] = p
+	r.ti++
+}
+
+// peek returns the first undelivered entry, or nil on an empty ring.
+func (r *arrivalRing) peek() *pendingArrival {
+	if len(r.chunks) == 0 || (len(r.chunks) == 1 && r.hi == r.ti) {
+		return nil
+	}
+	return &r.chunks[0][r.hi]
+}
+
+// pop removes the first entry of a non-empty ring and returns it with
+// the number of entries delivered before it.
+func (r *arrivalRing) pop() (pendingArrival, int) {
+	head := r.chunks[0]
+	p := head[r.hi]
+	head[r.hi] = pendingArrival{} // drop the record reference
+	r.hi++
+	switch {
+	case len(r.chunks) == 1 && r.hi == r.ti:
+		r.hi, r.ti = 0, 0 // drained: refill the last chunk from its start
+	case r.hi == arrChunk:
+		r.chunks[0] = nil
+		r.chunks, r.hi = r.chunks[1:], 0
+	}
+	r.delivered++
+	return p, r.delivered - 1
 }
 
 // profile returns the record for one submission: under ProfileMemo
@@ -411,7 +456,7 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 			err = fmt.Errorf("core: sharded scheduler: %v", r)
 		}
 	}()
-	c.completed = append(make([]CompletedJob, 0, c.nextID), c.completed...)
+	c.completed = append(make([]doneJob, 0, c.nextID), c.completed...)
 	if c.drive(); c.err != nil {
 		return 0, 0, c.err
 	}
@@ -488,16 +533,20 @@ func (c *ShardedScheduler) barrierAt(t float64) bool {
 	if !c.cfg.Steal {
 		return false
 	}
-	return (c.arrHead < len(c.arrQ) && c.arrQ[c.arrHead].at <= t) || c.anyQueued()
+	if p := c.arrivals.peek(); p != nil && p.at <= t {
+		return true
+	}
+	return c.anyQueued()
 }
 
 // ringAt is the ring head's event time: its arrival time, never before
 // the clock.
 func (c *ShardedScheduler) ringAt() (float64, bool) {
-	if c.arrHead == len(c.arrQ) {
+	p := c.arrivals.peek()
+	if p == nil {
 		return 0, false
 	}
-	return max(c.arrQ[c.arrHead].at, c.ev.now), true
+	return max(p.at, c.ev.now), true
 }
 
 // nextAt is the earliest pending event time, the ring head's or the
@@ -622,29 +671,19 @@ func (c *ShardedScheduler) stealPass(t float64) {
 }
 
 // Completed returns every finished job ordered by (finish time, job
-// id), as a copy the caller owns (never nil).
-//
-// The log is appended in event order, so it is already in
-// nondecreasing finish order, save for same-instant completions that
-// landed out of id order. It is sorted in place — linear on an
-// already-sorted log — by index, so no comparison copies a record. The
-// sort gets a pointer to the log, which boxes into the interface
-// without allocating, so the returned copy is the call's one
+// id), as a copy the caller owns (never nil). The log is kept in that
+// order as it is appended (logCompletion), so Completed expands each
+// entry into the copy in one pass, and the copy is the call's one
 // allocation (TestCompletedAllocatesOnce).
 func (c *ShardedScheduler) Completed() []CompletedJob {
-	sort.Sort((*completionLog)(&c.completed))
-	return append(make([]CompletedJob, 0, len(c.completed)), c.completed...)
-}
-
-// completionLog orders completions by (Finished, ID), a total order: a
-// job completes once.
-type completionLog []CompletedJob
-
-func (l *completionLog) Len() int      { return len(*l) }
-func (l *completionLog) Swap(i, j int) { (*l)[i], (*l)[j] = (*l)[j], (*l)[i] }
-func (l *completionLog) Less(i, j int) bool {
-	a, b := &(*l)[i], &(*l)[j]
-	return a.Finished < b.Finished || (a.Finished == b.Finished && a.ID < b.ID)
+	out := make([]CompletedJob, len(c.completed))
+	for i := range c.completed {
+		d, o := &c.completed[i], &out[i]
+		o.ID, o.App, o.Class, o.SizeGB = d.ID, d.App.Name(), workloads.Class(d.Class), d.SizeGB
+		o.Submitted, o.Started, o.Finished = d.Submitted, d.Started, d.Finished
+		o.Node, o.Cfg = int(d.Node), d.Cfg
+	}
+	return out
 }
 
 // EnergyJ sums shard energy in shard order.

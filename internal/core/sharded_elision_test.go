@@ -260,23 +260,27 @@ func TestRouteShardMatchesFNV(t *testing.T) {
 }
 
 // TestShardedCompletedMerge pins Completed's order against a global
-// sort: the one log holds completions in event order, so cross-shard
-// finish-time ties must break by id, and same-instant completions that
-// landed out of id order must come back sorted.
+// sort: the one log is appended in event order through logCompletion,
+// so cross-shard finish-time ties must break by id, and same-instant
+// completions that landed out of id order must come back sorted.
 func TestShardedCompletedMerge(t *testing.T) {
 	fixture(t)
-	build := func(log ...CompletedJob) *ShardedScheduler {
+	// build appends each job, in the given (event) order, through the
+	// completion path's append.
+	build := func(log []CompletedJob) *ShardedScheduler {
 		prof := NewProfiler(fix.model, sim.NewRNG(99))
 		c, err := NewShardedScheduler(fix.model, fix.db, prof,
 			func() STP { return NewMemoSTP(fix.lkt, nil) }, 4, ShardedConfig{Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.completed = log
+		for _, j := range log {
+			logCompletion(&c.completed, doneJob{ID: j.ID, Finished: j.Finished})
+		}
 		return c
 	}
-	reference := func(c *ShardedScheduler) []CompletedJob {
-		out := append([]CompletedJob(nil), c.completed...)
+	reference := func(log []CompletedJob) []CompletedJob {
+		out := append([]CompletedJob(nil), log...)
 		sort.Slice(out, func(i, j int) bool {
 			if out[i].Finished != out[j].Finished {
 				return out[i].Finished < out[j].Finished
@@ -285,10 +289,10 @@ func TestShardedCompletedMerge(t *testing.T) {
 		})
 		return out
 	}
-	check := func(label string, c *ShardedScheduler) {
+	check := func(label string, log ...CompletedJob) {
 		t.Helper()
-		want := reference(c)
-		got := c.Completed()
+		want := reference(log)
+		got := build(log).Completed()
 		if len(got) != len(want) {
 			t.Fatalf("%s: merged %d jobs, want %d", label, len(got), len(want))
 		}
@@ -302,18 +306,24 @@ func TestShardedCompletedMerge(t *testing.T) {
 
 	// Two shards' completions interleaved in event order, with a
 	// cross-shard tie at t=30 (ids 5 vs 2, 3).
-	check("cross-shard ties", build(
+	check("cross-shard ties",
 		CompletedJob{ID: 0, Finished: 10}, CompletedJob{ID: 1, Finished: 20},
 		CompletedJob{ID: 5, Finished: 30}, CompletedJob{ID: 2, Finished: 30},
-		CompletedJob{ID: 3, Finished: 30}, CompletedJob{ID: 6, Finished: 40}))
+		CompletedJob{ID: 3, Finished: 30}, CompletedJob{ID: 6, Finished: 40})
 
 	// A same-instant pair out of id order.
-	check("same-instant tie", build(
-		CompletedJob{ID: 1, Finished: 20}, CompletedJob{ID: 9, Finished: 30}, CompletedJob{ID: 4, Finished: 30}))
+	check("same-instant tie",
+		CompletedJob{ID: 1, Finished: 20}, CompletedJob{ID: 9, Finished: 30}, CompletedJob{ID: 4, Finished: 30})
+
+	// Three same-instant completions in reverse id order: each moves
+	// back past every one before it at that instant.
+	check("same-instant reverse",
+		CompletedJob{ID: 0, Finished: 10}, CompletedJob{ID: 8, Finished: 30},
+		CompletedJob{ID: 7, Finished: 30}, CompletedJob{ID: 3, Finished: 30}, CompletedJob{ID: 2, Finished: 40})
 
 	// Degenerate shapes: one job, then none.
-	check("one job", build(CompletedJob{ID: 0, Finished: 5}))
-	check("empty", build())
+	check("one job", CompletedJob{ID: 0, Finished: 5})
+	check("empty")
 }
 
 // TestShardedCompletedLog checks the one completion log on a 16-shard

@@ -593,8 +593,8 @@ func TestAccrualMatchesNodeWalk(t *testing.T) {
 }
 
 // TestCompletedAllocatesOnce checks that Completed on a drained plane
-// allocates only the copy it returns: sorting the log in place boxes a
-// pointer, not the slice header.
+// allocates only the copy it returns: the log is already in order, so
+// Completed only expands its entries into the copy.
 func TestCompletedAllocatesOnce(t *testing.T) {
 	fixture(t)
 	c := oneShard(t, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 4)
