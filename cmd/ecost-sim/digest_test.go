@@ -123,20 +123,16 @@ func digestSources(t *testing.T, env *experiments.Env, arrivals []trace.Arrival)
 	t.Helper()
 	reg := metrics.NewRegistry()
 	aud := audit.NewLog(audit.DriftConfig{})
-	sched, err := core.NewShardedScheduler(env.Model, env.DB, env.Profiler,
-		func() core.STP { return core.NewMemoSTP(env.LkT, nil) },
-		digestNodes, core.ShardedConfig{Shards: digestShards, Steal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.SetMetrics(reg)
-	sched.SetAudit(aud)
 	fr := flight.New()
-	sched.SetFlight(fr)
-	for _, a := range arrivals {
-		sched.Submit(a.App, a.SizeGB, a.At)
-	}
-	if _, _, err := sched.Run(); err != nil {
+	_, _, sched, err := experiments.RunStream(env, arrivals, digestNodes,
+		core.ShardedConfig{Shards: digestShards, Steal: true},
+		func() core.STP { return core.NewMemoSTP(env.LkT, nil) },
+		func(sched *core.ShardedScheduler) {
+			sched.SetMetrics(reg)
+			sched.SetAudit(aud)
+			sched.SetFlight(fr)
+		})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if sched.Steals() == 0 {

@@ -12,11 +12,9 @@ import (
 
 	"ecost/internal/audit"
 	"ecost/internal/cliutil"
-	"ecost/internal/cluster"
 	"ecost/internal/core"
 	"ecost/internal/experiments"
 	"ecost/internal/flight"
-	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
 	"ecost/internal/trace"
 	"ecost/internal/tracing"
@@ -46,47 +44,40 @@ type onlineOut struct {
 }
 
 // runOnline drives the arrival stream through the sharded control
-// plane — per-shard schedulers over disjoint node slices, hash-routed
-// submissions, and (with -steal) deterministic work stealing at event
-// barriers; one shard runs the whole cluster — and writes the run
-// summary and the requested reports to w.
+// plane with experiments.RunStream — per-shard schedulers over disjoint
+// node slices, hash-routed submissions, and (with -steal) deterministic
+// work stealing at event barriers; one shard runs the whole cluster —
+// and writes the run summary and the requested reports to w.
 func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool, arrivals []trace.Arrival, header string, perJobTable bool, out onlineOut) {
-	model := mapreduce.NewModel(cluster.AtomC2758())
 	serving := out.serveAddr != ""
-	// Recurring jobs re-ask the tuner the same question; the memo cache
-	// answers repeats in one lookup. The shard's observer registers the
-	// memo's volatile hit/miss counters and meters the tuner's
-	// predictions with the memo's inner scan size, so -metrics snapshots
-	// do not depend on the cache.
-	sched, err := core.NewShardedScheduler(model, env.DB, env.Profiler,
-		func() core.STP { return core.NewMemoSTP(env.LkT, nil) }, nodes,
-		core.ShardedConfig{Shards: shards, Steal: steal})
-	if err != nil {
-		cliutil.Fatalf("building online scheduler failed", "err", err)
-	}
-	var reg *metrics.Registry
-	if out.metrics || serving {
-		reg = metrics.NewRegistry()
-		sched.SetMetrics(reg)
-	}
-	var aud *audit.Log
-	if out.qualityReport || serving {
-		aud = audit.NewLog(audit.DriftConfig{})
-		sched.SetAudit(aud)
-	}
-	var tr *tracing.Tracer
-	if out.traceOut != "" || out.timelineOut != "" || out.edpReport || serving {
-		tr = tracing.New()
-		sched.SetTracer(tr)
-	}
-	var fr *flight.Recorder
-	if out.flightOut != "" || out.healthReport || serving {
-		fr = flight.New()
-		sched.SetFlight(fr)
-	}
 	qualityOracle := core.NewAuditOracle(env.Oracle)
-	var srv *http.Server
-	if serving {
+	var (
+		reg *metrics.Registry
+		aud *audit.Log
+		tr  *tracing.Tracer
+		fr  *flight.Recorder
+		srv *http.Server
+	)
+	attach := func(sched *core.ShardedScheduler) {
+		if out.metrics || serving {
+			reg = metrics.NewRegistry()
+			sched.SetMetrics(reg)
+		}
+		if out.qualityReport || serving {
+			aud = audit.NewLog(audit.DriftConfig{})
+			sched.SetAudit(aud)
+		}
+		if out.traceOut != "" || out.timelineOut != "" || out.edpReport || serving {
+			tr = tracing.New()
+			sched.SetTracer(tr)
+		}
+		if out.flightOut != "" || out.healthReport || serving {
+			fr = flight.New()
+			sched.SetFlight(fr)
+		}
+		if !serving {
+			return
+		}
 		ln, err := net.Listen("tcp", out.serveAddr)
 		if err != nil {
 			cliutil.Fatalf("-serve listen failed", "err", err)
@@ -107,23 +98,26 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 		}()
 		fmt.Fprintf(os.Stderr, "serving observability endpoints on http://%s/\n", ln.Addr())
 	}
-	for _, a := range arrivals {
-		sched.Submit(a.App, a.SizeGB, a.At)
-	}
-	makespan, energy, err := sched.Run()
+	// Recurring jobs re-ask the tuner the same question; the memo cache
+	// answers repeats in one lookup. The shard's observer registers the
+	// memo's volatile hit/miss counters and meters the tuner's
+	// predictions with the memo's inner scan size, so -metrics snapshots
+	// do not depend on the cache.
+	data, done, sched, err := experiments.RunStream(env, arrivals, nodes,
+		core.ShardedConfig{Shards: shards, Steal: steal},
+		func() core.STP { return core.NewMemoSTP(env.LkT, nil) }, attach)
 	if err != nil {
 		cliutil.Fatalf("online run failed", "err", err)
 	}
 	fmt.Fprintln(w, header)
-	fmt.Fprintf(w, "  makespan %.0f s, energy %.0f J, EDP %.4g J·s\n", makespan, energy, energy*makespan)
+	fmt.Fprintf(w, "  makespan %.0f s, energy %.0f J, EDP %.4g J·s\n", data.Makespan, data.EnergyJ, data.EDP)
 	fmt.Fprintf(w, "  %d shard(s), %d steal(s)\n", sched.Shards(), sched.Steals())
 	bs := sched.BarrierStats()
 	fmt.Fprintf(w, "  %d exact barrier(s), %d free window(s), %d event(s) elided (%.1f%%)\n\n",
 		bs.Barriers, bs.Windows, bs.WindowEvents, 100*bs.ElidedRatio())
-	done := sched.Completed()
 	if !perJobTable {
 		fmt.Fprintf(w, "%d jobs completed\n", len(done))
-		qs := experiments.StreamStats(done, nodes, makespan)
+		qs := experiments.StreamStats(done, nodes, data.Makespan)
 		fmt.Fprintf(w, "  utilization        %.3f\n", qs.Utilization)
 		fmt.Fprintf(w, "  queue length       mean %.2f, p95 %.0f, max %d\n", qs.MeanQueueLen, qs.P95QueueLen, qs.MaxQueueLen)
 		fmt.Fprintf(w, "  wait p50/p95/p99   %.1f / %.1f / %.1f s\n", qs.WaitP50, qs.WaitP95, qs.WaitP99)

@@ -158,9 +158,9 @@ func (r *PolicyRunner) Run(p Policy, wl Workload, nodes int) (Result, error) {
 	case SM:
 		return r.runSpread(p, wl, nodes, 1)
 	case MNM1:
-		return r.runSpread(p, wl, nodes, min2(2, nodes))
+		return r.runSpread(p, wl, nodes, 2)
 	case MNM2:
-		return r.runSpread(p, wl, nodes, min2(4, nodes))
+		return r.runSpread(p, wl, nodes, 4)
 	case SNM:
 		return r.runPerNodeSolo(p, wl, nodes, nil)
 	case PTM:
@@ -174,13 +174,6 @@ func (r *PolicyRunner) Run(p Policy, wl Workload, nodes int) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("core: unknown policy %v", p)
 	}
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // runSpread implements SM/MNM1/MNM2: `streams` groups of nodes process

@@ -130,13 +130,6 @@ func treePairUntuned(env *Env, wl core.Workload, nodes int) (float64, error) {
 		a := q.PopHead()
 		partner := q.SelectPartner(a.Class, env.DB.PartnerPriority(a.Class))
 		if partner == nil {
-			out, _, err := env.Model.Solo(mapreduce.RunSpec{
-				App: a.Obs.App.App(), DataMB: a.Obs.SizeGB * 1024, Cfg: core.NTConfig(env.Model.Spec.Cores),
-			})
-			_ = out
-			if err != nil {
-				return 0, err
-			}
 			co, err := env.Model.CoLocate([]mapreduce.RunSpec{{
 				App: a.Obs.App.App(), DataMB: a.Obs.SizeGB * 1024, Cfg: core.NTConfig(env.Model.Spec.Cores),
 			}})

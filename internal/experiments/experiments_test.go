@@ -7,13 +7,19 @@ import (
 
 	"ecost/internal/core"
 	"ecost/internal/perfctr"
-	"ecost/internal/trace"
+	"ecost/internal/scenario"
 	"ecost/internal/workloads"
 )
 
-// onlineSpec is the small open-loop trace the online test uses.
-func onlineSpec() trace.Spec {
-	return trace.Spec{N: 12, MeanInterarrival: 240, Poisson: true, UnknownOnly: true, Seed: 7}
+// onlineSpec is the small open-loop stream the online test uses.
+func onlineSpec() scenario.Spec {
+	return scenario.Spec{
+		Jobs:     12,
+		Seed:     7,
+		Arrivals: scenario.ArrivalSpec{Kind: scenario.ArrivalPoisson, Mean: 240},
+		Sizes:    scenario.SizeSpec{Kind: scenario.SizeTable3},
+		Mix:      scenario.MixSpec{Kind: scenario.MixUniform, Unknown: true},
+	}
 }
 
 var (

@@ -53,7 +53,7 @@ func onlineScenarioShardedObserved(env *Env, spec scenario.Spec, nodes int, cfg 
 		obs.flight = flight.New()
 		sched.SetFlight(obs.flight)
 	}
-	data, done, sched, err := runStream(env, arrivals, nodes, cfg,
+	data, done, sched, err := RunStream(env, arrivals, nodes, cfg,
 		func() core.STP { return core.NewMemoSTP(env.LkT, nil) }, attach)
 	if err != nil {
 		return Table{}, data, QueueStats{}, nil, err

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"ecost/internal/core"
+	"ecost/internal/scenario"
 	"ecost/internal/trace"
 )
 
@@ -19,23 +19,23 @@ type OnlineData struct {
 	MeanElapsed float64 // mean sojourn (finish - submit)
 }
 
-// OnlineTrace drives the online ECoST scheduler with a synthetic arrival
-// trace — the open-loop extension of the paper's closed 16-job
-// scenarios. It reports cluster EDP and queueing behaviour (the head
-// reservation keeps the maximum wait bounded). One shard runs the whole
-// cluster, tuned by REPTree unwrapped.
-func OnlineTrace(env *Env, spec trace.Spec, nodes int) (Table, OnlineData, error) {
-	arrivals, err := trace.Generate(spec)
+// OnlineTrace drives the online ECoST scheduler with a generated
+// arrival stream — the open-loop extension of the paper's closed
+// 16-job scenarios. It reports cluster EDP and queueing behaviour (the
+// head reservation keeps the maximum wait bounded). One shard runs the
+// whole cluster, tuned by REPTree unwrapped.
+func OnlineTrace(env *Env, spec scenario.Spec, nodes int) (Table, OnlineData, error) {
+	arrivals, err := scenario.Generate(spec)
 	if err != nil {
 		return Table{}, OnlineData{}, err
 	}
-	data, _, _, err := runStream(env, arrivals, nodes, core.ShardedConfig{Shards: 1},
+	data, _, _, err := RunStream(env, arrivals, nodes, core.ShardedConfig{Shards: 1},
 		func() core.STP { return env.REPTree }, nil)
 	if err != nil {
 		return Table{}, data, err
 	}
 	tbl := Table{
-		Title:  fmt.Sprintf("Online ECoST: %d jobs, %d node(s), mean inter-arrival %.0fs", data.Jobs, nodes, spec.MeanInterarrival),
+		Title:  fmt.Sprintf("Online ECoST: %d jobs, %d node(s), mean inter-arrival %.0fs", data.Jobs, nodes, spec.Arrivals.Mean),
 		Header: []string{"metric", "value"},
 	}
 	addOnlineRows(&tbl, data)
@@ -54,28 +54,23 @@ func addOnlineRows(tbl *Table, data OnlineData) {
 		"head-of-queue reservation bounds the maximum wait (no starvation)")
 }
 
-// runStream drives one run of a prepared arrival stream (generated
-// trace, scenario stream, or replayed JSONL trace) through the sharded
-// control plane and summarizes it. newTuner builds each shard's tuner;
-// attach, when non-nil, wires observability onto the control plane
-// before the first Submit. The router requires time-ordered
-// submissions (it profiles serially at submit time to preserve the
-// legacy profiling order), so an out-of-order stream is stable-sorted
-// by arrival time first — the exact order an event heap would fire
-// those arrivals in. The completed jobs are returned for queueing
-// analysis (StreamStats).
-func runStream(env *Env, arrivals []trace.Arrival, nodes int, cfg core.ShardedConfig, newTuner func() core.STP, attach func(*core.ShardedScheduler)) (OnlineData, []core.CompletedJob, *core.ShardedScheduler, error) {
+// RunStream is the one online run loop: it builds the sharded control
+// plane over env's model, database and profiler, submits a prepared
+// arrival stream (generated, cycled from a workload, or a replayed
+// JSONL trace), drives it to completion and summarizes the run.
+// newTuner builds each shard's tuner; attach, when non-nil, wires
+// observability onto the control plane before the first Submit. The
+// stream must be in non-decreasing time order, as every internal/scenario
+// source emits it: the router profiles serially at submit time, and an
+// out-of-order arrival fails the run. The completed jobs are returned
+// for queueing analysis (StreamStats).
+func RunStream(env *Env, arrivals []trace.Arrival, nodes int, cfg core.ShardedConfig, newTuner func() core.STP, attach func(*core.ShardedScheduler)) (OnlineData, []core.CompletedJob, *core.ShardedScheduler, error) {
 	sched, err := core.NewShardedScheduler(env.Model, env.DB, env.Profiler, newTuner, nodes, cfg)
 	if err != nil {
 		return OnlineData{}, nil, nil, err
 	}
 	if attach != nil {
 		attach(sched)
-	}
-	if !sort.SliceIsSorted(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At }) {
-		sorted := append([]trace.Arrival(nil), arrivals...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-		arrivals = sorted
 	}
 	for _, a := range arrivals {
 		sched.Submit(a.App, a.SizeGB, a.At)

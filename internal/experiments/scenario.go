@@ -157,9 +157,9 @@ func (qs QueueStats) AddRows(tbl *Table) {
 
 // OnlineScenario drives the online ECoST control plane with a
 // generated scenario stream (internal/scenario) and reports cluster
-// EDP plus the queueing observables. It is OnlineTrace for
-// production-shaped load: open-loop arrival processes, heavy-tailed
-// sizes, recurring tenants. cfg partitions the cluster: Shards 1 is the
+// EDP plus the queueing observables. Where OnlineTrace runs one
+// REPTree-tuned shard, it runs the memoized LkT tuner on any partition
+// of the cluster. cfg partitions the cluster: Shards 1 is the
 // single scheduler; with more shards and stealing off, makespan and
 // energy match the single-shard run to 1e-9 whenever jobs do not
 // overlap in time (see DESIGN.md §14 for the determinism contract).
@@ -176,7 +176,7 @@ func OnlineScenario(env *Env, spec scenario.Spec, nodes int, cfg core.ShardedCon
 // the generating run: identical streams produce identical tables,
 // independent of GOMAXPROCS.
 func OnlineReplay(env *Env, label string, arrivals []trace.Arrival, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, error) {
-	data, done, sched, err := runStream(env, arrivals, nodes, cfg,
+	data, done, sched, err := RunStream(env, arrivals, nodes, cfg,
 		func() core.STP { return core.NewMemoSTP(env.LkT, nil) }, nil)
 	if err != nil {
 		return Table{}, data, QueueStats{}, err
@@ -197,7 +197,7 @@ func OnlineReplay(env *Env, label string, arrivals []trace.Arrival, nodes int, c
 	tbl.AddRow("elided %", fmt.Sprintf("%.1f", 100*bs.ElidedRatio()))
 	tbl.Notes = append(tbl.Notes,
 		"utilization is busy node-time over nodes x makespan; queue lengths are time-weighted",
-		"shards own disjoint node slices; submissions route by tenant hash, idle shards steal queue heads at event barriers",
+		"shards own disjoint node slices; submissions route by a hash of the application name, idle shards steal queue heads at event barriers",
 		"one engine fires every shard's events in time order; barriers are event times followed by a steal pass, free windows runs of event times at which no steal can fire (events elided counts work that skipped a barrier)")
 	return tbl, data, qs, nil
 }

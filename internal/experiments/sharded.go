@@ -45,16 +45,9 @@ func ShardSweep(env *Env, spec scenario.Spec, nodes int, shardCounts []int) (Tab
 		e := *env
 		e.Profiler = core.NewProfiler(env.Model, sim.NewRNG(env.Seed))
 		cfg := core.ShardedConfig{Shards: s, Steal: s > 1, ProfileMemo: true}
-		sched, err := core.NewShardedScheduler(e.Model, e.DB, e.Profiler,
-			func() core.STP { return core.NewMemoSTP(e.LkT, nil) }, nodes, cfg)
-		if err != nil {
-			return Table{}, nil, err
-		}
 		start := time.Now()
-		for _, a := range arrivals {
-			sched.Submit(a.App, a.SizeGB, a.At)
-		}
-		makespan, energy, err := sched.Run()
+		data, _, sched, err := RunStream(&e, arrivals, nodes, cfg,
+			func() core.STP { return core.NewMemoSTP(e.LkT, nil) }, nil)
 		if err != nil {
 			return Table{}, nil, err
 		}
@@ -64,8 +57,8 @@ func ShardSweep(env *Env, spec scenario.Spec, nodes int, shardCounts []int) (Tab
 			Shards:     s,
 			WallMS:     float64(wall.Microseconds()) / 1000,
 			JobsPerSec: float64(len(arrivals)) / wall.Seconds(),
-			Makespan:   makespan,
-			EnergyJ:    energy,
+			Makespan:   data.Makespan,
+			EnergyJ:    data.EnergyJ,
 			Steals:     sched.Steals(),
 			Barriers:   bs.Barriers,
 			Windows:    bs.Windows,

@@ -10,6 +10,7 @@ import (
 	"ecost/internal/core"
 	"ecost/internal/sim"
 	"ecost/internal/trace"
+	"ecost/internal/workloads"
 )
 
 // render pins a stream as text for byte-level comparisons (shortest
@@ -46,7 +47,10 @@ func heavySpec(jobs int, seed int64) Spec {
 
 // TestGenerateWellFormed checks the stream contract for every arrival
 // process / size / mix combination: exact job count, finite
-// non-decreasing times, real applications, positive finite sizes.
+// non-decreasing times, real applications, positive finite sizes. All
+// arrivals come at t=0 and fixed ones at exact multiples of the gap;
+// an unknown mix draws testing applications only, and default and
+// table3 sizes are Table-3 sizes.
 func TestGenerateWellFormed(t *testing.T) {
 	arrivals := []ArrivalSpec{
 		{Kind: ArrivalAll},
@@ -67,6 +71,15 @@ func TestGenerateWellFormed(t *testing.T) {
 		{Kind: MixUniform, Unknown: true},
 		{Kind: MixCycle, Workload: "WS4"},
 		{Kind: MixZipf, S: 1.3, Tenants: 16},
+		{Kind: MixZipf, S: 1.3, Tenants: 16, Unknown: true},
+	}
+	testingApp := map[workloads.ID]bool{}
+	for _, id := range workloads.TestingIDs() {
+		testingApp[id] = true
+	}
+	table3 := map[float64]bool{}
+	for _, gb := range workloads.DataSizesGB() {
+		table3[gb] = true
 	}
 	for _, a := range arrivals {
 		for _, s := range sizes {
@@ -91,6 +104,18 @@ func TestGenerateWellFormed(t *testing.T) {
 					}
 					if !(arr.SizeGB > 0) || arr.SizeGB > maxSizeGB {
 						t.Fatalf("%s: arrival %d size %v outside (0, %d]", name, i, arr.SizeGB, maxSizeGB)
+					}
+					switch {
+					case a.Kind == ArrivalAll && arr.At != 0:
+						t.Fatalf("%s: arrival %d at %v, want 0", name, i, arr.At)
+					case a.Kind == ArrivalFixed && arr.At != float64(i)*a.Mean:
+						t.Fatalf("%s: arrival %d at %v, want %v", name, i, arr.At, float64(i)*a.Mean)
+					}
+					if m.Unknown && !testingApp[arr.App] {
+						t.Fatalf("%s: arrival %d runs %s, not a testing application", name, i, arr.App.Name())
+					}
+					if (s.Kind == SizeDefault || s.Kind == SizeTable3) && !table3[arr.SizeGB] {
+						t.Fatalf("%s: arrival %d size %v outside the Table-3 sizes %v", name, i, arr.SizeGB, workloads.DataSizesGB())
 					}
 				}
 			}
