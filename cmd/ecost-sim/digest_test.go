@@ -51,16 +51,18 @@ func TestShardedOnlineDigests(t *testing.T) {
 
 	runs := []struct {
 		name string
-		out  onlineOut
+		out  runFlags
 		want uint64
 	}{
-		{"-metrics", onlineOut{metrics: true}, 0x4f9b3864828ae463},
-		{"-metrics -metrics-json", onlineOut{metrics: true, metricsJSON: true}, 0xbee696af4a4dad32},
-		{"-quality-report", onlineOut{qualityReport: true}, 0xfc0d4ac27d90f9f0},
+		{"-metrics", runFlags{Metrics: true}, 0x4f9b3864828ae463},
+		{"-metrics -metrics-json", runFlags{Metrics: true, MetricsJSON: true}, 0xbee696af4a4dad32},
+		{"-quality-report", runFlags{QualityReport: true}, 0xfc0d4ac27d90f9f0},
 	}
 	for _, r := range runs {
 		var out bytes.Buffer
-		runOnline(&out, env, digestNodes, digestShards, true, arrivals, header, perJobTable, r.out)
+		f := r.out
+		f.Online, f.Nodes, f.Shards, f.Steal = true, digestNodes, digestShards, true
+		runOnline(&out, env, f, arrivals, header, perJobTable)
 		if got := digest(out.Bytes()); got != r.want {
 			t.Errorf("%s stdout digest = %#016x, want %#016x", r.name, got, r.want)
 		}

@@ -182,18 +182,7 @@ func main() {
 			}
 			slog.Info("recorded arrival trace", "path", *traceRecord, "arrivals", len(arrivals))
 		}
-		runOnline(os.Stdout, env, *nodes, *shards, *steal, arrivals, header, perJobTable, onlineOut{
-			metrics:         *emitMetrics,
-			metricsJSON:     *metricsJSON,
-			metricsVolatile: *metricsVolatile,
-			traceOut:        *traceOut,
-			timelineOut:     *timelineOut,
-			edpReport:       *edpReport,
-			qualityReport:   *qualityReport,
-			serveAddr:       *serveAddr,
-			flightOut:       *flightOut,
-			healthReport:    *healthReport,
-		})
+		runOnline(os.Stdout, env, rf, arrivals, header, perJobTable)
 		return
 	}
 

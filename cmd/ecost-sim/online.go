@@ -20,36 +20,18 @@ import (
 	"ecost/internal/tracing"
 )
 
-// onlineOut selects which observability artifacts the online runner
-// produces. The control plane feeds one sink of each kind — a metrics
-// registry, a decision-audit log, a span tracer and a flight recorder —
-// whose records carry the shard that made them. Metrics and audit
-// reports print one "== shard N ==" section per shard, in shard order;
-// traceOut and the timeline/EDP surfaces render the tracer's spans per
-// shard plus the deterministic merged view (one Chrome track group per
-// shard, steal flow arrows, a "== merged ==" section). serveAddr
-// exposes merged + ?shard=N views over HTTP, and flightOut/healthReport
-// enable the barrier flight recorder.
-type onlineOut struct {
-	metrics         bool
-	metricsJSON     bool
-	metricsVolatile bool
-	traceOut        string
-	timelineOut     string
-	edpReport       bool
-	qualityReport   bool
-	serveAddr       string
-	flightOut       string
-	healthReport    bool
-}
-
 // runOnline drives the arrival stream through the sharded control
-// plane with experiments.RunStream — per-shard schedulers over disjoint
-// node slices, hash-routed submissions, and (with -steal) deterministic
-// work stealing at event barriers; one shard runs the whole cluster —
-// and writes the run summary and the requested reports to w.
-func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool, arrivals []trace.Arrival, header string, perJobTable bool, out onlineOut) {
-	serving := out.serveAddr != ""
+// plane with experiments.RunStream — f.Shards per-shard schedulers over
+// disjoint slices of f.Nodes nodes, hash-routed submissions, and (with
+// f.Steal) deterministic work stealing at event barriers; one shard
+// runs the whole cluster — and writes the run summary and the reports
+// f asks for to w. The plane feeds one sink of each kind (metrics
+// registry, decision-audit log, span tracer, flight recorder), whose
+// records carry the shard that made them: reports print one
+// "== shard N ==" section per shard, the span exports add the merged
+// view, and f.ServeAddr serves merged and ?shard=N views over HTTP.
+func runOnline(w io.Writer, env *experiments.Env, f runFlags, arrivals []trace.Arrival, header string, perJobTable bool) {
+	serving := f.ServeAddr != ""
 	qualityOracle := core.NewAuditOracle(env.Oracle)
 	var (
 		reg *metrics.Registry
@@ -59,26 +41,26 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 		srv *http.Server
 	)
 	attach := func(sched *core.ShardedScheduler) {
-		if out.metrics || serving {
+		if f.Metrics || serving {
 			reg = metrics.NewRegistry()
 			sched.SetMetrics(reg)
 		}
-		if out.qualityReport || serving {
+		if f.QualityReport || serving {
 			aud = audit.NewLog(audit.DriftConfig{})
 			sched.SetAudit(aud)
 		}
-		if out.traceOut != "" || out.timelineOut != "" || out.edpReport || serving {
+		if f.TraceOut != "" || f.TimelineOut != "" || f.EDPReport || serving {
 			tr = tracing.New()
 			sched.SetTracer(tr)
 		}
-		if out.flightOut != "" || out.healthReport || serving {
+		if f.FlightOut != "" || f.HealthReport || serving {
 			fr = flight.New()
 			sched.SetFlight(fr)
 		}
 		if !serving {
 			return
 		}
-		ln, err := net.Listen("tcp", out.serveAddr)
+		ln, err := net.Listen("tcp", f.ServeAddr)
 		if err != nil {
 			cliutil.Fatalf("-serve listen failed", "err", err)
 		}
@@ -89,7 +71,7 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 			aud:      aud,
 			qo:       qualityOracle,
 			fr:       fr,
-			volatile: out.metricsVolatile,
+			volatile: f.MetricsVolatile,
 		})}
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -103,8 +85,8 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 	// memo's volatile hit/miss counters and meters the tuner's
 	// predictions with the memo's inner scan size, so -metrics snapshots
 	// do not depend on the cache.
-	data, done, sched, err := experiments.RunStream(env, arrivals, nodes,
-		core.ShardedConfig{Shards: shards, Steal: steal},
+	data, done, sched, err := experiments.RunStream(env, arrivals, f.Nodes,
+		core.ShardedConfig{Shards: f.Shards, Steal: f.Steal},
 		func() core.STP { return core.NewMemoSTP(env.LkT, nil) }, attach)
 	if err != nil {
 		cliutil.Fatalf("online run failed", "err", err)
@@ -117,7 +99,7 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 		bs.Barriers, bs.Windows, bs.WindowEvents, 100*bs.ElidedRatio())
 	if !perJobTable {
 		fmt.Fprintf(w, "%d jobs completed\n", len(done))
-		qs := experiments.StreamStats(done, nodes, data.Makespan)
+		qs := experiments.StreamStats(done, f.Nodes, data.Makespan)
 		fmt.Fprintf(w, "  utilization        %.3f\n", qs.Utilization)
 		fmt.Fprintf(w, "  queue length       mean %.2f, p95 %.0f, max %d\n", qs.MeanQueueLen, qs.P95QueueLen, qs.MaxQueueLen)
 		fmt.Fprintf(w, "  wait p50/p95/p99   %.1f / %.1f / %.1f s\n", qs.WaitP50, qs.WaitP95, qs.WaitP99)
@@ -131,23 +113,23 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 		}
 	}
 
-	if out.traceOut != "" {
-		if err := writeArtifact(out.traceOut, tr.WriteChromeTrace); err != nil {
+	if f.TraceOut != "" {
+		if err := writeArtifact(f.TraceOut, tr.WriteChromeTrace); err != nil {
 			cliutil.Fatalf("writing -trace-out failed", "err", err)
 		}
-		slog.Info("wrote Chrome trace", "path", out.traceOut, "shards", shards)
+		slog.Info("wrote Chrome trace", "path", f.TraceOut, "shards", f.Shards)
 	}
-	if out.timelineOut != "" {
+	if f.TimelineOut != "" {
 		// One shard writes its solo timeline; more write per-shard
 		// "== shard N ==" sections plus the "== merged ==" global
 		// section in canonical merged order.
-		if err := writeArtifact(out.timelineOut, tr.WriteTimeline); err != nil {
+		if err := writeArtifact(f.TimelineOut, tr.WriteTimeline); err != nil {
 			cliutil.Fatalf("writing -timeline-out failed", "err", err)
 		}
 	}
-	if out.edpReport {
+	if f.EDPReport {
 		spans := tr.Spans()
-		for i := 0; i < shards; i++ {
+		for i := 0; i < f.Shards; i++ {
 			fmt.Fprintf(w, "\n== shard %d ==\n", i)
 			if err := tracing.BuildReport(shardSpans(spans, i)).WriteText(w); err != nil {
 				cliutil.Fatalf("writing -edp-report failed", "err", err)
@@ -158,21 +140,21 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 			cliutil.Fatalf("writing -edp-report failed", "err", err)
 		}
 	}
-	if out.qualityReport {
-		for i := 0; i < shards; i++ {
+	if f.QualityReport {
+		for i := 0; i < f.Shards; i++ {
 			fmt.Fprintf(w, "\n== shard %d ==\n", i)
 			if err := aud.Shard(i).Quality(qualityOracle).WriteText(w); err != nil {
 				cliutil.Fatalf("writing -quality-report failed", "err", err)
 			}
 		}
 	}
-	if out.metrics {
-		all := reg.Snapshot(out.metricsVolatile)
-		for i := 0; i < shards; i++ {
+	if f.Metrics {
+		all := reg.Snapshot(f.MetricsVolatile)
+		for i := 0; i < f.Shards; i++ {
 			fmt.Fprintf(w, "\n== shard %d ==\n", i)
 			snap := all.Shard(i)
 			var werr error
-			if out.metricsJSON {
+			if f.MetricsJSON {
 				werr = snap.WriteJSON(w)
 			} else {
 				werr = snap.WriteText(w)
@@ -182,17 +164,17 @@ func runOnline(w io.Writer, env *experiments.Env, nodes, shards int, steal bool,
 			}
 		}
 	}
-	if out.healthReport {
+	if f.HealthReport {
 		fmt.Fprintln(w)
 		if err := fr.Health().WriteText(w); err != nil {
 			cliutil.Fatalf("writing -health-report failed", "err", err)
 		}
 	}
-	if out.flightOut != "" {
-		if err := writeArtifact(out.flightOut, fr.WriteDumps); err != nil {
+	if f.FlightOut != "" {
+		if err := writeArtifact(f.FlightOut, fr.WriteDumps); err != nil {
 			cliutil.Fatalf("writing -flight-out failed", "err", err)
 		}
-		slog.Info("wrote flight-recorder dumps", "path", out.flightOut, "dumps", len(fr.Dumps()))
+		slog.Info("wrote flight-recorder dumps", "path", f.FlightOut, "dumps", len(fr.Dumps()))
 	}
 	if srv != nil {
 		fmt.Fprintln(os.Stderr, "run finished; endpoints stay up — interrupt (Ctrl-C) to exit")

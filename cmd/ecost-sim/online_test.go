@@ -29,9 +29,9 @@ func ws4OnlineRun(t *testing.T) []byte {
 	arrivals, header, perJobTable := buildStream(wl, false, "WS4", "", "", 0, 0, 42, 4)
 	timeline := filepath.Join(t.TempDir(), "timeline.txt")
 	var out bytes.Buffer
-	runOnline(&out, env, 4, 1, false, arrivals, header, perJobTable, onlineOut{
-		metrics: true, edpReport: true, qualityReport: true, timelineOut: timeline,
-	})
+	runOnline(&out, env, runFlags{Online: true, Nodes: 4, Shards: 1,
+		Metrics: true, EDPReport: true, QualityReport: true, TimelineOut: timeline,
+	}, arrivals, header, perJobTable)
 	tl, err := os.ReadFile(timeline)
 	if err != nil {
 		t.Fatal(err)

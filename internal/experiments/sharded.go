@@ -30,7 +30,9 @@ type ShardSweepPoint struct {
 // partitioning changes; jobs/s is host-dependent and meant for relative
 // comparison, the simulated columns for checking outcome stability. The
 // sweep runs the perf configuration: stealing and recurring-tenant
-// profile memoization on.
+// profile memoization on. The first shard count runs once untimed
+// before the timed rows, so no row pays the process's one-time
+// warm-up.
 func ShardSweep(env *Env, spec scenario.Spec, nodes int, shardCounts []int) (Table, []ShardSweepPoint, error) {
 	arrivals, err := scenario.Generate(spec)
 	if err != nil {
@@ -40,18 +42,26 @@ func ShardSweep(env *Env, spec scenario.Spec, nodes int, shardCounts []int) (Tab
 		Title:  fmt.Sprintf("Shard sweep: %s, %d node(s)", spec.String(), nodes),
 		Header: []string{"shards", "wall (ms)", "jobs/s", "makespan (s)", "energy (kJ)", "steals", "barriers", "elided", "elided %"},
 	}
-	var points []ShardSweepPoint
-	for _, s := range shardCounts {
+	run := func(s int) (OnlineData, *core.ShardedScheduler, time.Duration, error) {
 		e := *env
 		e.Profiler = core.NewProfiler(env.Model, sim.NewRNG(env.Seed))
 		cfg := core.ShardedConfig{Shards: s, Steal: s > 1, ProfileMemo: true}
 		start := time.Now()
 		data, _, sched, err := RunStream(&e, arrivals, nodes, cfg,
 			func() core.STP { return core.NewMemoSTP(e.LkT, nil) }, nil)
+		return data, sched, time.Since(start), err
+	}
+	if len(shardCounts) > 0 {
+		if _, _, _, err := run(shardCounts[0]); err != nil {
+			return Table{}, nil, err
+		}
+	}
+	var points []ShardSweepPoint
+	for _, s := range shardCounts {
+		data, sched, wall, err := run(s)
 		if err != nil {
 			return Table{}, nil, err
 		}
-		wall := time.Since(start)
 		bs := sched.BarrierStats()
 		p := ShardSweepPoint{
 			Shards:     s,

@@ -2,6 +2,7 @@ package tracing
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,154 +20,181 @@ import (
 //     tests: all values derive from the simulated clock, so same-seed
 //     runs render byte-identical output at any GOMAXPROCS.
 //
-// Both exporters consume one shard's canonical (Start, ID)-sorted
-// spans and skip nothing silently: open spans are rendered with their
-// start time and a zero duration, marked "open". The Tracer methods in
-// sharded.go choose between these solo layouts and the multi-shard
-// ones.
+// Both consume canonical (Start, Shard, ID)-sorted spans and skip
+// nothing silently: open spans render with their start time and a zero
+// duration, marked "open". Each form has one writer; the solo and
+// multi-shard (sharded.go) exports differ only in their layout.
 
-// chromeEvent is one trace_event entry. Struct (not map) fields keep
-// the JSON key order fixed; Args is a map but encoding/json sorts map
-// keys, so the whole document is deterministic.
+// chromeEvent is one trace_event entry. Struct fields fix the JSON key
+// order. Args holds a typed struct whose fields are declared in sorted
+// key order, so it encodes to the bytes encoding/json writes for a map
+// of the same keys.
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	ID   int            `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string   `json:"name"`
+	Cat  string   `json:"cat"`
+	Ph   string   `json:"ph"`
+	Ts   float64  `json:"ts"`
+	Dur  *float64 `json:"dur,omitempty"`
+	Pid  int      `json:"pid"`
+	Tid  int      `json:"tid"`
+	ID   int      `json:"id,omitempty"`
+	BP   string   `json:"bp,omitempty"`
+	Args any      `json:"args,omitempty"`
 }
 
-// chromeDoc is the JSON-object form of the trace (the form Perfetto
-// documents for metadata support).
-type chromeDoc struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+// spanArgs are a span's attributes and energy attribution. A pointer
+// field is set only when its attribute is in range (job and node ≥ 0,
+// size_gb and link > 0), so omitempty drops the rest.
+type spanArgs struct {
+	App     string   `json:"app,omitempty"`
+	Class   string   `json:"class,omitempty"`
+	Config  string   `json:"config,omitempty"`
+	Detail  string   `json:"detail,omitempty"`
+	EnergyJ float64  `json:"energy_j"`
+	Job     *int     `json:"job,omitempty"`
+	Link    *int     `json:"link,omitempty"`
+	Node    *int     `json:"node,omitempty"`
+	Open    bool     `json:"open,omitempty"`
+	Partner string   `json:"partner,omitempty"`
+	SizeGB  *float64 `json:"size_gb,omitempty"`
 }
 
-// chromeTrack maps a span onto a (pid, tid) track. Process 0 is the
-// scheduler-level job view; process n+1 is node n.
-func chromeTrack(s Span) (pid, tid int) {
+// newSpanArgs points spanArgs' optional fields into s.
+func newSpanArgs(s *Span) spanArgs {
+	a := &s.Attrs
+	return spanArgs{App: a.App, Class: a.Class, Config: a.Config, Detail: a.Detail,
+		EnergyJ: s.EnergyJ, Job: ptrIf(a.Job >= 0, &a.Job), Link: ptrIf(a.Link > 0, &a.Link),
+		Node: ptrIf(a.Node >= 0, &a.Node), Open: s.Open(), Partner: a.Partner,
+		SizeGB: ptrIf(a.SizeGB > 0, &a.SizeGB)}
+}
+
+// ptrIf returns p when ok holds, else nil.
+func ptrIf[T any](ok bool, p *T) *T {
+	if ok {
+		return p
+	}
+	return nil
+}
+
+// chromeLayout maps spans onto Chrome processes. procs names them in
+// pid order, and sortIndex pins each one's process_sort_index.
+// schedPid maps a shard to its scheduler process and nodePid a node to
+// its process. The solo layout leaves both nil: the scheduler is pid 0
+// and node n is pid n+1.
+type chromeLayout struct {
+	procs     []string
+	sortIndex bool
+	schedPid  map[int]int
+	nodePid   map[int]int
+}
+
+// soloLayout names the scheduler and every node up to the highest a
+// span names.
+func soloLayout(spans []Span) chromeLayout {
+	maxNode := -1
+	for i := range spans {
+		maxNode = max(maxNode, spans[i].Attrs.Node)
+	}
+	procs := []string{"scheduler"}
+	for n := 0; n <= maxNode; n++ {
+		procs = append(procs, "node "+strconv.Itoa(n))
+	}
+	return chromeLayout{procs: procs}
+}
+
+// track returns a span's (pid, tid): scheduler-level spans sit on
+// their shard's scheduler, one thread per job; node occupancy is its
+// node's thread 0, and run / map / reduce take one thread per job on
+// their node.
+func (l *chromeLayout) track(s *Span) (pid, tid int) {
+	node := s.Attrs.Node + 1
+	if l.nodePid != nil {
+		node = l.nodePid[s.Attrs.Node]
+	}
 	switch s.Kind {
 	case KindJob, KindWait, KindTune, KindStealOut, KindStealIn:
-		return 0, s.Attrs.Job
+		return l.schedPid[s.Attrs.Shard], s.Attrs.Job // a nil map reads pid 0
 	case KindNode:
-		return s.Attrs.Node + 1, 0
-	default: // run / map / reduce live on their node, one track per job
-		return s.Attrs.Node + 1, s.Attrs.Job + 1
-	}
-}
-
-// chromeArgs renders the span attributes and energy attribution.
-func chromeArgs(s Span) map[string]any {
-	args := map[string]any{"energy_j": s.EnergyJ}
-	a := s.Attrs
-	if a.Job >= 0 {
-		args["job"] = a.Job
-	}
-	if a.Node >= 0 {
-		args["node"] = a.Node
-	}
-	if a.App != "" {
-		args["app"] = a.App
-	}
-	if a.Class != "" {
-		args["class"] = a.Class
-	}
-	if a.SizeGB > 0 {
-		args["size_gb"] = a.SizeGB
-	}
-	if a.Config != "" {
-		args["config"] = a.Config
-	}
-	if a.Partner != "" {
-		args["partner"] = a.Partner
-	}
-	if a.Detail != "" {
-		args["detail"] = a.Detail
-	}
-	if a.Link > 0 {
-		args["link"] = a.Link
-	}
-	if s.Open() {
-		args["open"] = true
-	}
-	return args
-}
-
-// flowEvent returns the Chrome flow event a steal span carries: the
-// victim's steal_out starts a flow ("s") and the thief's steal_in
-// finishes it ("f", binding to the enclosing slice), joined by the
-// link id. Perfetto then draws an arrow from the victim shard's track
-// to the thief's, so a stolen job's wait→tune→run chain reads
-// continuously across shards.
-func flowEvent(s Span, pid, tid int) (chromeEvent, bool) {
-	if s.Attrs.Link <= 0 {
-		return chromeEvent{}, false
-	}
-	ev := chromeEvent{
-		Name: "steal", Cat: "steal",
-		Ts: s.Start * 1e6, Pid: pid, Tid: tid, ID: s.Attrs.Link,
-	}
-	switch s.Kind {
-	case KindStealOut:
-		ev.Ph = "s"
-	case KindStealIn:
-		ev.Ph, ev.BP = "f", "e"
+		return node, 0
 	default:
-		return chromeEvent{}, false
+		return node, s.Attrs.Job + 1
 	}
-	return ev, true
 }
 
-// ChromeTrace converts spans into the trace_event document.
-func ChromeTrace(spans []Span) chromeDoc {
-	doc := chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	// Name the processes that actually appear, in pid order.
-	maxNode := -1
-	for _, s := range spans {
-		if s.Attrs.Node > maxNode {
-			maxNode = s.Attrs.Node
+// writeChrome streams the trace_event document of spans laid out by l:
+// each process's metadata in pid order, then every span's complete
+// event in span order. A linked steal span also carries a flow event:
+// the victim's steal_out starts it ("s") and the thief's steal_in
+// finishes it ("f", binding to the enclosing slice), so Perfetto draws
+// the hand-off arrow between shards. Each event goes through
+// encoding/json on its own, so memory stays one event deep; a
+// non-finite time or energy fails the encode and cuts the output short.
+func writeChrome(w io.Writer, spans []Span, l chromeLayout) error {
+	bw := bufio.NewWriter(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	bw.WriteString(`{"traceEvents":[`)
+	sep := ""
+	var ev chromeEvent
+	emit := func() error {
+		buf.Reset()
+		if err := enc.Encode(&ev); err != nil {
+			return err
+		}
+		bw.WriteString(sep)
+		bw.Write(buf.Bytes()[:buf.Len()-1]) // Encode ends the value with '\n'
+		sep = ","
+		return nil
+	}
+	for pid, name := range l.procs {
+		ev = chromeEvent{Name: "process_name", Cat: "__metadata", Ph: "M", Pid: pid,
+			Args: struct {
+				Name string `json:"name"`
+			}{name}}
+		if err := emit(); err != nil {
+			return err
+		}
+		if l.sortIndex {
+			ev.Name, ev.Args = "process_sort_index", struct {
+				SortIndex int `json:"sort_index"`
+			}{pid}
+			if err := emit(); err != nil {
+				return err
+			}
 		}
 	}
-	meta := func(pid int, name string) {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "process_name", Cat: "__metadata", Ph: "M",
-			Pid: pid, Args: map[string]any{"name": name},
-		})
-	}
-	meta(0, "scheduler")
-	for n := 0; n <= maxNode; n++ {
-		meta(n+1, "node "+strconv.Itoa(n))
-	}
-	for _, s := range spans {
-		pid, tid := chromeTrack(s)
-		dur := s.Dur() * 1e6
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: s.Name,
-			Cat:  s.Kind.String(),
-			Ph:   "X",
-			Ts:   s.Start * 1e6,
-			Dur:  &dur,
-			Pid:  pid,
-			Tid:  tid,
-			Args: chromeArgs(s),
-		})
-		if ev, ok := flowEvent(s, pid, tid); ok {
-			doc.TraceEvents = append(doc.TraceEvents, ev)
+	var (
+		args spanArgs
+		dur  float64
+	)
+	for i := range spans {
+		s := &spans[i]
+		pid, tid := l.track(s)
+		args, dur = newSpanArgs(s), s.Dur()*1e6
+		ev = chromeEvent{Name: s.Name, Cat: s.Kind.String(), Ph: "X", Ts: s.Start * 1e6,
+			Dur: &dur, Pid: pid, Tid: tid, Args: &args}
+		if err := emit(); err != nil {
+			return err
+		}
+		if s.Attrs.Link > 0 && (s.Kind == KindStealOut || s.Kind == KindStealIn) {
+			ev = chromeEvent{Name: "steal", Cat: "steal", Ph: "s", Ts: s.Start * 1e6, Pid: pid, Tid: tid, ID: s.Attrs.Link}
+			if s.Kind == KindStealIn {
+				ev.Ph, ev.BP = "f", "e"
+			}
+			if err := emit(); err != nil {
+				return err
+			}
 		}
 	}
-	return doc
+	bw.WriteString("],\"displayTimeUnit\":\"ms\"}\n")
+	return bw.Flush()
 }
 
-// WriteChromeTrace renders spans as Chrome trace_event JSON.
+// WriteChromeTrace renders spans as one Chrome trace_event document in
+// the solo layout: process 0 is the scheduler-level job view and
+// process n+1 is node n.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(ChromeTrace(spans))
+	return writeChrome(w, spans, soloLayout(spans))
 }
 
 // fmtAttrs renders the non-empty attributes in a fixed order.
@@ -199,20 +227,33 @@ func fmtAttrs(a Attrs) string {
 // line per span. The format is fixed-width and derived from simulated
 // quantities only, so it is byte-stable across same-seed runs.
 func WriteTimeline(w io.Writer, spans []Span) error {
+	return writeTimeline(w, spans, 0)
+}
+
+// writeTimeline is WriteTimeline's row writer. shards > 0 renders the
+// merged section of that many shards instead: its own header, a
+// leading shard column and a kind column wide enough for steal_out.
+func writeTimeline(w io.Writer, spans []Span, shards int) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# ecost trace timeline: %d spans\n", len(spans))
-	fmt.Fprintf(bw, "#%13s %13s %13s %-6s %-22s %4s %4s %14s  %s\n",
-		"start_s", "end_s", "dur_s", "kind", "name", "job", "node", "energy_j", "attrs")
+	kindW := 6
+	if shards > 0 {
+		kindW = 9
+		fmt.Fprintf(bw, "# ecost merged trace timeline: %d spans across %d shards\n#shard ", len(spans), shards)
+	} else {
+		fmt.Fprintf(bw, "# ecost trace timeline: %d spans\n#", len(spans))
+	}
+	fmt.Fprintf(bw, "%13s %13s %13s %-*s %-22s %4s %4s %14s  %s\n",
+		"start_s", "end_s", "dur_s", kindW, "kind", "name", "job", "node", "energy_j", "attrs")
 	for _, s := range spans {
-		end := s.End
-		dur := s.Dur()
-		open := ""
+		end, open := s.End, ""
 		if s.Open() {
-			end = s.Start
-			open = " (open)"
+			end, open = s.Start, " (open)"
 		}
-		fmt.Fprintf(bw, " %13.6f %13.6f %13.6f %-6s %-22s %4d %4d %14.6f  %s%s\n",
-			s.Start, end, dur, s.Kind, s.Name, s.Attrs.Job, s.Attrs.Node,
+		if shards > 0 {
+			fmt.Fprintf(bw, " %5d", s.Attrs.Shard)
+		}
+		fmt.Fprintf(bw, " %13.6f %13.6f %13.6f %-*s %-22s %4d %4d %14.6f  %s%s\n",
+			s.Start, end, s.Dur(), kindW, s.Kind, s.Name, s.Attrs.Job, s.Attrs.Node,
 			s.EnergyJ, fmtAttrs(s.Attrs), open)
 	}
 	return bw.Flush()

@@ -3,7 +3,10 @@ package tracing
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -181,4 +184,234 @@ func TestReportRollup(t *testing.T) {
 			t.Fatalf("report text missing %q:\n%s", want, buf.String())
 		}
 	}
+}
+
+// The reference Chrome encoder: the map-based exporter the streaming
+// writer replaced, kept test-only so FuzzChromeTraceMatchesReference
+// can hold the writer to its bytes. It builds the whole document, with
+// each span's args as a map that encoding/json sorts by key.
+
+type refEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"`
+	Dur  *float64       `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	ID   int            `json:"id,omitempty"`
+	BP   string         `json:"bp,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+type refDoc struct {
+	TraceEvents     []refEvent `json:"traceEvents"`
+	DisplayTimeUnit string     `json:"displayTimeUnit"`
+}
+
+func refArgs(s Span) map[string]any {
+	args := map[string]any{"energy_j": s.EnergyJ}
+	a := s.Attrs
+	if a.Job >= 0 {
+		args["job"] = a.Job
+	}
+	if a.Node >= 0 {
+		args["node"] = a.Node
+	}
+	if a.App != "" {
+		args["app"] = a.App
+	}
+	if a.Class != "" {
+		args["class"] = a.Class
+	}
+	if a.SizeGB > 0 {
+		args["size_gb"] = a.SizeGB
+	}
+	if a.Config != "" {
+		args["config"] = a.Config
+	}
+	if a.Partner != "" {
+		args["partner"] = a.Partner
+	}
+	if a.Detail != "" {
+		args["detail"] = a.Detail
+	}
+	if a.Link > 0 {
+		args["link"] = a.Link
+	}
+	if s.Open() {
+		args["open"] = true
+	}
+	return args
+}
+
+func refFlow(s Span, pid, tid int) (refEvent, bool) {
+	if s.Attrs.Link <= 0 {
+		return refEvent{}, false
+	}
+	ev := refEvent{Name: "steal", Cat: "steal", Ts: s.Start * 1e6, Pid: pid, Tid: tid, ID: s.Attrs.Link}
+	switch s.Kind {
+	case KindStealOut:
+		ev.Ph = "s"
+	case KindStealIn:
+		ev.Ph, ev.BP = "f", "e"
+	default:
+		return refEvent{}, false
+	}
+	return ev, true
+}
+
+// refSpanEvents appends every span's complete event and steal flow
+// event, placing each with track.
+func refSpanEvents(doc *refDoc, spans []Span, track func(Span) (int, int)) {
+	for _, s := range spans {
+		pid, tid := track(s)
+		dur := s.Dur() * 1e6
+		doc.TraceEvents = append(doc.TraceEvents, refEvent{Name: s.Name, Cat: s.Kind.String(), Ph: "X",
+			Ts: s.Start * 1e6, Dur: &dur, Pid: pid, Tid: tid, Args: refArgs(s)})
+		if ev, ok := refFlow(s, pid, tid); ok {
+			doc.TraceEvents = append(doc.TraceEvents, ev)
+		}
+	}
+}
+
+// refSoloChrome is the reference for WriteChromeTrace.
+func refSoloChrome(w io.Writer, spans []Span) error {
+	doc := refDoc{TraceEvents: []refEvent{}, DisplayTimeUnit: "ms"}
+	maxNode := -1
+	for _, s := range spans {
+		if s.Attrs.Node > maxNode {
+			maxNode = s.Attrs.Node
+		}
+	}
+	meta := func(pid int, name string) {
+		doc.TraceEvents = append(doc.TraceEvents, refEvent{Name: "process_name", Cat: "__metadata", Ph: "M",
+			Pid: pid, Args: map[string]any{"name": name}})
+	}
+	meta(0, "scheduler")
+	for n := 0; n <= maxNode; n++ {
+		meta(n+1, "node "+strconv.Itoa(n))
+	}
+	refSpanEvents(&doc, spans, func(s Span) (int, int) {
+		switch s.Kind {
+		case KindJob, KindWait, KindTune, KindStealOut, KindStealIn:
+			return 0, s.Attrs.Job
+		case KindNode:
+			return s.Attrs.Node + 1, 0
+		default:
+			return s.Attrs.Node + 1, s.Attrs.Job + 1
+		}
+	})
+	return json.NewEncoder(w).Encode(doc)
+}
+
+// refTracerChrome is the reference for Tracer.WriteChromeTrace over
+// spans in Spans order.
+func refTracerChrome(w io.Writer, spans []Span) error {
+	var shards []int
+	nodes := map[int]map[int]bool{}
+	for _, s := range spans {
+		if nodes[s.Attrs.Shard] == nil {
+			shards = append(shards, s.Attrs.Shard)
+			nodes[s.Attrs.Shard] = map[int]bool{}
+		}
+		if s.Attrs.Node >= 0 {
+			nodes[s.Attrs.Shard][s.Attrs.Node] = true
+		}
+	}
+	if len(shards) <= 1 {
+		return refSoloChrome(w, spans)
+	}
+	sort.Ints(shards)
+	doc := refDoc{TraceEvents: []refEvent{}, DisplayTimeUnit: "ms"}
+	schedPid, nodePid := map[int]int{}, map[int]int{}
+	next := 0
+	meta := func(pid int, name string) {
+		doc.TraceEvents = append(doc.TraceEvents,
+			refEvent{Name: "process_name", Cat: "__metadata", Ph: "M", Pid: pid, Args: map[string]any{"name": name}},
+			refEvent{Name: "process_sort_index", Cat: "__metadata", Ph: "M", Pid: pid, Args: map[string]any{"sort_index": pid}})
+	}
+	for _, si := range shards {
+		schedPid[si] = next
+		meta(next, "shard "+strconv.Itoa(si)+" scheduler")
+		next++
+		var ns []int
+		for n := range nodes[si] {
+			ns = append(ns, n)
+		}
+		sort.Ints(ns)
+		for _, n := range ns {
+			nodePid[n] = next
+			meta(next, fmt.Sprintf("node %d (shard %d)", n, si))
+			next++
+		}
+	}
+	refSpanEvents(&doc, spans, func(s Span) (int, int) {
+		switch s.Kind {
+		case KindJob, KindWait, KindTune, KindStealOut, KindStealIn:
+			return schedPid[s.Attrs.Shard], s.Attrs.Job
+		case KindNode:
+			return nodePid[s.Attrs.Node], 0
+		default:
+			return nodePid[s.Attrs.Node], s.Attrs.Job + 1
+		}
+	})
+	return json.NewEncoder(w).Encode(doc)
+}
+
+// sameBytes runs an export and its reference and fails unless both
+// error or both render the same bytes.
+func sameBytes(t *testing.T, name string, got, want func(io.Writer) error) {
+	t.Helper()
+	var g, w bytes.Buffer
+	gerr, werr := got(&g), want(&w)
+	switch {
+	case werr != nil:
+		if gerr == nil {
+			t.Fatalf("%s: reference failed (%v), writer did not", name, werr)
+		}
+	case gerr != nil:
+		t.Fatalf("%s: writer failed: %v", name, gerr)
+	case !bytes.Equal(g.Bytes(), w.Bytes()):
+		t.Fatalf("%s: writer and reference differ:\n%s\n---\n%s", name, g.Bytes(), w.Bytes())
+	}
+}
+
+// FuzzChromeTraceMatchesReference records one span of every kind per
+// shard from the fuzzed attributes, varying start, node and openness
+// across spans, and requires both Chrome layouts to match the
+// reference byte for byte: the tracer's export (solo for one shard,
+// per-shard blocks for more) and the package's solo export of the same
+// spans.
+func FuzzChromeTraceMatchesReference(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	f.Add(uint8(1), int8(-1), int8(-1), -1.0, int8(0), 0.0, 0.0, false, "wc", "")
+	f.Add(uint8(3), int8(0), int8(0), 0.0, int8(-1), negZero, 1.5, true, `<>&"\`, "\u2028\xff")
+	f.Add(uint8(3), int8(-1), int8(0), 5.0, int8(1), 1e-7, 2.0, false, "nb", `a"b<c>`)
+	f.Add(uint8(1), int8(0), int8(-1), 0.5, int8(3), 1e21, 0.25, true, "\xff\xfe", "p q")
+	f.Add(uint8(3), int8(2), int8(5), -0.5, int8(7), 1e21, 10.0, true, "pr", "&amp;")
+	f.Add(uint8(1), int8(7), int8(2), 1e-9, int8(-3), 1e-7, 3.0, false, "", "x")
+	f.Fuzz(func(t *testing.T, shards uint8, job, node int8, sizeGB float64, link int8,
+		energyJ, start float64, open bool, app, detail string) {
+		tr := New()
+		for si := 0; si < int(shards%4); si++ {
+			for k := KindJob; k <= KindStealIn; k++ {
+				i := si*int(KindStealIn+1) + int(k)
+				end := start + float64(i%3)
+				if open && i%2 == 0 {
+					end = math.NaN()
+				}
+				tr.Record(k, app+k.String(), nil, start+float64(i%4), end, Attrs{
+					Job: int(job), Node: int(node)%8 + si*(i%2), App: app, Class: detail,
+					SizeGB: sizeGB, Config: detail, Partner: app, Detail: detail,
+					Link: int(link), Shard: si,
+				}).AddEnergy(energyJ)
+			}
+		}
+		spans := tr.Spans()
+		sameBytes(t, "tracer", tr.WriteChromeTrace, func(w io.Writer) error { return refTracerChrome(w, spans) })
+		sameBytes(t, "solo",
+			func(w io.Writer) error { return WriteChromeTrace(w, spans) },
+			func(w io.Writer) error { return refSoloChrome(w, spans) })
+	})
 }

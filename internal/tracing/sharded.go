@@ -25,18 +25,20 @@ package tracing
 import (
 	"bufio"
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 )
 
 // byShard splits spans (in Spans order) into one group per shard
 // present, in ascending shard order; each group keeps its shard's
-// (Start, ID) order.
+// (Start, ID) order. Spans from one shard (or none) come back as the
+// one group they are, uncopied.
 func byShard(spans []Span) [][]Span {
+	if !slices.ContainsFunc(spans, func(s Span) bool { return s.Attrs.Shard != spans[0].Attrs.Shard }) {
+		return [][]Span{spans}
+	}
 	sorted := slices.Clone(spans)
 	slices.SortStableFunc(sorted, func(a, b Span) int { return cmp.Compare(a.Attrs.Shard, b.Attrs.Shard) })
 	var groups [][]Span
@@ -53,94 +55,40 @@ func byShard(spans []Span) [][]Span {
 
 // WriteChromeTrace renders the span set as one Chrome trace_event
 // document. Spans from one shard render the solo layout; spans from
-// more render one process block — scheduler process plus that shard's
-// node processes, contiguous pids, process_sort_index pinned — per
-// shard, so Perfetto shows one track group per shard, and steal span
-// pairs are joined with flow events.
+// more render one process block per shard (shardLayout), and steal
+// span pairs are joined with flow events.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	spans := t.Spans()
 	shards := byShard(spans)
 	if len(shards) <= 1 {
 		return WriteChromeTrace(w, spans)
 	}
-	return json.NewEncoder(w).Encode(mergedChromeTrace(spans, shards))
+	return writeChrome(w, spans, shardLayout(shards))
 }
 
-// mergedChromeTrace lays the multi-shard document out: each shard owns
-// a contiguous pid block [base, base+1+len(nodes)) — the scheduler
-// process first, then that shard's nodes in ascending global id — and
-// every process carries a process_sort_index so the shard grouping
-// survives Perfetto's sorting. spans is the merged span set and shards
-// its byShard groups.
-func mergedChromeTrace(spans []Span, shards [][]Span) chromeDoc {
-	doc := chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	schedPid := make(map[int]int)
-	nodePid := make(map[int]int)
-	next := 0
-	meta := func(pid int, name string) {
-		doc.TraceEvents = append(doc.TraceEvents,
-			chromeEvent{Name: "process_name", Cat: "__metadata", Ph: "M",
-				Pid: pid, Args: map[string]any{"name": name}},
-			chromeEvent{Name: "process_sort_index", Cat: "__metadata", Ph: "M",
-				Pid: pid, Args: map[string]any{"sort_index": pid}})
-	}
+// shardLayout gives each shard a contiguous pid block — its scheduler
+// process, then the nodes its spans touch in ascending global id — and
+// every process a process_sort_index, so Perfetto shows one track
+// group per shard.
+func shardLayout(shards [][]Span) chromeLayout {
+	l := chromeLayout{sortIndex: true, schedPid: make(map[int]int), nodePid: make(map[int]int)}
 	for _, group := range shards {
 		si := group[0].Attrs.Shard
-		schedPid[si] = next
-		meta(next, "shard "+strconv.Itoa(si)+" scheduler")
-		next++
-		for _, n := range shardNodes(group) {
-			nodePid[n] = next
-			meta(next, fmt.Sprintf("node %d (shard %d)", n, si))
-			next++
+		l.schedPid[si] = len(l.procs)
+		l.procs = append(l.procs, "shard "+strconv.Itoa(si)+" scheduler")
+		var nodes []int
+		for i := range group {
+			if n := group[i].Attrs.Node; n >= 0 {
+				nodes = append(nodes, n)
+			}
+		}
+		slices.Sort(nodes)
+		for _, n := range slices.Compact(nodes) {
+			l.nodePid[n] = len(l.procs)
+			l.procs = append(l.procs, fmt.Sprintf("node %d (shard %d)", n, si))
 		}
 	}
-	for _, s := range spans {
-		pid, tid := mergedTrack(s, schedPid, nodePid)
-		dur := s.Dur() * 1e6
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: s.Name,
-			Cat:  s.Kind.String(),
-			Ph:   "X",
-			Ts:   s.Start * 1e6,
-			Dur:  &dur,
-			Pid:  pid,
-			Tid:  tid,
-			Args: chromeArgs(s),
-		})
-		if ev, ok := flowEvent(s, pid, tid); ok {
-			doc.TraceEvents = append(doc.TraceEvents, ev)
-		}
-	}
-	return doc
-}
-
-// mergedTrack maps a span onto its shard's pid block, mirroring the
-// solo chromeTrack layout within the block.
-func mergedTrack(s Span, schedPid, nodePid map[int]int) (pid, tid int) {
-	switch s.Kind {
-	case KindJob, KindWait, KindTune, KindStealOut, KindStealIn:
-		return schedPid[s.Attrs.Shard], s.Attrs.Job
-	case KindNode:
-		return nodePid[s.Attrs.Node], 0
-	default: // run / map / reduce live on their node, one track per job
-		return nodePid[s.Attrs.Node], s.Attrs.Job + 1
-	}
-}
-
-// shardNodes lists the distinct global node ids a shard's spans touch,
-// ascending.
-func shardNodes(spans []Span) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, s := range spans {
-		if s.Attrs.Node >= 0 && !seen[s.Attrs.Node] {
-			seen[s.Attrs.Node] = true
-			out = append(out, s.Attrs.Node)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return l
 }
 
 // WriteTimeline renders the span set as text. Spans from one shard
@@ -162,30 +110,8 @@ func (t *Tracer) WriteTimeline(w io.Writer) error {
 		}
 	}
 	fmt.Fprintf(bw, "== merged ==\n")
-	if err := WriteMergedTimeline(bw, spans, len(shards)); err != nil {
+	if err := writeTimeline(bw, spans, len(shards)); err != nil {
 		return err
-	}
-	return bw.Flush()
-}
-
-// WriteMergedTimeline renders merged spans (already in canonical merged
-// order) as text with a shard column. Like WriteTimeline, every value
-// derives from simulated quantities, so the output is byte-stable.
-func WriteMergedTimeline(w io.Writer, spans []Span, shards int) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# ecost merged trace timeline: %d spans across %d shards\n", len(spans), shards)
-	fmt.Fprintf(bw, "#%5s %13s %13s %13s %-9s %-22s %4s %4s %14s  %s\n",
-		"shard", "start_s", "end_s", "dur_s", "kind", "name", "job", "node", "energy_j", "attrs")
-	for _, s := range spans {
-		end := s.End
-		open := ""
-		if s.Open() {
-			end = s.Start
-			open = " (open)"
-		}
-		fmt.Fprintf(bw, " %5d %13.6f %13.6f %13.6f %-9s %-22s %4d %4d %14.6f  %s%s\n",
-			s.Attrs.Shard, s.Start, end, s.Dur(), s.Kind, s.Name, s.Attrs.Job, s.Attrs.Node,
-			s.EnergyJ, fmtAttrs(s.Attrs), open)
 	}
 	return bw.Flush()
 }
