@@ -333,20 +333,30 @@ func pairObservations(entries []DBEntry) []Observation {
 // mapper splits and block sizes, which is how Weka-era linear models
 // were actually used on this kind of tuning data.
 func ConfigRow(sizeA, sizeB float64, cfg [2]mapreduce.Config) []float64 {
+	return configRowInto(make([]float64, configRowLen), sizeA, sizeB, cfg)
+}
+
+// configRowLen is the length of a ConfigRow.
+const configRowLen = 20
+
+// configRowInto writes ConfigRow(sizeA, sizeB, cfg) into x[:configRowLen]
+// and returns that prefix, with the same arithmetic, so the row is
+// bit-identical.
+func configRowInto(x []float64, sizeA, sizeB float64, cfg [2]mapreduce.Config) []float64 {
 	f1, b1, m1 := float64(cfg[0].Freq), float64(cfg[0].Block), float64(cfg[0].Mappers)
 	f2, b2, m2 := float64(cfg[1].Freq), float64(cfg[1].Block), float64(cfg[1].Mappers)
 	splitsA := sizeA * 1024 / b1
 	splitsB := sizeB * 1024 / b2
-	return []float64{
-		sizeA, sizeB,
-		f1, b1, m1, f2, b2, m2,
-		m1 + m2, m1 * m2, // core allocation balance
-		1 / m1, 1 / m2, // serialization of each slot
-		f1 * m1, f2 * m2, // active dynamic power proxy
-		splitsA, splitsB, // task counts
-		splitsA / m1, splitsB / m2, // wave counts
-		m1 * b1, m2 * b2, // memory-pressure proxy
-	}
+	x = x[:configRowLen]
+	x[0], x[1] = sizeA, sizeB
+	x[2], x[3], x[4], x[5], x[6], x[7] = f1, b1, m1, f2, b2, m2
+	x[8], x[9] = m1+m2, m1*m2             // core allocation balance
+	x[10], x[11] = 1/m1, 1/m2             // serialization of each slot
+	x[12], x[13] = f1*m1, f2*m2           // active dynamic power proxy
+	x[14], x[15] = splitsA, splitsB       // task counts
+	x[16], x[17] = splitsA/m1, splitsB/m2 // wave counts
+	x[18], x[19] = m1*b1, m2*b2           // memory-pressure proxy
+	return x
 }
 
 // slotLess orders observations into canonical model slots: by class,

@@ -6,14 +6,16 @@ import (
 	"ecost/internal/mapreduce"
 )
 
-// The MLM-STP argmin and the database's training-row sweep both iterate
-// ConfigRow over the full joint configuration space for a (sizeA,
-// sizeB) combination. The row depends only on (cores, sizeA, sizeB) —
-// the knobs come from the shared PairConfigsCached enumeration — so the
+// The database's training-row sweep iterates ConfigRow over the full
+// joint configuration space for every (sizeA, sizeB) combination of the
+// training grid. The row depends only on (cores, sizeA, sizeB) — the
+// knobs come from the shared PairConfigsCached enumeration — so the
 // whole design matrix is precomputed once per combination and shared,
-// exactly like PairConfigsCached: the data-size grid is tiny (the
-// paper's 1/5/10 GB), so the cache stays small while every prediction
-// drops from 11,200 ConfigRow allocations to zero.
+// exactly like PairConfigsCached, and an unswapped training row is the
+// matrix row itself. The sweep only asks for the training grid's sizes
+// (the paper's 1/5/10 GB), so the cache stays small. The MLM-STP argmin
+// sees every job's own sizes, so it computes its rows into a reused
+// buffer instead (configRowInto) and never fills the cache.
 
 type designKey struct {
 	cores        int

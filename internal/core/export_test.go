@@ -66,7 +66,7 @@ func (c *ShardedScheduler) QueueLen() int {
 // DepthByClass tallies the queued jobs per class (for depth gauges).
 func (q *WaitQueue) DepthByClass() map[workloads.Class]int {
 	out := map[workloads.Class]int{}
-	for _, j := range q.jobs {
+	for _, j := range q.Jobs() {
 		out[j.Class]++
 	}
 	return out
@@ -82,12 +82,13 @@ const leapFraction = 0.5
 // head (always, by reservation) plus any job small enough to leap
 // forward without delaying the head.
 func (q *WaitQueue) Candidates() []*Job {
-	if len(q.jobs) == 0 {
+	jobs := q.Jobs()
+	if len(jobs) == 0 {
 		return nil
 	}
-	head := q.jobs[0]
+	head := jobs[0]
 	out := []*Job{head}
-	for _, j := range q.jobs[1:] {
+	for _, j := range jobs[1:] {
 		if head.EstTime > 0 && j.EstTime <= leapFraction*head.EstTime {
 			out = append(out, j)
 		}

@@ -27,6 +27,10 @@ import (
 //   - each shard's phase sums add up to its nodes' cached draws, within
 //     1e-9 relative;
 //   - no shard's energy ever decreases;
+//   - each shard's energy is at least its nodes' idle power over its
+//     own accrual time, len(nodes) × Spec.IdleWatts × lastUpdate,
+//     within 1e-9 relative (bench/check.go's idle floor for a whole
+//     run);
 //   - with a tracer attached, the energy each shard's observer billed to
 //     its node spans plus each node's unbilled draw since its last bill,
 //     n.watts × (lastUpdate − since), equals the shard's bill within
@@ -134,6 +138,9 @@ func (k *invariantChecker) check() error {
 			return fmt.Errorf("shard %d: energy fell from %v to %v", i, k.energy[i], sh.energyJ)
 		}
 		k.energy[i] = sh.energyJ
+		if floor := float64(len(sh.nodes)) * sh.Model.Spec.IdleWatts * sh.lastUpdate; sh.energyJ < floor*(1-1e-9) {
+			return fmt.Errorf("shard %d: energy %v J below its idle floor %v J at %v s", i, sh.energyJ, floor, sh.lastUpdate)
+		}
 		if traced {
 			billed += k.closedJ[i]
 			if math.Abs(billed-sh.energyJ) > 1e-9*sh.energyJ {
@@ -370,6 +377,13 @@ func TestInvariantCheckerCatchesDoctoredRuns(t *testing.T) {
 				}
 			}
 			return false
+		}},
+		// Move a shard's accrual time a second past what its energy
+		// covers at idle draw, without billing it.
+		{"idle floor", "below its idle floor", func(c *ShardedScheduler) bool {
+			sh := c.shards[0]
+			sh.lastUpdate += sh.energyJ/(float64(len(sh.nodes))*sh.Model.Spec.IdleWatts) + 1
+			return true
 		}},
 		{"lost job", "submitted", func(c *ShardedScheduler) bool {
 			c.shards[0].pending++

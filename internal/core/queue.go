@@ -40,7 +40,7 @@ type Job struct {
 // cannot starve, and a small job deeper in the queue may leap forward
 // only if taking it does not delay the head (§5).
 type WaitQueue struct {
-	jobs []*Job
+	jobs jobFIFO
 
 	// Metrics, when non-nil, receives queue telemetry: per-class push
 	// counts and the depth high-water mark. The owning scheduler samples
@@ -50,10 +50,10 @@ type WaitQueue struct {
 	// byClass sub-indexes the FIFO per class, one deque per slot of
 	// workloads.Classes() (each in queue order), and nextSeq numbers
 	// pushes (Job.seq), so SelectPartner inspects at most four fronts
-	// instead of scanning the whole queue. The jobs slice stays the
+	// instead of scanning the whole queue. The jobs window stays the
 	// source of truth; the index mirrors it exactly (fuzz-tested
 	// against the linear scan).
-	byClass [numClasses][]*Job
+	byClass [numClasses]jobFIFO
 	nextSeq uint64
 }
 
@@ -65,39 +65,91 @@ func (q *WaitQueue) Push(j *Job) {
 	if j == nil {
 		return
 	}
-	q.jobs = append(q.jobs, j)
+	q.jobs.push(j)
 	q.index(j)
 	if q.Metrics != nil {
 		q.Metrics.Counter("queue.push." + j.Class.String()).Inc()
-		if hw := q.Metrics.Gauge("queue.depth_highwater"); float64(len(q.jobs)) > hw.Value() {
-			hw.Set(float64(len(q.jobs)))
+		if hw := q.Metrics.Gauge("queue.depth_highwater"); float64(q.Len()) > hw.Value() {
+			hw.Set(float64(q.Len()))
 		}
 	}
 }
 
 // Len reports the queue length.
-func (q *WaitQueue) Len() int { return len(q.jobs) }
+func (q *WaitQueue) Len() int { return q.jobs.len() }
 
 // Head returns the reserved head job without removing it.
 func (q *WaitQueue) Head() *Job {
-	if len(q.jobs) == 0 {
+	if q.Len() == 0 {
 		return nil
 	}
-	return q.jobs[0]
+	return q.jobs.front()
 }
 
 // Jobs returns the queued jobs in order (shared slice: do not mutate).
-func (q *WaitQueue) Jobs() []*Job { return q.jobs }
+func (q *WaitQueue) Jobs() []*Job { return q.jobs.live() }
 
 // PopHead removes and returns the head job.
 func (q *WaitQueue) PopHead() *Job {
-	if len(q.jobs) == 0 {
+	if q.Len() == 0 {
 		return nil
 	}
-	j := q.jobs[0]
-	q.jobs[0] = nil // the dead prefix must not pin popped jobs
-	q.jobs = q.jobs[1:]
+	j := q.jobs.remove(0)
 	q.unindex(j)
+	return j
+}
+
+// jobFIFO is a run of jobs in queue order over a backing array it
+// reuses: buf[head:] is the live window, and buf[:head] the dead prefix
+// that removals from the front leave behind. Every slot outside the
+// window is nil, so the array pins no removed job.
+type jobFIFO struct {
+	buf  []*Job
+	head int
+}
+
+// live returns the window (shared slice: do not mutate).
+func (f *jobFIFO) live() []*Job { return f.buf[f.head:] }
+
+// len reports the window's length.
+func (f *jobFIFO) len() int { return len(f.buf) - f.head }
+
+// front returns the window's first job; the window must not be empty.
+func (f *jobFIFO) front() *Job { return f.buf[f.head] }
+
+// push appends j at the tail. When the array is full and its dead
+// prefix is at least as long as the window, the window slides back to
+// the array's start, clearing the slots it leaves, instead of the
+// array growing; a slide moves no more jobs than were removed since the
+// last one, so push stays amortized O(1). A full array with a shorter
+// dead prefix grows from the window alone.
+func (f *jobFIFO) push(j *Job) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 {
+		live := f.buf[f.head:]
+		if f.head >= len(live) {
+			n := copy(f.buf, live)
+			clear(f.buf[n:])
+			live = f.buf[:n]
+		}
+		f.buf, f.head = live, 0
+	}
+	f.buf = append(f.buf, j)
+}
+
+// remove deletes and returns the job at window position i. A window
+// that empties restarts at the start of its array.
+func (f *jobFIFO) remove(i int) *Job {
+	k := f.head + i
+	j := f.buf[k]
+	if i == 0 {
+		f.buf[k] = nil
+		f.head++
+	} else {
+		f.buf = slices.Delete(f.buf, k, k+1)
+	}
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
 	return j
 }
 
@@ -107,30 +159,19 @@ const numClasses = int(workloads.MemBound) + 1
 
 // index registers a freshly pushed job in the per-class sub-index.
 func (q *WaitQueue) index(j *Job) {
-	q.byClass[j.Class] = append(q.byClass[j.Class], j)
+	q.byClass[j.Class].push(j)
 	j.seq = q.nextSeq
 	q.nextSeq++
 }
 
 // unindex drops a removed job from the per-class sub-index. The
 // scheduler removes fronts (PopHead, or Take of the job SelectPartner
-// just returned), so the common case splices at position 0. A deque
-// that empties keeps its slot's capacity for the next push.
+// just returned), so the common case removes at position 0.
 func (q *WaitQueue) unindex(j *Job) {
-	d := q.byClass[j.Class]
-	switch i := slices.Index(d, j); {
-	case i < 0:
-		return
-	case len(d) == 1:
-		d[0] = nil
-		d = d[:0]
-	case i == 0:
-		d[0] = nil
-		d = d[1:]
-	default:
-		d = slices.Delete(d, i, i+1)
+	d := &q.byClass[j.Class]
+	if i := slices.Index(d.live(), j); i >= 0 {
+		d.remove(i)
 	}
-	q.byClass[j.Class] = d
 }
 
 // PartnerCandidates returns the jobs eligible to be co-located NEXT TO an
@@ -140,13 +181,13 @@ func (q *WaitQueue) unindex(j *Job) {
 // job (§5: "a small job is allowed to leap forward as long as it does
 // not delay the job at the head of the queue"; a partner placement never
 // delays the head).
-func (q *WaitQueue) PartnerCandidates() []*Job { return q.jobs }
+func (q *WaitQueue) PartnerCandidates() []*Job { return q.jobs.live() }
 
 // Take removes the specific job from the queue (by ID).
 func (q *WaitQueue) Take(id int) (*Job, error) {
-	for i, j := range q.jobs {
+	for i, j := range q.jobs.live() {
 		if j.ID == id {
-			q.jobs = slices.Delete(q.jobs, i, i+1)
+			q.jobs.remove(i)
 			q.unindex(j)
 			return j, nil
 		}
@@ -169,16 +210,17 @@ func (q *WaitQueue) Take(id int) (*Job, error) {
 // equals the legacy whole-queue scan's first-strictly-better sweep
 // (fuzz-tested against it in FuzzWaitQueueIndex).
 func (q *WaitQueue) SelectPartner(running workloads.Class, priority []workloads.Class) *Job {
-	if len(q.jobs) == 0 {
+	if q.Len() == 0 {
 		return nil
 	}
 	var best *Job
 	bestRank := 0
-	for c, d := range q.byClass {
-		if len(d) == 0 {
+	for c := range q.byClass {
+		d := &q.byClass[c]
+		if d.len() == 0 {
 			continue
 		}
-		j := d[0]
+		j := d.front()
 		r := classRank(workloads.Class(c), priority)
 		if best == nil || r < bestRank || (r == bestRank && j.seq < best.seq) {
 			best, bestRank = j, r

@@ -188,3 +188,49 @@ func (q *WaitQueue) selectPartnerLinear(priority []workloads.Class) *Job {
 	}
 	return best
 }
+
+// TestWaitQueueReuseZeroAlloc checks that a warm queue reuses its
+// arrays: once the jobs window and the class deques have grown to the
+// depths a stream reaches, pushes slide each window back to the start
+// of its array instead of reallocating. Two streams alternate push and
+// pop: one that drains after every pop, and one held at a fixed depth
+// k that never drains. Both allocate nothing per operation, and keep
+// the queue's FIFO order.
+func TestWaitQueueReuseZeroAlloc(t *testing.T) {
+	classes := workloads.Classes()
+	for _, k := range []int{0, 1, 3, 17} {
+		q := NewWaitQueue()
+		for i := 0; i < k; i++ {
+			q.Push(qjob(i, classes[i%len(classes)], 1))
+		}
+		// spare is the one job outside the queue: each step pushes it
+		// and pops the head, which becomes the next step's spare.
+		spare := qjob(k, classes[k%len(classes)], 1)
+		step := func() {
+			q.Push(spare)
+			spare = q.PopHead()
+		}
+		for i := 0; i < 8*(k+1)+64; i++ {
+			step()
+		}
+		// AllocsPerRun rounds its per-run average down, so one measured
+		// run makes every step: one allocation in any of them fails it.
+		const steps = 1 << 14
+		if allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < steps; i++ {
+				step()
+			}
+		}); allocs != 0 {
+			t.Errorf("depth %d: %v allocations per %d pushes and pops, want 0", k, allocs, steps)
+		}
+		if q.Len() != k {
+			t.Fatalf("depth %d: queue holds %d jobs", k, q.Len())
+		}
+		// The k+1 jobs cycle through the queue in id order.
+		for i, j := range q.Jobs() {
+			if want := (spare.ID + 1 + i) % (k + 1); j.ID != want {
+				t.Fatalf("depth %d: position %d holds job %d, want %d", k, i, j.ID, want)
+			}
+		}
+	}
+}

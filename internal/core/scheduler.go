@@ -83,7 +83,7 @@ type shard struct {
 	// completions points at the control plane's one completion log,
 	// err at its error: the first error an event hit (see fail).
 	pending     int
-	completions *[]doneJob
+	completions *[]CompletedJob
 	err         *error
 
 	// energy accounting
@@ -180,26 +180,9 @@ type CompletedJob struct {
 	Cfg       mapreduce.Config
 }
 
-// doneJob is one entry of the control plane's completion log: a
-// CompletedJob with its application and class by id and its node in
-// 32 bits. It holds no pointer, so the garbage collector never scans
-// the log, and it is 72 bytes to CompletedJob's 96 (TestRecordSizes).
-// Completed expands the entries into CompletedJobs.
-type doneJob struct {
-	ID        int
-	SizeGB    float64
-	Submitted float64
-	Started   float64
-	Finished  float64
-	Cfg       mapreduce.Config
-	Node      int32
-	App       workloads.ID
-	Class     uint8
-}
-
-// precedes reports whether d comes before e in the log's (Finished, ID)
-// order, a total order: a job completes once.
-func (d *doneJob) precedes(e *doneJob) bool {
+// precedes reports whether d comes before e in the completion log's
+// (Finished, ID) order, a total order: a job completes once.
+func (d *CompletedJob) precedes(e *CompletedJob) bool {
 	return d.Finished < e.Finished || (d.Finished == e.Finished && d.ID < e.ID)
 }
 
@@ -207,7 +190,7 @@ func (d *doneJob) precedes(e *doneJob) bool {
 // order. The engine fires completions in time order, so d is never
 // earlier than the log's last entry; only a same-instant completion
 // with a lower id than the ones before it moves back, past those few.
-func logCompletion(log *[]doneJob, d doneJob) {
+func logCompletion(log *[]CompletedJob, d CompletedJob) {
 	l := append(*log, d)
 	i := len(l) - 1
 	for ; i > 0 && d.precedes(&l[i-1]); i-- {
@@ -761,10 +744,10 @@ func (s *shard) nodeComplete(n *onlineNode) {
 	s.occupancyChanged(n)
 	s.pending--
 	j := finisher.job
-	logCompletion(s.completions, doneJob{
-		ID: j.ID, SizeGB: j.Obs.SizeGB,
+	logCompletion(s.completions, CompletedJob{
+		ID: j.ID, App: j.Obs.App.Name(), Class: j.Class, SizeGB: j.Obs.SizeGB,
 		Submitted: j.Arrived, Started: finisher.started, Finished: s.ev.now,
-		Cfg: finisher.cfg, Node: int32(s.gid(n)), App: j.Obs.App, Class: uint8(j.Class),
+		Node: s.gid(n), Cfg: finisher.cfg,
 	})
 	if s.obs != nil {
 		s.obs.complete(n, finisher)

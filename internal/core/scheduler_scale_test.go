@@ -203,7 +203,7 @@ func FuzzWaitQueueIndex(f *testing.F) {
 				q.PopHead()
 			case 3:
 				if n := q.Len(); n > 0 {
-					if _, err := q.Take(q.jobs[int(op/4)%n].ID); err != nil {
+					if _, err := q.Take(q.Jobs()[int(op/4)%n].ID); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -216,16 +216,19 @@ func FuzzWaitQueueIndex(f *testing.F) {
 						len(ops), prio, got, want, q.Len())
 				}
 			}
-			for i := 1; i < q.Len(); i++ {
-				if q.jobs[i-1].seq >= q.jobs[i].seq {
-					t.Fatalf("queue positions %d,%d carry sequences %d,%d, want increasing", i-1, i, q.jobs[i-1].seq, q.jobs[i].seq)
+			jobs := q.Jobs()
+			for i := 1; i < len(jobs); i++ {
+				if jobs[i-1].seq >= jobs[i].seq {
+					t.Fatalf("queue positions %d,%d carry sequences %d,%d, want increasing", i-1, i, jobs[i-1].seq, jobs[i].seq)
 				}
 			}
-			if dead := q.jobs[:cap(q.jobs)][q.Len():]; slices.ContainsFunc(dead, func(j *Job) bool { return j != nil }) {
-				t.Fatal("queue backing array pins a removed job past its length")
+			if pinsOutsideWindow(&q.jobs) {
+				t.Fatal("queue backing array pins a removed job outside its live window")
 			}
 			indexed := 0
-			for c, d := range q.byClass {
+			for c := range q.byClass {
+				f := &q.byClass[c]
+				d := f.live()
 				for i, j := range d {
 					if j.Class != workloads.Class(c) {
 						t.Fatalf("class %v deque holds job %d of class %v", workloads.Class(c), j.ID, j.Class)
@@ -234,8 +237,8 @@ func FuzzWaitQueueIndex(f *testing.F) {
 						t.Fatalf("class %v deque positions %d,%d carry sequences %d,%d, want increasing", workloads.Class(c), i-1, i, d[i-1].seq, j.seq)
 					}
 				}
-				if dead := d[len(d):cap(d)]; slices.ContainsFunc(dead, func(j *Job) bool { return j != nil }) {
-					t.Fatalf("class %v deque backing array pins a removed job past its length", workloads.Class(c))
+				if pinsOutsideWindow(f) {
+					t.Fatalf("class %v deque backing array pins a removed job outside its live window", workloads.Class(c))
 				}
 				indexed += len(d)
 			}
@@ -244,6 +247,14 @@ func FuzzWaitQueueIndex(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pinsOutsideWindow reports whether any slot of f's backing array
+// outside its live window, in the dead prefix or past the tail, holds a
+// job.
+func pinsOutsideWindow(f *jobFIFO) bool {
+	notNil := func(j *Job) bool { return j != nil }
+	return slices.ContainsFunc(f.buf[:f.head], notNil) || slices.ContainsFunc(f.buf[len(f.buf):cap(f.buf)], notNil)
 }
 
 // TestMemoSTPTransparency checks the memo wrapper end to end on

@@ -104,9 +104,9 @@ type ShardedScheduler struct {
 	// completed is the one completion log, in (Finished, ID) order:
 	// every shard appends to it at its completion events through
 	// logCompletion, which keeps the order. Run reserves it for every
-	// submitted job, so it never regrows. Its entries hold no pointer
-	// (doneJob), so the collector never scans it.
-	completed []doneJob
+	// submitted job, so it never regrows. It is also what Completed
+	// returns, so each completion is stored once (DESIGN.md §44).
+	completed []CompletedJob
 
 	// err is the first bad submission (a profile error or an
 	// out-of-order arrival time) or the first error an event hit.
@@ -456,7 +456,7 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 			err = fmt.Errorf("core: sharded scheduler: %v", r)
 		}
 	}()
-	c.completed = append(make([]doneJob, 0, c.nextID), c.completed...)
+	c.completed = append(make([]CompletedJob, 0, c.nextID), c.completed...)
 	if c.drive(); c.err != nil {
 		return 0, 0, c.err
 	}
@@ -671,19 +671,18 @@ func (c *ShardedScheduler) stealPass(t float64) {
 }
 
 // Completed returns every finished job ordered by (finish time, job
-// id), as a copy the caller owns (never nil). The log is kept in that
-// order as it is appended (logCompletion), so Completed expands each
-// entry into the copy in one pass, and the copy is the call's one
-// allocation (TestCompletedAllocatesOnce).
+// id), never nil. The result is the plane's own completion log, kept in
+// that order as it is appended (logCompletion), so Completed copies and
+// allocates nothing (TestCompletedAllocatesNothing): two calls return
+// the same entries. The plane never writes the log after Run returns,
+// and the result is clipped to its length, so a caller's append
+// reallocates instead of writing into the plane. Callers must not
+// write to its entries.
 func (c *ShardedScheduler) Completed() []CompletedJob {
-	out := make([]CompletedJob, len(c.completed))
-	for i := range c.completed {
-		d, o := &c.completed[i], &out[i]
-		o.ID, o.App, o.Class, o.SizeGB = d.ID, d.App.Name(), workloads.Class(d.Class), d.SizeGB
-		o.Submitted, o.Started, o.Finished = d.Submitted, d.Started, d.Finished
-		o.Node, o.Cfg = int(d.Node), d.Cfg
+	if c.completed == nil {
+		return []CompletedJob{}
 	}
-	return out
+	return c.completed[:len(c.completed):len(c.completed)]
 }
 
 // EnergyJ sums shard energy in shard order.

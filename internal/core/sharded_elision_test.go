@@ -275,7 +275,7 @@ func TestShardedCompletedMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, j := range log {
-			logCompletion(&c.completed, doneJob{ID: j.ID, Finished: j.Finished})
+			logCompletion(&c.completed, CompletedJob{ID: j.ID, Finished: j.Finished})
 		}
 		return c
 	}
@@ -328,7 +328,8 @@ func TestShardedCompletedMerge(t *testing.T) {
 
 // TestShardedCompletedLog checks the one completion log on a 16-shard
 // stealing run: Run reserves it for every submitted job, so steals
-// never make it regrow, and Completed hands out copies the caller owns.
+// never make it regrow, and Completed hands out the log itself, clipped
+// to its length.
 func TestShardedCompletedLog(t *testing.T) {
 	fixture(t)
 	const jobs = 2000
@@ -342,11 +343,12 @@ func TestShardedCompletedLog(t *testing.T) {
 	if len(c.completed) != jobs || cap(c.completed) != jobs {
 		t.Fatalf("log len %d cap %d, want both %d (reserved once, never regrown)", len(c.completed), cap(c.completed), jobs)
 	}
-	first := c.Completed()
-	want := first[0]
-	first[0].ID, first[0].Finished = -1, -1
-	if got := c.Completed()[0]; got != want {
-		t.Fatalf("mutating one Completed result changed the next: got %+v, want %+v", got, want)
+	first, second := c.Completed(), c.Completed()
+	if &first[0] != &second[0] || &first[0] != &c.completed[0] {
+		t.Fatal("two Completed calls returned different backing arrays, or not the log's")
+	}
+	if len(first) != jobs || cap(first) != jobs {
+		t.Fatalf("Completed len %d cap %d, want both %d", len(first), cap(first), jobs)
 	}
 
 	empty, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(1)),

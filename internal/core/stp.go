@@ -326,48 +326,46 @@ func (s *MLMSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 	var fa, fb [reducedLen]float64
 	sa.reducedInto(&fa)
 	sb.reducedInto(&fb)
-	cores := s.db.Oracle().Model.Spec.Cores
-	rows := DesignMatrixCached(cores, sa.SizeGB, sb.SizeGB)
-	idx := s.argminRows(m, rows, fa, fb)
+	pcs := mapreduce.PairConfigsCached(s.db.Oracle().Model.Spec.Cores)
+	idx := s.argminRows(m, pcs, sa.SizeGB, sb.SizeGB, fa, fb)
 	if idx < 0 {
 		return [2]mapreduce.Config{}, fmt.Errorf("core: %s: empty configuration space", s.name)
 	}
-	best := mapreduce.PairConfigsCached(cores)[idx]
+	best := pcs[idx]
 	if swapped {
 		best[0], best[1] = best[1], best[0]
 	}
 	return best, nil
 }
 
-// argminRows returns the index of the design-matrix row the regressor
-// scores lowest, ties broken by lowest index (the serial scan's
-// first-wins rule), or -1 when there is none. Chunks of argminChunk
-// rows fan out through argminChunks; each worker reuses one input-row
-// buffer, so the sweep allocates nothing per configuration. The slot
-// features come by value, so the closures copy them and nothing else
-// escapes.
-func (s *MLMSTP) argminRows(m ml.Regressor, rows [][]float64, fa, fb [reducedLen]float64) int {
-	const off = 2 * reducedLen
-	idx, _ := argminChunks(len(rows), argminChunk,
+// argminRows returns the index of the configuration whose
+// ConfigRow(sizeA, sizeB, ·) the regressor scores lowest, ties broken
+// by lowest index (the serial scan's first-wins rule), or -1 when there
+// is none. Chunks of argminChunk configurations fan out through
+// argminChunks; each worker computes every row into one reused
+// input-row buffer (configRowInto), so the sweep allocates nothing per
+// configuration and caches nothing per size pair. The slot features
+// come by value, so the closures copy them and nothing else escapes.
+func (s *MLMSTP) argminRows(m ml.Regressor, pcs [][2]mapreduce.Config, sizeA, sizeB float64, fa, fb [reducedLen]float64) int {
+	off := 0
+	if s.useFeatures {
+		off = 2 * reducedLen
+	}
+	idx, _ := argminChunks(len(pcs), argminChunk,
 		func() []float64 {
-			if !s.useFeatures {
-				return nil
-			}
-			x := make([]float64, off+len(rows[0]))
-			for i := range fa {
-				x[i], x[reducedLen+i] = fa[i], fb[i]
+			x := make([]float64, off+configRowLen)
+			if s.useFeatures {
+				for i := range fa {
+					x[i], x[reducedLen+i] = fa[i], fb[i]
+				}
 			}
 			return x
 		},
 		func(x []float64, lo, hi int) (int, float64, error) {
 			best, bestPred := -1, math.Inf(1)
 			for i := lo; i < hi; i++ {
-				in := rows[i]
-				if s.useFeatures {
-					copy(x[off:], in)
-					in = x
-				}
-				if pred := m.Predict(in); pred < bestPred {
+				configRowInto(x[off:], sizeA, sizeB, pcs[i])
+				if pred := m.Predict(x); pred < bestPred {
 					best, bestPred = i, pred
 				}
 			}
