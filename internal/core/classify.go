@@ -25,11 +25,11 @@ import (
 	"ecost/internal/workloads"
 )
 
-// ProfilingConfig is the fixed reference configuration every incoming
+// profilingConfig is the fixed reference configuration every incoming
 // application is briefly run at to collect its feature vector (the
 // paper's "learning period"). A mid-range point keeps the measured
 // features comparable across applications.
-func ProfilingConfig() mapreduce.Config {
+func profilingConfig() mapreduce.Config {
 	return mapreduce.Config{Freq: 2.0, Block: 256, Mappers: 4}
 }
 
@@ -98,6 +98,12 @@ func (o *Observation) reducedInto(dst *[reducedLen]float64) {
 // Profiler produces Observations by running an application at the
 // reference configuration on the execution model and measuring it with
 // the synthetic perf/dstat stack.
+//
+// A ShardedScheduler splits each profile it takes between two
+// goroutines (DESIGN.md §45): Submit solves on the caller's, and during
+// Run one helper goroutine draws the measurement noise from Sampler, in
+// submission order. Use neither the Profiler nor its Sampler elsewhere
+// while a scheduler built on it runs.
 type Profiler struct {
 	Model   *mapreduce.Model
 	Sampler *perfctr.Sampler
@@ -141,29 +147,48 @@ func byID(observe func(*Observation, workloads.ID, float64) error, app workloads
 }
 
 // observe is Observe of the application id names, written into dst on
-// success only: the router measures into its record store.
+// success only.
 func (p *Profiler) observe(dst *Observation, id workloads.ID, sizeGB float64) error {
+	if err := p.solve(dst, id, sizeGB); err != nil {
+		return err
+	}
+	p.noise(dst)
+	return nil
+}
+
+// solve is observe's first half, the only one that can fail: the
+// profiling run's solve and its noise-free features, written into dst
+// on success only. The router runs it at submission, into its record
+// store.
+func (p *Profiler) solve(dst *Observation, id workloads.ID, sizeGB float64) error {
 	if p.eval == nil || p.evalModel != p.Model {
 		p.eval, p.evalModel = p.Model.NewEvaluator(), p.Model
 	}
 	app := id.App()
 	out, err := p.eval.SoloApp(mapreduce.RunSpec{
-		App: app, DataMB: sizeGB * 1024, Cfg: ProfilingConfig(),
+		App: app, DataMB: sizeGB * 1024, Cfg: profilingConfig(),
 	})
 	if err != nil {
 		return err
 	}
 	dst.App, dst.SizeGB = id, sizeGB
 	tel := out.Telemetry()
-	p.Sampler.MeasureAveragedInto(&dst.Features, &app.Profile, &tel, ProfilingRuns)
+	perfctr.ExactInto(&dst.Features, &app.Profile, &tel)
 	return nil
+}
+
+// noise is observe's second half: the sampler's measurement noise on
+// dst's exact features. It draws from the sampler alone; the router's
+// finisher runs it for each record in submission order (DESIGN.md §45).
+func (p *Profiler) noise(dst *Observation) {
+	p.Sampler.NoiseInto(&dst.Features, ProfilingRuns)
 }
 
 // observeExact is ObserveExact of the application id names, into dst.
 func (p *Profiler) observeExact(dst *Observation, id workloads.ID, sizeGB float64) error {
 	app := id.App()
 	out, _, err := p.Model.Solo(mapreduce.RunSpec{
-		App: app, DataMB: sizeGB * 1024, Cfg: ProfilingConfig(),
+		App: app, DataMB: sizeGB * 1024, Cfg: profilingConfig(),
 	})
 	if err != nil {
 		return err

@@ -97,7 +97,7 @@ func TestNearestKnownSameClass(t *testing.T) {
 }
 
 func TestProfilingConfigValid(t *testing.T) {
-	if err := ProfilingConfig().Validate(8); err != nil {
+	if err := profilingConfig().Validate(8); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -207,7 +207,7 @@ func TestDatabaseShape(t *testing.T) {
 	}
 	for cp, rows := range all {
 		for _, r := range rows {
-			if len(r.X) != len(ConfigRow(1, 1, [2]mapreduce.Config{{Freq: 1.2, Block: 64, Mappers: 1}, {Freq: 1.2, Block: 64, Mappers: 1}})) {
+			if len(r.X) != len(configRow(1, 1, [2]mapreduce.Config{{Freq: 1.2, Block: 64, Mappers: 1}, {Freq: 1.2, Block: 64, Mappers: 1}})) {
 				t.Fatalf("%v row width %d inconsistent", cp, len(r.X))
 			}
 			if r.EDP <= 0 || r.RelEDP <= 0 {

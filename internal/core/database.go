@@ -48,7 +48,7 @@ type DBEntry struct {
 // rather than the pair's absolute magnitude, and the argmin over
 // configurations is unchanged because the baseline is constant per pair.
 type TrainRow struct {
-	X      []float64 // sizes + knobs + interactions (see ConfigRow)
+	X      []float64 // sizes + knobs + interactions (see configRow)
 	EDP    float64
 	RelEDP float64
 	// FA and FB are the slot observations' reduced feature vectors
@@ -271,7 +271,7 @@ func (w *rowSweeper) pairRows(cores int, a, b Observation, strided [][2]mapreduc
 		caObs, cbObs = b, a
 	}
 	fa, fb := caObs.Reduced(), cbObs.Reduced()
-	dm := DesignMatrixCached(cores, caObs.SizeGB, cbObs.SizeGB)
+	dm := designMatrixCached(cores, caObs.SizeGB, cbObs.SizeGB)
 	for j, pc := range strided {
 		// Canonical slot order so asymmetric class pairs always see the
 		// lower class in slot 0 (prediction swaps the same way and swaps
@@ -279,7 +279,7 @@ func (w *rowSweeper) pairRows(cores int, a, b Observation, strided [][2]mapreduc
 		// shared design-matrix row; only swapped slots materialize one.
 		x := dm[j*stride]
 		if swapped {
-			x = ConfigRow(caObs.SizeGB, cbObs.SizeGB, [2]mapreduce.Config{pc[1], pc[0]})
+			x = configRow(caObs.SizeGB, cbObs.SizeGB, [2]mapreduce.Config{pc[1], pc[0]})
 		}
 		dst[j] = TrainRow{
 			X:      x,
@@ -325,21 +325,21 @@ func pairObservations(entries []DBEntry) []Observation {
 	return obs
 }
 
-// ConfigRow assembles the model input for one tunable-parameter
+// configRow assembles the model input for one tunable-parameter
 // permutation: both data sizes, the six knobs, and engineered
 // interaction terms. The interactions matter most for the linear model:
 // without them an OLS argmin over a box always lands on a vertex; with
 // the split-count and mapper-product terms it can prefer interior
 // mapper splits and block sizes, which is how Weka-era linear models
 // were actually used on this kind of tuning data.
-func ConfigRow(sizeA, sizeB float64, cfg [2]mapreduce.Config) []float64 {
+func configRow(sizeA, sizeB float64, cfg [2]mapreduce.Config) []float64 {
 	return configRowInto(make([]float64, configRowLen), sizeA, sizeB, cfg)
 }
 
-// configRowLen is the length of a ConfigRow.
+// configRowLen is the length of a configRow.
 const configRowLen = 20
 
-// configRowInto writes ConfigRow(sizeA, sizeB, cfg) into x[:configRowLen]
+// configRowInto writes configRow(sizeA, sizeB, cfg) into x[:configRowLen]
 // and returns that prefix, with the same arithmetic, so the row is
 // bit-identical.
 func configRowInto(x []float64, sizeA, sizeB float64, cfg [2]mapreduce.Config) []float64 {

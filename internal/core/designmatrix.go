@@ -6,7 +6,7 @@ import (
 	"ecost/internal/mapreduce"
 )
 
-// The database's training-row sweep iterates ConfigRow over the full
+// The database's training-row sweep iterates configRow over the full
 // joint configuration space for every (sizeA, sizeB) combination of the
 // training grid. The row depends only on (cores, sizeA, sizeB) — the
 // knobs come from the shared PairConfigsCached enumeration — so the
@@ -27,12 +27,12 @@ var (
 	designCache sync.Map   // designKey → [][]float64
 )
 
-// DesignMatrixCached returns the ConfigRow design matrix for every
+// designMatrixCached returns the configRow design matrix for every
 // configuration in PairConfigsCached(cores), in enumeration order:
-// row i is ConfigRow(sizeA, sizeB, PairConfigsCached(cores)[i]).
+// row i is configRow(sizeA, sizeB, PairConfigsCached(cores)[i]).
 // The matrix is shared — callers must not mutate the rows. Each matrix
 // is built once, also when the row sweep's workers all miss at once.
-func DesignMatrixCached(cores int, sizeA, sizeB float64) [][]float64 {
+func designMatrixCached(cores int, sizeA, sizeB float64) [][]float64 {
 	k := designKey{cores, sizeA, sizeB}
 	if v, ok := designCache.Load(k); ok {
 		return v.([][]float64)
@@ -48,11 +48,11 @@ func DesignMatrixCached(cores int, sizeA, sizeB float64) [][]float64 {
 	}
 	rows := make([][]float64, len(pcs))
 	// One backing array keeps the matrix cache-dense for the sweep.
-	width := len(ConfigRow(sizeA, sizeB, pcs[0]))
+	width := len(configRow(sizeA, sizeB, pcs[0]))
 	flat := make([]float64, len(pcs)*width)
 	for i, pc := range pcs {
 		row := flat[i*width : (i+1)*width : (i+1)*width]
-		copy(row, ConfigRow(sizeA, sizeB, pc))
+		copy(row, configRow(sizeA, sizeB, pc))
 		rows[i] = row
 	}
 	designCache.Store(k, rows)

@@ -117,6 +117,7 @@ func TestDriveOrder(t *testing.T) {
 		c := twoShards(t)
 		a, b := twoShardApps(t)
 		c.Submit(a, 1, 0)
+		finishSubmitted(c)
 		if !c.step(0) || len(c.ev.heap) != 1 {
 			t.Fatalf("the arrival at 0 left %d pending completions, want 1", len(c.ev.heap))
 		}
@@ -124,6 +125,7 @@ func TestDriveOrder(t *testing.T) {
 		// An arrival due exactly when the first job finishes, on the
 		// other shard: both events are due at done.
 		c.Submit(b, 1, done)
+		finishSubmitted(c)
 		if !c.step(done) {
 			t.Fatal("nothing fired at the shared time")
 		}
@@ -139,12 +141,14 @@ func TestDriveOrder(t *testing.T) {
 		c := twoShards(t)
 		a, b := twoShardApps(t)
 		c.Submit(a, 1, 0)
+		finishSubmitted(c)
 		c.step(0)
 		done := c.ev.heap[0].at
 		c.step(done)
 		// Submitted after the clock passed its arrival time: the ring
 		// head is due now, not in the past.
 		c.Submit(b, 1, 0)
+		finishSubmitted(c)
 		if at, ok := c.nextAt(); !ok || at != done {
 			t.Fatalf("next event at %g (%v), want the clock %g", at, ok, done)
 		}
@@ -167,6 +171,7 @@ func TestDriveOrder(t *testing.T) {
 			a, _ := twoShardApps(t)
 			c.Submit(a, 1, 0)
 			c.Submit(a, 1, 0)
+			finishSubmitted(c)
 			c.step(0)
 			n := c.shards[routeShard(a.Name(), 2)].nodes[0]
 			if len(n.residents) != 2 {
@@ -200,6 +205,7 @@ func TestDriveOrder(t *testing.T) {
 			a, b := twoShardApps(t)
 			c.Submit(a, 1, 0)
 			c.Submit(b, 1, 0)
+			finishSubmitted(c)
 			c.step(0)
 			na, nb := c.shards[0].nodes[0], c.shards[1].nodes[0]
 			if na.hi < 0 || nb.hi < 0 {

@@ -1,6 +1,10 @@
 package core
 
-import "ecost/internal/workloads"
+import (
+	"testing"
+
+	"ecost/internal/workloads"
+)
 
 // driveFullBarriers fires c's events in the drive loop's order but
 // makes every event time a barrier — a steal pass after each time's
@@ -8,6 +12,7 @@ import "ecost/internal/workloads"
 // must reproduce export for export. Call it before Run, which then
 // finds no event left and closes the run out.
 func driveFullBarriers(c *ShardedScheduler) {
+	finishSubmitted(c)
 	for {
 		t, ok := c.nextAt()
 		if !ok {
@@ -20,6 +25,27 @@ func driveFullBarriers(c *ShardedScheduler) {
 			c.stealPass(t)
 		}
 	}
+}
+
+// finishSubmitted finishes every submitted record on the calling
+// goroutine, as Run's helper does ahead of the drive. A test that steps
+// the drive without Run calls it after submitting.
+func finishSubmitted(c *ShardedScheduler) {
+	c.finishRecords(c.arrivals.chunks, c.arrivals.base())
+}
+
+// submitRecord submits one job of app at sizeGB, at the plane's last
+// arrival time, finishes it as Run's helper would, and returns its
+// record.
+func submitRecord(t testing.TB, c *ShardedScheduler, app workloads.ID, sizeGB float64) *profileRec {
+	t.Helper()
+	c.Submit(app, sizeGB, c.lastAt)
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	finishSubmitted(c)
+	r := &c.arrivals
+	return r.chunks[len(r.chunks)-1][r.ti-1].rec
 }
 
 // SteadyMemoEntries reports the entries the control plane's one steady

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ecost/internal/flight"
 	"ecost/internal/hdfs"
 	"ecost/internal/sim"
 	"ecost/internal/tracing"
@@ -42,7 +43,9 @@ import (
 //     Finished ≤ the clock (bench/check.go's rule for a whole run);
 //   - every shard caches its steady solves in the plane's one steady
 //     memo, which holds at most steadyMemoCap entries in no more slots
-//     than a table at the cap (DESIGN.md §37).
+//     than a table at the cap (DESIGN.md §37);
+//   - with a flight recorder attached, its steal-flow matrix sums to
+//     the plane's steal count.
 //
 // nodes is the plane's node count before the drive. logged is the
 // completion log's length at the last check. spans and closedJ
@@ -154,6 +157,17 @@ func (k *invariantChecker) check() error {
 	if done := len(c.completed); pending+done != c.nextID {
 		return fmt.Errorf("%d pending + %d completed != %d submitted", pending, done, c.nextID)
 	}
+	if c.flight != nil {
+		var flow int64
+		for _, row := range c.flight.StealFlow() {
+			for _, n := range row {
+				flow += n
+			}
+		}
+		if flow != int64(c.steals) {
+			return fmt.Errorf("steal flow: the recorder's matrix sums to %d steals, the plane counted %d", flow, c.steals)
+		}
+	}
 	return k.checkLog()
 }
 
@@ -207,6 +221,7 @@ func DriveCheckingInvariants(c *ShardedScheduler) error { return driveChecking(c
 // called after every event, before its check: a test breaks one
 // invariant through it and expects the check to catch it.
 func driveChecking(c *ShardedScheduler, doctor func()) error {
+	finishSubmitted(c)
 	k := newInvariantChecker(c)
 	if err := k.check(); err != nil {
 		return fmt.Errorf("before the drive: %w", err)
@@ -298,9 +313,9 @@ func TestInvariantsWS4(t *testing.T) {
 }
 
 // TestInvariantCheckerCatchesDoctoredRuns breaks each invariant the
-// checker names, once, in the state of a traced two-shard WS4 run, and
-// checks that the drive stops at the check that follows with that
-// invariant's error.
+// checker names, once, in the state of a traced two-shard WS4 run with
+// stealing on and a flight recorder attached, and checks that the
+// drive stops at the check that follows with that invariant's error.
 func TestInvariantCheckerCatchesDoctoredRuns(t *testing.T) {
 	fixture(t)
 	wl, err := Scenario("WS4")
@@ -413,14 +428,20 @@ func TestInvariantCheckerCatchesDoctoredRuns(t *testing.T) {
 			l[n-1].Finished++
 			return true
 		}},
+		// A steal the recorder saw and the plane never took.
+		{"steal flow", "steal flow", func(c *ShardedScheduler) bool {
+			c.flight.Steal(0, 1)
+			return true
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(17)),
-				func() STP { return NewMemoSTP(fix.lkt, nil) }, 8, ShardedConfig{Shards: 2})
+				func() STP { return NewMemoSTP(fix.lkt, nil) }, 8, ShardedConfig{Shards: 2, Steal: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			c.SetFlight(flight.New())
 			c.SetTracer(tracing.New())
 			rng := sim.NewRNG(18)
 			at := 0.0

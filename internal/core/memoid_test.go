@@ -228,6 +228,7 @@ func TestSharedMemoSingleUse(t *testing.T) {
 		for _, a := range arrivals {
 			c.Submit(a.app, a.size, a.at)
 		}
+		finishSubmitted(c)
 		return c
 	}
 	shared, ref := NewMemoSTP(fix.lkt, nil), NewMemoSTP(fix.lkt, nil)

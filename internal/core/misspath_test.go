@@ -75,7 +75,7 @@ func legacyObserve(m *mapreduce.Model, smp *perfctr.Sampler, app workloads.App, 
 	if err != nil {
 		return Observation{}, err
 	}
-	out, _, err := m.Solo(mapreduce.RunSpec{App: &app, DataMB: sizeGB * 1024, Cfg: ProfilingConfig()})
+	out, _, err := m.Solo(mapreduce.RunSpec{App: &app, DataMB: sizeGB * 1024, Cfg: profilingConfig()})
 	if err != nil {
 		return Observation{}, fmt.Errorf("core: profile %s: %w", app.Name, err)
 	}
@@ -407,7 +407,7 @@ type constSTP struct{}
 
 func (constSTP) Name() string { return "const" }
 func (constSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
-	return [2]mapreduce.Config{ProfilingConfig(), ProfilingConfig()}, nil
+	return [2]mapreduce.Config{profilingConfig(), profilingConfig()}, nil
 }
 
 // TestMemoHitMissDeterministicPastCap feeds two fresh memos the same

@@ -236,7 +236,8 @@ func (r *PolicyRunner) predictSoloCfg(j JobSpec) (mapreduce.Config, error) {
 	if err != nil {
 		return mapreduce.Config{}, err
 	}
-	return PredictSoloBest(obs, r.DB)
+	cfg, _, err := predictSolo(&profileRec{obs: obs}, r.DB)
+	return cfg, err
 }
 
 // runCBM co-locates arrival-order pairs with an even 4/4 core split,
@@ -312,7 +313,7 @@ func (r *PolicyRunner) runECoST(wl Workload, nodes int) (Result, error) {
 			partner = q.SelectPartner(a.Class, r.DB.PartnerPriority(a.Class))
 		}
 		if partner == nil {
-			cfg, err := PredictSoloBest(*a.Obs, r.DB)
+			cfg, _, err := predictSolo(&profileRec{obs: *a.Obs}, r.DB)
 			if err != nil {
 				return Result{}, err
 			}

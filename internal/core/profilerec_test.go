@@ -1,12 +1,14 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"sort"
 	"testing"
 	"unsafe"
 
+	"ecost/internal/perfctr"
 	"ecost/internal/sim"
 	"ecost/internal/trace"
 	"ecost/internal/workloads"
@@ -69,6 +71,7 @@ func TestArrivalRingChunks(t *testing.T) {
 	if c.err != nil {
 		t.Fatal(c.err)
 	}
+	finishSubmitted(c)
 	r := &c.arrivals
 	if len(chunks) != 4 || !slices.Equal(r.chunks, chunks) || r.hi != 0 || r.ti != 1 {
 		t.Fatalf("ring holds %d chunks (tail took on %d), head at %d, tail at %d; want the 4 chunks in order, 0 and 1",
@@ -187,8 +190,8 @@ func TestShardedSubmitWarmZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { c.Submit(app, 5, 1) }); allocs != 0 {
 		t.Fatalf("warm Submit allocates %.1f objects per call, want 0", allocs)
 	}
-	if len(c.recs) != 1 || c.err != nil {
-		t.Fatalf("the router holds %d (app, size) records (err %v), want 1", len(c.recs), c.err)
+	if c.recs.n != 1 || c.err != nil {
+		t.Fatalf("the router holds %d (app, size) records (err %v), want 1", c.recs.n, c.err)
 	}
 }
 
@@ -266,6 +269,7 @@ func TestProfileRecords(t *testing.T) {
 		if c.err != nil {
 			t.Fatal(c.err)
 		}
+		finishSubmitted(c)
 		type key struct {
 			app  string
 			size float64
@@ -292,6 +296,144 @@ func TestProfileRecords(t *testing.T) {
 		}
 		if want := map[bool]int{false: 48, true: 8}[memo]; len(ids) != want || len(specOf) != 8 {
 			t.Fatalf("memo=%v: %d ids and %d specs, want %d and 8", memo, len(ids), len(specOf), want)
+		}
+	}
+}
+
+// TestRouterFinisherMatchesObserve runs a noisy stream of every
+// application at continuous sizes and a ProfileMemo stream of recurring
+// (app, size) pairs through 16 stealing shards, each longer than one
+// ring chunk, and checks every record after Run against a twin
+// profiler with the same seed: the noisy records must hold, in
+// submission order, the observations Observe returns, and the
+// ProfileMemo records those ObserveExact returns, feature for feature
+// by bits. Each record's cached class and nearest-known training row
+// must be Classify's and NearestKnown's for that observation, its id
+// nonzero and its own, and its spec id the one its (app, size) got at
+// its first submission, numbered from 1 in submission order. The records are finished on Run's helper
+// goroutine while the drive delivers them (DESIGN.md §45), so a helper
+// that finished them out of submission order would hand them another
+// record's noise.
+func TestRouterFinisherMatchesObserve(t *testing.T) {
+	fixture(t)
+	cls := fix.db.Classifier()
+	apps := workloads.IDs()
+	for _, memo := range []bool{false, true} {
+		const seed = 21
+		c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(seed)),
+			func() STP { return NewMemoSTP(fix.lkt, nil) }, 64,
+			ShardedConfig{Shards: 16, Steal: true, ProfileMemo: memo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type submission struct {
+			app  workloads.ID
+			size float64
+		}
+		rng := sim.NewRNG(22)
+		subs := make([]submission, arrChunk+500)
+		at := 0.0
+		for i := range subs {
+			s := submission{apps[i%len(apps)], 1 + 10*rng.Float64()}
+			if memo {
+				s.size = []float64{1, 5, 10}[i%3]
+			}
+			subs[i] = s
+			c.Submit(s.app, s.size, at)
+			at += rng.Exp(2)
+		}
+		entries := ringEntries(&c.arrivals)
+		if len(entries) != len(subs) {
+			t.Fatalf("memo=%v: the ring holds %d arrivals, want %d", memo, len(entries), len(subs))
+		}
+		if _, _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if c.Steals() == 0 {
+			t.Fatalf("memo=%v: the stream never stole", memo)
+		}
+		twin := NewProfiler(fix.model, sim.NewRNG(seed))
+		owner := map[uint64]*profileRec{}
+		specOf := map[submission]int{}
+		for i, p := range entries {
+			s, rec := subs[i], p.rec
+			var want Observation
+			if memo {
+				want, err = twin.ObserveExact(*s.app.App(), s.size)
+			} else {
+				want, err = twin.Observe(*s.app.App(), s.size)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rec.obs
+			if got.App != want.App || math.Float64bits(got.SizeGB) != math.Float64bits(want.SizeGB) {
+				t.Fatalf("memo=%v: job %d's record holds %s@%g, want %s@%g", memo, i, got.App.Name(), got.SizeGB, want.App.Name(), want.SizeGB)
+			}
+			for m := range got.Features {
+				if math.Float64bits(got.Features[m]) != math.Float64bits(want.Features[m]) {
+					t.Fatalf("memo=%v: job %d's feature %v is %v, the twin profiler's %v", memo, i, perfctr.Metric(m), got.Features[m], want.Features[m])
+				}
+			}
+			if rec.by != cls.id || workloads.Class(rec.class) != cls.Classify(want) || cls.training[rec.near] != cls.NearestKnown(want) {
+				t.Fatalf("memo=%v: job %d's record caches class %v and row %d by classifier %d; Classify says %v, NearestKnown %s@%g",
+					memo, i, workloads.Class(rec.class), rec.near, rec.by, cls.Classify(want), cls.NearestKnown(want).App.Name(), cls.NearestKnown(want).SizeGB)
+			}
+			if _, ok := specOf[s]; !ok {
+				specOf[s] = len(specOf) + 1
+			}
+			if rec.spec != specOf[s] {
+				t.Fatalf("memo=%v: job %d's record has spec %d, want %d", memo, i, rec.spec, specOf[s])
+			}
+			if rec.obs.id == 0 {
+				t.Fatalf("memo=%v: job %d's record has id 0", memo, i)
+			}
+			if o, ok := owner[rec.obs.id]; ok && o != rec {
+				t.Fatalf("memo=%v: job %d's record shares id %d with another record", memo, i, rec.obs.id)
+			}
+			owner[rec.obs.id] = rec
+		}
+		if want := map[bool]int{false: len(subs), true: len(apps) * 3}[memo]; len(owner) != want {
+			t.Fatalf("memo=%v: %d records, want %d", memo, len(owner), want)
+		}
+	}
+}
+
+// TestRecordKeyEquality pins the record table's key to the float
+// equality the map it replaced keyed by: +0 and −0 are one key, so
+// their submissions share a record under ProfileMemo and a spec id
+// without it; a NaN size has no key; and no key is the table's empty
+// zero key.
+func TestRecordKeyEquality(t *testing.T) {
+	fixture(t)
+	app := workloads.MustLookup("wc")
+	negZero := math.Copysign(0, -1)
+	if k, ok := recKeyOf(app, negZero); !ok || k != (recKey{uint64(app) + 1, 0}) {
+		t.Fatalf("−0 keys as %+v (%v), want +0's key", k, ok)
+	}
+	if _, ok := recKeyOf(app, math.NaN()); ok {
+		t.Fatal("a NaN size has a key")
+	}
+	for _, id := range workloads.IDs() {
+		if k, _ := recKeyOf(id, 0); k == (recKey{}) {
+			t.Fatalf("%s at size 0 keys as the empty key", id.Name())
+		}
+	}
+	for _, memo := range []bool{false, true} {
+		c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(3)),
+			func() STP { return NewMemoSTP(fix.lkt, nil) }, 4, ShardedConfig{Shards: 2, ProfileMemo: memo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Submit(app, 0, 0)
+		c.Submit(app, negZero, 1)
+		if c.err != nil {
+			t.Fatal(c.err)
+		}
+		finishSubmitted(c)
+		e := ringEntries(&c.arrivals)
+		if a, b := e[0].rec, e[1].rec; a.spec != b.spec || (a == b) != memo || c.recs.n != 1 {
+			t.Fatalf("memo=%v: +0 and −0 got specs %d and %d (one record: %v) in a table of %d keys", memo, a.spec, b.spec, a == b, c.recs.n)
 		}
 	}
 }

@@ -130,18 +130,21 @@ type pendingArrival struct {
 // garbage collector never scans the chunks records are carved from.
 //
 // home is the shard the router sends every job holding the record to.
-// The class and the nearest-known training index are computed on first
-// arrival, in one classifier scan, and cached with by, the id of the
-// classifier that gave them (DESIGN.md §35): both are pure functions of
-// the observation, so the cache is bit-identical to classifying every
+// The class and the nearest-known training index are computed once, in
+// one classifier scan, and cached with by, the id of the classifier
+// that gave them (DESIGN.md §35): both are pure functions of the
+// observation, so the cache is bit-identical to classifying every
 // arrival and scanning at every lookup, and another classifier's
-// lookup scans. Only the home shard classifies a record: routing is by
-// app name, so every job sharing a record shares a home shard, and a
+// lookup scans. The router's finisher fills them before the record's
+// first arrival is delivered (DESIGN.md §45); a record it did not
+// finish is classified by its home shard on arrival. Routing is by app
+// name, so every job sharing a record shares a home shard, and a
 // stolen job carries its class in the Job instead.
 //
 // spec is the router's id for the record's (app name, size), shared by
-// every record of that pair and never reused (DESIGN.md §25). Ids
-// start at 1, so a zero spec word marks an empty steadyKey slot.
+// every record of that pair, handed out in order of first sight
+// (assignSpec) and never reused (DESIGN.md §25). Ids start at 1, so a
+// zero spec word marks an empty steadyKey slot.
 //
 // single marks a record that belongs to a single submission, as every
 // record does without ProfileMemo. Its job is placed once, so no tune
@@ -158,7 +161,8 @@ type profileRec struct {
 	single bool
 }
 
-// classOf returns rec's behaviour class, classifying on first use.
+// classOf returns rec's behaviour class, classifying it if the shard's
+// classifier has not.
 func (s *shard) classOf(rec *profileRec) workloads.Class {
 	if c := s.DB.Classifier(); rec.by != c.id {
 		class, near := c.answer(&rec.obs)

@@ -104,6 +104,7 @@ func TestNodeSetsAgainstLinearScan(t *testing.T) {
 		c.Submit(apps[i%len(apps)], size, at)
 		at += rng.Exp(150)
 	}
+	finishSubmitted(c)
 	check := func() {
 		t.Helper()
 		for _, n := range s.nodes {

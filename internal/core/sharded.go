@@ -16,6 +16,11 @@ package core
 // order (DESIGN.md §41), so interleaving their events in one
 // (time, seq) order is invisible in every export.
 //
+// Submit only solves each job's profiling run. One helper goroutine
+// finishes the records during Run — noise, id and classification, in
+// submission order — ahead of the drive, which delivers an arrival
+// once its record is finished (DESIGN.md §45).
+//
 // The steal pass is the only cross-shard interaction, and it runs only
 // at barrier times (DESIGN.md §17): a wait queue can only grow at an
 // arrival, and every arrival is submitted before Run, so a steal can
@@ -26,6 +31,10 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"ecost/internal/audit"
 	"ecost/internal/flight"
@@ -85,17 +94,23 @@ type ShardedScheduler struct {
 
 	// recs holds the first record of each (app, size): under
 	// ProfileMemo the one record every job of the pair gets, otherwise
-	// the record whose spec id and home later submissions of the pair
-	// share. chunk is the store records are carved from; a record keeps
-	// its address for the run. specs counts the spec ids handed out, so
-	// ids are dense, start at 1 and are never reused.
-	recs  map[profileKey]*profileRec
+	// the record whose spec id later submissions of the pair share.
+	// chunk is the store records are carved from; a record keeps its
+	// address for the run. specs counts the spec ids handed out, so ids
+	// are dense, start at 1 and are never reused. Without ProfileMemo
+	// only the finisher touches recs and specs (assignSpec).
+	recs  memoTable[recKey, *profileRec]
 	chunk []profileRec
 	specs int
 
 	nextID int
 	lastAt float64
 	steals int
+
+	// fin is what Run's finishing helper shares with the drive, and
+	// finished the drive's last reading of its count (DESIGN.md §45).
+	fin      finisher
+	finished int
 
 	// queued is the steal pass's set of shards with queued work,
 	// reused across passes.
@@ -149,9 +164,20 @@ func (b BarrierStats) ElidedRatio() float64 {
 	return float64(b.WindowEvents) / float64(tot)
 }
 
-type profileKey struct {
-	app    workloads.ID
-	sizeGB float64
+// recKey is a record's (app, size) key in the router's record table:
+// the app's id plus one, so no key is zero, and the size's bits. It
+// keeps a map's float equality: recKeyOf folds −0 into +0, and a NaN
+// size has no key, so each NaN submission gets a fresh spec id.
+type recKey struct{ app, size uint64 }
+
+func (k recKey) hash() uint64 { return fpFinish(k.app*fpMul ^ k.size) }
+
+// recKeyOf returns the key of (app, sizeGB), and false for a NaN size.
+func recKeyOf(app workloads.ID, sizeGB float64) (recKey, bool) {
+	if sizeGB == 0 {
+		sizeGB = 0 // −0 keys as +0
+	}
+	return recKey{uint64(app) + 1, math.Float64bits(sizeGB)}, sizeGB == sizeGB
 }
 
 // routeShard maps an application/tenant name to its home shard: FNV-1a
@@ -189,8 +215,7 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 	if newTuner == nil {
 		return nil, fmt.Errorf("core: sharded scheduler: nil tuner factory")
 	}
-	c := &ShardedScheduler{cfg: cfg, prof: prof, queued: newNodeSet(cfg.Shards),
-		recs: make(map[profileKey]*profileRec)}
+	c := &ShardedScheduler{cfg: cfg, prof: prof, queued: newNodeSet(cfg.Shards)}
 	base := 0
 	for i := 0; i < cfg.Shards; i++ {
 		n := nodes / cfg.Shards
@@ -299,12 +324,14 @@ func (c *ShardedScheduler) recordEpoch(t float64) {
 }
 
 // Submit queues a job arrival for its home shard. Arrivals must be
-// submitted in nondecreasing time order: the router profiles serially
-// at submission, in submission order, so the sampler's draw sequence is
-// the stream's arrival order (every stream source — scenario
+// submitted in nondecreasing time order (every stream source — scenario
 // generators, trace replay, workload cycling — emits sorted arrivals).
-// An out-of-order arrival or a job the profiler rejects is kept as the
-// run's error: later submissions are ignored and Run returns it.
+// Submit takes only the part of the job's profile that can fail, the
+// profiling run's solve; Run's helper finishes the record, in
+// submission order, so the sampler's draw sequence is the stream's
+// arrival order (DESIGN.md §45). An out-of-order arrival or a job the
+// profiler rejects is kept as the run's error: later submissions are
+// ignored and Run returns it.
 func (c *ShardedScheduler) Submit(app workloads.ID, sizeGB, at float64) {
 	if c.err != nil {
 		return
@@ -328,12 +355,108 @@ func (c *ShardedScheduler) Submit(app workloads.ID, sizeGB, at float64) {
 // at the current clock to its home shard in submission order — each
 // shard's arrive runs classify, queue and dispatch exactly as a per-job
 // event would. A job's id is the number of arrivals delivered before
-// it, which is its submission index.
+// it, which is its submission index. An arrival is delivered only once
+// its record is finished (finishRecords).
 func (c *ShardedScheduler) fireArrivals() {
 	r := &c.arrivals
 	for p := r.peek(); p != nil && p.at <= c.ev.now; p = r.peek() {
+		if r.delivered >= c.finished {
+			c.awaitFinished(r.delivered)
+		}
 		a, id := r.pop()
 		c.shards[a.rec.home].arrive(id, a.rec, a.at)
+	}
+}
+
+// finisher is the state Run's finishing helper shares with the drive
+// (DESIGN.md §45). done counts the arrivals whose records are finished,
+// a prefix of the submission order: the helper publishes it after each
+// batch and the drive reads it, so it sits alone on its cache line,
+// away from the fields the drive writes. stop asks the helper to return
+// at its next batch, once the drive has stopped; wg joins it. failure
+// is the helper's panic, published by done reading finFailed.
+type finisher struct {
+	_       [64]byte
+	done    atomic.Int64
+	_       [56]byte
+	stop    atomic.Bool
+	wg      sync.WaitGroup
+	failure any
+}
+
+// finFailed is the count a panicking helper publishes.
+const finFailed = math.MaxInt64
+
+// finBatch is how many records the helper finishes between two
+// publications of its count.
+const finBatch = 64
+
+// finishRecords finishes the records of the submitted arrivals the
+// count does not cover yet, in submission order, and publishes the
+// count after each batch. chunks is the arrival ring's chunk list and
+// base the submission index of its first chunk's first entry, both
+// read when the finisher starts. Finishing a record draws its
+// measurement noise and gives it its spec id (a record of a single
+// submission only), stamps its id, and caches the classifier's answers
+// for it — the parts of a profile that cannot fail and that nothing
+// reads before the record's first arrival is delivered. A record already finished, a ProfileMemo
+// record seen before, is skipped. Run runs it on one helper goroutine
+// ahead of the drive; a test that steps the drive without Run calls it
+// after submitting.
+//
+// The drive delivers an arrival only after the count covers it, and
+// clears a ring slot or drops a chunk only after delivering from it, so
+// every slot the finisher reads and every record it writes is ordered
+// against the drive's accesses by the count.
+func (c *ShardedScheduler) finishRecords(chunks []*[arrChunk]pendingArrival, base int) {
+	f := &c.fin
+	cls := c.shards[0].DB.Classifier()
+	for i, end := int(f.done.Load()), c.nextID; i < end && !f.stop.Load(); {
+		for stop := min(i+finBatch, end); i < stop; i++ {
+			k := i - base
+			rec := chunks[k/arrChunk][k%arrChunk].rec
+			if rec.by == cls.id {
+				continue
+			}
+			if rec.single {
+				c.prof.noise(&rec.obs)
+				c.assignSpec(rec)
+			}
+			rec.obs.stamp()
+			class, near := cls.answer(&rec.obs)
+			rec.class, rec.near, rec.by = uint8(class), int32(near), cls.id
+		}
+		f.done.Store(int64(i))
+	}
+}
+
+// finishAhead is Run's helper goroutine: finishRecords, with a panic
+// handed to the drive instead of ending the process.
+func (c *ShardedScheduler) finishAhead(chunks []*[arrChunk]pendingArrival, base int) {
+	f := &c.fin
+	defer f.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			f.failure = r
+			f.done.Store(finFailed)
+		}
+	}()
+	c.finishRecords(chunks, base)
+}
+
+// awaitFinished returns once the finisher's count covers arrival id,
+// yielding the processor while it waits, so it works at GOMAXPROCS 1;
+// a panic of the helper's is raised here, in the drive.
+func (c *ShardedScheduler) awaitFinished(id int) {
+	for {
+		n := c.fin.done.Load()
+		if n == finFailed {
+			panic(fmt.Sprintf("record finisher: %v", c.fin.failure))
+		}
+		if c.finished = int(n); id < c.finished {
+			return
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -356,6 +479,9 @@ type arrivalRing struct {
 	hi, ti    int
 	delivered int
 }
+
+// base is the submission index of the first chunk's first entry.
+func (r *arrivalRing) base() int { return r.delivered - r.hi }
 
 // push appends p at the tail.
 func (r *arrivalRing) push(p pendingArrival) {
@@ -394,39 +520,57 @@ func (r *arrivalRing) pop() (pendingArrival, int) {
 }
 
 // profile returns the record for one submission: under ProfileMemo
-// the (app, size) record, profiled exactly on first sight; otherwise a
-// new record of this job's noisy profile, with the spec id and home of
-// its (app, size). A record's id names the record, not its contents
+// the (app, size) record, profiled exactly and given its spec id on
+// first sight; otherwise a new record of this job's profile, solved
+// here, which the finisher noises and gives its spec id (DESIGN.md
+// §45). Either way the record's home is its application's shard, and
+// the finisher stamps its id, which names the record, not its contents
 // (DESIGN.md §26, §33).
 func (c *ShardedScheduler) profile(app workloads.ID, sizeGB float64) (*profileRec, error) {
-	k := profileKey{app, sizeGB}
-	first := c.recs[k]
-	if first != nil && c.cfg.ProfileMemo {
-		return first, nil
-	}
-	observe := c.prof.observe
-	if c.cfg.ProfileMemo {
-		observe = c.prof.observeExact
+	memo := c.cfg.ProfileMemo
+	solve := c.prof.solve
+	if memo {
+		if k, ok := recKeyOf(app, sizeGB); ok {
+			if first := c.recs.get(k); first != nil {
+				return *first, nil
+			}
+		}
+		solve = c.prof.observeExact
 	}
 	if len(c.chunk) == cap(c.chunk) {
 		c.chunk = make([]profileRec, 0, recChunk)
 	}
 	// The profile is measured into its record's place in the store.
 	rec := &c.chunk[:len(c.chunk)+1][len(c.chunk)]
-	if err := observe(&rec.obs, app, sizeGB); err != nil {
+	if err := solve(&rec.obs, app, sizeGB); err != nil {
 		return nil, fmt.Errorf("core: profile %s: %w", app.Name(), err)
 	}
 	c.chunk = c.chunk[:len(c.chunk)+1]
-	rec.single = !c.cfg.ProfileMemo
-	rec.obs.stamp()
-	if first != nil {
-		rec.spec, rec.home = first.spec, first.home
-	} else {
-		c.specs++
-		rec.spec, rec.home = c.specs, int32(routeShard(app.Name(), len(c.shards)))
-		c.recs[k] = rec
+	rec.single = !memo
+	rec.home = int32(routeShard(app.Name(), len(c.shards)))
+	if memo {
+		c.assignSpec(rec)
 	}
 	return rec, nil
+}
+
+// assignSpec gives rec the spec id of its (app, size): the first
+// record's, or on first sight a new one, and rec becomes the pair's
+// first record. Spec ids are handed out in submission order, by
+// Submit under ProfileMemo and by the finisher otherwise.
+func (c *ShardedScheduler) assignSpec(rec *profileRec) {
+	k, keyed := recKeyOf(rec.obs.App, rec.obs.SizeGB)
+	if keyed {
+		if first := c.recs.get(k); first != nil {
+			rec.spec = (*first).spec
+			return
+		}
+	}
+	c.specs++
+	rec.spec = c.specs
+	if keyed {
+		c.recs.put(k, rec)
+	}
 }
 
 // recChunk is how many records one store chunk holds: one allocation
@@ -451,12 +595,19 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	if c.err != nil {
 		return 0, 0, c.err
 	}
+	c.completed = append(make([]CompletedJob, 0, c.nextID), c.completed...)
+	// One helper finishes the records ahead of the drive; it is joined
+	// on every way out, the error and panic paths included.
+	c.fin.stop.Store(false)
+	c.fin.wg.Add(1)
+	go c.finishAhead(c.arrivals.chunks, c.arrivals.base())
 	defer func() {
+		c.fin.stop.Store(true)
+		c.fin.wg.Wait()
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: sharded scheduler: %v", r)
 		}
 	}()
-	c.completed = append(make([]CompletedJob, 0, c.nextID), c.completed...)
 	if c.drive(); c.err != nil {
 		return 0, 0, c.err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ecost/internal/sim"
+	"ecost/internal/workloads"
 )
 
 // shardsFlag overrides the shard count for BenchmarkOnlineShardedCluster
@@ -117,4 +118,49 @@ func BenchmarkBarrierElision(b *testing.B) {
 	epochs := stats.Barriers + stats.Windows
 	b.ReportMetric(100*stats.ElidedRatio(), "%elided")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(epochs), "ns/epoch")
+}
+
+// BenchmarkShardedSubmitNoisy measures Submit alone on a churn-shaped
+// stream: applications drawn uniformly from the whole table at
+// lognormal sizes capped at 20 GB (mu 1.2, sigma 0.8, as the repository
+// benchmark's churn workload draws them), on 16 stealing shards over
+// 1024 nodes with ProfileMemo off, so every job takes a fresh noisy
+// profile and nearly every (app, size) is new. Building the scheduler
+// is outside the timer. ns/job is the cost of one submission. Short
+// mode submits 4096 jobs per op, full mode 30000.
+func BenchmarkShardedSubmitNoisy(b *testing.B) {
+	fixture(b)
+	jobs := 30000
+	if testing.Short() {
+		jobs = 4096
+	}
+	type arrival struct {
+		app      workloads.ID
+		size, at float64
+	}
+	apps := workloads.IDs()
+	rng := sim.NewRNG(1)
+	stream := make([]arrival, jobs)
+	at := 0.0
+	for i := range stream {
+		stream[i] = arrival{apps[rng.Intn(len(apps))], min(rng.LogNormal(1.2, 0.8), 20), at}
+		at += rng.Exp(0.5)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(1)),
+			func() STP { return NewMemoSTP(fix.lkt, nil) }, 1024, ShardedConfig{Shards: 16, Steal: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, a := range stream {
+			c.Submit(a.app, a.size, a.at)
+		}
+		if c.err != nil {
+			b.Fatal(c.err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs), "ns/job")
 }

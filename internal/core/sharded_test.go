@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"runtime"
@@ -298,6 +299,34 @@ func TestShardedRunRecoversShardPanic(t *testing.T) {
 	_, _, err = c.Run()
 	if err == nil || !strings.Contains(err.Error(), "panicSTP: pair prediction") {
 		t.Fatalf("Run error = %v, want the shard %d panic value", err, bad)
+	}
+}
+
+// TestShardedRunRecoversFinisherPanic: a panic on Run's finishing
+// helper (DESIGN.md §45) — here a profiler without a sampler, which
+// Submit's solve never reads and the helper's noise does — comes back
+// as Run's error, raised in the drive at the first arrival it waits
+// for, instead of crashing the process or leaving the drive waiting.
+// Nothing is delivered.
+func TestShardedRunRecoversFinisherPanic(t *testing.T) {
+	fixture(t)
+	c, err := NewShardedScheduler(fix.model, fix.db, &Profiler{Model: fix.model},
+		func() STP { return NewMemoSTP(fix.lkt, nil) }, 8, ShardedConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		c.Submit(workloads.MustLookup("wc"), 5, float64(i))
+	}
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	_, _, err = c.Run()
+	if err == nil || !strings.Contains(err.Error(), "record finisher") {
+		t.Fatalf("Run error = %v, want the finisher's panic", err)
+	}
+	if n := len(c.Completed()); n != 0 {
+		t.Fatalf("Run completed %d jobs after the finisher panicked", n)
 	}
 }
 
@@ -633,15 +662,18 @@ func TestRouteShardDeterministic(t *testing.T) {
 // TestShardedSubmitBadInput: a job the profiler rejects and an
 // out-of-order arrival are caller errors, not panics. Submit keeps the
 // first one, ignores every later submission, and Run returns it naming
-// the cause without driving anything.
+// the cause without driving anything. A NaN, infinite or 1e300-GB size
+// gives a profiling run of no finite length, which the solve Submit
+// keeps rejects.
 func TestShardedSubmitBadInput(t *testing.T) {
 	fixture(t)
 	app := workloads.MustLookup("wc")
-	cases := []struct {
+	type submitCase struct {
 		name   string
 		submit func(c *ShardedScheduler)
 		want   string
-	}{
+	}
+	cases := []submitCase{
 		{"negative size", func(c *ShardedScheduler) {
 			c.Submit(app, 5, 0)
 			c.Submit(app, -1, 10)
@@ -652,6 +684,13 @@ func TestShardedSubmitBadInput(t *testing.T) {
 			c.Submit(app, 5, 5)
 			c.Submit(app, -1, 20)
 		}, "out-of-order submission at 5 after 10"},
+	}
+	for _, size := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		cases = append(cases, submitCase{fmt.Sprintf("size %g", size), func(c *ShardedScheduler) {
+			c.Submit(app, 5, 0)
+			c.Submit(app, size, 10)
+			c.Submit(app, 5, 20)
+		}, "non-finite epoch"})
 	}
 	for _, tc := range cases {
 		c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(99)),

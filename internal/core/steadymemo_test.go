@@ -11,6 +11,12 @@ import (
 	"ecost/internal/workloads"
 )
 
+// profileKey is an (app, size) pair as the tests track it.
+type profileKey struct {
+	app    workloads.ID
+	sizeGB float64
+}
+
 // TestSteadyMemoExact checks the steady memo against fresh solves over
 // seeded random 1- and 2-resident sets: every answer reschedule reads —
 // each resident's JobTime, MapTime and ReduceTime and the node's watts
@@ -19,7 +25,7 @@ import (
 // frequency one ulp above a DVFS level, an unstudied block size, mapper
 // counts out of range), where the memo must return the solver's error
 // and cache nothing. Residents are drawn from router records with
-// ProfileMemo off, so each job carries its own noisy profile, and a
+// ProfileMemo off, so each job carries its own record, and a
 // resident set is often re-drawn with fresh records so hits span
 // records. Each seed runs past steadyMemoCap, so the memo clears.
 //
@@ -60,10 +66,7 @@ func TestSteadyMemoExact(t *testing.T) {
 		maxSpec := 0
 		cleared := false
 		job := func(op int, app workloads.ID, size float64) *Job {
-			rec, err := c.profile(app, size)
-			if err != nil {
-				t.Fatalf("seed %d op %d: profile: %v", seed, op, err)
-			}
+			rec := submitRecord(t, c, app, size)
 			k := profileKey{app, size}
 			if id, ok := specOf[k]; ok && id != rec.spec {
 				t.Fatalf("seed %d op %d: %s@%g got spec %d, earlier record had %d", seed, op, app.Name(), size, rec.spec, id)
@@ -189,7 +192,7 @@ func TestSteadyTableRefillZeroAlloc(t *testing.T) {
 	memo := &c.steadyMemo
 	s := newShard(nil, memo, mapreduce.NewModel(cluster.AtomC2758()), nil, nil, 1, 0)
 	rec := &profileRec{obs: Observation{App: workloads.MustLookup("wc"), SizeGB: 1}}
-	r := resident(&Job{Obs: &rec.obs, rec: rec}, ProfilingConfig())
+	r := resident(&Job{Obs: &rec.obs, rec: rec}, profilingConfig())
 	node := &onlineNode{residents: []*onlineJob{r}}
 	fill := func() {
 		for i := 0; i < steadyMemoCap; i++ {
@@ -210,7 +213,7 @@ func TestSteadyTableRefillZeroAlloc(t *testing.T) {
 		}
 		for spec := 1; spec <= rec.spec; spec++ {
 			r := profileRec{spec: spec}
-			k, _ := steadyKeyOf([]*onlineJob{resident(&Job{rec: &r}, ProfilingConfig())})
+			k, _ := steadyKeyOf([]*onlineJob{resident(&Job{rec: &r}, profilingConfig())})
 			if got := memo.get(k) != nil; got != (spec >= first) {
 				t.Fatalf("spec %d cached=%v, want %v (the refill holds specs %d..%d)", spec, got, !got, first, rec.spec)
 			}
@@ -247,16 +250,13 @@ func TestSteadyMemoAcrossShards(t *testing.T) {
 		apps []workloads.ID
 		cfgs []mapreduce.Config
 	}{
-		{apps[:1], []mapreduce.Config{ProfilingConfig()}},
+		{apps[:1], []mapreduce.Config{profilingConfig()}},
 		{apps[1:3], pair[:]},
 	}
 	residents := func(apps []workloads.ID, cfgs []mapreduce.Config) []*onlineJob {
 		var res []*onlineJob
 		for i, app := range apps {
-			rec, err := c.profile(app, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rec := submitRecord(t, c, app, 2)
 			res = append(res, resident(&Job{Obs: &rec.obs, rec: rec}, cfgs[i]))
 		}
 		return res

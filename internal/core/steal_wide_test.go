@@ -9,6 +9,7 @@ import (
 
 	"ecost/internal/cluster"
 	"ecost/internal/core"
+	"ecost/internal/flight"
 	"ecost/internal/mapreduce"
 	"ecost/internal/scenario"
 	"ecost/internal/sim"
@@ -92,7 +93,9 @@ func TestStealPassWideShards(t *testing.T) {
 // steal-heavy gen: stream (seed 5) through 16 stealing, traced shards
 // over 64 nodes, with ProfileMemo on and off, and checks that the
 // checked drive completes the same jobs and bills the same energy, to
-// the bit, as an untraced Run.
+// the bit, as an untraced Run. The checked drive has a flight recorder
+// attached too, so the checker holds its steal-flow matrix to the
+// plane's steal count after every steal pass.
 func TestInvariantsStealStream(t *testing.T) {
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	db, err := core.BuildDatabase(core.NewProfiler(model, sim.NewRNG(42)), core.NewOracle(model),
@@ -126,6 +129,7 @@ func TestInvariantsStealStream(t *testing.T) {
 				return c
 			}
 			c := build(tracing.New())
+			c.SetFlight(flight.New())
 			if err := core.DriveCheckingInvariants(c); err != nil {
 				t.Fatal(err)
 			}

@@ -339,7 +339,7 @@ func (s *MLMSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 }
 
 // argminRows returns the index of the configuration whose
-// ConfigRow(sizeA, sizeB, ·) the regressor scores lowest, ties broken
+// configRow(sizeA, sizeB, ·) the regressor scores lowest, ties broken
 // by lowest index (the serial scan's first-wins rule), or -1 when there
 // is none. Chunks of argminChunk configurations fan out through
 // argminChunks; each worker computes every row into one reused
@@ -378,18 +378,12 @@ func (s *MLMSTP) argminRows(m ml.Regressor, pcs [][2]mapreduce.Config, sizeA, si
 // hand-off costs more than the scan.
 const argminChunk = 512
 
-// PredictSoloBest predicts the best standalone configuration for one
-// application (used by the PTM mapping policy, which tunes without
-// pairing): the solo-optimal configuration of the database's known
-// application nearest the observation.
-func PredictSoloBest(o Observation, db *Database) (mapreduce.Config, error) {
-	cfg, _, err := predictSolo(&profileRec{obs: o}, db)
-	return cfg, err
-}
-
-// predictSolo is PredictSoloBest on a record in place, matched through
-// its cached nearest-known index where it has one, plus the forecast
-// backing it: the nearest known application's solo-optimal measured
+// predictSolo predicts the best standalone configuration for the
+// record's application (the PTM mapping policy, which tunes without
+// pairing, and a job with no partner): the solo-optimal configuration
+// of the database's known application nearest the record, matched
+// through its cached nearest-known index where it has one, plus the
+// forecast backing it, that application's solo-optimal measured
 // outcome. The forecast is for the database's conditions (the
 // neighbour's app and size, run alone at the returned configuration),
 // so its error against the realized outcome measures how well the

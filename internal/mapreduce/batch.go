@@ -608,7 +608,7 @@ type Evaluator struct {
 	m      *Model
 	s      evalScratch
 	specs  [2]RunSpec
-	apps   []Outcome // per-app outcomes: SoloApp and the noisy-model fallback
+	apps   []Outcome // per-app outcomes for the noisy-model Metrics fallback
 	states []SteadyState
 	tails  soloTails // PairBatch's solo tails
 }
@@ -665,18 +665,46 @@ func (e *Evaluator) SoloMetrics(spec RunSpec) (CoMetrics, error) {
 }
 
 // SoloApp is Model.Solo's per-application outcome with buffer reuse,
-// allocation-free after warm-up. On a noisy model it draws the same
-// jitter sequence Solo does.
+// allocation-free after warm-up. A lone app finishes in coLocateInto's
+// first epoch, so its outcome is that epoch's one solve, with neither
+// the node's draw nor the epoch loop: the same validation in the same
+// order (with one app, Validate's mapper bound is coLocateInto's core
+// check), the same non-finite epoch check, and Time = 0 + dt. On a noisy
+// model it draws the same jitter sequence Solo does: the makespan and
+// energy jitters, which it discards, then Time's.
 func (e *Evaluator) SoloApp(spec RunSpec) (Outcome, error) {
-	e.specs[0] = spec
-	if cap(e.apps) < 1 {
-		e.apps = make([]Outcome, 2)
-	}
-	co, err := e.m.coLocateInto(e.specs[:1], &e.s, e.apps[:1])
-	if err != nil {
+	m := e.m
+	if err := spec.Cfg.Validate(m.Spec.Cores); err != nil {
 		return Outcome{}, err
 	}
-	return co.Apps[0], nil
+	if spec.DataMB < 0 {
+		return Outcome{}, fmt.Errorf("mapreduce: co-locate %s: negative data size", spec.App.Name)
+	}
+	e.specs[0] = spec
+	st := &m.evaluateInto(e.specs[:1], &e.s)[0]
+	// The epoch ends when the app does, at rem × T with rem = 1, kept
+	// only below +Inf, as coLocateInto's minimum keeps it. The app's
+	// remainder after it, 1 − dt/T, is 0 unless T is 0; then it is NaN,
+	// and coLocateInto's next epoch is the non-finite one.
+	dt := math.Inf(1)
+	if t := 1 * st.T; t < dt {
+		dt = t
+	}
+	if math.IsInf(dt, 1) || dt < 0 || !(1-dt/st.T <= 1e-9) {
+		return Outcome{}, fmt.Errorf("mapreduce: co-locate: non-finite epoch")
+	}
+	o := Outcome{ // field by field, as in coLocateInto
+		Time: 0 + dt, MapTime: st.mapTime, ReduceTime: st.redTime,
+		CPUUtil: st.util, IOWaitFrac: st.iowait, ReadMB: st.readMB, WrittenMB: st.writeMB,
+		EffIPC: st.ipc, EffLLCMPKI: st.mpki, MemMB: st.memMB,
+		Waves: st.waves, Splits: st.splits,
+	}
+	if m.Noise > 0 && m.rng != nil {
+		m.rng.Jitter(0, m.Noise) // the makespan's draw
+		m.rng.Jitter(0, m.Noise) // the energy's draw
+		o.Time = m.rng.Jitter(o.Time, m.Noise)
+	}
+	return o, nil
 }
 
 // Steady solves the contention among the given co-running applications

@@ -127,8 +127,8 @@ func checkAgainstReference(t *testing.T, e *Evaluator, ref *refAPI, a, b RunSpec
 // TestSoloPathMatchesReference pins the one-solve solo path and the
 // reused first-epoch solve against the reference solver over the whole
 // product: every application (training and test) × every database size
-// plus 0, an off-grid 3.7 GB and 20 GB × every configuration on the
-// grid. Each point runs SoloApp, both Solos, SoloMetrics, CoLocate with
+// plus 0, −0, the least subnormal, an off-grid 3.7 GB and 20 GB × every
+// configuration on the grid. Each point runs SoloApp, both Solos, SoloMetrics, CoLocate with
 // one and two apps, PairMetrics and Steady with one and two apps, with a
 // rotating partner whose mapper count fills the node, or overfills it
 // when the first app holds every core, so the errors are compared too.
@@ -137,7 +137,7 @@ func checkAgainstReference(t *testing.T, e *Evaluator, ref *refAPI, a, b RunSpec
 // call for call as well.
 func TestSoloPathMatchesReference(t *testing.T) {
 	apps := workloads.Apps()
-	sizes := append(workloads.DataSizesGB(), 0, 3.7, 20)
+	sizes := append(workloads.DataSizesGB(), 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 3.7, 20)
 	for _, noise := range []float64{0, 0.05} {
 		m, rm := model(), model()
 		if noise > 0 {
@@ -163,6 +163,31 @@ func TestSoloPathMatchesReference(t *testing.T) {
 		}
 		if want := len(apps) * len(sizes) * len(grid); points != want || overfull == 0 {
 			t.Fatalf("noise %g: %d points (%d overfull pairs), want %d with some overfull", noise, points, overfull, want)
+		}
+	}
+}
+
+// TestSoloZeroLengthRun pins the solo path where a job has no length:
+// with no per-job overhead, an empty input has no splits and a run time
+// of 0 (or −0, or NaN with a NaN overhead), so the first epoch's
+// remainder is NaN. Every entry point must answer as the reference
+// solver does, errors included.
+func TestSoloZeroLengthRun(t *testing.T) {
+	for _, overhead := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1)} {
+		for _, noise := range []float64{0, 0.05} {
+			m, rm := model(), model()
+			m.JobOverheadSec, rm.JobOverheadSec = overhead, overhead
+			if noise > 0 {
+				m, rm = m.WithNoise(noise, sim.NewRNG(3)), rm.WithNoise(noise, sim.NewRNG(3))
+			}
+			app := workloads.MustByName("wc")
+			cfg := Config{Freq: 2.0, Block: 256, Mappers: 4}
+			a := RunSpec{App: &app, DataMB: 0, Cfg: cfg}
+			b := RunSpec{App: &app, DataMB: 1024, Cfg: cfg}
+			checkAgainstReference(t, m.NewEvaluator(), &refAPI{m: rm}, a, b)
+			if _, err := m.NewEvaluator().SoloApp(a); err == nil {
+				t.Fatalf("overhead %g: SoloApp of a zero-length run succeeded", overhead)
+			}
 		}
 	}
 }
@@ -195,6 +220,9 @@ var soloFixedPointSeeds = [][14]float64{
 	{-2e305, 0.65, 0.06, 140, 1.5, 0, 0, 3.9e304, 0.22, 0.05, 1.05, 2.1, 180, 5120},
 	// No data: no splits, so no fixed point at all.
 	{3, 0.65, 0.06, 0, 0.85, 340, 60, 0.10, 0.22, 0.05, 1.05, 2.1, 180, 0},
+	// Negative zero and subnormal data sizes: zero splits or one.
+	{3, 0.65, 0.06, 0, 0.85, 340, 60, 0.10, 0.22, 0.05, 1.05, 2.1, 180, math.Copysign(0, -1)},
+	{3, 0.65, 0.06, 0, 0.85, 340, 60, 0.10, 0.22, 0.05, 1.05, 2.1, 180, math.SmallestNonzeroFloat64},
 	// Negative traffic: a finite negative target rate.
 	{3, 0.65, 0.06, 0, 0.85, 340, 60, -3, 0.22, 0.05, 1.05, 2.1, 180, 3789},
 	// No disk bandwidth at all.

@@ -196,8 +196,23 @@ func (s *Sampler) MeasureAveragedInto(v *Vector, p *workloads.Profile, t *Teleme
 	s.measure(v, p, t, max(runs, 1))
 }
 
+// ExactInto is Exact into v: the first half of MeasureAveragedInto,
+// whose second half is NoiseInto.
+func ExactInto(v *Vector, p *workloads.Profile, t *Telemetry) { exact(v, p, t) }
+
+// NoiseInto applies MeasureAveraged's measurement noise for `runs` runs
+// to the exact vector v in place, with the same draws in the same
+// order: ExactInto then NoiseInto is MeasureAveragedInto, bit for bit.
+func (s *Sampler) NoiseInto(v *Vector, runs int) { s.noise(v, max(runs, 1)) }
+
 func (s *Sampler) measure(v *Vector, p *workloads.Profile, t *Telemetry, runs int) {
 	exact(v, p, t)
+	s.noise(v, runs)
+}
+
+// noise is measure's second half: one jittered reading per metric, in
+// metric order, then the percentage clamps.
+func (s *Sampler) noise(v *Vector, runs int) {
 	scale := 1.0 / math.Sqrt(float64(runs))
 	for m := Metric(0); m < NumMetrics; m++ {
 		rel := s.BaseNoise

@@ -271,3 +271,29 @@ func TestMonitorFormat(t *testing.T) {
 		t.Fatalf("unexpected format header: %q", s)
 	}
 }
+
+// TestSplitMeasureMatchesMeasure pins the split measurement: ExactInto
+// then NoiseInto on one sampler reads the same vectors, bit for bit, as
+// MeasureAveragedInto on a twin sampler with the same seed, over run
+// counts that include the clamp to one run and over telemetry that
+// drives the percentage clamps.
+func TestSplitMeasureMatchesMeasure(t *testing.T) {
+	hot := sampleTelemetry()
+	hot.CPUBusyFrac, hot.IOWaitFrac = 0.99, 0.9
+	tels := []Telemetry{sampleTelemetry(), hot, {}}
+	split, whole := NewSampler(sim.NewRNG(5)), NewSampler(sim.NewRNG(5))
+	for i := 0; i < 600; i++ {
+		p := workloads.Apps()[i%len(workloads.Apps())].Profile
+		tl := tels[i%len(tels)]
+		runs := i%5 - 1
+		var got, want Vector
+		ExactInto(&got, &p, &tl)
+		split.NoiseInto(&got, runs)
+		whole.MeasureAveragedInto(&want, &p, &tl, runs)
+		for m := range got {
+			if math.Float64bits(got[m]) != math.Float64bits(want[m]) {
+				t.Fatalf("reading %d (runs %d): %v = %v split, %v whole", i, runs, Metric(m), got[m], want[m])
+			}
+		}
+	}
+}
