@@ -29,9 +29,30 @@ func driveFullBarriers(c *ShardedScheduler) {
 
 // finishSubmitted finishes every submitted record on the calling
 // goroutine, as Run's helper does ahead of the drive. A test that steps
-// the drive without Run calls it after submitting.
+// the drive without Run calls it after submitting. Without ProfileMemo
+// it first widens the window to hold every submission, so the finisher
+// never waits for the drive; the records finished but not delivered
+// keep their contents, in their new slots.
 func finishSubmitted(c *ShardedScheduler) {
-	c.finishRecords(c.arrivals.chunks, c.arrivals.base())
+	if !c.cfg.ProfileMemo && len(c.win) < c.nextID {
+		win := make([]profileRec, 2*c.nextID)
+		for i := c.arrivals.delivered; i < int(c.fin.done.Load()); i++ {
+			win[i%len(win)] = c.win[i%len(c.win)]
+		}
+		c.win = win
+	}
+	c.finishRecords(c.arrivals)
+}
+
+// recordOf returns the finished record of submission i, which must not
+// be delivered yet: its ring entry's record under ProfileMemo, its
+// window slot otherwise.
+func recordOf(c *ShardedScheduler, i int) *profileRec {
+	if !c.cfg.ProfileMemo {
+		return &c.win[i%len(c.win)]
+	}
+	k := i - c.arrivals.base()
+	return c.arrivals.chunks[k/arrChunk][k%arrChunk].rec
 }
 
 // submitRecord submits one job of app at sizeGB, at the plane's last
@@ -44,8 +65,32 @@ func submitRecord(t testing.TB, c *ShardedScheduler, app workloads.ID, sizeGB fl
 		t.Fatal(c.err)
 	}
 	finishSubmitted(c)
-	r := &c.arrivals
-	return r.chunks[len(r.chunks)-1][r.ti-1].rec
+	return recordOf(c, c.nextID-1)
+}
+
+// RecordsCarved reports how many records the plane has carved for its
+// jobs without ProfileMemo, once a Run has drained it: every Job is then
+// back in a shard's pool and keeps the one record it carved (Job.own),
+// so the count is the pooled Jobs holding one. That follows the most
+// jobs the plane had in the system at once.
+func RecordsCarved(c *ShardedScheduler) int {
+	n := 0
+	for _, sh := range c.shards {
+		for _, j := range sh.jobPool {
+			if j.own != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// onArrive has every shard of c call f with each job's id and the
+// record arrive hands the job, at the job's arrival.
+func onArrive(c *ShardedScheduler, f func(id int, rec *profileRec)) {
+	for _, sh := range c.shards {
+		sh.seen = f
+	}
 }
 
 // SteadyMemoEntries reports the entries the control plane's one steady

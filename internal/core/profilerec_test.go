@@ -125,12 +125,13 @@ func TestArrivalRingChunks(t *testing.T) {
 	}
 }
 
-// TestRecordSizes pins what each arrival, observation, router record
-// and completion log entry carries now that they name their
-// application by id: no copy of a workloads.App, and no pointer, so the
-// garbage collector scans none of them. The completion log entry is
-// the exported CompletedJob (DESIGN.md §44), whose App string is its
-// one pointer.
+// TestRecordSizes pins what each arrival, observation, router record,
+// submission stub and completion log entry carries now that they name
+// their application by id: no copy of a workloads.App, and no pointer,
+// so the garbage collector scans none of them. The stub is all Submit
+// keeps of a single submission until Run (DESIGN.md §46). The
+// completion log entry is the exported CompletedJob (DESIGN.md §44),
+// whose App string is its one pointer.
 func TestRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		v        any
@@ -140,6 +141,7 @@ func TestRecordSizes(t *testing.T) {
 		{trace.Arrival{}, 24, false},
 		{Observation{}, 136, false},
 		{profileRec{}, 168, false},
+		{recStub{}, 16, false},
 		{CompletedJob{}, 96, true},
 	} {
 		typ := reflect.TypeOf(c.v)
@@ -252,8 +254,9 @@ func TestShardedClassCache(t *testing.T) {
 // TestProfileRecords checks which record the router hands each
 // submission. With ProfileMemo off every submission gets a record of
 // its own, with a distinct nonzero id, and the submissions of one
-// (app, size) share a spec id. With ProfileMemo on, the jobs of one
-// (app, size) share one record.
+// (app, size) share a spec id; until the drive delivers it, the record
+// is the submission's window slot (DESIGN.md §46). With ProfileMemo
+// on, the jobs of one (app, size) share one record.
 func TestProfileRecords(t *testing.T) {
 	fixture(t)
 	apps, sizes := workloads.IDs()[:4], []float64{1, 5}
@@ -276,8 +279,9 @@ func TestProfileRecords(t *testing.T) {
 		}
 		recOf, specOf := map[key]*profileRec{}, map[key]int{}
 		ids := map[uint64]bool{}
-		for id, p := range ringEntries(&c.arrivals) {
-			r, k := p.rec, key{p.rec.obs.App.Name(), p.rec.obs.SizeGB}
+		for id := 0; id < c.nextID; id++ {
+			r := recordOf(c, id)
+			k := key{r.obs.App.Name(), r.obs.SizeGB}
 			if r.obs.id == 0 {
 				t.Fatalf("memo=%v: job %d holds id 0", memo, id)
 			}
@@ -303,8 +307,8 @@ func TestProfileRecords(t *testing.T) {
 // TestRouterFinisherMatchesObserve runs a noisy stream of every
 // application at continuous sizes and a ProfileMemo stream of recurring
 // (app, size) pairs through 16 stealing shards, each longer than one
-// ring chunk, and checks every record after Run against a twin
-// profiler with the same seed: the noisy records must hold, in
+// ring chunk, and checks the record each job got at its arrival against
+// a twin profiler with the same seed: the noisy records must hold, in
 // submission order, the observations Observe returns, and the
 // ProfileMemo records those ObserveExact returns, feature for feature
 // by bits. Each record's cached class and nearest-known training row
@@ -313,7 +317,10 @@ func TestProfileRecords(t *testing.T) {
 // its first submission, numbered from 1 in submission order. The records are finished on Run's helper
 // goroutine while the drive delivers them (DESIGN.md §45), so a helper
 // that finished them out of submission order would hand them another
-// record's noise.
+// record's noise. A noisy record is copied at its arrival, since it
+// lives only while its job does: a later job's arrival recycles it
+// (DESIGN.md §46). The window stays the default one, so the helper
+// wraps it many times and waits on the drive at its edge.
 func TestRouterFinisherMatchesObserve(t *testing.T) {
 	fixture(t)
 	cls := fix.db.Classifier()
@@ -346,6 +353,9 @@ func TestRouterFinisherMatchesObserve(t *testing.T) {
 		if len(entries) != len(subs) {
 			t.Fatalf("memo=%v: the ring holds %d arrivals, want %d", memo, len(entries), len(subs))
 		}
+		arrived := make([]profileRec, len(subs))
+		held := make([]*profileRec, len(subs))
+		onArrive(c, func(id int, rec *profileRec) { arrived[id], held[id] = *rec, rec })
 		if _, _, err := c.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -355,8 +365,8 @@ func TestRouterFinisherMatchesObserve(t *testing.T) {
 		twin := NewProfiler(fix.model, sim.NewRNG(seed))
 		owner := map[uint64]*profileRec{}
 		specOf := map[submission]int{}
-		for i, p := range entries {
-			s, rec := subs[i], p.rec
+		for i := range entries {
+			s, rec := subs[i], &arrived[i]
 			var want Observation
 			if memo {
 				want, err = twin.ObserveExact(*s.app.App(), s.size)
@@ -388,10 +398,10 @@ func TestRouterFinisherMatchesObserve(t *testing.T) {
 			if rec.obs.id == 0 {
 				t.Fatalf("memo=%v: job %d's record has id 0", memo, i)
 			}
-			if o, ok := owner[rec.obs.id]; ok && o != rec {
+			if o, ok := owner[rec.obs.id]; ok && o != held[i] {
 				t.Fatalf("memo=%v: job %d's record shares id %d with another record", memo, i, rec.obs.id)
 			}
-			owner[rec.obs.id] = rec
+			owner[rec.obs.id] = held[i]
 		}
 		if want := map[bool]int{false: len(subs), true: len(apps) * 3}[memo]; len(owner) != want {
 			t.Fatalf("memo=%v: %d records, want %d", memo, len(owner), want)
@@ -431,9 +441,8 @@ func TestRecordKeyEquality(t *testing.T) {
 			t.Fatal(c.err)
 		}
 		finishSubmitted(c)
-		e := ringEntries(&c.arrivals)
-		if a, b := e[0].rec, e[1].rec; a.spec != b.spec || (a == b) != memo || c.recs.n != 1 {
-			t.Fatalf("memo=%v: +0 and −0 got specs %d and %d (one record: %v) in a table of %d keys", memo, a.spec, b.spec, a == b, c.recs.n)
+		if a, b := recordOf(c, 0), recordOf(c, 1); a.spec != b.spec || (a == b) != memo || c.recs.n+c.specOf.n != 1 {
+			t.Fatalf("memo=%v: +0 and −0 got specs %d and %d (one record: %v) in tables of %d keys", memo, a.spec, b.spec, a == b, c.recs.n+c.specOf.n)
 		}
 	}
 }

@@ -33,6 +33,11 @@ type Job struct {
 	// job, so the thief keys its steady solves in the plane's one
 	// steady memo by the same spec id.
 	rec *profileRec
+
+	// own is the record a pooled Job keeps for the single submissions
+	// it carries: rec points at it while the job holds one (DESIGN.md
+	// §46).
+	own *profileRec
 }
 
 // WaitQueue is the paper's FIFO wait queue with a reservation at the

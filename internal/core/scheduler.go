@@ -81,10 +81,12 @@ type shard struct {
 	halfSet   nodeSet
 
 	// completions points at the control plane's one completion log,
-	// err at its error: the first error an event hit (see fail).
+	// err at its error: the first error an event hit (see fail), and
+	// recs at its record store, which carves a pooled job's own record.
 	pending     int
 	completions *[]CompletedJob
 	err         *error
+	recs        *recStore
 
 	// energy accounting
 	energyJ    float64
@@ -95,6 +97,11 @@ type shard struct {
 	// see observe.go). Each lifecycle transition calls it behind one nil
 	// check.
 	obs *observer
+
+	// seen, when set, is called with each job's id and the record arrive
+	// hands the job. Only tests set it, to keep a copy of a record that
+	// a later job's arrival recycles (DESIGN.md §46).
+	seen func(id int, rec *profileRec)
 
 	// jobPool / ojPool recycle Job and onlineJob records: both become
 	// unreachable at completion (CompletedJob copies every exported
@@ -114,7 +121,9 @@ const maxPerNode = 2
 // arrival ring. It holds the profile by reference, and the home shard
 // lives on the record; the job's id is its place in the ring's delivery
 // order, so an entry is two words however large an Observation grows
-// (TestPendingArrivalSize pins it at 16 B).
+// (TestPendingArrivalSize pins it at 16 B). A single submission's entry
+// holds no record: its stub sits beside it until the drive delivers it
+// (DESIGN.md §46).
 type pendingArrival struct {
 	at  float64
 	rec *profileRec
@@ -122,12 +131,14 @@ type pendingArrival struct {
 
 // profileRec is one router profile: the observation measured for a
 // submission and the classifier's answers for it. The sharded router
-// owns the records for the run — one per (app, size) under
-// ProfileMemo, one per submission otherwise — and hands them to the
-// home shard by pointer; a Job points at its record's observation, so
-// the observation is never copied. The record's observation carries
-// the record's id (DESIGN.md §26). A record holds no pointer, so the
-// garbage collector never scans the chunks records are carved from.
+// owns the records — one per (app, size) under ProfileMemo, kept for
+// the plane's life, and otherwise one per job in the system, kept by
+// its pooled Job for the next job it carries (DESIGN.md §46) — and
+// hands them to the home shard by pointer; a Job points at its
+// record's observation, so the observation is never copied. The
+// record's observation carries the record's id (DESIGN.md §26). A
+// record holds no pointer, so the garbage collector never scans the
+// chunks records are carved from.
 //
 // home is the shard the router sends every job holding the record to.
 // The class and the nearest-known training index are computed once, in
@@ -409,7 +420,10 @@ const steadyMemoCap = 8192
 
 // arrive is the in-event half of submission: classify, queue, record,
 // dispatch. The observation's SizeGB doubles as the nominal size
-// (Observe preserves the requested size exactly).
+// (Observe preserves the requested size exactly). A single
+// submission's record arrives in the router's window and is copied
+// into the job's own record, carved the first time a Job carries one,
+// so it lives while the job does (DESIGN.md §46).
 func (s *shard) arrive(id int, rec *profileRec, at float64) {
 	var j *Job
 	if k := len(s.jobPool); k > 0 {
@@ -419,6 +433,14 @@ func (s *shard) arrive(id int, rec *profileRec, at float64) {
 	} else {
 		j = new(Job)
 	}
+	own := j.own
+	if rec.single {
+		if own == nil {
+			own = s.recs.carve()
+		}
+		*own = *rec
+		rec = own
+	}
 	*j = Job{
 		ID:      id,
 		Obs:     &rec.obs,
@@ -426,6 +448,10 @@ func (s *shard) arrive(id int, rec *profileRec, at float64) {
 		EstTime: rec.obs.SizeGB,
 		Arrived: at,
 		rec:     rec,
+		own:     own,
+	}
+	if s.seen != nil {
+		s.seen(id, rec)
 	}
 	s.queue.Push(j)
 	if s.obs != nil {
@@ -757,7 +783,8 @@ func (s *shard) nodeComplete(n *onlineNode) {
 		s.obs.complete(n, finisher)
 	}
 	// The finisher and its job are unreachable now — every export above
-	// copied what it needed — so both records go back to the pools.
+	// copied what it needed — so both records go back to the pools; the
+	// Job keeps its own profile record for the next job it carries.
 	n.evFinisher = nil
 	s.jobPool = append(s.jobPool, finisher.job)
 	*finisher = onlineJob{}

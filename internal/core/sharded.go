@@ -19,7 +19,11 @@ package core
 // Submit only solves each job's profiling run. One helper goroutine
 // finishes the records during Run — noise, id and classification, in
 // submission order — ahead of the drive, which delivers an arrival
-// once its record is finished (DESIGN.md §45).
+// once its record is finished (DESIGN.md §45). Without ProfileMemo a
+// record lives only while its job does: the helper re-solves each
+// submission into a fixed window at most one window ahead of the
+// drive, and the drive copies it into a record it recycles once the
+// job completes (DESIGN.md §46).
 //
 // The steal pass is the only cross-shard interaction, and it runs only
 // at barrier times (DESIGN.md §17): a wait queue can only grow at an
@@ -92,16 +96,23 @@ type ShardedScheduler struct {
 	// the one drive fixes the order of its fills and clears.
 	steadyMemo memoTable[steadyKey, steadyVal]
 
-	// recs holds the first record of each (app, size): under
-	// ProfileMemo the one record every job of the pair gets, otherwise
-	// the record whose spec id later submissions of the pair share.
-	// chunk is the store records are carved from; a record keeps its
-	// address for the run. specs counts the spec ids handed out, so ids
-	// are dense, start at 1 and are never reused. Without ProfileMemo
-	// only the finisher touches recs and specs (assignSpec).
-	recs  memoTable[recKey, *profileRec]
-	chunk []profileRec
-	specs int
+	// recs holds each (app, size)'s one record under ProfileMemo.
+	// Without it specOf maps each (app, size) to its spec id, and only
+	// the finisher touches it (assignSpec); no entry points at a record,
+	// which lives only while its job does. specs counts the spec ids
+	// handed out, so ids are dense, start at 1 and are never reused.
+	recs   memoTable[recKey, *profileRec]
+	specOf memoTable[recKey, int]
+	specs  int
+
+	// store is where records are carved: ProfileMemo's, kept for the
+	// plane's life, and the records pooled jobs keep (Job.own). subObs
+	// is the scratch observation Submit solves a single submission
+	// into, and win the window of records the finisher has finished
+	// and the drive has not yet delivered (DESIGN.md §46).
+	store  recStore
+	subObs Observation
+	win    []profileRec
 
 	nextID int
 	lastAt float64
@@ -216,6 +227,7 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 		return nil, fmt.Errorf("core: sharded scheduler: nil tuner factory")
 	}
 	c := &ShardedScheduler{cfg: cfg, prof: prof, queued: newNodeSet(cfg.Shards)}
+	c.fin.wake.L = &c.fin.mu
 	base := 0
 	for i := 0; i < cfg.Shards; i++ {
 		n := nodes / cfg.Shards
@@ -228,7 +240,7 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 		}
 		sh := newShard(&c.ev, &c.steadyMemo, model, db, tuner, n, base)
 		sh.idx = i
-		sh.completions, sh.err = &c.completed, &c.err
+		sh.completions, sh.err, sh.recs = &c.completed, &c.err, &c.store
 		c.shards = append(c.shards, sh)
 		base += n
 	}
@@ -329,9 +341,10 @@ func (c *ShardedScheduler) recordEpoch(t float64) {
 // Submit takes only the part of the job's profile that can fail, the
 // profiling run's solve; Run's helper finishes the record, in
 // submission order, so the sampler's draw sequence is the stream's
-// arrival order (DESIGN.md §45). An out-of-order arrival or a job the
-// profiler rejects is kept as the run's error: later submissions are
-// ignored and Run returns it.
+// arrival order (DESIGN.md §45). Without ProfileMemo it keeps only the
+// job's stub beside the ring (DESIGN.md §46). An out-of-order arrival
+// or a job the profiler rejects is kept as the run's error: later
+// submissions are ignored and Run returns it.
 func (c *ShardedScheduler) Submit(app workloads.ID, sizeGB, at float64) {
 	if c.err != nil {
 		return
@@ -346,8 +359,14 @@ func (c *ShardedScheduler) Submit(app workloads.ID, sizeGB, at float64) {
 		c.err = fmt.Errorf("core: sharded profile: %w", err)
 		return
 	}
-	c.shards[rec.home].pending++
-	c.arrivals.push(pendingArrival{at: at, rec: rec})
+	if rec != nil {
+		c.shards[rec.home].pending++
+		c.arrivals.push(pendingArrival{at: at, rec: rec})
+	} else {
+		s := recStub{size: sizeGB, app: app, home: int32(routeShard(app.Name(), len(c.shards)))}
+		c.shards[s.home].pending++
+		c.arrivals.pushStub(at, s)
+	}
 	c.nextID++
 }
 
@@ -356,7 +375,9 @@ func (c *ShardedScheduler) Submit(app workloads.ID, sizeGB, at float64) {
 // shard's arrive runs classify, queue and dispatch exactly as a per-job
 // event would. A job's id is the number of arrivals delivered before
 // it, which is its submission index. An arrival is delivered only once
-// its record is finished (finishRecords).
+// its record is finished (finishRecords). An arrival without a record
+// is delivered with its finished record in the window, which arrive
+// copies into its job's own record (DESIGN.md §46).
 func (c *ShardedScheduler) fireArrivals() {
 	r := &c.arrivals
 	for p := r.peek(); p != nil && p.at <= c.ev.now; p = r.peek() {
@@ -364,24 +385,75 @@ func (c *ShardedScheduler) fireArrivals() {
 			c.awaitFinished(r.delivered)
 		}
 		a, id := r.pop()
-		c.shards[a.rec.home].arrive(id, a.rec, a.at)
+		if a.rec != nil {
+			c.shards[a.rec.home].arrive(id, a.rec, a.at)
+			continue
+		}
+		slot := &c.win[id%len(c.win)]
+		c.shards[slot.home].arrive(id, slot, a.at)
+		// The slot is free for the record a window later.
+		c.fin.deliver(int64(id + 1))
 	}
 }
 
 // finisher is the state Run's finishing helper shares with the drive
 // (DESIGN.md §45). done counts the arrivals whose records are finished,
 // a prefix of the submission order: the helper publishes it after each
-// batch and the drive reads it, so it sits alone on its cache line,
-// away from the fields the drive writes. stop asks the helper to return
-// at its next batch, once the drive has stopped; wg joins it. failure
-// is the helper's panic, published by done reading finFailed.
+// batch and the drive reads it. delivered counts the arrivals the drive
+// has copied out of the window, which the helper reads to stay within
+// one window of it (DESIGN.md §46). Each count sits alone on its cache
+// line, away from the fields the drive writes; want, beside delivered,
+// is the delivered count a helper asleep at the window's edge waits
+// for, 0 otherwise, and wake (on mu) is where it sleeps. stop asks the
+// helper to return at its next batch, once the drive has stopped; wg
+// joins it. failure is the helper's panic, published by done reading
+// finFailed.
 type finisher struct {
-	_       [64]byte
-	done    atomic.Int64
-	_       [56]byte
-	stop    atomic.Bool
-	wg      sync.WaitGroup
-	failure any
+	_         [64]byte
+	done      atomic.Int64
+	_         [56]byte
+	delivered atomic.Int64
+	want      atomic.Int64
+	_         [48]byte
+	stop      atomic.Bool
+	mu        sync.Mutex
+	wake      sync.Cond
+	wg        sync.WaitGroup
+	failure   any
+}
+
+// deliver publishes the drive's delivered count n and wakes the helper
+// once n reaches the count it sleeps for. Only the delivery that takes
+// want back to 0 takes the lock, once per sleep.
+func (f *finisher) deliver(n int64) {
+	f.delivered.Store(n)
+	if w := f.want.Load(); w != 0 && n >= w && f.want.CompareAndSwap(w, 0) {
+		f.mu.Lock()
+		f.wake.Signal()
+		f.mu.Unlock()
+	}
+}
+
+// awaitDelivered sleeps the helper until the drive's delivered count
+// reaches n or the drive stops. It announces n, under the lock, before
+// it checks the count, and deliver stores the count before it checks
+// want and signals under the lock, so no wake is lost.
+func (f *finisher) awaitDelivered(n int64) {
+	f.mu.Lock()
+	f.want.Store(n)
+	for f.delivered.Load() < n && !f.stop.Load() {
+		f.wake.Wait()
+	}
+	f.want.Store(0)
+	f.mu.Unlock()
+}
+
+// halt asks the helper to return and wakes it if it sleeps.
+func (f *finisher) halt() {
+	f.stop.Store(true)
+	f.mu.Lock()
+	f.wake.Signal()
+	f.mu.Unlock()
 }
 
 // finFailed is the count a panicking helper publishes.
@@ -393,34 +465,48 @@ const finBatch = 64
 
 // finishRecords finishes the records of the submitted arrivals the
 // count does not cover yet, in submission order, and publishes the
-// count after each batch. chunks is the arrival ring's chunk list and
-// base the submission index of its first chunk's first entry, both
-// read when the finisher starts. Finishing a record draws its
-// measurement noise and gives it its spec id (a record of a single
-// submission only), stamps its id, and caches the classifier's answers
-// for it — the parts of a profile that cannot fail and that nothing
-// reads before the record's first arrival is delivered. A record already finished, a ProfileMemo
-// record seen before, is skipped. Run runs it on one helper goroutine
-// ahead of the drive; a test that steps the drive without Run calls it
-// after submitting.
+// count after each batch. r is the arrival ring as the finisher starts.
+// A single submission's record is its stub re-solved into its window
+// slot, at most one window ahead of the drive's delivered count, with
+// its measurement noise drawn and its spec id given. Every record not
+// yet finished gets its id stamped and the classifier's answers cached
+// — the parts of a profile that cannot fail and that nothing reads
+// before the record's first arrival is delivered. A record already
+// finished, a ProfileMemo record seen before, is skipped. Run runs it
+// on one helper goroutine ahead of the drive; a test that steps the
+// drive without Run calls it after submitting, with a window that
+// holds every submission.
 //
 // The drive delivers an arrival only after the count covers it, and
-// clears a ring slot or drops a chunk only after delivering from it, so
-// every slot the finisher reads and every record it writes is ordered
-// against the drive's accesses by the count.
-func (c *ShardedScheduler) finishRecords(chunks []*[arrChunk]pendingArrival, base int) {
+// clears a ring slot or drops a chunk only after delivering from it;
+// it copies a window slot out before its delivered count frees the
+// slot. So every slot the finisher reads and every record it writes is
+// ordered against the drive's accesses by the two counts.
+func (c *ShardedScheduler) finishRecords(r arrivalRing) {
 	f := &c.fin
 	cls := c.shards[0].DB.Classifier()
+	base, win, single := r.base(), c.win, len(r.stubs) > 0
 	for i, end := int(f.done.Load()), c.nextID; i < end && !f.stop.Load(); {
-		for stop := min(i+finBatch, end); i < stop; i++ {
-			k := i - base
-			rec := chunks[k/arrChunk][k%arrChunk].rec
-			if rec.by == cls.id {
+		stop := min(i+finBatch, end)
+		if single {
+			// Slot i%len(win) is free once arrival i-len(win) is
+			// delivered. At the window's edge the helper sleeps until a
+			// batch of slots is free, rather than spin.
+			if stop = min(stop, int(f.delivered.Load())+len(win)); i == stop {
+				f.awaitDelivered(int64(i - len(win) + min(finBatch, len(win))))
 				continue
 			}
-			if rec.single {
+		}
+		for ; i < stop; i++ {
+			k := i - base
+			var rec *profileRec
+			if single {
+				rec = &win[i%len(win)]
+				c.resolve(rec, &r.stubs[k/arrChunk][k%arrChunk])
 				c.prof.noise(&rec.obs)
 				c.assignSpec(rec)
+			} else if rec = r.chunks[k/arrChunk][k%arrChunk].rec; rec.by == cls.id {
+				continue
 			}
 			rec.obs.stamp()
 			class, near := cls.answer(&rec.obs)
@@ -430,9 +516,20 @@ func (c *ShardedScheduler) finishRecords(chunks []*[arrChunk]pendingArrival, bas
 	}
 }
 
+// resolve makes rec the unfinished record of the submission s stubs:
+// its profiling run solved again, a pure function of app and size, so
+// bit for bit the solve Submit took, on the profiler's evaluator,
+// which Run never shares with Submit.
+func (c *ShardedScheduler) resolve(rec *profileRec, s *recStub) {
+	*rec = profileRec{home: s.home, single: true}
+	if err := c.prof.solve(&rec.obs, s.app, s.size); err != nil {
+		panic(fmt.Sprintf("re-solve of %s@%g failed after Submit's succeeded: %v", s.app.Name(), s.size, err))
+	}
+}
+
 // finishAhead is Run's helper goroutine: finishRecords, with a panic
 // handed to the drive instead of ending the process.
-func (c *ShardedScheduler) finishAhead(chunks []*[arrChunk]pendingArrival, base int) {
+func (c *ShardedScheduler) finishAhead(r arrivalRing) {
 	f := &c.fin
 	defer f.wg.Done()
 	defer func() {
@@ -441,7 +538,7 @@ func (c *ShardedScheduler) finishAhead(chunks []*[arrChunk]pendingArrival, base 
 			f.done.Store(finFailed)
 		}
 	}()
-	c.finishRecords(chunks, base)
+	c.finishRecords(r)
 }
 
 // awaitFinished returns once the finisher's count covers arrival id,
@@ -473,11 +570,23 @@ const arrChunk = 4096
 //
 // chunks[0] holds the first undelivered entry, at hi; the last chunk
 // is filled up to ti. delivered counts the entries popped over the
-// ring's life.
+// ring's life. stubs is empty under ProfileMemo; otherwise stubs[k]
+// holds the stubs of chunks[k]'s entries, which carry no record, at
+// the same places (DESIGN.md §46).
 type arrivalRing struct {
 	chunks    []*[arrChunk]pendingArrival
+	stubs     []*[arrChunk]recStub
 	hi, ti    int
 	delivered int
+}
+
+// recStub is what Submit keeps of a single submission's profile until
+// Run's helper re-solves it: the application, the size and the home
+// shard, 16 B and no pointer (TestRecordSizes).
+type recStub struct {
+	size float64
+	home int32
+	app  workloads.ID
 }
 
 // base is the submission index of the first chunk's first entry.
@@ -491,6 +600,16 @@ func (r *arrivalRing) push(p pendingArrival) {
 	}
 	r.chunks[len(r.chunks)-1][r.ti] = p
 	r.ti++
+}
+
+// pushStub appends an arrival at `at` without a record, with its stub
+// s beside it.
+func (r *arrivalRing) pushStub(at float64, s recStub) {
+	r.push(pendingArrival{at: at})
+	if len(r.stubs) < len(r.chunks) {
+		r.stubs = append(r.stubs, new([arrChunk]recStub))
+	}
+	r.stubs[len(r.stubs)-1][r.ti-1] = s
 }
 
 // peek returns the first undelivered entry, or nil on an empty ring.
@@ -514,69 +633,95 @@ func (r *arrivalRing) pop() (pendingArrival, int) {
 	case r.hi == arrChunk:
 		r.chunks[0] = nil
 		r.chunks, r.hi = r.chunks[1:], 0
+		if len(r.stubs) > 0 {
+			r.stubs[0] = nil
+			r.stubs = r.stubs[1:]
+		}
 	}
 	r.delivered++
 	return p, r.delivered - 1
 }
 
-// profile returns the record for one submission: under ProfileMemo
+// profile takes one submission's profile. Under ProfileMemo it returns
 // the (app, size) record, profiled exactly and given its spec id on
-// first sight; otherwise a new record of this job's profile, solved
-// here, which the finisher noises and gives its spec id (DESIGN.md
-// §45). Either way the record's home is its application's shard, and
-// the finisher stamps its id, which names the record, not its contents
-// (DESIGN.md §26, §33).
+// first sight; the finisher stamps its id, which names the record, not
+// its contents (DESIGN.md §26, §33), and its home is its application's
+// shard. Otherwise it solves the job's profiling run into the plane's
+// scratch observation, for its error alone, and returns no record: the
+// finisher re-solves the job's stub into a record of its own (DESIGN.md
+// §46).
 func (c *ShardedScheduler) profile(app workloads.ID, sizeGB float64) (*profileRec, error) {
-	memo := c.cfg.ProfileMemo
-	solve := c.prof.solve
-	if memo {
-		if k, ok := recKeyOf(app, sizeGB); ok {
-			if first := c.recs.get(k); first != nil {
-				return *first, nil
-			}
+	if !c.cfg.ProfileMemo {
+		if err := c.prof.solve(&c.subObs, app, sizeGB); err != nil {
+			return nil, fmt.Errorf("core: profile %s: %w", app.Name(), err)
 		}
-		solve = c.prof.observeExact
+		return nil, nil
 	}
-	if len(c.chunk) == cap(c.chunk) {
-		c.chunk = make([]profileRec, 0, recChunk)
+	k, keyed := recKeyOf(app, sizeGB)
+	if keyed {
+		if rec := c.recs.get(k); rec != nil {
+			return *rec, nil
+		}
 	}
 	// The profile is measured into its record's place in the store.
-	rec := &c.chunk[:len(c.chunk)+1][len(c.chunk)]
-	if err := solve(&rec.obs, app, sizeGB); err != nil {
+	rec := c.store.carve()
+	if err := c.prof.observeExact(&rec.obs, app, sizeGB); err != nil {
 		return nil, fmt.Errorf("core: profile %s: %w", app.Name(), err)
 	}
-	c.chunk = c.chunk[:len(c.chunk)+1]
-	rec.single = !memo
 	rec.home = int32(routeShard(app.Name(), len(c.shards)))
-	if memo {
-		c.assignSpec(rec)
+	c.specs++
+	rec.spec = c.specs
+	if keyed {
+		c.recs.put(k, rec)
 	}
 	return rec, nil
 }
 
-// assignSpec gives rec the spec id of its (app, size): the first
-// record's, or on first sight a new one, and rec becomes the pair's
-// first record. Spec ids are handed out in submission order, by
-// Submit under ProfileMemo and by the finisher otherwise.
+// assignSpec gives a single submission's record the spec id of its
+// (app, size): the one the pair got at first sight, or on first sight
+// a new one. The finisher calls it in submission order, so ids are
+// handed out in order of first sight.
 func (c *ShardedScheduler) assignSpec(rec *profileRec) {
 	k, keyed := recKeyOf(rec.obs.App, rec.obs.SizeGB)
 	if keyed {
-		if first := c.recs.get(k); first != nil {
-			rec.spec = (*first).spec
+		if spec := c.specOf.get(k); spec != nil {
+			rec.spec = *spec
 			return
 		}
 	}
 	c.specs++
 	rec.spec = c.specs
 	if keyed {
-		c.recs.put(k, rec)
+		c.specOf.put(k, rec.spec)
 	}
 }
 
-// recChunk is how many records one store chunk holds: one allocation
-// per recChunk records, instead of one per record or a store that
-// regrows.
+// recStore carves the plane's records from fixed chunks that never
+// move, one allocation per recChunk records, and none holding a
+// pointer. ProfileMemo's records are carved for the plane's life.
+// Without it the drive carves one record per Job it allocates, which
+// the pooled Job keeps (Job.own), so the records carved follow the
+// jobs in the system (DESIGN.md §46). Only the drive carves during
+// Run.
+type recStore struct {
+	chunk []profileRec
+}
+
+// recChunk is how many records one store chunk holds.
 const recChunk = 256
+
+// carve returns a zero record new to the store.
+func (s *recStore) carve() *profileRec {
+	if len(s.chunk) == cap(s.chunk) {
+		s.chunk = make([]profileRec, 0, recChunk)
+	}
+	s.chunk = s.chunk[:len(s.chunk)+1]
+	return &s.chunk[len(s.chunk)-1]
+}
+
+// recWindow is how many finished records the window holds: how far
+// Run's helper may run ahead of the drive (DESIGN.md §46).
+const recWindow = 1024
 
 // BarrierStats reports how the last Run drove the shards: barriers
 // executed vs events fired between them.
@@ -596,13 +741,17 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 		return 0, 0, c.err
 	}
 	c.completed = append(make([]CompletedJob, 0, c.nextID), c.completed...)
+	// The window is sized at the first Run with arrivals pending.
+	if !c.cfg.ProfileMemo && len(c.win) == 0 {
+		c.win = make([]profileRec, min(recWindow, c.nextID-c.arrivals.delivered))
+	}
 	// One helper finishes the records ahead of the drive; it is joined
 	// on every way out, the error and panic paths included.
 	c.fin.stop.Store(false)
 	c.fin.wg.Add(1)
-	go c.finishAhead(c.arrivals.chunks, c.arrivals.base())
+	go c.finishAhead(c.arrivals)
 	defer func() {
-		c.fin.stop.Store(true)
+		c.fin.halt()
 		c.fin.wg.Wait()
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: sharded scheduler: %v", r)

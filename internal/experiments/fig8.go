@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"ecost/internal/core"
+	"ecost/internal/mapreduce"
 	"ecost/internal/workloads"
 )
 
@@ -25,14 +25,18 @@ func Fig8Overheads(env *Env) (Table, Fig8Data, error) {
 		TrainTime:   map[string]time.Duration{},
 		PredictTime: map[string]time.Duration{},
 	}
-	// Training time: the MLM models record theirs; LkT's is the COLAO
-	// database population, re-measured on a representative entry and
-	// scaled to the entry count.
+	// Training time: the MLM models record theirs, each one serial fit.
+	// LkT's is the COLAO population of its table. Each BuildDatabase
+	// worker searches its entries' joint grids serially on one
+	// evaluator, so one such search on a representative entry, scaled
+	// to the entry count, is the table's serial build time, measured the
+	// way the fits are.
+	ev := env.Model.NewEvaluator()
+	pcs := mapreduce.PairConfigsCached(env.Model.Spec.Cores)
+	a := mapreduce.RunSpec{App: workloads.MustLookup("wc").App(), DataMB: 5 * 1024}
+	b := mapreduce.RunSpec{App: workloads.MustLookup("ts").App(), DataMB: 5 * 1024}
 	start := time.Now()
-	a := workloads.MustLookup("wc")
-	b := workloads.MustLookup("ts")
-	probe := core.NewOracle(env.Model) // fresh, unmemoized
-	if _, err := probe.COLAO(a, 5*1024, b, 5*1024); err != nil {
+	if _, _, err := ev.PairArgmin(a, b, pcs); err != nil {
 		return Table{}, data, err
 	}
 	perEntry := time.Since(start)

@@ -27,8 +27,9 @@
 package tracing
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -297,22 +298,36 @@ func (t *Tracer) Spans() []Span {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]Span, len(t.spans))
-	for i, s := range t.spans {
+	order := slices.Clone(t.spans)
+	t.mu.Unlock()
+	// Sort the pointers, not the spans, so each span is copied once,
+	// into its place. The sort needs no lock: its key is fixed when the
+	// span is recorded. The copy does, since the drive may still be
+	// finishing spans and attributing energy to them.
+	slices.SortStableFunc(order, spanOrder)
+	out := make([]Span, len(order))
+	t.mu.Lock()
+	for i, s := range order {
 		out[i] = *s
 		out[i].tr = nil
 	}
 	t.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		if out[i].Attrs.Shard != out[j].Attrs.Shard {
-			return out[i].Attrs.Shard < out[j].Attrs.Shard
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
+}
+
+// spanOrder orders spans by (Start, Shard, ID). Starts compare by !=
+// and < alone, not cmp.Compare, which would order a NaN first.
+func spanOrder(a, b *Span) int {
+	if a.Start != b.Start {
+		if a.Start < b.Start {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(a.Attrs.Shard, b.Attrs.Shard); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // TotalEnergyJ sums the energy attributed to spans of the given kind.

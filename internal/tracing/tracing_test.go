@@ -135,3 +135,41 @@ func BenchmarkEnabledSpan(b *testing.B) {
 		sp.FinishAt(at)
 	}
 }
+
+// TestSpansDuringDrive reads Spans while another goroutine records,
+// finishes and annotates spans, as a -serve scrape does mid-run. Run
+// under -race it fails if Spans reads a span without the lock.
+func TestSpansDuringDrive(t *testing.T) {
+	tr := New()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			at := float64(i)
+			job := tr.Record(KindJob, "job", nil, at, math.NaN(), Attrs{Job: i, Node: -1})
+			run := tr.Record(KindRun, "run", job, at, math.NaN(), Attrs{Job: i, Node: i % 4})
+			run.SetConfig("f2.4 m4 b128")
+			run.SetPartner("wc")
+			run.AddEnergy(1)
+			run.FinishAt(at + 1)
+			job.SetEnergy(2)
+			job.FinishAt(at + 1)
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if got := len(tr.Spans()); got != 4000 {
+				t.Fatalf("Spans returned %d spans, want 4000", got)
+			}
+			return
+		default:
+		}
+		spans := tr.Spans()
+		for i := 1; i < len(spans); i++ {
+			if spans[i].Start < spans[i-1].Start {
+				t.Fatalf("span %d starts before span %d", i, i-1)
+			}
+		}
+	}
+}
